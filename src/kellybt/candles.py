@@ -3,6 +3,12 @@
 Canonical file format is CSV with header ``timestamp,open,high,low,close,volume``
 and timestamps in epoch seconds (UTC, aligned to the hour). Gaps in exchange
 data are kept and indexed, never forward-filled.
+
+The candle invariants (strictly increasing, interval-aligned timestamps;
+finite positive prices; finite non-negative volume; low/high enveloping
+open/close) are checked in one place, ``_first_invalid``. CandleSeries calls
+it on construction; parse_candles reads the file straight into columns and
+calls it to name the file line of the first bad row.
 """
 from __future__ import annotations
 
@@ -35,21 +41,36 @@ class Candle:
     close: float
     volume: float
 
-    def validate(self) -> None:
-        if self.timestamp % HOUR != 0:
-            raise DataError(f"timestamp {self.timestamp} is not hourly aligned")
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise DataError(f"non-positive price at timestamp {self.timestamp}")
-        if self.volume < 0:
-            raise DataError(f"negative volume at timestamp {self.timestamp}")
-        if self.low > min(self.open, self.close) or self.high < max(self.open, self.close):
-            raise DataError(
-                f"OHLC invariant violated at timestamp {self.timestamp}: "
-                f"low {self.low} / high {self.high} do not envelope "
-                f"open {self.open} / close {self.close}"
-            )
-        if self.low > self.high:
-            raise DataError(f"low > high at timestamp {self.timestamp}")
+
+def _first_invalid(ts, o, h, l, c, v, interval: int) -> tuple[int, str] | None:
+    """Index and message of the first row that breaks a candle invariant.
+
+    Row i breaks one when its timestamp does not exceed row i-1's or is off
+    the ``interval`` grid, when a price or the volume is not finite, a price
+    is non-positive, the volume negative, or low/high do not envelope
+    open/close. Returns None when every row holds.
+    """
+    repeated = np.zeros(ts.size, dtype=bool)
+    repeated[1:] = ts[1:] <= ts[:-1]
+    finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v)
+    checks = (
+        (repeated, "duplicate or non-monotonic timestamp {t}"),
+        (ts % interval != 0, "timestamp {t} is not aligned to the {interval}s interval"),
+        (~finite, "non-finite price or volume at timestamp {t}"),
+        (np.minimum(np.minimum(o, h), np.minimum(l, c)) <= 0,
+         "non-positive price at timestamp {t}"),
+        (v < 0, "negative volume at timestamp {t}"),
+        ((l > np.minimum(o, c)) | (h < np.maximum(o, c)),
+         "OHLC invariant violated at timestamp {t}: low {l} / high {h} do not "
+         "envelope open {o} / close {c}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    message = next(text for mask, text in checks if mask[i])
+    return i, message.format(t=int(ts[i]), interval=interval, o=float(o[i]),
+                             h=float(h[i]), l=float(l[i]), c=float(c[i]))
 
 
 class CandleSeries:
@@ -67,30 +88,19 @@ class CandleSeries:
         ts = np.asarray(timestamps, dtype=np.int64)
         if ts.size == 0:
             raise DataError("empty candle series")
-        cols = {}
+        cols = []
         for name, col in (("open", open), ("high", high), ("low", low),
                           ("close", close), ("volume", volume)):
             arr = np.asarray(col, dtype=np.float64)
             if arr.shape != ts.shape:
                 raise DataError(f"column {name} length {arr.size} != timestamps {ts.size}")
-            cols[name] = arr
+            cols.append(arr)
+        o, h, l, c, v = cols
+        invalid = _first_invalid(ts, o, h, l, c, v, interval)
+        if invalid is not None:
+            raise DataError(invalid[1])
 
         diffs = np.diff(ts)
-        if np.any(diffs <= 0):
-            bad = int(ts[1:][diffs <= 0][0])
-            raise DataError(f"duplicate or non-monotonic timestamp {bad}")
-        if np.any(ts % interval != 0):
-            bad = int(ts[ts % interval != 0][0])
-            raise DataError(f"timestamp {bad} is not aligned to the {interval}s interval")
-
-        o, h, l, c, v = (cols[k] for k in ("open", "high", "low", "close", "volume"))
-        bad = (np.minimum(o, np.minimum(h, np.minimum(l, c))) <= 0)
-        bad |= (v < 0) | (l > np.minimum(o, c)) | (h < np.maximum(o, c)) | (l > h)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            Candle(int(ts[i]), float(o[i]), float(h[i]), float(l[i]),
-                   float(c[i]), float(v[i])).validate()
-
         gap_positions = np.flatnonzero(diffs != interval)
         self.gaps = tuple(
             (int(i), int(diffs[i] // interval) - 1) for i in gap_positions
@@ -124,12 +134,6 @@ class CandleSeries:
             self.low[start:stop], self.close[start:stop], self.volume[start:stop],
             symbol=self.symbol, interval=self.interval,
         )
-
-    def index_of(self, timestamp: int) -> int:
-        i = int(np.searchsorted(self.timestamps, timestamp))
-        if i >= len(self) or self.timestamps[i] != timestamp:
-            raise KeyError(f"timestamp {timestamp} not in series")
-        return i
 
     def to_csv(self, dest) -> None:
         """Write the canonical CSV. Float fields use repr (exact round trip)."""
@@ -171,8 +175,9 @@ def parse_candles(source, mapping: dict | None = None, symbol: str = "UNKNOWN") 
 
     ``source`` is a path or an open text stream. ``mapping`` renames the six
     canonical columns to the file's header names (logical -> actual); columns
-    missing from the mapping keep their canonical names. Rows are sorted by
-    timestamp after parsing; duplicate timestamps are rejected.
+    missing from the mapping keep their canonical names. Rows are sorted
+    stably by timestamp, then checked by the same invariants as CandleSeries;
+    an error names the file line of the offending row.
     """
     mapping = dict(mapping or {})
     for key in mapping:
@@ -187,43 +192,44 @@ def parse_candles(source, mapping: dict | None = None, symbol: str = "UNKNOWN") 
         except StopIteration:
             raise DataError("empty input: no header row") from None
         header = [h.strip() for h in header]
-        col_idx = {}
+        col_idx = []
         for logical in CANONICAL_COLUMNS:
             actual = mapping.get(logical, logical)
             if actual not in header:
                 raise DataError(f"missing column {actual!r} in header {header}")
-            col_idx[logical] = header.index(actual)
+            col_idx.append(header.index(actual))
 
-        rows = []
+        rows, lines = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
-                ts = int(float(row[col_idx["timestamp"]]))
-                fields = tuple(float(row[col_idx[k]]) for k in CANONICAL_COLUMNS[1:])
+                rows.append([float(row[k]) for k in col_idx])
             except (ValueError, IndexError) as exc:
                 raise DataError(f"malformed row at line {lineno}: {exc}") from None
-            candle = Candle(ts, *fields)
-            try:
-                candle.validate()
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from None
-            rows.append(candle)
+            lines.append(lineno)
     finally:
         if own:
             fh.close()
 
     if not rows:
         raise DataError("no data rows in input")
-    rows.sort(key=lambda c: c.timestamp)
-    for prev, cur in zip(rows, rows[1:]):
-        if cur.timestamp == prev.timestamp:
-            raise DataError(f"duplicate timestamp {cur.timestamp}")
-    return CandleSeries(
-        [c.timestamp for c in rows], [c.open for c in rows], [c.high for c in rows],
-        [c.low for c in rows], [c.close for c in rows], [c.volume for c in rows],
-        symbol=symbol,
-    )
+    data = np.array(rows, dtype=np.float64)
+    # Timestamps truncate toward zero, as int(float(field)) would.
+    out_of_range = np.flatnonzero(~(np.abs(data[:, 0]) < 2.0 ** 63))
+    if out_of_range.size:
+        k = int(out_of_range[0])
+        raise DataError(f"malformed row at line {lines[k]}: timestamp {float(data[k, 0])!r} "
+                        f"is not a finite 64-bit integer")
+    ts = data[:, 0].astype(np.int64)
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    o, h, l, c, v = (data[order, k] for k in range(1, 6))
+    invalid = _first_invalid(ts, o, h, l, c, v, HOUR)
+    if invalid is not None:
+        i, message = invalid
+        raise DataError(f"line {lines[order[i]]}: {message}")
+    return CandleSeries(ts, o, h, l, c, v, symbol=symbol)
 
 
 def split_dataset(series: CandleSeries, spec: SplitSpec):
@@ -276,11 +282,6 @@ def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,
     volume = np.exp(rng.normal(3.0, 0.5, size=n))
     timestamps = start_ts + HOUR * np.arange(n, dtype=np.int64)
     return CandleSeries(timestamps, open_, high, low, close, volume, symbol=symbol)
-
-
-def read_candles_csv(path: str, mapping: dict | None = None,
-                     symbol: str = "UNKNOWN") -> CandleSeries:
-    return parse_candles(path, mapping=mapping, symbol=symbol)
 
 
 def parse_candles_text(text: str, mapping: dict | None = None,

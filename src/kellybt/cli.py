@@ -40,44 +40,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-DEFAULTS: dict[str, dict] = {
-    "ingest": {"input": None, "symbol": "BTCUSDT", "train_end": None,
-               "val_end": None, "out": None},
-    "synth": {"seed": 0, "n": 5000, "drift": 0.0, "volatility": 0.01,
-              "start_price": 30000.0, "start_ts": "2020-01-01", "symbol": "SYNTH",
-              "out": None},
-    "features": {"input": None, "symbol": "BTCUSDT", "grid": None,
-                 "price_model": False, "horizon": 5, "train_end": None,
-                 "normalize_weights": False, "out": None},
-    "label": {"input": None, "symbol": "BTCUSDT", "up_pct": 0.02, "down_pct": 0.02,
-              "horizon": 5, "vertical_rule": "SIGN", "stride": 1,
-              "ambiguous_to_lower": False, "out": None},
-    "simulate": {"input": None, "symbol": "SYNTH", "seed": 0, "n": 5000,
-                 "drift": 0.0, "volatility": 0.01, "start_price": 30000.0,
-                 "sim": "balanced", "sim_seed": 0, "hit_rate": 0.6, "p_const": 0.6,
-                 "sigma": 0.1, "mu_long": 0.6, "mu_short": 0.4,
-                 "policy": "none,gaussian,kelly", "kelly_fraction": 1.0,
-                 "max_leverage": 5.0, "expected": 0.5, "modifier": 1.0,
-                 "horizon": 5, "stride": None, "fee_rate": 0.0, "window": 250,
-                 "const_a": None, "const_b": None, "out": None},
-    "backtest": {"input": None, "symbol": "BTCUSDT", "predictions": None,
-                 "policy": "kelly", "kelly_fraction": 1.0, "max_leverage": 5.0,
-                 "expected": 0.5, "modifier": 1.0, "horizon": 5, "stride": None,
-                 "fee_rate": 0.0, "window": 250, "out": None},
-    "compare": {"seeds": "0-9", "n": 5000, "drift": 0.0, "volatility": 0.01,
-                "start_price": 30000.0, "sims": "balanced,gaussian",
-                "hit_rate": 0.6, "p_const": 0.6, "sigma": 0.1, "mu_long": 0.6,
-                "mu_short": 0.4, "policy": "none,gaussian,kelly",
-                "kelly_fraction": 1.0, "max_leverage": 5.0, "expected": 0.5,
-                "modifier": 1.0, "horizon": 5, "stride": None, "fee_rate": 0.0,
-                "window": 250, "const_a": None, "const_b": None, "out": None},
-    "report": {"input": None, "symbol": "BTCUSDT", "predictions": None,
-               "strategy_name": "external", "threshold": 0.5, "policy": "kelly",
-               "kelly_fraction": 1.0, "max_leverage": 5.0, "expected": 0.5,
-               "modifier": 1.0, "horizon": 5, "stride": None, "fee_rate": 0.0,
-               "window": 250, "out": None},
-    "kelly-surface": {"p": None, "out": None},
+# Option groups shared by several commands; each default is written once.
+_CANDLE_INPUT = {"input": None, "symbol": "BTCUSDT"}
+_SIZING = {"policy": "none,gaussian,kelly", "kelly_fraction": 1.0, "max_leverage": 5.0,
+           "expected": 0.5, "modifier": 1.0}
+_TRADING = {"horizon": 5, "stride": None, "fee_rate": 0.0, "window": 250}
+_SYNTHETIC = {"n": 5000, "drift": 0.0, "volatility": 0.01, "start_price": 30000.0}
+_SIMULATOR = {"hit_rate": 0.6, "p_const": 0.6, "sigma": 0.1, "mu_long": 0.6,
+              "mu_short": 0.4, "const_a": None, "const_b": None}
+
+_COMMAND_OPTIONS = {
+    "ingest": {**_CANDLE_INPUT, "train_end": None, "val_end": None},
+    "synth": {"seed": 0, **_SYNTHETIC, "start_ts": "2020-01-01", "symbol": "SYNTH"},
+    "features": {**_CANDLE_INPUT, "grid": None, "price_model": False, "horizon": 5,
+                 "train_end": None, "normalize_weights": False},
+    "label": {**_CANDLE_INPUT, "up_pct": 0.02, "down_pct": 0.02, "horizon": 5,
+              "vertical_rule": "SIGN", "stride": 1, "ambiguous_to_lower": False},
+    "simulate": {**_CANDLE_INPUT, "symbol": "SYNTH", "seed": 0, **_SYNTHETIC,
+                 "sim": "balanced", "sim_seed": 0, **_SIMULATOR, **_SIZING, **_TRADING},
+    "backtest": {**_CANDLE_INPUT, "predictions": None, **_SIZING, "policy": "kelly",
+                 **_TRADING},
+    "compare": {"seeds": "0-9", **_SYNTHETIC, "sims": "balanced,gaussian", **_SIMULATOR,
+                **_SIZING, **_TRADING},
+    "report": {**_CANDLE_INPUT, "predictions": None, "strategy_name": "external",
+               "threshold": 0.5, **_SIZING, "policy": "kelly", **_TRADING},
+    "kelly-surface": {"p": None},
 }
+# Every command also takes --out.
+DEFAULTS: dict[str, dict] = {command: {**options, "out": None}
+                             for command, options in _COMMAND_OPTIONS.items()}
 
 _FLAG_HELP = {
     "input": "input candle CSV (timestamp,open,high,low,close,volume)",
@@ -194,6 +185,17 @@ def _policies(resolved: dict) -> list[sizing.SizingPolicy]:
     ]
 
 
+def _backtest_config(resolved: dict) -> backtest.BacktestConfig:
+    return backtest.BacktestConfig(horizon=resolved["horizon"], stride=resolved["stride"],
+                                   fee_rate=resolved["fee_rate"])
+
+
+def _synthetic_series(resolved: dict, seed: int, **kwargs) -> CandleSeries:
+    return generate_synthetic_series(
+        seed=seed, n=resolved["n"], drift=resolved["drift"],
+        volatility=resolved["volatility"], start_price=resolved["start_price"], **kwargs)
+
+
 def _scenario_estimates(series, labels, resolved: dict):
     """Trailing-window estimates by default; constants when configured."""
     const_a, const_b = resolved.get("const_a"), resolved.get("const_b")
@@ -306,11 +308,8 @@ def cmd_ingest(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
 
 
 def cmd_synth(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
-    series = generate_synthetic_series(
-        seed=resolved["seed"], n=resolved["n"], drift=resolved["drift"],
-        volatility=resolved["volatility"], start_price=resolved["start_price"],
-        symbol=resolved["symbol"], start_ts=_parse_time(resolved["start_ts"]),
-    )
+    series = _synthetic_series(resolved, resolved["seed"], symbol=resolved["symbol"],
+                               start_ts=_parse_time(resolved["start_ts"]))
     path = os.path.join(outdir, "candles.csv")
     series.to_csv(path)
     return [path], [resolved["seed"]]
@@ -361,12 +360,8 @@ def cmd_label(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
 def _sim_series(resolved: dict) -> tuple[CandleSeries, list[int]]:
     if resolved["input"]:
         return _load_series(resolved["input"], resolved["symbol"]), []
-    series = generate_synthetic_series(
-        seed=resolved["seed"], n=resolved["n"], drift=resolved["drift"],
-        volatility=resolved["volatility"], start_price=resolved["start_price"],
-        symbol=resolved["symbol"],
-    )
-    return series, [resolved["seed"]]
+    seed = resolved["seed"]
+    return _synthetic_series(resolved, seed, symbol=resolved["symbol"]), [seed]
 
 
 def cmd_simulate(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
@@ -374,9 +369,8 @@ def cmd_simulate(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
     labels = features.make_labels(series, horizon=resolved["horizon"])
     preds = _simulate_predictions(labels, resolved["sim"], resolved["sim_seed"], resolved)
     ests = _scenario_estimates(series, labels, resolved)
-    cfg = backtest.BacktestConfig(horizon=resolved["horizon"], stride=resolved["stride"],
-                                  fee_rate=resolved["fee_rate"])
-    results = backtest.compare_strategies(series, preds, ests, _policies(resolved), cfg)
+    results = backtest.compare_strategies(series, preds, ests, _policies(resolved),
+                                          _backtest_config(resolved))
 
     written = []
     ppath = os.path.join(outdir, "predictions.csv")
@@ -406,42 +400,43 @@ def cmd_simulate(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
     return written, seeds + [resolved["sim_seed"]]
 
 
-def cmd_backtest(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
-    _require(resolved, "backtest", "input", "predictions")
+def _external_backtest(resolved: dict, command: str):
+    """Load the candles and the prediction file, then backtest the first policy.
+
+    Scenarios come from the file's a,b columns when it has them, else from
+    the trailing estimator. Returns the series, the predictions, the file's
+    scenarios (None without a,b), the StrategyResult and its report JSON,
+    which records the scenario source.
+    """
+    _require(resolved, command, "input", "predictions")
     series = _load_series(resolved["input"], resolved["symbol"])
     if not os.path.exists(resolved["predictions"]):
         raise FileNotFoundError(f"predictions file not found: {resolved['predictions']}")
-    preds, ests = predictors.load_predictions(resolved["predictions"], series)
-    scenario_source = "file"
+    preds, file_ests = predictors.load_predictions(resolved["predictions"], series)
+    ests, scenario_source = file_ests, "file"
     if ests is None:
         ests = predictors.estimate_scenarios(series, horizon=resolved["horizon"],
                                              window=resolved["window"])
         scenario_source = "trailing_estimate"
-    cfg = backtest.BacktestConfig(horizon=resolved["horizon"], stride=resolved["stride"],
-                                  fee_rate=resolved["fee_rate"])
     policy = _policies(resolved)[0]
-    curve, trades = backtest.run_backtest(series, preds, ests, policy, cfg)
+    curve, trades = backtest.run_backtest(series, preds, ests, policy,
+                                          _backtest_config(resolved))
     report = metrics.build_report(curve, trades)
+    result = backtest.StrategyResult(policy, curve, trades, report)
+    return series, preds, file_ests, result, {**_report_dict(report),
+                                              "scenario_source": scenario_source}
 
-    written = []
-    tpath = os.path.join(outdir, "trades.csv")
-    backtest.write_trades_csv(trades, tpath)
-    written.append(tpath)
-    epath = os.path.join(outdir, "equity.csv")
-    backtest.write_equity_csv(curve, epath)
-    written.append(epath)
-    spath = os.path.join(outdir, "equity.svg")
-    xs = [(int(t) - int(curve.timestamps[0])) / HOUR for t in curve.timestamps]
-    artifacts.svg_line_chart([(policy.label, xs, [float(v) for v in curve.values])],
-                             spath, title=f"backtest {series.symbol}")
-    written.append(spath)
-    jpath = os.path.join(outdir, "report.json")
-    artifacts.write_json({**_report_dict(report), "scenario_source": scenario_source}, jpath)
-    written.append(jpath)
-    t5path = os.path.join(outdir, "report_table.csv")
-    _write_table5([(policy.label, report)], t5path)
-    written.append(t5path)
-    return written, []
+
+def cmd_backtest(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+    series, _, _, res, report_json = _external_backtest(resolved, "backtest")
+    tpath, epath, spath, jpath, t5path = (os.path.join(outdir, name) for name in (
+        "trades.csv", "equity.csv", "equity.svg", "report.json", "report_table.csv"))
+    backtest.write_trades_csv(res.trades, tpath)
+    backtest.write_equity_csv(res.curve, epath)
+    _equity_svg([res], spath, title=f"backtest {series.symbol}")
+    artifacts.write_json(report_json, jpath)
+    _write_table5([(res.policy.label, res.report)], t5path)
+    return [tpath, epath, spath, jpath, t5path], []
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -464,14 +459,10 @@ def cmd_compare(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
     seeds = _parse_seeds(resolved["seeds"])
     sims = [s.strip() for s in str(resolved["sims"]).split(",") if s.strip()]
     policies = _policies(resolved)
-    cfg = backtest.BacktestConfig(horizon=resolved["horizon"], stride=resolved["stride"],
-                                  fee_rate=resolved["fee_rate"])
+    cfg = _backtest_config(resolved)
     rows = []
     for seed in seeds:
-        series = generate_synthetic_series(
-            seed=seed, n=resolved["n"], drift=resolved["drift"],
-            volatility=resolved["volatility"], start_price=resolved["start_price"],
-        )
+        series = _synthetic_series(resolved, seed)
         labels = features.make_labels(series, horizon=resolved["horizon"])
         ests = _scenario_estimates(series, labels, resolved)
         for sim in sims:
@@ -499,11 +490,7 @@ def cmd_compare(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
 
 
 def cmd_report(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
-    _require(resolved, "report", "input", "predictions")
-    series = _load_series(resolved["input"], resolved["symbol"])
-    if not os.path.exists(resolved["predictions"]):
-        raise FileNotFoundError(f"predictions file not found: {resolved['predictions']}")
-    preds, ests = predictors.load_predictions(resolved["predictions"], series)
+    series, preds, ests, res, report_json = _external_backtest(resolved, "report")
     labels = features.make_labels(series, horizon=resolved["horizon"])
 
     written = []
@@ -550,21 +537,11 @@ def cmd_report(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
                               "r2": reg.r2}, rpath)
         written.append(rpath)
 
-    scenario_source = "file"
-    if ests is None:
-        ests = predictors.estimate_scenarios(series, horizon=resolved["horizon"],
-                                             window=resolved["window"])
-        scenario_source = "trailing_estimate"
-    cfg = backtest.BacktestConfig(horizon=resolved["horizon"], stride=resolved["stride"],
-                                  fee_rate=resolved["fee_rate"])
-    policy = _policies(resolved)[0]
-    curve, trades = backtest.run_backtest(series, preds, ests, policy, cfg)
-    report = metrics.build_report(curve, trades)
     t5path = os.path.join(outdir, "report_table.csv")
-    _write_table5([(resolved["strategy_name"], report)], t5path)
+    _write_table5([(resolved["strategy_name"], res.report)], t5path)
     written.append(t5path)
     jpath2 = os.path.join(outdir, "backtest_report.json")
-    artifacts.write_json({**_report_dict(report), "scenario_source": scenario_source}, jpath2)
+    artifacts.write_json(report_json, jpath2)
     written.append(jpath2)
     return written, []
 

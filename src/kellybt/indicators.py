@@ -18,12 +18,18 @@ one-bar price change times volume). Plain "EFI" selects EFI_RATIO.
 TRIX is reported in percent (one-bar rate of change of the triple EMA,
 times 100), consistent with ROC and PPO.
 
-Streaming evaluation (`make_stream`) reproduces batch output exactly,
-bar for bar: both paths share the same arithmetic expressions.
+Each indicator has one arithmetic kernel, the batch function in ``_BATCH``,
+which takes plain high/low/close/volume arrays. Streaming evaluation
+(`make_stream`) reproduces batch output exactly, bar for bar. The window
+kinds (ROC, EFI_RATIO, CMO, RSI, CCI, WILLIAMS_R, CMF) look back at most n
+bars, so their stream runs the batch kernel over the trailing n+1 bars:
+O(n) per update. The EMA kinds (TRIX, MACD, PPO, EFI_STANDARD) depend on
+the whole history and keep an incremental SMA-seeded EMA state instead.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,46 +148,46 @@ def _guarded_ratio(num, den, on_zero):
     return np.where(den == 0, on_zero, ratio)
 
 
-def _trix(series: CandleSeries, n: int) -> np.ndarray:
-    e = _ema_array(_ema_array(_ema_array(series.close, n), n), n)
-    out = np.full(len(series), np.nan)
-    if len(series) > 1:
+# Batch kernels take plain high/low/close/volume arrays plus the period(s).
+
+
+def _trix(h, l, c, v, n: int) -> np.ndarray:
+    e = _ema_array(_ema_array(_ema_array(c, n), n), n)
+    out = np.full(c.size, np.nan)
+    if c.size > 1:
         with np.errstate(invalid="ignore", divide="ignore"):
             out[1:] = 100.0 * ((e[1:] - e[:-1]) / e[:-1])
     return out
 
 
-def _macd(series: CandleSeries, fast: int, slow: int) -> np.ndarray:
-    return _ema_array(series.close, fast) - _ema_array(series.close, slow)
+def _macd(h, l, c, v, fast: int, slow: int) -> np.ndarray:
+    return _ema_array(c, fast) - _ema_array(c, slow)
 
 
-def _ppo(series: CandleSeries, fast: int, slow: int) -> np.ndarray:
-    slow_ema = _ema_array(series.close, slow)
-    num = _ema_array(series.close, fast) - slow_ema
+def _ppo(h, l, c, v, fast: int, slow: int) -> np.ndarray:
+    slow_ema = _ema_array(c, slow)
+    num = _ema_array(c, fast) - slow_ema
     return _guarded_ratio(100.0 * num, slow_ema, np.nan)
 
 
-def _roc(series: CandleSeries, n: int) -> np.ndarray:
-    c = series.close
-    out = np.full(len(series), np.nan)
-    if len(series) > n:
+def _roc(h, l, c, v, n: int) -> np.ndarray:
+    out = np.full(c.size, np.nan)
+    if c.size > n:
         out[n:] = 100.0 * ((c[n:] - c[:-n]) / c[:-n])
     return out
 
 
-def _efi_ratio(series: CandleSeries, n: int) -> np.ndarray:
-    c, v = series.close, series.volume
-    out = np.full(len(series), np.nan)
-    if len(series) > n:
+def _efi_ratio(h, l, c, v, n: int) -> np.ndarray:
+    out = np.full(c.size, np.nan)
+    if c.size > n:
         num = (c[n:] - c[:-n]) * (v[n:] - v[:-n])
         out[n:] = _guarded_ratio(num, v[n:], np.nan)
     return out
 
 
-def _efi_standard(series: CandleSeries, n: int) -> np.ndarray:
-    c, v = series.close, series.volume
-    force = np.full(len(series), np.nan)
-    if len(series) > 1:
+def _efi_standard(h, l, c, v, n: int) -> np.ndarray:
+    force = np.full(c.size, np.nan)
+    if c.size > 1:
         force[1:] = (c[1:] - c[:-1]) * v[1:]
     return _ema_array(force, n)
 
@@ -191,9 +197,9 @@ def _gain_loss(close: np.ndarray):
     return np.where(d > 0, d, 0.0), np.where(d < 0, -d, 0.0)
 
 
-def _cmo(series: CandleSeries, n: int) -> np.ndarray:
-    out = np.full(len(series), np.nan)
-    gains, losses = _gain_loss(series.close)
+def _cmo(h, l, c, v, n: int) -> np.ndarray:
+    out = np.full(c.size, np.nan)
+    gains, losses = _gain_loss(c)
     if gains.size < n:
         return out
     p = sliding_window_view(gains, n).sum(axis=1)
@@ -203,9 +209,9 @@ def _cmo(series: CandleSeries, n: int) -> np.ndarray:
     return out
 
 
-def _rsi(series: CandleSeries, n: int) -> np.ndarray:
-    out = np.full(len(series), np.nan)
-    gains, losses = _gain_loss(series.close)
+def _rsi(h, l, c, v, n: int) -> np.ndarray:
+    out = np.full(c.size, np.nan)
+    gains, losses = _gain_loss(c)
     if gains.size < n:
         return out
     avg_gain = sliding_window_view(gains, n).sum(axis=1) / n
@@ -215,9 +221,9 @@ def _rsi(series: CandleSeries, n: int) -> np.ndarray:
     return out
 
 
-def _cci(series: CandleSeries, n: int) -> np.ndarray:
-    out = np.full(len(series), np.nan)
-    tp = (series.high + series.low + series.close) / 3.0
+def _cci(h, l, c, v, n: int) -> np.ndarray:
+    out = np.full(c.size, np.nan)
+    tp = (h + l + c) / 3.0
     if tp.size < n:
         return out
     w = sliding_window_view(tp, n)
@@ -229,29 +235,29 @@ def _cci(series: CandleSeries, n: int) -> np.ndarray:
     return out
 
 
-def _williams_r(series: CandleSeries, n: int) -> np.ndarray:
-    out = np.full(len(series), np.nan)
-    if len(series) < n:
+def _williams_r(h, l, c, v, n: int) -> np.ndarray:
+    out = np.full(c.size, np.nan)
+    if c.size < n:
         return out
-    hi = sliding_window_view(series.high, n).max(axis=1)
-    lo = sliding_window_view(series.low, n).min(axis=1)
+    hi = sliding_window_view(h, n).max(axis=1)
+    lo = sliding_window_view(l, n).min(axis=1)
     rng = hi - lo
-    num = hi - series.close[n - 1:]
+    num = hi - c[n - 1:]
     out[n - 1:] = np.where(rng == 0, np.nan, _guarded_ratio(num, rng, np.nan) * (-100.0))
     return out
 
 
-def _cmf(series: CandleSeries, n: int) -> np.ndarray:
-    out = np.full(len(series), np.nan)
-    if len(series) < n:
+def _cmf(h, l, c, v, n: int) -> np.ndarray:
+    out = np.full(c.size, np.nan)
+    if c.size < n:
         return out
-    hl = series.high - series.low
+    hl = h - l
     with np.errstate(divide="ignore", invalid="ignore"):
-        mfm = ((series.close - series.low) - (series.high - series.close)) / hl
+        mfm = ((c - l) - (h - c)) / hl
     mfm = np.where(hl == 0, np.nan, mfm)
-    mfv = mfm * series.volume
+    mfv = mfm * v
     num = sliding_window_view(mfv, n).sum(axis=1)
-    den = sliding_window_view(series.volume, n).sum(axis=1)
+    den = sliding_window_view(v, n).sum(axis=1)
     out[n - 1:] = np.where(den == 0, np.nan, _guarded_ratio(num, den, np.nan))
     return out
 
@@ -276,7 +282,8 @@ def compute_indicator(series: CandleSeries, spec: IndicatorSpec) -> ValueSeries:
 
     Too-short input yields an all-NaN series rather than an error.
     """
-    values = _BATCH[spec.kind](series, *spec.periods)
+    values = _BATCH[spec.kind](series.high, series.low, series.close, series.volume,
+                               *spec.periods)
     return ValueSeries(spec.name, series.timestamps, values)
 
 
@@ -304,25 +311,6 @@ class _EmaState:
             return self.value
         self.value = self.alpha * float(x) + self.one_minus * self.value
         return self.value
-
-
-class _Window:
-    """Fixed-length trailing window; reductions mirror the batch windows."""
-
-    __slots__ = ("n", "items")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.items: list[float] = []
-
-    def push(self, x: float) -> bool:
-        self.items.append(x)
-        if len(self.items) > self.n:
-            self.items.pop(0)
-        return len(self.items) == self.n
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.items, dtype=np.float64)
 
 
 class TrixStream:
@@ -370,33 +358,6 @@ class PpoStream:
         return (100.0 * (f - s)) / s
 
 
-class RocStream:
-    def __init__(self, n: int):
-        self.win = _Window(n + 1)
-
-    def update(self, candle: Candle) -> float:
-        if not self.win.push(candle.close):
-            return NAN
-        base = self.win.items[0]
-        return 100.0 * ((candle.close - base) / base)
-
-
-class EfiPaperStream:
-    def __init__(self, n: int):
-        self.closes = _Window(n + 1)
-        self.volumes = _Window(n + 1)
-
-    def update(self, candle: Candle) -> float:
-        ready = self.closes.push(candle.close)
-        self.volumes.push(candle.volume)
-        if not ready:
-            return NAN
-        if candle.volume == 0:
-            return NAN
-        num = (candle.close - self.closes.items[0]) * (candle.volume - self.volumes.items[0])
-        return num / candle.volume
-
-
 class EfiStandardStream:
     def __init__(self, n: int):
         self.ema = _EmaState(n)
@@ -410,129 +371,32 @@ class EfiStandardStream:
         return self.ema.update(force)
 
 
-class _GainLossStream:
-    __slots__ = ("gains", "losses", "prev")
+class _WindowStream:
+    """A window kind's batch kernel over the trailing n+1 bars; the kernel
+    looks back at most n bars, so its last value is the batch value."""
 
-    def __init__(self, n: int):
-        self.gains = _Window(n)
-        self.losses = _Window(n)
-        self.prev = None
-
-    def push(self, close: float) -> bool:
-        prev, self.prev = self.prev, close
-        if prev is None:
-            return False
-        d = close - prev
-        ready = self.gains.push(d if d > 0 else 0.0)
-        self.losses.push(-d if d < 0 else 0.0)
-        return ready
-
-
-class CmoStream:
-    def __init__(self, n: int):
-        self.gl = _GainLossStream(n)
-
-    def update(self, candle: Candle) -> float:
-        if not self.gl.push(candle.close):
-            return NAN
-        p = self.gl.gains.array().sum()
-        neg = self.gl.losses.array().sum()
-        tot = p + neg
-        if tot == 0:
-            return 0.0
-        return (100.0 * (p - neg)) / tot
-
-
-class RsiStream:
-    def __init__(self, n: int):
+    def __init__(self, kind: str, n: int):
+        self.kernel = _BATCH[kind]
         self.n = n
-        self.gl = _GainLossStream(n)
+        self.bars = deque(maxlen=n + 1)
 
     def update(self, candle: Candle) -> float:
-        if not self.gl.push(candle.close):
-            return NAN
-        avg_gain = self.gl.gains.array().sum() / self.n
-        avg_loss = self.gl.losses.array().sum() / self.n
-        if avg_loss == 0:
-            return 100.0
-        rs = avg_gain / avg_loss
-        return 100.0 - 100.0 / (1.0 + rs)
+        self.bars.append((candle.high, candle.low, candle.close, candle.volume))
+        h, l, c, v = np.array(self.bars, dtype=np.float64).T
+        return float(self.kernel(h, l, c, v, self.n)[-1])
 
 
-class CciStream:
-    def __init__(self, n: int):
-        self.win = _Window(n)
-
-    def update(self, candle: Candle) -> float:
-        tp = (candle.high + candle.low + candle.close) / 3.0
-        if not self.win.push(tp):
-            return NAN
-        arr = self.win.array()
-        m = arr.mean()
-        md = np.abs(arr - m).mean()
-        num = tp - m
-        den = 0.015 * md
-        if den == 0:
-            return 0.0
-        return num / den
-
-
-class WilliamsRStream:
-    def __init__(self, n: int):
-        self.highs = _Window(n)
-        self.lows = _Window(n)
-
-    def update(self, candle: Candle) -> float:
-        ready = self.highs.push(candle.high)
-        self.lows.push(candle.low)
-        if not ready:
-            return NAN
-        hi = self.highs.array().max()
-        lo = self.lows.array().min()
-        rng = hi - lo
-        if rng == 0:
-            return NAN
-        return ((hi - candle.close) / rng) * (-100.0)
-
-
-class CmfStream:
-    def __init__(self, n: int):
-        self.mfv = _Window(n)
-        self.vol = _Window(n)
-
-    def update(self, candle: Candle) -> float:
-        hl = candle.high - candle.low
-        if hl == 0:
-            mfm = NAN
-        else:
-            mfm = ((candle.close - candle.low) - (candle.high - candle.close)) / hl
-        ready = self.mfv.push(mfm * candle.volume)
-        self.vol.push(candle.volume)
-        if not ready:
-            return NAN
-        den = self.vol.array().sum()
-        if den == 0:
-            return NAN
-        num = self.mfv.array().sum()
-        return num / den
-
-
-_STREAMS = {
+_EMA_STREAMS = {
     "TRIX": TrixStream,
     "MACD": MacdStream,
     "PPO": PpoStream,
-    "ROC": RocStream,
-    "EFI_RATIO": EfiPaperStream,
     "EFI_STANDARD": EfiStandardStream,
-    "CMO": CmoStream,
-    "RSI": RsiStream,
-    "CCI": CciStream,
-    "WILLIAMS_R": WilliamsRStream,
-    "CMF": CmfStream,
 }
 
 
 def make_stream(spec: IndicatorSpec):
     """Incremental evaluator for one spec: ``update(candle) -> float`` (NaN
     during warm-up). Produces exactly the batch values, bar for bar."""
-    return _STREAMS[spec.kind](*spec.periods)
+    if spec.kind in _EMA_STREAMS:
+        return _EMA_STREAMS[spec.kind](*spec.periods)
+    return _WindowStream(spec.kind, *spec.periods)

@@ -17,6 +17,7 @@ at 0.001 so Kelly sizing stays finite.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,8 @@ def load_predictions(source, series: CandleSeries | None = None):
 
     Scenario estimates are returned only when both a and b columns exist;
     exactly one of them present is rejected as malformed. When ``series`` is
-    given, every timestamp must exist in it.
+    given, every timestamp must exist in it. Every rejection is a DataError
+    naming the file line; accepted values are finite.
     """
     own = isinstance(source, (str, bytes))
     fh = open(source, "r", newline="") if own else source
@@ -151,27 +153,28 @@ def load_predictions(source, series: CandleSeries | None = None):
 
         preds: list[DirectionPrediction] = []
         ests: list[ScenarioEstimate] = []
+        lines: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
                 ts = int(float(row[idx["timestamp"]]))
                 p = float(row[idx["p_up"]])
-            except (ValueError, IndexError) as exc:
+                if has_a:
+                    a = float(row[idx["a"]])
+                    b = float(row[idx["b"]])
+            except (ValueError, IndexError, OverflowError) as exc:
                 raise DataError(f"malformed prediction row at line {lineno}: {exc}") from None
             if not 0 < p < 1:
                 raise DataError(f"line {lineno}: p_up {p} outside (0, 1)")
             p = min(max(p, P_CLIP_LO), P_CLIP_HI)
             preds.append(DirectionPrediction(ts, p))
             if has_a:
-                try:
-                    a = float(row[idx["a"]])
-                    b = float(row[idx["b"]])
-                except (ValueError, IndexError) as exc:
-                    raise DataError(f"malformed prediction row at line {lineno}: {exc}") from None
-                if a <= 0 or b <= 0:
-                    raise DataError(f"line {lineno}: scenario magnitudes must be > 0, got a={a}, b={b}")
+                if not (0 < a < math.inf and 0 < b < math.inf):
+                    raise DataError(f"line {lineno}: scenario magnitudes must be finite "
+                                    f"and > 0, got a={a}, b={b}")
                 ests.append(ScenarioEstimate(ts, max(a, AB_FLOOR), max(b, AB_FLOOR)))
+            lines.append(lineno)
     finally:
         if own:
             fh.close()
@@ -180,16 +183,19 @@ def load_predictions(source, series: CandleSeries | None = None):
         raise DataError("no prediction rows in input")
     order = sorted(range(len(preds)), key=lambda i: preds[i].timestamp)
     preds = [preds[i] for i in order]
-    for prev, cur in zip(preds, preds[1:]):
-        if cur.timestamp == prev.timestamp:
-            raise DataError(f"duplicate prediction timestamp {cur.timestamp}")
+    lines = [lines[i] for i in order]
+    for k in range(1, len(preds)):
+        if preds[k].timestamp == preds[k - 1].timestamp:
+            raise DataError(f"line {lines[k]}: duplicate prediction timestamp "
+                            f"{preds[k].timestamp}")
     if ests:
         ests = [ests[i] for i in order]
     if series is not None:
         known = set(int(t) for t in series.timestamps)
-        for pr in preds:
+        for pr, lineno in zip(preds, lines):
             if pr.timestamp not in known:
-                raise DataError(f"prediction timestamp {pr.timestamp} not present in the series")
+                raise DataError(f"line {lineno}: prediction timestamp {pr.timestamp} "
+                                f"not present in the series")
     return preds, (ests if ests else None)
 
 

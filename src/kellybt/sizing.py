@@ -46,7 +46,7 @@ def normal_cdf(z: float) -> float:
 def _check_pab(p: float, a: float, b: float) -> None:
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):  # negated so NaN fails too
         raise ValueError(f"scenario magnitudes must be > 0, got a={a}, b={b}")
 
 

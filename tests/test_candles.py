@@ -187,3 +187,32 @@ def test_synthetic_validates_arguments():
         generate_synthetic_series(seed=0, n=5, volatility=-0.1)
     with pytest.raises(ValueError):
         generate_synthetic_series(seed=0, n=5, start_price=0.0)
+
+
+@pytest.mark.parametrize("field", ["open", "high", "low", "close", "volume"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_field(field, bad):
+    values = {"open": "100", "high": "101", "low": "99", "close": "100", "volume": "1"}
+    values[field] = bad
+    row = ",".join(values[k] for k in ("open", "high", "low", "close", "volume"))
+    with pytest.raises(DataError, match="line 3"):
+        parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + f"7200,{row}\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e30"])
+def test_parse_rejects_non_integer_timestamp(bad):
+    with pytest.raises(DataError, match="line 2"):
+        parse_candles_text(HEADER + f"{bad},100,101,99,100,1\n")
+
+
+def test_series_rejects_non_finite_values():
+    with pytest.raises(DataError, match="non-finite"):
+        CandleSeries([3600, 7200], [1, 1], [1, 1], [1, 1], [1, np.nan], [1, 1])
+    with pytest.raises(DataError, match="non-finite"):
+        CandleSeries([3600], [1], [np.inf], [1], [1], [1])
+
+
+def test_parse_error_names_line_of_unsorted_row():
+    text = HEADER + "10800,100,101,99,100,1\n3600,100,101,99,100,-1\n"
+    with pytest.raises(DataError, match="line 3: negative volume"):
+        parse_candles_text(text)

@@ -226,3 +226,17 @@ def test_estimate_window_validation():
 def test_estimate_short_series_is_empty():
     series = generate_synthetic_series(seed=16, n=50)
     assert estimate_scenarios(series, horizon=5, window=60) == []
+
+
+@pytest.mark.parametrize("a,b", [("nan", "0.1"), ("0.1", "nan"), ("inf", "0.1"),
+                                 ("0.1", "inf")])
+def test_load_predictions_non_finite_scenario_rejected(a, b):
+    text = f"timestamp,p_up,a,b\n3600,0.7,0.1,0.1\n7200,0.7,{a},{b}\n"
+    with pytest.raises(DataError, match="line 3"):
+        load_predictions(io.StringIO(text))
+
+
+@pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
+def test_load_predictions_non_finite_timestamp_rejected(ts):
+    with pytest.raises(DataError, match="line 2"):
+        load_predictions(io.StringIO(f"timestamp,p_up\n{ts},0.7\n"))

@@ -225,3 +225,11 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         SizingPolicy("none", modifier=-1.0)
     assert SizingPolicy("Kelly").kind == "KELLY"
+
+
+@pytest.mark.parametrize("a,b", [(math.nan, 0.05), (0.05, math.nan)])
+def test_pab_validation_rejects_nan(a, b):
+    with pytest.raises(ValueError):
+        kelly_fraction(0.6, a, b)
+    with pytest.raises(ValueError):
+        log_optimal_fraction(0.6, a, b)
