@@ -9,17 +9,30 @@ aggregate exposure never exceeds the leverage cap.
 Flat decisions are recorded as zero-fraction trades so that every policy
 run over the same inputs produces the same trade timestamps, which keeps
 strategy comparisons aligned row for row.
+
+Records cross the module boundary (predictions and estimates in, ``Trade``
+tuples out, one ``decide`` call per lattice point) while the arithmetic runs
+on numpy columns: timestamps are aligned with ``searchsorted``, prices and
+P&L are computed per column in the order a per-trade loop would use, and the
+bankroll is ``np.cumprod`` of the per-trade growth factors. ``cumprod`` is
+the same left-to-right product as sequential compounding, bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .candles import CandleSeries
 from .predictors import DirectionPrediction, ScenarioEstimate
 from .sizing import SizingPolicy, decide
+
+_TIMESTAMP = attrgetter("timestamp")
+_FRACTION = attrgetter("fraction")
+_SIDE = attrgetter("side")
 
 
 @dataclass(frozen=True)
@@ -35,10 +48,11 @@ class BacktestConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.stride is not None and self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.fee_rate < 0:
-            raise ValueError(f"fee_rate must be >= 0, got {self.fee_rate}")
-        if self.initial_bankroll <= 0:
-            raise ValueError(f"initial_bankroll must be > 0, got {self.initial_bankroll}")
+        if not 0 <= self.fee_rate < math.inf:  # negated so NaN fails too
+            raise ValueError(f"fee_rate must be finite and >= 0, got {self.fee_rate}")
+        if not 0 < self.initial_bankroll < math.inf:
+            raise ValueError(f"initial_bankroll must be finite and > 0, "
+                             f"got {self.initial_bankroll}")
         if not 0 <= self.ruin_floor < 1:
             raise ValueError(f"ruin_floor must be in [0, 1), got {self.ruin_floor}")
 
@@ -47,8 +61,7 @@ class BacktestConfig:
         return self.horizon if self.stride is None else self.stride
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     entry_ts: int
     exit_ts: int
     side: str
@@ -71,6 +84,24 @@ class EquityCurve:
         return int(self.timestamps.size)
 
 
+def _series_positions(timestamps: np.ndarray, records, what: str) -> np.ndarray:
+    """Series index of each record's timestamp; ValueError naming the first
+    record whose timestamp is not in the series."""
+    try:
+        ts = np.fromiter(map(_TIMESTAMP, records), np.int64, len(records))
+    except OverflowError:  # beyond int64, so not in the series
+        pass
+    else:
+        pos = np.searchsorted(timestamps, ts)
+        found = pos < timestamps.size
+        found[found] = timestamps[pos[found]] == ts[found]
+        if found.all():
+            return pos
+    known = set(timestamps.tolist())
+    missing = next(r.timestamp for r in records if r.timestamp not in known)
+    raise ValueError(f"{what} timestamp {missing} is not in the series")
+
+
 def run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
                  estimates: list[ScenarioEstimate] | None, policy: SizingPolicy,
                  cfg: BacktestConfig = BacktestConfig()):
@@ -81,75 +112,65 @@ def run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
     timestamps without an estimate are skipped. The simulation halts with
     the RUIN flag if the bankroll falls to ruin_floor * initial.
     """
-    known = {int(t): i for i, t in enumerate(series.timestamps)}
-    for p in predictions:
-        if p.timestamp not in known:
-            raise ValueError(f"prediction timestamp {p.timestamp} is not in the series")
-    est_by_ts = None
+    ts = series.timestamps
+    pred_pos = _series_positions(ts, predictions, "prediction").tolist()
+    est_at = None
     if estimates is not None:
-        est_by_ts = {}
-        for e in estimates:
-            if e.timestamp not in known:
-                raise ValueError(f"estimate timestamp {e.timestamp} is not in the series")
-            est_by_ts[e.timestamp] = e
+        # A later estimate for the same timestamp replaces an earlier one.
+        est_at = dict(zip(_series_positions(ts, estimates, "estimate").tolist(), estimates))
 
     n = len(series)
     horizon = cfg.horizon
     stride = cfg.effective_stride
     divisor = 1 if stride >= horizon else math.ceil(horizon / stride)
 
-    entries = []
+    # The lattice walk stays sequential: each chosen point moves the next
+    # allowed index, and a point without an estimate does not.
+    entries: list[int] = []
+    decisions = []
     next_allowed = -1
-    for p in predictions:
-        i = known[p.timestamp]
+    for i, p in zip(pred_pos, predictions):
         if i < next_allowed or i + horizon >= n:
             continue
         est = None
-        if est_by_ts is not None:
-            est = est_by_ts.get(p.timestamp)
+        if est_at is not None:
+            est = est_at.get(i)
             if est is None:
                 continue
-        entries.append((i, decide(p, est, policy)))
+        decisions.append(decide(p, est, policy))
+        entries.append(i)
         next_allowed = i + stride
 
     if not entries:
         raise ValueError("no usable decision timestamps (check alignment and estimates)")
 
-    initial = cfg.initial_bankroll
-    floor = cfg.ruin_floor * initial
-    bankroll = initial
-    ruin = False
-    trades: list[Trade] = []
-    curve_ts = [int(series.timestamps[entries[0][0]])]
-    curve_val = [bankroll]
-    for i, dec in entries:
-        fraction = dec.fraction / divisor
-        entry_price = float(series.close[i])
-        exit_price = float(series.close[i + horizon])
-        realized = (exit_price - entry_price) / entry_price
-        pnl = fraction * realized - cfg.fee_rate * abs(fraction) * 2.0
-        bankroll = bankroll * (1.0 + pnl)
-        if bankroll < 0.0:
-            # A leveraged loss beyond -100% is a wipeout, not a debt.
-            bankroll = 0.0
-        trades.append(Trade(
-            entry_ts=int(series.timestamps[i]),
-            exit_ts=int(series.timestamps[i + horizon]),
-            side=dec.side,
-            fraction=fraction,
-            entry_price=entry_price,
-            exit_price=exit_price,
-            realized_return=realized,
-            pnl_fraction=pnl,
-        ))
-        curve_ts.append(int(series.timestamps[i + horizon]))
-        curve_val.append(bankroll)
-        if bankroll <= floor:
-            ruin = True
-            break
+    entry_at = np.array(entries, dtype=np.intp)
+    exit_at = entry_at + horizon
+    fraction = np.fromiter(map(_FRACTION, decisions), np.float64, len(decisions)) / divisor
+    entry_price = series.close[entry_at]
+    exit_price = series.close[exit_at]
+    realized = (exit_price - entry_price) / entry_price
+    pnl = fraction * realized - cfg.fee_rate * np.abs(fraction) * 2.0
 
-    curve = EquityCurve(np.array(curve_ts, dtype=np.int64),
-                        np.array(curve_val, dtype=np.float64), ruin=ruin)
+    initial = cfg.initial_bankroll
+    values = np.cumprod(np.concatenate(([float(initial)], 1.0 + pnl)))
+    hit = np.flatnonzero(values[1:] <= cfg.ruin_floor * initial)
+    ruin = hit.size > 0
+    if ruin:
+        m = int(hit[0]) + 1
+        values = values[:m + 1]
+        if values[m] < 0.0:
+            # A leveraged loss beyond -100% is a wipeout, not a debt.
+            values[m] = 0.0
+    else:
+        m = len(entries)
+
+    exit_ts = ts[exit_at[:m]]
+    trades = list(map(Trade, ts[entry_at[:m]].tolist(), exit_ts.tolist(),
+                      map(_SIDE, decisions[:m]), fraction[:m].tolist(),
+                      entry_price[:m].tolist(), exit_price[:m].tolist(),
+                      realized[:m].tolist(), pnl[:m].tolist()))
+    curve = EquityCurve(np.concatenate((ts[entry_at[:1]], exit_ts)), values, ruin=ruin)
     return curve, trades
 
 

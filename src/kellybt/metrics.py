@@ -3,14 +3,18 @@ classification and regression diagnostics for ingested predictions.
 
 Monthly aggregation uses calendar-month boundaries on the curve's UTC
 timestamps, partial first and last months included; months with no curve
-points carry the bankroll forward (zero return). Standard deviations use
-the sample (n-1) convention throughout. The risk-free rate defaults to 0.
+points carry the bankroll forward (zero return). Month keys come from one
+``datetime64[s]`` -> ``datetime64[M]`` cast of the timestamp column, so
+timestamps must be non-decreasing. Standard deviations use the sample (n-1)
+convention throughout. The risk-free rate defaults to 0. ``build_report``
+computes the monthly returns and the drawdown once and shares them between
+Sharpe and RoMaD.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,6 +25,8 @@ from .predictors import DirectionPrediction
 FLAG_RUIN = "RUIN"
 FLAG_ROMAD_NA = "ROMAD_NA"
 FLAG_SHARPE_NA = "SHARPE_NA"
+
+_PNL = attrgetter("pnl_fraction")
 
 
 @dataclass(frozen=True)
@@ -53,43 +59,28 @@ def max_drawdown(curve: EquityCurve) -> float:
     return float(((peaks - v) / peaks).max()) * 100.0
 
 
-def _month_key(ts: int) -> tuple[int, int]:
-    dt = datetime.fromtimestamp(int(ts), tz=timezone.utc)
-    return dt.year, dt.month
-
-
-def _next_month(key: tuple[int, int]) -> tuple[int, int]:
-    y, m = key
-    return (y + 1, 1) if m == 12 else (y, m + 1)
-
-
 def monthly_returns(curve: EquityCurve) -> np.ndarray:
     """Calendar-month compounded returns over the curve's span."""
     if len(curve) == 0:
         raise ValueError("empty equity curve")
-    last_in_month: dict[tuple[int, int], float] = {}
-    for ts, v in zip(curve.timestamps, curve.values):
-        last_in_month[_month_key(ts)] = float(v)
-
-    first = _month_key(curve.timestamps[0])
-    last = _month_key(curve.timestamps[-1])
-    rets = []
-    prev_value = float(curve.values[0])
-    key = first
-    while True:
-        value = last_in_month.get(key, prev_value)
-        rets.append(value / prev_value - 1.0)
-        prev_value = value
-        if key == last:
-            break
-        key = _next_month(key)
-    return np.array(rets, dtype=np.float64)
+    ts = np.asarray(curve.timestamps)
+    if np.any(ts[1:] < ts[:-1]):
+        raise ValueError("equity curve timestamps must be non-decreasing")
+    month = ts.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+    month -= month[0]
+    # The last point of each month sets its value; empty months carry the
+    # previous value forward.
+    last = np.flatnonzero(np.append(month[1:] != month[:-1], True))
+    has_point = np.zeros(int(month[-1]) + 1, dtype=np.intp)
+    has_point[month[last]] = 1
+    value = np.asarray(curve.values, dtype=np.float64)[last][np.cumsum(has_point) - 1]
+    prev = np.concatenate(([float(curve.values[0])], value[:-1]))
+    if (prev == 0).any():
+        raise ValueError("equity curve is zero before its last month")
+    return value / prev - 1.0
 
 
-def sharpe_monthly(curve: EquityCurve, rf_monthly: float = 0.0) -> float | None:
-    """Mean monthly excess return over its sample stddev; None when the
-    variance is zero."""
-    rets = monthly_returns(curve)
+def _sharpe(rets: np.ndarray, rf_monthly: float) -> float | None:
     if rets.size < 2:
         raise ValueError(
             f"Sharpe needs a curve spanning at least 2 calendar months, got {rets.size}"
@@ -100,33 +91,44 @@ def sharpe_monthly(curve: EquityCurve, rf_monthly: float = 0.0) -> float | None:
     return (float(rets.mean()) - rf_monthly) / std
 
 
-def romad(curve: EquityCurve) -> float | None:
-    """Mean monthly return over maximum drawdown (both fractions); None when
-    the drawdown is zero."""
-    rets = monthly_returns(curve)
-    dd = max_drawdown(curve) / 100.0
+def _romad(rets: np.ndarray, drawdown_pct: float) -> float | None:
+    dd = drawdown_pct / 100.0
     if dd == 0:
         return None
     return float(rets.mean()) / dd
 
 
+def sharpe_monthly(curve: EquityCurve, rf_monthly: float = 0.0) -> float | None:
+    """Mean monthly excess return over its sample stddev; None when the
+    variance is zero."""
+    return _sharpe(monthly_returns(curve), rf_monthly)
+
+
+def romad(curve: EquityCurve) -> float | None:
+    """Mean monthly return over maximum drawdown (both fractions); None when
+    the drawdown is zero."""
+    return _romad(monthly_returns(curve), max_drawdown(curve))
+
+
 def build_report(curve: EquityCurve, trades: list[Trade]) -> BacktestReport:
+    rets = monthly_returns(curve)
+    drawdown_pct = max_drawdown(curve)
     flags: list[str] = []
     if curve.ruin:
         flags.append(FLAG_RUIN)
     try:
-        sharpe = sharpe_monthly(curve)
+        sharpe = _sharpe(rets, 0.0)
     except ValueError:
         sharpe = None
     if sharpe is None:
         flags.append(FLAG_SHARPE_NA)
-    rho = romad(curve)
+    rho = _romad(rets, drawdown_pct)
     if rho is None:
         flags.append(FLAG_ROMAD_NA)
-    wins = sum(1 for t in trades if t.pnl_fraction > 0)
+    wins = int((np.fromiter(map(_PNL, trades), np.float64, len(trades)) > 0).sum())
     return BacktestReport(
         cumulative_return_pct=cumulative_return(curve),
-        max_drawdown_pct=max_drawdown(curve),
+        max_drawdown_pct=drawdown_pct,
         sharpe=sharpe,
         romad=rho,
         trade_count=len(trades),

@@ -13,6 +13,12 @@ rate to be observable downstream.
 
 Probabilities are clipped to [0.01, 0.99] and scenario magnitudes floored
 at 0.001 so Kelly sizing stays finite.
+
+The simulators and the estimator compute on arrays and return lists of the
+records below, built in one ``map``. The Gaussian simulator draws standard
+normals in blocks and scales them as ``mu + sigma * z``: that is the stream
+scalar ``rng.normal(mu, sigma)`` calls would produce, value for value, so
+the rejection walk over it picks the same probabilities.
 """
 from __future__ import annotations
 
@@ -61,6 +67,16 @@ def _check_labels(labels: LabelSet) -> None:
         raise ValueError("label set is empty")
 
 
+def _predicted_up(labels: LabelSet, correct: np.ndarray) -> np.ndarray:
+    """Whether each prediction calls up: the label's direction where the
+    call is correct, the opposite one elsewhere."""
+    return np.where(correct, labels.direction > 0, labels.direction < 0)
+
+
+def _predictions(labels: LabelSet, p_up: list[float]) -> list[DirectionPrediction]:
+    return list(map(DirectionPrediction, labels.timestamps.tolist(), p_up))
+
+
 def simulate_balanced(labels: LabelSet, seed: int, hit_rate: float = 0.6,
                       p_const: float = 0.6) -> list[DirectionPrediction]:
     """Fixed-probability simulator: exactly round(hit_rate*n) predictions agree
@@ -72,13 +88,8 @@ def simulate_balanced(labels: LabelSet, seed: int, hit_rate: float = 0.6,
     if not 0.5 < p_const < 1:
         raise ValueError(f"p_const must be in (0.5, 1) so direction follows p_up, got {p_const}")
     rng = np.random.default_rng(seed)
-    correct = _assign_correct(len(labels), hit_rate, rng)
-    out = []
-    for i in range(len(labels)):
-        d = int(labels.direction[i]) if correct[i] else -int(labels.direction[i])
-        p = p_const if d > 0 else 1.0 - p_const
-        out.append(DirectionPrediction(int(labels.timestamps[i]), p))
-    return out
+    up = _predicted_up(labels, _assign_correct(len(labels), hit_rate, rng))
+    return _predictions(labels, np.where(up, p_const, 1.0 - p_const).tolist())
 
 
 def simulate_optimal(labels: LabelSet, p_long: float = 0.8,
@@ -88,28 +99,22 @@ def simulate_optimal(labels: LabelSet, p_long: float = 0.8,
     _check_labels(labels)
     if not 0.5 < p_long < 1 or not 0 < p_short < 0.5:
         raise ValueError(f"need p_short < 0.5 < p_long, got {p_short}, {p_long}")
-    return [
-        DirectionPrediction(int(ts), p_long if d > 0 else p_short)
-        for ts, d in zip(labels.timestamps, labels.direction)
-    ]
+    return _predictions(labels, np.where(labels.direction > 0, p_long, p_short).tolist())
 
 
-def _draw_side(rng: np.random.Generator, mu: float, sigma: float, up: bool) -> float:
-    """Normal(mu, sigma) draw truncated to the predicted side of 0.5 and
-    clipped into [P_CLIP_LO, P_CLIP_HI]."""
+def _standard_normals(rng: np.random.Generator, block: int):
+    """The generator's standard normal stream, drawn ``block`` values at a time."""
     while True:
-        v = float(rng.normal(mu, sigma))
-        if up and v > 0.5:
-            return min(v, P_CLIP_HI)
-        if not up and v < 0.5:
-            return max(v, P_CLIP_LO)
+        yield from rng.standard_normal(block).tolist()
 
 
 def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
                       mu_short: float = 0.4, sigma: float = 0.1,
                       hit_rate: float = 0.6) -> list[DirectionPrediction]:
     """Gaussian-probability simulator with the balanced model's exact-count
-    correctness assignment."""
+    correctness assignment. Each probability is a Normal(mu, sigma) draw
+    truncated to the predicted side of 0.5 by rejection and clipped into
+    [P_CLIP_LO, P_CLIP_HI]."""
     _check_labels(labels)
     if not 0 < mu_short < 0.5 < mu_long < 1:
         raise ValueError(f"need 0 < mu_short < 0.5 < mu_long < 1, got {mu_short}, {mu_long}")
@@ -118,13 +123,24 @@ def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
     if not 0 < hit_rate <= 1:
         raise ValueError(f"hit_rate must be in (0, 1], got {hit_rate}")
     rng = np.random.default_rng(seed)
-    correct = _assign_correct(len(labels), hit_rate, rng)
-    out = []
-    for i in range(len(labels)):
-        d = int(labels.direction[i]) if correct[i] else -int(labels.direction[i])
-        p = _draw_side(rng, mu_long if d > 0 else mu_short, sigma, up=d > 0)
-        out.append(DirectionPrediction(int(labels.timestamps[i]), p))
-    return out
+    n = len(labels)
+    up = _predicted_up(labels, _assign_correct(n, hit_rate, rng))
+    z = _standard_normals(rng, n)
+    p_up = []
+    for is_up in up.tolist():
+        if is_up:
+            for x in z:
+                v = mu_long + sigma * x
+                if v > 0.5:
+                    p_up.append(min(v, P_CLIP_HI))
+                    break
+        else:
+            for x in z:
+                v = mu_short + sigma * x
+                if v < 0.5:
+                    p_up.append(max(v, P_CLIP_LO))
+                    break
+    return _predictions(labels, p_up)
 
 
 def load_predictions(source, series: CandleSeries | None = None):
@@ -223,17 +239,11 @@ def estimate_scenarios(series: CandleSeries, horizon: int = 5,
     pos_cnt = sliding_window_view((r > 0).astype(np.float64), count).sum(axis=1)
     neg_cnt = sliding_window_view((r < 0).astype(np.float64), count).sum(axis=1)
 
-    out = []
-    for k in range(pos_sum.size):
-        t = k + window
-        if t >= n:
-            break
-        a = pos_sum[k] / pos_cnt[k] if pos_cnt[k] > 0 else AB_FLOOR
-        b = -(neg_sum[k] / neg_cnt[k]) if neg_cnt[k] > 0 else AB_FLOOR
-        out.append(ScenarioEstimate(
-            int(series.timestamps[t]), max(float(a), AB_FLOOR), max(float(b), AB_FLOOR)
-        ))
-    return out
+    # Window k holds the returns realized by t = k + window, for t in [window, n).
+    a = np.divide(pos_sum, pos_cnt, out=np.full(pos_sum.size, AB_FLOOR), where=pos_cnt > 0)
+    b = np.divide(neg_sum, neg_cnt, out=np.full(neg_sum.size, -AB_FLOOR), where=neg_cnt > 0)
+    return list(map(ScenarioEstimate, series.timestamps[window:].tolist(),
+                    np.maximum(a, AB_FLOOR).tolist(), np.maximum(-b, AB_FLOOR).tolist()))
 
 
 def write_predictions_csv(preds: list[DirectionPrediction],

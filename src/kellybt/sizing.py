@@ -101,12 +101,12 @@ class SizingPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not 0 < self.kelly_fraction <= 1:
             raise ValueError(f"kelly_fraction must be in (0, 1], got {self.kelly_fraction}")
-        if self.max_leverage <= 0:
-            raise ValueError(f"max_leverage must be > 0, got {self.max_leverage}")
+        if not 0 < self.max_leverage < math.inf:  # negated so NaN fails too
+            raise ValueError(f"max_leverage must be finite and > 0, got {self.max_leverage}")
         if not 0 < self.expected < 1:
             raise ValueError(f"expected must be in (0, 1), got {self.expected}")
-        if self.modifier < 0:
-            raise ValueError(f"modifier must be >= 0, got {self.modifier}")
+        if not 0 <= self.modifier < math.inf:
+            raise ValueError(f"modifier must be finite and >= 0, got {self.modifier}")
 
     @property
     def label(self) -> str:

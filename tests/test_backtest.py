@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,18 @@ def test_config_validation():
         BacktestConfig(ruin_floor=1.0)
     assert BacktestConfig(horizon=7).effective_stride == 7
     assert BacktestConfig(horizon=7, stride=2).effective_stride == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_fee_rate(value):
+    with pytest.raises(ValueError, match="fee_rate must be finite"):
+        BacktestConfig(fee_rate=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_initial_bankroll(value):
+    with pytest.raises(ValueError, match="initial_bankroll must be finite"):
+        BacktestConfig(initial_bankroll=value)
 
 
 def test_compare_requires_policies():

@@ -67,6 +67,23 @@ def test_monthly_returns_gap_month_carries_forward():
     assert np.allclose(rets, [0.1, 0.0, 0.1], atol=1e-12)
 
 
+@pytest.mark.parametrize("metric", [monthly_returns, sharpe_monthly, romad,
+                                    lambda curve: build_report(curve, [])])
+def test_monthly_metrics_reject_decreasing_timestamps(metric):
+    # A curve ending in an earlier month than it starts used to loop forever.
+    curve = _curve([1.0, 1.1], timestamps=[_epoch(2024, 3, 1), _epoch(2024, 1, 1)])
+    with pytest.raises(ValueError, match="non-decreasing"):
+        metric(curve)
+
+
+def test_monthly_returns_reject_zero_before_last_month():
+    ts = [_epoch(2024, 1, 1), _epoch(2024, 2, 10), _epoch(2024, 3, 20)]
+    with pytest.raises(ValueError, match="zero before its last month"):
+        monthly_returns(_curve([1.0, 0.0, 0.5], timestamps=ts))
+    # A wipeout ends the curve, so a zero in the last month stays valid.
+    assert monthly_returns(_curve([1.0, 0.5, 0.0], timestamps=ts))[-1] == -1.0
+
+
 def test_sharpe_zero_variance_is_undefined():
     ts = [_epoch(2021, 1, 10), _epoch(2021, 1, 31), _epoch(2021, 2, 28)]
     curve = _curve([1.0, 1.02, 1.02 * 1.02], timestamps=ts)

@@ -227,6 +227,18 @@ def test_policy_validation():
     assert SizingPolicy("Kelly").kind == "KELLY"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_policy_rejects_non_finite_modifier(value):
+    with pytest.raises(ValueError, match="modifier must be finite"):
+        SizingPolicy("none", modifier=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_policy_rejects_non_finite_max_leverage(value):
+    with pytest.raises(ValueError, match="max_leverage must be finite"):
+        SizingPolicy("kelly", max_leverage=value)
+
+
 @pytest.mark.parametrize("a,b", [(math.nan, 0.05), (0.05, math.nan)])
 def test_pab_validation_rejects_nan(a, b):
     with pytest.raises(ValueError):
