@@ -1,19 +1,30 @@
-"""Run manifests, deterministic SVG charts, and small output helpers.
+"""Run manifests, the CSV and JSON writers, and deterministic SVG charts.
 
 Every artifact-producing command writes exactly one ``manifest.json`` into
 its output directory recording the command, the fully resolved config,
 input digests, seeds, and artifact digests, so a run can be reproduced and
 verified byte for byte. SVG output embeds no timestamps or randomness.
+
+Every CSV kellybt writes goes through ``write_csv``, which owns the text
+format: a header row, one ``str`` per cell (for a float that is its shortest
+round-trip text, as ``repr`` gives), ``NA`` for a missing value and ``\n``
+line ends.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from contextlib import contextmanager
+
+import numpy as np
 
 from . import __version__
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+# Rows formatted and written per write call: bounds the text held in memory.
+CSV_BLOCK_ROWS = 1024
 
 
 def sha256_file(path: str) -> str:
@@ -28,6 +39,41 @@ def write_json(obj, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@contextmanager
+def open_text(dest, mode: str):
+    """``dest`` itself when it is an open text stream, else the file at that
+    path opened with ``newline=""``; only a file opened here is closed here."""
+    if not isinstance(dest, (str, bytes, os.PathLike)):
+        yield dest
+        return
+    with open(dest, mode, newline="") as fh:
+        yield fh
+
+
+def write_csv(dest, header, columns) -> None:
+    """Write a header row, then one row per index of ``columns``.
+
+    ``dest`` is a path or an open text stream (see ``open_text``).
+    ``columns`` holds one sequence (numpy array or list) per header field,
+    all of one length, or is empty for a file with no rows. A cell is
+    ``str`` of the value (numpy values via ``.tolist()``), or ``NA`` for None.
+    """
+    n = len(columns[0]) if columns else 0
+    if columns and (len(columns) != len(header) or any(len(c) != n for c in columns)):
+        raise ValueError(f"need {len(header)} columns of one length for header {header}")
+    with open_text(dest, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            cells = []
+            for col in columns:
+                block = col[start:start + CSV_BLOCK_ROWS]
+                if isinstance(block, np.ndarray):
+                    block = block.tolist()
+                cells.append(["NA" if v is None else str(v) for v in block])
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")
 
 
 def write_manifest(outdir: str, command: str, config: dict,

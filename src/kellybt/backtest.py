@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_csv
 from .candles import CandleSeries
 from .predictors import DirectionPrediction, ScenarioEstimate
 from .sizing import SizingPolicy, decide
@@ -202,16 +203,8 @@ def compare_strategies(series: CandleSeries, predictions: list[DirectionPredicti
 
 
 def write_trades_csv(trades: list[Trade], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("entry_ts,exit_ts,side,fraction,entry_price,exit_price,"
-                 "realized_return,pnl_fraction\n")
-        for t in trades:
-            fh.write(f"{t.entry_ts},{t.exit_ts},{t.side},{t.fraction!r},{t.entry_price!r},"
-                     f"{t.exit_price!r},{t.realized_return!r},{t.pnl_fraction!r}\n")
+    write_csv(path, Trade._fields, list(zip(*trades)))
 
 
 def write_equity_csv(curve: EquityCurve, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("timestamp,bankroll\n")
-        for ts, v in zip(curve.timestamps, curve.values):
-            fh.write(f"{int(ts)},{float(v)!r}\n")
+    write_csv(path, ("timestamp", "bankroll"), [curve.timestamps, curve.values])

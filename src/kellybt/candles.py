@@ -1,8 +1,9 @@
 """Hourly OHLCV candle series: parsing, validation, splitting, synthesis.
 
 Canonical file format is CSV with header ``timestamp,open,high,low,close,volume``
-and timestamps in epoch seconds (UTC, aligned to the hour). Gaps in exchange
-data are kept and indexed, never forward-filled.
+and timestamps in epoch seconds (UTC, aligned to the hour), written by
+``artifacts.write_csv`` with exact float text. Gaps in exchange data are kept
+and indexed, never forward-filled.
 
 The candle invariants (strictly increasing, interval-aligned timestamps;
 finite positive prices; finite non-negative volume; low/high enveloping
@@ -14,9 +15,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .artifacts import open_text, write_csv
 
 HOUR = 3600
 
@@ -136,20 +140,11 @@ class CandleSeries:
         )
 
     def to_csv(self, dest) -> None:
-        """Write the canonical CSV. Float fields use repr (exact round trip)."""
-        own = isinstance(dest, (str, bytes))
-        fh = open(dest, "w", newline="") if own else dest
-        try:
-            fh.write(",".join(CANONICAL_COLUMNS) + "\n")
-            for i in range(len(self)):
-                fh.write(
-                    f"{int(self.timestamps[i])},{float(self.open[i])!r},"
-                    f"{float(self.high[i])!r},{float(self.low[i])!r},"
-                    f"{float(self.close[i])!r},{float(self.volume[i])!r}\n"
-                )
-        finally:
-            if own:
-                fh.close()
+        """Write the canonical CSV to a path or an open text stream through
+        ``artifacts.write_csv``; floats keep their shortest round-trip text,
+        so ``parse_candles`` reads back the same series."""
+        write_csv(dest, CANONICAL_COLUMNS, [self.timestamps, self.open, self.high,
+                                            self.low, self.close, self.volume])
 
 
 @dataclass(frozen=True)
@@ -183,9 +178,7 @@ def parse_candles(source, mapping: dict | None = None, symbol: str = "UNKNOWN") 
     for key in mapping:
         if key not in CANONICAL_COLUMNS:
             raise DataError(f"unknown column mapping key {key!r}")
-    own = isinstance(source, (str, bytes))
-    fh = open(source, "r", newline="") if own else source
-    try:
+    with open_text(source, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -208,9 +201,6 @@ def parse_candles(source, mapping: dict | None = None, symbol: str = "UNKNOWN") 
             except (ValueError, IndexError) as exc:
                 raise DataError(f"malformed row at line {lineno}: {exc}") from None
             lines.append(lineno)
-    finally:
-        if own:
-            fh.close()
 
     if not rows:
         raise DataError("no data rows in input")
@@ -265,10 +255,12 @@ def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if volatility < 0:
-        raise ValueError(f"volatility must be >= 0, got {volatility}")
-    if start_price <= 0:
-        raise ValueError(f"start_price must be > 0, got {start_price}")
+    if not math.isfinite(drift):
+        raise ValueError(f"drift must be finite, got {drift}")
+    if not 0 <= volatility < math.inf:  # negated so NaN fails too
+        raise ValueError(f"volatility must be finite and >= 0, got {volatility}")
+    if not 0 < start_price < math.inf:
+        raise ValueError(f"start_price must be finite and > 0, got {start_price}")
 
     rng = np.random.default_rng(seed)
     steps = rng.normal(drift, volatility, size=n)

@@ -12,7 +12,9 @@ data. Failures emit a one-line JSON error record on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -202,8 +204,9 @@ def _scenario_estimates(series, labels, resolved: dict):
     if (const_a is None) != (const_b is None):
         raise ValueError("--const-a and --const-b must be given together")
     if const_a is not None:
-        if const_a <= 0 or const_b <= 0:
-            raise ValueError("constant scenario magnitudes must be > 0")
+        if not (0 < const_a < math.inf and 0 < const_b < math.inf):
+            raise ValueError(f"constant scenario magnitudes must be finite and > 0, "
+                             f"got {const_a}, {const_b}")
         return [predictors.ScenarioEstimate(int(t), float(const_a), float(const_b))
                 for t in labels.timestamps]
     return predictors.estimate_scenarios(series, horizon=resolved["horizon"],
@@ -225,20 +228,12 @@ def _simulate_predictions(labels, sim: str, seed: int, resolved: dict):
     raise ValueError(f"unknown simulator {sim!r} (use balanced|optimal|gaussian)")
 
 
-def _report_row(report: metrics.BacktestReport) -> list[str]:
-    def fmt(v):
-        return "NA" if v is None else repr(float(v))
-
-    return [fmt(report.cumulative_return_pct), fmt(report.max_drawdown_pct),
-            fmt(report.sharpe), fmt(report.romad)]
-
-
 def _write_table5(rows: list[tuple[str, metrics.BacktestReport]], path: str) -> None:
     """Benchmark-table layout: Cumulative Return, Max Drawdown, Sharpe, RoMaD."""
-    with open(path, "w", newline="") as fh:
-        fh.write("Strategy,Cumulative Return,Max Drawdown,Sharpe,RoMaD\n")
-        for name, report in rows:
-            fh.write(",".join([name] + _report_row(report)) + "\n")
+    artifacts.write_csv(path, ("Strategy", "Cumulative Return", "Max Drawdown", "Sharpe",
+                               "RoMaD"),
+                        list(zip(*((name, r.cumulative_return_pct, r.max_drawdown_pct,
+                                    r.sharpe, r.romad) for name, r in rows))))
 
 
 def _report_dict(report: metrics.BacktestReport) -> dict:
@@ -254,23 +249,11 @@ def _report_dict(report: metrics.BacktestReport) -> dict:
 
 
 def _write_comparison(rows: list[dict], path: str) -> None:
-    cols = ["model", "seed", "policy", "cumulative_return_pct", "max_drawdown_pct",
-            "sharpe", "romad", "trade_count", "win_rate", "flags"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            out = []
-            for col in cols:
-                v = row.get(col)
-                if v is None:
-                    out.append("NA")
-                elif isinstance(v, float):
-                    out.append(repr(v))
-                elif isinstance(v, (list, tuple)):
-                    out.append(";".join(str(x) for x in v))
-                else:
-                    out.append(str(v))
-            fh.write(",".join(out) + "\n")
+    cols = ("model", "seed", "policy", "cumulative_return_pct", "max_drawdown_pct",
+            "sharpe", "romad", "trade_count", "win_rate")
+    artifacts.write_csv(path, cols + ("flags",),
+                        [[row.get(col) for row in rows] for col in cols]
+                        + [[";".join(row["flags"]) for row in rows]])
 
 
 def _equity_svg(results: list[backtest.StrategyResult], path: str, title: str) -> None:
@@ -510,15 +493,11 @@ def cmd_report(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
     artifacts.write_json(cls_dict, jpath)
     written.append(jpath)
     cpath = os.path.join(outdir, "confusion.csv")
-    with open(cpath, "w", newline="") as fh:
-        fh.write("tn,fp,fn,tp\n")
-        fh.write(",".join(str(x) for x in cls.confusion) + "\n")
+    artifacts.write_csv(cpath, ("tn", "fp", "fn", "tp"), [[x] for x in cls.confusion])
     written.append(cpath)
     prpath = os.path.join(outdir, "pr_curve.csv")
-    with open(prpath, "w", newline="") as fh:
-        fh.write("threshold,precision,recall\n")
-        for thr, prec, rec in metrics.precision_recall_points(preds, labels):
-            fh.write(f"{thr!r},{prec!r},{rec!r}\n")
+    artifacts.write_csv(prpath, ("threshold", "precision", "recall"),
+                        list(zip(*metrics.precision_recall_points(preds, labels))))
     written.append(prpath)
 
     if ests is not None:
@@ -546,39 +525,33 @@ def cmd_report(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
     return written, []
 
 
+def _write_surface(path: str, header: tuple[str, str, str], xs: list[float],
+                   ys: list[float], f) -> None:
+    """One row per (x, y) of the grid, x-major, with f(x, y) in the last column."""
+    grid = list(itertools.product(xs, ys))
+    artifacts.write_csv(path, header, [*zip(*grid), [f(x, y) for x, y in grid]])
+
+
 def cmd_kelly_surface(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
-    written = []
     if resolved["p"] is not None:
         p = float(resolved["p"])
         grid = [i / 200.0 for i in range(1, 41)]  # 0.005 .. 0.2
         path = os.path.join(outdir, "kelly_surface_ab.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("a,b,f_star\n")
-            for a in grid:
-                for b in grid:
-                    fh.write(f"{a!r},{b!r},{sizing.kelly_fraction(p, a, b)!r}\n")
-        written.append(path)
-        return written, []
+        _write_surface(path, ("a", "b", "f_star"), grid, grid,
+                       lambda a, b: sizing.kelly_fraction(p, a, b))
+        return [path], []
 
     p_grid = [i / 100.0 for i in range(1, 100)]
     b_grid = [float(10.0 ** e) for e in np.linspace(-2.0, 0.0, 41)]
-    path = os.path.join(outdir, "kelly_surface_pb.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("p,b,f\n")
-        for p in p_grid:
-            for b in b_grid:
-                # Classic odds form: unit gain (a = 1), loss proportion b.
-                fh.write(f"{p!r},{b!r},{sizing.kelly_fraction(p, 1.0, b)!r}\n")
-    written.append(path)
+    pb_path = os.path.join(outdir, "kelly_surface_pb.csv")
+    # Classic odds form: unit gain (a = 1), loss proportion b.
+    _write_surface(pb_path, ("p", "b", "f"), p_grid, b_grid,
+                   lambda p, b: sizing.kelly_fraction(p, 1.0, b))
     ab_grid = [i / 20.0 for i in range(2, 21)]  # 0.1 .. 1.0
-    path = os.path.join(outdir, "kelly_surface_pab.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("p,ab,f_star\n")
-        for p in p_grid:
-            for ab in ab_grid:
-                fh.write(f"{p!r},{ab!r},{sizing.kelly_fraction(p, ab, ab)!r}\n")
-    written.append(path)
-    return written, []
+    pab_path = os.path.join(outdir, "kelly_surface_pab.csv")
+    _write_surface(pab_path, ("p", "ab", "f_star"), p_grid, ab_grid,
+                   lambda p, ab: sizing.kelly_fraction(p, ab, ab))
+    return [pb_path, pab_path], []
 
 
 _COMMANDS = {

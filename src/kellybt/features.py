@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .candles import CandleSeries
 from .indicators import IndicatorSpec, compute_indicator
 
@@ -187,27 +188,17 @@ def grid_from_config(entries: list[dict]) -> list[IndicatorSpec]:
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(("timestamp",) + matrix.column_names) + "\n")
-        for i in range(len(matrix)):
-            row = ",".join(repr(float(v)) for v in matrix.values[i])
-            fh.write(f"{int(matrix.timestamps[i])},{row}\n")
+    write_csv(path, ("timestamp",) + matrix.column_names,
+              [matrix.timestamps, *matrix.values.T])
 
 
 def write_labels_csv(labels: LabelSet, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("timestamp,direction,price_change,weight\n")
-        for i in range(len(labels)):
-            fh.write(
-                f"{int(labels.timestamps[i])},{int(labels.direction[i])},"
-                f"{float(labels.price_change[i])!r},{float(labels.weight[i])!r}\n"
-            )
+    write_csv(path, ("timestamp", "direction", "price_change", "weight"),
+              [labels.timestamps, labels.direction, labels.price_change, labels.weight])
 
 
 def write_norm_stats_json(stats: NormStats, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(stats.to_dict(), path)
 
 
 def read_norm_stats_json(path: str) -> NormStats:

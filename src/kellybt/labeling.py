@@ -8,10 +8,12 @@ the pessimistic reading instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .candles import CandleSeries
 
 VERTICAL_ZERO = "ZERO"
@@ -35,8 +37,9 @@ class BarrierConfig:
     ambiguous_to_lower: bool = False
 
     def __post_init__(self):
-        if self.up_pct <= 0 or self.down_pct <= 0:
-            raise ValueError(f"barrier distances must be > 0, got {self.up_pct}, {self.down_pct}")
+        if not (0 < self.up_pct < math.inf and 0 < self.down_pct < math.inf):
+            raise ValueError(f"barrier distances must be finite and > 0, "
+                             f"got {self.up_pct}, {self.down_pct}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.vertical_rule not in (VERTICAL_ZERO, VERTICAL_SIGN):
@@ -105,7 +108,7 @@ def label_series(series: CandleSeries, cfg: BarrierConfig,
 
 def write_barrier_labels_csv(series: CandleSeries,
                              labeled: list[tuple[int, BarrierLabel]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("timestamp,label,hit_kind,hit_bar\n")
-        for entry, lab in labeled:
-            fh.write(f"{int(series.timestamps[entry])},{lab.label},{lab.hit_kind},{lab.hit_bar}\n")
+    write_csv(path, ("timestamp", "label", "hit_kind", "hit_bar"),
+              [series.timestamps[[entry for entry, _ in labeled]],
+               [lab.label for _, lab in labeled],
+               [lab.hit_kind for _, lab in labeled], [lab.hit_bar for _, lab in labeled]])

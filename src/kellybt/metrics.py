@@ -214,18 +214,18 @@ def classification_report(predictions: list[DirectionPrediction], labels: LabelS
 
 def precision_recall_points(predictions: list[DirectionPrediction],
                             labels: LabelSet) -> list[tuple[float, float, float]]:
-    """(threshold, precision, recall) points for the up class, for plotting."""
+    """(threshold, precision, recall) points for the up class, for plotting.
+
+    At each distinct probability, predicted up means p_up above it; the
+    counts come from binary searches over the sorted probabilities of each
+    class, and the ratios are of Python ints."""
     p, y = _align(predictions, labels)
-    points = []
-    for thr in sorted(set(p.tolist())):
-        pred = p > thr
-        tp = int((pred & (y == 1)).sum())
-        fp = int((pred & (y == 0)).sum())
-        fn = int((~pred & (y == 1)).sum())
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        points.append((float(thr), precision, recall))
-    return points
+    thresholds = np.unique(p)
+    up, down = np.sort(p[y == 1]), np.sort(p[y == 0])
+    tps = (up.size - np.searchsorted(up, thresholds, side="right")).tolist()
+    fps = (down.size - np.searchsorted(down, thresholds, side="right")).tolist()
+    return [(thr, tp / (tp + fp) if tp + fp else 1.0, tp / up.size if up.size else 0.0)
+            for thr, tp, fp in zip(thresholds.tolist(), tps, fps)]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .artifacts import open_text, write_csv
 from .candles import CandleSeries, DataError
 from .features import LabelSet
 
@@ -118,8 +119,8 @@ def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
     _check_labels(labels)
     if not 0 < mu_short < 0.5 < mu_long < 1:
         raise ValueError(f"need 0 < mu_short < 0.5 < mu_long < 1, got {mu_short}, {mu_long}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:  # negated so NaN fails too
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     if not 0 < hit_rate <= 1:
         raise ValueError(f"hit_rate must be in (0, 1], got {hit_rate}")
     rng = np.random.default_rng(seed)
@@ -151,9 +152,7 @@ def load_predictions(source, series: CandleSeries | None = None):
     given, every timestamp must exist in it. Every rejection is a DataError
     naming the file line; accepted values are finite.
     """
-    own = isinstance(source, (str, bytes))
-    fh = open(source, "r", newline="") if own else source
-    try:
+    with open_text(source, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -191,9 +190,6 @@ def load_predictions(source, series: CandleSeries | None = None):
                                     f"and > 0, got a={a}, b={b}")
                 ests.append(ScenarioEstimate(ts, max(a, AB_FLOOR), max(b, AB_FLOOR)))
             lines.append(lineno)
-    finally:
-        if own:
-            fh.close()
 
     if not preds:
         raise DataError("no prediction rows in input")
@@ -250,14 +246,13 @@ def write_predictions_csv(preds: list[DirectionPrediction],
                           ests: list[ScenarioEstimate] | None, path: str) -> None:
     """Write timestamp,p_up[,a,b] rows. With estimates supplied, predictions
     lacking one (estimator warm-up) are omitted, keeping rows loadable."""
-    by_ts = {e.timestamp: e for e in ests} if ests else {}
-    with open(path, "w", newline="") as fh:
-        fh.write("timestamp,p_up,a,b\n" if ests else "timestamp,p_up\n")
-        for p in preds:
-            if ests:
-                e = by_ts.get(p.timestamp)
-                if e is None:
-                    continue
-                fh.write(f"{p.timestamp},{p.p_up!r},{e.a!r},{e.b!r}\n")
-            else:
-                fh.write(f"{p.timestamp},{p.p_up!r}\n")
+    if not ests:
+        write_csv(path, ("timestamp", "p_up"),
+                  [[p.timestamp for p in preds], [p.p_up for p in preds]])
+        return
+    by_ts = {e.timestamp: e for e in ests}
+    preds = [p for p in preds if p.timestamp in by_ts]
+    matched = [by_ts[p.timestamp] for p in preds]
+    write_csv(path, ("timestamp", "p_up", "a", "b"),
+              [[p.timestamp for p in preds], [p.p_up for p in preds],
+               [e.a for e in matched], [e.b for e in matched]])

@@ -5,24 +5,30 @@ separate from the library's vectorized implementations: window statistics
 are recomputed from scratch at every bar, the normal CDF comes from a
 Maclaurin erf series, and drawdown enumerates all peak/trough pairs.
 
-The last section keeps the earlier per-row implementations of the backtest
-loop, the monthly returns, the Gaussian simulator and the scenario
-estimator, unchanged but renamed ``o_*``, so the columnar library code can
-be checked against them for exact equality.
+The per-row section keeps the earlier implementations of the backtest
+loop, the monthly returns, the Gaussian simulator, the scenario estimator
+and the precision/recall sweep, unchanged but renamed ``o_*``, so the
+columnar library code can be checked against them for exact equality. The
+last section keeps the earlier hand-written CSV writers the same way (the
+inline ones from the CLI wrapped in functions), so every writer can be
+checked against them byte for byte.
 """
 from __future__ import annotations
 
 import math
+import os
 from datetime import datetime, timezone
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from kellybt import metrics, sizing
 from kellybt.backtest import BacktestConfig, EquityCurve, Trade
-from kellybt.candles import CandleSeries
-from kellybt.features import LabelSet
+from kellybt.candles import CANONICAL_COLUMNS, CandleSeries
+from kellybt.features import FeatureMatrix, LabelSet
+from kellybt.labeling import BarrierLabel
 from kellybt.metrics import (FLAG_ROMAD_NA, FLAG_RUIN, FLAG_SHARPE_NA, BacktestReport,
-                             cumulative_return, max_drawdown)
+                             _align, cumulative_return, max_drawdown)
 from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, DirectionPrediction,
                                 ScenarioEstimate, _assign_correct, _check_labels)
 from kellybt.sizing import SizingPolicy, decide
@@ -506,3 +512,182 @@ def o_estimate_scenarios(series: CandleSeries, horizon: int = 5,
             int(series.timestamps[t]), max(float(a), AB_FLOOR), max(float(b), AB_FLOOR)
         ))
     return out
+
+
+def o_precision_recall_points(predictions: list[DirectionPrediction],
+                              labels: LabelSet) -> list[tuple[float, float, float]]:
+    """(threshold, precision, recall) points for the up class, for plotting."""
+    p, y = _align(predictions, labels)
+    points = []
+    for thr in sorted(set(p.tolist())):
+        pred = p > thr
+        tp = int((pred & (y == 1)).sum())
+        fp = int((pred & (y == 0)).sum())
+        fn = int((~pred & (y == 1)).sum())
+        precision = tp / (tp + fp) if tp + fp else 1.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        points.append((float(thr), precision, recall))
+    return points
+
+
+# --- hand-written CSV writers ----------------------------------------------------
+
+
+def o_to_csv(self: CandleSeries, dest) -> None:
+    """Write the canonical CSV. Float fields use repr (exact round trip)."""
+    own = isinstance(dest, (str, bytes))
+    fh = open(dest, "w", newline="") if own else dest
+    try:
+        fh.write(",".join(CANONICAL_COLUMNS) + "\n")
+        for i in range(len(self)):
+            fh.write(
+                f"{int(self.timestamps[i])},{float(self.open[i])!r},"
+                f"{float(self.high[i])!r},{float(self.low[i])!r},"
+                f"{float(self.close[i])!r},{float(self.volume[i])!r}\n"
+            )
+    finally:
+        if own:
+            fh.close()
+
+
+def o_write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(("timestamp",) + matrix.column_names) + "\n")
+        for i in range(len(matrix)):
+            row = ",".join(repr(float(v)) for v in matrix.values[i])
+            fh.write(f"{int(matrix.timestamps[i])},{row}\n")
+
+
+def o_write_labels_csv(labels: LabelSet, path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("timestamp,direction,price_change,weight\n")
+        for i in range(len(labels)):
+            fh.write(
+                f"{int(labels.timestamps[i])},{int(labels.direction[i])},"
+                f"{float(labels.price_change[i])!r},{float(labels.weight[i])!r}\n"
+            )
+
+
+def o_write_barrier_labels_csv(series: CandleSeries,
+                               labeled: list[tuple[int, BarrierLabel]], path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("timestamp,label,hit_kind,hit_bar\n")
+        for entry, lab in labeled:
+            fh.write(f"{int(series.timestamps[entry])},{lab.label},{lab.hit_kind},{lab.hit_bar}\n")
+
+
+def o_write_trades_csv(trades: list[Trade], path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("entry_ts,exit_ts,side,fraction,entry_price,exit_price,"
+                 "realized_return,pnl_fraction\n")
+        for t in trades:
+            fh.write(f"{t.entry_ts},{t.exit_ts},{t.side},{t.fraction!r},{t.entry_price!r},"
+                     f"{t.exit_price!r},{t.realized_return!r},{t.pnl_fraction!r}\n")
+
+
+def o_write_equity_csv(curve: EquityCurve, path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("timestamp,bankroll\n")
+        for ts, v in zip(curve.timestamps, curve.values):
+            fh.write(f"{int(ts)},{float(v)!r}\n")
+
+
+def o_write_predictions_csv(preds: list[DirectionPrediction],
+                            ests: list[ScenarioEstimate] | None, path: str) -> None:
+    """Write timestamp,p_up[,a,b] rows. With estimates supplied, predictions
+    lacking one (estimator warm-up) are omitted, keeping rows loadable."""
+    by_ts = {e.timestamp: e for e in ests} if ests else {}
+    with open(path, "w", newline="") as fh:
+        fh.write("timestamp,p_up,a,b\n" if ests else "timestamp,p_up\n")
+        for p in preds:
+            if ests:
+                e = by_ts.get(p.timestamp)
+                if e is None:
+                    continue
+                fh.write(f"{p.timestamp},{p.p_up!r},{e.a!r},{e.b!r}\n")
+            else:
+                fh.write(f"{p.timestamp},{p.p_up!r}\n")
+
+
+def o_report_row(report: metrics.BacktestReport) -> list[str]:
+    def fmt(v):
+        return "NA" if v is None else repr(float(v))
+
+    return [fmt(report.cumulative_return_pct), fmt(report.max_drawdown_pct),
+            fmt(report.sharpe), fmt(report.romad)]
+
+
+def o_write_table5(rows: list[tuple[str, metrics.BacktestReport]], path: str) -> None:
+    """Benchmark-table layout: Cumulative Return, Max Drawdown, Sharpe, RoMaD."""
+    with open(path, "w", newline="") as fh:
+        fh.write("Strategy,Cumulative Return,Max Drawdown,Sharpe,RoMaD\n")
+        for name, report in rows:
+            fh.write(",".join([name] + o_report_row(report)) + "\n")
+
+
+def o_write_comparison(rows: list[dict], path: str) -> None:
+    cols = ["model", "seed", "policy", "cumulative_return_pct", "max_drawdown_pct",
+            "sharpe", "romad", "trade_count", "win_rate", "flags"]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            out = []
+            for col in cols:
+                v = row.get(col)
+                if v is None:
+                    out.append("NA")
+                elif isinstance(v, float):
+                    out.append(repr(v))
+                elif isinstance(v, (list, tuple)):
+                    out.append(";".join(str(x) for x in v))
+                else:
+                    out.append(str(v))
+            fh.write(",".join(out) + "\n")
+
+
+def o_write_confusion(cls: metrics.ClassificationReport, cpath: str) -> None:
+    with open(cpath, "w", newline="") as fh:
+        fh.write("tn,fp,fn,tp\n")
+        fh.write(",".join(str(x) for x in cls.confusion) + "\n")
+
+
+def o_write_pr_curve(preds, labels, prpath: str) -> None:
+    with open(prpath, "w", newline="") as fh:
+        fh.write("threshold,precision,recall\n")
+        for thr, prec, rec in o_precision_recall_points(preds, labels):
+            fh.write(f"{thr!r},{prec!r},{rec!r}\n")
+
+
+def o_kelly_surface(resolved: dict, outdir: str) -> list[str]:
+    written = []
+    if resolved["p"] is not None:
+        p = float(resolved["p"])
+        grid = [i / 200.0 for i in range(1, 41)]  # 0.005 .. 0.2
+        path = os.path.join(outdir, "kelly_surface_ab.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write("a,b,f_star\n")
+            for a in grid:
+                for b in grid:
+                    fh.write(f"{a!r},{b!r},{sizing.kelly_fraction(p, a, b)!r}\n")
+        written.append(path)
+        return written
+
+    p_grid = [i / 100.0 for i in range(1, 100)]
+    b_grid = [float(10.0 ** e) for e in np.linspace(-2.0, 0.0, 41)]
+    path = os.path.join(outdir, "kelly_surface_pb.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("p,b,f\n")
+        for p in p_grid:
+            for b in b_grid:
+                # Classic odds form: unit gain (a = 1), loss proportion b.
+                fh.write(f"{p!r},{b!r},{sizing.kelly_fraction(p, 1.0, b)!r}\n")
+    written.append(path)
+    ab_grid = [i / 20.0 for i in range(2, 21)]  # 0.1 .. 1.0
+    path = os.path.join(outdir, "kelly_surface_pab.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("p,ab,f_star\n")
+        for p in p_grid:
+            for ab in ab_grid:
+                fh.write(f"{p!r},{ab!r},{sizing.kelly_fraction(p, ab, ab)!r}\n")
+    written.append(path)
+    return written

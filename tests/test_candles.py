@@ -189,6 +189,13 @@ def test_synthetic_validates_arguments():
         generate_synthetic_series(seed=0, n=5, start_price=0.0)
 
 
+@pytest.mark.parametrize("field", ["drift", "volatility", "start_price"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_synthetic_rejects_non_finite_arguments(field, value):
+    with pytest.raises(ValueError, match=field):
+        generate_synthetic_series(seed=0, n=5, **{field: value})
+
+
 @pytest.mark.parametrize("field", ["open", "high", "low", "close", "volume"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_parse_rejects_non_finite_field(field, bad):

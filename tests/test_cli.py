@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import pytest
 
 from kellybt.candles import generate_synthetic_series
 from kellybt.cli import main
@@ -265,3 +266,34 @@ def test_every_run_writes_exactly_one_manifest(tmp_path):
     for name in manifest["artifacts"]:
         assert os.path.exists(os.path.join(out, name))
     assert manifest["command"] == "simulate"
+
+
+@pytest.mark.parametrize("const_a,const_b", [("inf", "0.01"), ("nan", "0.01"),
+                                             ("0.05", "inf"), ("0.05", "nan")])
+def test_simulate_rejects_non_finite_constant_scenarios(tmp_path, capsys, const_a, const_b):
+    out = tmp_path / "sim"
+    code = _run("simulate", "--n", "300", "--policy", "none", "--const-a", const_a,
+                "--const-b", const_b, "--out", str(out))
+    assert code == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "finite" in err["message"]
+    assert not (out / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--drift", "--volatility", "--start-price"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_rejects_non_finite_settings_as_config(tmp_path, capsys, flag, value):
+    assert _run("synth", "--n", "50", flag, value, "--out", str(tmp_path / "s")) == 4
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--sim", "gaussian", "--sigma", "nan"),
+                                  ("simulate", "--sim", "gaussian", "--sigma", "inf"),
+                                  ("label", "--up-pct", "nan"),
+                                  ("label", "--down-pct", "inf")],
+                         ids=["sigma-nan", "sigma-inf", "up-pct-nan", "down-pct-inf"])
+def test_non_finite_simulator_and_barrier_settings_exit_4(tmp_path, capsys, argv):
+    candles = tmp_path / "candles.csv"
+    generate_synthetic_series(seed=3, n=300).to_csv(str(candles))
+    assert _run(*argv, "--input", str(candles), "--out", str(tmp_path / "out")) == 4
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"

@@ -1,7 +1,7 @@
 """Exactness properties: the columnar backtest, monthly returns, Gaussian
-simulator and scenario estimator equal the per-row loops they replaced
-(kept in oracles.py) exactly, on drawn inputs, including the errors they
-raise."""
+simulator, scenario estimator and precision/recall sweep equal the per-row
+loops they replaced (kept in oracles.py) exactly, on drawn inputs, including
+the errors they raise."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kellybt.backtest import BacktestConfig, EquityCurve, Trade, run_backtest
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt.features import LabelSet
-from kellybt.metrics import build_report, monthly_returns
+from kellybt.metrics import build_report, monthly_returns, precision_recall_points
 from kellybt.predictors import (DirectionPrediction, ScenarioEstimate, estimate_scenarios,
                                 simulate_gaussian)
 from kellybt.sizing import SizingPolicy
@@ -153,3 +153,26 @@ def test_estimate_scenarios_equals_per_row_loop(seed, horizon, extra_window, ext
     assert got == want
     assert repr(got) == repr(want)
 
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 400), distinct=st.sampled_from([1, 2, 7, None]),
+       classes=st.sampled_from(["both", "up only", "down only"]),
+       extra_labels=st.integers(0, 20))
+def test_precision_recall_points_equal_threshold_loop(seed, n, distinct, classes,
+                                                      extra_labels):
+    rng = np.random.default_rng(seed)
+    if distinct is None:
+        p_up = rng.uniform(0.01, 0.99, n)
+    else:  # a few values shared by many predictions: tied thresholds
+        p_up = rng.choice(np.round(rng.uniform(0.01, 0.99, distinct), 2), n)
+    m = n + extra_labels  # labels the predictions do not cover are skipped
+    direction = {"both": rng.choice(np.array([-1, 1], np.int8), m),
+                 "up only": np.ones(m, np.int8), "down only": -np.ones(m, np.int8)}[classes]
+    ts = 3600 * np.arange(m, dtype=np.int64)
+    labels = LabelSet(ts, direction, np.zeros(m), np.zeros(m), 5)
+    preds = list(map(DirectionPrediction, rng.permutation(ts)[:n].tolist(), p_up.tolist()))
+    got = precision_recall_points(preds, labels)
+    want = oracles.o_precision_recall_points(preds, labels)
+    assert got == want
+    assert repr(got) == repr(want)

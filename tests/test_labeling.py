@@ -175,3 +175,11 @@ def test_determinism():
     a = label_series(series, cfg)
     b = label_series(series, cfg)
     assert a == b
+
+
+@pytest.mark.parametrize("field", ["up_pct", "down_pct"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_barrier(field, value):
+    # A NaN barrier is never touched, so every label fell through to VERTICAL.
+    with pytest.raises(ValueError, match="finite"):
+        BarrierConfig(**{field: value})

@@ -114,6 +114,13 @@ def test_gaussian_validation():
         simulate_gaussian(labels, seed=0, mu_long=0.4, mu_short=0.6)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_gaussian_rejects_non_finite_sigma(sigma):
+    # A NaN sigma never draws a value on the predicted side: the walk never ended.
+    with pytest.raises(ValueError, match="sigma"):
+        simulate_gaussian(_labels(10), seed=0, sigma=sigma)
+
+
 # --- external predictions -------------------------------------------------------
 
 

@@ -1,16 +1,21 @@
-"""Property tests: streaming equals batch, and every loader either rejects a
-corrupted field with a DataError naming its line or yields finite values."""
+"""Property tests: streaming equals batch, every loader either rejects a
+corrupted field with a DataError naming its line or yields finite values,
+and what the CSV writers write their loaders read back unchanged."""
 import io
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellybt.candles import DataError, generate_synthetic_series, parse_candles_text
+from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
+                            parse_candles, parse_candles_text)
 from kellybt.indicators import ARITY, IndicatorSpec, compute_indicator, make_stream
-from kellybt.predictors import load_predictions
+from kellybt.predictors import (AB_FLOOR, DirectionPrediction, ScenarioEstimate,
+                                load_predictions, write_predictions_csv)
 
 # Derandomized and bounded so the suite stays fast and reproducible.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -97,3 +102,55 @@ def test_load_predictions_rejects_corrupt_field_by_line_or_stays_finite(data, se
     else:
         assert np.isfinite([p.p_up for p in preds]).all()
         assert np.isfinite([(e.a, e.b) for e in ests]).all()
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 300), volatility=volatilities,
+       start_price=st.sampled_from([1e-300, 0.5, 30000.0, 1e250]),
+       start_hour=st.integers(-10**6, 10**6), drop=st.sampled_from([0.0, 0.1]))
+def test_to_csv_round_trips_through_parse_candles(seed, n, volatility, start_price,
+                                                  start_hour, drop):
+    series = generate_synthetic_series(seed=seed, n=n, volatility=volatility,
+                                       start_price=start_price, start_ts=start_hour * HOUR)
+    keep = np.random.default_rng(seed).random(n) >= drop
+    keep[0] = True
+    cols = [getattr(series, c)[keep] for c in ("timestamps", "open", "high", "low",
+                                                "close", "volume")]
+    series = CandleSeries(*cols, symbol="RT")
+    buf = io.StringIO()
+    series.to_csv(buf)
+    got = parse_candles(io.StringIO(buf.getvalue()), symbol="RT")
+    for name in ("timestamps", "open", "high", "low", "close", "volume"):
+        want, col = getattr(series, name), getattr(got, name)
+        assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), name
+    assert got.gaps == series.gaps
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 300), with_estimates=st.booleans(),
+       missing=st.sampled_from([0.0, 0.3]))
+def test_write_predictions_csv_round_trips_through_load_predictions(seed, n, with_estimates,
+                                                                    missing):
+    series = generate_synthetic_series(seed=seed, n=n)
+    rng = np.random.default_rng(seed)
+    ts = series.timestamps.tolist()
+    preds = list(map(DirectionPrediction, ts, rng.uniform(0.01, 0.99, n).tolist()))
+    extremes = np.array([AB_FLOOR, 1 / 3, 1e300, 1.7976931348623157e308])
+    a, b = np.where(rng.random((2, n)) < 0.1, rng.choice(extremes, (2, n)),
+                    rng.uniform(AB_FLOOR, 0.5, (2, n)))
+    ests = None
+    if with_estimates:
+        kept = rng.random(n) >= missing
+        kept[int(rng.integers(n))] = True  # an all-warm-up file has no rows to load
+        ests = [e for e, k in zip(map(ScenarioEstimate, ts, a.tolist(), b.tolist()), kept)
+                if k]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "predictions.csv")
+        write_predictions_csv(preds, ests, path)
+        got_preds, got_ests = load_predictions(path, series)
+    if ests is None:
+        assert got_preds == preds and got_ests is None
+    else:
+        by_ts = {e.timestamp for e in ests}
+        assert got_preds == [p for p in preds if p.timestamp in by_ts]
+        assert got_ests == ests
