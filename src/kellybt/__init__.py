@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .backtest import BacktestConfig, EquityCurve, Trade, compare_strategies, run_backtest
 from .candles import (Candle, CandleSeries, SplitSpec, generate_synthetic_series,
-                      parse_candles, split_dataset)
+                      parse_candles, positions, split_dataset)
 from .features import (FeatureMatrix, LabelSet, apply_normalizer, build_feature_matrix,
                        default_grid, fit_normalizer, make_labels)
 from .indicators import IndicatorSpec, ValueSeries, compute_indicator, make_stream, smooth
@@ -19,23 +19,22 @@ from .labeling import BarrierConfig, BarrierLabel, label_series, triple_barrier_
 from .metrics import (BacktestReport, build_report, classification_report,
                       cumulative_return, max_drawdown, regression_report, romad,
                       sharpe_monthly)
-from .predictors import (DirectionPrediction, ScenarioEstimate, estimate_scenarios,
-                         load_predictions, simulate_balanced, simulate_gaussian,
-                         simulate_optimal)
+from .predictors import (Predictions, Scenarios, estimate_scenarios, load_predictions,
+                         simulate_balanced, simulate_gaussian, simulate_optimal)
 from .sizing import (BetDecision, SizingPolicy, decide, gaussian_bet_size,
                      kelly_fraction, log_optimal_fraction)
 
 __all__ = [
     "BacktestConfig", "EquityCurve", "Trade", "compare_strategies", "run_backtest",
     "Candle", "CandleSeries", "SplitSpec", "generate_synthetic_series",
-    "parse_candles", "split_dataset",
+    "parse_candles", "positions", "split_dataset",
     "FeatureMatrix", "LabelSet", "apply_normalizer", "build_feature_matrix",
     "default_grid", "fit_normalizer", "make_labels",
     "IndicatorSpec", "ValueSeries", "compute_indicator", "make_stream", "smooth",
     "BarrierConfig", "BarrierLabel", "label_series", "triple_barrier_label",
     "BacktestReport", "build_report", "classification_report", "cumulative_return",
     "max_drawdown", "regression_report", "romad", "sharpe_monthly",
-    "DirectionPrediction", "ScenarioEstimate", "estimate_scenarios",
+    "Predictions", "Scenarios", "estimate_scenarios",
     "load_predictions", "simulate_balanced", "simulate_gaussian", "simulate_optimal",
     "BetDecision", "SizingPolicy", "decide", "gaussian_bet_size", "kelly_fraction",
     "log_optimal_fraction",

@@ -10,28 +10,29 @@ Flat decisions are recorded as zero-fraction trades so that every policy
 run over the same inputs produces the same trade timestamps, which keeps
 strategy comparisons aligned row for row.
 
-Records cross the module boundary (predictions and estimates in, ``Trade``
-tuples out, one ``decide`` call per lattice point) while the arithmetic runs
-on numpy columns: timestamps are aligned with ``searchsorted``, prices and
-P&L are computed per column in the order a per-trade loop would use, and the
-bankroll is ``np.cumprod`` of the per-trade growth factors. ``cumprod`` is
-the same left-to-right product as sequential compounding, bit for bit.
+Prediction and scenario frames are matched to bars and to each other with
+``candles.positions``, which also drops what cannot trade (no scenario, no
+room for the horizon) before the stride lattice is walked over plain ints;
+``decide`` runs once per chosen point and ``Trade`` tuples come out. P&L is
+computed per column and the bankroll is ``np.cumprod`` of the growth
+factors, the same left-to-right product as sequential compounding, bit for
+bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import write_csv
-from .candles import CandleSeries
-from .predictors import DirectionPrediction, ScenarioEstimate
+from .candles import CandleSeries, positions
+from .predictors import Predictions, Scenarios
 from .sizing import SizingPolicy, decide
 
-_TIMESTAMP = attrgetter("timestamp")
 _FRACTION = attrgetter("fraction")
 _SIDE = attrgetter("side")
 
@@ -85,67 +86,61 @@ class EquityCurve:
         return int(self.timestamps.size)
 
 
-def _series_positions(timestamps: np.ndarray, records, what: str) -> np.ndarray:
-    """Series index of each record's timestamp; ValueError naming the first
-    record whose timestamp is not in the series."""
-    try:
-        ts = np.fromiter(map(_TIMESTAMP, records), np.int64, len(records))
-    except OverflowError:  # beyond int64, so not in the series
-        pass
-    else:
-        pos = np.searchsorted(timestamps, ts)
-        found = pos < timestamps.size
-        found[found] = timestamps[pos[found]] == ts[found]
-        if found.all():
-            return pos
-    known = set(timestamps.tolist())
-    missing = next(r.timestamp for r in records if r.timestamp not in known)
-    raise ValueError(f"{what} timestamp {missing} is not in the series")
+def _series_positions(timestamps: np.ndarray, frame, what: str) -> np.ndarray:
+    """Series index of each of the frame's timestamps; ValueError naming the
+    first one that is not in the series."""
+    pos, found = positions(timestamps, frame.timestamps)
+    if not found.all():
+        missing = frame.timestamps[np.argmin(found)]
+        raise ValueError(f"{what} timestamp {missing} is not in the series")
+    return pos
 
 
-def run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
-                 estimates: list[ScenarioEstimate] | None, policy: SizingPolicy,
+def run_backtest(series: CandleSeries, predictions: Predictions,
+                 estimates: Scenarios | None, policy: SizingPolicy,
                  cfg: BacktestConfig = BacktestConfig()):
     """Run one policy over the series; returns (EquityCurve, list of Trade).
 
     Decisions fall on a stride lattice over timestamps that carry a
-    prediction and (when estimates are supplied) a defined estimate;
-    timestamps without an estimate are skipped. The simulation halts with
-    the RUIN flag if the bankroll falls to ruin_floor * initial.
+    prediction and (when estimates are supplied) a scenario; timestamps
+    without a scenario are skipped. The simulation halts with the RUIN flag
+    if the bankroll falls to ruin_floor * initial.
     """
     ts = series.timestamps
-    pred_pos = _series_positions(ts, predictions, "prediction").tolist()
-    est_at = None
-    if estimates is not None:
-        # A later estimate for the same timestamp replaces an earlier one.
-        est_at = dict(zip(_series_positions(ts, estimates, "estimate").tolist(), estimates))
-
     n = len(series)
     horizon = cfg.horizon
     stride = cfg.effective_stride
     divisor = 1 if stride >= horizon else math.ceil(horizon / stride)
 
-    # The lattice walk stays sequential: each chosen point moves the next
-    # allowed index, and a point without an estimate does not.
-    entries: list[int] = []
-    decisions = []
-    next_allowed = -1
-    for i, p in zip(pred_pos, predictions):
-        if i < next_allowed or i + horizon >= n:
-            continue
-        est = None
-        if est_at is not None:
-            est = est_at.get(i)
-            if est is None:
-                continue
-        decisions.append(decide(p, est, policy))
-        entries.append(i)
-        next_allowed = i + stride
+    pred_pos = _series_positions(ts, predictions, "prediction")
+    usable = pred_pos + horizon < n
+    if estimates is not None:
+        _series_positions(ts, estimates, "estimate")
+        est_at, has_est = positions(estimates.timestamps, predictions.timestamps)
+        usable &= has_est
+    candidates = np.flatnonzero(usable)
 
-    if not entries:
+    # The lattice walk stays sequential: each chosen point moves the next
+    # allowed index, and a skipped timestamp does not.
+    chosen: list[int] = []
+    next_allowed = -1
+    for k, i in zip(candidates.tolist(), pred_pos[candidates].tolist()):
+        if i >= next_allowed:
+            chosen.append(k)
+            next_allowed = i + stride
+
+    if not chosen:
         raise ValueError("no usable decision timestamps (check alignment and estimates)")
 
-    entry_at = np.array(entries, dtype=np.intp)
+    p_up = predictions.p_up[chosen].tolist()
+    if estimates is None:
+        scenarios = repeat(None)
+    else:
+        at = est_at[chosen]
+        scenarios = zip(estimates.a[at].tolist(), estimates.b[at].tolist())
+    decisions = list(map(decide, p_up, scenarios, repeat(policy)))
+
+    entry_at = pred_pos[chosen]
     exit_at = entry_at + horizon
     fraction = np.fromiter(map(_FRACTION, decisions), np.float64, len(decisions)) / divisor
     entry_price = series.close[entry_at]
@@ -164,7 +159,7 @@ def run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
             # A leveraged loss beyond -100% is a wipeout, not a debt.
             values[m] = 0.0
     else:
-        m = len(entries)
+        m = len(chosen)
 
     exit_ts = ts[exit_at[:m]]
     trades = list(map(Trade, ts[entry_at[:m]].tolist(), exit_ts.tolist(),
@@ -186,8 +181,8 @@ class StrategyResult:
     report: object = None
 
 
-def compare_strategies(series: CandleSeries, predictions: list[DirectionPrediction],
-                       estimates: list[ScenarioEstimate] | None,
+def compare_strategies(series: CandleSeries, predictions: Predictions,
+                       estimates: Scenarios | None,
                        policies: list[SizingPolicy],
                        cfg: BacktestConfig = BacktestConfig()) -> list[StrategyResult]:
     """Run each policy against identical predictions and trade timestamps."""

@@ -9,7 +9,8 @@ The candle invariants (strictly increasing, interval-aligned timestamps;
 finite positive prices; finite non-negative volume; low/high enveloping
 open/close) are checked in one place, ``_first_invalid``. CandleSeries calls
 it on construction; parse_candles reads the file straight into columns and
-calls it to name the file line of the first bad row.
+calls it to name the file line of the first bad row. ``positions`` is the
+one timestamp lookup used to match predictions, scenarios and labels.
 """
 from __future__ import annotations
 
@@ -243,6 +244,16 @@ def split_dataset(series: CandleSeries, spec: SplitSpec):
     return series.slice(0, i), series.slice(i, j), series.slice(j, len(series))
 
 
+def positions(reference: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each ``query`` timestamp sits in the strictly increasing
+    ``reference`` column: ``(pos, found)``, with ``reference[pos] == query``
+    wherever ``found``. Elsewhere ``pos`` is the insertion point."""
+    pos = np.searchsorted(reference, query)
+    found = pos < reference.size
+    found[found] = reference[pos[found]] == query[found]
+    return pos, found
+
+
 def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,
                               volatility: float = 0.01, start_price: float = 100.0,
                               symbol: str = "SYNTH",
@@ -263,14 +274,19 @@ def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,
         raise ValueError(f"start_price must be finite and > 0, got {start_price}")
 
     rng = np.random.default_rng(seed)
-    steps = rng.normal(drift, volatility, size=n)
-    close = start_price * np.exp(np.cumsum(steps))
-    open_ = np.concatenate(([start_price], close[:-1]))
-    # Excursions capped below 1 so low stays positive.
-    up_exc = np.minimum(np.abs(rng.normal(0.0, 0.5 * volatility, size=n)), 0.9)
-    down_exc = np.minimum(np.abs(rng.normal(0.0, 0.5 * volatility, size=n)), 0.9)
-    high = np.maximum(open_, close) * (1.0 + up_exc)
-    low = np.minimum(open_, close) * (1.0 - down_exc)
+    # Finite settings can still overflow or underflow; the prices are checked below.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        steps = rng.normal(drift, volatility, size=n)
+        close = start_price * np.exp(np.cumsum(steps))
+        open_ = np.concatenate(([start_price], close[:-1]))
+        # Excursions capped below 1 so low stays positive.
+        up_exc = np.minimum(np.abs(rng.normal(0.0, 0.5 * volatility, size=n)), 0.9)
+        down_exc = np.minimum(np.abs(rng.normal(0.0, 0.5 * volatility, size=n)), 0.9)
+        high = np.maximum(open_, close) * (1.0 + up_exc)
+        low = np.minimum(open_, close) * (1.0 - down_exc)
+    if not (np.isfinite(high).all() and (low > 0).all()):
+        raise ValueError(f"drift {drift}, volatility {volatility} and start price "
+                         f"{start_price} give prices that are not finite and positive")
     volume = np.exp(rng.normal(3.0, 0.5, size=n))
     timestamps = start_ts + HOUR * np.arange(n, dtype=np.int64)
     return CandleSeries(timestamps, open_, high, low, close, volume, symbol=symbol)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import artifacts, backtest, features, labeling, metrics, predictors, sizing
 from .candles import (HOUR, CandleSeries, DataError, SplitSpec,
-                      generate_synthetic_series, parse_candles, split_dataset)
+                      generate_synthetic_series, parse_candles, positions, split_dataset)
 
 EXIT_USAGE = 2
 EXIT_MISSING_INPUT = 3
@@ -207,8 +207,9 @@ def _scenario_estimates(series, labels, resolved: dict):
         if not (0 < const_a < math.inf and 0 < const_b < math.inf):
             raise ValueError(f"constant scenario magnitudes must be finite and > 0, "
                              f"got {const_a}, {const_b}")
-        return [predictors.ScenarioEstimate(int(t), float(const_a), float(const_b))
-                for t in labels.timestamps]
+        n = len(labels)
+        return predictors.Scenarios(labels.timestamps, np.full(n, const_a),
+                                    np.full(n, const_b))
     return predictors.estimate_scenarios(series, horizon=resolved["horizon"],
                                          window=resolved["window"])
 
@@ -501,16 +502,10 @@ def cmd_report(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
     written.append(prpath)
 
     if ests is not None:
-        by_ts = {int(t): i for i, t in enumerate(labels.timestamps)}
-        pred_change, actual_change = [], []
-        for e in ests:
-            i = by_ts.get(e.timestamp)
-            if i is None:
-                continue
-            actual = float(labels.price_change[i])
-            pred_change.append(e.a if labels.direction[i] > 0 else -e.b)
-            actual_change.append(actual)
-        reg = metrics.regression_report(pred_change, actual_change)
+        pos, found = positions(labels.timestamps, ests.timestamps)
+        at = pos[found]
+        pred_change = np.where(labels.direction[at] > 0, ests.a[found], -ests.b[found])
+        reg = metrics.regression_report(pred_change, labels.price_change[at])
         rpath = os.path.join(outdir, "regression.json")
         artifacts.write_json({"mae": reg.mae, "mse": reg.mse, "rmse": reg.rmse,
                               "r2": reg.r2}, rpath)

@@ -73,7 +73,8 @@ class LabelSet:
     """Per-timestamp direction (+1/-1), fractional forward return, and weight.
 
     direction = sign(price_change) with zero resolved to -1; the weight is
-    |price_change|, so the zero case stays inert.
+    |price_change|, so the zero case stays inert. Timestamps strictly
+    increase, so predictions are matched to labels with ``candles.positions``.
     """
 
     timestamps: np.ndarray
@@ -81,6 +82,10 @@ class LabelSet:
     price_change: np.ndarray
     weight: np.ndarray
     horizon: int
+
+    def __post_init__(self):
+        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):
+            raise ValueError("label timestamps must be strictly increasing")
 
     def __len__(self) -> int:
         return int(self.timestamps.size)

@@ -19,8 +19,9 @@ from operator import attrgetter
 import numpy as np
 
 from .backtest import EquityCurve, Trade
+from .candles import positions
 from .features import LabelSet
-from .predictors import DirectionPrediction
+from .predictors import Predictions
 
 FLAG_RUIN = "RUIN"
 FLAG_ROMAD_NA = "ROMAD_NA"
@@ -162,26 +163,25 @@ class ClassificationReport:
     confusion: tuple[int, int, int, int]  # (tn, fp, fn, tp)
 
 
-def _align(predictions: list[DirectionPrediction], labels: LabelSet):
-    by_ts = {int(t): i for i, t in enumerate(labels.timestamps)}
-    pairs = [(p.p_up, int(labels.direction[by_ts[p.timestamp]]))
-             for p in predictions if p.timestamp in by_ts]
-    if not pairs:
+def _align(predictions: Predictions, labels: LabelSet):
+    """p_up of each prediction that has a label, and that label as 1 (up) or 0."""
+    pos, found = positions(labels.timestamps, predictions.timestamps)
+    if not found.any():
         raise ValueError("no overlapping timestamps between predictions and labels")
-    p = np.array([x[0] for x in pairs], dtype=np.float64)
-    y = np.array([1 if x[1] > 0 else 0 for x in pairs], dtype=np.int64)
-    return p, y
+    return predictions.p_up[found], (labels.direction[pos[found]] > 0).astype(np.int64)
 
 
 def _f1(precision: float, recall: float) -> float:
     return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
 
 
-def classification_report(predictions: list[DirectionPrediction], labels: LabelSet,
+def classification_report(predictions: Predictions, labels: LabelSet,
                           threshold: float = 0.5) -> ClassificationReport:
     """Logloss, per-class precision/recall/F1 with macro and weighted
-    averages, and confusion counts. Predicted up means p_up > threshold;
-    undefined precision/recall fall back to 0."""
+    averages, and confusion counts. Predicted up means p_up > threshold,
+    for a threshold in [0, 1]; undefined precision/recall fall back to 0."""
+    if not 0 <= threshold <= 1:  # negated so NaN fails too
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     p, y = _align(predictions, labels)
     logloss = float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)).mean())
     pred = (p > threshold).astype(np.int64)
@@ -212,7 +212,7 @@ def classification_report(predictions: list[DirectionPrediction], labels: LabelS
     )
 
 
-def precision_recall_points(predictions: list[DirectionPrediction],
+def precision_recall_points(predictions: Predictions,
                             labels: LabelSet) -> list[tuple[float, float, float]]:
     """(threshold, precision, recall) points for the up class, for plotting.
 

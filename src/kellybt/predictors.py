@@ -14,23 +14,26 @@ rate to be observable downstream.
 Probabilities are clipped to [0.01, 0.99] and scenario magnitudes floored
 at 0.001 so Kelly sizing stays finite.
 
-The simulators and the estimator compute on arrays and return lists of the
-records below, built in one ``map``. The Gaussian simulator draws standard
-normals in blocks and scales them as ``mu + sigma * z``: that is the stream
-scalar ``rng.normal(mu, sigma)`` calls would produce, value for value, so
-the rejection walk over it picks the same probabilities.
+Forecasts travel as two column frames, ``Predictions(timestamps, p_up)`` and
+``Scenarios(timestamps, a, b)``, whose constructor is the one check that the
+columns are 1-D, of one length, with strictly increasing timestamps.
+
+The Gaussian simulator draws standard normals in blocks and scales them as
+``mu + sigma * z``: that is the stream scalar ``rng.normal(mu, sigma)``
+calls would produce, value for value, so the rejection walk over it picks
+the same probabilities.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import open_text, write_csv
-from .candles import CandleSeries, DataError
+from .candles import CandleSeries, DataError, positions
 from .features import LabelSet
 
 P_CLIP_LO = 0.01
@@ -38,22 +41,43 @@ P_CLIP_HI = 0.99
 AB_FLOOR = 0.001
 
 
-@dataclass(frozen=True)
-class DirectionPrediction:
-    """Probability of an upward move over the horizon; q = 1 - p_up is implied."""
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """Read-only int64 ``timestamps``, strictly increasing, and float64 columns."""
 
-    timestamp: int
-    p_up: float
+    timestamps: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):  # timestamps first, so the others match its shape
+            col = np.array(getattr(self, f.name),
+                           np.int64 if f.name == "timestamps" else np.float64)
+            if col.ndim != 1 or col.shape != np.shape(self.timestamps):
+                raise ValueError(f"frame columns must be 1-D and of one length, got "
+                                 f"{f.name} of shape {col.shape}")
+            col.setflags(write=False)
+            object.__setattr__(self, f.name, col)
+        if (self.timestamps[1:] <= self.timestamps[:-1]).any():
+            raise ValueError("frame timestamps must be strictly increasing")
+
+    def __len__(self) -> int:
+        return int(self.timestamps.size)
 
 
-@dataclass(frozen=True)
-class ScenarioEstimate:
+@dataclass(frozen=True, eq=False)
+class Predictions(_Frame):
+    """Probability of an upward move over the horizon at each timestamp;
+    q = 1 - p_up is implied."""
+
+    p_up: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Scenarios(_Frame):
     """Predicted fractional rise (a) given an up market and fall magnitude (b)
-    given a down market; both strictly positive."""
+    given a down market at each timestamp; both strictly positive."""
 
-    timestamp: int
-    a: float
-    b: float
+    a: np.ndarray
+    b: np.ndarray
 
 
 def _assign_correct(n: int, hit_rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -74,12 +98,8 @@ def _predicted_up(labels: LabelSet, correct: np.ndarray) -> np.ndarray:
     return np.where(correct, labels.direction > 0, labels.direction < 0)
 
 
-def _predictions(labels: LabelSet, p_up: list[float]) -> list[DirectionPrediction]:
-    return list(map(DirectionPrediction, labels.timestamps.tolist(), p_up))
-
-
 def simulate_balanced(labels: LabelSet, seed: int, hit_rate: float = 0.6,
-                      p_const: float = 0.6) -> list[DirectionPrediction]:
+                      p_const: float = 0.6) -> Predictions:
     """Fixed-probability simulator: exactly round(hit_rate*n) predictions agree
     with the true label; predicted-up entries carry p_const, predicted-down
     entries carry 1 - p_const."""
@@ -90,17 +110,17 @@ def simulate_balanced(labels: LabelSet, seed: int, hit_rate: float = 0.6,
         raise ValueError(f"p_const must be in (0.5, 1) so direction follows p_up, got {p_const}")
     rng = np.random.default_rng(seed)
     up = _predicted_up(labels, _assign_correct(len(labels), hit_rate, rng))
-    return _predictions(labels, np.where(up, p_const, 1.0 - p_const).tolist())
+    return Predictions(labels.timestamps, np.where(up, p_const, 1.0 - p_const))
 
 
 def simulate_optimal(labels: LabelSet, p_long: float = 0.8,
-                     p_short: float = 0.2) -> list[DirectionPrediction]:
+                     p_short: float = 0.2) -> Predictions:
     """Always-correct simulator: p_up fixed at p_long on up labels and p_short
     on down labels."""
     _check_labels(labels)
     if not 0.5 < p_long < 1 or not 0 < p_short < 0.5:
         raise ValueError(f"need p_short < 0.5 < p_long, got {p_short}, {p_long}")
-    return _predictions(labels, np.where(labels.direction > 0, p_long, p_short).tolist())
+    return Predictions(labels.timestamps, np.where(labels.direction > 0, p_long, p_short))
 
 
 def _standard_normals(rng: np.random.Generator, block: int):
@@ -111,7 +131,7 @@ def _standard_normals(rng: np.random.Generator, block: int):
 
 def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
                       mu_short: float = 0.4, sigma: float = 0.1,
-                      hit_rate: float = 0.6) -> list[DirectionPrediction]:
+                      hit_rate: float = 0.6) -> Predictions:
     """Gaussian-probability simulator with the balanced model's exact-count
     correctness assignment. Each probability is a Normal(mu, sigma) draw
     truncated to the predicted side of 0.5 by rejection and clipped into
@@ -141,16 +161,17 @@ def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
                 if v < 0.5:
                     p_up.append(max(v, P_CLIP_LO))
                     break
-    return _predictions(labels, p_up)
+    return Predictions(labels.timestamps, p_up)
 
 
 def load_predictions(source, series: CandleSeries | None = None):
-    """Read a prediction CSV with columns timestamp,p_up[,a,b].
+    """Read a prediction CSV with columns timestamp,p_up[,a,b] into a
+    ``(Predictions, Scenarios | None)`` pair sorted by timestamp.
 
-    Scenario estimates are returned only when both a and b columns exist;
-    exactly one of them present is rejected as malformed. When ``series`` is
-    given, every timestamp must exist in it. Every rejection is a DataError
-    naming the file line; accepted values are finite.
+    Scenarios are returned only when both a and b columns exist; exactly one
+    of them present is rejected as malformed. When ``series`` is given,
+    every timestamp must exist in it. Every rejection is a DataError naming
+    the file line; accepted values are finite.
     """
     with open_text(source, "r") as fh:
         reader = csv.reader(fh)
@@ -166,14 +187,16 @@ def load_predictions(source, series: CandleSeries | None = None):
             raise DataError("scenario columns a and b must appear together")
         idx = {name: header.index(name) for name in header}
 
-        preds: list[DirectionPrediction] = []
-        ests: list[ScenarioEstimate] = []
+        ts: list[int] = []
+        values: list[tuple[float, ...]] = []  # (p_up,) or (p_up, a, b)
         lines: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
-                ts = int(float(row[idx["timestamp"]]))
+                t = int(float(row[idx["timestamp"]]))
+                if not -2**63 <= t < 2**63:
+                    raise OverflowError(f"timestamp {t} is outside the 64-bit integer range")
                 p = float(row[idx["p_up"]])
                 if has_a:
                     a = float(row[idx["a"]])
@@ -182,37 +205,36 @@ def load_predictions(source, series: CandleSeries | None = None):
                 raise DataError(f"malformed prediction row at line {lineno}: {exc}") from None
             if not 0 < p < 1:
                 raise DataError(f"line {lineno}: p_up {p} outside (0, 1)")
+            if has_a and not (0 < a < math.inf and 0 < b < math.inf):
+                raise DataError(f"line {lineno}: scenario magnitudes must be finite "
+                                f"and > 0, got a={a}, b={b}")
             p = min(max(p, P_CLIP_LO), P_CLIP_HI)
-            preds.append(DirectionPrediction(ts, p))
-            if has_a:
-                if not (0 < a < math.inf and 0 < b < math.inf):
-                    raise DataError(f"line {lineno}: scenario magnitudes must be finite "
-                                    f"and > 0, got a={a}, b={b}")
-                ests.append(ScenarioEstimate(ts, max(a, AB_FLOOR), max(b, AB_FLOOR)))
+            ts.append(t)
+            values.append((p, max(a, AB_FLOOR), max(b, AB_FLOOR)) if has_a else (p,))
             lines.append(lineno)
 
-    if not preds:
+    if not ts:
         raise DataError("no prediction rows in input")
-    order = sorted(range(len(preds)), key=lambda i: preds[i].timestamp)
-    preds = [preds[i] for i in order]
-    lines = [lines[i] for i in order]
-    for k in range(1, len(preds)):
-        if preds[k].timestamp == preds[k - 1].timestamp:
-            raise DataError(f"line {lines[k]}: duplicate prediction timestamp "
-                            f"{preds[k].timestamp}")
-    if ests:
-        ests = [ests[i] for i in order]
+    order = np.argsort(ts, kind="stable")
+    timestamps = np.array(ts, dtype=np.int64)[order]
+    repeated = np.flatnonzero(timestamps[1:] == timestamps[:-1])
+    if repeated.size:
+        k = int(repeated[0]) + 1
+        raise DataError(f"line {lines[order[k]]}: duplicate prediction timestamp "
+                        f"{timestamps[k]}")
     if series is not None:
-        known = set(int(t) for t in series.timestamps)
-        for pr, lineno in zip(preds, lines):
-            if pr.timestamp not in known:
-                raise DataError(f"line {lineno}: prediction timestamp {pr.timestamp} "
-                                f"not present in the series")
-    return preds, (ests if ests else None)
+        _, found = positions(series.timestamps, timestamps)
+        if not found.all():
+            k = int(np.argmin(found))
+            raise DataError(f"line {lines[order[k]]}: prediction timestamp {timestamps[k]} "
+                            f"not present in the series")
+    cols = np.array(values)[order].T
+    return (Predictions(timestamps, cols[0]),
+            Scenarios(timestamps, cols[1], cols[2]) if has_a else None)
 
 
 def estimate_scenarios(series: CandleSeries, horizon: int = 5,
-                       window: int = 250) -> list[ScenarioEstimate]:
+                       window: int = 250) -> Scenarios:
     """Causal trailing-window scenario estimates.
 
     At each index t >= window, a is the mean of the positive horizon-forward
@@ -224,7 +246,7 @@ def estimate_scenarios(series: CandleSeries, horizon: int = 5,
         raise ValueError(f"window {window} must be >= 10 * horizon ({10 * horizon})")
     n = len(series)
     if n <= window:
-        return []
+        return Scenarios(series.timestamps[:0], [], [])
     c = series.close
     r = (c[horizon:] - c[:-horizon]) / c[:-horizon]
     count = window - horizon + 1
@@ -238,21 +260,17 @@ def estimate_scenarios(series: CandleSeries, horizon: int = 5,
     # Window k holds the returns realized by t = k + window, for t in [window, n).
     a = np.divide(pos_sum, pos_cnt, out=np.full(pos_sum.size, AB_FLOOR), where=pos_cnt > 0)
     b = np.divide(neg_sum, neg_cnt, out=np.full(neg_sum.size, -AB_FLOOR), where=neg_cnt > 0)
-    return list(map(ScenarioEstimate, series.timestamps[window:].tolist(),
-                    np.maximum(a, AB_FLOOR).tolist(), np.maximum(-b, AB_FLOOR).tolist()))
+    return Scenarios(series.timestamps[window:], np.maximum(a, AB_FLOOR),
+                     np.maximum(-b, AB_FLOOR))
 
 
-def write_predictions_csv(preds: list[DirectionPrediction],
-                          ests: list[ScenarioEstimate] | None, path: str) -> None:
-    """Write timestamp,p_up[,a,b] rows. With estimates supplied, predictions
+def write_predictions_csv(preds: Predictions, ests: Scenarios | None, path: str) -> None:
+    """Write timestamp,p_up[,a,b] rows. With scenarios supplied, predictions
     lacking one (estimator warm-up) are omitted, keeping rows loadable."""
     if not ests:
-        write_csv(path, ("timestamp", "p_up"),
-                  [[p.timestamp for p in preds], [p.p_up for p in preds]])
+        write_csv(path, ("timestamp", "p_up"), [preds.timestamps, preds.p_up])
         return
-    by_ts = {e.timestamp: e for e in ests}
-    preds = [p for p in preds if p.timestamp in by_ts]
-    matched = [by_ts[p.timestamp] for p in preds]
+    pos, found = positions(ests.timestamps, preds.timestamps)
+    pos = pos[found]
     write_csv(path, ("timestamp", "p_up", "a", "b"),
-              [[p.timestamp for p in preds], [p.p_up for p in preds],
-               [e.a for e in matched], [e.b for e in matched]])
+              [preds.timestamps[found], preds.p_up[found], ests.a[pos], ests.b[pos]])

@@ -18,14 +18,13 @@ provided for analysis.
 Gaussian bet sizing maps the deviation of the predicted probability from a
 baseline through the standard normal CDF: m = 2*Phi(z) - 1 with
 z = (p - expected)/sqrt(p(1-p)). The short side mirrors the formula on
-q = 1 - p so that bearish predictions produce short bets.
+q = 1 - p so that bearish predictions produce short bets. ``decide`` takes
+plain values, already matched by timestamp: p, the (a, b) pair, the policy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .predictors import DirectionPrediction, ScenarioEstimate
 
 POLICY_NONE = "NONE"
 POLICY_KELLY = "KELLY"
@@ -115,25 +114,20 @@ class SizingPolicy:
 
 @dataclass(frozen=True)
 class BetDecision:
-    timestamp: int
     raw_fraction: float
     fraction: float
     side: str
 
 
-def decide(pred: DirectionPrediction, est: ScenarioEstimate | None,
+def decide(p: float, scenario: tuple[float, float] | None,
            policy: SizingPolicy) -> BetDecision:
-    """Size one bet. Composition order: fractional-Kelly scaling, then the
-    leverage clamp, then the constant modifier."""
-    p = pred.p_up
+    """Size one bet from the up probability ``p`` and the ``(a, b)`` scenario
+    (needed by KELLY only). Composition order: fractional-Kelly scaling,
+    then the leverage clamp, then the constant modifier."""
     if policy.kind == POLICY_KELLY:
-        if est is None:
+        if scenario is None:
             raise ValueError("KELLY sizing needs a scenario estimate")
-        if est.timestamp != pred.timestamp:
-            raise ValueError(
-                f"prediction/estimate timestamps differ: {pred.timestamp} vs {est.timestamp}"
-            )
-        raw = kelly_fraction(p, est.a, est.b)
+        raw = kelly_fraction(p, *scenario)
         scaled = policy.kelly_fraction * raw
     elif policy.kind == POLICY_GAUSSIAN:
         raw = gaussian_bet_size(p, policy.expected)
@@ -144,4 +138,4 @@ def decide(pred: DirectionPrediction, est: ScenarioEstimate | None,
     clamped = min(max(scaled, -policy.max_leverage), policy.max_leverage)
     fraction = clamped * policy.modifier
     side = SIDE_LONG if fraction > 0 else (SIDE_SHORT if fraction < 0 else SIDE_FLAT)
-    return BetDecision(pred.timestamp, raw, fraction, side)
+    return BetDecision(raw, fraction, side)

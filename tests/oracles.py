@@ -12,11 +12,17 @@ columnar library code can be checked against them for exact equality. The
 last section keeps the earlier hand-written CSV writers the same way (the
 inline ones from the CLI wrapped in functions), so every writer can be
 checked against them byte for byte.
+
+The per-row references take the per-bar records the library used before it
+moved predictions and scenarios into column frames (``DirectionPrediction``,
+``ScenarioEstimate``, kept below); ``prediction_records`` and
+``scenario_records`` turn frames into them.
 """
 from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,10 +34,10 @@ from kellybt.candles import CANONICAL_COLUMNS, CandleSeries
 from kellybt.features import FeatureMatrix, LabelSet
 from kellybt.labeling import BarrierLabel
 from kellybt.metrics import (FLAG_ROMAD_NA, FLAG_RUIN, FLAG_SHARPE_NA, BacktestReport,
-                             _align, cumulative_return, max_drawdown)
-from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, DirectionPrediction,
-                                ScenarioEstimate, _assign_correct, _check_labels)
-from kellybt.sizing import SizingPolicy, decide
+                             cumulative_return, max_drawdown)
+from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, _assign_correct,
+                                _check_labels)
+from kellybt.sizing import SizingPolicy
 
 NAN = float("nan")
 
@@ -278,6 +284,50 @@ def o_barrier_label(series, entry, cfg):
 
 
 # --- per-row reference implementations ----------------------------------------
+
+
+@dataclass(frozen=True)
+class DirectionPrediction:
+    """Probability of an upward move over the horizon; q = 1 - p_up is implied."""
+
+    timestamp: int
+    p_up: float
+
+
+@dataclass(frozen=True)
+class ScenarioEstimate:
+    """Predicted fractional rise (a) given an up market and fall magnitude (b)
+    given a down market; both strictly positive."""
+
+    timestamp: int
+    a: float
+    b: float
+
+
+def prediction_records(preds) -> list[DirectionPrediction]:
+    return list(map(DirectionPrediction, preds.timestamps.tolist(), preds.p_up.tolist()))
+
+
+def scenario_records(ests) -> list[ScenarioEstimate]:
+    return list(map(ScenarioEstimate, ests.timestamps.tolist(), ests.a.tolist(),
+                    ests.b.tolist()))
+
+
+def decide(pred: DirectionPrediction, est: ScenarioEstimate | None,
+           policy: SizingPolicy) -> sizing.BetDecision:
+    """``sizing.decide`` called with one prediction record and its estimate."""
+    return sizing.decide(pred.p_up, None if est is None else (est.a, est.b), policy)
+
+
+def _align(predictions: list[DirectionPrediction], labels: LabelSet):
+    by_ts = {int(t): i for i, t in enumerate(labels.timestamps)}
+    pairs = [(p.p_up, int(labels.direction[by_ts[p.timestamp]]))
+             for p in predictions if p.timestamp in by_ts]
+    if not pairs:
+        raise ValueError("no overlapping timestamps between predictions and labels")
+    p = np.array([x[0] for x in pairs], dtype=np.float64)
+    y = np.array([1 if x[1] > 0 else 0 for x in pairs], dtype=np.int64)
+    return p, y
 
 
 def o_run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],

@@ -145,11 +145,10 @@ def test_criterion_06_hit_rate_exactness():
     for n in (10, 100, 1000):
         series = generate_synthetic_series(seed=n, n=n + 5, volatility=0.01)
         labels = features.make_labels(series)
-        by_ts = {int(t): int(d) for t, d in zip(labels.timestamps, labels.direction)}
         for name, preds in (("balanced", simulate_balanced(labels, seed=1)),
                             ("gaussian", simulate_gaussian(labels, seed=1))):
-            correct = sum(1 for p in preds
-                          if (1 if p.p_up > 0.5 else -1) == by_ts[p.timestamp])
+            assert np.array_equal(preds.timestamps, labels.timestamps)
+            correct = int((np.where(preds.p_up > 0.5, 1, -1) == labels.direction).sum())
             want = round(0.6 * n)
             details.append(f"{name} n={n}: {correct}")
             if correct != want:
@@ -211,7 +210,7 @@ def test_criterion_09_metric_correctness():
             break
 
     labels = features.make_labels(generate_synthetic_series(seed=10, n=105))
-    preds = [predictors.DirectionPrediction(int(t), 0.5) for t in labels.timestamps]
+    preds = predictors.Predictions(labels.timestamps, np.full(len(labels), 0.5))
     logloss = metrics.classification_report(preds, labels).logloss
     ln2_ok = abs(logloss - math.log(2.0)) <= 1e-12
 

@@ -6,9 +6,8 @@ import pytest
 from kellybt.backtest import BacktestConfig, compare_strategies, run_backtest
 from kellybt.candles import HOUR, generate_synthetic_series
 from kellybt.features import make_labels
-from kellybt.predictors import (DirectionPrediction, ScenarioEstimate,
-                                estimate_scenarios, simulate_balanced,
-                                simulate_gaussian, simulate_optimal)
+from kellybt.predictors import (Predictions, Scenarios, estimate_scenarios,
+                                simulate_balanced, simulate_gaussian, simulate_optimal)
 from kellybt.sizing import SizingPolicy
 
 from conftest import make_series_from_closes
@@ -18,8 +17,8 @@ def test_single_trade_worked_example():
     closes = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0]
     series = make_series_from_closes(closes)
     ts = int(series.timestamps[0])
-    preds = [DirectionPrediction(ts, 0.6)]
-    ests = [ScenarioEstimate(ts, 0.05, 0.04)]
+    preds = Predictions([ts], [0.6])
+    ests = Scenarios([ts], [0.05], [0.04])
     policy = SizingPolicy("kelly")  # full Kelly -> fraction 2.0
     curve, trades = run_backtest(series, preds, ests, policy, BacktestConfig())
     assert len(trades) == 1
@@ -137,11 +136,9 @@ def test_overlapping_exposure_divided_and_capped():
 def test_ruin_halts_and_floors_at_zero():
     closes = [100.0] * 6 + [100.0, 70.0, 60.0, 50.0, 40.0, 30.0] + [30.0] * 10
     series = make_series_from_closes(closes)
-    ts = int(series.timestamps[6])
-    preds = [DirectionPrediction(ts, 0.9),
-             DirectionPrediction(int(series.timestamps[12]), 0.9)]
-    ests = [ScenarioEstimate(ts, 0.01, 0.01),
-            ScenarioEstimate(int(series.timestamps[12]), 0.01, 0.01)]
+    ts = series.timestamps[[6, 12]]
+    preds = Predictions(ts, [0.9, 0.9])
+    ests = Scenarios(ts, [0.01, 0.01], [0.01, 0.01])
     policy = SizingPolicy("kelly", max_leverage=5.0)  # 5x long into a 70% crash
     curve, trades = run_backtest(series, preds, ests, policy, BacktestConfig())
     assert curve.ruin
@@ -156,20 +153,24 @@ def test_skips_timestamps_without_estimates():
     ests = estimate_scenarios(series, window=200)  # defined only from bar 200
     curve, trades = run_backtest(series, preds, ests, SizingPolicy("none"),
                                  BacktestConfig())
-    first_est_ts = ests[0].timestamp
+    first_est_ts = ests.timestamps[0]
     assert trades[0].entry_ts >= first_est_ts
 
 
 def test_misaligned_prediction_rejected():
     series = generate_synthetic_series(seed=18, n=50)
-    preds = [DirectionPrediction(999_999_999, 0.7)]
-    with pytest.raises(ValueError, match="not in the series"):
+    preds = Predictions([999_999_999], [0.7])
+    with pytest.raises(ValueError, match="prediction timestamp 999999999 is not in"):
         run_backtest(series, preds, None, SizingPolicy("none"), BacktestConfig())
+    preds = Predictions(series.timestamps, np.full(len(series), 0.7))
+    ests = Scenarios([999_999_999], [0.01], [0.01])
+    with pytest.raises(ValueError, match="estimate timestamp 999999999 is not in"):
+        run_backtest(series, preds, ests, SizingPolicy("none"), BacktestConfig())
 
 
 def test_empty_decision_set_rejected():
     series = generate_synthetic_series(seed=19, n=50)
-    preds = [DirectionPrediction(int(series.timestamps[-1]), 0.7)]  # no horizon room
+    preds = Predictions(series.timestamps[-1:], [0.7])  # no horizon room
     with pytest.raises(ValueError, match="usable decision"):
         run_backtest(series, preds, None, SizingPolicy("none"), BacktestConfig())
 
@@ -178,7 +179,7 @@ def test_fees_charged_per_side():
     closes = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0]
     series = make_series_from_closes(closes)
     ts = int(series.timestamps[0])
-    preds = [DirectionPrediction(ts, 0.7)]
+    preds = Predictions([ts], [0.7])
     cfg = BacktestConfig(fee_rate=0.001)
     curve, trades = run_backtest(series, preds, None, SizingPolicy("none"), cfg)
     want = 1.0 * 0.05 - 0.001 * 1.0 * 2.0
@@ -195,8 +196,9 @@ def test_no_lookahead_prefix_audit():
     cut = 400
     cut_ts = int(series.timestamps[cut])
     prefix = series.slice(0, cut + 1)
-    preds_p = [p for p in preds if p.timestamp <= cut_ts]
-    ests_p = [e for e in estimate_scenarios(prefix, window=100)]
+    keep = preds.timestamps <= cut_ts
+    preds_p = Predictions(preds.timestamps[keep], preds.p_up[keep])
+    ests_p = estimate_scenarios(prefix, window=100)
     p_curve, p_trades = run_backtest(prefix, preds_p, ests_p, policy, BacktestConfig())
     keep = [t for t in full_trades if t.exit_ts <= cut_ts]
     assert p_trades == keep
@@ -232,4 +234,4 @@ def test_config_rejects_non_finite_initial_bankroll(value):
 def test_compare_requires_policies():
     series = generate_synthetic_series(seed=22, n=100)
     with pytest.raises(ValueError, match="policy"):
-        compare_strategies(series, [], None, [], BacktestConfig())
+        compare_strategies(series, Predictions([], []), None, [], BacktestConfig())

@@ -6,7 +6,7 @@ import pytest
 
 from kellybt.candles import (HOUR, CandleSeries, DataError, SplitSpec,
                              generate_synthetic_series, parse_candles,
-                             parse_candles_text, split_dataset)
+                             parse_candles_text, positions, split_dataset)
 
 HEADER = "timestamp,open,high,low,close,volume\n"
 
@@ -223,3 +223,12 @@ def test_parse_error_names_line_of_unsorted_row():
     text = HEADER + "10800,100,101,99,100,1\n3600,100,101,99,100,-1\n"
     with pytest.raises(DataError, match="line 3: negative volume"):
         parse_candles_text(text)
+
+
+def test_positions_finds_each_timestamp_or_its_insertion_point():
+    reference = np.array([3600, 7200, 14400], np.int64)
+    pos, found = positions(reference, np.array([0, 7200, 10800, 14400, 18000], np.int64))
+    assert found.tolist() == [False, True, False, True, False]
+    assert pos.tolist() == [0, 1, 2, 2, 3]
+    pos, found = positions(reference[:0], np.array([3600], np.int64))
+    assert pos.tolist() == [0] and found.tolist() == [False]

@@ -287,6 +287,27 @@ def test_synth_rejects_non_finite_settings_as_config(tmp_path, capsys, flag, val
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
+@pytest.mark.parametrize("flag,value", [("--volatility", "1e300"), ("--drift", "800"),
+                                        ("--drift", "-800")])
+def test_synth_rejects_overflowing_settings_as_config(tmp_path, capsys, flag, value):
+    out = tmp_path / "s"
+    assert _run("synth", "--n", "50", flag, value, "--out", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "not finite and positive" in err["message"]
+    assert not (out / "candles.csv").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5", "1.5"])
+def test_report_rejects_threshold_outside_unit_interval(tmp_path, capsys, threshold):
+    candles, preds = _write_series_and_predictions(tmp_path)
+    out = tmp_path / "report"
+    assert _run("report", "--input", candles, "--predictions", preds,
+                "--threshold", threshold, "--out", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "threshold" in err["message"]
+    assert not (out / "confusion.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [("simulate", "--sim", "gaussian", "--sigma", "nan"),
                                   ("simulate", "--sim", "gaussian", "--sigma", "inf"),
                                   ("label", "--up-pct", "nan"),

@@ -1,7 +1,9 @@
 """Exactness properties: the columnar backtest, monthly returns, Gaussian
 simulator, scenario estimator and precision/recall sweep equal the per-row
 loops they replaced (kept in oracles.py) exactly, on drawn inputs, including
-the errors they raise."""
+the errors they raise. The loops take per-bar records, so each frame is
+turned into records (``oracles.prediction_records``/``scenario_records``)
+before it is handed to one."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,7 @@ from kellybt.backtest import BacktestConfig, EquityCurve, Trade, run_backtest
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt.features import LabelSet
 from kellybt.metrics import build_report, monthly_returns, precision_recall_points
-from kellybt.predictors import (DirectionPrediction, ScenarioEstimate, estimate_scenarios,
-                                simulate_gaussian)
+from kellybt.predictors import Predictions, Scenarios, estimate_scenarios, simulate_gaussian
 from kellybt.sizing import SizingPolicy
 
 import oracles
@@ -70,23 +71,19 @@ def test_run_backtest_equals_sequential_loop(data, series, seed):
     p_up = rng.uniform(0.01, 0.99, n)
     p_up[rng.random(n) < 0.05] = 0.5
     a, b = rng.uniform(0.001, 0.1, (2, n))
-    ts = series.timestamps.tolist()
-
-    def ordered(rows):
-        order = data.draw(st.sampled_from(["sorted", "shuffled", "reversed"]))
-        if order == "shuffled":
-            rng.shuffle(rows)
-        return rows[::-1] if order == "reversed" else rows
+    ts = series.timestamps
 
     keep = rng.random(n) < data.draw(st.sampled_from([1.0, 0.6]))
-    preds = ordered([DirectionPrediction(ts[i], float(p_up[i])) for i in np.flatnonzero(keep)])
-    if rng.random() < 0.1:
-        preds.append(DirectionPrediction(ts[-1] + HOUR, 0.6))  # not in the series
-    ests = None
+    pred_ts, pred_p = ts[keep], p_up[keep]
+    if rng.random() < 0.1:  # a last prediction that is not in the series
+        pred_ts, pred_p = np.append(pred_ts, ts[-1] + HOUR), np.append(pred_p, 0.6)
+    preds = Predictions(pred_ts, pred_p)
+    ests = o_ests = None
     drop = data.draw(st.sampled_from([0.0, 0.3, None]))
     if drop is not None:
-        kept = np.flatnonzero(rng.random(n) >= drop)
-        ests = ordered([ScenarioEstimate(ts[i], float(a[i]), float(b[i])) for i in kept])
+        kept = rng.random(n) >= drop
+        ests = Scenarios(ts[kept], a[kept], b[kept])
+        o_ests = oracles.scenario_records(ests)
 
     horizon = data.draw(st.integers(1, 8))
     cfg = BacktestConfig(horizon=horizon,
@@ -99,7 +96,8 @@ def test_run_backtest_equals_sequential_loop(data, series, seed):
                           max_leverage=data.draw(st.sampled_from([5.0, 2.0, 0.5])),
                           modifier=data.draw(st.sampled_from([1.0, 2.0, 0.0])))
     _assert_same_run(_outcome(run_backtest, series, preds, ests, policy, cfg),
-                     _outcome(oracles.o_run_backtest, series, preds, ests, policy, cfg))
+                     _outcome(oracles.o_run_backtest, series, oracles.prediction_records(preds),
+                              o_ests, policy, cfg))
 
 
 @PROPERTY
@@ -134,7 +132,8 @@ def _labels(seed, n):
        hit_rate=st.floats(0.0, 1.0, exclude_min=True))
 def test_simulate_gaussian_equals_scalar_draws(seed, n, mu_long, mu_short, sigma, hit_rate):
     labels = _labels(seed, n)
-    got = simulate_gaussian(labels, seed, mu_long, mu_short, sigma, hit_rate)
+    got = oracles.prediction_records(
+        simulate_gaussian(labels, seed, mu_long, mu_short, sigma, hit_rate))
     want = oracles.o_simulate_gaussian(labels, seed, mu_long, mu_short, sigma, hit_rate)
     assert got == want
     assert repr(got) == repr(want)
@@ -148,7 +147,7 @@ def test_estimate_scenarios_equals_per_row_loop(seed, horizon, extra_window, ext
     window = 10 * horizon + extra_window
     series = generate_synthetic_series(seed=seed, n=max(1, window + extra_bars),
                                        volatility=volatility)
-    got = estimate_scenarios(series, horizon, window)
+    got = oracles.scenario_records(estimate_scenarios(series, horizon, window))
     want = oracles.o_estimate_scenarios(series, horizon, window)
     assert got == want
     assert repr(got) == repr(want)
@@ -171,8 +170,8 @@ def test_precision_recall_points_equal_threshold_loop(seed, n, distinct, classes
                  "up only": np.ones(m, np.int8), "down only": -np.ones(m, np.int8)}[classes]
     ts = 3600 * np.arange(m, dtype=np.int64)
     labels = LabelSet(ts, direction, np.zeros(m), np.zeros(m), 5)
-    preds = list(map(DirectionPrediction, rng.permutation(ts)[:n].tolist(), p_up.tolist()))
+    preds = Predictions(np.sort(rng.permutation(ts)[:n]), p_up)
     got = precision_recall_points(preds, labels)
-    want = oracles.o_precision_recall_points(preds, labels)
+    want = oracles.o_precision_recall_points(oracles.prediction_records(preds), labels)
     assert got == want
     assert repr(got) == repr(want)

@@ -9,7 +9,7 @@ from kellybt.features import LabelSet
 from kellybt.metrics import (build_report, classification_report, cumulative_return,
                              max_drawdown, monthly_returns, precision_recall_points,
                              regression_report, romad, sharpe_monthly)
-from kellybt.predictors import DirectionPrediction
+from kellybt.predictors import Predictions
 
 import oracles
 
@@ -149,15 +149,14 @@ def _label_set(directions, start_ts=0):
 
 def test_uniform_predictor_logloss_is_ln2():
     labels = _label_set([1, -1, 1, 1, -1, -1, 1, -1])
-    preds = [DirectionPrediction(int(t), 0.5) for t in labels.timestamps]
+    preds = Predictions(labels.timestamps, np.full(len(labels), 0.5))
     report = classification_report(preds, labels)
     assert abs(report.logloss - math.log(2.0)) <= 1e-12
 
 
 def test_perfect_hard_predictions():
     labels = _label_set([1, -1, 1, -1, 1, -1])
-    preds = [DirectionPrediction(int(t), 0.99 if d > 0 else 0.01)
-             for t, d in zip(labels.timestamps, labels.direction)]
+    preds = Predictions(labels.timestamps, np.where(labels.direction > 0, 0.99, 0.01))
     report = classification_report(preds, labels)
     for cls in (report.up, report.down):
         assert cls.precision == 1.0 and cls.recall == 1.0 and cls.f1 == 1.0
@@ -167,16 +166,15 @@ def test_classification_matches_hand_recount():
     rng = np.random.default_rng(2)
     directions = rng.choice([-1, 1], size=100)
     labels = _label_set(directions)
-    preds = [DirectionPrediction(int(t), float(rng.uniform(0.05, 0.95)))
-             for t in labels.timestamps]
+    preds = Predictions(labels.timestamps, rng.uniform(0.05, 0.95, len(labels)))
     report = classification_report(preds, labels)
 
     tp = fp = tn = fn = 0
     losses = []
-    for p, d in zip(preds, directions):
+    for p, d in zip(preds.p_up.tolist(), directions):
         y = 1 if d > 0 else 0
-        yhat = 1 if p.p_up > 0.5 else 0
-        losses.append(-(y * math.log(p.p_up) + (1 - y) * math.log(1 - p.p_up)))
+        yhat = 1 if p > 0.5 else 0
+        losses.append(-(y * math.log(p) + (1 - y) * math.log(1 - p)))
         tp += yhat and y
         fp += yhat and not y
         tn += (not yhat) and (not y)
@@ -196,8 +194,7 @@ def test_classification_matches_hand_recount():
 def test_weighted_f1_between_class_extremes():
     rng = np.random.default_rng(3)
     labels = _label_set(rng.choice([-1, 1], size=60))
-    preds = [DirectionPrediction(int(t), float(rng.uniform(0.1, 0.9)))
-             for t in labels.timestamps]
+    preds = Predictions(labels.timestamps, rng.uniform(0.1, 0.9, len(labels)))
     report = classification_report(preds, labels)
     lo, hi = sorted([report.down.f1, report.up.f1])
     assert lo - 1e-12 <= report.weighted_f1 <= hi + 1e-12
@@ -205,16 +202,31 @@ def test_weighted_f1_between_class_extremes():
 
 def test_classification_requires_overlap():
     labels = _label_set([1, -1])
-    preds = [DirectionPrediction(999_999, 0.6)]
+    preds = Predictions([999_999], [0.6])
     with pytest.raises(ValueError, match="overlap"):
         classification_report(preds, labels)
+
+
+@pytest.mark.parametrize("ts", [[7200, 3600, 10800], [3600, 3600, 7200]],
+                         ids=["unsorted", "duplicate"])
+def test_label_set_rejects_timestamps_that_do_not_increase(ts):
+    # Predictions are matched to labels by a binary search over these timestamps.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        LabelSet(np.array(ts, np.int64), np.ones(3, np.int8), np.zeros(3), np.zeros(3), 5)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1, 1.5])
+def test_classification_rejects_threshold_outside_unit_interval(threshold):
+    labels = _label_set([1, -1])
+    preds = Predictions(labels.timestamps, [0.6, 0.4])
+    with pytest.raises(ValueError, match="threshold"):
+        classification_report(preds, labels, threshold=threshold)
 
 
 def test_precision_recall_points_monotone_recall():
     rng = np.random.default_rng(4)
     labels = _label_set(rng.choice([-1, 1], size=50))
-    preds = [DirectionPrediction(int(t), float(rng.uniform(0.05, 0.95)))
-             for t in labels.timestamps]
+    preds = Predictions(labels.timestamps, rng.uniform(0.05, 0.95, len(labels)))
     points = precision_recall_points(preds, labels)
     recalls = [r for _, _, r in points]
     assert all(b <= a + 1e-12 for a, b in zip(recalls, recalls[1:]))

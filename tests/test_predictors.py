@@ -5,8 +5,8 @@ import pytest
 
 from kellybt.candles import DataError, generate_synthetic_series
 from kellybt.features import make_labels
-from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, estimate_scenarios,
-                                load_predictions, simulate_balanced,
+from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, Predictions, Scenarios,
+                                estimate_scenarios, load_predictions, simulate_balanced,
                                 simulate_gaussian, simulate_optimal)
 
 import oracles
@@ -19,9 +19,8 @@ def _labels(n, seed=0):
 
 
 def _correct_count(preds, labels):
-    by_ts = {int(t): int(d) for t, d in zip(labels.timestamps, labels.direction)}
-    return sum(1 for p in preds
-               if (1 if p.p_up > 0.5 else -1) == by_ts[p.timestamp])
+    assert np.array_equal(preds.timestamps, labels.timestamps)
+    return int((np.where(preds.p_up > 0.5, 1, -1) == labels.direction).sum())
 
 
 def test_balanced_exact_count_n10():
@@ -39,13 +38,15 @@ def test_balanced_hit_rate_one():
 def test_balanced_probability_values():
     labels = _labels(30)
     preds = simulate_balanced(labels, seed=3)
-    assert set(round(p.p_up, 12) for p in preds) <= {0.6, 0.4}
+    assert set(np.round(preds.p_up, 12).tolist()) <= {0.6, 0.4}
 
 
 def test_balanced_determinism():
     labels = _labels(40)
-    assert simulate_balanced(labels, seed=4) == simulate_balanced(labels, seed=4)
-    assert simulate_balanced(labels, seed=4) != simulate_balanced(labels, seed=5)
+    assert np.array_equal(simulate_balanced(labels, seed=4).p_up,
+                          simulate_balanced(labels, seed=4).p_up)
+    assert not np.array_equal(simulate_balanced(labels, seed=4).p_up,
+                              simulate_balanced(labels, seed=5).p_up)
 
 
 def test_balanced_validation():
@@ -59,8 +60,7 @@ def test_balanced_validation():
 def test_optimal_probability_sequence():
     labels = _labels(50)
     preds = simulate_optimal(labels)
-    for p, d in zip(preds, labels.direction):
-        assert p.p_up == (0.8 if d > 0 else 0.2)
+    assert np.array_equal(preds.p_up, np.where(labels.direction > 0, 0.8, 0.2))
     assert _correct_count(preds, labels) == len(labels)
 
 
@@ -68,17 +68,15 @@ def test_gaussian_exact_count_and_sides():
     labels = _labels(1000, seed=6)
     preds = simulate_gaussian(labels, seed=7)
     assert _correct_count(preds, labels) == 600
-    for p in preds:
-        assert 0.01 <= p.p_up <= 0.99
-        assert p.p_up != 0.5
+    assert ((0.01 <= preds.p_up) & (preds.p_up <= 0.99)).all()
+    assert (preds.p_up != 0.5).all()
 
 
 def test_gaussian_same_correctness_assignment_as_balanced():
     labels = _labels(200, seed=8)
     bal = simulate_balanced(labels, seed=9)
     gau = simulate_gaussian(labels, seed=9)
-    for b, g in zip(bal, gau):
-        assert (b.p_up > 0.5) == (g.p_up > 0.5)
+    assert np.array_equal(bal.p_up > 0.5, gau.p_up > 0.5)
 
 
 def test_gaussian_moment_matches_truncated_normal():
@@ -86,7 +84,7 @@ def test_gaussian_moment_matches_truncated_normal():
     # moment is the truncated normal's, not the raw mean.
     labels = _labels(10_000, seed=10)
     preds = simulate_gaussian(labels, seed=11, sigma=0.1)
-    ups = np.array([p.p_up for p in preds if p.p_up > 0.5])
+    ups = preds.p_up[preds.p_up > 0.5]
     mean, sd = oracles.truncated_normal_moments(0.6, 0.1, 0.5, P_CLIP_HI)
     se = sd / np.sqrt(ups.size)
     assert abs(ups.mean() - mean) <= 3 * se
@@ -96,14 +94,15 @@ def test_gaussian_small_sigma_reduces_to_balanced():
     labels = _labels(50, seed=12)
     gau = simulate_gaussian(labels, seed=13, sigma=1e-9)
     bal = simulate_balanced(labels, seed=13)
-    for g, b in zip(gau, bal):
-        assert abs(g.p_up - b.p_up) < 1e-6
+    assert (np.abs(gau.p_up - bal.p_up) < 1e-6).all()
 
 
 def test_gaussian_determinism():
     labels = _labels(300, seed=20)
-    assert simulate_gaussian(labels, seed=21) == simulate_gaussian(labels, seed=21)
-    assert simulate_gaussian(labels, seed=21) != simulate_gaussian(labels, seed=22)
+    assert np.array_equal(simulate_gaussian(labels, seed=21).p_up,
+                          simulate_gaussian(labels, seed=21).p_up)
+    assert not np.array_equal(simulate_gaussian(labels, seed=21).p_up,
+                              simulate_gaussian(labels, seed=22).p_up)
 
 
 def test_gaussian_validation():
@@ -127,8 +126,8 @@ def test_gaussian_rejects_non_finite_sigma(sigma):
 def test_load_predictions_with_estimates():
     text = "timestamp,p_up,a,b\n1650000000,0.6,0.05,0.04\n"
     preds, ests = load_predictions(io.StringIO(text))
-    assert preds[0].timestamp == 1650000000 and preds[0].p_up == 0.6
-    assert (ests[0].a, ests[0].b) == (0.05, 0.04)
+    assert preds.timestamps[0] == 1650000000 and preds.p_up[0] == 0.6
+    assert (ests.a[0], ests.b[0]) == (0.05, 0.04)
 
 
 def test_load_predictions_probability_out_of_range():
@@ -138,7 +137,7 @@ def test_load_predictions_probability_out_of_range():
 
 def test_load_predictions_without_estimate_columns():
     preds, ests = load_predictions(io.StringIO("timestamp,p_up\n3600,0.7\n"))
-    assert ests is None and preds[0].p_up == 0.7
+    assert ests is None and preds.p_up[0] == 0.7
 
 
 def test_load_predictions_single_scenario_column_rejected():
@@ -149,8 +148,8 @@ def test_load_predictions_single_scenario_column_rejected():
 def test_load_predictions_clip_and_floor():
     text = "timestamp,p_up,a,b\n3600,0.999,0.0001,0.5\n"
     preds, ests = load_predictions(io.StringIO(text))
-    assert preds[0].p_up == 0.99
-    assert ests[0].a == AB_FLOOR and ests[0].b == 0.5
+    assert preds.p_up[0] == 0.99
+    assert ests.a[0] == AB_FLOOR and ests.b[0] == 0.5
 
 
 def test_load_predictions_nonpositive_scenario_rejected():
@@ -168,7 +167,7 @@ def test_load_predictions_series_alignment():
     series = generate_synthetic_series(seed=1, n=10)
     ts = int(series.timestamps[2])
     preds, _ = load_predictions(io.StringIO(f"timestamp,p_up\n{ts},0.7\n"), series)
-    assert preds[0].timestamp == ts
+    assert preds.timestamps[0] == ts
     with pytest.raises(DataError, match="not present"):
         load_predictions(io.StringIO("timestamp,p_up\n977616000,0.7\n"), series)
 
@@ -182,9 +181,8 @@ def test_estimate_all_positive_history():
     series = make_series_from_closes(closes)
     ests = estimate_scenarios(series, horizon=5, window=60)
     assert len(ests) == 20
-    for e in ests:
-        assert abs(e.a - 0.01) < 1e-9
-        assert e.b == AB_FLOOR
+    assert (np.abs(ests.a - 0.01) < 1e-9).all()
+    assert (ests.b == AB_FLOOR).all()
 
 
 def test_estimate_symmetric_alternation():
@@ -193,16 +191,14 @@ def test_estimate_symmetric_alternation():
         closes.append(closes[-1] * (1.01 if t % 2 == 0 else 0.99))
     series = make_series_from_closes(closes)
     ests = estimate_scenarios(series, horizon=1, window=10)
-    for e in ests:
-        assert abs(e.a - 0.01) < 1e-12
-        assert abs(e.b - 0.01) < 1e-12
+    assert (np.abs(ests.a - 0.01) < 1e-12).all()
+    assert (np.abs(ests.b - 0.01) < 1e-12).all()
 
 
 def test_estimate_matches_trailing_scan_oracle():
     series = generate_synthetic_series(seed=14, n=700, volatility=0.012)
     horizon, window = 5, 120
     ests = estimate_scenarios(series, horizon=horizon, window=window)
-    by_ts = {e.timestamp: e for e in ests}
     c = series.close
     r = [(c[s + horizon] - c[s]) / c[s] for s in range(len(series) - horizon)]
     for t in range(window, len(series), 37):
@@ -210,18 +206,18 @@ def test_estimate_matches_trailing_scan_oracle():
         neg = [r[s] for s in range(t - window, t - horizon + 1) if r[s] < 0]
         a = max(float(np.sum(pos) / len(pos)) if pos else AB_FLOOR, AB_FLOOR)
         b = max(float(-(np.sum(neg) / len(neg))) if neg else AB_FLOOR, AB_FLOOR)
-        e = by_ts[int(series.timestamps[t])]
-        assert abs(e.a - a) < 1e-15 and abs(e.b - b) < 1e-15
+        k = t - window  # the estimate at bar t
+        assert ests.timestamps[k] == series.timestamps[t]
+        assert abs(ests.a[k] - a) < 1e-15 and abs(ests.b[k] - b) < 1e-15
 
 
 def test_estimate_causality_prefix_audit():
     series = generate_synthetic_series(seed=15, n=400, volatility=0.012)
-    full = {e.timestamp: e for e in estimate_scenarios(series, horizon=5, window=100)}
+    full = estimate_scenarios(series, horizon=5, window=100)
     for t in range(100, 400, 61):
         prefix = estimate_scenarios(series.slice(0, t + 1), horizon=5, window=100)
-        last = prefix[-1]
-        assert last.timestamp == int(series.timestamps[t])
-        assert last == full[last.timestamp]
+        assert prefix.timestamps[-1] == series.timestamps[t] == full.timestamps[t - 100]
+        assert (prefix.a[-1], prefix.b[-1]) == (full.a[t - 100], full.b[t - 100])
 
 
 def test_estimate_window_validation():
@@ -232,7 +228,7 @@ def test_estimate_window_validation():
 
 def test_estimate_short_series_is_empty():
     series = generate_synthetic_series(seed=16, n=50)
-    assert estimate_scenarios(series, horizon=5, window=60) == []
+    assert len(estimate_scenarios(series, horizon=5, window=60)) == 0
 
 
 @pytest.mark.parametrize("a,b", [("nan", "0.1"), ("0.1", "nan"), ("inf", "0.1"),
@@ -243,7 +239,46 @@ def test_load_predictions_non_finite_scenario_rejected(a, b):
         load_predictions(io.StringIO(text))
 
 
-@pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("ts", ["nan", "inf", "-inf", "9223372036854775808", "-1e19"])
 def test_load_predictions_non_finite_timestamp_rejected(ts):
     with pytest.raises(DataError, match="line 2"):
         load_predictions(io.StringIO(f"timestamp,p_up\n{ts},0.7\n"))
+
+
+# --- frames ---------------------------------------------------------------------
+
+
+def _frame(kind, ts, n=None):
+    n = len(ts) if n is None else n
+    values = [np.full(n, 0.5)] * (1 if kind is Predictions else 2)
+    return kind(ts, *values)
+
+
+@pytest.mark.parametrize("kind", [Predictions, Scenarios])
+def test_frame_holds_read_only_columns(kind):
+    ts = np.array([3600, 7200], np.int64)
+    frame = _frame(kind, ts)
+    ts[0] = 0  # the frame holds a copy
+    assert len(frame) == 2 and frame.timestamps.tolist() == [3600, 7200]
+    assert frame.timestamps.dtype == np.int64
+    for col in vars(frame).values():
+        assert not col.flags.writeable
+    assert len(_frame(kind, [])) == 0
+
+
+@pytest.mark.parametrize("kind", [Predictions, Scenarios])
+@pytest.mark.parametrize("ts", [[7200, 3600], [3600, 3600], [0, 7200, 3600]],
+                         ids=["decreasing", "duplicate", "shuffled"])
+def test_frame_rejects_timestamps_that_do_not_increase(kind, ts):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _frame(kind, ts)
+
+
+@pytest.mark.parametrize("kind", [Predictions, Scenarios])
+def test_frame_rejects_unequal_lengths_and_2d_columns(kind):
+    with pytest.raises(ValueError, match="one length"):
+        _frame(kind, [3600, 7200], n=3)
+    with pytest.raises(ValueError, match="1-D"):
+        _frame(kind, [[3600, 7200]], n=2)
+    with pytest.raises(ValueError, match="1-D"):
+        kind([3600, 7200], *[np.full((2, 1), 0.5)] * (1 if kind is Predictions else 2))

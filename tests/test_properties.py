@@ -1,6 +1,9 @@
 """Property tests: streaming equals batch, every loader either rejects a
 corrupted field with a DataError naming its line or yields finite values,
-and what the CSV writers write their loaders read back unchanged."""
+what the CSV writers write their loaders read back unchanged, and the
+backtest's stride lattice keeps one trade grid for every policy, the
+aggregate exposure under the leverage cap and the equity at or above zero,
+cut at the first ruin point."""
 import io
 import os
 import re
@@ -11,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kellybt.backtest import BacktestConfig, compare_strategies
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
-                            parse_candles, parse_candles_text)
+                            parse_candles, parse_candles_text, positions)
 from kellybt.indicators import ARITY, IndicatorSpec, compute_indicator, make_stream
-from kellybt.predictors import (AB_FLOOR, DirectionPrediction, ScenarioEstimate,
-                                load_predictions, write_predictions_csv)
+from kellybt.predictors import (AB_FLOOR, Predictions, Scenarios, load_predictions,
+                                write_predictions_csv)
+from kellybt.sizing import SizingPolicy
 
 # Derandomized and bounded so the suite stays fast and reproducible.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -100,8 +105,8 @@ def test_load_predictions_rejects_corrupt_field_by_line_or_stays_finite(data, se
     except DataError as exc:
         assert _names_line(exc, row + 2), str(exc)
     else:
-        assert np.isfinite([p.p_up for p in preds]).all()
-        assert np.isfinite([(e.a, e.b) for e in ests]).all()
+        assert np.isfinite(preds.p_up).all()
+        assert np.isfinite(ests.a).all() and np.isfinite(ests.b).all()
 
 
 @PROPERTY
@@ -133,8 +138,8 @@ def test_write_predictions_csv_round_trips_through_load_predictions(seed, n, wit
                                                                     missing):
     series = generate_synthetic_series(seed=seed, n=n)
     rng = np.random.default_rng(seed)
-    ts = series.timestamps.tolist()
-    preds = list(map(DirectionPrediction, ts, rng.uniform(0.01, 0.99, n).tolist()))
+    ts = series.timestamps
+    preds = Predictions(ts, rng.uniform(0.01, 0.99, n))
     extremes = np.array([AB_FLOOR, 1 / 3, 1e300, 1.7976931348623157e308])
     a, b = np.where(rng.random((2, n)) < 0.1, rng.choice(extremes, (2, n)),
                     rng.uniform(AB_FLOOR, 0.5, (2, n)))
@@ -142,15 +147,63 @@ def test_write_predictions_csv_round_trips_through_load_predictions(seed, n, wit
     if with_estimates:
         kept = rng.random(n) >= missing
         kept[int(rng.integers(n))] = True  # an all-warm-up file has no rows to load
-        ests = [e for e, k in zip(map(ScenarioEstimate, ts, a.tolist(), b.tolist()), kept)
-                if k]
+        ests = Scenarios(ts[kept], a[kept], b[kept])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "predictions.csv")
         write_predictions_csv(preds, ests, path)
         got_preds, got_ests = load_predictions(path, series)
+    want_ts = ts if ests is None else ts[kept]
+    assert np.array_equal(got_preds.timestamps, want_ts)
+    assert np.array_equal(got_preds.p_up, preds.p_up[np.isin(ts, want_ts)])
     if ests is None:
-        assert got_preds == preds and got_ests is None
+        assert got_ests is None
     else:
-        by_ts = {e.timestamp for e in ests}
-        assert got_preds == [p for p in preds if p.timestamp in by_ts]
-        assert got_ests == ests
+        for name in ("timestamps", "a", "b"):
+            assert np.array_equal(getattr(got_ests, name), getattr(ests, name))
+
+
+@PROPERTY
+@given(data=st.data(), seed=seeds, n=st.integers(12, 300),
+       volatility=st.sampled_from([0.0, 0.01, 0.08]))
+def test_lattice_keeps_grid_exposure_cap_and_ruin_cut(data, seed, n, volatility):
+    series = generate_synthetic_series(seed=seed, n=n, volatility=volatility)
+    rng = np.random.default_rng(seed)
+    ts = series.timestamps
+    preds = Predictions(ts, rng.uniform(0.01, 0.99, n))
+    drop = data.draw(st.sampled_from([0.0, 0.3, 0.9]))
+    kept = rng.random(n) >= drop
+    ests = Scenarios(ts[kept], *rng.uniform(0.001, 0.1, (2, int(kept.sum()))))
+    horizon = data.draw(st.integers(1, 8))
+    initial = data.draw(st.sampled_from([1.0, 250.0]))
+    cfg = BacktestConfig(horizon=horizon,
+                         stride=data.draw(st.none() | st.integers(1, horizon + 2)),
+                         initial_bankroll=initial,
+                         ruin_floor=data.draw(st.sampled_from([0.0, 0.01, 0.5, 0.95])))
+    cap = data.draw(st.sampled_from([5.0, 2.0, 0.5]))
+    modifier = data.draw(st.sampled_from([1.0, 3.0]))
+    policies = [SizingPolicy(kind, max_leverage=cap, modifier=modifier)
+                for kind in ("none", "gaussian", "kelly")]
+    try:
+        results = compare_strategies(series, preds, ests, policies, cfg)
+    except ValueError as exc:
+        assert "no usable decision" in str(exc)
+        return
+
+    grid = max((r.trades for r in results), key=len)
+    for r in results:
+        trades, curve = r.trades, r.curve
+        m = len(trades)
+        assert m == len(grid) or curve.ruin
+        assert [(t.entry_ts, t.exit_ts) for t in trades] == [
+            (t.entry_ts, t.exit_ts) for t in grid[:m]]
+
+        exposure = np.zeros(n)
+        entry, _ = positions(ts, np.array([t.entry_ts for t in trades], np.int64))
+        for i, t in zip(entry.tolist(), trades):
+            exposure[i:i + horizon] += abs(t.fraction)
+        assert exposure.max() <= cap * modifier * (1 + 1e-12)
+
+        assert len(curve) == m + 1 and (curve.values >= 0).all()
+        above = curve.values[1:] > cfg.ruin_floor * initial
+        assert above[:-1].all()
+        assert above[-1] != curve.ruin

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from kellybt.predictors import DirectionPrediction, ScenarioEstimate
 from kellybt.sizing import (SizingPolicy, decide, gaussian_bet_size,
                             kelly_fraction, log_optimal_fraction, normal_cdf)
 
@@ -144,47 +143,37 @@ def test_gaussian_validation():
 # --- decisions ---------------------------------------------------------------------
 
 
-def _pred(p, ts=3600):
-    return DirectionPrediction(ts, p)
-
-
-def _est(a, b, ts=3600):
-    return ScenarioEstimate(ts, a, b)
-
-
 def test_decide_half_kelly_worked_example():
     policy = SizingPolicy("kelly", kelly_fraction=0.5, max_leverage=5.0, modifier=1.0)
-    d = decide(_pred(0.6), _est(0.05, 0.04), policy)
+    d = decide(0.6, (0.05, 0.04), policy)
     assert abs(d.fraction - 1.0) <= 1e-12
     assert d.side == "LONG"
     assert abs(d.raw_fraction - 2.0) <= 1e-12
 
 
 def test_decide_none_sign_rule():
-    d = decide(_pred(0.3), None, SizingPolicy("none", modifier=0.1))
+    d = decide(0.3, None, SizingPolicy("none", modifier=0.1))
     assert d.fraction == -0.1 and d.side == "SHORT"
-    d = decide(_pred(0.5), None, SizingPolicy("none"))
+    d = decide(0.5, None, SizingPolicy("none"))
     assert d.fraction == 0.0 and d.side == "FLAT"
 
 
 def test_decide_leverage_clamp():
     policy = SizingPolicy("kelly", max_leverage=5.0, modifier=2.0)
-    d = decide(_pred(0.8), _est(0.01, 0.01), policy)
+    d = decide(0.8, (0.01, 0.01), policy)
     assert d.raw_fraction == kelly_fraction(0.8, 0.01, 0.01)
     assert d.fraction == 5.0 * 2.0
 
 
 def test_decide_gaussian_ignores_estimates():
     policy = SizingPolicy("gaussian", modifier=1.0)
-    d = decide(_pred(0.6), None, policy)
+    d = decide(0.6, None, policy)
     assert abs(d.fraction - gaussian_bet_size(0.6)) <= 1e-15
 
 
 def test_decide_kelly_requires_estimate():
     with pytest.raises(ValueError, match="estimate"):
-        decide(_pred(0.6), None, SizingPolicy("kelly"))
-    with pytest.raises(ValueError, match="timestamps"):
-        decide(_pred(0.6, ts=3600), _est(0.05, 0.04, ts=7200), SizingPolicy("kelly"))
+        decide(0.6, None, SizingPolicy("kelly"))
 
 
 def test_modifier_scales_fraction_exactly_and_keeps_side():
@@ -192,10 +181,10 @@ def test_modifier_scales_fraction_exactly_and_keeps_side():
     for kind in ("none", "gaussian", "kelly"):
         for _ in range(50):
             p = float(rng.uniform(0.05, 0.95))
-            est = _est(float(rng.uniform(0.005, 0.2)), float(rng.uniform(0.005, 0.2)))
-            base = decide(_pred(p), est, SizingPolicy(kind, modifier=1.0))
+            est = (float(rng.uniform(0.005, 0.2)), float(rng.uniform(0.005, 0.2)))
+            base = decide(p, est, SizingPolicy(kind, modifier=1.0))
             for c in (0.1, 0.5, 2.0):
-                scaled = decide(_pred(p), est, SizingPolicy(kind, modifier=c))
+                scaled = decide(p, est, SizingPolicy(kind, modifier=c))
                 assert scaled.fraction == base.fraction * c
                 assert scaled.side == base.side or base.fraction == 0.0
 
@@ -206,8 +195,8 @@ def test_fraction_bounded_by_cap_times_modifier():
         policy = SizingPolicy(kind, max_leverage=2.0, modifier=0.7)
         for _ in range(100):
             p = float(rng.uniform(0.05, 0.95))
-            est = _est(float(rng.uniform(0.005, 0.2)), float(rng.uniform(0.005, 0.2)))
-            d = decide(_pred(p), est, policy)
+            est = (float(rng.uniform(0.005, 0.2)), float(rng.uniform(0.005, 0.2)))
+            d = decide(p, est, policy)
             assert abs(d.fraction) <= 2.0 * 0.7 + 1e-12
 
 

@@ -19,7 +19,7 @@ from kellybt.features import (FeatureMatrix, LabelSet, make_labels, write_labels
                               write_matrix_csv)
 from kellybt.labeling import BarrierLabel, write_barrier_labels_csv
 from kellybt.metrics import BacktestReport, classification_report
-from kellybt.predictors import (DirectionPrediction, ScenarioEstimate, load_predictions,
+from kellybt.predictors import (Predictions, Scenarios, load_predictions,
                                 write_predictions_csv)
 
 import oracles
@@ -58,7 +58,7 @@ def _matrix(rng, n, rate):
 
 
 def _labels(rng, n, rate):
-    return (LabelSet(_timestamps(rng, n), rng.choice(np.array([-1, 1], np.int8), n),
+    return (LabelSet(np.sort(_timestamps(rng, n)), rng.choice(np.array([-1, 1], np.int8), n),
                      _floats(rng, n, rate), _floats(rng, n, rate), 5),)
 
 
@@ -83,17 +83,23 @@ def _equity(rng, n, rate):
 
 
 def _predictions(rng, n, rate):
-    # Few distinct timestamps, so some repeat and some estimates are missing.
-    ts = rng.integers(0, 2 * n + 2, n).tolist()
-    preds = list(map(DirectionPrediction, ts, _floats(rng, n, rate).tolist()))
+    # Both frames draw from twice as many timestamps, so some estimates are missing.
+    def timestamps():
+        return np.sort(rng.choice(2 * n + 2, n, replace=False))
+
+    preds = Predictions(timestamps(), _floats(rng, n, rate))
     mode = rng.choice(["none", "empty", "subset"])
     if mode == "none":
         return preds, None
     if mode == "empty":
-        return preds, []
-    est_ts = rng.integers(0, 2 * n + 2, n).tolist()
-    return preds, list(map(ScenarioEstimate, est_ts, _floats(rng, n, rate).tolist(),
-                           _floats(rng, n, rate).tolist()))
+        return preds, Scenarios([], [], [])
+    return preds, Scenarios(timestamps(), _floats(rng, n, rate), _floats(rng, n, rate))
+
+
+def _o_write_predictions_csv(preds, ests, path):
+    oracles.o_write_predictions_csv(oracles.prediction_records(preds),
+                                    None if ests is None else oracles.scenario_records(ests),
+                                    path)
 
 
 def _reports(rng, n, rate):
@@ -124,7 +130,7 @@ CASES = {
     "backtest.write_trades_csv": (_trades, write_trades_csv, oracles.o_write_trades_csv),
     "backtest.write_equity_csv": (_equity, write_equity_csv, oracles.o_write_equity_csv),
     "predictors.write_predictions_csv": (_predictions, write_predictions_csv,
-                                         oracles.o_write_predictions_csv),
+                                         _o_write_predictions_csv),
     "cli._write_table5": (_table5, cli._write_table5, oracles.o_write_table5),
     "cli._write_comparison": (_comparison, cli._write_comparison,
                               oracles.o_write_comparison),
@@ -183,7 +189,7 @@ def test_report_csvs_equal_hand_written_writers(tmp_path):
     rng = np.random.default_rng(4)
     # Two decimals, so many predictions share a threshold.
     p_up = np.round(rng.uniform(0.01, 0.99, len(labels)), 2)
-    preds = list(map(DirectionPrediction, labels.timestamps.tolist(), p_up.tolist()))
+    preds = Predictions(labels.timestamps, p_up)
     series.to_csv(str(tmp_path / "candles.csv"))
     write_predictions_csv(preds, None, str(tmp_path / "preds.csv"))
     out = tmp_path / "out"
@@ -197,7 +203,8 @@ def test_report_csvs_equal_hand_written_writers(tmp_path):
     wants = {
         "confusion.csv": lambda path: oracles.o_write_confusion(
             classification_report(preds, labels), path),
-        "pr_curve.csv": lambda path: oracles.o_write_pr_curve(preds, labels, path),
+        "pr_curve.csv": lambda path: oracles.o_write_pr_curve(
+            oracles.prediction_records(preds), labels, path),
         "report_table.csv": lambda path: oracles.o_write_table5([("external", table)], path),
     }
     for name, o_write in wants.items():
