@@ -15,7 +15,8 @@ from .candles import (Candle, CandleSeries, SplitSpec, generate_synthetic_series
 from .features import (FeatureMatrix, LabelSet, apply_normalizer, build_feature_matrix,
                        default_grid, fit_normalizer, make_labels)
 from .indicators import IndicatorSpec, ValueSeries, compute_indicator, make_stream, smooth
-from .labeling import BarrierConfig, BarrierLabel, label_series, triple_barrier_label
+from .labeling import (BarrierConfig, BarrierLabel, BarrierLabels, label_series,
+                       triple_barrier_label)
 from .metrics import (BacktestReport, build_report, classification_report,
                       cumulative_return, max_drawdown, regression_report, romad,
                       sharpe_monthly)
@@ -31,7 +32,7 @@ __all__ = [
     "FeatureMatrix", "LabelSet", "apply_normalizer", "build_feature_matrix",
     "default_grid", "fit_normalizer", "make_labels",
     "IndicatorSpec", "ValueSeries", "compute_indicator", "make_stream", "smooth",
-    "BarrierConfig", "BarrierLabel", "label_series", "triple_barrier_label",
+    "BarrierConfig", "BarrierLabel", "BarrierLabels", "label_series", "triple_barrier_label",
     "BacktestReport", "build_report", "classification_report", "cumulative_return",
     "max_drawdown", "regression_report", "romad", "sharpe_monthly",
     "Predictions", "Scenarios", "estimate_scenarios",

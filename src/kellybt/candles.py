@@ -9,14 +9,19 @@ The candle invariants (strictly increasing, interval-aligned timestamps;
 finite positive prices; finite non-negative volume; low/high enveloping
 open/close) are checked in one place, ``_first_invalid``. CandleSeries calls
 it on construction; parse_candles reads the file straight into columns and
-calls it to name the file line of the first bad row. ``positions`` is the
-one timestamp lookup used to match predictions, scenarios and labels.
+calls it to name the file line of the first bad row. parse_candles reads
+the header with the ``csv`` module and the data rows with numpy's C reader
+(``np.loadtxt``), after dropping whitespace-only lines; a reader error names
+a data row, which is mapped back to its file line. ``positions`` is the one
+timestamp lookup used to match predictions, scenarios and labels.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,9 @@ CANONICAL_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 
 # Default epoch for synthetic series: 2020-01-01T00:00:00Z.
 DEFAULT_START_TS = 1_577_836_800
+
+# Where numpy's loadtxt names the data row in a ValueError.
+_NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
 
 
 class DataError(ValueError):
@@ -193,24 +201,46 @@ def parse_candles(source, mapping: dict | None = None, symbol: str = "UNKNOWN") 
                 raise DataError(f"missing column {actual!r} in header {header}")
             col_idx.append(header.index(actual))
 
-        rows, lines = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                rows.append([float(row[k]) for k in col_idx])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"malformed row at line {lineno}: {exc}") from None
-            lines.append(lineno)
+        first_line = reader.line_num + 1
+        blank = []  # positions after the header of the skipped whitespace-only lines
 
-    if not rows:
-        raise DataError("no data rows in input")
-    data = np.array(rows, dtype=np.float64)
+        def data_lines():
+            for i, line in enumerate(fh):
+                if line.isspace():
+                    blank.append(i)
+                else:
+                    yield line
+
+        def line_of(k: int) -> int:
+            """File line of data row ``k``: each skipped line at or before it moves it down."""
+            for b in blank:
+                if b <= k:
+                    k += 1
+            return first_line + k
+
+        rows = data_lines()
+        first = next(rows, None)
+        if first is None:
+            raise DataError("no data rows in input")
+        try:
+            data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", usecols=col_idx,
+                              ndmin=2, dtype=np.float64, comments=None, quotechar='"')
+        except ValueError as exc:
+            # numpy counts data rows from 0 in a conversion error ("at row R,
+            # column C") and from 1 in a column-count error ("at row R with N columns").
+            text = str(exc)
+            found = _NUMPY_ROW.search(text)
+            if found is None:
+                raise DataError(f"malformed row: {text}") from None
+            row = int(found[1]) if found[2] else int(found[1]) - 1
+            raise DataError(f"malformed row at line {line_of(row)}: "
+                            f"{text[:found.start()]}{text[found.end(1):]}") from None
+
     # Timestamps truncate toward zero, as int(float(field)) would.
     out_of_range = np.flatnonzero(~(np.abs(data[:, 0]) < 2.0 ** 63))
     if out_of_range.size:
         k = int(out_of_range[0])
-        raise DataError(f"malformed row at line {lines[k]}: timestamp {float(data[k, 0])!r} "
+        raise DataError(f"malformed row at line {line_of(k)}: timestamp {float(data[k, 0])!r} "
                         f"is not a finite 64-bit integer")
     ts = data[:, 0].astype(np.int64)
     order = np.argsort(ts, kind="stable")
@@ -219,7 +249,7 @@ def parse_candles(source, mapping: dict | None = None, symbol: str = "UNKNOWN") 
     invalid = _first_invalid(ts, o, h, l, c, v, HOUR)
     if invalid is not None:
         i, message = invalid
-        raise DataError(f"line {lines[order[i]]}: {message}")
+        raise DataError(f"line {line_of(int(order[i]))}: {message}")
     return CandleSeries(ts, o, h, l, c, v, symbol=symbol)
 
 

@@ -5,13 +5,19 @@ stop-loss orders execute. When one bar crosses both barriers the intrabar
 ordering is unknowable from OHLC, so the label resolves to the barrier
 nearer the bar's open (hit_kind AMBIGUOUS); ``ambiguous_to_lower`` forces
 the pessimistic reading instead.
+
+``label_series`` labels every stride-th entry at once in one numpy kernel
+over sliding windows of the highs and lows, and returns the read-only
+column frame ``BarrierLabels``; ``triple_barrier_label`` runs the same
+kernel on one entry, so the barrier arithmetic exists once.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import write_csv
 from .candles import CandleSeries
@@ -40,6 +46,9 @@ class BarrierConfig:
         if not (0 < self.up_pct < math.inf and 0 < self.down_pct < math.inf):
             raise ValueError(f"barrier distances must be finite and > 0, "
                              f"got {self.up_pct}, {self.down_pct}")
+        if not self.down_pct < 1:
+            raise ValueError(f"down_pct must be < 1, got {self.down_pct}: the lower barrier "
+                             f"would sit at or below zero price, where no low can reach it")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.vertical_rule not in (VERTICAL_ZERO, VERTICAL_SIGN):
@@ -53,12 +62,77 @@ class BarrierLabel:
     hit_kind: str
 
 
+@dataclass(frozen=True, eq=False)
+class BarrierLabels:
+    """Read-only label columns, one row per labeled ``entry`` (a bar index):
+    ``label`` in {-1, 0, 1}, ``hit_bar`` (bars from the entry to the touch,
+    or the horizon) and ``hit_kind``; all int64 but ``hit_kind`` (str)."""
+
+    entry: np.ndarray
+    label: np.ndarray
+    hit_bar: np.ndarray
+    hit_kind: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            col = np.array(getattr(self, f.name), str if f.name == "hit_kind" else np.int64)
+            col.setflags(write=False)
+            object.__setattr__(self, f.name, col)
+
+    def __len__(self) -> int:
+        return int(self.entry.size)
+
+
+# hit_kind by code: 0 UPPER, 1 LOWER, 2 AMBIGUOUS, 3 VERTICAL.
+_HIT_KINDS = np.array([HIT_UPPER, HIT_LOWER, HIT_AMBIGUOUS, HIT_VERTICAL])
+
+
+def _label_entries(series: CandleSeries, cfg: BarrierConfig, entries: range) -> BarrierLabels:
+    """The barrier kernel: label each entry of ``entries`` (a range whose
+    horizons all fit in the series) at once.
+
+    Row i of each window view holds bars entry+1 .. entry+horizon of one
+    entry; the first touch of a barrier is the ``argmax`` of its touch mask,
+    with ``horizon`` standing for no touch.
+    """
+    h = cfg.horizon
+    idx = np.arange(entries.start, entries.stop, entries.step)
+    m = idx.size
+    if m == 0:
+        return BarrierLabels(idx, [], [], [])
+    rows = slice(entries.start, None, entries.step)
+    high = sliding_window_view(series.high[1:], h)[rows][:m]
+    low = sliding_window_view(series.low[1:], h)[rows][:m]
+    entry_price = series.close[idx]
+    upper = entry_price * (1.0 + cfg.up_pct)
+    lower = entry_price * (1.0 - cfg.down_pct)
+
+    def first_touch(touch):
+        bar = touch.argmax(axis=1)
+        return np.where(touch[np.arange(m), bar], bar, h)
+
+    up_bar = first_touch(high >= upper[:, None])
+    down_bar = first_touch(low <= lower[:, None])
+    first = np.minimum(up_bar, down_bar)
+    kind = np.select([up_bar < down_bar, down_bar < up_bar, first < h], [0, 1, 2], 3)
+
+    # Same bar crossed both barriers: the barrier nearer the bar's open.
+    bar_open = series.open[idx + 1 + np.minimum(first, h - 1)]
+    ambiguous = -1 if cfg.ambiguous_to_lower else np.where(
+        np.abs(upper - bar_open) < np.abs(bar_open - lower), 1, -1)
+    vertical = 0 if cfg.vertical_rule == VERTICAL_ZERO else np.where(
+        series.close[idx + h] > entry_price, 1, -1)
+    label = np.choose(kind, (1, -1, ambiguous, vertical))
+    return BarrierLabels(idx, label, np.minimum(first + 1, h), _HIT_KINDS[kind])
+
+
 def triple_barrier_label(series: CandleSeries, entry: int, cfg: BarrierConfig) -> BarrierLabel:
     """Label one entry by the first barrier its forward path touches.
 
     Scans bars entry+1 .. entry+horizon; a bar touches UPPER when its high
     reaches entry_price*(1+up_pct), LOWER when its low reaches
     entry_price*(1-down_pct). No touch falls through to the vertical rule.
+    It runs the kernel of ``label_series`` on this one entry.
     """
     n = len(series)
     if not 0 <= entry < n:
@@ -67,48 +141,18 @@ def triple_barrier_label(series: CandleSeries, entry: int, cfg: BarrierConfig) -
         raise ValueError(
             f"horizon {cfg.horizon} from entry {entry} extends past series end {n}"
         )
-    entry_price = float(series.close[entry])
-    upper = entry_price * (1.0 + cfg.up_pct)
-    lower = entry_price * (1.0 - cfg.down_pct)
-
-    lo, hi = entry + 1, entry + cfg.horizon + 1
-    up_touch = series.high[lo:hi] >= upper
-    down_touch = series.low[lo:hi] <= lower
-    up_bar = int(np.argmax(up_touch)) if up_touch.any() else None
-    down_bar = int(np.argmax(down_touch)) if down_touch.any() else None
-
-    if up_bar is not None and (down_bar is None or up_bar < down_bar):
-        return BarrierLabel(1, up_bar + 1, HIT_UPPER)
-    if down_bar is not None and (up_bar is None or down_bar < up_bar):
-        return BarrierLabel(-1, down_bar + 1, HIT_LOWER)
-    if up_bar is not None:
-        # Same bar crossed both barriers.
-        if cfg.ambiguous_to_lower:
-            return BarrierLabel(-1, up_bar + 1, HIT_AMBIGUOUS)
-        bar_open = float(series.open[lo + up_bar])
-        label = 1 if abs(upper - bar_open) < abs(bar_open - lower) else -1
-        return BarrierLabel(label, up_bar + 1, HIT_AMBIGUOUS)
-
-    if cfg.vertical_rule == VERTICAL_ZERO:
-        return BarrierLabel(0, cfg.horizon, HIT_VERTICAL)
-    end_close = float(series.close[entry + cfg.horizon])
-    return BarrierLabel(1 if end_close > entry_price else -1, cfg.horizon, HIT_VERTICAL)
+    out = _label_entries(series, cfg, range(entry, entry + 1))
+    return BarrierLabel(int(out.label[0]), int(out.hit_bar[0]), str(out.hit_kind[0]))
 
 
-def label_series(series: CandleSeries, cfg: BarrierConfig,
-                 stride: int = 1) -> list[tuple[int, BarrierLabel]]:
+def label_series(series: CandleSeries, cfg: BarrierConfig, stride: int = 1) -> BarrierLabels:
     """Label every stride-th entry whose full horizon fits in the series."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    out = []
-    for entry in range(0, len(series) - cfg.horizon, stride):
-        out.append((entry, triple_barrier_label(series, entry, cfg)))
-    return out
+    return _label_entries(series, cfg, range(0, len(series) - cfg.horizon, stride))
 
 
-def write_barrier_labels_csv(series: CandleSeries,
-                             labeled: list[tuple[int, BarrierLabel]], path: str) -> None:
+def write_barrier_labels_csv(series: CandleSeries, labeled: BarrierLabels, path: str) -> None:
     write_csv(path, ("timestamp", "label", "hit_kind", "hit_bar"),
-              [series.timestamps[[entry for entry, _ in labeled]],
-               [lab.label for _, lab in labeled],
-               [lab.hit_kind for _, lab in labeled], [lab.hit_bar for _, lab in labeled]])
+              [series.timestamps[labeled.entry], labeled.label, labeled.hit_kind,
+               labeled.hit_bar])

@@ -72,6 +72,9 @@ def gaussian_bet_size(p_up: float, expected: float = 0.5) -> float:
         z = (p_up - expected) / math.sqrt(p_up * (1.0 - p_up))
         return 2.0 * normal_cdf(z) - 1.0
     q = 1.0 - p_up
+    if q == 1.0:
+        # p_up below ~5.6e-17 rounds q to 1: the limit, mirror of p_up -> 1.
+        return -1.0
     if q > expected:
         z = (q - expected) / math.sqrt(q * (1.0 - q))
         return -(2.0 * normal_cdf(z) - 1.0)

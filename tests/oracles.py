@@ -313,6 +313,12 @@ def scenario_records(ests) -> list[ScenarioEstimate]:
                     ests.b.tolist()))
 
 
+def barrier_label_records(labeled) -> list[tuple[int, BarrierLabel]]:
+    return [(e, BarrierLabel(lab, bar, kind)) for e, lab, bar, kind in
+            zip(labeled.entry.tolist(), labeled.label.tolist(), labeled.hit_bar.tolist(),
+                labeled.hit_kind.tolist())]
+
+
 def decide(pred: DirectionPrediction, est: ScenarioEstimate | None,
            policy: SizingPolicy) -> sizing.BetDecision:
     """``sizing.decide`` called with one prediction record and its estimate."""

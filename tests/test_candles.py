@@ -232,3 +232,78 @@ def test_positions_finds_each_timestamp_or_its_insertion_point():
     assert pos.tolist() == [0, 1, 2, 2, 3]
     pos, found = positions(reference[:0], np.array([3600], np.int64))
     assert pos.tolist() == [0] and found.tolist() == [False]
+
+
+# --- what the C reader accepts: each input float() and the csv module read
+# --- differently is pinned here; everything else behaves as before.
+
+
+@pytest.mark.parametrize("blank", ["   ", "\t", "", " \r"])
+def test_parse_skips_whitespace_only_lines_and_still_counts_them(blank):
+    good = HEADER + "3600,100,101,99,100,1\n" + blank + "\n7200,100,101,99,100,1\n"
+    assert parse_candles_text(good).timestamps.tolist() == [3600, 7200]
+    bad = HEADER + "3600,100,101,99,100,1\n" + blank + "\n7200,100,x,99,100,1\n"
+    with pytest.raises(DataError, match="line 4"):
+        parse_candles_text(bad)
+    invalid = HEADER + blank + "\n10800,100,101,99,100,1\n" + blank + "\n7200,100,101,99,100,-1\n"
+    with pytest.raises(DataError, match="line 5: negative volume"):
+        parse_candles_text(invalid)
+
+
+@pytest.mark.parametrize("field", ["1_000", "１00", "١٠٠"])
+def test_parse_rejects_digits_only_float_accepts_by_line(field):
+    # float() reads digit separators and non-ASCII digits; the C reader does not.
+    with pytest.raises(DataError, match=f"malformed row at line 3: .*{field}"):
+        parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + f"7200,{field},101,99,100,1\n")
+
+
+@pytest.mark.parametrize("line", ['""', '" "'])
+def test_parse_rejects_quoted_blank_line_by_line(line):
+    # The csv module read these as one blank cell and skipped the row.
+    with pytest.raises(DataError, match="malformed row at line 3"):
+        parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + line + "\n7200,100,101,99,100,1\n")
+
+
+@pytest.mark.parametrize("row", ["7200,100,101", "7200"])
+def test_parse_rejects_row_with_too_few_columns_by_line(row):
+    with pytest.raises(DataError, match="malformed row at line 4: "):
+        parse_candles_text(HEADER + "3600,100,101,99,100,1\n\n" + row + "\n")
+
+
+def test_parse_rejects_lone_carriage_returns_in_a_stream_as_data_error():
+    # A text stream that does not split on "\r" sees one line; the csv module
+    # raised its own error here, which is not a DataError.
+    text = HEADER + "3600,100,101,99,100,1\r7200,100,101,99,100,1\r"
+    with pytest.raises(DataError, match="malformed row"):
+        parse_candles_text(text)
+
+
+def test_parse_reads_lone_carriage_returns_from_a_file(tmp_path):
+    path = tmp_path / "candles.csv"
+    path.write_bytes(b"timestamp,open,high,low,close,volume\r3600,100,101,99,100,1\r\r"
+                     b"7200,100,101,99,100,1\r")
+    assert parse_candles(str(path)).timestamps.tolist() == [3600, 7200]
+
+
+@pytest.mark.parametrize("row", [
+    "7200 , 100 ,101, 99,100 ,1",          # spaces around a field
+    '"7200","100",101,"99",100,1',         # quoted fields
+    "7200,100,101,99,100,1,9,9",           # extra columns
+    "7200,100,101,99,100,1,",              # a trailing comma
+    "7200,100\xa0,101,99,100,1",           # non-ASCII space around a field
+])
+def test_parse_reads_field_spellings_as_before(row):
+    series = parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + row + "\n")
+    assert series.timestamps.tolist() == [3600, 7200]
+    assert series.open.tolist() == [100.0, 100.0] and series.low.tolist() == [99.0, 99.0]
+
+
+def test_parse_reads_crlf_line_ends():
+    text = (HEADER + "3600,100,101,99,100,1\n7200,100,101,99,100,1\n").replace("\n", "\r\n")
+    assert parse_candles_text(text).timestamps.tolist() == [3600, 7200]
+
+
+@pytest.mark.parametrize("value", ["1e400", "Infinity", "-1e400"])
+def test_parse_rejects_overflowing_or_infinite_spelling_by_line(value):
+    with pytest.raises(DataError, match="line 3: non-finite"):
+        parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + f"7200,100,{value},99,100,1\n")

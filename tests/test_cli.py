@@ -188,6 +188,16 @@ def test_label_command(tmp_path):
     assert len(lines) == 1 + (100 - 5)
 
 
+def test_label_rejects_lower_barrier_at_or_below_zero_price_as_config(tmp_path, capsys):
+    candles = tmp_path / "candles.csv"
+    generate_synthetic_series(seed=24, n=600).to_csv(str(candles))
+    out = tmp_path / "labels"
+    assert _run("label", "--input", str(candles), "--down-pct", "1.5", "--out", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "down_pct" in err["message"]
+    assert not (out / "barrier_labels.csv").exists()
+
+
 def test_simulate_constant_scenario_estimates(tmp_path, capsys):
     out = str(tmp_path / "sim_const")
     assert _run("simulate", "--sim", "balanced", "--policy", "kelly", "--n", "900",

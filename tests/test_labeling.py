@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from kellybt.candles import generate_synthetic_series
@@ -152,7 +153,7 @@ def test_label_series_nonoverlapping_cover():
     series = generate_synthetic_series(seed=3, n=101)
     cfg = BarrierConfig(horizon=5)
     labeled = label_series(series, cfg, stride=5)
-    assert [e for e, _ in labeled] == list(range(0, 96, 5))
+    assert labeled.entry.tolist() == list(range(0, 96, 5))
     assert len(labeled) == (len(series) - 1) // cfg.horizon
 
 
@@ -165,7 +166,7 @@ def test_label_series_stride_validation():
 def test_uptrend_label_distribution():
     series = generate_synthetic_series(seed=4, n=400, drift=0.01, volatility=0.01)
     labeled = label_series(series, BarrierConfig(up_pct=0.02, down_pct=0.02, horizon=5))
-    values = [lab.label for _, lab in labeled]
+    values = labeled.label.tolist()
     assert values.count(1) > values.count(-1)
 
 
@@ -174,7 +175,8 @@ def test_determinism():
     cfg = BarrierConfig()
     a = label_series(series, cfg)
     b = label_series(series, cfg)
-    assert a == b
+    for column in ("entry", "label", "hit_bar", "hit_kind"):
+        assert getattr(a, column).tolist() == getattr(b, column).tolist()
 
 
 @pytest.mark.parametrize("field", ["up_pct", "down_pct"])
@@ -183,3 +185,29 @@ def test_config_rejects_non_finite_barrier(field, value):
     # A NaN barrier is never touched, so every label fell through to VERTICAL.
     with pytest.raises(ValueError, match="finite"):
         BarrierConfig(**{field: value})
+
+
+@pytest.mark.parametrize("down_pct", [1.0, 1.5])
+def test_config_rejects_lower_barrier_at_or_below_zero_price(down_pct):
+    # A low is always > 0, so it never reached such a barrier: LOWER could not occur.
+    with pytest.raises(ValueError, match="down_pct must be < 1"):
+        BarrierConfig(down_pct=down_pct)
+    assert BarrierConfig(up_pct=1.5).up_pct == 1.5
+
+
+def test_label_series_is_read_only_column_frame():
+    series = generate_synthetic_series(seed=6, n=30, volatility=0.02)
+    labeled = label_series(series, BarrierConfig(horizon=4), stride=2)
+    assert len(labeled) == 13
+    for column in (labeled.entry, labeled.label, labeled.hit_bar, labeled.hit_kind):
+        assert len(column) == 13 and not column.flags.writeable
+    for e, lab, bar, kind in zip(labeled.entry.tolist(), labeled.label.tolist(),
+                                 labeled.hit_bar.tolist(), labeled.hit_kind.tolist()):
+        assert triple_barrier_label(series, e, BarrierConfig(horizon=4)) == BarrierLabel(
+            lab, bar, kind)
+
+
+def test_label_series_shorter_than_horizon_is_empty():
+    series = generate_synthetic_series(seed=6, n=5)
+    labeled = label_series(series, BarrierConfig(horizon=5))
+    assert len(labeled) == 0 and labeled.entry.dtype == np.int64

@@ -3,7 +3,9 @@ corrupted field with a DataError naming its line or yields finite values,
 what the CSV writers write their loaders read back unchanged, and the
 backtest's stride lattice keeps one trade grid for every policy, the
 aggregate exposure under the leverage cap and the equity at or above zero,
-cut at the first ruin point."""
+cut at the first ruin point. The barrier-label kernel equals the per-entry
+scan, no causal stage reads a bar past a prefix cut, and every sizing
+policy is non-decreasing in p."""
 import io
 import os
 import re
@@ -17,10 +19,14 @@ from hypothesis import strategies as st
 from kellybt.backtest import BacktestConfig, compare_strategies
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
                             parse_candles, parse_candles_text, positions)
+from kellybt.features import apply_normalizer, build_feature_matrix, fit_normalizer
 from kellybt.indicators import ARITY, IndicatorSpec, compute_indicator, make_stream
-from kellybt.predictors import (AB_FLOOR, Predictions, Scenarios, load_predictions,
-                                write_predictions_csv)
-from kellybt.sizing import SizingPolicy
+from kellybt.labeling import BarrierConfig, label_series
+from kellybt.predictors import (AB_FLOOR, Predictions, Scenarios, estimate_scenarios,
+                                load_predictions, write_predictions_csv)
+from kellybt.sizing import SizingPolicy, decide
+
+import oracles
 
 # Derandomized and bounded so the suite stays fast and reproducible.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -207,3 +213,144 @@ def test_lattice_keeps_grid_exposure_cap_and_ruin_cut(data, seed, n, volatility)
         above = curve.values[1:] > cfg.ruin_floor * initial
         assert above[:-1].all()
         assert above[-1] != curve.ruin
+
+
+# Barriers down to 1e-4 make bars that cross both barriers (AMBIGUOUS) common.
+barrier_pcts = st.sampled_from([1e-4, 3e-4, 1e-3, 0.005, 0.02, 0.1])
+
+
+@st.composite
+def barrier_configs(draw, max_horizon=40):
+    return BarrierConfig(up_pct=draw(barrier_pcts), down_pct=draw(barrier_pcts),
+                         horizon=draw(st.integers(1, max_horizon)),
+                         vertical_rule=draw(st.sampled_from(["SIGN", "ZERO"])),
+                         ambiguous_to_lower=draw(st.booleans()))
+
+
+def _onto_barriers(series: CandleSeries, cfg: BarrierConfig, seed: int,
+                   rate: float) -> CandleSeries:
+    """``series`` with about ``rate`` of the highs and of the lows widened to
+    land exactly on the barrier of an entry up to ``horizon`` bars earlier."""
+    rng = np.random.default_rng(seed)
+    n = len(series)
+    bar = np.arange(1, n)
+    entry = np.maximum(bar - rng.integers(1, cfg.horizon + 1, n - 1), 0)
+    high, low = series.high.copy(), series.low.copy()
+    up, down = rng.random((2, n - 1)) < rate
+    high[bar[up]] = np.maximum(high[bar[up]], series.close[entry[up]] * (1.0 + cfg.up_pct))
+    low[bar[down]] = np.minimum(low[bar[down]],
+                                series.close[entry[down]] * (1.0 - cfg.down_pct))
+    return CandleSeries(series.timestamps, series.open, high, low, series.close,
+                        series.volume)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(data=st.data(), seed=seeds, n=st.integers(1, 120), volatility=volatilities,
+       cfg=barrier_configs(), rate=st.sampled_from([0.0, 0.05, 0.35]))
+def test_label_series_equals_per_entry_scan(data, seed, n, volatility, cfg, rate):
+    series = _onto_barriers(generate_synthetic_series(seed=seed, n=n, volatility=volatility),
+                            cfg, seed, rate)
+    stride = data.draw(st.integers(1, cfg.horizon + 2))
+    labeled = label_series(series, cfg, stride)
+    entries = labeled.entry.tolist()
+    assert entries == list(range(0, max(n - cfg.horizon, 0), stride))
+    got = list(zip(labeled.label.tolist(), labeled.hit_bar.tolist(),
+                   labeled.hit_kind.tolist()))
+    assert got == [oracles.o_barrier_label(series, e, cfg) for e in entries]
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and bool(((got == want) | (np.isnan(got) &
+                                                              np.isnan(want))).all())
+
+
+@PROPERTY
+@given(data=st.data(), seed=seeds, n=st.integers(2, 300), volatility=volatilities)
+def test_prefix_values_equal_full_series_values(data, seed, n, volatility):
+    """Each causal stage computed on ``series.slice(0, k)`` equals the
+    full-series value at the same timestamp: no stage reads a bar at or after
+    the cut. The simulators read the outcome by design and are left out;
+    barrier labels count as causal once their horizon has ended."""
+    series = generate_synthetic_series(seed=seed, n=n, volatility=volatility)
+    k = data.draw(st.integers(1, n - 1))
+    prefix, ts = series.slice(0, k), series.timestamps
+
+    for kind in sorted(ARITY):
+        spec = IndicatorSpec(kind, data.draw(periods_for(kind)))
+        assert _same(compute_indicator(prefix, spec).values,
+                     compute_indicator(series, spec).values[:k]), spec.name
+
+    grid = [IndicatorSpec(kind, data.draw(periods_for(kind))) for kind in
+            data.draw(st.lists(st.sampled_from(sorted(ARITY)), min_size=1, max_size=3))]
+    price_model = data.draw(st.booleans())
+    horizon = data.draw(st.integers(1, 8))
+    try:
+        part = build_feature_matrix(prefix, grid, price_model, horizon)
+    except ValueError:
+        part = None  # no row of the prefix is past warm-up
+    if part is not None:
+        full = build_feature_matrix(series, grid, price_model, horizon)
+        pos, found = positions(full.timestamps, part.timestamps)
+        assert found.all() and np.array_equal(part.values, full.values[pos])
+        train_end = int(part.timestamps[data.draw(st.integers(0, len(part) - 1))])
+        if (part.timestamps <= train_end).sum() >= 2:
+            stats = fit_normalizer(part, (int(ts[0]), train_end))
+            full_stats = fit_normalizer(full, (int(ts[0]), train_end))
+            assert np.array_equal(stats.mean, full_stats.mean)
+            assert np.array_equal(stats.std, full_stats.std)
+            assert np.array_equal(apply_normalizer(part, stats).values,
+                                  apply_normalizer(full, full_stats).values[pos])
+
+    h = data.draw(st.integers(1, 5))
+    window = data.draw(st.integers(10 * h, 10 * h + 30))
+    part_est, full_est = estimate_scenarios(prefix, h, window), estimate_scenarios(series, h,
+                                                                                   window)
+    m = len(part_est)
+    assert int((full_est.timestamps < ts[k]).sum()) == m
+    for name in ("timestamps", "a", "b"):
+        assert np.array_equal(getattr(part_est, name), getattr(full_est, name)[:m]), name
+
+    # Only the entry whose horizon ends just before a cut can read past it, so
+    # the labels are checked at every cut; stride 1 labels that entry.
+    cfg = data.draw(barrier_configs(max_horizon=12))
+    full_lab = label_series(series, cfg)
+    for cut in range(1, n):
+        part_lab = label_series(series.slice(0, cut), cfg)
+        m = len(part_lab)
+        assert int((full_lab.entry + cfg.horizon < cut).sum()) == m
+        for name in ("entry", "label", "hit_bar", "hit_kind"):
+            assert getattr(part_lab, name).tolist() == getattr(full_lab, name)[:m].tolist(), \
+                (cut, name)
+
+
+def _adjacent_floats(center: float, count: int = 40) -> np.ndarray:
+    """``count`` floats on each side of ``center``, each next to the last."""
+    bits = np.float64(center).view(np.int64) + np.arange(-count, count + 1)
+    return bits.view(np.float64)
+
+
+@PROPERTY
+@given(seed=seeds, a=st.floats(1e-3, 1.0), b=st.floats(1e-3, 1.0),
+       policy=st.one_of(
+           st.builds(SizingPolicy, st.just("none"),
+                     max_leverage=st.sampled_from([0.5, 1.0, 5.0]),
+                     modifier=st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+           st.builds(SizingPolicy, st.just("gaussian"),
+                     expected=st.sampled_from([0.3, 0.5, 0.8]),
+                     max_leverage=st.sampled_from([0.5, 1.0, 5.0]),
+                     modifier=st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+           st.builds(SizingPolicy, st.just("kelly"),
+                     kelly_fraction=st.sampled_from([0.1, 0.5, 1.0]),
+                     max_leverage=st.sampled_from([0.5, 2.0, 5.0, 1e6]),
+                     modifier=st.sampled_from([0.0, 0.5, 1.0, 3.0]))))
+def test_fraction_is_non_decreasing_in_p(seed, a, b, policy):
+    rng = np.random.default_rng(seed)
+    centers = [0.3, 0.5, 0.8, 1.0 - 2.0 ** -53, 1e-15, 5e-17, float(policy.expected),
+               1.0 - float(policy.expected)]
+    p = np.concatenate([rng.uniform(0.0, 1.0, 300), rng.uniform(0.0, 1e-12, 20)] +
+                       [_adjacent_floats(c) for c in centers])
+    p = np.unique(p[(p > 0.0) & (p < 1.0)])
+    fraction = np.array([decide(float(x), (a, b), policy).fraction for x in p])
+    inversions = np.flatnonzero(np.diff(fraction) < 0)
+    assert inversions.size == 0, [(p[i], p[i + 1], fraction[i], fraction[i + 1])
+                                  for i in inversions[:3]]

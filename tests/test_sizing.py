@@ -234,3 +234,10 @@ def test_pab_validation_rejects_nan(a, b):
         kelly_fraction(0.6, a, b)
     with pytest.raises(ValueError):
         log_optimal_fraction(0.6, a, b)
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-17, 5.5e-17])
+def test_gaussian_tiny_p_is_the_short_limit(p):
+    # q = 1 - p rounds to 1.0 here, so sqrt(q * (1 - q)) was 0 and this divided by zero.
+    assert gaussian_bet_size(p) == -1.0
+    assert decide(p, None, SizingPolicy("GAUSSIAN")).fraction == -1.0

@@ -17,7 +17,7 @@ from kellybt.backtest import EquityCurve, Trade, write_equity_csv, write_trades_
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt.features import (FeatureMatrix, LabelSet, make_labels, write_labels_csv,
                               write_matrix_csv)
-from kellybt.labeling import BarrierLabel, write_barrier_labels_csv
+from kellybt.labeling import BarrierLabels, write_barrier_labels_csv
 from kellybt.metrics import BacktestReport, classification_report
 from kellybt.predictors import (Predictions, Scenarios, load_predictions,
                                 write_predictions_csv)
@@ -66,9 +66,11 @@ def _barrier_labels(rng, n, rate):
     series = generate_synthetic_series(seed=int(rng.integers(1000)), n=n + 1)
     entries = rng.integers(0, n + 1, n).tolist()
     kinds = rng.choice(["UPPER", "LOWER", "VERTICAL", "AMBIGUOUS"], n).tolist()
-    labeled = [(e, BarrierLabel(int(lab), int(bar), kind)) for e, lab, bar, kind in
-               zip(entries, rng.integers(-1, 2, n), rng.integers(1, 40, n), kinds)]
-    return series, labeled
+    return series, BarrierLabels(entries, rng.integers(-1, 2, n), rng.integers(1, 40, n), kinds)
+
+
+def _o_write_barrier_labels_csv(series, labeled, path):
+    oracles.o_write_barrier_labels_csv(series, oracles.barrier_label_records(labeled), path)
 
 
 def _trades(rng, n, rate):
@@ -126,7 +128,7 @@ CASES = {
     "features.write_matrix_csv": (_matrix, write_matrix_csv, oracles.o_write_matrix_csv),
     "features.write_labels_csv": (_labels, write_labels_csv, oracles.o_write_labels_csv),
     "labeling.write_barrier_labels_csv": (_barrier_labels, write_barrier_labels_csv,
-                                          oracles.o_write_barrier_labels_csv),
+                                          _o_write_barrier_labels_csv),
     "backtest.write_trades_csv": (_trades, write_trades_csv, oracles.o_write_trades_csv),
     "backtest.write_equity_csv": (_equity, write_equity_csv, oracles.o_write_equity_csv),
     "predictors.write_predictions_csv": (_predictions, write_predictions_csv,
