@@ -10,11 +10,11 @@ metric reports.
 __version__ = "0.1.0"
 
 from .backtest import BacktestConfig, EquityCurve, Trade, compare_strategies, run_backtest
-from .candles import (Candle, CandleSeries, SplitSpec, generate_synthetic_series,
+from .candles import (CandleSeries, SplitSpec, generate_synthetic_series,
                       parse_candles, positions, split_dataset)
 from .features import (FeatureMatrix, LabelSet, apply_normalizer, build_feature_matrix,
                        default_grid, fit_normalizer, make_labels)
-from .indicators import IndicatorSpec, ValueSeries, compute_indicator, make_stream, smooth
+from .indicators import IndicatorSpec, ValueSeries, compute_indicator, smooth
 from .labeling import (BarrierConfig, BarrierLabel, BarrierLabels, label_series,
                        triple_barrier_label)
 from .metrics import (BacktestReport, build_report, classification_report,
@@ -27,11 +27,11 @@ from .sizing import (BetDecision, SizingPolicy, decide, gaussian_bet_size,
 
 __all__ = [
     "BacktestConfig", "EquityCurve", "Trade", "compare_strategies", "run_backtest",
-    "Candle", "CandleSeries", "SplitSpec", "generate_synthetic_series",
+    "CandleSeries", "SplitSpec", "generate_synthetic_series",
     "parse_candles", "positions", "split_dataset",
     "FeatureMatrix", "LabelSet", "apply_normalizer", "build_feature_matrix",
     "default_grid", "fit_normalizer", "make_labels",
-    "IndicatorSpec", "ValueSeries", "compute_indicator", "make_stream", "smooth",
+    "IndicatorSpec", "ValueSeries", "compute_indicator", "smooth",
     "BarrierConfig", "BarrierLabel", "BarrierLabels", "label_series", "triple_barrier_label",
     "BacktestReport", "build_report", "classification_report", "cumulative_return",
     "max_drawdown", "regression_report", "romad", "sharpe_monthly",

@@ -1,4 +1,4 @@
-"""Run manifests, the CSV and JSON writers, and deterministic SVG charts.
+"""Run manifests, the CSV reader and writers, and deterministic SVG charts.
 
 Every artifact-producing command writes exactly one ``manifest.json`` into
 its output directory recording the command, the fully resolved config,
@@ -9,12 +9,20 @@ Every CSV kellybt writes goes through ``write_csv``, which owns the text
 format: a header row, one ``str`` per cell (for a float that is its shortest
 round-trip text, as ``repr`` gives), ``NA`` for a missing value and ``\n``
 line ends.
+
+Every CSV kellybt loads goes through ``read_csv``: the ``csv`` module reads
+the header, whitespace-only lines are skipped and numpy's C reader
+(``np.loadtxt``) reads the data rows. A bad row is a ``DataError`` naming
+its file line.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
+import itertools
 import json
 import os
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +33,13 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 # Rows formatted and written per write call: bounds the text held in memory.
 CSV_BLOCK_ROWS = 1024
+
+# Where numpy's loadtxt names the data row in a ValueError.
+_NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
+
+
+class DataError(ValueError):
+    """Malformed or invariant-violating input data."""
 
 
 def sha256_file(path: str) -> str:
@@ -74,6 +89,70 @@ def write_csv(dest, header, columns) -> None:
                 cells.append(["NA" if v is None else str(v) for v in block])
             fh.write("\n".join(map(",".join, zip(*cells))))
             fh.write("\n")
+
+
+def read_csv(source, select):
+    """Read a header row and numeric data rows into columns.
+
+    ``source`` is a path or an open text stream (see ``open_text``).
+    ``select(header)`` gets the stripped header cells and returns the indices
+    of the columns to read, the timestamp column first. Returns ``(ts, data,
+    line_of)``: int64 timestamps (truncated toward zero), a float64 array of
+    the other columns, one row per data row, and ``line_of(k)``, the file
+    line of data row ``k``. A row the reader rejects, or whose timestamp is
+    not a finite 64-bit integer, is a DataError naming its file line.
+    """
+    with open_text(source, "r") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty input: no header row") from None
+        except csv.Error as exc:
+            raise DataError(f"malformed header: {exc}") from None
+        cols = select([h.strip() for h in header])
+
+        first_line = reader.line_num + 1
+        blank = []  # positions after the header of the skipped whitespace-only lines
+
+        def data_lines():
+            for i, line in enumerate(fh):
+                if line.isspace():
+                    blank.append(i)
+                else:
+                    yield line
+
+        def line_of(k: int) -> int:
+            """File line of data row ``k``: each skipped line at or before it moves it down."""
+            for b in blank:
+                if b <= k:
+                    k += 1
+            return first_line + k
+
+        rows = data_lines()
+        first = next(rows, None)
+        if first is None:
+            raise DataError("no data rows in input")
+        try:
+            data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", usecols=cols,
+                              ndmin=2, dtype=np.float64, comments=None, quotechar='"')
+        except ValueError as exc:
+            # numpy counts data rows from 0 in a conversion error ("at row R,
+            # column C") and from 1 in a column-count error ("at row R with N columns").
+            text = str(exc)
+            found = _NUMPY_ROW.search(text)
+            if found is None:
+                raise DataError(f"malformed row: {text}") from None
+            row = int(found[1]) if found[2] else int(found[1]) - 1
+            raise DataError(f"malformed row at line {line_of(row)}: "
+                            f"{text[:found.start()]}{text[found.end(1):]}") from None
+
+    out_of_range = np.flatnonzero(~(np.abs(data[:, 0]) < 2.0 ** 63))
+    if out_of_range.size:
+        k = int(out_of_range[0])
+        raise DataError(f"malformed row at line {line_of(k)}: timestamp {float(data[k, 0])!r} "
+                        f"is not a finite 64-bit integer")
+    return data[:, 0].astype(np.int64), data[:, 1:], line_of
 
 
 def write_manifest(outdir: str, command: str, config: dict,

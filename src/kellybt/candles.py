@@ -8,25 +8,21 @@ and indexed, never forward-filled.
 The candle invariants (strictly increasing, interval-aligned timestamps;
 finite positive prices; finite non-negative volume; low/high enveloping
 open/close) are checked in one place, ``_first_invalid``. CandleSeries calls
-it on construction; parse_candles reads the file straight into columns and
-calls it to name the file line of the first bad row. parse_candles reads
-the header with the ``csv`` module and the data rows with numpy's C reader
-(``np.loadtxt``), after dropping whitespace-only lines; a reader error names
-a data row, which is mapped back to its file line. ``positions`` is the one
-timestamp lookup used to match predictions, scenarios and labels.
+it on construction; parse_candles reads the file straight into columns with
+``artifacts.read_csv``, the reader shared with the prediction loader, and
+calls it to name the file line of the first bad row. ``DataError`` is
+re-exported from ``artifacts``. ``positions`` is the one timestamp lookup
+used to match predictions, scenarios and labels.
 """
 from __future__ import annotations
 
-import csv
 import io
-import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import open_text, write_csv
+from .artifacts import DataError, read_csv, write_csv
 
 HOUR = 3600
 
@@ -34,26 +30,6 @@ CANONICAL_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 
 # Default epoch for synthetic series: 2020-01-01T00:00:00Z.
 DEFAULT_START_TS = 1_577_836_800
-
-# Where numpy's loadtxt names the data row in a ValueError.
-_NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
-
-
-class DataError(ValueError):
-    """Malformed or invariant-violating market data."""
-
-
-@dataclass(frozen=True)
-class Candle:
-    """One hourly OHLCV bar. Prices are quote-currency, volume base-asset."""
-
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
 
 def _first_invalid(ts, o, h, l, c, v, interval: int) -> tuple[int, str] | None:
     """Index and message of the first row that breaks a candle invariant.
@@ -132,13 +108,6 @@ class CandleSeries:
     def __len__(self) -> int:
         return int(self.timestamps.size)
 
-    def candle(self, i: int) -> Candle:
-        return Candle(int(self.timestamps[i]), float(self.open[i]), float(self.high[i]),
-                      float(self.low[i]), float(self.close[i]), float(self.volume[i]))
-
-    def __iter__(self):
-        return (self.candle(i) for i in range(len(self)))
-
     def slice(self, start: int, stop: int) -> "CandleSeries":
         if not 0 <= start < stop <= len(self):
             raise ValueError(f"bad slice [{start}:{stop}] for series of length {len(self)}")
@@ -187,65 +156,18 @@ def parse_candles(source, mapping: dict | None = None, symbol: str = "UNKNOWN") 
     for key in mapping:
         if key not in CANONICAL_COLUMNS:
             raise DataError(f"unknown column mapping key {key!r}")
-    with open_text(source, "r") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input: no header row") from None
-        header = [h.strip() for h in header]
-        col_idx = []
-        for logical in CANONICAL_COLUMNS:
-            actual = mapping.get(logical, logical)
+    names = [mapping.get(logical, logical) for logical in CANONICAL_COLUMNS]
+
+    def select(header):
+        for actual in names:
             if actual not in header:
                 raise DataError(f"missing column {actual!r} in header {header}")
-            col_idx.append(header.index(actual))
+        return [header.index(actual) for actual in names]
 
-        first_line = reader.line_num + 1
-        blank = []  # positions after the header of the skipped whitespace-only lines
-
-        def data_lines():
-            for i, line in enumerate(fh):
-                if line.isspace():
-                    blank.append(i)
-                else:
-                    yield line
-
-        def line_of(k: int) -> int:
-            """File line of data row ``k``: each skipped line at or before it moves it down."""
-            for b in blank:
-                if b <= k:
-                    k += 1
-            return first_line + k
-
-        rows = data_lines()
-        first = next(rows, None)
-        if first is None:
-            raise DataError("no data rows in input")
-        try:
-            data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", usecols=col_idx,
-                              ndmin=2, dtype=np.float64, comments=None, quotechar='"')
-        except ValueError as exc:
-            # numpy counts data rows from 0 in a conversion error ("at row R,
-            # column C") and from 1 in a column-count error ("at row R with N columns").
-            text = str(exc)
-            found = _NUMPY_ROW.search(text)
-            if found is None:
-                raise DataError(f"malformed row: {text}") from None
-            row = int(found[1]) if found[2] else int(found[1]) - 1
-            raise DataError(f"malformed row at line {line_of(row)}: "
-                            f"{text[:found.start()]}{text[found.end(1):]}") from None
-
-    # Timestamps truncate toward zero, as int(float(field)) would.
-    out_of_range = np.flatnonzero(~(np.abs(data[:, 0]) < 2.0 ** 63))
-    if out_of_range.size:
-        k = int(out_of_range[0])
-        raise DataError(f"malformed row at line {line_of(k)}: timestamp {float(data[k, 0])!r} "
-                        f"is not a finite 64-bit integer")
-    ts = data[:, 0].astype(np.int64)
+    ts, data, line_of = read_csv(source, select)
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
-    o, h, l, c, v = (data[order, k] for k in range(1, 6))
+    o, h, l, c, v = (data[order, k] for k in range(5))
     invalid = _first_invalid(ts, o, h, l, c, v, HOUR)
     if invalid is not None:
         i, message = invalid

@@ -304,7 +304,10 @@ def cmd_features(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
     series = _load_series(resolved["input"], resolved["symbol"])
     if resolved["grid"]:
         with open(resolved["grid"]) as fh:
-            grid = features.grid_from_config(json.load(fh)["indicators"])
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"grid config must be an object, got {config!r}")
+        grid = features.grid_from_config(config["indicators"])
     else:
         grid = features.default_grid()
     matrix = features.build_feature_matrix(series, grid,

@@ -181,12 +181,16 @@ def default_grid() -> list[IndicatorSpec]:
 
 def grid_from_config(entries: list[dict]) -> list[IndicatorSpec]:
     """Parse ``[{"kind": ..., "periods": [...]}, ...]`` config entries."""
+    if not isinstance(entries, list):
+        raise ValueError(f"grid indicators must be a list of entries, got {entries!r}")
     grid = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"grid entry must be an object, got {entry!r}")
         periods = entry.get("periods", entry.get("period"))
         if periods is None:
             raise ValueError(f"grid entry missing periods: {entry}")
-        if isinstance(periods, int):
+        if not isinstance(periods, list):
             periods = [periods]
         grid.append(IndicatorSpec(entry["kind"], tuple(periods)))
     return grid

@@ -1,4 +1,4 @@
-"""Technical indicators over candle series, batch and streaming.
+"""Technical indicators over candle series, evaluated in batch.
 
 All outputs are full-length value series aligned to the input timestamps;
 warm-up entries are NaN, never zero-filled. Division-by-zero conventions:
@@ -19,25 +19,16 @@ TRIX is reported in percent (one-bar rate of change of the triple EMA,
 times 100), consistent with ROC and PPO.
 
 Each indicator has one arithmetic kernel, the batch function in ``_BATCH``,
-which takes plain high/low/close/volume arrays. Streaming evaluation
-(`make_stream`) reproduces batch output exactly, bar for bar. The window
-kinds (ROC, EFI_RATIO, CMO, RSI, CCI, WILLIAMS_R, CMF) look back at most n
-bars, so their stream runs the batch kernel over the trailing n+1 bars:
-O(n) per update. The EMA kinds (TRIX, MACD, PPO, EFI_STANDARD) depend on
-the whole history and keep an incremental SMA-seeded EMA state instead.
+which takes plain high/low/close/volume arrays.
 """
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .candles import Candle, CandleSeries
-
-NAN = float("nan")
+from .candles import CandleSeries
 
 ARITY = {
     "TRIX": 1,
@@ -56,6 +47,14 @@ ARITY = {
 _ALIASES = {"EFI": "EFI_RATIO", "WILLIAMSR": "WILLIAMS_R", "%R": "WILLIAMS_R"}
 
 
+def _period(p) -> int:
+    """``p`` as an int; a bool, a non-number or a fractional number is rejected."""
+    if isinstance(p, bool) or not (isinstance(p, (int, np.integer))
+                                   or isinstance(p, float) and p.is_integer()):
+        raise ValueError(f"periods must be integers, got {p!r}")
+    return int(p)
+
+
 @dataclass(frozen=True)
 class IndicatorSpec:
     """An indicator kind plus its period(s). MACD/PPO take (fast, slow)."""
@@ -64,9 +63,11 @@ class IndicatorSpec:
     periods: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValueError(f"indicator kind must be a string, got {self.kind!r}")
         kind = _ALIASES.get(self.kind.upper(), self.kind.upper())
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
+        object.__setattr__(self, "periods", tuple(_period(p) for p in self.periods))
         if kind not in ARITY:
             raise ValueError(f"unknown indicator kind {self.kind!r}")
         if len(self.periods) != ARITY[kind]:
@@ -285,118 +286,3 @@ def compute_indicator(series: CandleSeries, spec: IndicatorSpec) -> ValueSeries:
     values = _BATCH[spec.kind](series.high, series.low, series.close, series.volume,
                                *spec.periods)
     return ValueSeries(spec.name, series.timestamps, values)
-
-
-# --- streaming evaluation ----------------------------------------------------
-
-
-class _EmaState:
-    """Incremental EMA matching _ema_array exactly (SMA-seeded)."""
-
-    __slots__ = ("n", "alpha", "one_minus", "buf", "value")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.alpha = 2.0 / (n + 1.0)
-        self.one_minus = 1.0 - self.alpha
-        self.buf: list[float] = []
-        self.value: float | None = None
-
-    def update(self, x: float) -> float:
-        if self.value is None:
-            self.buf.append(x)
-            if len(self.buf) < self.n:
-                return NAN
-            self.value = float(np.mean(self.buf))
-            return self.value
-        self.value = self.alpha * float(x) + self.one_minus * self.value
-        return self.value
-
-
-class TrixStream:
-    def __init__(self, n: int):
-        self.e1, self.e2, self.e3 = _EmaState(n), _EmaState(n), _EmaState(n)
-        self.prev = None
-
-    def update(self, candle: Candle) -> float:
-        v = self.e1.update(candle.close)
-        if math.isnan(v):
-            return NAN
-        v = self.e2.update(v)
-        if math.isnan(v):
-            return NAN
-        v = self.e3.update(v)
-        if math.isnan(v):
-            return NAN
-        prev, self.prev = self.prev, v
-        if prev is None:
-            return NAN
-        return 100.0 * ((v - prev) / prev)
-
-
-class MacdStream:
-    def __init__(self, fast: int, slow: int):
-        self.fast, self.slow = _EmaState(fast), _EmaState(slow)
-
-    def update(self, candle: Candle) -> float:
-        f = self.fast.update(candle.close)
-        s = self.slow.update(candle.close)
-        return f - s
-
-
-class PpoStream:
-    def __init__(self, fast: int, slow: int):
-        self.fast, self.slow = _EmaState(fast), _EmaState(slow)
-
-    def update(self, candle: Candle) -> float:
-        f = self.fast.update(candle.close)
-        s = self.slow.update(candle.close)
-        if math.isnan(s) or math.isnan(f):
-            return NAN
-        if s == 0:
-            return NAN
-        return (100.0 * (f - s)) / s
-
-
-class EfiStandardStream:
-    def __init__(self, n: int):
-        self.ema = _EmaState(n)
-        self.prev_close = None
-
-    def update(self, candle: Candle) -> float:
-        prev, self.prev_close = self.prev_close, candle.close
-        if prev is None:
-            return NAN
-        force = (candle.close - prev) * candle.volume
-        return self.ema.update(force)
-
-
-class _WindowStream:
-    """A window kind's batch kernel over the trailing n+1 bars; the kernel
-    looks back at most n bars, so its last value is the batch value."""
-
-    def __init__(self, kind: str, n: int):
-        self.kernel = _BATCH[kind]
-        self.n = n
-        self.bars = deque(maxlen=n + 1)
-
-    def update(self, candle: Candle) -> float:
-        self.bars.append((candle.high, candle.low, candle.close, candle.volume))
-        h, l, c, v = np.array(self.bars, dtype=np.float64).T
-        return float(self.kernel(h, l, c, v, self.n)[-1])
-
-
-_EMA_STREAMS = {
-    "TRIX": TrixStream,
-    "MACD": MacdStream,
-    "PPO": PpoStream,
-    "EFI_STANDARD": EfiStandardStream,
-}
-
-
-def make_stream(spec: IndicatorSpec):
-    """Incremental evaluator for one spec: ``update(candle) -> float`` (NaN
-    during warm-up). Produces exactly the batch values, bar for bar."""
-    if spec.kind in _EMA_STREAMS:
-        return _EMA_STREAMS[spec.kind](*spec.periods)
-    return _WindowStream(spec.kind, *spec.periods)

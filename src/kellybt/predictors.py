@@ -17,6 +17,8 @@ at 0.001 so Kelly sizing stays finite.
 Forecasts travel as two column frames, ``Predictions(timestamps, p_up)`` and
 ``Scenarios(timestamps, a, b)``, whose constructor is the one check that the
 columns are 1-D, of one length, with strictly increasing timestamps.
+``load_predictions`` reads a file with ``artifacts.read_csv``, as
+``parse_candles`` does, and adds only its own header and value checks.
 
 The Gaussian simulator draws standard normals in blocks and scales them as
 ``mu + sigma * z``: that is the stream scalar ``rng.normal(mu, sigma)``
@@ -25,15 +27,14 @@ the same probabilities.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .artifacts import open_text, write_csv
-from .candles import CandleSeries, DataError, positions
+from .artifacts import DataError, read_csv, write_csv
+from .candles import CandleSeries, positions
 from .features import LabelSet
 
 P_CLIP_LO = 0.01
@@ -164,6 +165,17 @@ def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
     return Predictions(labels.timestamps, p_up)
 
 
+def _prediction_columns(header: list[str]) -> list[int]:
+    """Indices of timestamp, p_up and, when both are present, a and b."""
+    names = ["timestamp", "p_up"] + [c for c in ("a", "b") if c in header]
+    for col in names[:2]:
+        if col not in header:
+            raise DataError(f"prediction file missing column {col!r}")
+    if len(names) == 3:
+        raise DataError("scenario columns a and b must appear together")
+    return [header.index(name) for name in names]
+
+
 def load_predictions(source, series: CandleSeries | None = None):
     """Read a prediction CSV with columns timestamp,p_up[,a,b] into a
     ``(Predictions, Scenarios | None)`` pair sorted by timestamp.
@@ -173,64 +185,32 @@ def load_predictions(source, series: CandleSeries | None = None):
     every timestamp must exist in it. Every rejection is a DataError naming
     the file line; accepted values are finite.
     """
-    with open_text(source, "r") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError("empty prediction file") from None
-        for col in ("timestamp", "p_up"):
-            if col not in header:
-                raise DataError(f"prediction file missing column {col!r}")
-        has_a, has_b = "a" in header, "b" in header
-        if has_a != has_b:
-            raise DataError("scenario columns a and b must appear together")
-        idx = {name: header.index(name) for name in header}
+    ts, data, line_of = read_csv(source, _prediction_columns)
+    p, ab = data[:, 0], data[:, 1:]
+    bad_p = ~((p > 0) & (p < 1))
+    bad = np.flatnonzero(bad_p | ~((ab > 0) & (ab < math.inf)).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        if bad_p[k]:
+            raise DataError(f"line {line_of(k)}: p_up {float(p[k])} outside (0, 1)")
+        raise DataError(f"line {line_of(k)}: scenario magnitudes must be finite "
+                        f"and > 0, got a={float(ab[k, 0])}, b={float(ab[k, 1])}")
 
-        ts: list[int] = []
-        values: list[tuple[float, ...]] = []  # (p_up,) or (p_up, a, b)
-        lines: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                t = int(float(row[idx["timestamp"]]))
-                if not -2**63 <= t < 2**63:
-                    raise OverflowError(f"timestamp {t} is outside the 64-bit integer range")
-                p = float(row[idx["p_up"]])
-                if has_a:
-                    a = float(row[idx["a"]])
-                    b = float(row[idx["b"]])
-            except (ValueError, IndexError, OverflowError) as exc:
-                raise DataError(f"malformed prediction row at line {lineno}: {exc}") from None
-            if not 0 < p < 1:
-                raise DataError(f"line {lineno}: p_up {p} outside (0, 1)")
-            if has_a and not (0 < a < math.inf and 0 < b < math.inf):
-                raise DataError(f"line {lineno}: scenario magnitudes must be finite "
-                                f"and > 0, got a={a}, b={b}")
-            p = min(max(p, P_CLIP_LO), P_CLIP_HI)
-            ts.append(t)
-            values.append((p, max(a, AB_FLOOR), max(b, AB_FLOOR)) if has_a else (p,))
-            lines.append(lineno)
-
-    if not ts:
-        raise DataError("no prediction rows in input")
     order = np.argsort(ts, kind="stable")
-    timestamps = np.array(ts, dtype=np.int64)[order]
+    timestamps = ts[order]
     repeated = np.flatnonzero(timestamps[1:] == timestamps[:-1])
     if repeated.size:
         k = int(repeated[0]) + 1
-        raise DataError(f"line {lines[order[k]]}: duplicate prediction timestamp "
+        raise DataError(f"line {line_of(int(order[k]))}: duplicate prediction timestamp "
                         f"{timestamps[k]}")
     if series is not None:
         _, found = positions(series.timestamps, timestamps)
         if not found.all():
             k = int(np.argmin(found))
-            raise DataError(f"line {lines[order[k]]}: prediction timestamp {timestamps[k]} "
-                            f"not present in the series")
-    cols = np.array(values)[order].T
-    return (Predictions(timestamps, cols[0]),
-            Scenarios(timestamps, cols[1], cols[2]) if has_a else None)
+            raise DataError(f"line {line_of(int(order[k]))}: prediction timestamp "
+                            f"{timestamps[k]} not present in the series")
+    return (Predictions(timestamps, np.clip(p[order], P_CLIP_LO, P_CLIP_HI)),
+            Scenarios(timestamps, *np.maximum(ab[order].T, AB_FLOOR)) if ab.size else None)
 
 
 def estimate_scenarios(series: CandleSeries, horizon: int = 5,

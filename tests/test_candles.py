@@ -278,6 +278,12 @@ def test_parse_rejects_lone_carriage_returns_in_a_stream_as_data_error():
         parse_candles_text(text)
 
 
+def test_parse_rejects_lone_carriage_returns_in_a_stream_header_as_data_error():
+    # The csv module raised its own error on the header line too.
+    with pytest.raises(DataError, match="malformed header"):
+        parse_candles_text(HEADER.replace("\n", "\r") + "3600,100,101,99,100,1\r")
+
+
 def test_parse_reads_lone_carriage_returns_from_a_file(tmp_path):
     path = tmp_path / "candles.csv"
     path.write_bytes(b"timestamp,open,high,low,close,volume\r3600,100,101,99,100,1\r\r"

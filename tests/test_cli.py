@@ -176,6 +176,26 @@ def test_features_command(tmp_path):
     assert set(stats) == set(header[1:])
 
 
+@pytest.mark.parametrize("config", [
+    {"indicators": {"kind": "RSI"}},             # not a list of entries
+    {"indicators": [1]},                         # an entry that is not an object
+    {"indicators": [{"kind": "RSI", "periods": [14.7]}]},
+    {"indicators": [{"kind": "RSI", "periods": True}]},
+    [1],                                         # a config that is not an object
+], ids=["not-a-list", "entry-not-object", "fractional-period", "bool-period",
+        "config-not-object"])
+def test_features_rejects_bad_grid_config(tmp_path, capsys, config):
+    candles = tmp_path / "candles.csv"
+    generate_synthetic_series(seed=23, n=100).to_csv(str(candles))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(config))
+    out = tmp_path / "features"
+    assert _run("features", "--input", str(candles), "--grid", str(grid),
+                "--out", str(out)) == 4
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert not (out / "features.csv").exists()
+
+
 def test_label_command(tmp_path):
     series = generate_synthetic_series(seed=24, n=100, volatility=0.02)
     candles = tmp_path / "candles.csv"

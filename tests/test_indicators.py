@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from kellybt.candles import generate_synthetic_series
-from kellybt.indicators import (ARITY, IndicatorSpec, ValueSeries,
-                                compute_indicator, make_stream, smooth)
+from kellybt.indicators import IndicatorSpec, ValueSeries, compute_indicator, smooth
 
 import oracles
 from conftest import make_series_from_closes, make_series_from_ohlc
@@ -83,6 +82,8 @@ def test_smooth_rejects_unknown_kind():
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown indicator"):
         IndicatorSpec("VWAP", (5,))
+    with pytest.raises(ValueError, match="kind must be a string"):
+        IndicatorSpec(5, (14,))
 
 
 def test_spec_rejects_bad_arity():
@@ -102,10 +103,14 @@ def test_spec_efi_alias():
     assert IndicatorSpec("efi", (13,)).name == "EFI_RATIO_13"
 
 
-def test_arity_table_covers_streams():
-    for kind in ARITY:
-        spec = IndicatorSpec(kind, (12, 26) if ARITY[kind] == 2 else (14,))
-        assert make_stream(spec) is not None
+@pytest.mark.parametrize("period", [14.7, True, "14", None, float("nan")])
+def test_spec_rejects_non_integral_or_bool_period(period):
+    with pytest.raises(ValueError, match="integers"):
+        IndicatorSpec("RSI", (period,))
+
+
+def test_spec_accepts_integral_float_period():
+    assert IndicatorSpec("RSI", (14.0,)).periods == (14,)
 
 
 # --- formula endpoints --------------------------------------------------------
@@ -205,19 +210,6 @@ def test_oracle_equivalence_1000_candles(spec):
         defined = got[~np.isnan(got)]
         assert defined.size > 0
         assert defined.min() >= lo - 1e-9 and defined.max() <= hi + 1e-9
-
-
-# --- streaming vs batch ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
-def test_streaming_equals_batch_exactly(spec):
-    series = generate_synthetic_series(seed=5, n=600, drift=0.0001, volatility=0.02)
-    batch = compute_indicator(series, spec).values
-    stream = make_stream(spec)
-    got = np.array([stream.update(c) for c in series], dtype=np.float64)
-    same = (got == batch) | (np.isnan(got) & np.isnan(batch))
-    assert same.all(), f"first mismatch at {np.flatnonzero(~same)[:5]}"
 
 
 # --- invariance properties --------------------------------------------------------

@@ -245,6 +245,48 @@ def test_load_predictions_non_finite_timestamp_rejected(ts):
         load_predictions(io.StringIO(f"timestamp,p_up\n{ts},0.7\n"))
 
 
+# --- the reader shared with parse_candles: the spellings the per-row csv +
+# --- float() loader read differently are pinned here.
+
+
+def test_load_predictions_rejects_digit_separators_by_line():
+    text = "timestamp,p_up\n1_577_836_800,0.6\n3600,0.7\n"
+    with pytest.raises(DataError, match="malformed row at line 2: .*1_577_836_800"):
+        load_predictions(io.StringIO(text))
+
+
+def test_load_predictions_rejects_lone_carriage_returns_in_a_stream_as_data_error():
+    with pytest.raises(DataError, match="malformed row"):
+        load_predictions(io.StringIO("timestamp,p_up\n3600,0.6\r7200,0.7\r"))
+    with pytest.raises(DataError, match="malformed header"):
+        load_predictions(io.StringIO("timestamp,p_up\r3600,0.6\r7200,0.7\r"))
+
+
+@pytest.mark.parametrize("line", ['""', '" "'])
+def test_load_predictions_rejects_quoted_blank_line_by_line(line):
+    text = "timestamp,p_up\n3600,0.6\n" + line + "\n7200,0.7\n"
+    with pytest.raises(DataError, match="malformed row at line 3"):
+        load_predictions(io.StringIO(text))
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t"])
+def test_load_predictions_skips_whitespace_only_lines_and_still_counts_them(blank):
+    good = "timestamp,p_up\n3600,0.6\n" + blank + "\n7200,0.7\n"
+    assert load_predictions(io.StringIO(good))[0].timestamps.tolist() == [3600, 7200]
+    with pytest.raises(DataError, match="line 4: p_up"):
+        load_predictions(io.StringIO("timestamp,p_up\n3600,0.6\n" + blank + "\n7200,1.5\n"))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty input: no header row"),
+    ("timestamp,p_up\n", "no data rows in input"),
+    ("timestamp,p_up\n  \n", "no data rows in input"),
+])
+def test_load_predictions_empty_input_messages(text, message):
+    with pytest.raises(DataError, match=message):
+        load_predictions(io.StringIO(text))
+
+
 # --- frames ---------------------------------------------------------------------
 
 

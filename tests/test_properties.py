@@ -1,11 +1,11 @@
-"""Property tests: streaming equals batch, every loader either rejects a
-corrupted field with a DataError naming its line or yields finite values,
-what the CSV writers write their loaders read back unchanged, and the
-backtest's stride lattice keeps one trade grid for every policy, the
-aggregate exposure under the leverage cap and the equity at or above zero,
-cut at the first ruin point. The barrier-label kernel equals the per-entry
-scan, no causal stage reads a bar past a prefix cut, and every sizing
-policy is non-decreasing in p."""
+"""Property tests: every loader either rejects a corrupted field with a
+DataError naming its line or yields finite values, both loaders read or
+reject the same field spelling, what the CSV writers write their loaders
+read back unchanged, and the backtest's stride lattice keeps one trade grid
+for every policy, the aggregate exposure under the leverage cap and the
+equity at or above zero, cut at the first ruin point. The barrier-label
+kernel equals the per-entry scan, no causal stage reads a bar past a prefix
+cut, and every sizing policy is non-decreasing in p."""
 import io
 import os
 import re
@@ -20,7 +20,7 @@ from kellybt.backtest import BacktestConfig, compare_strategies
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
                             parse_candles, parse_candles_text, positions)
 from kellybt.features import apply_normalizer, build_feature_matrix, fit_normalizer
-from kellybt.indicators import ARITY, IndicatorSpec, compute_indicator, make_stream
+from kellybt.indicators import ARITY, IndicatorSpec, compute_indicator
 from kellybt.labeling import BarrierConfig, label_series
 from kellybt.predictors import (AB_FLOOR, Predictions, Scenarios, estimate_scenarios,
                                 load_predictions, write_predictions_csv)
@@ -49,20 +49,6 @@ def periods_for(draw, kind):
         slow = draw(st.integers(2, 40))
         return (draw(st.integers(1, slow - 1)), slow)
     return (draw(st.integers(1, 40)),)
-
-
-@pytest.mark.parametrize("kind", sorted(ARITY))
-@PROPERTY
-@given(data=st.data(), seed=seeds, volatility=volatilities)
-def test_stream_equals_batch_exactly(kind, data, seed, volatility):
-    spec = IndicatorSpec(kind, data.draw(periods_for(kind)))
-    n = data.draw(st.integers(1, 3 * max(spec.periods) + 20))
-    series = generate_synthetic_series(seed=seed, n=n, volatility=volatility)
-    batch = compute_indicator(series, spec).values
-    stream = make_stream(spec)
-    got = np.array([stream.update(c) for c in series], dtype=np.float64)
-    same = (got == batch) | (np.isnan(got) & np.isnan(batch))
-    assert same.all(), f"first mismatch at {np.flatnonzero(~same)[:5]}"
 
 
 def _corrupt(text: str, row: int, field: int, value: str) -> str:
@@ -113,6 +99,28 @@ def test_load_predictions_rejects_corrupt_field_by_line_or_stays_finite(data, se
     else:
         assert np.isfinite(preds.p_up).all()
         assert np.isfinite(ests.a).all() and np.isfinite(ests.b).all()
+
+
+def _reads(load, text: str) -> bool:
+    """Whether ``load`` gets past the reader: only a reader rejection (a
+    malformed row) counts against it, not a value check."""
+    try:
+        load(io.StringIO(text))
+    except DataError as exc:
+        return not str(exc).startswith("malformed row")
+    return True
+
+
+@PROPERTY
+@given(field=st.one_of(bad_fields,
+                      st.sampled_from(["1_0", "１0", " 10 ", '"10"', "1e5", "0x10"])))
+def test_both_loaders_read_or_reject_the_same_field_spelling(field):
+    # The field is the volume cell in one file and p_up in the other; every
+    # other cell is valid in both.
+    candles = ("timestamp,open,high,low,close,volume\n3600,100,101,99,100,1\n"
+               f"7200,100,101,99,100,{field}\n")
+    predictions = f"timestamp,p_up\n3600,0.6\n7200,{field}\n"
+    assert _reads(parse_candles, candles) == _reads(load_predictions, predictions)
 
 
 @PROPERTY
