@@ -8,7 +8,9 @@ verified byte for byte. SVG output embeds no timestamps or randomness.
 Every CSV kellybt writes goes through ``write_csv``, which owns the text
 format: a header row, one ``str`` per cell (for a float that is its shortest
 round-trip text, as ``repr`` gives), ``NA`` for a missing value and ``\n``
-line ends.
+line ends. A large numeric table is formatted on every CPU the process may
+use, in contiguous row ranges joined in order, so the bytes do not depend on
+how many there are.
 
 Every CSV kellybt loads goes through ``read_csv``: the ``csv`` module reads
 the header, whitespace-only lines are skipped and numpy's C reader
@@ -23,16 +25,25 @@ import itertools
 import json
 import os
 import re
-from contextlib import contextmanager
+import sys
+import tempfile
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvrows
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-# Rows formatted and written per write call: bounds the text held in memory.
-CSV_BLOCK_ROWS = 1024
+# Cells a table needs per row range before ``write_csv`` splits it: each range
+# but the first goes to a worker process, which costs about 20 ms to start.
+CSV_CELLS_PER_RANGE = 100_000
+
+# The numpy dtypes a worker reads, by their ``array`` type code.
+_WORKER_CODES = {np.dtype(np.float64): "d", np.dtype(np.int64): "q", np.dtype(np.int8): "b"}
+
+# The worker: a fresh interpreter without site-packages running csvrows.py.
+_WORKER = (sys.executable, "-I", "-S", csvrows.__file__)
 
 # Where numpy's loadtxt names the data row in a ValueError.
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
@@ -74,21 +85,74 @@ def write_csv(dest, header, columns) -> None:
     ``columns`` holds one sequence (numpy array or list) per header field,
     all of one length, or is empty for a file with no rows. A cell is
     ``str`` of the value (numpy values via ``.tolist()``), or ``NA`` for None.
+
+    When every column is a float64, int64 or int8 numpy array, the rows are
+    split into ``k`` contiguous ranges, ``k`` being the smaller of the usable
+    CPUs and ``cells // CSV_CELLS_PER_RANGE``: this process formats the first
+    while a worker process formats each other one, and their text is appended
+    in order. A worker that fails raises OSError.
     """
     n = len(columns[0]) if columns else 0
     if columns and (len(columns) != len(header) or any(len(c) != n for c in columns)):
         raise ValueError(f"need {len(header)} columns of one length for header {header}")
-    with open_text(dest, "w") as fh:
+    bounds = _row_ranges(columns, n)
+    with open_text(dest, "w") as fh, ExitStack() as stack:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            cells = []
-            for col in columns:
-                block = col[start:start + CSV_BLOCK_ROWS]
-                if isinstance(block, np.ndarray):
-                    block = block.tolist()
-                cells.append(["NA" if v is None else str(v) for v in block])
-            fh.write("\n".join(map(",".join, zip(*cells))))
-            fh.write("\n")
+        copies = [stack.enter_context(_worker_rows(columns, lo, hi))
+                  for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        fh.writelines(csvrows.format_rows(columns, 0, bounds[1]))
+        for copy in copies:
+            copy(fh)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_ranges(columns, n: int) -> list[int]:
+    """Bounds of the row ranges ``write_csv`` formats in parallel; ``[0, n]``
+    for one range."""
+    k = min(_usable_cpus(), n * len(columns) // CSV_CELLS_PER_RANGE)
+    if k < 2 or not all(isinstance(c, np.ndarray) and c.dtype in _WORKER_CODES
+                        for c in columns):
+        return [0, n]
+    return [n * i // k for i in range(k + 1)]
+
+
+@contextmanager
+def _worker_rows(columns, lo: int, hi: int):
+    """Start a worker that formats rows ``[lo, hi)`` of ``columns`` (see
+    ``csvrows``) into an unlinked temporary file. Yields ``copy(fh)``, which
+    waits for the worker and appends its text to ``fh`` in chunks. A worker
+    still running on exit is killed and waited for."""
+    import subprocess  # here, not at the top: it adds ~4 ms to every CLI start
+
+    codes = "".join(_WORKER_CODES[c.dtype] for c in columns)
+    with tempfile.TemporaryFile() as rows_in, tempfile.TemporaryFile() as rows_out:
+        for col in columns:
+            rows_in.write(np.ascontiguousarray(col[lo:hi]))
+        rows_in.seek(0)
+        with subprocess.Popen([*_WORKER, codes, str(hi - lo)], stdin=rows_in,
+                              stdout=rows_out, stderr=subprocess.PIPE) as proc:
+
+            def copy(fh) -> None:
+                _, err = proc.communicate()
+                if proc.returncode:
+                    raise OSError(f"CSV worker for rows {lo}-{hi} exited with code "
+                                  f"{proc.returncode}: {err.decode(errors='replace').strip()}")
+                rows_out.seek(0)
+                for chunk in iter(lambda: rows_out.read(1 << 20), b""):
+                    fh.write(chunk.decode("ascii"))
+
+            try:
+                yield copy
+            finally:
+                proc.kill()  # no-op once it has been waited for
+                proc.wait()
 
 
 def read_csv(source, select):
@@ -114,9 +178,12 @@ def read_csv(source, select):
 
         first_line = reader.line_num + 1
         blank = []  # positions after the header of the skipped whitespace-only lines
+        # Positions of the lines handed to the reader, counted past the
+        # header: the next one is one past the line a reader error stopped on.
+        position = itertools.count()
 
         def data_lines():
-            for i, line in enumerate(fh):
+            for i, line in zip(position, fh):
                 if line.isspace():
                     blank.append(i)
                 else:
@@ -139,10 +206,13 @@ def read_csv(source, select):
         except ValueError as exc:
             # numpy counts data rows from 0 in a conversion error ("at row R,
             # column C") and from 1 in a column-count error ("at row R with N columns").
+            # An embedded newline (a lone "\r" inside a line of a text stream)
+            # is named by no row: it is on the line the reader stopped on.
             text = str(exc)
             found = _NUMPY_ROW.search(text)
             if found is None:
-                raise DataError(f"malformed row: {text}") from None
+                raise DataError(f"malformed row at line {first_line + next(position) - 1}: "
+                                f"{text}") from None
             row = int(found[1]) if found[2] else int(found[1]) - 1
             raise DataError(f"malformed row at line {line_of(row)}: "
                             f"{text[:found.start()]}{text[found.end(1):]}") from None

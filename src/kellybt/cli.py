@@ -260,8 +260,9 @@ def _write_comparison(rows: list[dict], path: str) -> None:
 def _equity_svg(results: list[backtest.StrategyResult], path: str, title: str) -> None:
     curves = []
     for res in results:
-        xs = [(int(t) - int(res.curve.timestamps[0])) / HOUR for t in res.curve.timestamps]
-        curves.append((res.policy.label, xs, [float(v) for v in res.curve.values]))
+        ts = res.curve.timestamps
+        xs = (ts - ts[:1]) / HOUR  # ts[:1], not ts[0]: an empty curve stays empty
+        curves.append((res.policy.label, xs.tolist(), res.curve.values.tolist()))
     artifacts.svg_line_chart(curves, path, title=title)
 
 
@@ -433,12 +434,19 @@ def _parse_seeds(text: str) -> list[int]:
         if not part:
             continue
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"seed range {part!r} is reversed in {text!r}")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
+    seen: set[int] = set()
+    for seed in seeds:
+        if seed in seen:
+            raise ValueError(f"seed {seed} appears more than once in {text!r}")
+        seen.add(seed)
     return seeds
 
 

@@ -91,12 +91,19 @@ class LabelSet:
         return int(self.timestamps.size)
 
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+
+
 def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
                          price_model: bool = False,
                          horizon: int = DEFAULT_HORIZON) -> FeatureMatrix:
     """One column per spec, plus the price-model extras when requested."""
     if not grid:
         raise ValueError("indicator grid is empty")
+    if price_model:
+        _check_horizon(horizon)
     n = len(series)
     names: list[str] = []
     cols: list[np.ndarray] = []
@@ -133,6 +140,7 @@ def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
 def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,
                 normalize_weights: bool = False) -> LabelSet:
     """Fractional horizon-forward return, its sign, and magnitude weights."""
+    _check_horizon(horizon)
     n = len(series)
     if n <= horizon:
         raise ValueError(f"series length {n} must exceed horizon {horizon}")

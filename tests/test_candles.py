@@ -272,9 +272,15 @@ def test_parse_rejects_row_with_too_few_columns_by_line(row):
 
 def test_parse_rejects_lone_carriage_returns_in_a_stream_as_data_error():
     # A text stream that does not split on "\r" sees one line; the csv module
-    # raised its own error here, which is not a DataError.
+    # raised its own error here, which is not a DataError. numpy's message
+    # names no row, so the line is the one the reader stopped on.
     text = HEADER + "3600,100,101,99,100,1\r7200,100,101,99,100,1\r"
-    with pytest.raises(DataError, match="malformed row"):
+    with pytest.raises(DataError, match=r"^malformed row at line 2: Found an unquoted "
+                                        r"embedded newline"):
+        parse_candles_text(text)
+    text = HEADER + "3600,100,101,99,100,1\n\n7200,100,101,99,100,1\r10800,1,1,1,1,1\n"
+    with pytest.raises(DataError, match=r"^malformed row at line 4: Found an unquoted "
+                                        r"embedded newline"):
         parse_candles_text(text)
 
 

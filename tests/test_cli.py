@@ -253,6 +253,35 @@ def test_compare_multi_seed_row_accounting(tmp_path):
     assert {r["policy"] for r in rows} == {"none", "gaussian", "kelly"}
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ("3-1,5", "seed range '3-1' is reversed"),
+    ("0,0", "seed 0 appears more than once"),
+    ("0-2,1", "seed 1 appears more than once"),
+])
+def test_compare_rejects_reversed_or_repeated_seeds(tmp_path, capsys, seeds, message):
+    # "3-1,5" ran only seed 5, and "0,0" wrote every row twice into the means.
+    out = tmp_path / "cmp"
+    assert _run("compare", "--seeds", seeds, "--n", "300", "--out", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and message in err["message"]
+    assert not (out / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("command, horizon", [("features", "0"), ("features", "-2"),
+                                              ("simulate", "0")])
+def test_horizon_below_one_is_a_config_error(tmp_path, capsys, command, horizon):
+    # These exited 4 with numpy's broadcast error or a writer's column-length
+    # error, after computing labels for a negative horizon.
+    candles = tmp_path / "candles.csv"
+    generate_synthetic_series(seed=25, n=300).to_csv(str(candles))
+    out = tmp_path / "out"
+    assert _run(command, "--input", str(candles), "--horizon", horizon,
+                "--out", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "config", "message": f"horizon must be >= 1, got {horizon}"}
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_config_file_with_cli_override(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"synth": {"n": 300, "seed": 9}}))

@@ -182,6 +182,19 @@ def test_labels_need_more_than_horizon():
         make_labels(series, horizon=5)
 
 
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_horizon_below_one_rejected(horizon):
+    series = generate_synthetic_series(seed=10, n=300)
+    message = f"^horizon must be >= 1, got {horizon}$"
+    with pytest.raises(ValueError, match=message):
+        make_labels(series, horizon=horizon)
+    with pytest.raises(ValueError, match=message):
+        build_feature_matrix(series, [IndicatorSpec("RSI", (14,))], price_model=True,
+                             horizon=horizon)
+    # Without the price model the horizon is unused.
+    build_feature_matrix(series, [IndicatorSpec("RSI", (14,))], horizon=horizon)
+
+
 def test_no_lookahead_prefix_audit():
     series = generate_synthetic_series(seed=11, n=200, volatility=0.015)
     grid = [IndicatorSpec("RSI", (14,)), IndicatorSpec("MACD", (12, 26)),

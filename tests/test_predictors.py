@@ -256,8 +256,12 @@ def test_load_predictions_rejects_digit_separators_by_line():
 
 
 def test_load_predictions_rejects_lone_carriage_returns_in_a_stream_as_data_error():
-    with pytest.raises(DataError, match="malformed row"):
+    with pytest.raises(DataError, match=r"^malformed row at line 2: Found an unquoted "
+                                        r"embedded newline"):
         load_predictions(io.StringIO("timestamp,p_up\n3600,0.6\r7200,0.7\r"))
+    with pytest.raises(DataError, match=r"^malformed row at line 4: Found an unquoted "
+                                        r"embedded newline"):
+        load_predictions(io.StringIO("timestamp,p_up\n3600,0.6\n\n7200,0.7\r10800,0.5\n"))
     with pytest.raises(DataError, match="malformed header"):
         load_predictions(io.StringIO("timestamp,p_up\r3600,0.6\r7200,0.7\r"))
 
