@@ -9,7 +9,7 @@ metric reports.
 
 __version__ = "0.1.0"
 
-from .backtest import BacktestConfig, EquityCurve, Trade, compare_strategies, run_backtest
+from .backtest import BacktestConfig, EquityCurve, Trades, compare_strategies, run_backtest
 from .candles import (CandleSeries, SplitSpec, generate_synthetic_series,
                       parse_candles, positions, split_dataset)
 from .features import (FeatureMatrix, LabelSet, apply_normalizer, build_feature_matrix,
@@ -26,7 +26,7 @@ from .sizing import (BetDecision, SizingPolicy, decide, gaussian_bet_size,
                      kelly_fraction, log_optimal_fraction)
 
 __all__ = [
-    "BacktestConfig", "EquityCurve", "Trade", "compare_strategies", "run_backtest",
+    "BacktestConfig", "EquityCurve", "Trades", "compare_strategies", "run_backtest",
     "CandleSeries", "SplitSpec", "generate_synthetic_series",
     "parse_candles", "positions", "split_dataset",
     "FeatureMatrix", "LabelSet", "apply_normalizer", "build_feature_matrix",

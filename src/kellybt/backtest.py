@@ -13,23 +13,23 @@ strategy comparisons aligned row for row.
 Prediction and scenario frames are matched to bars and to each other with
 ``candles.positions``, which also drops what cannot trade (no scenario, no
 room for the horizon) before the stride lattice is walked over plain ints;
-``decide`` runs once per chosen point and ``Trade`` tuples come out. P&L is
-computed per column and the bankroll is ``np.cumprod`` of the growth
-factors, the same left-to-right product as sequential compounding, bit for
-bit.
+``decide`` runs once per chosen point. P&L is computed per column and the
+bankroll is ``np.cumprod`` of the growth factors, the same left-to-right
+product as sequential compounding, bit for bit. Trades and the equity curve
+come out as column frames (``candles.Frame``): ``Trades``, one row per trade
+with the ``trades.csv`` columns in header order, and ``EquityCurve``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import write_csv
-from .candles import CandleSeries, positions
+from .candles import CandleSeries, Frame, column, positions
 from .predictors import Predictions, Scenarios
 from .sizing import SizingPolicy, decide
 
@@ -63,27 +63,32 @@ class BacktestConfig:
         return self.horizon if self.stride is None else self.stride
 
 
-class Trade(NamedTuple):
-    entry_ts: int
-    exit_ts: int
-    side: str
-    fraction: float
-    entry_price: float
-    exit_price: float
-    realized_return: float
-    pnl_fraction: float
+@dataclass(frozen=True, eq=False)
+class Trades(Frame):
+    """One row per trade in entry order; the fields are the ``trades.csv``
+    header. ``side`` is LONG, SHORT or FLAT, ``fraction`` the bankroll
+    fraction after the overlap divisor, ``pnl_fraction`` the bankroll change
+    after fees."""
+
+    entry_ts: np.ndarray = column(np.int64)
+    exit_ts: np.ndarray = column(np.int64)
+    side: np.ndarray = column(str)
+    fraction: np.ndarray = column(np.float64)
+    entry_price: np.ndarray = column(np.float64)
+    exit_price: np.ndarray = column(np.float64)
+    realized_return: np.ndarray = column(np.float64)
+    pnl_fraction: np.ndarray = column(np.float64)
 
 
-@dataclass(frozen=True)
-class EquityCurve:
-    """Compounding bankroll path: one point per trade exit plus the start."""
+@dataclass(frozen=True, eq=False)
+class EquityCurve(Frame):
+    """Compounding bankroll path: one point per trade exit plus the start.
+    Its timestamps need not increase strictly (``metrics.monthly_returns``
+    asks only that they never decrease), so a hand-built curve may repeat one."""
 
-    timestamps: np.ndarray
-    values: np.ndarray
+    timestamps: np.ndarray = column(np.int64)
+    values: np.ndarray = column(np.float64)
     ruin: bool = False
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
 
 
 def _series_positions(timestamps: np.ndarray, frame, what: str) -> np.ndarray:
@@ -99,7 +104,7 @@ def _series_positions(timestamps: np.ndarray, frame, what: str) -> np.ndarray:
 def run_backtest(series: CandleSeries, predictions: Predictions,
                  estimates: Scenarios | None, policy: SizingPolicy,
                  cfg: BacktestConfig = BacktestConfig()):
-    """Run one policy over the series; returns (EquityCurve, list of Trade).
+    """Run one policy over the series; returns (EquityCurve, Trades).
 
     Decisions fall on a stride lattice over timestamps that carry a
     prediction and (when estimates are supplied) a scenario; timestamps
@@ -162,10 +167,8 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
         m = len(chosen)
 
     exit_ts = ts[exit_at[:m]]
-    trades = list(map(Trade, ts[entry_at[:m]].tolist(), exit_ts.tolist(),
-                      map(_SIDE, decisions[:m]), fraction[:m].tolist(),
-                      entry_price[:m].tolist(), exit_price[:m].tolist(),
-                      realized[:m].tolist(), pnl[:m].tolist()))
+    trades = Trades(ts[entry_at[:m]], exit_ts, list(map(_SIDE, decisions[:m])), fraction[:m],
+                    entry_price[:m], exit_price[:m], realized[:m], pnl[:m])
     curve = EquityCurve(np.concatenate((ts[entry_at[:1]], exit_ts)), values, ruin=ruin)
     return curve, trades
 
@@ -177,7 +180,7 @@ class StrategyResult:
 
     policy: SizingPolicy
     curve: EquityCurve
-    trades: list[Trade] = field(repr=False)
+    trades: Trades = field(repr=False)
     report: object = None
 
 
@@ -197,8 +200,9 @@ def compare_strategies(series: CandleSeries, predictions: Predictions,
     return results
 
 
-def write_trades_csv(trades: list[Trade], path: str) -> None:
-    write_csv(path, Trade._fields, list(zip(*trades)))
+def write_trades_csv(trades: Trades, path: str) -> None:
+    header = [f.name for f in fields(trades)]
+    write_csv(path, header, [getattr(trades, name) for name in header])
 
 
 def write_equity_csv(curve: EquityCurve, path: str) -> None:

@@ -13,12 +13,20 @@ it on construction; parse_candles reads the file straight into columns with
 calls it to name the file line of the first bad row. ``DataError`` is
 re-exported from ``artifacts``. ``positions`` is the one timestamp lookup
 used to match predictions, scenarios and labels.
+
+``Frame`` is the base of every column frame passed between layers: the
+series itself, indicator values, and the prediction, scenario, label, trade
+and equity frames.
+Its constructor is the one place that casts each ``column`` field to its
+dtype, checks that the columns are 1-D and of one length, and makes them
+read-only. ``TimestampedFrame`` adds the strictly increasing timestamps that
+``positions`` binary-searches.
 """
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,51 +70,87 @@ def _first_invalid(ts, o, h, l, c, v, interval: int) -> tuple[int, str] | None:
                              h=float(h[i]), l=float(l[i]), c=float(c[i]))
 
 
-class CandleSeries:
+def positions(reference: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each ``query`` timestamp sits in the strictly increasing
+    ``reference`` column: ``(pos, found)``, with ``reference[pos] == query``
+    wherever ``found``. Elsewhere ``pos`` is the insertion point."""
+    pos = np.searchsorted(reference, query)
+    found = pos < reference.size
+    found[found] = reference[pos[found]] == query[found]
+    return pos, found
+
+
+def column(dtype):
+    """Declare a ``Frame`` field as a column of ``dtype``."""
+    return field(metadata={"dtype": dtype})
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """Read-only columns of one length; ``len`` is the row count.
+
+    A subclass declares its columns with ``column(dtype)``; the constructor
+    stores a copy of each, cast to its dtype. Other fields pass through.
+    """
+
+    def __post_init__(self):
+        columns = {f.name: np.array(getattr(self, f.name), f.metadata["dtype"])
+                   for f in fields(self) if "dtype" in f.metadata}
+        first = next(iter(columns.values()))
+        for name, col in columns.items():
+            if col.ndim != 1 or col.shape != first.shape:
+                raise ValueError(f"frame columns must be 1-D and of one length, got "
+                                 f"{name} of shape {col.shape}")
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return next(getattr(self, f.name).size for f in fields(self) if "dtype" in f.metadata)
+
+
+@dataclass(frozen=True, eq=False)
+class TimestampedFrame(Frame):
+    """A frame keyed by strictly increasing int64 ``timestamps``, so
+    ``positions`` can look rows up by timestamp."""
+
+    timestamps: np.ndarray = column(np.int64)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.timestamps[1:] <= self.timestamps[:-1]).any():
+            raise ValueError("frame timestamps must be strictly increasing")
+
+
+@dataclass(frozen=True, eq=False)
+class CandleSeries(Frame):
     """Immutable, strictly increasing series of hourly candles.
 
     Non-hourly jumps between consecutive candles are recorded in ``gaps`` as
     ``(index_before_gap, missing_bars)`` pairs; the data itself is untouched.
     """
 
-    __slots__ = ("timestamps", "open", "high", "low", "close", "volume",
-                 "symbol", "interval", "gaps")
+    timestamps: np.ndarray = column(np.int64)
+    open: np.ndarray = column(np.float64)
+    high: np.ndarray = column(np.float64)
+    low: np.ndarray = column(np.float64)
+    close: np.ndarray = column(np.float64)
+    volume: np.ndarray = column(np.float64)
+    symbol: str = "UNKNOWN"
+    interval: int = HOUR
+    gaps: tuple = field(init=False, repr=False)
 
-    def __init__(self, timestamps, open, high, low, close, volume,
-                 symbol: str = "UNKNOWN", interval: int = HOUR):
-        ts = np.asarray(timestamps, dtype=np.int64)
-        if ts.size == 0:
+    def __post_init__(self):
+        super().__post_init__()
+        if not len(self):
             raise DataError("empty candle series")
-        cols = []
-        for name, col in (("open", open), ("high", high), ("low", low),
-                          ("close", close), ("volume", volume)):
-            arr = np.asarray(col, dtype=np.float64)
-            if arr.shape != ts.shape:
-                raise DataError(f"column {name} length {arr.size} != timestamps {ts.size}")
-            cols.append(arr)
-        o, h, l, c, v = cols
-        invalid = _first_invalid(ts, o, h, l, c, v, interval)
+        invalid = _first_invalid(self.timestamps, self.open, self.high, self.low, self.close,
+                                 self.volume, self.interval)
         if invalid is not None:
             raise DataError(invalid[1])
-
-        diffs = np.diff(ts)
-        gap_positions = np.flatnonzero(diffs != interval)
-        self.gaps = tuple(
-            (int(i), int(diffs[i] // interval) - 1) for i in gap_positions
-        )
-        for arr in (ts, o, h, l, c, v):
-            arr.setflags(write=False)
-        self.timestamps = ts
-        self.open = o
-        self.high = h
-        self.low = l
-        self.close = c
-        self.volume = v
-        self.symbol = symbol
-        self.interval = interval
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
+        diffs = np.diff(self.timestamps)
+        object.__setattr__(self, "gaps", tuple(
+            (int(i), int(diffs[i] // self.interval) - 1)
+            for i in np.flatnonzero(diffs != self.interval)))
 
     def slice(self, start: int, stop: int) -> "CandleSeries":
         if not 0 <= start < stop <= len(self):
@@ -194,16 +238,6 @@ def split_dataset(series: CandleSeries, spec: SplitSpec):
     if i == 0 or j <= i or j >= len(series):
         raise ValueError("split produced an empty train, validation, or test set")
     return series.slice(0, i), series.slice(i, j), series.slice(j, len(series))
-
-
-def positions(reference: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each ``query`` timestamp sits in the strictly increasing
-    ``reference`` column: ``(pos, found)``, with ``reference[pos] == query``
-    wherever ``found``. Elsewhere ``pos`` is the insertion point."""
-    pos = np.searchsorted(reference, query)
-    found = pos < reference.size
-    found[found] = reference[pos[found]] == query[found]
-    return pos, found
 
 
 def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,

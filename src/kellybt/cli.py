@@ -7,7 +7,9 @@ one manifest.json into the output directory; charts always have a CSV twin.
 Config precedence is CLI flag > config file (JSON) > built-in default; the
 fully resolved config is echoed in the manifest. Exit codes: 0 success,
 2 usage error, 3 missing input, 4 config/validation error, 5 malformed
-data. Failures emit a one-line JSON error record on stderr.
+data, 6 any other I/O error (an output path that cannot be created or
+written, a CSV writer worker that fails). Failures emit a one-line JSON
+error record on stderr.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ EXIT_USAGE = 2
 EXIT_MISSING_INPUT = 3
 EXIT_CONFIG = 4
 EXIT_DATA = 5
+EXIT_IO = 6
 
 ENV_DATA_DIR = "KELLYBT_DATA_DIR"
 
@@ -406,12 +409,9 @@ def _external_backtest(resolved: dict, command: str):
         ests = predictors.estimate_scenarios(series, horizon=resolved["horizon"],
                                              window=resolved["window"])
         scenario_source = "trailing_estimate"
-    policy = _policies(resolved)[0]
-    curve, trades = backtest.run_backtest(series, preds, ests, policy,
-                                          _backtest_config(resolved))
-    report = metrics.build_report(curve, trades)
-    result = backtest.StrategyResult(policy, curve, trades, report)
-    return series, preds, file_ests, result, {**_report_dict(report),
+    result = backtest.compare_strategies(series, preds, ests, _policies(resolved)[:1],
+                                         _backtest_config(resolved))[0]
+    return series, preds, file_ests, result, {**_report_dict(result.report),
                                               "scenario_source": scenario_source}
 
 
@@ -596,6 +596,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _error_record("missing_input", str(exc))
         return EXIT_MISSING_INPUT
+    except OSError as exc:
+        _error_record("io", str(exc))
+        return EXIT_IO
     except DataError as exc:
         _error_record("data", str(exc))
         return EXIT_DATA

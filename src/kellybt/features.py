@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .candles import CandleSeries
+from .candles import CandleSeries, TimestampedFrame, column
 from .indicators import IndicatorSpec, compute_indicator
 
 DEFAULT_HORIZON = 5
@@ -68,8 +68,8 @@ class NormStats:
         )
 
 
-@dataclass(frozen=True)
-class LabelSet:
+@dataclass(frozen=True, eq=False)
+class LabelSet(TimestampedFrame):
     """Per-timestamp direction (+1/-1), fractional forward return, and weight.
 
     direction = sign(price_change) with zero resolved to -1; the weight is
@@ -77,18 +77,10 @@ class LabelSet:
     increase, so predictions are matched to labels with ``candles.positions``.
     """
 
-    timestamps: np.ndarray
-    direction: np.ndarray
-    price_change: np.ndarray
-    weight: np.ndarray
+    direction: np.ndarray = column(np.int8)
+    price_change: np.ndarray = column(np.float64)
+    weight: np.ndarray = column(np.float64)
     horizon: int
-
-    def __post_init__(self):
-        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):
-            raise ValueError("label timestamps must be strictly increasing")
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
 
 
 def _check_horizon(horizon: int) -> None:

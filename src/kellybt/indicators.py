@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .candles import CandleSeries
+from .candles import CandleSeries, Frame, column
 
 ARITY = {
     "TRIX": 1,
@@ -84,16 +84,13 @@ class IndicatorSpec:
         return "_".join([self.kind] + [str(p) for p in self.periods])
 
 
-@dataclass(frozen=True)
-class ValueSeries:
+@dataclass(frozen=True, eq=False)
+class ValueSeries(Frame):
     """Timestamped values aligned to a source series; NaN marks undefined."""
 
     name: str
-    timestamps: np.ndarray
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.values.size)
+    timestamps: np.ndarray = column(np.int64)
+    values: np.ndarray = column(np.float64)
 
     @property
     def defined_from(self) -> int | None:

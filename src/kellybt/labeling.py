@@ -8,19 +8,19 @@ the pessimistic reading instead.
 
 ``label_series`` labels every stride-th entry at once in one numpy kernel
 over sliding windows of the highs and lows, and returns the read-only
-column frame ``BarrierLabels``; ``triple_barrier_label`` runs the same
-kernel on one entry, so the barrier arithmetic exists once.
+column frame ``BarrierLabels`` (a ``candles.Frame``); ``triple_barrier_label``
+runs the same kernel on one entry, so the barrier arithmetic exists once.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import write_csv
-from .candles import CandleSeries
+from .candles import CandleSeries, Frame, column
 
 VERTICAL_ZERO = "ZERO"
 VERTICAL_SIGN = "SIGN"
@@ -63,24 +63,15 @@ class BarrierLabel:
 
 
 @dataclass(frozen=True, eq=False)
-class BarrierLabels:
-    """Read-only label columns, one row per labeled ``entry`` (a bar index):
-    ``label`` in {-1, 0, 1}, ``hit_bar`` (bars from the entry to the touch,
-    or the horizon) and ``hit_kind``; all int64 but ``hit_kind`` (str)."""
+class BarrierLabels(Frame):
+    """Label columns, one row per labeled ``entry`` (a bar index): ``label``
+    in {-1, 0, 1}, ``hit_bar`` (bars from the entry to the touch, or the
+    horizon) and ``hit_kind``."""
 
-    entry: np.ndarray
-    label: np.ndarray
-    hit_bar: np.ndarray
-    hit_kind: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):
-            col = np.array(getattr(self, f.name), str if f.name == "hit_kind" else np.int64)
-            col.setflags(write=False)
-            object.__setattr__(self, f.name, col)
-
-    def __len__(self) -> int:
-        return int(self.entry.size)
+    entry: np.ndarray = column(np.int64)
+    label: np.ndarray = column(np.int64)
+    hit_bar: np.ndarray = column(np.int64)
+    hit_kind: np.ndarray = column(str)
 
 
 # hit_kind by code: 0 UPPER, 1 LOWER, 2 AMBIGUOUS, 3 VERTICAL.

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .backtest import EquityCurve, Trade
+from .backtest import EquityCurve, Trades
 from .candles import positions
 from .features import LabelSet
 from .predictors import Predictions
@@ -26,8 +25,6 @@ from .predictors import Predictions
 FLAG_RUIN = "RUIN"
 FLAG_ROMAD_NA = "ROMAD_NA"
 FLAG_SHARPE_NA = "SHARPE_NA"
-
-_PNL = attrgetter("pnl_fraction")
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ def monthly_returns(curve: EquityCurve) -> np.ndarray:
     """Calendar-month compounded returns over the curve's span."""
     if len(curve) == 0:
         raise ValueError("empty equity curve")
-    ts = np.asarray(curve.timestamps)
+    ts = curve.timestamps
     if np.any(ts[1:] < ts[:-1]):
         raise ValueError("equity curve timestamps must be non-decreasing")
     month = ts.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
@@ -74,7 +71,7 @@ def monthly_returns(curve: EquityCurve) -> np.ndarray:
     last = np.flatnonzero(np.append(month[1:] != month[:-1], True))
     has_point = np.zeros(int(month[-1]) + 1, dtype=np.intp)
     has_point[month[last]] = 1
-    value = np.asarray(curve.values, dtype=np.float64)[last][np.cumsum(has_point) - 1]
+    value = curve.values[last][np.cumsum(has_point) - 1]
     prev = np.concatenate(([float(curve.values[0])], value[:-1]))
     if (prev == 0).any():
         raise ValueError("equity curve is zero before its last month")
@@ -111,7 +108,7 @@ def romad(curve: EquityCurve) -> float | None:
     return _romad(monthly_returns(curve), max_drawdown(curve))
 
 
-def build_report(curve: EquityCurve, trades: list[Trade]) -> BacktestReport:
+def build_report(curve: EquityCurve, trades: Trades) -> BacktestReport:
     rets = monthly_returns(curve)
     drawdown_pct = max_drawdown(curve)
     flags: list[str] = []
@@ -126,7 +123,7 @@ def build_report(curve: EquityCurve, trades: list[Trade]) -> BacktestReport:
     rho = _romad(rets, drawdown_pct)
     if rho is None:
         flags.append(FLAG_ROMAD_NA)
-    wins = int((np.fromiter(map(_PNL, trades), np.float64, len(trades)) > 0).sum())
+    wins = int((trades.pnl_fraction > 0).sum())
     return BacktestReport(
         cumulative_return_pct=cumulative_return(curve),
         max_drawdown_pct=drawdown_pct,

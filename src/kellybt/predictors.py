@@ -15,8 +15,8 @@ Probabilities are clipped to [0.01, 0.99] and scenario magnitudes floored
 at 0.001 so Kelly sizing stays finite.
 
 Forecasts travel as two column frames, ``Predictions(timestamps, p_up)`` and
-``Scenarios(timestamps, a, b)``, whose constructor is the one check that the
-columns are 1-D, of one length, with strictly increasing timestamps.
+``Scenarios(timestamps, a, b)``, both ``candles.TimestampedFrame``: read-only
+float64 columns of one length beside strictly increasing int64 timestamps.
 ``load_predictions`` reads a file with ``artifacts.read_csv``, as
 ``parse_candles`` does, and adds only its own header and value checks.
 
@@ -28,13 +28,13 @@ the same probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import DataError, read_csv, write_csv
-from .candles import CandleSeries, positions
+from .candles import CandleSeries, TimestampedFrame, column, positions
 from .features import LabelSet
 
 P_CLIP_LO = 0.01
@@ -43,42 +43,20 @@ AB_FLOOR = 0.001
 
 
 @dataclass(frozen=True, eq=False)
-class _Frame:
-    """Read-only int64 ``timestamps``, strictly increasing, and float64 columns."""
-
-    timestamps: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):  # timestamps first, so the others match its shape
-            col = np.array(getattr(self, f.name),
-                           np.int64 if f.name == "timestamps" else np.float64)
-            if col.ndim != 1 or col.shape != np.shape(self.timestamps):
-                raise ValueError(f"frame columns must be 1-D and of one length, got "
-                                 f"{f.name} of shape {col.shape}")
-            col.setflags(write=False)
-            object.__setattr__(self, f.name, col)
-        if (self.timestamps[1:] <= self.timestamps[:-1]).any():
-            raise ValueError("frame timestamps must be strictly increasing")
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
-
-
-@dataclass(frozen=True, eq=False)
-class Predictions(_Frame):
+class Predictions(TimestampedFrame):
     """Probability of an upward move over the horizon at each timestamp;
     q = 1 - p_up is implied."""
 
-    p_up: np.ndarray
+    p_up: np.ndarray = column(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
-class Scenarios(_Frame):
+class Scenarios(TimestampedFrame):
     """Predicted fractional rise (a) given an up market and fall magnitude (b)
     given a down market at each timestamp; both strictly positive."""
 
-    a: np.ndarray
-    b: np.ndarray
+    a: np.ndarray = column(np.float64)
+    b: np.ndarray = column(np.float64)
 
 
 def _assign_correct(n: int, hit_rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -13,10 +13,11 @@ last section keeps the earlier hand-written CSV writers the same way (the
 inline ones from the CLI wrapped in functions), so every writer can be
 checked against them byte for byte.
 
-The per-row references take the per-bar records the library used before it
-moved predictions and scenarios into column frames (``DirectionPrediction``,
-``ScenarioEstimate``, kept below); ``prediction_records`` and
-``scenario_records`` turn frames into them.
+The per-row references take and return the per-row records the library used
+before it moved predictions, scenarios and trades into column frames
+(``DirectionPrediction``, ``ScenarioEstimate``, ``Trade``, kept below);
+``prediction_records``, ``scenario_records`` and ``trade_records`` turn
+frames into them.
 """
 from __future__ import annotations
 
@@ -24,12 +25,13 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from kellybt import metrics, sizing
-from kellybt.backtest import BacktestConfig, EquityCurve, Trade
+from kellybt.backtest import BacktestConfig, EquityCurve
 from kellybt.candles import CANONICAL_COLUMNS, CandleSeries
 from kellybt.features import FeatureMatrix, LabelSet
 from kellybt.labeling import BarrierLabel
@@ -304,6 +306,17 @@ class ScenarioEstimate:
     b: float
 
 
+class Trade(NamedTuple):
+    entry_ts: int
+    exit_ts: int
+    side: str
+    fraction: float
+    entry_price: float
+    exit_price: float
+    realized_return: float
+    pnl_fraction: float
+
+
 def prediction_records(preds) -> list[DirectionPrediction]:
     return list(map(DirectionPrediction, preds.timestamps.tolist(), preds.p_up.tolist()))
 
@@ -311,6 +324,10 @@ def prediction_records(preds) -> list[DirectionPrediction]:
 def scenario_records(ests) -> list[ScenarioEstimate]:
     return list(map(ScenarioEstimate, ests.timestamps.tolist(), ests.a.tolist(),
                     ests.b.tolist()))
+
+
+def trade_records(trades) -> list[Trade]:
+    return list(map(Trade, *(getattr(trades, name).tolist() for name in Trade._fields)))
 
 
 def barrier_label_records(labeled) -> list[tuple[int, BarrierLabel]]:

@@ -235,10 +235,12 @@ def test_criterion_10_modifier_sharpe_neutrality():
     for kind, kf in (("none", 1.0), ("gaussian", 1.0), ("kelly", 0.1)):
         base = sizing.SizingPolicy(kind, kelly_fraction=kf, modifier=base_mod)
         curve0, trades0 = backtest.run_backtest(series, preds, ests, base, cfg)
+        trades0 = oracles.trade_records(trades0)
         s0 = metrics.sharpe_monthly(curve0)
         for c in (0.1, 0.5, 2.0):
             policy = sizing.SizingPolicy(kind, kelly_fraction=kf, modifier=base_mod * c)
             curve, trades = backtest.run_backtest(series, preds, ests, policy, cfg)
+            trades = oracles.trade_records(trades)
             if any(abs(t.pnl_fraction) >= 0.05 for t in trades):
                 ok = False
             if any(a.side != b.side for a, b in zip(trades0, trades)):

@@ -10,6 +10,7 @@ from kellybt.predictors import (Predictions, Scenarios, estimate_scenarios,
                                 simulate_balanced, simulate_gaussian, simulate_optimal)
 from kellybt.sizing import SizingPolicy
 
+import oracles
 from conftest import make_series_from_closes
 
 
@@ -22,13 +23,12 @@ def test_single_trade_worked_example():
     policy = SizingPolicy("kelly")  # full Kelly -> fraction 2.0
     curve, trades = run_backtest(series, preds, ests, policy, BacktestConfig())
     assert len(trades) == 1
-    t = trades[0]
-    assert abs(t.fraction - 2.0) <= 1e-12
-    assert t.entry_price == 100.0 and t.exit_price == 105.0
-    assert abs(t.realized_return - 0.05) <= 1e-12
-    assert abs(t.pnl_fraction - 0.10) <= 1e-12
+    assert abs(trades.fraction[0] - 2.0) <= 1e-12
+    assert trades.entry_price[0] == 100.0 and trades.exit_price[0] == 105.0
+    assert abs(trades.realized_return[0] - 0.05) <= 1e-12
+    assert abs(trades.pnl_fraction[0] - 0.10) <= 1e-12
     assert abs(curve.values[-1] - 1.10) <= 1e-12
-    assert t.exit_ts - t.entry_ts == 5 * HOUR
+    assert trades.exit_ts[0] - trades.entry_ts[0] == 5 * HOUR
 
 
 def test_zero_modifier_flat_curve():
@@ -38,7 +38,7 @@ def test_zero_modifier_flat_curve():
     curve, trades = run_backtest(series, preds, None,
                                  SizingPolicy("none", modifier=0.0), BacktestConfig())
     assert np.all(curve.values == 1.0)
-    assert all(t.side == "FLAT" and t.pnl_fraction == 0.0 for t in trades)
+    assert (trades.side == "FLAT").all() and (trades.pnl_fraction == 0.0).all()
 
 
 def test_optimal_predictions_never_lose():
@@ -49,7 +49,7 @@ def test_optimal_predictions_never_lose():
     for kind in ("none", "gaussian", "kelly"):
         policy = SizingPolicy(kind, modifier=0.5)
         curve, trades = run_backtest(series, preds, ests, policy, BacktestConfig())
-        assert all(t.pnl_fraction >= 0.0 for t in trades)
+        assert (trades.pnl_fraction >= 0.0).all()
         assert np.all(np.diff(curve.values) >= 0.0)
 
 
@@ -62,7 +62,7 @@ def test_determinism():
     a_curve, a_trades = run_backtest(series, preds, ests, policy, BacktestConfig())
     b_curve, b_trades = run_backtest(series, preds, ests, policy, BacktestConfig())
     assert np.array_equal(a_curve.values, b_curve.values)
-    assert a_trades == b_trades
+    assert oracles.trade_records(a_trades) == oracles.trade_records(b_trades)
 
 
 def test_compounding_identity():
@@ -74,8 +74,8 @@ def test_compounding_identity():
                                  SizingPolicy("kelly", kelly_fraction=0.1),
                                  BacktestConfig())
     product = 1.0
-    for t in trades:
-        product *= 1.0 + t.pnl_fraction
+    for pnl in trades.pnl_fraction.tolist():
+        product *= 1.0 + pnl
     assert abs(curve.values[-1] / product - 1.0) <= 1e-12
 
 
@@ -89,9 +89,9 @@ def test_identical_trade_grid_across_policies():
     results = compare_strategies(series, preds, ests, policies, BacktestConfig())
     counts = {len(r.trades) for r in results}
     assert len(counts) == 1
-    ts0 = [t.entry_ts for t in results[0].trades]
+    ts0 = results[0].trades.entry_ts.tolist()
     for r in results[1:]:
-        assert [t.entry_ts for t in r.trades] == ts0
+        assert r.trades.entry_ts.tolist() == ts0
 
 
 def test_duplicate_policy_identical_rows():
@@ -112,8 +112,7 @@ def test_nonoverlapping_stride_disjoint_holding_periods():
     preds = simulate_balanced(labels, seed=13)
     curve, trades = run_backtest(series, preds, None, SizingPolicy("none"),
                                  BacktestConfig())
-    for prev, cur in zip(trades, trades[1:]):
-        assert cur.entry_ts >= prev.exit_ts
+    assert (trades.entry_ts[1:] >= trades.exit_ts[:-1]).all()
 
 
 def test_overlapping_exposure_divided_and_capped():
@@ -125,9 +124,9 @@ def test_overlapping_exposure_divided_and_capped():
     cfg = BacktestConfig(horizon=5, stride=1)
     curve, trades = run_backtest(series, preds, ests, policy, cfg)
     # ceil(5/1) = 5 concurrent slots
-    assert all(abs(t.fraction) <= 3.0 / 5 + 1e-12 for t in trades)
+    assert (np.abs(trades.fraction) <= 3.0 / 5 + 1e-12).all()
     open_exposure = {}
-    for t in trades:
+    for t in oracles.trade_records(trades):
         for ts in range(t.entry_ts, t.exit_ts, HOUR):
             open_exposure[ts] = open_exposure.get(ts, 0.0) + abs(t.fraction)
     assert max(open_exposure.values()) <= 3.0 + 1e-9
@@ -154,7 +153,7 @@ def test_skips_timestamps_without_estimates():
     curve, trades = run_backtest(series, preds, ests, SizingPolicy("none"),
                                  BacktestConfig())
     first_est_ts = ests.timestamps[0]
-    assert trades[0].entry_ts >= first_est_ts
+    assert trades.entry_ts[0] >= first_est_ts
 
 
 def test_misaligned_prediction_rejected():
@@ -183,7 +182,7 @@ def test_fees_charged_per_side():
     cfg = BacktestConfig(fee_rate=0.001)
     curve, trades = run_backtest(series, preds, None, SizingPolicy("none"), cfg)
     want = 1.0 * 0.05 - 0.001 * 1.0 * 2.0
-    assert abs(trades[0].pnl_fraction - want) <= 1e-15
+    assert abs(trades.pnl_fraction[0] - want) <= 1e-15
 
 
 def test_no_lookahead_prefix_audit():
@@ -200,8 +199,8 @@ def test_no_lookahead_prefix_audit():
     preds_p = Predictions(preds.timestamps[keep], preds.p_up[keep])
     ests_p = estimate_scenarios(prefix, window=100)
     p_curve, p_trades = run_backtest(prefix, preds_p, ests_p, policy, BacktestConfig())
-    keep = [t for t in full_trades if t.exit_ts <= cut_ts]
-    assert p_trades == keep
+    keep = [t for t in oracles.trade_records(full_trades) if t.exit_ts <= cut_ts]
+    assert oracles.trade_records(p_trades) == keep
 
 
 def test_config_validation():

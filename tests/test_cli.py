@@ -1,9 +1,11 @@
 import csv
 import json
 import os
+import sys
 
 import pytest
 
+from kellybt import artifacts
 from kellybt.candles import generate_synthetic_series
 from kellybt.cli import main
 from kellybt.features import make_labels
@@ -95,6 +97,33 @@ def test_malformed_data_exit_code(tmp_path, capsys):
     code = _run("label", "--input", str(bad), "--out", str(tmp_path / "lab"))
     assert code == 5
     assert json.loads(capsys.readouterr().err.strip())["error"] == "data"
+
+
+def _io_error(capsys):
+    """The one JSON error record on stderr, which must be an I/O error."""
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "io"
+    return record["message"]
+
+
+def test_output_directory_that_cannot_be_made_exit_code(tmp_path, capsys):
+    # A regular file as the parent, not permission bits, which root ignores.
+    parent = tmp_path / "file"
+    parent.write_text("")
+    assert _run("synth", "--n", "50", "--out", str(parent / "x")) == 6
+    assert "Not a directory" in _io_error(capsys)
+
+
+def test_failing_csv_worker_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(artifacts, "_WORKER",
+                        (sys.executable, "-I", "-S", "-c", "import sys; sys.exit('boom')"))
+    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(artifacts, "CSV_CELLS_PER_RANGE", 1)
+    assert _run("synth", "--n", "50", "--out", str(tmp_path / "s")) == 6
+    assert _io_error(capsys) == "CSV worker for rows 25-50 exited with code 1: boom"
 
 
 def _write_series_and_predictions(tmp_path, n=900):

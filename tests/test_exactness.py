@@ -1,14 +1,15 @@
 """Exactness properties: the columnar backtest, monthly returns, Gaussian
 simulator, scenario estimator and precision/recall sweep equal the per-row
 loops they replaced (kept in oracles.py) exactly, on drawn inputs, including
-the errors they raise. The loops take per-bar records, so each frame is
-turned into records (``oracles.prediction_records``/``scenario_records``)
-before it is handed to one."""
+the errors they raise. The loops take and return per-row records, so each
+frame is turned into records (``oracles.prediction_records``,
+``scenario_records``, ``trade_records``) before it is handed to one or
+compared with its result."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellybt.backtest import BacktestConfig, EquityCurve, Trade, run_backtest
+from kellybt.backtest import BacktestConfig, EquityCurve, Trades, run_backtest
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt.features import LabelSet
 from kellybt.metrics import build_report, monthly_returns, precision_recall_points
@@ -36,8 +37,9 @@ def _assert_same_run(got, want):
         assert got == want
         return
     (curve, trades), (o_curve, o_trades) = got, want
-    assert trades == o_trades
-    assert repr(trades) == repr(o_trades)  # also tells -0.0 from 0.0
+    records = oracles.trade_records(trades)
+    assert records == o_trades
+    assert repr(records) == repr(o_trades)  # also tells -0.0 from 0.0
     assert curve.ruin == o_curve.ruin
     for col, o_col in ((curve.timestamps, o_curve.timestamps), (curve.values, o_curve.values)):
         assert col.dtype == o_col.dtype and col.tobytes() == o_col.tobytes()
@@ -109,11 +111,13 @@ def test_monthly_returns_and_report_equal_per_point_loop(start, steps, seed):
     timestamps = start + np.cumsum([0] + steps, dtype=np.int64)
     values = rng.uniform(0.05, 3.0, timestamps.size)
     curve = EquityCurve(timestamps, values, ruin=bool(rng.random() < 0.5))
-    trades = [Trade(0, 0, "LONG", 1.0, 1.0, 1.0, 0.0, float(x))
-              for x in rng.normal(0.0, 0.01, timestamps.size - 1)]
+    m = timestamps.size - 1
+    trades = Trades(np.zeros(m), np.zeros(m), ["LONG"] * m, np.ones(m), np.ones(m),
+                    np.ones(m), np.zeros(m), rng.normal(0.0, 0.01, m))
     got, want = monthly_returns(curve), oracles.o_monthly_returns(curve)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert build_report(curve, trades) == oracles.o_build_report(curve, trades)
+    assert build_report(curve, trades) == oracles.o_build_report(
+        curve, oracles.trade_records(trades))
 
 
 def _labels(seed, n):

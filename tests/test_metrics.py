@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from kellybt.backtest import EquityCurve
+from kellybt.backtest import EquityCurve, Trades
 from kellybt.features import LabelSet
 from kellybt.metrics import (build_report, classification_report, cumulative_return,
                              max_drawdown, monthly_returns, precision_recall_points,
@@ -129,10 +129,11 @@ def test_scale_invariance_of_curve_metrics():
 
 def test_build_report_flags():
     ts = [_epoch(2021, 1, 1), _epoch(2021, 1, 31)]
-    report = build_report(_curve([1.0, 1.3], timestamps=ts), [])
+    no_trades = Trades(*[[]] * 8)
+    report = build_report(_curve([1.0, 1.3], timestamps=ts), no_trades)
     assert "SHARPE_NA" in report.flags and "ROMAD_NA" in report.flags
     assert report.sharpe is None and report.romad is None
-    report = build_report(_curve([1.0, 0.5], timestamps=ts, ruin=True), [])
+    report = build_report(_curve([1.0, 0.5], timestamps=ts, ruin=True), no_trades)
     assert "RUIN" in report.flags
 
 

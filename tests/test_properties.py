@@ -203,9 +203,9 @@ def test_lattice_keeps_grid_exposure_cap_and_ruin_cut(data, seed, n, volatility)
         assert "no usable decision" in str(exc)
         return
 
-    grid = max((r.trades for r in results), key=len)
+    grid = oracles.trade_records(max((r.trades for r in results), key=len))
     for r in results:
-        trades, curve = r.trades, r.curve
+        trades, curve = oracles.trade_records(r.trades), r.curve
         m = len(trades)
         assert m == len(grid) or curve.ruin
         assert [(t.entry_ts, t.exit_ts) for t in trades] == [

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from kellybt import artifacts, cli
 from kellybt.artifacts import write_csv
-from kellybt.backtest import EquityCurve, Trade, write_equity_csv, write_trades_csv
+from kellybt.backtest import EquityCurve, Trades, write_equity_csv, write_trades_csv
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt.csvrows import BLOCK_ROWS
 from kellybt.features import (FeatureMatrix, LabelSet, make_labels, write_labels_csv,
@@ -88,10 +88,13 @@ def _o_write_barrier_labels_csv(series, labeled, path):
 
 
 def _trades(rng, n, rate):
-    sides = rng.choice(["LONG", "SHORT", "FLAT"], n).tolist()
-    floats = [_floats(rng, n, rate).tolist() for _ in range(5)]
-    return (list(map(Trade, _timestamps(rng, n).tolist(), _timestamps(rng, n).tolist(),
-                     sides, *floats)),)
+    sides = rng.choice(["LONG", "SHORT", "FLAT"], n)
+    floats = [_floats(rng, n, rate) for _ in range(5)]
+    return (Trades(_timestamps(rng, n), _timestamps(rng, n), sides, *floats),)
+
+
+def _o_write_trades_csv(trades, path):
+    oracles.o_write_trades_csv(oracles.trade_records(trades), path)
 
 
 def _equity(rng, n, rate):
@@ -143,7 +146,7 @@ CASES = {
     "features.write_labels_csv": (_labels, write_labels_csv, oracles.o_write_labels_csv),
     "labeling.write_barrier_labels_csv": (_barrier_labels, write_barrier_labels_csv,
                                           _o_write_barrier_labels_csv),
-    "backtest.write_trades_csv": (_trades, write_trades_csv, oracles.o_write_trades_csv),
+    "backtest.write_trades_csv": (_trades, write_trades_csv, _o_write_trades_csv),
     "backtest.write_equity_csv": (_equity, write_equity_csv, oracles.o_write_equity_csv),
     "predictors.write_predictions_csv": (_predictions, write_predictions_csv,
                                          _o_write_predictions_csv),
