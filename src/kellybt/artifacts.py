@@ -161,10 +161,10 @@ def read_csv(source, select):
     ``source`` is a path or an open text stream (see ``open_text``).
     ``select(header)`` gets the stripped header cells and returns the indices
     of the columns to read, the timestamp column first. Returns ``(ts, data,
-    line_of)``: int64 timestamps (truncated toward zero), a float64 array of
-    the other columns, one row per data row, and ``line_of(k)``, the file
-    line of data row ``k``. A row the reader rejects, or whose timestamp is
-    not a finite 64-bit integer, is a DataError naming its file line.
+    line_of)``: int64 timestamps, a float64 array of the other columns, one
+    row per data row, and ``line_of(k)``, the file line of data row ``k``. A
+    row the reader rejects, or whose timestamp is not a finite 64-bit integer
+    (a fractional part included), is a DataError naming its file line.
     """
     with open_text(source, "r") as fh:
         reader = csv.reader(fh)
@@ -217,12 +217,13 @@ def read_csv(source, select):
             raise DataError(f"malformed row at line {line_of(row)}: "
                             f"{text[:found.start()]}{text[found.end(1):]}") from None
 
-    out_of_range = np.flatnonzero(~(np.abs(data[:, 0]) < 2.0 ** 63))
-    if out_of_range.size:
-        k = int(out_of_range[0])
-        raise DataError(f"malformed row at line {line_of(k)}: timestamp {float(data[k, 0])!r} "
+    ts = data[:, 0]
+    not_int64 = np.flatnonzero(~(np.abs(ts) < 2.0 ** 63) | (ts != np.trunc(ts)))
+    if not_int64.size:
+        k = int(not_int64[0])
+        raise DataError(f"malformed row at line {line_of(k)}: timestamp {float(ts[k])!r} "
                         f"is not a finite 64-bit integer")
-    return data[:, 0].astype(np.int64), data[:, 1:], line_of
+    return ts.astype(np.int64), data[:, 1:], line_of
 
 
 def write_manifest(outdir: str, command: str, config: dict,

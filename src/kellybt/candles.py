@@ -18,8 +18,9 @@ used to match predictions, scenarios and labels.
 series itself, indicator values, and the prediction, scenario, label, trade
 and equity frames.
 Its constructor is the one place that casts each ``column`` field to its
-dtype, checks that the columns are 1-D and of one length, and makes them
-read-only. ``TimestampedFrame`` adds the strictly increasing timestamps that
+dtype (refusing a cast that would change an integer column's value), checks
+that the columns are 1-D and of one length, and makes them read-only.
+``TimestampedFrame`` adds the strictly increasing timestamps that
 ``positions`` binary-searches.
 """
 from __future__ import annotations
@@ -85,6 +86,23 @@ def column(dtype):
     return field(metadata={"dtype": dtype})
 
 
+def _cast(name: str, value, dtype) -> np.ndarray:
+    """A copy of ``value`` as ``dtype``; a ValueError when an integer dtype
+    would change a value (a fractional, non-finite or out-of-range one)."""
+    if np.dtype(dtype).kind not in "iu":
+        return np.array(value, dtype)
+    src = np.asarray(value)
+    if src.dtype == dtype:
+        return src.copy()
+    with np.errstate(invalid="ignore"):  # NaN or inf cast to an integer: caught below
+        col = src.astype(dtype)
+    changed = np.flatnonzero(col != src)
+    if changed.size:
+        raise ValueError(f"frame column {name} cannot hold "
+                         f"{src.flat[changed[0]].item()!r} as {col.dtype}")
+    return col
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Read-only columns of one length; ``len`` is the row count.
@@ -94,7 +112,7 @@ class Frame:
     """
 
     def __post_init__(self):
-        columns = {f.name: np.array(getattr(self, f.name), f.metadata["dtype"])
+        columns = {f.name: _cast(f.name, getattr(self, f.name), f.metadata["dtype"])
                    for f in fields(self) if "dtype" in f.metadata}
         first = next(iter(columns.values()))
         for name, col in columns.items():

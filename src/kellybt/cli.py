@@ -5,20 +5,29 @@ report, kelly-surface. Every artifact-producing run writes its outputs plus
 one manifest.json into the output directory; charts always have a CSV twin.
 
 Config precedence is CLI flag > config file (JSON) > built-in default; the
-fully resolved config is echoed in the manifest. Exit codes: 0 success,
-2 usage error, 3 missing input, 4 config/validation error, 5 malformed
-data, 6 any other I/O error (an output path that cannot be created or
-written, a CSV writer worker that fails). Failures emit a one-line JSON
-error record on stderr.
+fully resolved config is echoed in the manifest. Each option is declared
+once, in ``DEFAULTS``, and takes the type of its default (``_NUMBER_OPTIONS``
+types the numeric options whose default is None; every other None default is
+text). A config-file value must be what the flag would parse to: an int also
+stands for a float or for epoch seconds of a time option, and null is taken
+only where the default is None. Anything else is a config error. Each command
+names its outputs through ``out(name)``, which records them for the manifest.
+
+Exit codes: 0 success, 2 usage error, 3 missing input, 4 config/validation
+error, 5 malformed data, 6 any other I/O error (an output path that cannot be
+created or written, a CSV writer worker that fails). Failures emit a one-line
+JSON error record on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 
 import numpy as np
@@ -84,12 +93,17 @@ _FLAG_HELP = {
     "window": "trailing window (bars) for scenario estimates",
 }
 
-_BOOL_FLAGS = {"price_model", "normalize_weights", "ambiguous_to_lower"}
-_INT_FLAGS = {"seed", "n", "horizon", "stride", "sim_seed", "window"}
-_FLOAT_FLAGS = {"drift", "volatility", "start_price", "up_pct", "down_pct",
-                "hit_rate", "p_const", "sigma", "mu_long", "mu_short",
-                "kelly_fraction", "max_leverage", "expected", "modifier",
-                "fee_rate", "threshold", "p", "const_a", "const_b"}
+# An option takes the type of its default; a None default is text, except here.
+_NUMBER_OPTIONS = {"stride": int, "p": float, "const_a": float, "const_b": float}
+# Read by _parse_time, so a config file may also give them as epoch seconds.
+_TIME_OPTIONS = {"train_end", "val_end", "start_ts"}
+_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               type(None): "null"}
+
+
+def _option_type(command: str, key: str) -> type:
+    default = DEFAULTS[command][key]
+    return _NUMBER_OPTIONS.get(key, str) if default is None else type(default)
 
 
 def build_parser() -> _Parser:
@@ -100,17 +114,13 @@ def build_parser() -> _Parser:
         p = sub.add_parser(command)
         for key in defaults:
             flag = "--" + key.replace("_", "-")
-            if key in _BOOL_FLAGS:
-                p.add_argument(flag, dest=key, action="store_const", const=True,
-                               default=None, help=_FLAG_HELP.get(key))
-            elif key in _INT_FLAGS:
-                p.add_argument(flag, dest=key, type=int, default=None,
-                               help=_FLAG_HELP.get(key))
-            elif key in _FLOAT_FLAGS:
-                p.add_argument(flag, dest=key, type=float, default=None,
+            kind = _option_type(command, key)
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None,
                                help=_FLAG_HELP.get(key))
             else:
-                p.add_argument(flag, dest=key, default=None, help=_FLAG_HELP.get(key))
+                p.add_argument(flag, dest=key, type=kind, default=None,
+                               help=_FLAG_HELP.get(key))
     return parser
 
 
@@ -126,10 +136,22 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ValueError("config file must hold a JSON object")
         for key, value in section.items():
             norm = key.replace("-", "_")
-            if norm in DEFAULTS and isinstance(value, dict):
+            if key in DEFAULTS and isinstance(value, dict):
                 continue  # section for another command
             if norm not in resolved:
                 raise ValueError(f"unknown config key {key!r} for command {command}")
+            # The value must be what the flag would parse to; an int also
+            # stands for a float or for epoch seconds, null for a None default.
+            kind = _option_type(command, norm)
+            accepted = [kind]
+            if kind is float or norm in _TIME_OPTIONS:
+                accepted.append(int)
+            if DEFAULTS[command][norm] is None:
+                accepted.append(type(None))
+            if type(value) not in accepted:
+                raise ValueError(f"config key {key!r} for command {command} must be "
+                                 f"{' or '.join(_JSON_NAMES[t] for t in accepted)}, "
+                                 f"got {value!r}")
             resolved[norm] = value
     for key in DEFAULTS[command]:
         value = getattr(args, key)
@@ -151,7 +173,7 @@ def _parse_time(value) -> int:
     """Epoch seconds, or an ISO-8601 date / datetime interpreted as UTC."""
     if isinstance(value, int):
         return value
-    text = str(value).strip()
+    text = value.strip()
     try:
         return int(text)
     except ValueError:
@@ -175,17 +197,13 @@ def _load_series(path: str, symbol: str) -> CandleSeries:
 
 
 def _policies(resolved: dict) -> list[sizing.SizingPolicy]:
-    names = [s.strip() for s in str(resolved["policy"]).split(",") if s.strip()]
+    names = [s.strip() for s in resolved["policy"].split(",") if s.strip()]
     if not names:
         raise ValueError("no sizing policy given")
     return [
-        sizing.SizingPolicy(
-            kind=name,
-            kelly_fraction=float(resolved["kelly_fraction"]),
-            max_leverage=float(resolved["max_leverage"]),
-            expected=float(resolved["expected"]),
-            modifier=float(resolved["modifier"]),
-        )
+        sizing.SizingPolicy(kind=name, kelly_fraction=resolved["kelly_fraction"],
+                            max_leverage=resolved["max_leverage"],
+                            expected=resolved["expected"], modifier=resolved["modifier"])
         for name in names
     ]
 
@@ -240,24 +258,12 @@ def _write_table5(rows: list[tuple[str, metrics.BacktestReport]], path: str) -> 
                                     r.sharpe, r.romad) for name, r in rows))))
 
 
-def _report_dict(report: metrics.BacktestReport) -> dict:
-    return {
-        "cumulative_return_pct": report.cumulative_return_pct,
-        "max_drawdown_pct": report.max_drawdown_pct,
-        "sharpe": report.sharpe,
-        "romad": report.romad,
-        "trade_count": report.trade_count,
-        "win_rate": report.win_rate,
-        "flags": list(report.flags),
-    }
-
-
 def _write_comparison(rows: list[dict], path: str) -> None:
-    cols = ("model", "seed", "policy", "cumulative_return_pct", "max_drawdown_pct",
-            "sharpe", "romad", "trade_count", "win_rate")
-    artifacts.write_csv(path, cols + ("flags",),
-                        [[row.get(col) for row in rows] for col in cols]
-                        + [[";".join(row["flags"]) for row in rows]])
+    """One row per (model, seed, policy) and its report; flags joined by ";"."""
+    cols = ("model", "seed", "policy",
+            *(f.name for f in dataclasses.fields(metrics.BacktestReport)))
+    artifacts.write_csv(path, cols, [[";".join(row[col]) if col == "flags" else row[col]
+                                      for row in rows] for col in cols])
 
 
 def _equity_svg(results: list[backtest.StrategyResult], path: str, title: str) -> None:
@@ -270,18 +276,20 @@ def _equity_svg(results: list[backtest.StrategyResult], path: str, title: str) -
 
 
 # --- commands -----------------------------------------------------------------
+# Each takes the resolved config and ``out(name)``, which gives the path of an
+# artifact in the output directory and records it for the manifest; each
+# returns the seeds the run used.
+
+Output = Callable[[str], str]
 
 
-def cmd_ingest(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+def cmd_ingest(resolved: dict, out: Output) -> list[int]:
     _require(resolved, "ingest", "input", "train_end", "val_end")
     series = _load_series(resolved["input"], resolved["symbol"])
     spec = SplitSpec(_parse_time(resolved["train_end"]), _parse_time(resolved["val_end"]))
     train, val, test = split_dataset(series, spec)
-    written = []
     for name, part in (("train", train), ("validation", val), ("test", test)):
-        path = os.path.join(outdir, f"{name}.csv")
-        part.to_csv(path)
-        written.append(path)
+        part.to_csv(out(f"{name}.csv"))
     summary = {
         "symbol": series.symbol,
         "rows": len(series),
@@ -289,21 +297,18 @@ def cmd_ingest(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
         "gaps": len(series.gaps),
         "range": [int(series.timestamps[0]), int(series.timestamps[-1])],
     }
-    path = os.path.join(outdir, "summary.json")
-    artifacts.write_json(summary, path)
-    written.append(path)
-    return written, []
+    artifacts.write_json(summary, out("summary.json"))
+    return []
 
 
-def cmd_synth(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+def cmd_synth(resolved: dict, out: Output) -> list[int]:
     series = _synthetic_series(resolved, resolved["seed"], symbol=resolved["symbol"],
                                start_ts=_parse_time(resolved["start_ts"]))
-    path = os.path.join(outdir, "candles.csv")
-    series.to_csv(path)
-    return [path], [resolved["seed"]]
+    series.to_csv(out("candles.csv"))
+    return [resolved["seed"]]
 
 
-def cmd_features(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+def cmd_features(resolved: dict, out: Output) -> list[int]:
     _require(resolved, "features", "input")
     series = _load_series(resolved["input"], resolved["symbol"])
     if resolved["grid"]:
@@ -314,38 +319,31 @@ def cmd_features(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
         grid = features.grid_from_config(config["indicators"])
     else:
         grid = features.default_grid()
-    matrix = features.build_feature_matrix(series, grid,
-                                           price_model=bool(resolved["price_model"]),
+    matrix = features.build_feature_matrix(series, grid, price_model=resolved["price_model"],
                                            horizon=resolved["horizon"])
-    written = []
     if resolved["train_end"] is not None:
         stats = features.fit_normalizer(
             matrix, (int(series.timestamps[0]), _parse_time(resolved["train_end"])))
         matrix = features.apply_normalizer(matrix, stats)
-        path = os.path.join(outdir, "norm_stats.json")
-        features.write_norm_stats_json(stats, path)
-        written.append(path)
+        features.write_norm_stats_json(stats, out("norm_stats.json"))
     labels = features.make_labels(series, horizon=resolved["horizon"],
-                                  normalize_weights=bool(resolved["normalize_weights"]))
-    fpath = os.path.join(outdir, "features.csv")
-    features.write_matrix_csv(matrix, fpath)
-    lpath = os.path.join(outdir, "labels.csv")
-    features.write_labels_csv(labels, lpath)
-    return written + [fpath, lpath], []
+                                  normalize_weights=resolved["normalize_weights"])
+    features.write_matrix_csv(matrix, out("features.csv"))
+    features.write_labels_csv(labels, out("labels.csv"))
+    return []
 
 
-def cmd_label(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+def cmd_label(resolved: dict, out: Output) -> list[int]:
     _require(resolved, "label", "input")
     series = _load_series(resolved["input"], resolved["symbol"])
     cfg = labeling.BarrierConfig(
         up_pct=resolved["up_pct"], down_pct=resolved["down_pct"],
-        horizon=resolved["horizon"], vertical_rule=str(resolved["vertical_rule"]).upper(),
-        ambiguous_to_lower=bool(resolved["ambiguous_to_lower"]),
+        horizon=resolved["horizon"], vertical_rule=resolved["vertical_rule"].upper(),
+        ambiguous_to_lower=resolved["ambiguous_to_lower"],
     )
     labeled = labeling.label_series(series, cfg, stride=resolved["stride"])
-    path = os.path.join(outdir, "barrier_labels.csv")
-    labeling.write_barrier_labels_csv(series, labeled, path)
-    return [path], []
+    labeling.write_barrier_labels_csv(series, labeled, out("barrier_labels.csv"))
+    return []
 
 
 def _sim_series(resolved: dict) -> tuple[CandleSeries, list[int]]:
@@ -355,7 +353,7 @@ def _sim_series(resolved: dict) -> tuple[CandleSeries, list[int]]:
     return _synthetic_series(resolved, seed, symbol=resolved["symbol"]), [seed]
 
 
-def cmd_simulate(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+def cmd_simulate(resolved: dict, out: Output) -> list[int]:
     series, seeds = _sim_series(resolved)
     labels = features.make_labels(series, horizon=resolved["horizon"])
     preds = _simulate_predictions(labels, resolved["sim"], resolved["sim_seed"], resolved)
@@ -363,32 +361,19 @@ def cmd_simulate(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
     results = backtest.compare_strategies(series, preds, ests, _policies(resolved),
                                           _backtest_config(resolved))
 
-    written = []
-    ppath = os.path.join(outdir, "predictions.csv")
-    predictors.write_predictions_csv(preds, ests, ppath)
-    written.append(ppath)
+    predictors.write_predictions_csv(preds, ests, out("predictions.csv"))
     rows = []
     table5 = []
     for res in results:
         rows.append({"model": resolved["sim"], "seed": resolved["sim_seed"],
-                     "policy": res.policy.label, **_report_dict(res.report)})
+                     "policy": res.policy.label, **dataclasses.asdict(res.report)})
         table5.append((res.policy.label, res.report))
-        epath = os.path.join(outdir, f"equity_{res.policy.label}.csv")
-        backtest.write_equity_csv(res.curve, epath)
-        written.append(epath)
-    cpath = os.path.join(outdir, "comparison.csv")
-    _write_comparison(rows, cpath)
-    written.append(cpath)
-    jpath = os.path.join(outdir, "comparison.json")
-    artifacts.write_json(rows, jpath)
-    written.append(jpath)
-    tpath = os.path.join(outdir, "report_table.csv")
-    _write_table5(table5, tpath)
-    written.append(tpath)
-    spath = os.path.join(outdir, "equity.svg")
-    _equity_svg(results, spath, title=f"{resolved['sim']} simulator")
-    written.append(spath)
-    return written, seeds + [resolved["sim_seed"]]
+        backtest.write_equity_csv(res.curve, out(f"equity_{res.policy.label}.csv"))
+    _write_comparison(rows, out("comparison.csv"))
+    artifacts.write_json(rows, out("comparison.json"))
+    _write_table5(table5, out("report_table.csv"))
+    _equity_svg(results, out("equity.svg"), title=f"{resolved['sim']} simulator")
+    return seeds + [resolved["sim_seed"]]
 
 
 def _external_backtest(resolved: dict, command: str):
@@ -411,25 +396,23 @@ def _external_backtest(resolved: dict, command: str):
         scenario_source = "trailing_estimate"
     result = backtest.compare_strategies(series, preds, ests, _policies(resolved)[:1],
                                          _backtest_config(resolved))[0]
-    return series, preds, file_ests, result, {**_report_dict(result.report),
+    return series, preds, file_ests, result, {**dataclasses.asdict(result.report),
                                               "scenario_source": scenario_source}
 
 
-def cmd_backtest(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+def cmd_backtest(resolved: dict, out: Output) -> list[int]:
     series, _, _, res, report_json = _external_backtest(resolved, "backtest")
-    tpath, epath, spath, jpath, t5path = (os.path.join(outdir, name) for name in (
-        "trades.csv", "equity.csv", "equity.svg", "report.json", "report_table.csv"))
-    backtest.write_trades_csv(res.trades, tpath)
-    backtest.write_equity_csv(res.curve, epath)
-    _equity_svg([res], spath, title=f"backtest {series.symbol}")
-    artifacts.write_json(report_json, jpath)
-    _write_table5([(res.policy.label, res.report)], t5path)
-    return [tpath, epath, spath, jpath, t5path], []
+    backtest.write_trades_csv(res.trades, out("trades.csv"))
+    backtest.write_equity_csv(res.curve, out("equity.csv"))
+    _equity_svg([res], out("equity.svg"), title=f"backtest {series.symbol}")
+    artifacts.write_json(report_json, out("report.json"))
+    _write_table5([(res.policy.label, res.report)], out("report_table.csv"))
+    return []
 
 
 def _parse_seeds(text: str) -> list[int]:
     seeds: list[int] = []
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
@@ -450,9 +433,9 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def cmd_compare(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+def cmd_compare(resolved: dict, out: Output) -> list[int]:
     seeds = _parse_seeds(resolved["seeds"])
-    sims = [s.strip() for s in str(resolved["sims"]).split(",") if s.strip()]
+    sims = [s.strip() for s in resolved["sims"].split(",") if s.strip()]
     policies = _policies(resolved)
     cfg = _backtest_config(resolved)
     rows = []
@@ -464,12 +447,9 @@ def cmd_compare(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
             preds = _simulate_predictions(labels, sim, seed, resolved)
             for res in backtest.compare_strategies(series, preds, ests, policies, cfg):
                 rows.append({"model": sim, "seed": seed, "policy": res.policy.label,
-                             **_report_dict(res.report)})
+                             **dataclasses.asdict(res.report)})
 
-    written = []
-    cpath = os.path.join(outdir, "comparison.csv")
-    _write_comparison(rows, cpath)
-    written.append(cpath)
+    _write_comparison(rows, out("comparison.csv"))
     summary: dict = {}
     for row in rows:
         key = f"{row['model']}/{row['policy']}"
@@ -478,17 +458,14 @@ def cmd_compare(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
         key: (None if any(v is None for v in vals) else float(np.mean(vals)))
         for key, vals in summary.items()
     }
-    jpath = os.path.join(outdir, "summary.json")
-    artifacts.write_json({"mean_sharpe": means, "seeds": seeds}, jpath)
-    written.append(jpath)
-    return written, seeds
+    artifacts.write_json({"mean_sharpe": means, "seeds": seeds}, out("summary.json"))
+    return seeds
 
 
-def cmd_report(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
+def cmd_report(resolved: dict, out: Output) -> list[int]:
     series, preds, ests, res, report_json = _external_backtest(resolved, "report")
     labels = features.make_labels(series, horizon=resolved["horizon"])
 
-    written = []
     cls = metrics.classification_report(preds, labels, threshold=resolved["threshold"])
     cls_dict = {
         "logloss": cls.logloss,
@@ -501,34 +478,23 @@ def cmd_report(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
         "confusion": {"tn": cls.confusion[0], "fp": cls.confusion[1],
                       "fn": cls.confusion[2], "tp": cls.confusion[3]},
     }
-    jpath = os.path.join(outdir, "classification.json")
-    artifacts.write_json(cls_dict, jpath)
-    written.append(jpath)
-    cpath = os.path.join(outdir, "confusion.csv")
-    artifacts.write_csv(cpath, ("tn", "fp", "fn", "tp"), [[x] for x in cls.confusion])
-    written.append(cpath)
-    prpath = os.path.join(outdir, "pr_curve.csv")
-    artifacts.write_csv(prpath, ("threshold", "precision", "recall"),
+    artifacts.write_json(cls_dict, out("classification.json"))
+    artifacts.write_csv(out("confusion.csv"), ("tn", "fp", "fn", "tp"),
+                        [[x] for x in cls.confusion])
+    artifacts.write_csv(out("pr_curve.csv"), ("threshold", "precision", "recall"),
                         list(zip(*metrics.precision_recall_points(preds, labels))))
-    written.append(prpath)
 
     if ests is not None:
         pos, found = positions(labels.timestamps, ests.timestamps)
         at = pos[found]
         pred_change = np.where(labels.direction[at] > 0, ests.a[found], -ests.b[found])
         reg = metrics.regression_report(pred_change, labels.price_change[at])
-        rpath = os.path.join(outdir, "regression.json")
         artifacts.write_json({"mae": reg.mae, "mse": reg.mse, "rmse": reg.rmse,
-                              "r2": reg.r2}, rpath)
-        written.append(rpath)
+                              "r2": reg.r2}, out("regression.json"))
 
-    t5path = os.path.join(outdir, "report_table.csv")
-    _write_table5([(resolved["strategy_name"], res.report)], t5path)
-    written.append(t5path)
-    jpath2 = os.path.join(outdir, "backtest_report.json")
-    artifacts.write_json(report_json, jpath2)
-    written.append(jpath2)
-    return written, []
+    _write_table5([(resolved["strategy_name"], res.report)], out("report_table.csv"))
+    artifacts.write_json(report_json, out("backtest_report.json"))
+    return []
 
 
 def _write_surface(path: str, header: tuple[str, str, str], xs: list[float],
@@ -538,26 +504,23 @@ def _write_surface(path: str, header: tuple[str, str, str], xs: list[float],
     artifacts.write_csv(path, header, [*zip(*grid), [f(x, y) for x, y in grid]])
 
 
-def cmd_kelly_surface(resolved: dict, outdir: str) -> tuple[list[str], list[int]]:
-    if resolved["p"] is not None:
-        p = float(resolved["p"])
+def cmd_kelly_surface(resolved: dict, out: Output) -> list[int]:
+    p = resolved["p"]
+    if p is not None:
         grid = [i / 200.0 for i in range(1, 41)]  # 0.005 .. 0.2
-        path = os.path.join(outdir, "kelly_surface_ab.csv")
-        _write_surface(path, ("a", "b", "f_star"), grid, grid,
+        _write_surface(out("kelly_surface_ab.csv"), ("a", "b", "f_star"), grid, grid,
                        lambda a, b: sizing.kelly_fraction(p, a, b))
-        return [path], []
+        return []
 
     p_grid = [i / 100.0 for i in range(1, 100)]
     b_grid = [float(10.0 ** e) for e in np.linspace(-2.0, 0.0, 41)]
-    pb_path = os.path.join(outdir, "kelly_surface_pb.csv")
     # Classic odds form: unit gain (a = 1), loss proportion b.
-    _write_surface(pb_path, ("p", "b", "f"), p_grid, b_grid,
+    _write_surface(out("kelly_surface_pb.csv"), ("p", "b", "f"), p_grid, b_grid,
                    lambda p, b: sizing.kelly_fraction(p, 1.0, b))
     ab_grid = [i / 20.0 for i in range(2, 21)]  # 0.1 .. 1.0
-    pab_path = os.path.join(outdir, "kelly_surface_pab.csv")
-    _write_surface(pab_path, ("p", "ab", "f_star"), p_grid, ab_grid,
+    _write_surface(out("kelly_surface_pab.csv"), ("p", "ab", "f_star"), p_grid, ab_grid,
                    lambda p, ab: sizing.kelly_fraction(p, ab, ab))
-    return [pb_path, pab_path], []
+    return []
 
 
 _COMMANDS = {
@@ -583,9 +546,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         resolved = _resolve(args.command, args)
         outdir = _outdir(resolved, args.command)
-        written, seeds = _COMMANDS[args.command](resolved, outdir)
+        written: list[str] = []
+
+        def out(name: str) -> str:
+            written.append(os.path.join(outdir, name))
+            return written[-1]
+
+        seeds = _COMMANDS[args.command](resolved, out)
         inputs = [resolved[k] for k in ("input", "predictions", "grid")
-                  if resolved.get(k) and os.path.exists(str(resolved[k]))]
+                  if resolved.get(k) and os.path.exists(resolved[k])]
         manifest = artifacts.write_manifest(outdir, args.command, resolved,
                                             inputs, seeds, written)
         print(json.dumps({"status": "ok", "outdir": outdir, "manifest": manifest}))

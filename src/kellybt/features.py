@@ -30,7 +30,6 @@ class FeatureMatrix:
     timestamps: np.ndarray
     column_names: tuple[str, ...]
     values: np.ndarray
-    norm_stats: "NormStats | None" = None
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -166,7 +165,7 @@ def apply_normalizer(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
     safe = np.where(stats.std == 0, 1.0, stats.std)
     values = (matrix.values - stats.mean) / safe
     values[:, stats.std == 0] = 0.0
-    return FeatureMatrix(matrix.timestamps, matrix.column_names, values, norm_stats=stats)
+    return FeatureMatrix(matrix.timestamps, matrix.column_names, values)
 
 
 def default_grid() -> list[IndicatorSpec]:

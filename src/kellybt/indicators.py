@@ -94,8 +94,7 @@ class ValueSeries(Frame):
 
     @property
     def defined_from(self) -> int | None:
-        idx = np.flatnonzero(~np.isnan(self.values))
-        return int(idx[0]) if idx.size else None
+        return _first_defined(self.values)
 
 
 def _first_defined(x: np.ndarray) -> int | None:

@@ -206,7 +206,7 @@ def test_parse_rejects_non_finite_field(field, bad):
         parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + f"7200,{row}\n")
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e30"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e30", "3600.5", "3600.9"])
 def test_parse_rejects_non_integer_timestamp(bad):
     with pytest.raises(DataError, match="line 2"):
         parse_candles_text(HEADER + f"{bad},100,101,99,100,1\n")

@@ -327,6 +327,58 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert _run("--config", str(conf), "synth", "--out", str(tmp_path / "x")) == 4
 
 
+@pytest.mark.parametrize("command, conf, accepted", [
+    ("simulate", {"horizon": "5"}, False),
+    ("simulate", {"horizon": True}, False),
+    ("simulate", {"horizon": None}, False),
+    ("simulate", {"horizon": 5.5}, False),
+    ("synth", {"n": 300.5}, False),
+    ("synth", {"seed": "x"}, False),
+    ("synth", {"volatility": "0.01"}, False),
+    ("features", {"price_model": "no"}, False),
+    ("features", {"normalize_weights": "false"}, False),
+    ("simulate", {"kelly_fraction": "0.5"}, False),
+    ("simulate", {"policy": ["kelly"]}, False),
+    ("synth", {"n": 300}, True),
+    ("synth", {"n": 300, "volatility": 1}, True),
+    ("synth", {"n": 300, "start_ts": 1577836800}, True),
+    ("ingest", {"train_end": 1577836800 + 99 * 3600}, True),
+    ("simulate", {"n": 2000, "stride": None}, True),
+])
+def test_config_value_must_be_what_its_flag_parses_to(tmp_path, capsys, command, conf,
+                                                      accepted):
+    # The rejected values used to switch an option on ("no", "false"), reach
+    # the manifest as text ("0.5"), or exit 1 with a TypeError traceback.
+    series = generate_synthetic_series(seed=26, n=200)
+    candles = tmp_path / "candles.csv"
+    series.to_csv(str(candles))
+    flags = {"ingest": ["--input", str(candles), "--val-end", str(series.timestamps[149])],
+             "features": ["--input", str(candles)]}
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({command: conf}))
+    out = tmp_path / "out"
+    code = _run("--config", str(path), command, *flags.get(command, []), "--out", str(out))
+    if accepted:
+        assert code == 0
+        config = json.loads(_read(out / "manifest.json"))["config"]
+        assert json.dumps({key: config[key] for key in conf}) == json.dumps(conf)
+    else:
+        assert code == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        [key] = conf
+        assert err["error"] == "config" and repr(key) in err["message"]
+        assert not out.exists()
+
+
+def test_flat_config_skips_the_kelly_surface_section(tmp_path):
+    # The section was looked up as "kelly_surface", so it was an unknown key.
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n": 300, "kelly-surface": {"p": 0.6}}))
+    out = tmp_path / "synth"
+    assert _run("--config", str(conf), "synth", "--out", str(out)) == 0
+    assert json.loads(_read(out / "manifest.json"))["config"]["n"] == 300
+
+
 def test_env_var_default_outdir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KELLYBT_DATA_DIR", str(tmp_path / "data"))
     assert _run("synth", "--n", "50") == 0

@@ -70,3 +70,11 @@ def test_frame_rejects_ragged_or_non_1d_columns_and_freezes_them(name):
                 make(cols)
     with pytest.raises(ValueError, match="must be 1-D and of one length"):
         make([np.asarray(col)[:, None] for col in columns(3)])  # all of one 2-D shape
+
+    for k, col in enumerate(columns(3)):
+        col = np.asarray(col)
+        if col.dtype.kind == "i":  # a cast that would change a value
+            cols = columns(3)  # a fractional int64, an int8 that would wrap
+            cols[k] = col + 0.5 if col.dtype == np.int64 else col.astype(np.int64) + 300
+            with pytest.raises(ValueError, match=f"cannot hold .* as {col.dtype}"):
+                make(cols)

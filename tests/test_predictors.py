@@ -239,7 +239,8 @@ def test_load_predictions_non_finite_scenario_rejected(a, b):
         load_predictions(io.StringIO(text))
 
 
-@pytest.mark.parametrize("ts", ["nan", "inf", "-inf", "9223372036854775808", "-1e19"])
+@pytest.mark.parametrize("ts", ["nan", "inf", "-inf", "9223372036854775808", "-1e19",
+                                "3600.5"])
 def test_load_predictions_non_finite_timestamp_rejected(ts):
     with pytest.raises(DataError, match="line 2"):
         load_predictions(io.StringIO(f"timestamp,p_up\n{ts},0.7\n"))

@@ -3,6 +3,7 @@ on it: each writes the same bytes as the hand-written writer it replaced
 (kept in oracles.py), including across the writer's block boundaries, and
 the same bytes when a table is split into row ranges formatted by workers."""
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -137,7 +138,7 @@ def _table5(rng, n, rate):
 
 def _comparison(rng, n, rate):
     return ([{"model": "gaussian", "seed": i % 7 - 3, "policy": "kelly",
-              **cli._report_dict(r)} for i, r in enumerate(_reports(rng, n, rate))],)
+              **dataclasses.asdict(r)} for i, r in enumerate(_reports(rng, n, rate))],)
 
 
 # name -> (build(rng, n, rate) -> writer args before the path, writer, oracle)
