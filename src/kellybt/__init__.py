@@ -14,9 +14,8 @@ from .candles import (CandleSeries, SplitSpec, generate_synthetic_series,
                       parse_candles, positions, split_dataset)
 from .features import (FeatureMatrix, LabelSet, apply_normalizer, build_feature_matrix,
                        default_grid, fit_normalizer, make_labels)
-from .indicators import IndicatorSpec, ValueSeries, compute_indicator, smooth
-from .labeling import (BarrierConfig, BarrierLabel, BarrierLabels, label_series,
-                       triple_barrier_label)
+from .indicators import IndicatorSpec, compute_indicator
+from .labeling import BarrierConfig, BarrierLabels, label_series
 from .metrics import (BacktestReport, build_report, classification_report,
                       cumulative_return, max_drawdown, regression_report, romad,
                       sharpe_monthly)
@@ -31,8 +30,8 @@ __all__ = [
     "parse_candles", "positions", "split_dataset",
     "FeatureMatrix", "LabelSet", "apply_normalizer", "build_feature_matrix",
     "default_grid", "fit_normalizer", "make_labels",
-    "IndicatorSpec", "ValueSeries", "compute_indicator", "smooth",
-    "BarrierConfig", "BarrierLabel", "BarrierLabels", "label_series", "triple_barrier_label",
+    "IndicatorSpec", "compute_indicator",
+    "BarrierConfig", "BarrierLabels", "label_series",
     "BacktestReport", "build_report", "classification_report", "cumulative_return",
     "max_drawdown", "regression_report", "romad", "sharpe_monthly",
     "Predictions", "Scenarios", "estimate_scenarios",

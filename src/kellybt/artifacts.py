@@ -14,8 +14,9 @@ how many there are.
 
 Every CSV kellybt loads goes through ``read_csv``: the ``csv`` module reads
 the header, whitespace-only lines are skipped and numpy's C reader
-(``np.loadtxt``) reads the data rows. A bad row is a ``DataError`` naming
-its file line.
+(``np.loadtxt``) reads the data rows, the timestamp with its integer parser,
+so a timestamp is an integer literal read exactly. A bad row is a
+``DataError`` naming its file line.
 """
 from __future__ import annotations
 
@@ -163,8 +164,9 @@ def read_csv(source, select):
     of the columns to read, the timestamp column first. Returns ``(ts, data,
     line_of)``: int64 timestamps, a float64 array of the other columns, one
     row per data row, and ``line_of(k)``, the file line of data row ``k``. A
-    row the reader rejects, or whose timestamp is not a finite 64-bit integer
-    (a fractional part included), is a DataError naming its file line.
+    timestamp is read by numpy's integer parser, so it must be an integer
+    literal in the int64 range (``3600.0``, ``1e3`` and ``0x10`` are not). A
+    row the reader rejects is a DataError naming its file line.
     """
     with open_text(source, "r") as fh:
         reader = csv.reader(fh)
@@ -186,8 +188,10 @@ def read_csv(source, select):
             for i, line in zip(position, fh):
                 if line.isspace():
                     blank.append(i)
-                else:
-                    yield line
+                    continue
+                if not line.isascii():  # an O(1) flag test on a str
+                    _check_ascii_timestamp(line, cols[0], first_line + i)
+                yield line
 
         def line_of(k: int) -> int:
             """File line of data row ``k``: each skipped line at or before it moves it down."""
@@ -202,7 +206,10 @@ def read_csv(source, select):
             raise DataError("no data rows in input")
         try:
             data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", usecols=cols,
-                              ndmin=2, dtype=np.float64, comments=None, quotechar='"')
+                              ndmin=1, comments=None, quotechar='"',
+                              dtype=[("ts", np.int64), ("v", np.float64, (len(cols) - 1,))])
+        except DataError:
+            raise
         except ValueError as exc:
             # numpy counts data rows from 0 in a conversion error ("at row R,
             # column C") and from 1 in a column-count error ("at row R with N columns").
@@ -217,13 +224,21 @@ def read_csv(source, select):
             raise DataError(f"malformed row at line {line_of(row)}: "
                             f"{text[:found.start()]}{text[found.end(1):]}") from None
 
-    ts = data[:, 0]
-    not_int64 = np.flatnonzero(~(np.abs(ts) < 2.0 ** 63) | (ts != np.trunc(ts)))
-    if not_int64.size:
-        k = int(not_int64[0])
-        raise DataError(f"malformed row at line {line_of(k)}: timestamp {float(ts[k])!r} "
-                        f"is not a finite 64-bit integer")
-    return ts.astype(np.int64), data[:, 1:], line_of
+    return data["ts"], data["v"], line_of
+
+
+def _check_ascii_timestamp(line: str, col: int, lineno: int) -> None:
+    """Reject a data line whose timestamp field holds a non-ASCII character
+    before numpy's integer parser sees it: that parser indexes a character
+    table with the code point, and one far above U+FFFF can crash the
+    process (numpy 2.4)."""
+    try:
+        cells = next(csv.reader([line]))
+    except csv.Error as exc:
+        raise DataError(f"malformed row at line {lineno}: {exc}") from None
+    if len(cells) > col and not cells[col].isascii():
+        raise DataError(f"malformed row at line {lineno}: timestamp {cells[col]!r} "
+                        f"is not an integer literal")
 
 
 def write_manifest(outdir: str, command: str, config: dict,

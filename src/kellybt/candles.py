@@ -15,8 +15,7 @@ re-exported from ``artifacts``. ``positions`` is the one timestamp lookup
 used to match predictions, scenarios and labels.
 
 ``Frame`` is the base of every column frame passed between layers: the
-series itself, indicator values, and the prediction, scenario, label, trade
-and equity frames.
+series itself and the prediction, scenario, label, trade and equity frames.
 Its constructor is the one place that casts each ``column`` field to its
 dtype (refusing a cast that would change an integer column's value), checks
 that the columns are 1-D and of one length, and makes them read-only.

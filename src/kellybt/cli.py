@@ -467,20 +467,9 @@ def cmd_report(resolved: dict, out: Output) -> list[int]:
     labels = features.make_labels(series, horizon=resolved["horizon"])
 
     cls = metrics.classification_report(preds, labels, threshold=resolved["threshold"])
-    cls_dict = {
-        "logloss": cls.logloss,
-        "down": vars(cls.down).copy(),
-        "up": vars(cls.up).copy(),
-        "macro": {"precision": cls.macro_precision, "recall": cls.macro_recall,
-                  "f1": cls.macro_f1},
-        "weighted": {"precision": cls.weighted_precision, "recall": cls.weighted_recall,
-                     "f1": cls.weighted_f1},
-        "confusion": {"tn": cls.confusion[0], "fp": cls.confusion[1],
-                      "fn": cls.confusion[2], "tp": cls.confusion[3]},
-    }
-    artifacts.write_json(cls_dict, out("classification.json"))
-    artifacts.write_csv(out("confusion.csv"), ("tn", "fp", "fn", "tp"),
-                        [[x] for x in cls.confusion])
+    artifacts.write_json(dataclasses.asdict(cls), out("classification.json"))
+    artifacts.write_csv(out("confusion.csv"), tuple(cls.confusion),
+                        [[x] for x in cls.confusion.values()])
     artifacts.write_csv(out("pr_curve.csv"), ("threshold", "precision", "recall"),
                         list(zip(*metrics.precision_recall_points(preds, labels))))
 
@@ -489,8 +478,7 @@ def cmd_report(resolved: dict, out: Output) -> list[int]:
         at = pos[found]
         pred_change = np.where(labels.direction[at] > 0, ests.a[found], -ests.b[found])
         reg = metrics.regression_report(pred_change, labels.price_change[at])
-        artifacts.write_json({"mae": reg.mae, "mse": reg.mse, "rmse": reg.rmse,
-                              "r2": reg.r2}, out("regression.json"))
+        artifacts.write_json(dataclasses.asdict(reg), out("regression.json"))
 
     _write_table5([(resolved["strategy_name"], res.report)], out("report_table.csv"))
     artifacts.write_json(report_json, out("backtest_report.json"))

@@ -13,7 +13,6 @@ later splits; fitting globally would leak future statistics.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,6 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return int(self.timestamps.size)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.column_names.index(name)]
-
 
 @dataclass(frozen=True)
 class NormStats:
@@ -46,25 +42,11 @@ class NormStats:
     mean: np.ndarray
     std: np.ndarray
 
-    @property
-    def flagged(self) -> tuple[str, ...]:
-        """Columns with zero training stddev; they transform to 0."""
-        return tuple(name for name, s in zip(self.column_names, self.std) if s == 0)
-
     def to_dict(self) -> dict:
         return {
             name: {"mean": float(m), "std": float(s), "flagged": bool(s == 0)}
             for name, m, s in zip(self.column_names, self.mean, self.std)
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NormStats":
-        names = tuple(data)
-        return cls(
-            names,
-            np.array([data[n]["mean"] for n in names], dtype=np.float64),
-            np.array([data[n]["std"] for n in names], dtype=np.float64),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +81,8 @@ def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
     names: list[str] = []
     cols: list[np.ndarray] = []
     for spec in grid:
-        vs = compute_indicator(series, spec)
-        names.append(vs.name)
-        cols.append(vs.values)
+        names.append(spec.name)
+        cols.append(compute_indicator(series, spec))
 
     if price_model:
         c = series.close
@@ -207,8 +188,3 @@ def write_labels_csv(labels: LabelSet, path: str) -> None:
 
 def write_norm_stats_json(stats: NormStats, path: str) -> None:
     write_json(stats.to_dict(), path)
-
-
-def read_norm_stats_json(path: str) -> NormStats:
-    with open(path) as fh:
-        return NormStats.from_dict(json.load(fh))

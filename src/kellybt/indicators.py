@@ -1,7 +1,8 @@
 """Technical indicators over candle series, evaluated in batch.
 
-All outputs are full-length value series aligned to the input timestamps;
-warm-up entries are NaN, never zero-filled. Division-by-zero conventions:
+``compute_indicator`` returns one full-length float64 column aligned to the
+series' timestamps; warm-up entries are NaN, never zero-filled.
+Division-by-zero conventions:
 
 - RSI with zero average loss -> 100
 - Williams %R with window high == window low -> NaN for that bar
@@ -18,8 +19,8 @@ one-bar price change times volume). Plain "EFI" selects EFI_RATIO.
 TRIX is reported in percent (one-bar rate of change of the triple EMA,
 times 100), consistent with ROC and PPO.
 
-Each indicator has one arithmetic kernel, the batch function in ``_BATCH``,
-which takes plain high/low/close/volume arrays.
+Each kind is declared once, in ``KINDS``: its number of periods and its one
+arithmetic kernel, a batch function over plain high/low/close/volume arrays.
 """
 from __future__ import annotations
 
@@ -28,21 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .candles import CandleSeries, Frame, column
-
-ARITY = {
-    "TRIX": 1,
-    "MACD": 2,
-    "PPO": 2,
-    "ROC": 1,
-    "EFI_RATIO": 1,
-    "EFI_STANDARD": 1,
-    "CMO": 1,
-    "RSI": 1,
-    "CCI": 1,
-    "WILLIAMS_R": 1,
-    "CMF": 1,
-}
+from .candles import CandleSeries
 
 _ALIASES = {"EFI": "EFI_RATIO", "WILLIAMSR": "WILLIAMS_R", "%R": "WILLIAMS_R"}
 
@@ -68,12 +55,11 @@ class IndicatorSpec:
         kind = _ALIASES.get(self.kind.upper(), self.kind.upper())
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "periods", tuple(_period(p) for p in self.periods))
-        if kind not in ARITY:
+        if kind not in KINDS:
             raise ValueError(f"unknown indicator kind {self.kind!r}")
-        if len(self.periods) != ARITY[kind]:
-            raise ValueError(
-                f"{kind} takes {ARITY[kind]} period(s), got {self.periods}"
-            )
+        arity = KINDS[kind][0]
+        if len(self.periods) != arity:
+            raise ValueError(f"{kind} takes {arity} period(s), got {self.periods}")
         if any(p < 1 for p in self.periods):
             raise ValueError(f"periods must be >= 1, got {self.periods}")
         if kind in ("MACD", "PPO") and self.periods[0] >= self.periods[1]:
@@ -84,31 +70,9 @@ class IndicatorSpec:
         return "_".join([self.kind] + [str(p) for p in self.periods])
 
 
-@dataclass(frozen=True, eq=False)
-class ValueSeries(Frame):
-    """Timestamped values aligned to a source series; NaN marks undefined."""
-
-    name: str
-    timestamps: np.ndarray = column(np.int64)
-    values: np.ndarray = column(np.float64)
-
-    @property
-    def defined_from(self) -> int | None:
-        return _first_defined(self.values)
-
-
 def _first_defined(x: np.ndarray) -> int | None:
     idx = np.flatnonzero(~np.isnan(x))
     return int(idx[0]) if idx.size else None
-
-
-def _sma_array(x: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(x.size, np.nan)
-    s = _first_defined(x)
-    if s is None or x.size - s < n:
-        return out
-    out[s + n - 1:] = sliding_window_view(x[s:], n).mean(axis=1)
-    return out
 
 
 def _ema_array(x: np.ndarray, n: int) -> np.ndarray:
@@ -125,18 +89,6 @@ def _ema_array(x: np.ndarray, n: int) -> np.ndarray:
         acc = alpha * float(x[t]) + one_minus * acc
         out[t] = acc
     return out
-
-
-def smooth(values: ValueSeries, kind: str, n: int) -> ValueSeries:
-    """SMA or EMA over the defined suffix of a value series."""
-    kind = kind.upper()
-    if kind == "SMA":
-        out = _sma_array(values.values, n)
-    elif kind == "EMA":
-        out = _ema_array(values.values, n)
-    else:
-        raise ValueError(f"smooth kind must be SMA or EMA, got {kind!r}")
-    return ValueSeries(f"{kind}_{n}({values.name})", values.timestamps, out)
 
 
 def _guarded_ratio(num, den, on_zero):
@@ -259,26 +211,27 @@ def _cmf(h, l, c, v, n: int) -> np.ndarray:
     return out
 
 
-_BATCH = {
-    "TRIX": _trix,
-    "MACD": _macd,
-    "PPO": _ppo,
-    "ROC": _roc,
-    "EFI_RATIO": _efi_ratio,
-    "EFI_STANDARD": _efi_standard,
-    "CMO": _cmo,
-    "RSI": _rsi,
-    "CCI": _cci,
-    "WILLIAMS_R": _williams_r,
-    "CMF": _cmf,
+# Each kind's number of periods and its kernel.
+KINDS = {
+    "TRIX": (1, _trix),
+    "MACD": (2, _macd),
+    "PPO": (2, _ppo),
+    "ROC": (1, _roc),
+    "EFI_RATIO": (1, _efi_ratio),
+    "EFI_STANDARD": (1, _efi_standard),
+    "CMO": (1, _cmo),
+    "RSI": (1, _rsi),
+    "CCI": (1, _cci),
+    "WILLIAMS_R": (1, _williams_r),
+    "CMF": (1, _cmf),
 }
 
 
-def compute_indicator(series: CandleSeries, spec: IndicatorSpec) -> ValueSeries:
-    """Evaluate one indicator over a whole series.
+def compute_indicator(series: CandleSeries, spec: IndicatorSpec) -> np.ndarray:
+    """Evaluate one indicator over a whole series: a float64 column aligned
+    to ``series.timestamps``, NaN where the value is undefined.
 
-    Too-short input yields an all-NaN series rather than an error.
+    Too-short input yields an all-NaN column rather than an error.
     """
-    values = _BATCH[spec.kind](series.high, series.low, series.close, series.volume,
+    return KINDS[spec.kind][1](series.high, series.low, series.close, series.volume,
                                *spec.periods)
-    return ValueSeries(spec.name, series.timestamps, values)

@@ -6,10 +6,9 @@ ordering is unknowable from OHLC, so the label resolves to the barrier
 nearer the bar's open (hit_kind AMBIGUOUS); ``ambiguous_to_lower`` forces
 the pessimistic reading instead.
 
-``label_series`` labels every stride-th entry at once in one numpy kernel
-over sliding windows of the highs and lows, and returns the read-only
-column frame ``BarrierLabels`` (a ``candles.Frame``); ``triple_barrier_label``
-runs the same kernel on one entry, so the barrier arithmetic exists once.
+``label_series`` is the one entry point: it labels every stride-th entry at
+once in one numpy kernel over sliding windows of the highs and lows, and
+returns the read-only column frame ``BarrierLabels`` (a ``candles.Frame``).
 """
 from __future__ import annotations
 
@@ -53,13 +52,6 @@ class BarrierConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.vertical_rule not in (VERTICAL_ZERO, VERTICAL_SIGN):
             raise ValueError(f"vertical_rule must be ZERO or SIGN, got {self.vertical_rule!r}")
-
-
-@dataclass(frozen=True)
-class BarrierLabel:
-    label: int
-    hit_bar: int
-    hit_kind: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,25 +107,6 @@ def _label_entries(series: CandleSeries, cfg: BarrierConfig, entries: range) -> 
         series.close[idx + h] > entry_price, 1, -1)
     label = np.choose(kind, (1, -1, ambiguous, vertical))
     return BarrierLabels(idx, label, np.minimum(first + 1, h), _HIT_KINDS[kind])
-
-
-def triple_barrier_label(series: CandleSeries, entry: int, cfg: BarrierConfig) -> BarrierLabel:
-    """Label one entry by the first barrier its forward path touches.
-
-    Scans bars entry+1 .. entry+horizon; a bar touches UPPER when its high
-    reaches entry_price*(1+up_pct), LOWER when its low reaches
-    entry_price*(1-down_pct). No touch falls through to the vertical rule.
-    It runs the kernel of ``label_series`` on this one entry.
-    """
-    n = len(series)
-    if not 0 <= entry < n:
-        raise ValueError(f"entry index {entry} out of range")
-    if entry + cfg.horizon >= n:
-        raise ValueError(
-            f"horizon {cfg.horizon} from entry {entry} extends past series end {n}"
-        )
-    out = _label_entries(series, cfg, range(entry, entry + 1))
-    return BarrierLabel(int(out.label[0]), int(out.hit_bar[0]), str(out.hit_kind[0]))
 
 
 def label_series(series: CandleSeries, cfg: BarrierConfig, stride: int = 1) -> BarrierLabels:

@@ -148,16 +148,16 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The ``classification.json`` layout: ``macro`` and ``weighted`` map
+    precision, recall and f1 to their averages over the two classes, and
+    ``confusion`` maps tn, fp, fn and tp to their counts."""
+
     logloss: float
     down: ClassMetrics
     up: ClassMetrics
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    confusion: tuple[int, int, int, int]  # (tn, fp, fn, tp)
+    macro: dict[str, float]
+    weighted: dict[str, float]
+    confusion: dict[str, int]
 
 
 def _align(predictions: Predictions, labels: LabelSet):
@@ -194,19 +194,14 @@ def classification_report(predictions: Predictions, labels: LabelSet,
                       _f1(_safe(tp, tp + fp), _safe(tp, tp + fn)), tp + fn)
     down = ClassMetrics(_safe(tn, tn + fn), _safe(tn, tn + fp),
                         _f1(_safe(tn, tn + fn), _safe(tn, tn + fp)), tn + fp)
-    total = up.support + down.support
-    return ClassificationReport(
-        logloss=logloss,
-        down=down,
-        up=up,
-        macro_precision=(down.precision + up.precision) / 2,
-        macro_recall=(down.recall + up.recall) / 2,
-        macro_f1=(down.f1 + up.f1) / 2,
-        weighted_precision=(down.precision * down.support + up.precision * up.support) / total,
-        weighted_recall=(down.recall * down.support + up.recall * up.support) / total,
-        weighted_f1=(down.f1 * down.support + up.f1 * up.support) / total,
-        confusion=(tn, fp, fn, tp),
-    )
+
+    def average(w_down, w_up):
+        return {k: (getattr(down, k) * w_down + getattr(up, k) * w_up) / (w_down + w_up)
+                for k in ("precision", "recall", "f1")}
+
+    return ClassificationReport(logloss, down, up, macro=average(1, 1),
+                                weighted=average(down.support, up.support),
+                                confusion={"tn": tn, "fp": fp, "fn": fn, "tp": tp})
 
 
 def precision_recall_points(predictions: Predictions,

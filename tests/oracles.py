@@ -15,8 +15,9 @@ checked against them byte for byte.
 
 The per-row references take and return the per-row records the library used
 before it moved predictions, scenarios and trades into column frames
-(``DirectionPrediction``, ``ScenarioEstimate``, ``Trade``, kept below);
-``prediction_records``, ``scenario_records`` and ``trade_records`` turn
+(``DirectionPrediction``, ``ScenarioEstimate``, ``Trade``, kept below), and
+the per-entry barrier label as a ``LabelRecord``; ``prediction_records``,
+``scenario_records``, ``trade_records`` and ``barrier_label_records`` turn
 frames into them.
 """
 from __future__ import annotations
@@ -34,7 +35,6 @@ from kellybt import metrics, sizing
 from kellybt.backtest import BacktestConfig, EquityCurve
 from kellybt.candles import CANONICAL_COLUMNS, CandleSeries
 from kellybt.features import FeatureMatrix, LabelSet
-from kellybt.labeling import BarrierLabel
 from kellybt.metrics import (FLAG_ROMAD_NA, FLAG_RUIN, FLAG_SHARPE_NA, BacktestReport,
                              cumulative_return, max_drawdown)
 from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, _assign_correct,
@@ -306,6 +306,12 @@ class ScenarioEstimate:
     b: float
 
 
+class LabelRecord(NamedTuple):
+    label: int
+    hit_bar: int
+    hit_kind: str
+
+
 class Trade(NamedTuple):
     entry_ts: int
     exit_ts: int
@@ -330,8 +336,8 @@ def trade_records(trades) -> list[Trade]:
     return list(map(Trade, *(getattr(trades, name).tolist() for name in Trade._fields)))
 
 
-def barrier_label_records(labeled) -> list[tuple[int, BarrierLabel]]:
-    return [(e, BarrierLabel(lab, bar, kind)) for e, lab, bar, kind in
+def barrier_label_records(labeled) -> list[tuple[int, LabelRecord]]:
+    return [(e, LabelRecord(lab, bar, kind)) for e, lab, bar, kind in
             zip(labeled.entry.tolist(), labeled.label.tolist(), labeled.hit_bar.tolist(),
                 labeled.hit_kind.tolist())]
 
@@ -642,7 +648,7 @@ def o_write_labels_csv(labels: LabelSet, path: str) -> None:
 
 
 def o_write_barrier_labels_csv(series: CandleSeries,
-                               labeled: list[tuple[int, BarrierLabel]], path: str) -> None:
+                               labeled: list[tuple[int, LabelRecord]], path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,label,hit_kind,hit_bar\n")
         for entry, lab in labeled:
@@ -721,7 +727,7 @@ def o_write_comparison(rows: list[dict], path: str) -> None:
 def o_write_confusion(cls: metrics.ClassificationReport, cpath: str) -> None:
     with open(cpath, "w", newline="") as fh:
         fh.write("tn,fp,fn,tp\n")
-        fh.write(",".join(str(x) for x in cls.confusion) + "\n")
+        fh.write(",".join(str(x) for x in cls.confusion.values()) + "\n")
 
 
 def o_write_pr_curve(preds, labels, prpath: str) -> None:

@@ -20,7 +20,7 @@ from kellybt import backtest, features, metrics, predictors, sizing
 from kellybt.candles import generate_synthetic_series
 from kellybt.cli import main as cli_main
 from kellybt.indicators import compute_indicator
-from kellybt.labeling import BarrierConfig, triple_barrier_label
+from kellybt.labeling import BarrierConfig, label_series
 from kellybt.predictors import simulate_balanced, simulate_gaussian, simulate_optimal
 
 import oracles
@@ -162,7 +162,7 @@ def test_criterion_07_indicator_oracle_equivalence():
     ok = True
     worst = 0.0
     for spec in ALL_SPECS:
-        got = compute_indicator(series, spec).values
+        got = compute_indicator(series, spec)
         want = np.asarray(oracles.oracle_indicator(series, spec.kind, spec.periods))
         if not np.array_equal(np.isnan(got), np.isnan(want)):
             ok = False
@@ -187,10 +187,9 @@ def test_criterion_08_triple_barrier_oracle_equivalence():
         cfg = BarrierConfig(up_pct=0.015, down_pct=0.015, horizon=8, vertical_rule=rule)
         for seed in range(10):
             series = generate_synthetic_series(seed=seed, n=60, volatility=0.012)
-            for entry in range(len(series) - cfg.horizon - 1):
-                got = triple_barrier_label(series, entry, cfg)
-                if (got.label, got.hit_bar, got.hit_kind) != \
-                        oracles.o_barrier_label(series, entry, cfg):
+            labels = oracles.barrier_label_records(label_series(series, cfg))
+            for entry, got in labels[:len(series) - cfg.horizon - 1]:
+                if got != oracles.o_barrier_label(series, entry, cfg):
                     ok = False
                 count += 1
     _check(8, "triple-barrier labels match the bar-by-bar scan oracle for both "

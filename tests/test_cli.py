@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from kellybt import artifacts
-from kellybt.candles import generate_synthetic_series
+from kellybt.candles import CandleSeries, generate_synthetic_series, parse_candles
 from kellybt.cli import main
 from kellybt.features import make_labels
 from kellybt.predictors import estimate_scenarios, simulate_optimal, write_predictions_csv
@@ -458,3 +460,57 @@ def test_non_finite_simulator_and_barrier_settings_exit_4(tmp_path, capsys, argv
     generate_synthetic_series(seed=3, n=300).to_csv(str(candles))
     assert _run(*argv, "--input", str(candles), "--out", str(tmp_path / "out")) == 4
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
+def _readme_cli_block():
+    """Each line of the README's CLI block as an argv, without ``kellybt``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("kellybt ") for line in lines), lines
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_cli_block_runs_line_by_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_cli_block():
+        assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("stride", ["5", "2"])
+def test_backtest_of_a_written_run_equals_the_run_in_memory(tmp_path, stride):
+    """simulate sizes from predictions and scenarios held in memory; backtest
+    reads the same ones back from that run's predictions.csv."""
+    candles = str(tmp_path / "data" / "candles.csv")
+    trading = ["--policy", "kelly", "--stride", stride, "--fee-rate", "0.0005"]
+    assert _run("synth", "--seed", "3", "--n", "3000", "--out", str(tmp_path / "data")) == 0
+    assert _run("simulate", "--input", candles, "--sim", "gaussian", *trading,
+                "--out", str(tmp_path / "sim")) == 0
+    assert _run("backtest", "--input", candles, "--predictions",
+                str(tmp_path / "sim" / "predictions.csv"), *trading,
+                "--out", str(tmp_path / "bt")) == 0
+    for sim_name, bt_name in (("equity_kelly.csv", "equity.csv"),
+                              ("report_table.csv", "report_table.csv")):
+        assert (tmp_path / "sim" / sim_name).read_bytes() == \
+            (tmp_path / "bt" / bt_name).read_bytes(), sim_name
+
+
+def test_doubling_prices_leaves_every_simulate_artifact_unchanged(tmp_path):
+    """Every simulate output is scale-free in price, and scaling by a power of
+    two is exact in binary floating point."""
+    series = generate_synthetic_series(seed=3, n=3000)
+    doubled = CandleSeries(series.timestamps, *(2.0 * getattr(series, name) for name in
+                                                ("open", "high", "low", "close")),
+                           series.volume)
+    outputs = []
+    for name, candles in (("base", series), ("doubled", doubled)):
+        candles.to_csv(str(tmp_path / f"{name}.csv"))
+        out = tmp_path / f"sim_{name}"
+        assert _run("simulate", "--input", str(tmp_path / f"{name}.csv"), "--sim", "gaussian",
+                    "--fee-rate", "0.0005", "--out", str(out)) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if p.name != "manifest.json"})
+    assert outputs[0].keys() == {"comparison.csv", "comparison.json", "equity.svg",
+                                 "equity_gaussian.csv", "equity_kelly.csv", "equity_none.csv",
+                                 "predictions.csv", "report_table.csv"}
+    assert outputs[0] == outputs[1]

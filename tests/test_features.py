@@ -1,11 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from kellybt.candles import generate_synthetic_series
 from kellybt.features import (FeatureMatrix, apply_normalizer,
                               build_feature_matrix, default_grid, fit_normalizer,
-                              grid_from_config, make_labels,
-                              read_norm_stats_json, write_norm_stats_json)
+                              grid_from_config, make_labels, write_norm_stats_json)
 from kellybt.indicators import IndicatorSpec
 
 from conftest import make_series_from_closes
@@ -32,6 +33,10 @@ def test_price_model_adds_six_columns():
     assert plain.timestamps[-1] == series.timestamps[-1]
 
 
+def _column(matrix, name):
+    return matrix.values[:, matrix.column_names.index(name)]
+
+
 def test_price_model_trailing_changes_values():
     series = generate_synthetic_series(seed=3, n=60, volatility=0.01)
     matrix = build_feature_matrix(series, [IndicatorSpec("ROC", (5,))], price_model=True)
@@ -40,9 +45,9 @@ def test_price_model_trailing_changes_values():
     row = np.flatnonzero(matrix.timestamps == series.timestamps[i])[0]
     for k in range(1, 6):
         want = (c[i - 5 * (k - 1)] - c[i - 5 * k]) / c[i - 5 * k]
-        assert abs(matrix.column(f"pc_5h_{k}")[row] - want) < 1e-12
+        assert abs(_column(matrix, f"pc_5h_{k}")[row] - want) < 1e-12
     want_dir = 1.0 if c[i + 5] > c[i] else -1.0
-    assert matrix.column("market_direction")[row] == want_dir
+    assert _column(matrix, "market_direction")[row] == want_dir
 
 
 def test_constant_series_relative_columns_zero():
@@ -77,15 +82,15 @@ def test_fit_normalizer_textbook_values():
     stats = fit_normalizer(matrix, (0, 10_000_000))
     assert stats.mean[0] == 2.0
     assert stats.std[0] == 1.0  # sample (n-1) convention
-    assert stats.flagged == ()
+    assert not stats.to_dict()["c0"]["flagged"]
 
 
 def test_fit_normalizer_constant_column_flagged():
     matrix = _tiny_matrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], names=["a", "b"])
     stats = fit_normalizer(matrix, (0, 10_000_000))
-    assert stats.flagged == ("b",)
+    assert [name for name, d in stats.to_dict().items() if d["flagged"]] == ["b"]
     out = apply_normalizer(matrix, stats)
-    assert np.allclose(out.column("b"), 0.0)
+    assert np.allclose(_column(out, "b"), 0.0)
 
 
 def test_fit_normalizer_needs_two_rows():
@@ -126,11 +131,11 @@ def test_norm_stats_json_round_trip(tmp_path):
     stats = fit_normalizer(matrix, (0, 10_000_000))
     path = tmp_path / "stats.json"
     write_norm_stats_json(stats, str(path))
-    again = read_norm_stats_json(str(path))
-    assert again.column_names == stats.column_names
-    assert np.array_equal(again.mean, stats.mean)
-    assert np.array_equal(again.std, stats.std)
-    assert again.flagged == ("b",)
+    again = json.loads(path.read_text())
+    assert list(again) == list(stats.column_names)
+    assert [again[n]["mean"] for n in again] == stats.mean.tolist()
+    assert [again[n]["std"] for n in again] == stats.std.tolist()
+    assert [again[n]["flagged"] for n in again] == [False, True]
 
 
 # --- labels -------------------------------------------------------------------

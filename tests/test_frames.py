@@ -8,7 +8,6 @@ import pytest
 from kellybt.backtest import EquityCurve, Trades
 from kellybt.candles import HOUR, CandleSeries
 from kellybt.features import LabelSet
-from kellybt.indicators import ValueSeries
 from kellybt.labeling import BarrierLabels
 from kellybt.predictors import Predictions, Scenarios
 
@@ -34,7 +33,6 @@ FRAMES = {
     "EquityCurve": (EquityCurve, lambda n: [_ts(n), _floats(n)], {"ruin": True}),
     "Trades": (Trades, lambda n: [_ts(n), _ts(n) + 7200, ["LONG"] * n,
                                   *[_floats(n)] * 5], {}),
-    "ValueSeries": (ValueSeries, lambda n: [_ts(n), _floats(n)], {"name": "x"}),
 }
 
 

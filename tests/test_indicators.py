@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kellybt.candles import generate_synthetic_series
-from kellybt.indicators import IndicatorSpec, ValueSeries, compute_indicator, smooth
+from kellybt.indicators import IndicatorSpec, _ema_array, compute_indicator
 
 import oracles
 from conftest import make_series_from_closes, make_series_from_ohlc
@@ -27,11 +27,6 @@ BOUNDS = {"RSI": (0.0, 100.0), "WILLIAMS_R": (-100.0, 0.0),
           "CMO": (-100.0, 100.0), "CMF": (-1.0, 1.0)}
 
 
-def _vs(values):
-    ts = np.arange(len(values), dtype=np.int64) * 3600
-    return ValueSeries("x", ts, np.asarray(values, dtype=np.float64))
-
-
 def _assert_close_nan(got, want, tol):
     got = np.asarray(got, dtype=np.float64)
     want = np.asarray(want, dtype=np.float64)
@@ -42,38 +37,24 @@ def _assert_close_nan(got, want, tol):
     assert np.allclose(got[mask], want[mask], rtol=0, atol=tol)
 
 
-# --- smoothing ----------------------------------------------------------------
-
-
-def test_sma_basic():
-    out = smooth(_vs([1.0, 3.0, 5.0]), "SMA", 2).values
-    assert math.isnan(out[0])
-    assert out[1] == 2.0 and out[2] == 4.0
+# --- EMA ----------------------------------------------------------------------
 
 
 def test_constant_input_fixed_point():
-    const = _vs([7.5] * 40)
-    for kind in ("SMA", "EMA"):
-        out = smooth(const, kind, 10).values
-        assert np.isnan(out[:9]).all()
-        assert np.allclose(out[9:], 7.5)
+    out = _ema_array(np.full(40, 7.5), 10)
+    assert np.isnan(out[:9]).all()
+    assert np.allclose(out[9:], 7.5)
 
 
 def test_ema_matches_recurrence_oracle():
     rng = np.random.default_rng(3)
     xs = rng.normal(100, 5, size=100)
-    out = smooth(_vs(xs), "EMA", 3).values
+    out = _ema_array(xs, 3)
     _assert_close_nan(out, oracles.o_ema(list(xs), 3), 1e-12)
 
 
-def test_smooth_too_short_is_all_nan():
-    out = smooth(_vs([1.0, 2.0]), "SMA", 5).values
-    assert np.isnan(out).all()
-
-
-def test_smooth_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        smooth(_vs([1.0]), "WMA", 3)
+def test_ema_too_short_is_all_nan():
+    assert np.isnan(_ema_array(np.array([1.0, 2.0]), 5)).all()
 
 
 # --- spec construction --------------------------------------------------------
@@ -118,7 +99,7 @@ def test_spec_accepts_integral_float_period():
 
 def test_rsi_all_rising_is_100():
     series = make_series_from_closes([100 + i for i in range(20)])
-    out = compute_indicator(series, IndicatorSpec("RSI", (14,))).values
+    out = compute_indicator(series, IndicatorSpec("RSI", (14,)))
     assert np.allclose(out[14:], 100.0)
 
 
@@ -128,33 +109,33 @@ def test_williams_r_endpoints():
     for i in range(15):
         rows.append((price, price + 2.0, price - 2.0, price + 2.0))
     series = make_series_from_ohlc(rows)  # close at the window high
-    out = compute_indicator(series, IndicatorSpec("WILLIAMS_R", (14,))).values
+    out = compute_indicator(series, IndicatorSpec("WILLIAMS_R", (14,)))
     assert abs(out[-1] - 0.0) < 1e-12
 
     rows = [(price, price + 2.0, price - 2.0, price - 2.0) for _ in range(15)]
     series = make_series_from_ohlc(rows)  # close at the window low
-    out = compute_indicator(series, IndicatorSpec("WILLIAMS_R", (14,))).values
+    out = compute_indicator(series, IndicatorSpec("WILLIAMS_R", (14,)))
     assert abs(out[-1] - (-100.0)) < 1e-12
 
 
 def test_roc_ten_percent():
     closes = [100.0] * 10 + [110.0]
     series = make_series_from_closes(closes)
-    out = compute_indicator(series, IndicatorSpec("ROC", (10,))).values
+    out = compute_indicator(series, IndicatorSpec("ROC", (10,)))
     assert abs(out[-1] - 10.0) < 1e-12
 
 
 def test_cmo_balanced_gains_and_losses():
     closes = [100.0, 102.0, 100.0, 102.0, 100.0]
     series = make_series_from_closes(closes)
-    out = compute_indicator(series, IndicatorSpec("CMO", (4,))).values
+    out = compute_indicator(series, IndicatorSpec("CMO", (4,)))
     assert abs(out[-1]) < 1e-12
 
 
 def test_constant_price_relative_indicators_are_zero():
     series = generate_synthetic_series(seed=1, n=60, drift=0.0, volatility=0.0)
     for kind, periods in (("ROC", (10,)), ("CMO", (14,)), ("TRIX", (9,))):
-        out = compute_indicator(series, IndicatorSpec(kind, periods)).values
+        out = compute_indicator(series, IndicatorSpec(kind, periods))
         defined = out[~np.isnan(out)]
         assert defined.size > 0
         assert np.allclose(defined, 0.0)
@@ -165,20 +146,20 @@ def test_constant_price_relative_indicators_are_zero():
 
 def test_rsi_zero_loss_convention_on_constant():
     series = generate_synthetic_series(seed=1, n=30, volatility=0.0)
-    out = compute_indicator(series, IndicatorSpec("RSI", (14,))).values
+    out = compute_indicator(series, IndicatorSpec("RSI", (14,)))
     assert np.allclose(out[14:], 100.0)
 
 
 def test_williams_r_and_cmf_undefined_when_high_equals_low():
     series = generate_synthetic_series(seed=1, n=30, volatility=0.0)
     for kind in ("WILLIAMS_R", "CMF"):
-        out = compute_indicator(series, IndicatorSpec(kind, (14,))).values
+        out = compute_indicator(series, IndicatorSpec(kind, (14,)))
         assert np.isnan(out).all()
 
 
 def test_cci_zero_mean_deviation_is_zero():
     series = generate_synthetic_series(seed=1, n=30, volatility=0.0)
-    out = compute_indicator(series, IndicatorSpec("CCI", (14,))).values
+    out = compute_indicator(series, IndicatorSpec("CCI", (14,)))
     assert np.allclose(out[13:], 0.0)
 
 
@@ -191,7 +172,7 @@ def test_efi_ratio_zero_volume_is_undefined():
         rows.append((prev, max(prev, c), min(prev, c), c, vol))
         prev = c
     series = make_series_from_ohlc(rows)
-    out = compute_indicator(series, IndicatorSpec("EFI_RATIO", (2,))).values
+    out = compute_indicator(series, IndicatorSpec("EFI_RATIO", (2,)))
     assert math.isnan(out[4])
     assert not math.isnan(out[5])
 
@@ -202,7 +183,7 @@ def test_efi_ratio_zero_volume_is_undefined():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_oracle_equivalence_1000_candles(spec):
     series = generate_synthetic_series(seed=77, n=1000, drift=0.0002, volatility=0.015)
-    got = compute_indicator(series, spec).values
+    got = compute_indicator(series, spec)
     want = oracles.oracle_indicator(series, spec.kind, spec.periods)
     _assert_close_nan(got, want, 1e-9)
     if spec.kind in BOUNDS:
@@ -226,8 +207,8 @@ EMA_KINDS = [s for s in ALL_SPECS
 def test_shift_equivariance_exact_for_window_kinds(spec):
     series = generate_synthetic_series(seed=6, n=400, volatility=0.02)
     k = 7
-    full = compute_indicator(series, spec).values[k:]
-    shifted = compute_indicator(series.slice(k, len(series)), spec).values
+    full = compute_indicator(series, spec)[k:]
+    shifted = compute_indicator(series.slice(k, len(series)), spec)
     mask = ~np.isnan(shifted)  # beyond the shifted series' own warm-up
     assert mask.sum() > 300
     assert np.array_equal(full[mask], shifted[mask])
@@ -239,8 +220,8 @@ def test_shift_equivariance_asymptotic_for_ema_kinds(spec):
     # geometrically, so the tails must agree.
     series = generate_synthetic_series(seed=6, n=1200, volatility=0.02)
     k = 5
-    full = compute_indicator(series, spec).values[k:]
-    shifted = compute_indicator(series.slice(k, len(series)), spec).values
+    full = compute_indicator(series, spec)[k:]
+    shifted = compute_indicator(series.slice(k, len(series)), spec)
     tail = slice(-400, None)
     _assert_close_nan(full[tail], shifted[tail], 1e-9)
 
@@ -259,16 +240,16 @@ def _scaled(series, c):
                          ids=lambda s: s.name)
 def test_scale_invariance(spec):
     series = generate_synthetic_series(seed=8, n=300, volatility=0.02)
-    base = compute_indicator(series, spec).values
-    scaled = compute_indicator(_scaled(series, 3.0), spec).values
+    base = compute_indicator(series, spec)
+    scaled = compute_indicator(_scaled(series, 3.0), spec)
     _assert_close_nan(scaled, base, 1e-8)
 
 
 def test_macd_scales_linearly():
     spec = IndicatorSpec("MACD", (12, 26))
     series = generate_synthetic_series(seed=8, n=300, volatility=0.02)
-    base = compute_indicator(series, spec).values
-    scaled = compute_indicator(_scaled(series, 3.0), spec).values
+    base = compute_indicator(series, spec)
+    scaled = compute_indicator(_scaled(series, 3.0), spec)
     _assert_close_nan(scaled, 3.0 * base, 1e-8)
 
 
@@ -283,12 +264,11 @@ def test_warmup_prefix_is_nan_never_zero():
     for spec in ALL_SPECS:
         out = compute_indicator(series, spec)
         first = warmup[spec.name]
-        assert np.isnan(out.values[:first]).all(), spec.name
-        assert not math.isnan(out.values[first]), spec.name
-        assert out.defined_from == first
+        assert np.isnan(out[:first]).all(), spec.name
+        assert not math.isnan(out[first]), spec.name
 
 
 def test_too_short_series_is_all_nan():
     series = generate_synthetic_series(seed=10, n=5, volatility=0.02)
     out = compute_indicator(series, IndicatorSpec("RSI", (14,)))
-    assert np.isnan(out.values).all()
+    assert np.isnan(out).all()

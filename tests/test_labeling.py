@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from kellybt.candles import generate_synthetic_series
-from kellybt.labeling import (BarrierConfig, BarrierLabel, label_series,
-                              triple_barrier_label)
+from kellybt.labeling import BarrierConfig, label_series
 
 import oracles
 from conftest import make_series_from_ohlc
+
+
+def _label_at(series, entry, cfg):
+    """Row ``entry`` of ``label_series(series, cfg)`` as a per-entry record."""
+    return oracles.barrier_label_records(label_series(series, cfg))[entry][1]
 
 
 def test_clean_upper_touch():
@@ -21,8 +25,8 @@ def test_clean_upper_touch():
     ]
     series = make_series_from_ohlc(rows)
     cfg = BarrierConfig(up_pct=0.02, down_pct=0.02, horizon=5)
-    label = triple_barrier_label(series, 0, cfg)
-    assert label == BarrierLabel(1, 1, "UPPER")
+    label = _label_at(series, 0, cfg)
+    assert label == (1, 1, "UPPER")
 
 
 def _quiet_path(end_close):
@@ -37,21 +41,21 @@ def _quiet_path(end_close):
 def test_vertical_sign_positive():
     series = _quiet_path(101.0)
     cfg = BarrierConfig(up_pct=0.02, down_pct=0.02, horizon=5, vertical_rule="SIGN")
-    label = triple_barrier_label(series, 0, cfg)
-    assert label == BarrierLabel(1, 5, "VERTICAL")
+    label = _label_at(series, 0, cfg)
+    assert label == (1, 5, "VERTICAL")
 
 
 def test_vertical_zero_rule():
     series = _quiet_path(101.0)
     cfg = BarrierConfig(up_pct=0.02, down_pct=0.02, horizon=5, vertical_rule="ZERO")
-    label = triple_barrier_label(series, 0, cfg)
-    assert label == BarrierLabel(0, 5, "VERTICAL")
+    label = _label_at(series, 0, cfg)
+    assert label == (0, 5, "VERTICAL")
 
 
 def test_vertical_sign_flat_close_is_minus_one():
     series = _quiet_path(100.0)
     cfg = BarrierConfig(up_pct=0.02, down_pct=0.02, horizon=5, vertical_rule="SIGN")
-    assert triple_barrier_label(series, 0, cfg).label == -1
+    assert _label_at(series, 0, cfg).label == -1
 
 
 def test_ambiguous_resolved_to_nearer_barrier():
@@ -59,13 +63,13 @@ def test_ambiguous_resolved_to_nearer_barrier():
     wild_up = base + [(100.2, 103.0, 97.0, 100.0)] + [(100.0, 100.1, 99.9, 100.0)] * 5
     series = make_series_from_ohlc(wild_up)
     cfg = BarrierConfig(up_pct=0.02, down_pct=0.02, horizon=5)
-    label = triple_barrier_label(series, 0, cfg)
+    label = _label_at(series, 0, cfg)
     assert label.hit_kind == "AMBIGUOUS"
     assert label.label == 1  # open 100.2 is nearer 102 than 98
 
     wild_dn = base + [(99.8, 103.0, 97.0, 100.0)] + [(100.0, 100.1, 99.9, 100.0)] * 5
     series = make_series_from_ohlc(wild_dn)
-    label = triple_barrier_label(series, 0, cfg)
+    label = _label_at(series, 0, cfg)
     assert label.hit_kind == "AMBIGUOUS"
     assert label.label == -1
 
@@ -75,15 +79,8 @@ def test_ambiguous_pessimistic_flag():
             (100.2, 103.0, 97.0, 100.0)] + [(100.0, 100.1, 99.9, 100.0)] * 5
     series = make_series_from_ohlc(rows)
     cfg = BarrierConfig(up_pct=0.02, down_pct=0.02, horizon=5, ambiguous_to_lower=True)
-    label = triple_barrier_label(series, 0, cfg)
+    label = _label_at(series, 0, cfg)
     assert label.label == -1 and label.hit_kind == "AMBIGUOUS"
-
-
-def test_horizon_past_end_rejected():
-    series = generate_synthetic_series(seed=1, n=6)
-    cfg = BarrierConfig(horizon=5)
-    with pytest.raises(ValueError, match="past series end"):
-        triple_barrier_label(series, 1, cfg)
 
 
 def test_config_validation():
@@ -101,10 +98,9 @@ def test_oracle_equivalence_500_paths(rule):
     count = 0
     for seed in range(10):
         series = generate_synthetic_series(seed=seed, n=60, volatility=0.012)
-        for entry in range(0, len(series) - cfg.horizon - 1):
-            got = triple_barrier_label(series, entry, cfg)
-            want = oracles.o_barrier_label(series, entry, cfg)
-            assert (got.label, got.hit_bar, got.hit_kind) == want
+        labels = oracles.barrier_label_records(label_series(series, cfg))
+        for entry, got in labels[:len(series) - cfg.horizon - 1]:
+            assert got == oracles.o_barrier_label(series, entry, cfg)
             count += 1
     assert count >= 500
 
@@ -113,10 +109,10 @@ def test_upper_monotonicity_in_up_pct():
     widths = [0.005, 0.01, 0.02, 0.04]
     for seed in range(8):
         series = generate_synthetic_series(seed=seed, n=80, volatility=0.015)
+        by_width = [oracles.barrier_label_records(label_series(
+            series, BarrierConfig(up_pct=w, down_pct=0.02, horizon=10))) for w in widths]
         for entry in range(0, 60, 3):
-            labels = [triple_barrier_label(
-                series, entry, BarrierConfig(up_pct=w, down_pct=0.02, horizon=10))
-                for w in widths]
+            labels = [records[entry][1] for records in by_width]
             for narrow, wide in zip(labels, labels[1:]):
                 if wide.hit_kind == "UPPER":
                     assert narrow.hit_kind in ("UPPER", "AMBIGUOUS")
@@ -135,8 +131,8 @@ def test_reflection_symmetry():
                 for o, h, l, c, v in zip(series.open, series.high, series.low,
                                          series.close, series.volume)]
         mirrored = make_series_from_ohlc(rows, start_ts=int(series.timestamps[0]))
-        a = triple_barrier_label(series, entry, cfg)
-        b = triple_barrier_label(mirrored, entry, mirror_cfg)
+        a = _label_at(series, entry, cfg)
+        b = _label_at(mirrored, entry, mirror_cfg)
         if a.hit_kind in ("UPPER", "LOWER"):
             assert b.label == -a.label
             assert b.hit_bar == a.hit_bar
@@ -201,10 +197,9 @@ def test_label_series_is_read_only_column_frame():
     assert len(labeled) == 13
     for column in (labeled.entry, labeled.label, labeled.hit_bar, labeled.hit_kind):
         assert len(column) == 13 and not column.flags.writeable
-    for e, lab, bar, kind in zip(labeled.entry.tolist(), labeled.label.tolist(),
-                                 labeled.hit_bar.tolist(), labeled.hit_kind.tolist()):
-        assert triple_barrier_label(series, e, BarrierConfig(horizon=4)) == BarrierLabel(
-            lab, bar, kind)
+    every = label_series(series, BarrierConfig(horizon=4))
+    for column in ("entry", "label", "hit_bar", "hit_kind"):
+        assert getattr(labeled, column).tolist() == getattr(every, column)[::2].tolist()
 
 
 def test_label_series_shorter_than_horizon_is_empty():

@@ -180,7 +180,7 @@ def test_classification_matches_hand_recount():
         fp += yhat and not y
         tn += (not yhat) and (not y)
         fn += (not yhat) and y
-    assert report.confusion == (tn, fp, fn, tp)
+    assert report.confusion == {"tn": tn, "fp": fp, "fn": fn, "tp": tp}
     assert abs(report.logloss - sum(losses) / len(losses)) <= 1e-12
     prec_up = tp / (tp + fp)
     rec_up = tp / (tp + fn)
@@ -189,7 +189,7 @@ def test_classification_matches_hand_recount():
     f1_up = 2 * prec_up * rec_up / (prec_up + rec_up)
     assert abs(report.up.f1 - f1_up) <= 1e-12
     w = (report.down.f1 * report.down.support + report.up.f1 * report.up.support)
-    assert abs(report.weighted_f1 - w / 100) <= 1e-12
+    assert abs(report.weighted["f1"] - w / 100) <= 1e-12
 
 
 def test_weighted_f1_between_class_extremes():
@@ -198,7 +198,7 @@ def test_weighted_f1_between_class_extremes():
     preds = Predictions(labels.timestamps, rng.uniform(0.1, 0.9, len(labels)))
     report = classification_report(preds, labels)
     lo, hi = sorted([report.down.f1, report.up.f1])
-    assert lo - 1e-12 <= report.weighted_f1 <= hi + 1e-12
+    assert lo - 1e-12 <= report.weighted["f1"] <= hi + 1e-12
 
 
 def test_classification_requires_overlap():

@@ -1,11 +1,12 @@
 """Property tests: every loader either rejects a corrupted field with a
 DataError naming its line or yields finite values, both loaders read or
-reject the same field spelling, what the CSV writers write their loaders
-read back unchanged, and the backtest's stride lattice keeps one trade grid
-for every policy, the aggregate exposure under the leverage cap and the
-equity at or above zero, cut at the first ruin point. The barrier-label
-kernel equals the per-entry scan, no causal stage reads a bar past a prefix
-cut, and every sizing policy is non-decreasing in p."""
+reject the same field spelling and read a timestamp only as an exact int64
+literal, what the CSV writers write their loaders read back unchanged, and
+the backtest's stride lattice keeps one trade grid for every policy, the
+aggregate exposure under the leverage cap and the equity at or above zero,
+cut at the first ruin point. The barrier-label kernel equals the per-entry
+scan, no causal stage reads a bar past a prefix cut, and every sizing policy
+is non-decreasing in p."""
 import io
 import os
 import re
@@ -20,10 +21,10 @@ from kellybt.backtest import BacktestConfig, compare_strategies
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
                             parse_candles, parse_candles_text, positions)
 from kellybt.features import apply_normalizer, build_feature_matrix, fit_normalizer
-from kellybt.indicators import ARITY, IndicatorSpec, compute_indicator
+from kellybt.indicators import KINDS, IndicatorSpec, compute_indicator
 from kellybt.labeling import BarrierConfig, label_series
-from kellybt.predictors import (AB_FLOOR, Predictions, Scenarios, estimate_scenarios,
-                                load_predictions, write_predictions_csv)
+from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, Predictions, Scenarios,
+                                estimate_scenarios, load_predictions, write_predictions_csv)
 from kellybt.sizing import SizingPolicy, decide
 
 import oracles
@@ -45,7 +46,7 @@ bad_fields = st.one_of(
 
 @st.composite
 def periods_for(draw, kind):
-    if ARITY[kind] == 2:
+    if KINDS[kind][0] == 2:
         slow = draw(st.integers(2, 40))
         return (draw(st.integers(1, slow - 1)), slow)
     return (draw(st.integers(1, 40)),)
@@ -123,18 +124,61 @@ def test_both_loaders_read_or_reject_the_same_field_spelling(field):
     assert _reads(parse_candles, candles) == _reads(load_predictions, predictions)
 
 
+# One data row in each loader's format, with ``ts`` as its timestamp cell.
+LOADER_ROWS = {
+    "candles": (lambda text: parse_candles(io.StringIO(text)).timestamps,
+                "timestamp,open,high,low,close,volume\n{},100,101,99,100,1\n"),
+    "predictions": (lambda text: load_predictions(io.StringIO(text))[0].timestamps,
+                    "timestamp,p_up\n{},0.6\n"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_ROWS))
+def test_both_loaders_read_timestamps_beyond_2_53_exactly(loader):
+    timestamps, row = LOADER_ROWS[loader]
+    # An odd number of hours past 2**57 has no float64 twin: a float read would move it.
+    beyond = (2**57 // (2 * HOUR) + 1) * 2 * HOUR + HOUR
+    assert int(float(beyond)) != beyond
+    for ts in (beyond, (2**63 - 1) // HOUR * HOUR, -((2**63) // HOUR) * HOUR):
+        assert timestamps(row.format(ts)).tolist() == [ts]
+    if loader == "candles":  # not hour-aligned: the error names the value read
+        with pytest.raises(DataError, match="line 2: timestamp 9007199254740993 is not"):
+            timestamps(row.format(9007199254740993))
+    else:
+        assert timestamps(row.format(9007199254740993)).tolist() == [9007199254740993]
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_ROWS))
+@pytest.mark.parametrize("ts", ["3600.0", "1.5778368e9", "1e3", "0x10", "9223372036854775808",
+                                "-9223372036854775809", "3600\u00a0", "\U0010fffd",
+                                "1\U000966e5"])
+def test_both_loaders_reject_a_timestamp_that_is_not_an_int64_literal(loader, ts):
+    timestamps, row = LOADER_ROWS[loader]
+    with pytest.raises(DataError, match="^malformed row at line 2: "):
+        timestamps(row.format(ts))
+
+
+# Candle timestamps must be hour-aligned; the first hour keeps 300 more in int64.
+candle_hours = st.integers(-((2**63) // HOUR), (2**63 - 1) // HOUR - 300)
+# Subnormal, tiny and signed-zero values, which a lossy text round trip would move.
+TINY = np.array([-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+
+
 @PROPERTY
 @given(seed=seeds, n=st.integers(1, 300), volatility=volatilities,
-       start_price=st.sampled_from([1e-300, 0.5, 30000.0, 1e250]),
-       start_hour=st.integers(-10**6, 10**6), drop=st.sampled_from([0.0, 0.1]))
+       start_price=st.sampled_from([2.5e-320, 1e-300, 0.5, 30000.0, 1e250]),
+       start_hour=candle_hours, drop=st.sampled_from([0.0, 0.1]))
 def test_to_csv_round_trips_through_parse_candles(seed, n, volatility, start_price,
                                                   start_hour, drop):
     series = generate_synthetic_series(seed=seed, n=n, volatility=volatility,
                                        start_price=start_price, start_ts=start_hour * HOUR)
-    keep = np.random.default_rng(seed).random(n) >= drop
+    rng = np.random.default_rng(seed)
+    keep = rng.random(n) >= drop
     keep[0] = True
     cols = [getattr(series, c)[keep] for c in ("timestamps", "open", "high", "low",
                                                 "close", "volume")]
+    cols[-1] = np.where(rng.random(cols[-1].size) < 0.2, rng.choice(TINY, cols[-1].size),
+                        cols[-1])
     series = CandleSeries(*cols, symbol="RT")
     buf = io.StringIO()
     series.to_csv(buf)
@@ -147,14 +191,15 @@ def test_to_csv_round_trips_through_parse_candles(seed, n, volatility, start_pri
 
 @PROPERTY
 @given(seed=seeds, n=st.integers(1, 300), with_estimates=st.booleans(),
-       missing=st.sampled_from([0.0, 0.3]))
+       missing=st.sampled_from([0.0, 0.3]), start=st.integers(-(2**63), 2**63 - 2**21))
 def test_write_predictions_csv_round_trips_through_load_predictions(seed, n, with_estimates,
-                                                                    missing):
-    series = generate_synthetic_series(seed=seed, n=n)
+                                                                    missing, start):
     rng = np.random.default_rng(seed)
-    ts = series.timestamps
-    preds = Predictions(ts, rng.uniform(0.01, 0.99, n))
-    extremes = np.array([AB_FLOOR, 1 / 3, 1e300, 1.7976931348623157e308])
+    # Strictly increasing int64 timestamps, steps of 1 included, from anywhere in the range.
+    ts = start + np.cumsum(rng.integers(1, 4096, n)).astype(np.int64)
+    p_up = np.where(rng.random(n) < 0.1, rng.choice(TINY[2:], n), rng.uniform(0.01, 0.99, n))
+    preds = Predictions(ts, p_up)
+    extremes = np.array([AB_FLOOR, 1 / 3, 1e300, 1.7976931348623157e308, *TINY[2:]])
     a, b = np.where(rng.random((2, n)) < 0.1, rng.choice(extremes, (2, n)),
                     rng.uniform(AB_FLOOR, 0.5, (2, n)))
     ests = None
@@ -165,15 +210,19 @@ def test_write_predictions_csv_round_trips_through_load_predictions(seed, n, wit
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "predictions.csv")
         write_predictions_csv(preds, ests, path)
-        got_preds, got_ests = load_predictions(path, series)
+        got_preds, got_ests = load_predictions(path)
+    # The loader clips p_up and floors a and b, so a subnormal comes back clipped.
     want_ts = ts if ests is None else ts[kept]
     assert np.array_equal(got_preds.timestamps, want_ts)
-    assert np.array_equal(got_preds.p_up, preds.p_up[np.isin(ts, want_ts)])
+    assert np.array_equal(got_preds.p_up,
+                          np.clip(p_up[np.isin(ts, want_ts)], P_CLIP_LO, P_CLIP_HI))
     if ests is None:
         assert got_ests is None
     else:
-        for name in ("timestamps", "a", "b"):
-            assert np.array_equal(getattr(got_ests, name), getattr(ests, name))
+        assert np.array_equal(got_ests.timestamps, ests.timestamps)
+        for name in ("a", "b"):
+            assert np.array_equal(getattr(got_ests, name),
+                                  np.maximum(getattr(ests, name), AB_FLOOR))
 
 
 @PROPERTY
@@ -283,13 +332,13 @@ def test_prefix_values_equal_full_series_values(data, seed, n, volatility):
     k = data.draw(st.integers(1, n - 1))
     prefix, ts = series.slice(0, k), series.timestamps
 
-    for kind in sorted(ARITY):
+    for kind in sorted(KINDS):
         spec = IndicatorSpec(kind, data.draw(periods_for(kind)))
-        assert _same(compute_indicator(prefix, spec).values,
-                     compute_indicator(series, spec).values[:k]), spec.name
+        assert _same(compute_indicator(prefix, spec),
+                     compute_indicator(series, spec)[:k]), spec.name
 
     grid = [IndicatorSpec(kind, data.draw(periods_for(kind))) for kind in
-            data.draw(st.lists(st.sampled_from(sorted(ARITY)), min_size=1, max_size=3))]
+            data.draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=3))]
     price_model = data.draw(st.booleans())
     horizon = data.draw(st.integers(1, 8))
     try:
