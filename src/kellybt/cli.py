@@ -271,7 +271,7 @@ def _equity_svg(results: list[backtest.StrategyResult], path: str, title: str) -
     for res in results:
         ts = res.curve.timestamps
         xs = (ts - ts[:1]) / HOUR  # ts[:1], not ts[0]: an empty curve stays empty
-        curves.append((res.policy.label, xs.tolist(), res.curve.values.tolist()))
+        curves.append((res.policy.label, xs, res.curve.values))
     artifacts.svg_line_chart(curves, path, title=title)
 
 

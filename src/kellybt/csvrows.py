@@ -24,15 +24,16 @@ BLOCK_ROWS = 1024
 
 def format_rows(columns, start: int, stop: int):
     """Yield the CSV text of rows ``[start, stop)`` of ``columns``, one block
-    at a time. A column is a list, a tuple, or an array whose slices have
-    ``tolist`` (numpy, ``array.array``)."""
+    at a time. A column is a list or a tuple, which may hold None, or an array
+    whose slices have ``tolist`` (numpy, ``array.array``), which holds none."""
     for lo in range(start, stop, BLOCK_ROWS):
         cells = []
         for col in columns:
             block = col[lo:min(lo + BLOCK_ROWS, stop)]
-            if not isinstance(block, (list, tuple)):
-                block = block.tolist()
-            cells.append(["NA" if v is None else str(v) for v in block])
+            if isinstance(block, (list, tuple)):
+                cells.append(["NA" if v is None else str(v) for v in block])
+            else:
+                cells.append(map(str, block.tolist()))
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 

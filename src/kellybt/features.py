@@ -144,7 +144,8 @@ def apply_normalizer(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
     if stats.column_names != matrix.column_names:
         raise ValueError("normalizer columns do not match the matrix")
     safe = np.where(stats.std == 0, 1.0, stats.std)
-    values = (matrix.values - stats.mean) / safe
+    values = matrix.values - stats.mean
+    values /= safe
     values[:, stats.std == 0] = 0.0
     return FeatureMatrix(matrix.timestamps, matrix.column_names, values)
 

@@ -85,9 +85,11 @@ def _ema_array(x: np.ndarray, n: int) -> np.ndarray:
     one_minus = 1.0 - alpha
     acc = float(np.mean(x[s:s + n]))
     out[s + n - 1] = acc
-    for t in range(s + n, x.size):
-        acc = alpha * float(x[t]) + one_minus * acc
-        out[t] = acc
+    tail = []
+    for v in x[s + n:].tolist():
+        acc = alpha * v + one_minus * acc
+        tail.append(acc)
+    out[s + n:] = tail
     return out
 
 

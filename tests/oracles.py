@@ -11,7 +11,8 @@ and the precision/recall sweep, unchanged but renamed ``o_*``, so the
 columnar library code can be checked against them for exact equality. The
 last section keeps the earlier hand-written CSV writers the same way (the
 inline ones from the CLI wrapped in functions), so every writer can be
-checked against them byte for byte.
+checked against them byte for byte. ``o_ema_array`` and ``o_svg_line_chart``
+keep the per-element EMA loop and the per-point SVG writer the same way.
 
 The per-row references take and return the per-row records the library used
 before it moved predictions, scenarios and trades into column frames
@@ -62,6 +63,22 @@ def o_ema(xs, n):
     out[s + n - 1] = acc
     for t in range(s + n, len(xs)):
         acc = alpha * xs[t] + (1.0 - alpha) * acc
+        out[t] = acc
+    return out
+
+
+def o_ema_array(x: np.ndarray, n: int) -> np.ndarray:
+    """The earlier ``indicators._ema_array``, which indexes the array once per bar."""
+    out = np.full(x.size, np.nan)
+    s = first_defined(x)
+    if s is None or x.size - s < n:
+        return out
+    alpha = 2.0 / (n + 1.0)
+    one_minus = 1.0 - alpha
+    acc = float(np.mean(x[s:s + n]))
+    out[s + n - 1] = acc
+    for t in range(s + n, x.size):
+        acc = alpha * float(x[t]) + one_minus * acc
         out[t] = acc
     return out
 
@@ -770,3 +787,59 @@ def o_kelly_surface(resolved: dict, outdir: str) -> list[str]:
                 fh.write(f"{p!r},{ab!r},{sizing.kelly_fraction(p, ab, ab)!r}\n")
     written.append(path)
     return written
+
+
+# --- per-point SVG writer -----------------------------------------------------------
+
+
+def _o_fmt(x: float) -> str:
+    return f"{x:.3f}".rstrip("0").rstrip(".")
+
+
+def o_svg_line_chart(curves, path: str, title: str = "", width: int = 900,
+                     height: int = 420) -> None:
+    """The earlier ``artifacts.svg_line_chart``: every point through two closures."""
+    margin = 60
+    xs_all = [x for _, xs, _ in curves for x in xs]
+    ys_all = [y for _, _, ys in curves for y in ys]
+    if not xs_all:
+        raise ValueError("nothing to plot")
+    x_lo, x_hi = min(xs_all), max(xs_all)
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
+
+    def px(x):
+        return margin + (x - x_lo) / x_span * (width - 2 * margin)
+
+    def py(y):
+        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
+        f'stroke="black"/>',
+        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{margin}" y="{height - margin + 18}" font-size="11">{_o_fmt(x_lo)}</text>',
+        f'<text x="{width - margin}" y="{height - margin + 18}" text-anchor="end" '
+        f'font-size="11">{_o_fmt(x_hi)}</text>',
+        f'<text x="{margin - 6}" y="{height - margin}" text-anchor="end" '
+        f'font-size="11">{_o_fmt(y_lo)}</text>',
+        f'<text x="{margin - 6}" y="{margin + 4}" text-anchor="end" '
+        f'font-size="11">{_o_fmt(y_hi)}</text>',
+    ]
+    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+    for k, (label, xs, ys) in enumerate(curves):
+        color = palette[k % len(palette)]
+        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                     f'stroke-width="1.5"/>')
+        parts.append(f'<text x="{width - margin + 4}" y="{margin + 16 * k + 12}" '
+                     f'font-size="12" fill="{color}">{label}</text>')
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -390,14 +390,29 @@ def test_env_var_default_outdir(tmp_path, monkeypatch, capsys):
 
 
 def test_equity_svg_is_well_formed_xml(tmp_path):
-    import xml.etree.ElementTree as ET
+    """Every SVG the CLI writes parses, and its title keeps the text asked for,
+    XML markup characters included."""
+    from xml.dom import minidom
 
-    out = str(tmp_path / "svg")
-    assert _run("simulate", "--sim", "balanced", "--n", "600", "--window", "100",
-                "--out", out) == 0
-    root = ET.parse(f"{out}/equity.svg").getroot()
-    assert root.tag.endswith("svg")
-    assert any(child.tag.endswith("polyline") for child in root)
+    candles, preds = _write_series_and_predictions(tmp_path)
+    runs = {
+        "simulate": (["simulate", "--sim", "balanced", "--n", "600", "--window", "100"],
+                     "balanced simulator"),
+        "backtest": (["backtest", "--input", candles, "--predictions", preds],
+                     "backtest BTCUSDT"),
+        "symbol": (["backtest", "--input", candles, "--predictions", preds,
+                    "--symbol", "S&P<500>"], "backtest S&P<500>"),
+    }
+    for name, (argv, title) in runs.items():
+        out = tmp_path / name
+        assert _run(*argv, "--out", str(out)) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert svgs, name
+        for svg in svgs:
+            root = minidom.parse(str(svg)).documentElement
+            assert root.tagName == "svg"
+            assert root.getElementsByTagName("polyline")
+            assert root.getElementsByTagName("text")[0].firstChild.data == title
 
 
 def test_every_run_writes_exactly_one_manifest(tmp_path):

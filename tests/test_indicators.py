@@ -57,6 +57,26 @@ def test_ema_too_short_is_all_nan():
     assert np.isnan(_ema_array(np.array([1.0, 2.0]), 5)).all()
 
 
+def _bits(x):
+    return np.asarray(x, np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("size, warmup, n", [
+    (500, 0, 1), (500, 0, 14), (500, 37, 28), (40, 30, 10),  # NaN warm-up prefixes
+    (5, 0, 14), (20, 10, 14), (0, 0, 3), (3, 3, 1),          # shorter than n
+])
+def test_ema_is_bit_identical_to_the_per_index_loop(size, warmup, n):
+    rng = np.random.default_rng(size + warmup + n)
+    x = rng.normal(100, 5, size) * 10.0 ** rng.integers(-3, 4, size)
+    x[:warmup] = np.nan
+    assert np.array_equal(_bits(_ema_array(x, n)), _bits(oracles.o_ema_array(x, n)))
+    # Nested, as TRIX uses it: each level's input starts with the NaNs the last wrote.
+    got, want = x, x
+    for _ in range(3):
+        got, want = _ema_array(got, n), oracles.o_ema_array(want, n)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 # --- spec construction --------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """The one CSV writer, ``artifacts.write_csv``, and every artifact writer built
 on it: each writes the same bytes as the hand-written writer it replaced
 (kept in oracles.py), including across the writer's block boundaries, and
-the same bytes when a table is split into row ranges formatted by workers."""
+the same bytes when a table is split into row ranges formatted by workers.
+The SVG chart writes the same bytes as the per-point writer it replaced."""
 import contextlib
 import dataclasses
 import io
@@ -13,7 +14,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from kellybt import artifacts, cli
@@ -382,13 +383,76 @@ def test_table_with_another_column_type_keeps_one_range(made, column):
 
 
 def test_one_usable_cpu_or_a_small_table_starts_no_worker(made):
-    header, columns = _table(100_000)  # 200,000 cells
+    n = artifacts.CSV_CELLS_PER_RANGE  # two columns: the cells of two ranges
+    header, columns = _table(n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "_usable_cpus", lambda: 1)
-        assert artifacts._row_ranges(columns, 100_000) == [0, 100_000]
+        assert artifacts._row_ranges(columns, n) == [0, n]
         write_csv(io.StringIO(), header, columns)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "_usable_cpus", lambda: 8)
-        assert artifacts._row_ranges(columns, 100_000) == [0, 50_000, 100_000]
-        assert artifacts._row_ranges(columns, 99_999) == [0, 99_999]  # 199,998 cells
+        assert artifacts._row_ranges(columns, n) == [0, n // 2, n]
+        assert artifacts._row_ranges(columns, n - 1) == [0, n - 1]  # two cells short
     assert made == ([], [])
+
+
+# The shapes of simulate's predictions.csv and equity_*.csv and of features'
+# labels.csv on a 50,000-bar series.
+@pytest.mark.parametrize("n, kinds", [
+    (49_745, ["int64", "float64", "float64", "float64"]),
+    (49_746, ["int64", "float64"]),
+    (49_995, ["int64", "int8", "float64", "float64"]),
+], ids=["predictions", "equity", "labels"])
+def test_full_size_tables_take_two_ranges_on_two_cpus(monkeypatch, n, kinds):
+    rng = np.random.default_rng(n)
+    columns = [_column(rng, kind, n, 0.05) for kind in kinds]
+    header = tuple(f"c{j}" for j in range(len(columns)))
+    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 1)
+    want = _written(lambda path: write_csv(path, header, columns))
+    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 2)
+    assert artifacts._row_ranges(columns, n) == [0, n // 2, n]
+    assert _written(lambda path: write_csv(path, header, columns)) == want
+
+
+# --- the SVG chart ----------------------------------------------------------------
+
+CURVE_SHAPES = ["empty", "point", "constant", "negative", "ruin", "wide"]
+
+
+def _curve(rng, shape):
+    """Hours since the first point and values of one curve of ``shape``."""
+    n = {"empty": 0, "point": 1}.get(shape, int(rng.integers(2, 400)))
+    xs = np.cumsum(rng.integers(0, 6, n)) * float(rng.choice([1.0, 0.25, 1e-3]))
+    ys = 1e4 * np.exp(np.cumsum(rng.normal(0.0, 0.02, n)))
+    if shape == "constant":
+        ys = np.full(n, ys[0])
+    elif shape == "negative":
+        ys = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 7)
+    elif shape == "ruin":
+        ys[-int(rng.integers(1, n)):] = 0.0
+    elif shape == "wide":
+        ys = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 201, n)
+    return xs, ys
+
+
+@settings(EXACT, max_examples=40)
+@given(seed=seeds, shapes=st.lists(st.sampled_from(CURVE_SHAPES), min_size=1, max_size=5),
+       as_lists=st.booleans())
+@example(seed=0, shapes=["point"], as_lists=False)  # both spans 0
+@example(seed=1, shapes=["empty", "ruin", "constant"], as_lists=True)
+@example(seed=2, shapes=["negative", "empty", "point"], as_lists=False)
+def test_svg_chart_matches_the_per_point_writer(seed, shapes, as_lists):
+    rng = np.random.default_rng(seed)
+    curves = []
+    for k, shape in enumerate(shapes):
+        xs, ys = _curve(rng, shape)
+        if as_lists:
+            xs, ys = xs.tolist(), ys.tolist()
+        curves.append((f"policy {k}", xs, ys))
+    if all(shape == "empty" for shape in shapes):
+        for write in (artifacts.svg_line_chart, oracles.o_svg_line_chart):
+            with pytest.raises(ValueError, match="nothing to plot"):
+                write(curves, os.devnull)
+        return
+    assert _written(artifacts.svg_line_chart, curves) == \
+        _written(oracles.o_svg_line_chart, curves)
