@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from .artifacts import write_csv
 from .candles import CandleSeries, Frame, column, positions
 from .predictors import Predictions, Scenarios
 from .sizing import SizingPolicy, decide
-
-_FRACTION = attrgetter("fraction")
-_SIDE = attrgetter("side")
 
 
 @dataclass(frozen=True)
@@ -143,11 +139,11 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     else:
         at = est_at[chosen]
         scenarios = zip(estimates.a[at].tolist(), estimates.b[at].tolist())
-    decisions = list(map(decide, p_up, scenarios, repeat(policy)))
+    _, fraction, side = zip(*map(decide, p_up, scenarios, repeat(policy)))
 
     entry_at = pred_pos[chosen]
     exit_at = entry_at + horizon
-    fraction = np.fromiter(map(_FRACTION, decisions), np.float64, len(decisions)) / divisor
+    fraction = np.array(fraction, np.float64) / divisor
     entry_price = series.close[entry_at]
     exit_price = series.close[exit_at]
     realized = (exit_price - entry_price) / entry_price
@@ -167,7 +163,7 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
         m = len(chosen)
 
     exit_ts = ts[exit_at[:m]]
-    trades = Trades(ts[entry_at[:m]], exit_ts, list(map(_SIDE, decisions[:m])), fraction[:m],
+    trades = Trades(ts[entry_at[:m]], exit_ts, side[:m], fraction[:m],
                     entry_price[:m], exit_price[:m], realized[:m], pnl[:m])
     curve = EquityCurve(np.concatenate((ts[entry_at[:1]], exit_ts)), values, ruin=ruin)
     return curve, trades

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 POLICY_NONE = "NONE"
 POLICY_KELLY = "KELLY"
@@ -115,8 +116,7 @@ class SizingPolicy:
         return self.kind.lower()
 
 
-@dataclass(frozen=True)
-class BetDecision:
+class BetDecision(NamedTuple):
     raw_fraction: float
     fraction: float
     side: str
@@ -126,19 +126,22 @@ def decide(p: float, scenario: tuple[float, float] | None,
            policy: SizingPolicy) -> BetDecision:
     """Size one bet from the up probability ``p`` and the ``(a, b)`` scenario
     (needed by KELLY only). Composition order: fractional-Kelly scaling,
-    then the leverage clamp, then the constant modifier."""
-    if policy.kind == POLICY_KELLY:
+    then the leverage clamp, then the constant modifier. The clamp keeps a
+    NaN (subnormal a and b make the Kelly fraction inf - inf) as NaN."""
+    if not 0 < p < 1:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    kind = policy.kind
+    if kind == POLICY_KELLY:
         if scenario is None:
             raise ValueError("KELLY sizing needs a scenario estimate")
         raw = kelly_fraction(p, *scenario)
         scaled = policy.kelly_fraction * raw
-    elif policy.kind == POLICY_GAUSSIAN:
-        raw = gaussian_bet_size(p, policy.expected)
-        scaled = raw
+    elif kind == POLICY_GAUSSIAN:
+        raw = scaled = gaussian_bet_size(p, policy.expected)
     else:
-        raw = 1.0 if p > 0.5 else (-1.0 if p < 0.5 else 0.0)
-        scaled = raw
-    clamped = min(max(scaled, -policy.max_leverage), policy.max_leverage)
+        raw = scaled = 1.0 if p > 0.5 else (-1.0 if p < 0.5 else 0.0)
+    cap = policy.max_leverage
+    clamped = cap if scaled > cap else (-cap if scaled < -cap else scaled)
     fraction = clamped * policy.modifier
     side = SIDE_LONG if fraction > 0 else (SIDE_SHORT if fraction < 0 else SIDE_FLAT)
-    return BetDecision(raw, fraction, side)
+    return tuple.__new__(BetDecision, (raw, fraction, side))

@@ -5,14 +5,16 @@ separate from the library's vectorized implementations: window statistics
 are recomputed from scratch at every bar, the normal CDF comes from a
 Maclaurin erf series, and drawdown enumerates all peak/trough pairs.
 
-The per-row section keeps the earlier implementations of the backtest
-loop, the monthly returns, the Gaussian simulator, the scenario estimator
-and the precision/recall sweep, unchanged but renamed ``o_*``, so the
-columnar library code can be checked against them for exact equality. The
-last section keeps the earlier hand-written CSV writers the same way (the
-inline ones from the CLI wrapped in functions), so every writer can be
-checked against them byte for byte. ``o_ema_array`` and ``o_svg_line_chart``
-keep the per-element EMA loop and the per-point SVG writer the same way.
+The per-row section keeps the earlier implementations of the per-bet
+sizing step (``o_decide``, with its own copies of the Kelly and Gaussian
+formulas), the backtest loop, the monthly returns, the Gaussian simulator,
+the scenario estimator and the precision/recall sweep, unchanged but
+renamed ``o_*``, so the library code can be checked against them for exact
+equality. The last section keeps the earlier hand-written CSV writers the
+same way (the inline ones from the CLI wrapped in functions), so every
+writer can be checked against them byte for byte. ``o_ema_array`` and
+``o_svg_line_chart`` keep the per-element EMA loop and the per-point SVG
+writer the same way.
 
 The per-row references take and return the per-row records the library used
 before it moved predictions, scenarios and trades into column frames
@@ -359,10 +361,60 @@ def barrier_label_records(labeled) -> list[tuple[int, LabelRecord]]:
                 labeled.hit_kind.tolist())]
 
 
-def decide(pred: DirectionPrediction, est: ScenarioEstimate | None,
-           policy: SizingPolicy) -> sizing.BetDecision:
-    """``sizing.decide`` called with one prediction record and its estimate."""
-    return sizing.decide(pred.p_up, None if est is None else (est.a, est.b), policy)
+@dataclass(frozen=True)
+class BetDecision:
+    raw_fraction: float
+    fraction: float
+    side: str
+
+
+def o_kelly_fraction(p: float, a: float, b: float) -> float:
+    if not 0 < p < 1:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    if not (a > 0 and b > 0):
+        raise ValueError(f"scenario magnitudes must be > 0, got a={a}, b={b}")
+    return p / a - (1.0 - p) / b
+
+
+def o_gaussian_bet_size(p_up: float, expected: float = 0.5) -> float:
+    if not 0 < p_up < 1:
+        raise ValueError(f"p_up must be in (0, 1), got {p_up}")
+    if not 0 < expected < 1:
+        raise ValueError(f"expected must be in (0, 1), got {expected}")
+    if p_up > expected:
+        z = (p_up - expected) / math.sqrt(p_up * (1.0 - p_up))
+        return 2.0 * (0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))) - 1.0
+    q = 1.0 - p_up
+    if q == 1.0:
+        return -1.0
+    if q > expected:
+        z = (q - expected) / math.sqrt(q * (1.0 - q))
+        return -(2.0 * (0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))) - 1.0)
+    return 0.0
+
+
+def o_decide(p: float, scenario: tuple[float, float] | None,
+             policy: SizingPolicy) -> BetDecision:
+    """The per-bet sizing step as it was written first: a frozen dataclass,
+    the clamp as ``min(max(...))`` and one formula call per kind, with the
+    p check every kind shares."""
+    if not 0 < p < 1:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    if policy.kind == "KELLY":
+        if scenario is None:
+            raise ValueError("KELLY sizing needs a scenario estimate")
+        raw = o_kelly_fraction(p, *scenario)
+        scaled = policy.kelly_fraction * raw
+    elif policy.kind == "GAUSSIAN":
+        raw = o_gaussian_bet_size(p, policy.expected)
+        scaled = raw
+    else:
+        raw = 1.0 if p > 0.5 else (-1.0 if p < 0.5 else 0.0)
+        scaled = raw
+    clamped = min(max(scaled, -policy.max_leverage), policy.max_leverage)
+    fraction = clamped * policy.modifier
+    side = "LONG" if fraction > 0 else ("SHORT" if fraction < 0 else "FLAT")
+    return BetDecision(raw, fraction, side)
 
 
 def _align(predictions: list[DirectionPrediction], labels: LabelSet):
@@ -414,7 +466,8 @@ def o_run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
             est = est_by_ts.get(p.timestamp)
             if est is None:
                 continue
-        entries.append((i, decide(p, est, policy)))
+        entries.append((i, o_decide(p.p_up, None if est is None else (est.a, est.b),
+                                    policy)))
         next_allowed = i + stride
 
     if not entries:

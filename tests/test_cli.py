@@ -510,9 +510,10 @@ def test_backtest_of_a_written_run_equals_the_run_in_memory(tmp_path, stride):
             (tmp_path / "bt" / bt_name).read_bytes(), sim_name
 
 
-def test_doubling_prices_leaves_every_simulate_artifact_unchanged(tmp_path):
-    """Every simulate output is scale-free in price, and scaling by a power of
-    two is exact in binary floating point."""
+def _artifacts_of_both(tmp_path, *argv):
+    """Each artifact but the manifest, by name, of one command run on a candle
+    file and on its copy with every price doubled; scaling by a power of two
+    is exact in binary floating point."""
     series = generate_synthetic_series(seed=3, n=3000)
     doubled = CandleSeries(series.timestamps, *(2.0 * getattr(series, name) for name in
                                                 ("open", "high", "low", "close")),
@@ -520,12 +521,46 @@ def test_doubling_prices_leaves_every_simulate_artifact_unchanged(tmp_path):
     outputs = []
     for name, candles in (("base", series), ("doubled", doubled)):
         candles.to_csv(str(tmp_path / f"{name}.csv"))
-        out = tmp_path / f"sim_{name}"
-        assert _run("simulate", "--input", str(tmp_path / f"{name}.csv"), "--sim", "gaussian",
-                    "--fee-rate", "0.0005", "--out", str(out)) == 0
+        out = tmp_path / f"out_{name}"
+        assert _run(*argv, "--input", str(tmp_path / f"{name}.csv"), "--out", str(out)) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                         if p.name != "manifest.json"})
-    assert outputs[0].keys() == {"comparison.csv", "comparison.json", "equity.svg",
-                                 "equity_gaussian.csv", "equity_kelly.csv", "equity_none.csv",
-                                 "predictions.csv", "report_table.csv"}
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_doubling_prices_leaves_every_simulate_artifact_unchanged(tmp_path):
+    """Every simulate output is scale-free in price."""
+    base, doubled = _artifacts_of_both(tmp_path, "simulate", "--sim", "gaussian",
+                                       "--fee-rate", "0.0005")
+    assert base.keys() == {"comparison.csv", "comparison.json", "equity.svg",
+                           "equity_gaussian.csv", "equity_kelly.csv", "equity_none.csv",
+                           "predictions.csv", "report_table.csv"}
+    assert base == doubled
+
+
+def test_doubling_prices_leaves_the_barrier_labels_unchanged(tmp_path):
+    """The barriers sit at a fraction of the entry close, so every label,
+    hit kind and hit bar is scale-free in price."""
+    base, doubled = _artifacts_of_both(tmp_path, "label")
+    assert base.keys() == {"barrier_labels.csv"}
+    assert base == doubled
+
+
+def test_doubling_prices_leaves_the_normalized_features_unchanged(tmp_path):
+    """features.csv and labels.csv are scale-free in price. Four raw columns
+    are in price units and double: MACD_12_26 (a difference of two EMAs) and
+    EFI_RATIO_7/14/28 (a price change times a volume ratio); the training-row
+    normalization divides that scale out of features.csv, so only their
+    mean and std in norm_stats.json double, and exactly."""
+    base, doubled = _artifacts_of_both(tmp_path, "features", "--price-model",
+                                       "--train-end", "2020-03-01")
+    assert base.keys() == {"features.csv", "labels.csv", "norm_stats.json"}
+    for name in ("features.csv", "labels.csv"):
+        assert base[name] == doubled[name], name
+    stats, doubled_stats = (json.loads(out["norm_stats.json"]) for out in (base, doubled))
+    in_price_units = {"MACD_12_26", "EFI_RATIO_7", "EFI_RATIO_14", "EFI_RATIO_28"}
+    assert in_price_units <= stats.keys() == doubled_stats.keys()
+    for column, entry in stats.items():
+        if column in in_price_units:
+            entry = {**entry, "mean": 2.0 * entry["mean"], "std": 2.0 * entry["std"]}
+        assert doubled_stats[column] == entry, column

@@ -1,12 +1,15 @@
-"""Exactness properties: the columnar backtest, monthly returns, Gaussian
-simulator, scenario estimator and precision/recall sweep equal the per-row
-loops they replaced (kept in oracles.py) exactly, on drawn inputs, including
-the errors they raise. The loops take and return per-row records, so each
+"""Exactness properties: the per-bet sizing step, the columnar backtest,
+monthly returns, Gaussian simulator, scenario estimator and precision/recall
+sweep equal the per-row loops they replaced (kept in oracles.py) exactly, on
+drawn inputs, including the errors they raise. The loops take and return per-row records, so each
 frame is turned into records (``oracles.prediction_records``,
 ``scenario_records``, ``trade_records``) before it is handed to one or
 compared with its result."""
+import math
+import struct
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kellybt.backtest import BacktestConfig, EquityCurve, Trades, run_backtest
@@ -14,7 +17,7 @@ from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt.features import LabelSet
 from kellybt.metrics import build_report, monthly_returns, precision_recall_points
 from kellybt.predictors import Predictions, Scenarios, estimate_scenarios, simulate_gaussian
-from kellybt.sizing import SizingPolicy
+from kellybt.sizing import SizingPolicy, decide
 
 import oracles
 
@@ -45,6 +48,62 @@ def _assert_same_run(got, want):
         assert col.dtype == o_col.dtype and col.tobytes() == o_col.tobytes()
     assert _outcome(build_report, curve, trades) == _outcome(oracles.o_build_report,
                                                               o_curve, o_trades)
+
+
+def _decision_bits(fn, p, scenario, policy):
+    """fn's decision with both fractions as their IEEE bits (so -0.0, each
+    NaN and each infinity count), or the type and text of its ValueError."""
+    try:
+        d = fn(p, scenario, policy)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+    return struct.pack("<2d", d.raw_fraction, d.fraction), d.side
+
+
+# 0.75 or 0.25 with a = b = 0.25 is a Kelly fraction of exactly +-2; a subnormal
+# a or b makes p/a or q/b inf, and both together inf - inf = NaN.
+_EDGE_P = [0.5, 1e-17, 5e-324, 0.25, 0.75, 1.0 - 2**-53]
+_BAD_P = [0.0, 1.0, -0.25, 1.5, math.nan, math.inf]
+_EDGE_AB = [0.25, 0.05, 5e-324, 1e-310]
+_BAD_AB = [0.0, -0.1, math.nan]
+
+
+@st.composite
+def decide_args(draw):
+    kind = draw(st.sampled_from(["none", "gaussian", "kelly"]))
+    policy = SizingPolicy(
+        kind,
+        kelly_fraction=draw(st.sampled_from([1.0, 0.5]) |
+                            st.floats(0.0, 1.0, exclude_min=True)),
+        max_leverage=draw(st.sampled_from([1.0, 2.0, 5.0]) | st.floats(1e-3, 1e3)),
+        expected=draw(st.sampled_from([0.5, 0.6]) |
+                      st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        modifier=draw(st.sampled_from([0.0, 1.0, 0.7]) | st.floats(0.0, 10.0)))
+    p = draw(st.sampled_from(_EDGE_P + [policy.expected]) |
+             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) |
+             st.sampled_from(_BAD_P))
+    magnitude = st.sampled_from(_EDGE_AB) | st.floats(5e-324, 10.0) | st.sampled_from(_BAD_AB)
+    scenario = draw(st.none() | st.tuples(magnitude, magnitude))
+    return p, scenario, policy
+
+
+@settings(PROPERTY, max_examples=400)
+@given(args=decide_args())
+@example(args=(0.5, (0.05, 0.04), SizingPolicy("none")))
+@example(args=(0.6, None, SizingPolicy("gaussian", expected=0.6)))
+@example(args=(1e-17, None, SizingPolicy("gaussian", max_leverage=1.0)))
+@example(args=(0.75, (0.25, 0.25), SizingPolicy("kelly", max_leverage=2.0)))
+@example(args=(0.25, (0.25, 0.25), SizingPolicy("kelly", max_leverage=2.0, modifier=0.7)))
+@example(args=(0.7, None, SizingPolicy("none", max_leverage=1.0)))
+@example(args=(0.3, None, SizingPolicy("none", modifier=0.0)))
+@example(args=(0.6, (5e-324, 0.05), SizingPolicy("kelly", kelly_fraction=0.5)))
+@example(args=(0.6, (0.05, 5e-324), SizingPolicy("kelly")))
+@example(args=(0.6, (5e-324, 5e-324), SizingPolicy("kelly", modifier=0.0)))
+@example(args=(math.nan, None, SizingPolicy("none")))
+@example(args=(1.5, None, SizingPolicy("none")))
+def test_decide_equals_frozen_per_bet_arithmetic(args):
+    got = _decision_bits(decide, *args)
+    assert got == _decision_bits(oracles.o_decide, *args)
 
 
 @st.composite

@@ -241,3 +241,11 @@ def test_gaussian_tiny_p_is_the_short_limit(p):
     # q = 1 - p rounds to 1.0 here, so sqrt(q * (1 - q)) was 0 and this divided by zero.
     assert gaussian_bet_size(p) == -1.0
     assert decide(p, None, SizingPolicy("GAUSSIAN")).fraction == -1.0
+
+
+@pytest.mark.parametrize("kind", ["none", "gaussian", "kelly"])
+@pytest.mark.parametrize("p", [math.nan, 0.0, 1.0, -0.25, 1.5, math.inf])
+def test_decide_rejects_p_outside_unit_interval_for_every_kind(kind, p):
+    # NONE used to turn a NaN p into a FLAT bet and 1.5 into a LONG one.
+    with pytest.raises(ValueError, match=r"^p must be in \(0, 1\), got"):
+        decide(p, (0.05, 0.04), SizingPolicy(kind))
