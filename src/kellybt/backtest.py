@@ -10,20 +10,29 @@ Flat decisions are recorded as zero-fraction trades so that every policy
 run over the same inputs produces the same trade timestamps, which keeps
 strategy comparisons aligned row for row.
 
-Prediction and scenario frames are matched to bars and to each other with
-``candles.positions``, which also drops what cannot trade (no scenario, no
-room for the horizon) before the stride lattice is walked over plain ints;
-``decide`` runs once per chosen point. P&L is computed per column and the
-bankroll is ``np.cumprod`` of the growth factors, the same left-to-right
-product as sequential compounding, bit for bit. Trades and the equity curve
-come out as column frames (``candles.Frame``): ``Trades``, one row per trade
-with the ``trades.csv`` columns in header order, and ``EquityCurve``.
+Each run splits in two. ``_decision_grid`` matches the prediction and
+scenario frames to bars and to each other with ``candles.positions``, drops
+what cannot trade (no scenario, no room for the horizon), walks the stride
+lattice over plain ints and gathers the entry and exit timestamps and
+prices, the realized return, p and (a, b) of each chosen point as read-only
+arrays. It depends only on the frames, the horizon and the stride, and it is
+cached for the last such key: frames are frozen, hash by identity and hold
+read-only copies, so the same objects mean the same content; fees, bankroll
+and ruin floor stay per run. The policies of one ``compare_strategies`` thus
+share one grid, while each still runs ``run_backtest`` once and ``decide``
+once per chosen point. P&L is computed per column and the bankroll is
+``np.cumprod`` of the growth factors, the same left-to-right product as
+sequential compounding, bit for bit. Trades and the equity curve come out as
+column frames (``candles.Frame``): ``Trades``, one row per trade with the
+``trades.csv`` columns in header order, and ``EquityCurve``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,24 +106,30 @@ def _series_positions(timestamps: np.ndarray, frame, what: str) -> np.ndarray:
     return pos
 
 
-def run_backtest(series: CandleSeries, predictions: Predictions,
-                 estimates: Scenarios | None, policy: SizingPolicy,
-                 cfg: BacktestConfig = BacktestConfig()):
-    """Run one policy over the series; returns (EquityCurve, Trades).
+class _Grid(NamedTuple):
+    """The decision points shared by every policy run over one (series,
+    predictions, estimates, horizon, stride): read-only columns, one row per
+    chosen point. ``a`` and ``b`` are None without estimates."""
 
-    Decisions fall on a stride lattice over timestamps that carry a
-    prediction and (when estimates are supplied) a scenario; timestamps
-    without a scenario are skipped. The simulation halts with the RUIN flag
-    if the bankroll falls to ruin_floor * initial.
-    """
+    entry_ts: np.ndarray
+    exit_ts: np.ndarray
+    entry_price: np.ndarray
+    exit_price: np.ndarray
+    realized: np.ndarray
+    p_up: np.ndarray
+    a: np.ndarray | None
+    b: np.ndarray | None
+
+
+@lru_cache(maxsize=1)
+def _decision_grid(series: CandleSeries, predictions: Predictions,
+                   estimates: Scenarios | None, horizon: int, stride: int) -> _Grid:
+    """Align, validate and walk the stride lattice; gather what each chosen
+    point trades at. Frames hash by identity and hold read-only copies, so
+    the same objects mean the same content; a raised error is not cached."""
     ts = series.timestamps
-    n = len(series)
-    horizon = cfg.horizon
-    stride = cfg.effective_stride
-    divisor = 1 if stride >= horizon else math.ceil(horizon / stride)
-
     pred_pos = _series_positions(ts, predictions, "prediction")
-    usable = pred_pos + horizon < n
+    usable = pred_pos + horizon < len(series)
     if estimates is not None:
         _series_positions(ts, estimates, "estimate")
         est_at, has_est = positions(estimates.timestamps, predictions.timestamps)
@@ -133,21 +148,42 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     if not chosen:
         raise ValueError("no usable decision timestamps (check alignment and estimates)")
 
-    p_up = predictions.p_up[chosen].tolist()
-    if estimates is None:
-        scenarios = repeat(None)
-    else:
-        at = est_at[chosen]
-        scenarios = zip(estimates.a[at].tolist(), estimates.b[at].tolist())
-    _, fraction, side = zip(*map(decide, p_up, scenarios, repeat(policy)))
-
-    entry_at = pred_pos[chosen]
+    rows = np.array(chosen, np.intp)
+    entry_at = pred_pos[rows]
     exit_at = entry_at + horizon
-    fraction = np.array(fraction, np.float64) / divisor
     entry_price = series.close[entry_at]
     exit_price = series.close[exit_at]
-    realized = (exit_price - entry_price) / entry_price
-    pnl = fraction * realized - cfg.fee_rate * np.abs(fraction) * 2.0
+    a = b = None
+    if estimates is not None:
+        at = est_at[rows]
+        a, b = estimates.a[at], estimates.b[at]
+    grid = _Grid(ts[entry_at], ts[exit_at], entry_price, exit_price,
+                 (exit_price - entry_price) / entry_price, predictions.p_up[rows], a, b)
+    for col in grid:
+        if col is not None:
+            col.setflags(write=False)
+    return grid
+
+
+def run_backtest(series: CandleSeries, predictions: Predictions,
+                 estimates: Scenarios | None, policy: SizingPolicy,
+                 cfg: BacktestConfig = BacktestConfig()):
+    """Run one policy over the series; returns (EquityCurve, Trades).
+
+    Decisions fall on a stride lattice over timestamps that carry a
+    prediction and (when estimates are supplied) a scenario; timestamps
+    without a scenario are skipped. The simulation halts with the RUIN flag
+    if the bankroll falls to ruin_floor * initial.
+    """
+    horizon = cfg.horizon
+    stride = cfg.effective_stride
+    grid = _decision_grid(series, predictions, estimates, horizon, stride)
+    divisor = 1 if stride >= horizon else math.ceil(horizon / stride)
+
+    scenarios = repeat(None) if grid.a is None else zip(grid.a.tolist(), grid.b.tolist())
+    _, fraction, side = zip(*map(decide, grid.p_up.tolist(), scenarios, repeat(policy)))
+    fraction = np.array(fraction, np.float64) / divisor
+    pnl = fraction * grid.realized - cfg.fee_rate * np.abs(fraction) * 2.0
 
     initial = cfg.initial_bankroll
     values = np.cumprod(np.concatenate(([float(initial)], 1.0 + pnl)))
@@ -160,12 +196,12 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
             # A leveraged loss beyond -100% is a wipeout, not a debt.
             values[m] = 0.0
     else:
-        m = len(chosen)
+        m = len(pnl)
 
-    exit_ts = ts[exit_at[:m]]
-    trades = Trades(ts[entry_at[:m]], exit_ts, side[:m], fraction[:m],
-                    entry_price[:m], exit_price[:m], realized[:m], pnl[:m])
-    curve = EquityCurve(np.concatenate((ts[entry_at[:1]], exit_ts)), values, ruin=ruin)
+    exit_ts = grid.exit_ts[:m]
+    trades = Trades(grid.entry_ts[:m], exit_ts, side[:m], fraction[:m], grid.entry_price[:m],
+                    grid.exit_price[:m], grid.realized[:m], pnl[:m])
+    curve = EquityCurve(np.concatenate((grid.entry_ts[:1], exit_ts)), values, ruin=ruin)
     return curve, trades
 
 

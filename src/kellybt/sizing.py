@@ -52,7 +52,8 @@ def _check_pab(p: float, a: float, b: float) -> None:
 
 def kelly_fraction(p: float, a: float, b: float) -> float:
     """Classical risk/reward bet fraction p/a - q/b (signed; > 1 means leverage)."""
-    _check_pab(p, a, b)
+    if not (0 < p < 1 and a > 0 and b > 0):  # one test per bet; _check_pab names the fault
+        _check_pab(p, a, b)
     return p / a - (1.0 - p) / b
 
 

@@ -1,18 +1,23 @@
 """Exactness properties: the per-bet sizing step, the columnar backtest,
 monthly returns, Gaussian simulator, scenario estimator and precision/recall
 sweep equal the per-row loops they replaced (kept in oracles.py) exactly, on
-drawn inputs, including the errors they raise. The loops take and return per-row records, so each
-frame is turned into records (``oracles.prediction_records``,
-``scenario_records``, ``trade_records``) before it is handed to one or
-compared with its result."""
+drawn inputs, including the errors they raise. The loops take and return
+per-row records, so each frame is turned into records
+(``oracles.prediction_records``, ``scenario_records``, ``trade_records``)
+before it is handed to one or compared with its result. The backtest's
+cached decision grid is checked the same way across sequences of runs that
+share it, and against a fresh grid per policy."""
 import math
 import struct
+from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kellybt.backtest import BacktestConfig, EquityCurve, Trades, run_backtest
+from kellybt.backtest import (BacktestConfig, EquityCurve, StrategyResult, Trades,
+                              _decision_grid, compare_strategies, run_backtest)
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt.features import LabelSet
 from kellybt.metrics import build_report, monthly_returns, precision_recall_points
@@ -124,9 +129,9 @@ def shocked_series(draw):
                         series.close * scale, series.volume)
 
 
-@PROPERTY
-@given(data=st.data(), series=shocked_series(), seed=seeds)
-def test_run_backtest_equals_sequential_loop(data, series, seed):
+def _drawn_frames(data, series, seed):
+    """Predictions (a few missing, one maybe off the series), scenarios (none,
+    all or some) and a config drawn for ``series``."""
     n = len(series)
     rng = np.random.default_rng(seed)
     p_up = rng.uniform(0.01, 0.99, n)
@@ -139,12 +144,11 @@ def test_run_backtest_equals_sequential_loop(data, series, seed):
     if rng.random() < 0.1:  # a last prediction that is not in the series
         pred_ts, pred_p = np.append(pred_ts, ts[-1] + HOUR), np.append(pred_p, 0.6)
     preds = Predictions(pred_ts, pred_p)
-    ests = o_ests = None
+    ests = None
     drop = data.draw(st.sampled_from([0.0, 0.3, None]))
     if drop is not None:
         kept = rng.random(n) >= drop
         ests = Scenarios(ts[kept], a[kept], b[kept])
-        o_ests = oracles.scenario_records(ests)
 
     horizon = data.draw(st.integers(1, 8))
     cfg = BacktestConfig(horizon=horizon,
@@ -152,13 +156,111 @@ def test_run_backtest_equals_sequential_loop(data, series, seed):
                          fee_rate=data.draw(st.sampled_from([0.0, 0.001, 0.05])),
                          initial_bankroll=data.draw(st.sampled_from([1.0, 250.0])),
                          ruin_floor=data.draw(st.sampled_from([0.0, 0.01, 0.5, 0.95])))
+    return preds, ests, cfg
+
+
+def _o_run_backtest(series, preds, ests, policy, cfg):
+    """The per-row oracle run on the frames' records."""
+    return oracles.o_run_backtest(series, oracles.prediction_records(preds),
+                                  None if ests is None else oracles.scenario_records(ests),
+                                  policy, cfg)
+
+
+@PROPERTY
+@given(data=st.data(), series=shocked_series(), seed=seeds)
+def test_run_backtest_equals_sequential_loop(data, series, seed):
+    preds, ests, cfg = _drawn_frames(data, series, seed)
     policy = SizingPolicy(data.draw(st.sampled_from(["none", "gaussian", "kelly"])),
                           kelly_fraction=data.draw(st.sampled_from([1.0, 0.5])),
                           max_leverage=data.draw(st.sampled_from([5.0, 2.0, 0.5])),
                           modifier=data.draw(st.sampled_from([1.0, 2.0, 0.0])))
     _assert_same_run(_outcome(run_backtest, series, preds, ests, policy, cfg),
-                     _outcome(oracles.o_run_backtest, series, oracles.prediction_records(preds),
-                              o_ests, policy, cfg))
+                     _outcome(_o_run_backtest, series, preds, ests, policy, cfg))
+
+
+@PROPERTY
+@given(data=st.data(), series=shocked_series(), seed=seeds)
+def test_decision_grid_cache_does_not_leak_between_inputs(data, series, seed):
+    """One interleaved sequence of runs that share, miss and re-fill the grid
+    cache: every outcome equals the per-row oracle's."""
+    preds, ests, cfg = _drawn_frames(data, series, seed)
+    ts = series.timestamps
+    policies = [SizingPolicy(kind, max_leverage=2.0) for kind in ("none", "gaussian", "kelly")]
+    copy = Predictions(preds.timestamps.copy(), preds.p_up.copy())
+    mirrored = Predictions(preds.timestamps, 1.0 - preds.p_up)
+    other_cfg = data.draw(st.sampled_from([
+        replace(cfg, horizon=cfg.horizon + 1),
+        replace(cfg, stride=cfg.effective_stride + 1),
+        replace(cfg, fee_rate=0.01, ruin_floor=0.0)]))  # same grid, other P&L
+    good = [(series, preds, ests, policy, cfg) for policy in policies]
+    good += [(series, copy, ests, policies[2], cfg),
+             (series, mirrored, ests, policies[1], cfg),
+             (series, preds, ests, policies[2], other_cfg),
+             (series, preds, ests, policies[0], cfg)]
+    calls = data.draw(st.permutations(good))
+    bad = data.draw(st.sampled_from([
+        (series, Predictions([ts[-1] + HOUR], [0.6]), ests, policies[0], cfg),
+        (series, preds, Scenarios([], [], []), policies[2], cfg),
+        (series, Predictions(ts[-1:], [0.6]), None, policies[1], cfg)]))
+    calls.insert(data.draw(st.integers(1, len(calls) - 1)), bad)
+    for args in calls:
+        _assert_same_run(_outcome(run_backtest, *args), _outcome(_o_run_backtest, *args))
+
+    try:
+        grid = _decision_grid(series, preds, ests, cfg.horizon, cfg.effective_stride)
+    except ValueError:
+        return
+    assert grid is _decision_grid(series, preds, ests, cfg.horizon, cfg.effective_stride)
+    for name, col in grid._asdict().items():
+        if col is None:
+            assert name in ("a", "b") and ests is None
+            continue
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0
+
+
+def _frame_bits(frame):
+    """Every field of a frame; float columns as their int64 bit patterns."""
+    out = []
+    for f in fields(frame):
+        value = getattr(frame, f.name)
+        if isinstance(value, np.ndarray):
+            bits = value.view(np.int64) if value.dtype == np.float64 else value
+            value = (value.dtype.str, bits.tolist())
+        out.append((f.name, value))
+    return out
+
+
+def _result_bits(results):
+    return [(r.policy, _frame_bits(r.curve), _frame_bits(r.trades), repr(r.report))
+            for r in results]
+
+
+def _lone_runs(series, preds, ests, policies, cfg):
+    """Each policy run by itself, on a grid built afresh."""
+    results = []
+    for policy in policies:
+        _decision_grid.cache_clear()
+        curve, trades = run_backtest(series, preds, ests, policy, cfg)
+        results.append(StrategyResult(policy, curve, trades, build_report(curve, trades)))
+    return results
+
+
+@PROPERTY
+@given(data=st.data(), series=shocked_series(), seed=seeds)
+def test_compare_strategies_equals_lone_runs(data, series, seed):
+    preds, ests, cfg = _drawn_frames(data, series, seed)
+    cap = data.draw(st.sampled_from([5.0, 2.0, 0.5]))
+    modifier = data.draw(st.sampled_from([1.0, 0.7, 0.0]))
+    policies = [SizingPolicy(kind, max_leverage=cap, modifier=modifier)
+                for kind in ("none", "gaussian", "kelly")]
+    _decision_grid.cache_clear()
+    got = _outcome(compare_strategies, series, preds, ests, policies, cfg)
+    want = _outcome(_lone_runs, series, preds, ests, policies, cfg)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _result_bits(got) == _result_bits(want)
 
 
 @PROPERTY
