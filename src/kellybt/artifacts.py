@@ -9,8 +9,17 @@ Every CSV kellybt writes goes through ``write_csv``, which owns the text
 format: a header row, one ``str`` per cell (for a float that is its shortest
 round-trip text, as ``repr`` gives), ``NA`` for a missing value and ``\n``
 line ends. A large numeric table is formatted on every CPU the process may
-use, in contiguous row ranges joined in order, so the bytes do not depend on
-how many there are.
+use: worker processes format it in contiguous row ranges, and their text is
+joined in order, so the bytes do not depend on how many there are.
+
+The join of a table's workers is one step: wait for each worker in order,
+append its text, close the file. Inside a ``deferred_tables()`` scope, a
+table written to a path is joined when the scope exits, so the workers format
+it while the caller goes on computing; the CLI opens one scope around each
+command, so every table is joined before the manifest hashes it. With no
+scope open, or for a stream, the join runs before ``write_csv`` returns. A
+scope left by an exception kills and waits for every worker it still holds
+and closes every file.
 
 Every CSV kellybt loads goes through ``read_csv``: the ``csv`` module reads
 the header, whitespace-only lines are skipped and numpy's C reader
@@ -29,6 +38,7 @@ import re
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -37,8 +47,8 @@ from . import __version__, csvrows
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 # Cells a table needs per row range before ``write_csv`` splits it: each range
-# but the first goes to a worker process, which takes 15-25 ms to start, about
-# as long as formatting 25,000 cells in-process (about 1 us a cell).
+# goes to a worker process, which takes 15-25 ms to start, about as long as
+# formatting 25,000 cells in-process (about 1 us a cell).
 CSV_CELLS_PER_RANGE = 25_000
 
 # The numpy dtypes a worker reads, by their ``array`` type code.
@@ -49,6 +59,10 @@ _WORKER = (sys.executable, "-I", "-S", csvrows.__file__)
 
 # Where numpy's loadtxt names the data row in a ValueError.
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
+
+# The innermost open ``deferred_tables`` scope of this thread, or None: the
+# path of each table it has still to join, mapped to the arguments of ``_join``.
+_PENDING: ContextVar[dict | None] = ContextVar("_PENDING", default=None)
 
 
 class DataError(ValueError):
@@ -90,21 +104,62 @@ def write_csv(dest, header, columns) -> None:
 
     When every column is a float64, int64 or int8 numpy array, the rows are
     split into ``k`` contiguous ranges, ``k`` being the smaller of the usable
-    CPUs and ``cells // CSV_CELLS_PER_RANGE``: this process formats the first
-    while a worker process formats each other one, and their text is appended
-    in order. A worker that fails raises OSError.
+    CPUs and ``cells // CSV_CELLS_PER_RANGE``. With ``k >= 2`` a worker
+    process formats each range, and ``_join`` appends their text in order.
+    Inside a ``deferred_tables`` scope, the join of a table bound for a path
+    waits for the scope's exit (a later write to that path replaces the table
+    unjoined); otherwise it runs before this returns. A worker that fails
+    raises OSError.
     """
     n = len(columns[0]) if columns else 0
     if columns and (len(columns) != len(header) or any(len(c) != n for c in columns)):
         raise ValueError(f"need {len(header)} columns of one length for header {header}")
+    scope = _PENDING.get() if isinstance(dest, (str, bytes, os.PathLike)) else None
+    if scope is not None and os.fspath(dest) in scope:
+        scope.pop(os.fspath(dest))[0].close()  # replaced unread: stop its workers, close its files
     bounds = _row_ranges(columns, n)
-    with open_text(dest, "w") as fh, ExitStack() as stack:
+    with ExitStack() as stack:
+        fh = stack.enter_context(open_text(dest, "w"))
         fh.write(",".join(header) + "\n")
+        if len(bounds) == 2:
+            fh.writelines(csvrows.format_rows(columns, 0, n))
+            return
         copies = [stack.enter_context(_worker_rows(columns, lo, hi))
-                  for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        fh.writelines(csvrows.format_rows(columns, 0, bounds[1]))
+                  for lo, hi in zip(bounds, bounds[1:])]
+        held = stack.pop_all()
+    if scope is None:
+        _join(held, fh, copies)
+    else:
+        scope[os.fspath(dest)] = (held, fh, copies)
+
+
+def _join(stack: ExitStack, fh, copies) -> None:
+    """Wait for each worker in order and append its text to ``fh``, then
+    close ``stack``: the workers, their files and ``fh`` if it was opened
+    from a path. A worker that fails raises OSError."""
+    with stack:
         for copy in copies:
             copy(fh)
+
+
+@contextmanager
+def deferred_tables():
+    """A scope in which ``write_csv`` hands a table bound for a path to its
+    workers and returns; the tables are joined in the order written when the
+    scope exits. If a join fails or the scope is left by an exception, every
+    table not joined yet has its workers killed and waited for and its files
+    closed. A scope holds for the thread that opened it."""
+    pending: dict = {}
+    token = _PENDING.set(pending)
+    try:
+        yield
+        for key in list(pending):
+            _join(*pending.pop(key))
+    finally:
+        _PENDING.reset(token)
+        with ExitStack() as rest:
+            for stack, _, _ in pending.values():
+                rest.push(stack)
 
 
 def _usable_cpus() -> int:
@@ -135,8 +190,8 @@ def _worker_rows(columns, lo: int, hi: int):
 
     codes = "".join(_WORKER_CODES[c.dtype] for c in columns)
     with tempfile.TemporaryFile() as rows_in, tempfile.TemporaryFile() as rows_out:
-        for col in columns:
-            rows_in.write(np.ascontiguousarray(col[lo:hi]))
+        rows_in.writelines(np.ascontiguousarray(c[lo:hi]) for c in columns)
+        del columns  # the worker has its rows: a deferred join must not keep them alive
         rows_in.seek(0)
         with subprocess.Popen([*_WORKER, codes, str(hi - lo)], stdin=rows_in,
                               stdout=rows_out, stderr=subprocess.PIPE) as proc:

@@ -358,17 +358,20 @@ def cmd_simulate(resolved: dict, out: Output) -> list[int]:
     labels = features.make_labels(series, horizon=resolved["horizon"])
     preds = _simulate_predictions(labels, resolved["sim"], resolved["sim_seed"], resolved)
     ests = _scenario_estimates(series, labels, resolved)
-    results = backtest.compare_strategies(series, preds, ests, _policies(resolved),
-                                          _backtest_config(resolved))
-
+    # Each table is written as soon as it is known, so its workers format it
+    # while the next policy is sized; the policies still share one grid.
     predictors.write_predictions_csv(preds, ests, out("predictions.csv"))
+    cfg = _backtest_config(resolved)
+    results = []
     rows = []
     table5 = []
-    for res in results:
+    for policy in _policies(resolved):
+        res, = backtest.compare_strategies(series, preds, ests, [policy], cfg)
+        backtest.write_equity_csv(res.curve, out(f"equity_{res.policy.label}.csv"))
+        results.append(res)
         rows.append({"model": resolved["sim"], "seed": resolved["sim_seed"],
                      "policy": res.policy.label, **dataclasses.asdict(res.report)})
         table5.append((res.policy.label, res.report))
-        backtest.write_equity_csv(res.curve, out(f"equity_{res.policy.label}.csv"))
     _write_comparison(rows, out("comparison.csv"))
     artifacts.write_json(rows, out("comparison.json"))
     _write_table5(table5, out("report_table.csv"))
@@ -540,7 +543,10 @@ def main(argv=None) -> int:
             written.append(os.path.join(outdir, name))
             return written[-1]
 
-        seeds = _COMMANDS[args.command](resolved, out)
+        # Every CSV table is joined as the scope exits, before the manifest
+        # hashes it; an exception kills and waits for the workers it holds.
+        with artifacts.deferred_tables():
+            seeds = _COMMANDS[args.command](resolved, out)
         inputs = [resolved[k] for k in ("input", "predictions", "grid")
                   if resolved.get(k) and os.path.exists(resolved[k])]
         manifest = artifacts.write_manifest(outdir, args.command, resolved,

@@ -20,10 +20,12 @@ float64 columns of one length beside strictly increasing int64 timestamps.
 ``load_predictions`` reads a file with ``artifacts.read_csv``, as
 ``parse_candles`` does, and adds only its own header and value checks.
 
-The Gaussian simulator draws standard normals in blocks and scales them as
-``mu + sigma * z``: that is the stream scalar ``rng.normal(mu, sigma)``
+The Gaussian simulator draws standard normals in blocks of n and scales them
+as ``mu + sigma * z``: that is the stream scalar ``rng.normal(mu, sigma)``
 calls would produce, value for value, so the rejection walk over it picks
-the same probabilities.
+the same probabilities. numpy marks, per block, which draws each side
+accepts; the walk steps over those marks in Python, and numpy gathers and
+clips the draws it took.
 """
 from __future__ import annotations
 
@@ -102,12 +104,6 @@ def simulate_optimal(labels: LabelSet, p_long: float = 0.8,
     return Predictions(labels.timestamps, np.where(labels.direction > 0, p_long, p_short))
 
 
-def _standard_normals(rng: np.random.Generator, block: int):
-    """The generator's standard normal stream, drawn ``block`` values at a time."""
-    while True:
-        yield from rng.standard_normal(block).tolist()
-
-
 def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
                       mu_short: float = 0.4, sigma: float = 0.1,
                       hit_rate: float = 0.6) -> Predictions:
@@ -125,22 +121,26 @@ def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
     rng = np.random.default_rng(seed)
     n = len(labels)
     up = _predicted_up(labels, _assign_correct(n, hit_rate, rng))
-    z = _standard_normals(rng, n)
-    p_up = []
-    for is_up in up.tolist():
-        if is_up:
-            for x in z:
-                v = mu_long + sigma * x
-                if v > 0.5:
-                    p_up.append(min(v, P_CLIP_HI))
-                    break
-        else:
-            for x in z:
-                v = mu_short + sigma * x
-                if v < 0.5:
-                    p_up.append(max(v, P_CLIP_LO))
-                    break
-    return Predictions(labels.timestamps, p_up)
+    blocks = []
+
+    def accepts():
+        """Per draw of the stream: bit 1 if an up call takes it, bit 2 if a down call does."""
+        while True:
+            z = rng.standard_normal(n)
+            blocks.append(z)
+            up_takes, down_takes = mu_long + sigma * z > 0.5, mu_short + sigma * z < 0.5
+            yield from (up_takes | down_takes << 1).tolist()
+
+    draws = enumerate(accepts())
+    taken = []
+    for side in np.where(up, 1, 2).tolist():
+        for k, sides in draws:
+            if sides & side:
+                taken.append(k)
+                break
+    z = np.concatenate(blocks)[taken]
+    return Predictions(labels.timestamps, np.where(up, np.minimum(mu_long + sigma * z, P_CLIP_HI),
+                                                   np.maximum(mu_short + sigma * z, P_CLIP_LO)))
 
 
 def _prediction_columns(header: list[str]) -> list[int]:

@@ -14,7 +14,8 @@ equality. The last section keeps the earlier hand-written CSV writers the
 same way (the inline ones from the CLI wrapped in functions), so every
 writer can be checked against them byte for byte. ``o_ema_array`` and
 ``o_svg_line_chart`` keep the per-element EMA loop and the per-point SVG
-writer the same way.
+writer the same way, and ``o_simulate_gaussian_blocks`` the Gaussian
+simulator's per-draw walk over a stream drawn in blocks.
 
 The per-row references take and return the per-row records the library used
 before it moved predictions, scenarios and trades into column frames
@@ -41,7 +42,7 @@ from kellybt.features import FeatureMatrix, LabelSet
 from kellybt.metrics import (FLAG_ROMAD_NA, FLAG_RUIN, FLAG_SHARPE_NA, BacktestReport,
                              cumulative_return, max_drawdown)
 from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, _assign_correct,
-                                _check_labels)
+                                _check_labels, _predicted_up)
 from kellybt.sizing import SizingPolicy
 
 NAN = float("nan")
@@ -624,6 +625,41 @@ def o_simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
         p = o_draw_side(rng, mu_long if d > 0 else mu_short, sigma, up=d > 0)
         out.append(DirectionPrediction(int(labels.timestamps[i]), p))
     return out
+
+
+def o_simulate_gaussian_blocks(labels: LabelSet, seed: int, mu_long: float = 0.6,
+                               mu_short: float = 0.4, sigma: float = 0.1,
+                               hit_rate: float = 0.6) -> tuple[np.ndarray, int]:
+    """The Gaussian simulator's walk before its acceptance marks moved to
+    numpy: one Python step per draw of a stream of standard normals drawn n
+    at a time. Returns p_up and the number of draws the walk took."""
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    up = _predicted_up(labels, _assign_correct(n, hit_rate, rng))
+
+    def standard_normals():
+        while True:
+            yield from rng.standard_normal(n).tolist()
+
+    z = standard_normals()
+    p_up = []
+    draws = 0
+    for is_up in up.tolist():
+        if is_up:
+            for x in z:
+                draws += 1
+                v = mu_long + sigma * x
+                if v > 0.5:
+                    p_up.append(min(v, P_CLIP_HI))
+                    break
+        else:
+            for x in z:
+                draws += 1
+                v = mu_short + sigma * x
+                if v < 0.5:
+                    p_up.append(max(v, P_CLIP_LO))
+                    break
+    return np.array(p_up, np.float64), draws
 
 
 def o_estimate_scenarios(series: CandleSeries, horizon: int = 5,

@@ -125,7 +125,8 @@ def test_failing_csv_worker_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(artifacts, "CSV_CELLS_PER_RANGE", 1)
     assert _run("synth", "--n", "50", "--out", str(tmp_path / "s")) == 6
-    assert _io_error(capsys) == "CSV worker for rows 25-50 exited with code 1: boom"
+    assert _io_error(capsys) == "CSV worker for rows 0-25 exited with code 1: boom"
+    assert not (tmp_path / "s" / "manifest.json").exists()
 
 
 def _write_series_and_predictions(tmp_path, n=900):

@@ -304,6 +304,35 @@ def test_simulate_gaussian_equals_scalar_draws(seed, n, mu_long, mu_short, sigma
     assert repr(got) == repr(want)
 
 
+# Walks that need a third block of n draws: (seed, n), each with mu 0.51 and
+# 0.49, sigma 3 and hit rate 1 (found with o_simulate_gaussian_blocks).
+THIRD_BLOCK = [(1, 1), (1, 5), (3, 2), (3, 5)]
+
+
+@settings(PROPERTY, max_examples=120)
+@given(seed=seeds, n=st.integers(1, 400),
+       mu_long=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       mu_short=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       sigma=st.one_of(st.floats(0.001, 3.0), st.sampled_from([3.0, 1e-9])),
+       hit_rate=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)))
+@example(seed=0, n=1, mu_long=0.6, mu_short=0.4, sigma=0.1, hit_rate=1.0)
+def test_simulate_gaussian_equals_the_block_walk(seed, n, mu_long, mu_short, sigma, hit_rate):
+    labels = _labels(seed, n)
+    got = simulate_gaussian(labels, seed, mu_long, mu_short, sigma, hit_rate).p_up
+    want, _ = oracles.o_simulate_gaussian_blocks(labels, seed, mu_long, mu_short, sigma,
+                                                 hit_rate)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("seed, n", THIRD_BLOCK)
+def test_simulate_gaussian_walks_into_a_third_block(seed, n):
+    labels = _labels(seed, n)
+    want, draws = oracles.o_simulate_gaussian_blocks(labels, seed, 0.51, 0.49, 3.0, 1.0)
+    assert draws > 2 * n
+    got = simulate_gaussian(labels, seed, 0.51, 0.49, 3.0, 1.0).p_up
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @PROPERTY
 @given(seed=seeds, horizon=st.integers(1, 6), extra_window=st.integers(0, 60),
        extra_bars=st.integers(-5, 200), volatility=st.sampled_from([0.0, 0.002, 0.02]))

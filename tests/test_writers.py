@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -339,11 +340,11 @@ def test_failing_worker_raises_and_leaves_nothing_running_or_open(tmp_path, monk
                                                                    made, script, to_path):
     monkeypatch.setattr(artifacts, "_WORKER", (sys.executable, "-I", "-S", "-c", script))
     header, columns = _table()
-    with _ranges(3), pytest.raises(OSError, match=r"CSV worker for rows 1000-2000 exited "
+    with _ranges(3), pytest.raises(OSError, match=r"CSV worker for rows 0-1000 exited "
                                                   r"with code (3|1: worker failed|-9)"):
         write_csv(tmp_path / "out.csv" if to_path else io.StringIO(), header, columns)
     procs, files = made
-    assert len(procs) == 2 and len(files) == 4
+    assert len(procs) == 3 and len(files) == 6
     assert all(proc.returncode is not None for proc in procs)
     assert all(fh.closed for fh in files)
 
@@ -355,15 +356,119 @@ class _FailingStream(io.StringIO):
         return super().write(text)
 
 
+# A worker that sleeps, except the one given the 1,500 rows of range 0 of a
+# 3,001-row table in two ranges, which writes one row and exits.
+_FIRST_WRITES_REST_SLEEP = ("import sys, time; "
+                            "sys.stdout.write('1,2\\n') if sys.argv[2] == '1500' else time.sleep(60)")
+
+
 def test_writer_error_kills_and_waits_for_running_workers(monkeypatch, made):
     monkeypatch.setattr(artifacts, "_WORKER",
-                        (sys.executable, "-I", "-S", "-c", "import time; time.sleep(60)"))
-    header, columns = _table()
+                        (sys.executable, "-I", "-S", "-c", _FIRST_WRITES_REST_SLEEP))
+    header, columns = _table(3001)
     with _ranges(2), pytest.raises(OSError, match="disk full"):
         write_csv(_FailingStream(), header, columns)  # fails on the first rows
     procs, files = made
-    assert [proc.returncode for proc in procs] == [-9]
-    assert len(files) == 2 and all(fh.closed for fh in files)
+    assert [proc.returncode for proc in procs] == [0, -9]
+    assert len(files) == 4 and all(fh.closed for fh in files)
+
+
+# --- the deferred_tables scope ------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=6,
+          phases=[Phase.explicit, Phase.generate])
+@given(seed=seeds, k=st.integers(1, 4), rate=st.sampled_from([0.0, 0.05, 1.0]),
+       tables=st.lists(st.tuples(st.integers(0, 3000),
+                                 st.lists(st.sampled_from(["float64", "int64", "int8"]),
+                                          min_size=1, max_size=4)),
+                       min_size=1, max_size=3))
+@example(seed=0, k=3, rate=0.05, tables=[(3000, ["int64", "float64"]), (7, ["int8"])])
+def test_deferred_tables_write_the_bytes_of_immediate_ones(seed, k, rate, tables):
+    rng = np.random.default_rng(seed)
+    tables = [[_column(rng, kind, n, rate) for kind in kinds] for n, kinds in tables]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"t{j}.csv") for j in range(len(tables))]
+        with _ranges(k), artifacts.deferred_tables():
+            for path, columns in zip(paths, tables):
+                write_csv(path, tuple(f"c{j}" for j in range(len(columns))), columns)
+        for path, columns in zip(paths, tables):
+            header = tuple(f"c{j}" for j in range(len(columns)))
+            with _ranges(1):
+                want = _written(lambda out: write_csv(out, header, columns))
+            with open(path, "rb") as fh:
+                assert fh.read() == want
+
+
+def test_a_path_written_twice_in_a_scope_holds_the_second_table(tmp_path, made):
+    header, long_table = _table(3000)
+    _, short_table = _table(2000)
+    with _ranges(1):
+        want = _written(lambda out: write_csv(out, header, short_table))
+    with _ranges(2), artifacts.deferred_tables():
+        write_csv(tmp_path / "out.csv", header, long_table)
+        write_csv(tmp_path / "out.csv", header, short_table)
+    assert (tmp_path / "out.csv").read_bytes() == want
+    procs, files = made
+    assert len(procs) == 4 and all(proc.returncode is not None for proc in procs)
+    assert len(files) == 8 and all(fh.closed for fh in files)
+
+
+@pytest.mark.parametrize("in_scope", [False, True], ids=["no-scope", "stream-in-scope"])
+def test_write_csv_returns_a_complete_table_outside_a_scope_or_to_a_stream(tmp_path, made,
+                                                                          in_scope):
+    header, columns = _table()
+    with _ranges(1):
+        want = _written(lambda out: write_csv(out, header, columns))
+    with _ranges(3), (artifacts.deferred_tables() if in_scope else contextlib.nullcontext()):
+        buf = io.StringIO()
+        write_csv(buf, header, columns)
+        assert buf.getvalue().encode() == want
+        if not in_scope:
+            write_csv(tmp_path / "out.csv", header, columns)
+            assert (tmp_path / "out.csv").read_bytes() == want
+        procs, files = made
+        assert len(procs) == (3 if in_scope else 6)
+        assert all(proc.returncode == 0 for proc in procs)
+        assert all(fh.closed for fh in files)
+
+
+def test_a_scope_defers_only_the_writes_of_its_own_thread(tmp_path):
+    header, columns = _table()
+    with _ranges(2):
+        want = _written(lambda out: write_csv(out, header, columns))
+        with artifacts.deferred_tables():
+            thread = threading.Thread(target=write_csv,
+                                      args=(tmp_path / "out.csv", header, columns))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert (tmp_path / "out.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValueError("bad option"), cli.EXIT_CONFIG),
+    (artifacts.DataError("bad row"), cli.EXIT_DATA),
+    (FileNotFoundError("no input"), cli.EXIT_MISSING_INPUT),
+], ids=["config", "data", "missing"])
+def test_command_failing_after_a_deferred_write_stops_its_workers(tmp_path, monkeypatch,
+                                                                  made, capsys, error, code):
+    monkeypatch.setattr(artifacts, "_WORKER",
+                        (sys.executable, "-I", "-S", "-c", "import time; time.sleep(60)"))
+    header, columns = _table()
+
+    def command(resolved, out):
+        write_csv(out("table.csv"), header, columns)
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", command)
+    with _ranges(2):
+        assert cli.main(["synth", "--out", str(tmp_path / "run")]) == code
+    assert json.loads(capsys.readouterr().err)["message"] == str(error)
+    procs, files = made
+    assert [proc.returncode for proc in procs] == [-9, -9]
+    assert len(files) == 4 and all(fh.closed for fh in files)
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("column", [
