@@ -10,7 +10,11 @@ format: a header row, one ``str`` per cell (for a float that is its shortest
 round-trip text, as ``repr`` gives), ``NA`` for a missing value and ``\n``
 line ends. A large numeric table is formatted on every CPU the process may
 use: worker processes format it in contiguous row ranges, and their text is
-joined in order, so the bytes do not depend on how many there are.
+joined in order, so the bytes do not depend on how many there are. A worker
+(``csvrows`` run as a script) formats with the standard library, or, for a
+range of at least ``CSV_CELLS_FOR_NUMPY`` cells, with numpy arrays
+(``floattext``): the same bytes, at about a third of the cost a cell,
+after a slower start.
 
 The join of a table's workers is one step: wait for each worker in order,
 append its text, close the file. Inside a ``deferred_tables()`` scope, a
@@ -31,10 +35,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import os
 import re
+import shutil
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
@@ -51,11 +57,19 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # formatting 25,000 cells in-process (about 1 us a cell).
 CSV_CELLS_PER_RANGE = 25_000
 
+# Cells a row range needs before its worker formats with numpy: on a 2-CPU
+# x86-64 machine that worker took about 0.15 s to start, against 0.011 s for
+# the standard-library one, and formatted a cell about 0.7 us faster (0.35
+# against 1.1 us), so it pays from about 200,000 cells.
+CSV_CELLS_FOR_NUMPY = 200_000
+
 # The numpy dtypes a worker reads, by their ``array`` type code.
 _WORKER_CODES = {np.dtype(np.float64): "d", np.dtype(np.int64): "q", np.dtype(np.int8): "b"}
 
-# The worker: a fresh interpreter without site-packages running csvrows.py.
-_WORKER = (sys.executable, "-I", "-S", csvrows.__file__)
+# The workers: fresh interpreters running csvrows.py, the first without
+# site-packages, the second with numpy; a warning is an error in both.
+_WORKER = (sys.executable, "-I", "-S", "-W", "error", csvrows.__file__)
+_NUMPY_WORKER = (sys.executable, "-I", "-W", "error", csvrows.__file__, "--numpy")
 
 # Where numpy's loadtxt names the data row in a ValueError.
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
@@ -105,7 +119,8 @@ def write_csv(dest, header, columns) -> None:
     When every column is a float64, int64 or int8 numpy array, the rows are
     split into ``k`` contiguous ranges, ``k`` being the smaller of the usable
     CPUs and ``cells // CSV_CELLS_PER_RANGE``. With ``k >= 2`` a worker
-    process formats each range, and ``_join`` appends their text in order.
+    process formats each range (with numpy from ``CSV_CELLS_FOR_NUMPY``
+    cells), and ``_join`` appends their text in order.
     Inside a ``deferred_tables`` scope, the join of a table bound for a path
     waits for the scope's exit (a later write to that path replaces the table
     unjoined); otherwise it runs before this returns. A worker that fails
@@ -127,6 +142,9 @@ def write_csv(dest, header, columns) -> None:
         copies = [stack.enter_context(_worker_rows(columns, lo, hi))
                   for lo, hi in zip(bounds, bounds[1:])]
         held = stack.pop_all()
+    if fh is not dest:  # a file opened here: append the workers' bytes under its text layer
+        fh.flush()
+        fh = fh.buffer
     if scope is None:
         _join(held, fh, copies)
     else:
@@ -134,9 +152,10 @@ def write_csv(dest, header, columns) -> None:
 
 
 def _join(stack: ExitStack, fh, copies) -> None:
-    """Wait for each worker in order and append its text to ``fh``, then
-    close ``stack``: the workers, their files and ``fh`` if it was opened
-    from a path. A worker that fails raises OSError."""
+    """Wait for each worker in order and append its text to ``fh``, a
+    binary file or a text stream, then close ``stack``: the workers, their
+    files and the file opened from a path, if any. A worker that fails
+    raises OSError."""
     with stack:
         for copy in copies:
             copy(fh)
@@ -183,17 +202,19 @@ def _row_ranges(columns, n: int) -> list[int]:
 @contextmanager
 def _worker_rows(columns, lo: int, hi: int):
     """Start a worker that formats rows ``[lo, hi)`` of ``columns`` (see
-    ``csvrows``) into an unlinked temporary file. Yields ``copy(fh)``, which
-    waits for the worker and appends its text to ``fh`` in chunks. A worker
-    still running on exit is killed and waited for."""
+    ``csvrows``) into an unlinked temporary file: the numpy one for at least
+    ``CSV_CELLS_FOR_NUMPY`` cells. Yields ``copy(fh)``, which waits for the
+    worker and appends its text to ``fh``, a binary file or a text stream. A
+    worker still running on exit is killed and waited for."""
     import subprocess  # here, not at the top: it adds ~4 ms to every CLI start
 
     codes = "".join(_WORKER_CODES[c.dtype] for c in columns)
+    worker = _NUMPY_WORKER if (hi - lo) * len(columns) >= CSV_CELLS_FOR_NUMPY else _WORKER
     with tempfile.TemporaryFile() as rows_in, tempfile.TemporaryFile() as rows_out:
         rows_in.writelines(np.ascontiguousarray(c[lo:hi]) for c in columns)
         del columns  # the worker has its rows: a deferred join must not keep them alive
         rows_in.seek(0)
-        with subprocess.Popen([*_WORKER, codes, str(hi - lo)], stdin=rows_in,
+        with subprocess.Popen([*worker, codes, str(hi - lo)], stdin=rows_in,
                               stdout=rows_out, stderr=subprocess.PIPE) as proc:
 
             def copy(fh) -> None:
@@ -202,6 +223,9 @@ def _worker_rows(columns, lo: int, hi: int):
                     raise OSError(f"CSV worker for rows {lo}-{hi} exited with code "
                                   f"{proc.returncode}: {err.decode(errors='replace').strip()}")
                 rows_out.seek(0)
+                if not isinstance(fh, io.TextIOBase):
+                    shutil.copyfileobj(rows_out, fh)
+                    return
                 for chunk in iter(lambda: rows_out.read(1 << 20), b""):
                     fh.write(chunk.decode("ascii"))
 

@@ -4,16 +4,23 @@
 text, one block of at most ``BLOCK_ROWS`` rows per yielded string: one ``str``
 per cell (for a float that is its shortest round-trip text, as ``repr``
 gives), ``NA`` for None, ``,`` between cells and ``\\n`` after every row.
-``artifacts.write_csv`` calls it for every table it writes.
+``artifacts.write_csv`` calls it for every table it formats in-process, and it
+is the reference for ``floattext``.
 
 Run as a script, this module formats one row range for ``write_csv``::
 
-    python -I -S csvrows.py CODES ROWS
+    python -I -S -W error csvrows.py CODES ROWS
+    python -I -W error csvrows.py --numpy CODES ROWS
 
 It reads ROWS machine values of each column from standard input, one column
 after another, typed by the column's ``array`` code in CODES (``d`` float64,
-``q`` int64, ``b`` int8), and writes the rows' text to standard output. It
-imports only the standard library, so a worker starts without numpy.
+``q`` int64, ``b`` int8), and writes the rows' text to standard output. The
+first form formats with ``format_rows`` and imports only the standard
+library, so the worker starts without numpy. The second formats the same
+bytes with ``floattext.format_rows``, which takes about a third of the time
+a cell but imports numpy first; ``artifacts`` starts it for a range of at least
+``artifacts.CSV_CELLS_FOR_NUMPY`` cells. Under ``-W error`` a warning fails
+the worker, and with it the table.
 """
 import array
 import sys
@@ -37,18 +44,30 @@ def format_rows(columns, start: int, stop: int):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _serve(codes: str, rows: str) -> None:
+def _serve(args) -> None:
+    numpy_kernel = args[0] == "--numpy"
+    codes, rows = args[numpy_kernel:]
     n = int(rows)
     columns = []
     for code in codes:
         col = array.array(code)
         col.fromfile(sys.stdin.buffer, n)  # EOFError on a short input
         columns.append(col)
+    if numpy_kernel:
+        import os  # here: the standard-library worker runs without it (no site)
+
+        # -I leaves this file's directory off the import path (Python >= 3.11).
+        sys.path.append(os.path.dirname(os.path.abspath(__file__)))
+        import numpy as np
+        import floattext
+        blocks = floattext.format_rows([np.frombuffer(c, c.typecode) for c in columns], 0, n)
+    else:
+        blocks = (text.encode("ascii") for text in format_rows(columns, 0, n))
     out = sys.stdout.buffer
-    for text in format_rows(columns, 0, n):
-        out.write(text.encode("ascii"))
+    for block in blocks:
+        out.write(block)
     out.flush()
 
 
 if __name__ == "__main__":
-    _serve(*sys.argv[1:])
+    _serve(sys.argv[1:])

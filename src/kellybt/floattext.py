@@ -1,0 +1,219 @@
+"""CSV row text from numpy arrays: the bytes ``csvrows.format_rows`` writes,
+for float64, int64 and int8 columns, computed a block of cells at a time.
+
+``format_rows(columns, start, stop)`` yields rows ``[start, stop)`` as ASCII
+bytes, one block of at most ``BLOCK_CELLS`` cells at a time. A cell's text is
+what ``str`` gives: a float's shortest round-trip digits (``repr``), an
+integer's decimal digits. The ``csvrows`` worker runs it on a large row
+range; ``csvrows.format_rows`` stays the reference it is tested against.
+
+A float takes the fast path when it is finite and 1e-4 <= |x| < 1e16, the
+range in which ``repr`` writes no exponent. With ``e`` its decimal exponent,
+``y = |x| * 10**(16 - e)`` lies in [1e16, 1e17) and is carried exactly as a
+Dekker product ``hi + lo`` (``10**k`` is an exact double for k <= 22). The
+15-, 16- and 17-digit roundings of ``y`` are read from its integer part and
+its fraction. The shortest of them that lies strictly inside half of
+``np.spacing(x) * 10**k`` of ``y`` reads back as ``x`` and is the nearest
+such text of its length, which is what ``repr`` writes (Steele and White
+1990; Gay 1990; Adams, Ryu, 2018). ``repr`` formats the rest: a cell within
+``_SURE`` of a rounding tie or of the interval's edge, an exact power of two
+(its interval is narrower below), and a cell off the fast path. Integers are
+exact: int64 digits from a table, with the magnitude in a uint64.
+
+A cell's text is built in a fixed-width field in which zero bytes are padding:
+the integer part with its sign is a window of digits ending at the decimal
+point, the fraction a window starting after it. Dropping every zero byte of
+a block's rows leaves their text.
+"""
+import numpy as np
+
+# Cells formatted per yielded block: bounds the arrays held in memory (a few
+# hundred bytes a cell while a block is built). Of 4,096 to 65,536, this
+# size formatted a 50,000 x 33 feature matrix fastest (by about 10 %).
+BLOCK_CELLS = 16_384
+
+# Field widths: a float's sign and integer part (18 bytes), point (1) and
+# fraction (20); an int64's sign and 20 digits. ``repr``'s widest float
+# text, "-1.7976931348623157e+308", takes 24.
+_FLOAT_WIDTH = 39
+_INT_WIDTH = 21
+
+# A fast-path decision closer than this to its edge goes to ``repr``; the
+# arithmetic that reaches it errs by less than 1e-13.
+_SURE = 1e-9
+
+_ZERO, _MINUS, _POINT = 48, 45, 46
+
+# "0000" ... "9999": four ASCII digits in each uint32, and how many of them
+# are trailing zeros ("0000" has four).
+_FOURS = np.arange(10_000)
+_DIGITS4 = (np.stack([_FOURS // 1000, _FOURS // 100 % 10, _FOURS // 10 % 10, _FOURS % 10],
+                     axis=1) + _ZERO).astype(np.uint8).view(np.uint32).ravel()
+_TRAILING0 = sum((_FOURS % 10**i == 0).astype(np.int64) for i in (1, 2, 3)) + (_FOURS == 0)
+
+# Row k: k ones, then zeros; keeps the first k bytes of a window.
+_KEEP = (np.arange(20) < np.arange(21)[:, None]).astype(np.uint8)
+
+# 10**k for k <= 22, exact, and the halves of its Dekker split.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    t = _SPLIT * a
+    high = t - (t - a)
+    return high, a - high
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+# The doubles nearest 1e-4 ... 1e16. Each lies at or above its power of ten,
+# so |x| >= _DECADES[i] means |x| >= 10**(i - 4).
+_DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
+
+# 10, 100, ..., 10**19: an integer's digit count is one more than the number
+# of them it reaches.
+_INT_BOUNDS = np.array([10**k for k in range(1, 20)], np.uint64)
+
+
+def _copy_windows(src, offsets, dest):
+    """Copy to each row ``i`` of ``dest`` as many bytes of row ``i`` of
+    ``src``, a C-contiguous array, from ``offsets[i]`` on."""
+    width = dest.shape[1]
+    # Every run of ``width`` bytes of ``src`` as one item, so that a gather
+    # copies each window whole.
+    windows = np.ndarray((src.size - width + 1,), f"V{width}", src, strides=(1,))
+    dest.view(f"V{width}")[:, 0] = windows[np.arange(0, src.size, src.shape[1]) + offsets]
+
+
+def _groups(rest, count):
+    """The ``count`` 4-digit groups of each integer in ``rest``, which lies
+    below ``10**(4 * count)``, most significant first, and their ASCII digits."""
+    groups = np.empty((len(rest), count), np.intp)
+    for g in range(count - 1, 0, -1):
+        rest, groups[:, g] = np.divmod(rest, 10_000)
+    groups[:, 0] = rest
+    return groups, _DIGITS4[groups].view(np.uint8).reshape(len(groups), 4 * count)
+
+
+def _trailing_zeros(groups):
+    """How many of the digits of each row of ``groups`` are trailing zeros."""
+    zeros = _TRAILING0[groups[:, -1]]
+    tail = groups[:, -1] == 0
+    for g in range(groups.shape[1] - 2, -1, -1):
+        zeros += tail * _TRAILING0[groups[:, g]]
+        tail &= groups[:, g] == 0
+    return zeros
+
+
+def float_fields(x):
+    """The ``repr`` text of each float64 of ``x`` as rows of ``_FLOAT_WIDTH``
+    bytes, zero bytes being padding."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-4) & (ax < 1e16)  # False for NaN
+    ax = np.where(fast, ax, 1.0)  # keeps the arithmetic below finite
+    e = np.searchsorted(_DECADES, ax, side="right") - 5
+    k = 16 - e
+    # y = |x| * 10**k = hi + lo exactly: y in [1e16, 1e17), hi an integer.
+    p = _POW10[k]
+    hi = ax * p
+    a_hi, a_lo = _split(ax)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = a_lo * p_lo - (((hi - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
+    whole = np.floor(lo)
+    y_int = hi.astype(np.int64) + whole.astype(np.int64)
+    frac = lo - whole
+    half = np.spacing(ax) * p * 0.5  # exact: a power of two times 10**k
+
+    r100 = y_int % 100
+    t100 = r100 + frac  # y's distance above the multiple of 100 below it
+    up15 = t100 >= 50.0
+    dist15 = np.where(up15, 100.0 - t100, t100)
+    r10 = r100 % 10
+    t10 = r10 + frac
+    up16 = t10 >= 5.0
+    dist16 = np.where(up16, 10.0 - t10, t10)
+    # 17 digits always read back: half > 0.55, and they are within 0.5 of y.
+    # A rounding inside the interval at 15 digits is inside at 16 too. None
+    # rounds up to 1e17: the double nearest each power of ten from 1e-3 to
+    # 1e16 lies at or above it, so no smaller double reads back from it.
+    in15, in16 = dist15 < half, dist16 < half
+    d = np.where(in15, y_int - r100 + 100 * up15,
+                 np.where(in16, y_int - r10 + 10 * up16, y_int + (frac >= 0.5)))
+    point = e + 1  # digits before the decimal point; 0 or less below 1
+
+    # A tie at 15 digits is 50 from y, beyond any interval (half < 11.2).
+    unsure = ~fast | (ax.view(np.uint64) & ((1 << 52) - 1) == 0)
+    for gap in (t10 - 5.0, frac - 0.5, dist15 - half, dist16 - half):
+        unsure |= np.abs(gap) < _SURE
+
+    lead, rest = np.divmod(d, 10**16)
+    groups, digits = _groups(rest, 4)
+    # The last of 17 digits is not 0 (else the 16 would be inside), nor is the
+    # 16th of 16; only a 15-digit rounding can end in more zeros.
+    zeros = in16.astype(np.int64) + in15
+    short = np.flatnonzero(in15)
+    zeros[short] = _trailing_zeros(groups[short])
+    small = point <= 0
+    sign = np.signbit(x).view(np.uint8) * np.uint8(_MINUS)
+    # The integer part ends before the point: a window at offset ``point`` of
+    # [pad, sign, 17 digits], or at offset 0 of [sign, "0"] below 1.
+    whole_buf = np.zeros((len(x), 35), np.uint8)
+    whole_buf[:, 16] = small * sign
+    whole_buf[:, 17] = np.where(small, _ZERO, sign)
+    whole_buf[:, 18] = lead + _ZERO
+    whole_buf[:, 19:] = digits
+    # The fraction starts after the point: a window at offset 3 + point of
+    # ["000", 17 digits], up to the last nonzero digit and at least one digit.
+    frac_buf = np.zeros((len(x), 40), np.uint8)
+    frac_buf[:, :3] = _ZERO
+    frac_buf[:, 3:20] = whole_buf[:, 18:]
+    fields = np.empty((len(x), _FLOAT_WIDTH), np.uint8)
+    _copy_windows(whole_buf, np.maximum(point, 0), fields[:, :18])
+    fields[:, 18] = _POINT
+    _copy_windows(frac_buf, 3 + point, fields[:, 19:])
+    fields[:, 19:] *= _KEEP[np.maximum(17 - zeros, point + 1) - point]
+
+    slow = np.flatnonzero(unsure)
+    if slow.size:
+        fields[slow] = 0
+        texts = [repr(v) for v in x[slow].tolist()]
+        fields[slow, :24] = np.array(texts, "S24").view(np.uint8).reshape(-1, 24)
+    return fields
+
+
+def int_fields(v):
+    """The decimal text of each int64 of ``v`` as rows of ``_INT_WIDTH``
+    bytes, zero bytes being padding."""
+    neg = v < 0
+    mag = v.view(np.uint64)
+    mag = np.where(neg, np.uint64(0) - mag, mag)  # |-2**63| fits a uint64
+    _, digits = _groups(mag, 5)
+    fields = np.empty((len(v), _INT_WIDTH), np.uint8)
+    fields[:, 0] = neg.view(np.uint8) * np.uint8(_MINUS)
+    count = np.searchsorted(_INT_BOUNDS, mag, side="right") + 1
+    np.multiply(digits, _KEEP[count, ::-1], out=fields[:, 1:])
+    return fields
+
+
+def format_rows(columns, start: int, stop: int):
+    """Yield the CSV text of rows ``[start, stop)`` of ``columns``, float64,
+    int64 or int8 numpy arrays, as ASCII bytes, one block at a time."""
+    step = max(1, BLOCK_CELLS // max(1, len(columns)))
+    floats = [j for j, c in enumerate(columns) if c.dtype == np.float64]
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        fields = [None] * len(columns)
+        if floats:
+            # All float cells of the block in one call, row by row.
+            block = np.stack([columns[j][lo:hi] for j in floats], axis=1).ravel()
+            cells = float_fields(block).reshape(hi - lo, len(floats), _FLOAT_WIDTH)
+            for i, j in enumerate(floats):
+                fields[j] = cells[:, i]
+        for j, c in enumerate(columns):
+            if fields[j] is None:
+                fields[j] = int_fields(c[lo:hi].astype(np.int64))
+        comma = np.full((hi - lo, 1), ord(","), np.uint8)
+        text = np.concatenate([part for f in fields for part in (f, comma)], axis=1)
+        text[:, -1] = ord("\n")
+        yield text[text != 0].tobytes()

@@ -145,6 +145,19 @@ def test_ruin_halts_and_floors_at_zero():
     assert curve.values[-1] == 0.0
 
 
+def test_bankroll_landing_exactly_on_the_ruin_floor_is_ruin():
+    closes = [100.0] * 7 + [90.0, 80.0, 70.0, 60.0, 50.0] + [50.0] * 10
+    series = make_series_from_closes(closes)
+    ts = series.timestamps[[6, 12]]
+    preds = Predictions(ts, [0.9, 0.9])
+    # NONE bets the whole bankroll long: one trade loses exactly 50 %.
+    curve, trades = run_backtest(series, preds, None, SizingPolicy("none"),
+                                 BacktestConfig(ruin_floor=0.5))
+    assert trades.realized_return[0] == -0.5
+    assert curve.ruin
+    assert len(trades) == 1 and curve.values[-1] == 0.5
+
+
 def test_skips_timestamps_without_estimates():
     series = generate_synthetic_series(seed=16, n=300, volatility=0.01)
     labels = make_labels(series)

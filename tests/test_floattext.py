@@ -1,0 +1,62 @@
+"""``floattext.format_rows``, the numpy row formatter, writes the bytes of
+``csvrows.format_rows``, its reference: on a small derandomized sample of the
+value families that ``floattext_sweep.py`` runs by the million, at the edges
+of the kernel's fast path, and across its block boundaries."""
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from kellybt import csvrows, floattext
+
+import floattext_sweep
+
+EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=5,
+                 phases=[Phase.explicit, Phase.generate])
+
+
+def _texts(columns):
+    n = len(columns[0])
+    got = b"".join(floattext.format_rows(columns, 0, n))
+    return got, "".join(csvrows.format_rows(columns, 0, n)).encode()
+
+
+@pytest.mark.parametrize("family", floattext_sweep.FAMILIES, ids=lambda f: f.__name__)
+@EXACT
+@given(seed=st.integers(0, 2**32 - 1))
+def test_value_families_match_the_reference(family, seed):
+    rng = np.random.default_rng(seed)
+    x = family(rng, 6000)
+    got, want = _texts([x[0::3], x[1::3], x[2::3]])
+    assert got == want
+
+
+# Each side of the fast path's bounds (1e-4 <= |x| < 1e16), of 1 and of the
+# mantissa's power-of-two edge, and values whose shortest text has 1, 15, 16
+# and 17 digits or a tie between two 17-digit texts.
+EDGES = [1e-4, 1e16, 1.0, 2.0**53, 9007199254740993.0, 0.1, 0.3, 1 / 3, 2 / 3, 123.456,
+         0.000123456789012345, 9999999999999998.0, 1234567890123456.8, 4.35, 0.5,
+         5e-5, 1e15, 1e-3, 100.0, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308]
+
+
+def test_fast_path_edges_match_the_reference():
+    x = floattext_sweep.with_neighbours(np.array(EDGES))
+    got, want = _texts([np.concatenate([x, -x])])
+    assert got == want
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 64])
+def test_blocks_of_mixed_columns_match_the_reference(monkeypatch, block_cells):
+    monkeypatch.setattr(floattext, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(block_cells)
+    n = 100
+    columns = [rng.integers(-2**63, 2**63 - 1, n, endpoint=True),
+               rng.standard_normal(n),
+               rng.choice(np.array([-128, -1, 0, 1, 127], np.int8), n),
+               floattext_sweep.random_bits(rng, n)]
+    columns[0][:2] = [-2**63, 2**63 - 1]
+    got, want = _texts(columns)
+    assert got == want
+    for start, stop in [(0, 0), (3, 50), (99, 100)]:
+        assert b"".join(floattext.format_rows(columns, start, stop)) == \
+            "".join(csvrows.format_rows(columns, start, stop)).encode()

@@ -49,6 +49,12 @@ def test_max_drawdown_equals_quadratic_oracle():
 def test_max_drawdown_rejects_negative_values():
     with pytest.raises(ValueError):
         max_drawdown(_curve([1.0, -0.5]))
+    with pytest.raises(ValueError):
+        max_drawdown(_curve([0.0, 1.0]))
+
+
+def test_max_drawdown_accepts_zero_after_the_first_value():
+    assert max_drawdown(_curve([1.0, 0.0])) == 100.0
 
 
 def test_monthly_returns_hand_example():
@@ -222,6 +228,17 @@ def test_classification_rejects_threshold_outside_unit_interval(threshold):
     preds = Predictions(labels.timestamps, [0.6, 0.4])
     with pytest.raises(ValueError, match="threshold"):
         classification_report(preds, labels, threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold, confusion", [
+    (0.0, {"tn": 0, "fp": 1, "fn": 0, "tp": 2}),
+    (0.6, {"tn": 1, "fp": 0, "fn": 1, "tp": 1}),  # p_up == threshold is a down call
+    (1.0, {"tn": 1, "fp": 0, "fn": 2, "tp": 0}),
+])
+def test_classification_counts_up_strictly_above_the_threshold(threshold, confusion):
+    labels = _label_set([1, -1, 1])
+    preds = Predictions(labels.timestamps, [0.6, 0.4, 0.7])
+    assert classification_report(preds, labels, threshold=threshold).confusion == confusion
 
 
 def test_precision_recall_points_monotone_recall():

@@ -80,7 +80,11 @@ def test_pab_validation():
         with pytest.raises(ValueError):
             fn(0.0, 0.1, 0.1)
         with pytest.raises(ValueError):
+            fn(1.0, 0.1, 0.1)
+        with pytest.raises(ValueError):
             fn(0.5, 0.0, 0.1)
+        with pytest.raises(ValueError):
+            fn(0.5, 0.1, 0.0)
         with pytest.raises(ValueError):
             fn(0.5, 0.1, -0.1)
 
@@ -136,6 +140,8 @@ def test_normal_cdf_sanity():
 def test_gaussian_validation():
     with pytest.raises(ValueError):
         gaussian_bet_size(0.0)
+    with pytest.raises(ValueError):
+        gaussian_bet_size(1.0)
     with pytest.raises(ValueError):
         gaussian_bet_size(0.5, expected=1.0)
 
@@ -211,6 +217,8 @@ def test_policy_validation():
         SizingPolicy("kelly", max_leverage=0.0)
     with pytest.raises(ValueError):
         SizingPolicy("gaussian", expected=0.0)
+    with pytest.raises(ValueError):
+        SizingPolicy("gaussian", expected=1.0)
     with pytest.raises(ValueError):
         SizingPolicy("none", modifier=-1.0)
     assert SizingPolicy("Kelly").kind == "KELLY"

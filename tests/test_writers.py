@@ -1,8 +1,9 @@
 """The one CSV writer, ``artifacts.write_csv``, and every artifact writer built
 on it: each writes the same bytes as the hand-written writer it replaced
 (kept in oracles.py), including across the writer's block boundaries, and
-the same bytes when a table is split into row ranges formatted by workers.
-The SVG chart writes the same bytes as the per-point writer it replaced."""
+the same bytes when a table is split into row ranges formatted by workers,
+standard-library or numpy ones. The SVG chart writes the same bytes as the
+per-point writer it replaced."""
 import contextlib
 import dataclasses
 import io
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from kellybt import artifacts, cli
+from kellybt import artifacts, cli, csvrows
 from kellybt.artifacts import write_csv
 from kellybt.backtest import EquityCurve, Trades, write_equity_csv, write_trades_csv
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
@@ -30,6 +31,7 @@ from kellybt.metrics import BacktestReport, classification_report
 from kellybt.predictors import (Predictions, Scenarios, load_predictions,
                                 write_predictions_csv)
 
+import floattext_sweep
 import oracles
 
 # Inputs are drawn from a seed, so shrinking a failure finds nothing smaller.
@@ -47,12 +49,15 @@ POSITIVE = [5e-324, 1e-300, 1e300, 1.7976931348623157e308, 0.1, 1 / 3, 30000.0]
 
 
 @contextlib.contextmanager
-def _ranges(k):
+def _ranges(k, numpy=False):
     """``write_csv`` as with ``k`` usable CPUs and one cell per range: a
-    numeric table of at least ``k`` cells is split into ``k`` row ranges."""
+    numeric table of at least ``k`` cells is split into ``k`` row ranges,
+    each formatted by a numpy worker if ``numpy``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "CSV_CELLS_PER_RANGE", 1)
         mp.setattr(artifacts, "_usable_cpus", lambda: k)
+        if numpy:
+            mp.setattr(artifacts, "CSV_CELLS_FOR_NUMPY", 1)
         yield
 
 
@@ -181,6 +186,15 @@ def test_writer_bytes_equal_hand_written_writer(case, n, seed, rate):
 @given(seed=seeds, rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
 def test_writer_bytes_equal_hand_written_writer_in_row_ranges(case, n, seed, rate):
     with _ranges(3):
+        _check_writer(case, n, seed, rate)
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(EXACT, max_examples=2)
+@given(seed=seeds, rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+def test_writer_bytes_equal_hand_written_writer_in_numpy_ranges(case, n, seed, rate):
+    with _ranges(2, numpy=True):
         _check_writer(case, n, seed, rate)
 
 
@@ -371,6 +385,47 @@ def test_writer_error_kills_and_waits_for_running_workers(monkeypatch, made):
     procs, files = made
     assert [proc.returncode for proc in procs] == [0, -9]
     assert len(files) == 4 and all(fh.closed for fh in files)
+
+
+# The special floats, the fast path's bounds 1e-4 and 1e16 of the numpy
+# formatter, and the extreme doubles, each with its neighbour on either side.
+_EDGE_FLOATS = [float("nan"), float("inf"), 0.0, 5e-324, 1.7976931348623157e308, 1e-4, 1e16]
+
+
+def test_numpy_worker_writes_the_bytes_of_format_rows_at_the_edges(tmp_path, made):
+    x = floattext_sweep.with_neighbours(np.array(_EDGE_FLOATS))
+    x = np.concatenate([x, -x])
+    ints = np.resize(np.array([-2**63, 2**63 - 1, 0, -1], np.int64), len(x))
+    header, columns = ("ts", "x"), [ints, x]
+    want = "".join(csvrows.format_rows(columns, 0, len(x))).encode()
+    with _ranges(2, numpy=True):
+        write_csv(tmp_path / "out.csv", header, columns)
+    assert (tmp_path / "out.csv").read_bytes() == b"ts,x\n" + want
+    procs, _ = made
+    assert [proc.args[:-2] for proc in procs] == [list(artifacts._NUMPY_WORKER)] * 2
+    assert all(proc.returncode == 0 for proc in procs)
+
+
+def test_a_range_of_csv_cells_for_numpy_starts_the_numpy_worker(tmp_path, monkeypatch, made):
+    header, columns = _table(3001)  # ranges of 1,500 and 1,501 rows, two columns
+    monkeypatch.setattr(artifacts, "CSV_CELLS_FOR_NUMPY", 3002)
+    with _ranges(2):
+        write_csv(tmp_path / "out.csv", header, columns)
+        want = "ts,x\n" + "".join(csvrows.format_rows(columns, 0, 3001))
+    assert (tmp_path / "out.csv").read_text() == want
+    procs, _ = made
+    assert [proc.args[:-2] for proc in procs] == [list(artifacts._WORKER),
+                                                  list(artifacts._NUMPY_WORKER)]
+
+
+def test_a_warning_in_a_numpy_worker_fails_its_command(tmp_path, monkeypatch, capsys):
+    # The numpy worker's interpreter and flags, running a kernel that warns.
+    script = "import numpy; numpy.log(numpy.zeros(1))"
+    monkeypatch.setattr(artifacts, "_NUMPY_WORKER", (*artifacts._NUMPY_WORKER[:-2], "-c", script))
+    with _ranges(2, numpy=True):
+        code = cli.main(["synth", "--n", "100", "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_IO
+    assert "RuntimeWarning: divide by zero" in json.loads(capsys.readouterr().err)["message"]
 
 
 # --- the deferred_tables scope ------------------------------------------------------
