@@ -67,9 +67,12 @@ CSV_CELLS_FOR_NUMPY = 200_000
 _WORKER_CODES = {np.dtype(np.float64): "d", np.dtype(np.int64): "q", np.dtype(np.int8): "b"}
 
 # The workers: fresh interpreters running csvrows.py, the first without
-# site-packages, the second with numpy; a warning is an error in both.
+# site-packages, the second with numpy; a warning is an error in both. -I
+# ignores PYTHONDONTWRITEBYTECODE: -B keeps the numpy worker from caching
+# floattext's bytecode in the package when this process writes none.
 _WORKER = (sys.executable, "-I", "-S", "-W", "error", csvrows.__file__)
-_NUMPY_WORKER = (sys.executable, "-I", "-W", "error", csvrows.__file__, "--numpy")
+_NUMPY_WORKER = (sys.executable, "-I", *(("-B",) if sys.dont_write_bytecode else ()),
+                 "-W", "error", csvrows.__file__, "--numpy")
 
 # Where numpy's loadtxt names the data row in a ValueError.
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
@@ -100,11 +103,15 @@ def write_json(obj, path: str) -> None:
 @contextmanager
 def open_text(dest, mode: str):
     """``dest`` itself when it is an open text stream, else the file at that
-    path opened with ``newline=""``; only a file opened here is closed here."""
+    path opened as UTF-8, whatever the locale, with ``newline=""``; only a
+    file opened here is closed here. A byte that is not UTF-8 passes as a
+    surrogate escape: a command-line byte the locale could not decode is
+    written back as that byte, and one read from a file reaches the parser,
+    which rejects its row by line."""
     if not isinstance(dest, (str, bytes, os.PathLike)):
         yield dest
         return
-    with open(dest, mode, newline="") as fh:
+    with open(dest, mode, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         yield fh
 
 
@@ -392,5 +399,5 @@ def svg_line_chart(curves, path: str, title: str = "", width: int = 900,
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 16 * k + 12}" '
                      f'font-size="12" fill="{color}">{escape(label, quote=False)}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open_text(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

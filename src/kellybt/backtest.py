@@ -13,18 +13,20 @@ strategy comparisons aligned row for row.
 Each run splits in two. ``_decision_grid`` matches the prediction and
 scenario frames to bars and to each other with ``candles.positions``, drops
 what cannot trade (no scenario, no room for the horizon), walks the stride
-lattice over plain ints and gathers the entry and exit timestamps and
-prices, the realized return, p and (a, b) of each chosen point as read-only
-arrays. It depends only on the frames, the horizon and the stride, and it is
-cached for the last such key: frames are frozen, hash by identity and hold
-read-only copies, so the same objects mean the same content; fees, bankroll
-and ruin floor stay per run. The policies of one ``compare_strategies`` thus
-share one grid, while each still runs ``run_backtest`` once and ``decide``
-once per chosen point. P&L is computed per column and the bankroll is
-``np.cumprod`` of the growth factors, the same left-to-right product as
-sequential compounding, bit for bit. Trades and the equity curve come out as
-column frames (``candles.Frame``): ``Trades``, one row per trade with the
-``trades.csv`` columns in header order, and ``EquityCurve``.
+lattice over plain ints and gathers the entry and exit timestamps and prices,
+the realized return (``CandleSeries.forward_return`` at the entry bar, the
+return the labels and the scenario estimator read too), p and (a, b) of each
+chosen point as read-only arrays. It depends only on the frames, the horizon
+and the stride, and it is cached for the last such key: frames are frozen,
+hash by identity and hold read-only copies, so the same objects mean the same
+content; fees, bankroll and ruin floor stay per run. The policies of one
+``compare_strategies`` thus share one grid, while each still runs
+``run_backtest`` once and ``decide`` once per chosen point. P&L is computed
+per column and the bankroll is ``np.cumprod`` of the growth factors, the same
+left-to-right product as sequential compounding, bit for bit. Trades and the
+equity curve come out as column frames (``candles.Frame``): ``Trades``, one
+row per trade with the ``trades.csv`` columns in header order, and
+``EquityCurve``.
 """
 from __future__ import annotations
 
@@ -151,14 +153,12 @@ def _decision_grid(series: CandleSeries, predictions: Predictions,
     rows = np.array(chosen, np.intp)
     entry_at = pred_pos[rows]
     exit_at = entry_at + horizon
-    entry_price = series.close[entry_at]
-    exit_price = series.close[exit_at]
     a = b = None
     if estimates is not None:
         at = est_at[rows]
         a, b = estimates.a[at], estimates.b[at]
-    grid = _Grid(ts[entry_at], ts[exit_at], entry_price, exit_price,
-                 (exit_price - entry_price) / entry_price, predictions.p_up[rows], a, b)
+    grid = _Grid(ts[entry_at], ts[exit_at], series.close[entry_at], series.close[exit_at],
+                 series.forward_return(horizon)[entry_at], predictions.p_up[rows], a, b)
     for col in grid:
         if col is not None:
             col.setflags(write=False)

@@ -12,7 +12,8 @@ it on construction; parse_candles reads the file straight into columns with
 ``artifacts.read_csv``, the reader shared with the prediction loader, and
 calls it to name the file line of the first bad row. ``DataError`` is
 re-exported from ``artifacts``. ``positions`` is the one timestamp lookup
-used to match predictions, scenarios and labels.
+used to match predictions, scenarios and labels; ``forward_return`` the one
+horizon return that labels, features, scenarios and backtest P&L read.
 
 ``Frame`` is the base of every column frame passed between layers: the
 series itself and the prediction, scenario, label, trade and equity frames.
@@ -177,6 +178,15 @@ class CandleSeries(Frame):
             self.low[start:stop], self.close[start:stop], self.volume[start:stop],
             symbol=self.symbol, interval=self.interval,
         )
+
+    def forward_return(self, horizon: int) -> np.ndarray:
+        """``(close[t+h] - close[t]) / close[t]`` for each bar t with t + h in
+        the series (bars counted across gaps); it is > 0 exactly when the later
+        close is higher, as closes are finite and positive."""
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        c = self.close
+        return (c[horizon:] - c[:-horizon]) / c[:-horizon]
 
     def to_csv(self, dest) -> None:
         """Write the canonical CSV to a path or an open text stream through

@@ -129,7 +129,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             conf = json.load(fh)
         section = conf.get(command, conf) if isinstance(conf, dict) else None
         if not isinstance(section, dict):
@@ -312,7 +312,7 @@ def cmd_features(resolved: dict, out: Output) -> list[int]:
     _require(resolved, "features", "input")
     series = _load_series(resolved["input"], resolved["symbol"])
     if resolved["grid"]:
-        with open(resolved["grid"]) as fh:
+        with open(resolved["grid"], encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError(f"grid config must be an object, got {config!r}")
@@ -380,7 +380,8 @@ def cmd_simulate(resolved: dict, out: Output) -> list[int]:
 
 
 def _external_backtest(resolved: dict, command: str):
-    """Load the candles and the prediction file, then backtest the first policy.
+    """Load the candles and the prediction file, then backtest the one policy;
+    a list of policies is a config error, since every output holds one run.
 
     Scenarios come from the file's a,b columns when it has them, else from
     the trailing estimator. Returns the series, the predictions, the file's
@@ -388,6 +389,9 @@ def _external_backtest(resolved: dict, command: str):
     which records the scenario source.
     """
     _require(resolved, command, "input", "predictions")
+    policies = _policies(resolved)
+    if len(policies) > 1:
+        raise ValueError(f"{command} runs one policy, got --policy {resolved['policy']!r}")
     series = _load_series(resolved["input"], resolved["symbol"])
     if not os.path.exists(resolved["predictions"]):
         raise FileNotFoundError(f"predictions file not found: {resolved['predictions']}")
@@ -397,8 +401,8 @@ def _external_backtest(resolved: dict, command: str):
         ests = predictors.estimate_scenarios(series, horizon=resolved["horizon"],
                                              window=resolved["window"])
         scenario_source = "trailing_estimate"
-    result = backtest.compare_strategies(series, preds, ests, _policies(resolved)[:1],
-                                         _backtest_config(resolved))[0]
+    result, = backtest.compare_strategies(series, preds, ests, policies,
+                                          _backtest_config(resolved))
     return series, preds, file_ests, result, {**dataclasses.asdict(result.report),
                                               "scenario_source": scenario_source}
 

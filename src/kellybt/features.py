@@ -2,10 +2,11 @@
 
 The feature matrix holds one column per indicator spec; the optional
 price-model columns add the five trailing horizon-length fractional price
-changes plus a market-direction column holding the realized forward
-direction (the scenario machinery overrides it with +1/-1 at prediction
-time). Rows with any undefined value are dropped, so warm-up rows vanish
-from the front and, when the direction column is present, the last
+changes (``CandleSeries.forward_return`` shifted down one to five horizons)
+plus a market-direction column holding the sign of the forward return, the
+realized direction (the scenario machinery overrides it with +1/-1 at
+prediction time). Rows with any undefined value are dropped, so warm-up rows
+vanish from the front and, when the direction column is present, the last
 ``horizon`` rows vanish from the tail.
 
 Normalization stats are fitted on training rows only and frozen for the
@@ -53,7 +54,8 @@ class NormStats:
 class LabelSet(TimestampedFrame):
     """Per-timestamp direction (+1/-1), fractional forward return, and weight.
 
-    direction = sign(price_change) with zero resolved to -1; the weight is
+    price_change is ``CandleSeries.forward_return(horizon)``; direction =
+    sign(price_change) with zero resolved to -1; the weight is
     |price_change|, so the zero case stays inert. Timestamps strictly
     increase, so predictions are matched to labels with ``candles.positions``.
     """
@@ -64,19 +66,13 @@ class LabelSet(TimestampedFrame):
     horizon: int
 
 
-def _check_horizon(horizon: int) -> None:
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-
-
 def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
                          price_model: bool = False,
                          horizon: int = DEFAULT_HORIZON) -> FeatureMatrix:
     """One column per spec, plus the price-model extras when requested."""
     if not grid:
         raise ValueError("indicator grid is empty")
-    if price_model:
-        _check_horizon(horizon)
+    fwd = series.forward_return(horizon) if price_model else None
     n = len(series)
     names: list[str] = []
     cols: list[np.ndarray] = []
@@ -85,22 +81,13 @@ def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
         cols.append(compute_indicator(series, spec))
 
     if price_model:
-        c = series.close
+        # Column k is the return realized k horizons back: fwd shifted down h*k rows.
         for k in range(1, 6):
-            lag_lo = horizon * k
-            lag_hi = horizon * (k - 1)
-            col = np.full(n, np.nan)
-            if n > lag_lo:
-                start = c[:n - lag_lo]
-                end = c[lag_lo - lag_hi:n - lag_hi]
-                col[lag_lo:] = (end - start) / start
             names.append(f"pc_{horizon}h_{k}")
-            cols.append(col)
-        direction = np.full(n, np.nan)
-        if n > horizon:
-            direction[:n - horizon] = np.where(c[horizon:] > c[:-horizon], 1.0, -1.0)
+            cols.append(np.concatenate((np.full(horizon * k, np.nan), fwd))[:n])
         names.append("market_direction")
-        cols.append(direction)
+        cols.append(np.concatenate((np.where(fwd > 0, 1.0, -1.0),
+                                    np.full(n - fwd.size, np.nan))))
 
     values = np.column_stack(cols)
     keep = ~np.isnan(values).any(axis=1)
@@ -111,20 +98,17 @@ def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
 
 def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,
                 normalize_weights: bool = False) -> LabelSet:
-    """Fractional horizon-forward return, its sign, and magnitude weights."""
-    _check_horizon(horizon)
-    n = len(series)
-    if n <= horizon:
-        raise ValueError(f"series length {n} must exceed horizon {horizon}")
-    c = series.close
-    change = (c[horizon:] - c[:-horizon]) / c[:-horizon]
+    """``series.forward_return(horizon)``, its sign, and magnitude weights."""
+    change = series.forward_return(horizon)
+    if not change.size:
+        raise ValueError(f"series length {len(series)} must exceed horizon {horizon}")
     direction = np.where(change > 0, 1, -1).astype(np.int8)
     weight = np.abs(change)
     if normalize_weights:
         m = weight.mean()
         if m > 0:
             weight = weight / m
-    return LabelSet(series.timestamps[:n - horizon], direction, change, weight, horizon)
+    return LabelSet(series.timestamps[:change.size], direction, change, weight, horizon)
 
 
 def fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]) -> NormStats:

@@ -33,7 +33,8 @@ HIT_AMBIGUOUS = "AMBIGUOUS"
 @dataclass(frozen=True)
 class BarrierConfig:
     """Fractional barrier distances, a vertical barrier in bars, and the
-    vertical-touch labeling rule (ZERO -> 0, SIGN -> sign of the move)."""
+    vertical-touch labeling rule (ZERO -> 0, SIGN -> sign of the move, the
+    series' ``forward_return(horizon)``, with no move counting as down)."""
 
     up_pct: float = 0.02
     down_pct: float = 0.02
@@ -70,22 +71,23 @@ class BarrierLabels(Frame):
 _HIT_KINDS = np.array([HIT_UPPER, HIT_LOWER, HIT_AMBIGUOUS, HIT_VERTICAL])
 
 
-def _label_entries(series: CandleSeries, cfg: BarrierConfig, entries: range) -> BarrierLabels:
-    """The barrier kernel: label each entry of ``entries`` (a range whose
-    horizons all fit in the series) at once.
+def label_series(series: CandleSeries, cfg: BarrierConfig, stride: int = 1) -> BarrierLabels:
+    """Label every stride-th entry whose full horizon fits in the series, all
+    at once.
 
     Row i of each window view holds bars entry+1 .. entry+horizon of one
     entry; the first touch of a barrier is the ``argmax`` of its touch mask,
     with ``horizon`` standing for no touch.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     h = cfg.horizon
-    idx = np.arange(entries.start, entries.stop, entries.step)
+    idx = np.arange(0, len(series) - h, stride)
     m = idx.size
     if m == 0:
         return BarrierLabels(idx, [], [], [])
-    rows = slice(entries.start, None, entries.step)
-    high = sliding_window_view(series.high[1:], h)[rows][:m]
-    low = sliding_window_view(series.low[1:], h)[rows][:m]
+    high = sliding_window_view(series.high[1:], h)[::stride]
+    low = sliding_window_view(series.low[1:], h)[::stride]
     entry_price = series.close[idx]
     upper = entry_price * (1.0 + cfg.up_pct)
     lower = entry_price * (1.0 - cfg.down_pct)
@@ -104,16 +106,9 @@ def _label_entries(series: CandleSeries, cfg: BarrierConfig, entries: range) -> 
     ambiguous = -1 if cfg.ambiguous_to_lower else np.where(
         np.abs(upper - bar_open) < np.abs(bar_open - lower), 1, -1)
     vertical = 0 if cfg.vertical_rule == VERTICAL_ZERO else np.where(
-        series.close[idx + h] > entry_price, 1, -1)
+        series.forward_return(h)[idx] > 0, 1, -1)
     label = np.choose(kind, (1, -1, ambiguous, vertical))
     return BarrierLabels(idx, label, np.minimum(first + 1, h), _HIT_KINDS[kind])
-
-
-def label_series(series: CandleSeries, cfg: BarrierConfig, stride: int = 1) -> BarrierLabels:
-    """Label every stride-th entry whose full horizon fits in the series."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    return _label_entries(series, cfg, range(0, len(series) - cfg.horizon, stride))
 
 
 def write_barrier_labels_csv(series: CandleSeries, labeled: BarrierLabels, path: str) -> None:

@@ -168,10 +168,6 @@ def _align(predictions: Predictions, labels: LabelSet):
     return predictions.p_up[found], (labels.direction[pos[found]] > 0).astype(np.int64)
 
 
-def _f1(precision: float, recall: float) -> float:
-    return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-
-
 def classification_report(predictions: Predictions, labels: LabelSet,
                           threshold: float = 0.5) -> ClassificationReport:
     """Logloss, per-class precision/recall/F1 with macro and weighted
@@ -187,13 +183,13 @@ def classification_report(predictions: Predictions, labels: LabelSet,
     fp = int(((pred == 1) & (y == 0)).sum())
     fn = int(((pred == 0) & (y == 1)).sum())
 
-    def _safe(num, den):
-        return num / den if den else 0.0
+    def of_class(hit, false_alarm, miss):
+        precision = hit / (hit + false_alarm) if hit + false_alarm else 0.0
+        recall = hit / (hit + miss) if hit + miss else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        return ClassMetrics(precision, recall, f1, hit + miss)
 
-    up = ClassMetrics(_safe(tp, tp + fp), _safe(tp, tp + fn),
-                      _f1(_safe(tp, tp + fp), _safe(tp, tp + fn)), tp + fn)
-    down = ClassMetrics(_safe(tn, tn + fn), _safe(tn, tn + fp),
-                        _f1(_safe(tn, tn + fn), _safe(tn, tn + fp)), tn + fp)
+    up, down = of_class(tp, fp, fn), of_class(tn, fn, fp)
 
     def average(w_down, w_up):
         return {k: (getattr(down, k) * w_down + getattr(up, k) * w_up) / (w_down + w_up)

@@ -196,17 +196,15 @@ def estimate_scenarios(series: CandleSeries, horizon: int = 5,
     """Causal trailing-window scenario estimates.
 
     At each index t >= window, a is the mean of the positive horizon-forward
-    returns whose outcomes are fully realized by t (entries in
-    [t-window, t-horizon]) and b is the magnitude of the mean of the negative
-    ones; one-sided histories fall back to the floor.
+    returns (``series.forward_return(horizon)``) whose outcomes are fully
+    realized by t (entries in [t-window, t-horizon]) and b is the magnitude of
+    the mean of the negative ones; one-sided histories fall back to the floor.
     """
+    r = series.forward_return(horizon)
     if window < 10 * horizon:
         raise ValueError(f"window {window} must be >= 10 * horizon ({10 * horizon})")
-    n = len(series)
-    if n <= window:
+    if len(series) <= window:
         return Scenarios(series.timestamps[:0], [], [])
-    c = series.close
-    r = (c[horizon:] - c[:-horizon]) / c[:-horizon]
     count = window - horizon + 1
     pos = np.where(r > 0, r, 0.0)
     neg = np.where(r < 0, r, 0.0)
@@ -215,7 +213,7 @@ def estimate_scenarios(series: CandleSeries, horizon: int = 5,
     pos_cnt = sliding_window_view((r > 0).astype(np.float64), count).sum(axis=1)
     neg_cnt = sliding_window_view((r < 0).astype(np.float64), count).sum(axis=1)
 
-    # Window k holds the returns realized by t = k + window, for t in [window, n).
+    # Window k holds the returns realized by bar t = k + window, for each t >= window.
     a = np.divide(pos_sum, pos_cnt, out=np.full(pos_sum.size, AB_FLOOR), where=pos_cnt > 0)
     b = np.divide(neg_sum, neg_cnt, out=np.full(neg_sum.size, -AB_FLOOR), where=neg_cnt > 0)
     return Scenarios(series.timestamps[window:], np.maximum(a, AB_FLOOR),

@@ -70,6 +70,11 @@ def gaussian_bet_size(p_up: float, expected: float = 0.5) -> float:
         raise ValueError(f"p_up must be in (0, 1), got {p_up}")
     if not 0 < expected < 1:
         raise ValueError(f"expected must be in (0, 1), got {expected}")
+    return _gaussian_size(p_up, expected)
+
+
+def _gaussian_size(p_up: float, expected: float) -> float:
+    """``gaussian_bet_size`` for p_up and expected already checked."""
     if p_up > expected:
         z = (p_up - expected) / math.sqrt(p_up * (1.0 - p_up))
         return 2.0 * normal_cdf(z) - 1.0
@@ -138,7 +143,7 @@ def decide(p: float, scenario: tuple[float, float] | None,
         raw = kelly_fraction(p, *scenario)
         scaled = policy.kelly_fraction * raw
     elif kind == POLICY_GAUSSIAN:
-        raw = scaled = gaussian_bet_size(p, policy.expected)
+        raw = scaled = _gaussian_size(p, policy.expected)
     else:
         raw = scaled = 1.0 if p > 0.5 else (-1.0 if p < 0.5 else 0.0)
     cap = policy.max_leverage

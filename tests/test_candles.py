@@ -8,6 +8,8 @@ from kellybt.candles import (HOUR, CandleSeries, DataError, SplitSpec,
                              generate_synthetic_series, parse_candles,
                              parse_candles_text, positions, split_dataset)
 
+from conftest import make_series_from_closes
+
 HEADER = "timestamp,open,high,low,close,volume\n"
 
 
@@ -234,6 +236,17 @@ def test_positions_finds_each_timestamp_or_its_insertion_point():
     assert pos.tolist() == [0] and found.tolist() == [False]
 
 
+def test_forward_return_is_the_fractional_close_change_over_the_horizon():
+    series = make_series_from_closes([100.0, 110.0, 110.0, 99.0])
+    assert series.forward_return(1).tolist() == [0.1, 0.0, -0.1]
+    assert series.forward_return(2).tolist() == [(110.0 - 100.0) / 100.0,
+                                                 (99.0 - 110.0) / 110.0]
+    assert series.forward_return(4).size == series.forward_return(9).size == 0
+    for horizon in (0, -1):
+        with pytest.raises(ValueError, match=f"^horizon must be >= 1, got {horizon}$"):
+            series.forward_return(horizon)
+
+
 # --- what the C reader accepts: each input float() and the csv module read
 # --- differently is pinned here; everything else behaves as before.
 
@@ -313,6 +326,18 @@ def test_parse_reads_field_spellings_as_before(row):
 def test_parse_reads_crlf_line_ends():
     text = (HEADER + "3600,100,101,99,100,1\n7200,100,101,99,100,1\n").replace("\n", "\r\n")
     assert parse_candles_text(text).timestamps.tolist() == [3600, 7200]
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"7200,1,1,1,1\xff,1\n", "could not convert string"),
+    (b"72\xff00,1,1,1,1,1\n", "is not an integer literal"),
+], ids=["price", "timestamp"])
+def test_parse_rejects_bytes_that_are_not_utf8_by_line(tmp_path, row, message):
+    # A UnicodeDecodeError escaped the reader, and the CLI named it a config error.
+    path = tmp_path / "candles.csv"
+    path.write_bytes(HEADER.encode() + b"3600,1,1,1,1,1\n" + row)
+    with pytest.raises(DataError, match=f"^malformed row at line 3: .*{message}"):
+        parse_candles(str(path))
 
 
 @pytest.mark.parametrize("value", ["1e400", "Infinity", "-1e400"])

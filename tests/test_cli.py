@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -565,3 +566,51 @@ def test_doubling_prices_leaves_the_normalized_features_unchanged(tmp_path):
         if column in in_price_units:
             entry = {**entry, "mean": 2.0 * entry["mean"], "std": 2.0 * entry["std"]}
         assert doubled_stats[column] == entry, column
+
+
+@pytest.mark.parametrize("command", ["backtest", "report"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_backtest_and_report_reject_a_list_of_policies(tmp_path, capsys, command, source):
+    # Both kept only the first policy of a list and exited 0.
+    candles, preds = _write_series_and_predictions(tmp_path)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({command: {"policy": "none,kelly"}}))
+    policy = ["--policy", "none,kelly"] if source == "flag" else []
+    out = tmp_path / "out"
+    assert _run("--config", str(conf), command, "--input", candles, "--predictions", preds,
+                *policy, "--out", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "--policy" in err["message"]
+    assert not (out / "manifest.json").exists()
+
+
+def _run_under_locale(tmp_path, utf8_mode, *argv):
+    """Run the CLI in a fresh interpreter under the C locale, with Python's
+    UTF-8 mode off (0) or on (1); the command's output directory."""
+    out = tmp_path / f"utf8-{utf8_mode}"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(artifacts.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", f"utf8={utf8_mode}", "-m", "kellybt.cli",
+                           *argv, "--out", str(out)], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+@pytest.mark.parametrize("argv, artifact, text", [
+    (["backtest", "--symbol", "BTC€"], "equity.svg", "backtest BTC€"),
+    (["report", "--strategy-name", "Stratégie €"], "report_table.csv", "Stratégie €,"),
+    (["--config", "conf.json", "report"], "report_table.csv", "Stratégie €,"),
+], ids=["svg-title", "csv-cell", "config-file"])
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path, monkeypatch, argv, artifact, text):
+    # Under the C locale both were written as ASCII: the run exited 4 with
+    # "'ascii' codec can't encode characters", and the config file was read
+    # as ASCII too.
+    candles, preds = _write_series_and_predictions(tmp_path)
+    (tmp_path / "conf.json").write_text(
+        json.dumps({"strategy_name": "Stratégie €"}, ensure_ascii=False), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    runs = [_run_under_locale(tmp_path, mode, *argv, "--input", candles,
+                              "--predictions", preds) for mode in (0, 1)]
+    ascii_locale, utf8 = ((out / artifact).read_bytes() for out in runs)
+    assert ascii_locale == utf8
+    assert text.encode("utf-8") in utf8

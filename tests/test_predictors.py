@@ -226,6 +226,14 @@ def test_estimate_window_validation():
         estimate_scenarios(series, horizon=5, window=40)
 
 
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_estimate_rejects_a_horizon_below_one(horizon):
+    # numpy raised "operands could not be broadcast together" for 0.
+    series = generate_synthetic_series(seed=16, n=300)
+    with pytest.raises(ValueError, match=f"^horizon must be >= 1, got {horizon}$"):
+        estimate_scenarios(series, horizon=horizon)
+
+
 def test_estimate_short_series_is_empty():
     series = generate_synthetic_series(seed=16, n=50)
     assert len(estimate_scenarios(series, horizon=5, window=60)) == 0

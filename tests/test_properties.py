@@ -5,8 +5,9 @@ literal, what the CSV writers write their loaders read back unchanged, and
 the backtest's stride lattice keeps one trade grid for every policy, the
 aggregate exposure under the leverage cap and the equity at or above zero,
 cut at the first ruin point. The barrier-label kernel equals the per-entry
-scan, no causal stage reads a bar past a prefix cut, and every sizing policy
-is non-decreasing in p."""
+scan, no causal stage reads a bar past a prefix cut, every sizing policy
+is non-decreasing in p, and every consumer of the horizon return reads
+``CandleSeries.forward_return``."""
 import io
 import os
 import re
@@ -17,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellybt.backtest import BacktestConfig, compare_strategies
+from kellybt.backtest import BacktestConfig, _decision_grid, compare_strategies
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
                             parse_candles, parse_candles_text, positions)
-from kellybt.features import apply_normalizer, build_feature_matrix, fit_normalizer
+from kellybt.features import (apply_normalizer, build_feature_matrix, fit_normalizer,
+                              make_labels)
 from kellybt.indicators import KINDS, IndicatorSpec, compute_indicator
-from kellybt.labeling import BarrierConfig, label_series
+from kellybt.labeling import HIT_VERTICAL, BarrierConfig, label_series
 from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, Predictions, Scenarios,
                                 estimate_scenarios, load_predictions, write_predictions_csv)
 from kellybt.sizing import SizingPolicy, decide
@@ -411,3 +413,60 @@ def test_fraction_is_non_decreasing_in_p(seed, a, b, policy):
     inversions = np.flatnonzero(np.diff(fraction) < 0)
     assert inversions.size == 0, [(p[i], p[i + 1], fraction[i], fraction[i + 1])
                                   for i in inversions[:3]]
+
+
+@st.composite
+def close_runs(draw):
+    """A candle series of random positive closes with runs of equal ones
+    (zero returns) and timestamp gaps, and a horizon that leaves feature rows."""
+    horizon = draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(st.floats(1.0, 1000.0), st.integers(1, 4)),
+                         min_size=1, max_size=80))
+    close = np.repeat([c for c, _ in runs], [k for _, k in runs])
+    n = draw(st.integers(6 * horizon + 2, 6 * horizon + 80))
+    close = np.resize(close, n)
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 7]), min_size=n - 1, max_size=n - 1))
+    ts = 1_577_836_800 + HOUR * np.concatenate(([0], np.cumsum(steps, dtype=np.int64)))
+    open_ = np.concatenate((close[:1], close[:-1]))
+    series = CandleSeries(ts, open_, np.maximum(open_, close), np.minimum(open_, close),
+                          close, np.full(n, 10.0))
+    return series, horizon
+
+
+@PROPERTY
+@given(case=close_runs())
+def test_every_horizon_return_consumer_reads_forward_return(case):
+    """Labels, price-model features, the decision grid's realized return and
+    the barrier SIGN rule all equal ``CandleSeries.forward_return``; a zero
+    return counts as down."""
+    series, h = case
+    n = len(series)
+    fwd = series.forward_return(h)
+    assert fwd.size == n - h
+    sign = np.where(fwd > 0, 1, -1)
+
+    labels = make_labels(series, horizon=h)
+    assert np.array_equal(labels.price_change, fwd)
+    assert np.array_equal(labels.direction, sign)
+
+    matrix = build_feature_matrix(series, [IndicatorSpec("ROC", (1,))], price_model=True,
+                                  horizon=h)
+    t, found = positions(series.timestamps, matrix.timestamps)
+    assert found.all() and t.size == n - 6 * h  # rows [5h, n - h) are fully defined
+    for k in range(1, 6):
+        col = matrix.values[:, matrix.column_names.index(f"pc_{h}h_{k}")]
+        assert np.array_equal(col, fwd[t - h * k])
+    direction = matrix.values[:, matrix.column_names.index("market_direction")]
+    assert np.array_equal(direction, sign[t])
+
+    preds = Predictions(series.timestamps, np.full(n, 0.6))
+    grid = _decision_grid(series, preds, None, h, 1)
+    entry, _ = positions(series.timestamps, grid.entry_ts)
+    assert np.array_equal(entry, np.arange(n - h))
+    assert np.array_equal(grid.realized, fwd)
+
+    # Barriers no close in [1, 1000] can reach: every entry ends at the vertical.
+    out_of_reach = BarrierConfig(up_pct=1e6, down_pct=1 - 1e-6, horizon=h)
+    barrier = label_series(series, out_of_reach)
+    assert set(barrier.hit_kind) == {HIT_VERTICAL}
+    assert np.array_equal(barrier.label, sign[barrier.entry])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kellybt import sizing
 from kellybt.sizing import (SizingPolicy, decide, gaussian_bet_size,
                             kelly_fraction, log_optimal_fraction, normal_cdf)
 
@@ -175,6 +176,20 @@ def test_decide_gaussian_ignores_estimates():
     policy = SizingPolicy("gaussian", modifier=1.0)
     d = decide(0.6, None, policy)
     assert abs(d.fraction - gaussian_bet_size(0.6)) <= 1e-15
+
+
+def test_decide_sizes_gaussian_without_checking_its_inputs_again(monkeypatch):
+    # decide checks p and SizingPolicy checks expected; decide used to call
+    # the checked gaussian_bet_size, which ran both tests again on every bet.
+    ps = (1e-17, 0.3, 0.45, 0.55, 0.6, 0.99)
+    want = [gaussian_bet_size(p, 0.55) for p in ps]
+
+    def checked(p_up, expected=0.5):
+        raise AssertionError("decide checked its GAUSSIAN inputs again")
+
+    monkeypatch.setattr(sizing, "gaussian_bet_size", checked)
+    policy = SizingPolicy("gaussian", expected=0.55)
+    assert [decide(p, None, policy).raw_fraction for p in ps] == want
 
 
 def test_decide_kelly_requires_estimate():

@@ -9,6 +9,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -404,6 +405,23 @@ def test_numpy_worker_writes_the_bytes_of_format_rows_at_the_edges(tmp_path, mad
     procs, _ = made
     assert [proc.args[:-2] for proc in procs] == [list(artifacts._NUMPY_WORKER)] * 2
     assert all(proc.returncode == 0 for proc in procs)
+
+
+def test_numpy_worker_writes_no_bytecode_when_its_parent_writes_none(tmp_path):
+    # -I makes the worker ignore PYTHONDONTWRITEBYTECODE: it cached floattext's
+    # bytecode in the package's __pycache__.
+    package = tmp_path / "kellybt"
+    shutil.copytree(os.path.dirname(artifacts.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = ("import sys, numpy as np; from kellybt import artifacts; "
+              "artifacts.CSV_CELLS_PER_RANGE = artifacts.CSV_CELLS_FOR_NUMPY = 1; "
+              "artifacts._usable_cpus = lambda: 2; "
+              "artifacts.write_csv(sys.argv[1], ('x',), [np.arange(4.0)])")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tmp_path)}
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv")], env=env,
+                   check=True)
+    assert (tmp_path / "out.csv").read_bytes() == b"x\n0.0\n1.0\n2.0\n3.0\n"
+    assert not list(package.rglob("__pycache__"))
 
 
 def test_a_range_of_csv_cells_for_numpy_starts_the_numpy_worker(tmp_path, monkeypatch, made):
