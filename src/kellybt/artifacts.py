@@ -4,6 +4,10 @@ Every artifact-producing command writes exactly one ``manifest.json`` into
 its output directory recording the command, the fully resolved config,
 input digests, seeds, and artifact digests, so a run can be reproduced and
 verified byte for byte. SVG output embeds no timestamps or randomness.
+``svg_line_chart`` streams each polyline to its file: the ``"%.2f"`` text of
+the points comes from ``floattext.fixed2_fields``, at most
+``floattext.BLOCK_CELLS`` coordinates at a time, and each block is written as
+soon as it is built, so the chart's text is never held whole.
 
 Every CSV kellybt writes goes through ``write_csv``, which owns the text
 format: a header row, one ``str`` per cell (for a float that is its shortest
@@ -387,17 +391,35 @@ def svg_line_chart(curves, path: str, title: str = "", width: int = 900,
         f'<text x="{margin - 6}" y="{margin + 4}" text-anchor="end" '
         f'font-size="11">{_fmt(y_hi)}</text>',
     ]
-    for k, (label, xs, ys) in enumerate(curves):
-        color = PALETTE[k % len(PALETTE)]
-        # Pixel coordinates. The operation order is part of the output: a
-        # reordered expression can round a point to other text.
-        px = margin + (xs - x_lo) / x_span * (width - 2 * margin)
-        py = height - margin - (ys - y_lo) / y_span * (height - 2 * margin)
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        parts.append(f'<text x="{width - margin + 4}" y="{margin + 16 * k + 12}" '
-                     f'font-size="12" fill="{color}">{escape(label, quote=False)}</text>')
-    parts.append("</svg>")
     with open_text(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
+        for k, (label, xs, ys) in enumerate(curves):
+            color = PALETTE[k % len(PALETTE)]
+            # Pixel coordinates. The operation order is part of the output: a
+            # reordered expression can round a point to other text.
+            px = margin + (xs - x_lo) / x_span * (width - 2 * margin)
+            py = height - margin - (ys - y_lo) / y_span * (height - 2 * margin)
+            fh.write('<polyline points="')
+            _write_points(fh, px, py)
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+                     f'<text x="{width - margin + 4}" y="{margin + 16 * k + 12}" '
+                     f'font-size="12" fill="{color}">{escape(label, quote=False)}</text>\n')
+        fh.write("</svg>\n")
+
+
+def _write_points(fh, px, py) -> None:
+    """Write the ``"%.2f,%.2f"`` text of each point, separated by spaces, to
+    the text stream ``fh``, one block of ``floattext.BLOCK_CELLS`` cells at a
+    time."""
+    from . import floattext  # here, not at the top: it adds ~5 ms to every CLI start
+
+    step = floattext.BLOCK_CELLS // 2
+    for lo in range(0, px.size, step):
+        cells = floattext.fixed2_fields(np.stack((px[lo:lo + step], py[lo:lo + step]), 1).ravel())
+        pairs = cells.reshape(-1, 2, cells.shape[1])
+        space = np.full((len(pairs), 1), ord(" "), np.uint8)
+        if lo == 0:
+            space[0] = 0  # a padding byte: no separator before the first point
+        comma = np.full((len(pairs), 1), ord(","), np.uint8)
+        text = np.concatenate((space, pairs[:, 0], comma, pairs[:, 1]), axis=1)
+        fh.write(text[text != 0].tobytes().decode("ascii"))

@@ -34,14 +34,18 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import write_csv
-from .candles import CandleSeries, Frame, column, positions
+from .candles import CandleSeries, Frame, check_horizon, column, positions
 from .predictors import Predictions, Scenarios
-from .sizing import SizingPolicy, decide
+from .sizing import SIDE_FLAT, SIDE_LONG, SIDE_SHORT, SizingPolicy, decide
+
+# Trade side by code: 0 FLAT, 1 LONG, 2 SHORT.
+_SIDES = np.array([SIDE_FLAT, SIDE_LONG, SIDE_SHORT])
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,7 @@ class BacktestConfig:
     ruin_floor: float = 0.01
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        check_horizon(self.horizon)
         if self.stride is not None and self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         if not 0 <= self.fee_rate < math.inf:  # negated so NaN fails too
@@ -181,8 +184,12 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     divisor = 1 if stride >= horizon else math.ceil(horizon / stride)
 
     scenarios = repeat(None) if grid.a is None else zip(grid.a.tolist(), grid.b.tolist())
-    _, fraction, side = zip(*map(decide, grid.p_up.tolist(), scenarios, repeat(policy)))
-    fraction = np.array(fraction, np.float64) / divisor
+    decisions = map(decide, grid.p_up.tolist(), scenarios, repeat(policy))
+    fraction = np.fromiter(map(attrgetter("fraction"), decisions), np.float64, len(grid.p_up))
+    # decide's side, read from the sign before the divisor can round a
+    # subnormal to 0: NaN, 0.0 and -0.0 are FLAT.
+    side = _SIDES[(fraction > 0) + 2 * (fraction < 0)]
+    fraction /= divisor
     pnl = fraction * grid.realized - cfg.fee_rate * np.abs(fraction) * 2.0
 
     initial = cfg.initial_bankroll

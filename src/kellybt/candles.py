@@ -12,8 +12,11 @@ it on construction; parse_candles reads the file straight into columns with
 ``artifacts.read_csv``, the reader shared with the prediction loader, and
 calls it to name the file line of the first bad row. ``DataError`` is
 re-exported from ``artifacts``. ``positions`` is the one timestamp lookup
-used to match predictions, scenarios and labels; ``forward_return`` the one
-horizon return that labels, features, scenarios and backtest P&L read.
+used to match predictions, scenarios and labels. ``horizon_return`` is the
+one horizon return, over a close array: ``CandleSeries.forward_return``
+(which labels, features, scenarios and backtest P&L read) and the ROC
+indicator both call it. ``check_horizon`` holds the one bound on a horizon,
+which the backtest and barrier configs also check when they are built.
 
 ``Frame`` is the base of every column frame passed between layers: the
 series itself and the prediction, scenario, label, trade and equity frames.
@@ -79,6 +82,19 @@ def positions(reference: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.
     found = pos < reference.size
     found[found] = reference[pos[found]] == query[found]
     return pos, found
+
+
+def check_horizon(horizon: int) -> None:
+    """A ValueError unless ``horizon`` is at least one bar."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+
+
+def horizon_return(close: np.ndarray, horizon: int) -> np.ndarray:
+    """``(close[t+h] - close[t]) / close[t]`` for each t with t + h in
+    ``close``."""
+    check_horizon(horizon)
+    return (close[horizon:] - close[:-horizon]) / close[:-horizon]
 
 
 def column(dtype):
@@ -183,10 +199,7 @@ class CandleSeries(Frame):
         """``(close[t+h] - close[t]) / close[t]`` for each bar t with t + h in
         the series (bars counted across gaps); it is > 0 exactly when the later
         close is higher, as closes are finite and positive."""
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        c = self.close
-        return (c[horizon:] - c[:-horizon]) / c[:-horizon]
+        return horizon_return(self.close, horizon)
 
     def to_csv(self, dest) -> None:
         """Write the canonical CSV to a path or an open text stream through

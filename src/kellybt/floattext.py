@@ -24,6 +24,20 @@ A cell's text is built in a fixed-width field in which zero bytes are padding:
 the integer part with its sign is a window of digits ending at the decimal
 point, the fraction a window starting after it. Dropping every zero byte of
 a block's rows leaves their text.
+
+``fixed2_fields`` gives the ``"%.2f"`` text of each float64, for the points
+of an SVG chart, in fields of 4-byte words: the sign, one word per 4-digit
+group of the largest integer part among them (leading zeros as padding), and
+the point with two decimals. For |x| < 1e13, ``y = |x| * 100`` is carried
+exactly as a Dekker product ``hi + lo``. As ``hi < 2**50``, its spacing is at
+most 1/8, so a half is exact and ``|lo|``, at most half the spacing, cannot
+carry y across a half ``hi`` is not on: ``np.rint(hi)`` is y's nearest
+integer. On a half, y lies above it when ``lo > 0``, below when ``lo < 0``,
+and is a tie, which ``"%.2f"`` rounds to even as ``np.rint`` does, when ``lo``
+is 0. The sign is x's sign bit, so ``-0.0`` and ``-0.001`` give ``-0.00`` as
+``"%.2f"`` does. ``"%.2f"`` itself formats NaN, infinities and |x| >= 1e13;
+that text can be 304 bytes long (``1e300``), and the fields are widened to
+the longest.
 """
 import numpy as np
 
@@ -53,6 +67,18 @@ _TRAILING0 = sum((_FOURS % 10**i == 0).astype(np.int64) for i in (1, 2, 3)) + (_
 
 # Row k: k ones, then zeros; keeps the first k bytes of a window.
 _KEEP = (np.arange(20) < np.arange(21)[:, None]).astype(np.uint8)
+
+# Entry q: a mask of the bytes of a 4-digit group that are digits when the
+# number from that group up is min(q, 1000): as many as q has, none for 0.
+_SIZES = sum((np.arange(1001) >= 10**i).astype(np.int64) for i in range(4))
+_LEADING = (np.arange(4) >= 4 - _SIZES[:, None]).astype(np.uint8) * np.uint8(255)
+_LEADING = _LEADING.view(np.uint32).ravel()
+
+# Entry c: ".", then the two digits of c.
+_CENTS = np.zeros((100, 4), np.uint8)
+_CENTS[:, 0] = _POINT
+_CENTS[:, 1:3] = _DIGITS4.view(np.uint8).reshape(-1, 4)[:100, 2:]
+_CENTS = _CENTS.view(np.uint32).ravel()
 
 # 10**k for k <= 22, exact, and the halves of its Dekker split.
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -179,6 +205,46 @@ def float_fields(x):
         fields[slow] = 0
         texts = [repr(v) for v in x[slow].tolist()]
         fields[slow, :24] = np.array(texts, "S24").view(np.uint8).reshape(-1, 24)
+    return fields
+
+
+def fixed2_fields(x):
+    """The ``"%.2f"`` text of each float64 of ``x`` as rows of bytes, zero
+    bytes being padding, as wide as the longest text needs."""
+    ax = np.abs(x)
+    fast = ax < 1e13  # False for NaN
+    ax = np.where(fast, ax, 0.0)  # keeps the arithmetic below finite
+    # y = |x| * 100 = hi + lo exactly (100 splits as 100 + 0).
+    hi = ax * 100.0
+    a_hi, a_lo = _split(ax)
+    lo = a_lo * 100.0 - (hi - a_hi * 100.0)
+    below = np.floor(hi)
+    tie = (hi - below == 0.5) & (lo != 0.0)  # on a half, and y off it
+    d = np.where(tie, below + (lo > 0.0), np.rint(hi)).astype(np.int64)
+    whole = d // 100
+
+    # 4-byte words: the sign and 3 bytes of padding, the 4-digit groups of
+    # the largest integer part, then the point and 2 decimals.
+    groups = (len(str(whole.max(initial=0))) + 3) // 4
+    fields = np.zeros((len(x), 4 * groups + 8), np.uint8)
+    words = fields.view(np.uint32)
+    words[:, 0] = np.signbit(x) * np.uint32(_MINUS)
+    words[:, -1] = _CENTS[d - 100 * whole]
+    rest = whole
+    for k in range(groups, 0, -1):  # the units group first
+        q = rest // 10_000
+        # ``rest`` is the number from this group up; the units group keeps
+        # its last digit when it is 0.
+        keep = _LEADING[np.clip(rest, 1 if k == groups else 0, 1000)]
+        words[:, k] = _DIGITS4[rest - 10_000 * q] & keep
+        rest = q
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = ["%.2f" % v for v in x[slow].tolist()]
+        width = max(fields.shape[1], *map(len, texts))
+        fields = np.pad(fields, ((0, 0), (0, width - fields.shape[1])))
+        fields[slow] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
     return fields
 
 

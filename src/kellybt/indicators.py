@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .candles import CandleSeries
+from .candles import CandleSeries, horizon_return
 
 _ALIASES = {"EFI": "EFI_RATIO", "WILLIAMSR": "WILLIAMS_R", "%R": "WILLIAMS_R"}
 
@@ -123,8 +123,7 @@ def _ppo(h, l, c, v, fast: int, slow: int) -> np.ndarray:
 
 def _roc(h, l, c, v, n: int) -> np.ndarray:
     out = np.full(c.size, np.nan)
-    if c.size > n:
-        out[n:] = 100.0 * ((c[n:] - c[:-n]) / c[:-n])
+    out[n:] = 100.0 * horizon_return(c, n)
     return out
 
 

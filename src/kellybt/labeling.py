@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import write_csv
-from .candles import CandleSeries, Frame, column
+from .candles import CandleSeries, Frame, check_horizon, column
 
 VERTICAL_ZERO = "ZERO"
 VERTICAL_SIGN = "SIGN"
@@ -49,8 +49,7 @@ class BarrierConfig:
         if not self.down_pct < 1:
             raise ValueError(f"down_pct must be < 1, got {self.down_pct}: the lower barrier "
                              f"would sit at or below zero price, where no low can reach it")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        check_horizon(self.horizon)
         if self.vertical_rule not in (VERTICAL_ZERO, VERTICAL_SIGN):
             raise ValueError(f"vertical_rule must be ZERO or SIGN, got {self.vertical_rule!r}")
 

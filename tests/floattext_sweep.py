@@ -1,12 +1,15 @@
-"""Compare ``floattext.format_rows`` with ``csvrows.format_rows`` on many values.
+"""Compare ``floattext.format_rows`` with ``csvrows.format_rows``, and
+``floattext.fixed2_fields`` with ``"%.2f"``, on many values.
 
     PYTHONPATH=src python tests/floattext_sweep.py [VALUES] [SEED]
 
 Formats VALUES floats (default 10,000,000) from the families below, in
 chunks, as rows of four float64 columns and one int64 column of random bits,
-with both formatters, and exits 1 at the first chunk whose bytes differ,
-naming the first value that differs. pytest does not collect this file;
-``test_floattext.py`` runs a small derandomized sample of the same families.
+with both row formatters, and the same floats, plus a quarter as many
+half-cent ties and their neighbours (``half_cents``), with both ``"%.2f"``
+formatters. Exits 1 at the first chunk whose bytes differ, naming the first
+value that differs. pytest does not collect this file; ``test_floattext.py``
+runs a small derandomized sample of the same families.
 
 Families, in equal shares of each chunk:
 - random bit patterns: every exponent, NaN payloads, infinities and
@@ -71,6 +74,18 @@ def powers(rng, size):
 FAMILIES = (random_bits, short_decimals, powers)
 
 
+def half_cents(rng, size):
+    """Values whose product with 100 is a half, or rounds to one: odd
+    multiples of 1/8 (the only doubles that are exact half cents) and the
+    doubles nearest k/200, below 1e13, each sign, with both neighbours:
+    ``size`` values."""
+    count = -(-size // 6)
+    eighths = np.ldexp(2.0 * rng.integers(0, 4 * 10**13, count) + 1.0, -3)
+    near = rng.integers(0, 2 * 10**15, count) / 200
+    x = np.concatenate([eighths, near])
+    return with_neighbours(np.where(rng.random(x.size) < 0.5, -x, x))[:size]
+
+
 def chunk(rng, size):
     """``size`` floats, an equal share from each family, shuffled."""
     shares = [size // len(FAMILIES)] * len(FAMILIES)
@@ -92,6 +107,30 @@ def first_difference(x, ints, got: bytes, want: bytes) -> str:
     return "texts differ in length"
 
 
+def fixed2_lines(x) -> bytes:
+    """``fixed2_fields``'s text of each value of ``x``, one a line, formatted
+    a block of ``floattext.BLOCK_CELLS`` values at a time."""
+    out = []
+    for lo in range(0, x.size, floattext.BLOCK_CELLS):
+        fields = floattext.fixed2_fields(x[lo:lo + floattext.BLOCK_CELLS])
+        rows = np.concatenate((fields, np.full((len(fields), 1), ord("\n"), np.uint8)), axis=1)
+        out.append(rows[rows != 0].tobytes())
+    return b"".join(out)
+
+
+def fixed2_difference(x) -> str | None:
+    """The first value of ``x`` whose ``fixed2_fields`` text is not its
+    ``"%.2f"`` text, with both texts; None when every one matches."""
+    got = fixed2_lines(x)
+    want = "".join(map("%.2f\n".__mod__, x.tolist())).encode()
+    if got == want:
+        return None
+    for v, g, w in zip(x.tolist(), got.split(b"\n"), want.split(b"\n")):
+        if g != w:
+            return f"{v!r} ({np.float64(v).tobytes().hex()}): fixed2_fields {g!r}, '%.2f' {w!r}"
+    return "texts differ in length"
+
+
 def main(values: int = 10_000_000, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
     done = 0
@@ -104,6 +143,10 @@ def main(values: int = 10_000_000, seed: int = 0) -> int:
         want = "".join(csvrows.format_rows(columns, 0, size // COLUMNS)).encode()
         if got != want:
             print(f"mismatch after {done} values: {first_difference(x, ints, got, want)}")
+            return 1
+        fixed2 = fixed2_difference(np.concatenate([x, half_cents(rng, size // 4)]))
+        if fixed2 is not None:
+            print(f"'%.2f' mismatch after {done} values: {fixed2}")
             return 1
         done += size
         print(f"{done} values match", flush=True)

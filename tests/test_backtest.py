@@ -8,7 +8,7 @@ from kellybt.candles import HOUR, generate_synthetic_series
 from kellybt.features import make_labels
 from kellybt.predictors import (Predictions, Scenarios, estimate_scenarios,
                                 simulate_balanced, simulate_gaussian, simulate_optimal)
-from kellybt.sizing import SizingPolicy
+from kellybt.sizing import SizingPolicy, decide
 
 import oracles
 from conftest import make_series_from_closes
@@ -39,6 +39,23 @@ def test_zero_modifier_flat_curve():
                                  SizingPolicy("none", modifier=0.0), BacktestConfig())
     assert np.all(curve.values == 1.0)
     assert (trades.side == "FLAT").all() and (trades.pnl_fraction == 0.0).all()
+
+
+@pytest.mark.parametrize("p, scenario, policy", [
+    (0.6, (5e-324, 5e-324), SizingPolicy("kelly")),  # inf - inf: a NaN fraction
+    (0.3, (0.05, 0.04), SizingPolicy("none", modifier=0.0)),  # -1 * 0: -0.0
+], ids=["nan", "negative-zero"])
+def test_side_is_decides_for_nan_and_negative_zero_fractions(p, scenario, policy):
+    series = make_series_from_closes([100.0, 101.0, 99.0, 102.0, 98.0, 100.0])
+    ts = series.timestamps[:4]
+    preds = Predictions(ts, [p] * 4)
+    ests = Scenarios(ts, [scenario[0]] * 4, [scenario[1]] * 4)
+    cfg = BacktestConfig(horizon=2, stride=1)
+    _, trades = run_backtest(series, preds, ests, policy, cfg)
+    decision = decide(p, scenario, policy)
+    assert decision.side == "FLAT"
+    assert trades.side.tolist() == [decision.side] * 4
+    assert trades.fraction.tobytes() == np.full(4, decision.fraction / 2).tobytes()
 
 
 def test_optimal_predictions_never_lose():

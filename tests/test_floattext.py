@@ -1,7 +1,9 @@
 """``floattext.format_rows``, the numpy row formatter, writes the bytes of
 ``csvrows.format_rows``, its reference: on a small derandomized sample of the
 value families that ``floattext_sweep.py`` runs by the million, at the edges
-of the kernel's fast path, and across its block boundaries."""
+of the kernel's fast path, and across its block boundaries. ``fixed2_fields``
+writes the text of ``"%.2f"``, its reference, on half-cent ties, their
+neighbours and the edges of its own fast path."""
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -60,3 +62,27 @@ def test_blocks_of_mixed_columns_match_the_reference(monkeypatch, block_cells):
     for start, stop in [(0, 0), (3, 50), (99, 100)]:
         assert b"".join(floattext.format_rows(columns, start, stop)) == \
             "".join(csvrows.format_rows(columns, start, stop)).encode()
+
+
+# The fast path's bound and 2**52 / 100, above which a half would no longer
+# be exact; a subnormal, small values that round to 0.00, and values whose
+# "%.2f" text is long (1e300 takes 304 bytes).
+FIXED2_EDGES = [1e13, 1e13 - 0.005, 2.0**52 / 100, 2.0**53 / 100, 0.0, 5e-324, 0.001,
+                0.004, 0.005, 0.015, 0.125, 2.675, 1e300, 1.7976931348623157e308]
+
+
+def test_fixed2_fields_match_percent_format():
+    rng = np.random.default_rng(0)
+    # From 2**53 / 100 on, |x| * 100 rounds to an even integer, and rint would
+    # miss its nearest one.
+    around = rng.uniform(1e12, 1e14, 500)
+    x = np.concatenate([floattext_sweep.half_cents(rng, 3000), np.arange(-600, 601) / 200,
+                        floattext_sweep.with_neighbours(np.array(FIXED2_EDGES)), around,
+                        rng.uniform(60.0, 840.0, 500), [np.nan, np.inf]])
+    x = np.concatenate([x, -x])
+    eighths = x[np.abs(x) < 1e13] * 8
+    assert (eighths % 2 == 1).sum() > 1000  # odd eighths: exact half cents
+    fields = floattext.fixed2_fields(x)
+    got = [row[row != 0].tobytes().decode() for row in fields]
+    assert got == ["%.2f" % v for v in x.tolist()]
+    assert len(got[x.tolist().index(1e300)]) == 304

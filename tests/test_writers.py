@@ -594,12 +594,15 @@ def test_full_size_tables_take_two_ranges_on_two_cpus(monkeypatch, n, kinds):
 
 # --- the SVG chart ----------------------------------------------------------------
 
-CURVE_SHAPES = ["empty", "point", "constant", "negative", "ruin", "wide"]
+CURVE_SHAPES = ["empty", "point", "constant", "negative", "ruin", "wide", "long", "nonfinite"]
 
 
 def _curve(rng, shape):
-    """Hours since the first point and values of one curve of ``shape``."""
-    n = {"empty": 0, "point": 1}.get(shape, int(rng.integers(2, 400)))
+    """Hours since the first point and values of one curve of ``shape``. A
+    long curve spans blocks of the chart's writer; a nonfinite one starts
+    with NaN and holds an infinity."""
+    n = {"empty": 0, "point": 1, "long": int(rng.integers(19_000, 21_000))}.get(
+        shape, int(rng.integers(2, 400)))
     xs = np.cumsum(rng.integers(0, 6, n)) * float(rng.choice([1.0, 0.25, 1e-3]))
     ys = 1e4 * np.exp(np.cumsum(rng.normal(0.0, 0.02, n)))
     if shape == "constant":
@@ -610,6 +613,9 @@ def _curve(rng, shape):
         ys[-int(rng.integers(1, n)):] = 0.0
     elif shape == "wide":
         ys = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 201, n)
+    elif shape == "nonfinite":
+        ys[0] = np.nan
+        ys[int(rng.integers(1, n))] = np.inf
     return xs, ys
 
 
@@ -619,7 +625,15 @@ def _curve(rng, shape):
 @example(seed=0, shapes=["point"], as_lists=False)  # both spans 0
 @example(seed=1, shapes=["empty", "ruin", "constant"], as_lists=True)
 @example(seed=2, shapes=["negative", "empty", "point"], as_lists=False)
+@example(seed=3, shapes=["long", "ruin"], as_lists=False)
+@example(seed=4, shapes=["nonfinite", "long"], as_lists=False)
 def test_svg_chart_matches_the_per_point_writer(seed, shapes, as_lists):
+    # The per-point writer bounds the chart by Python's min and max over every
+    # point, which return NaN only when the first point is NaN; the chart
+    # takes numpy's per curve, which return NaN when a curve holds one. A
+    # nonfinite curve, whose first point is NaN, is drawn first, where both
+    # make every y NaN.
+    shapes = sorted(shapes, key=lambda shape: shape != "nonfinite")
     rng = np.random.default_rng(seed)
     curves = []
     for k, shape in enumerate(shapes):
