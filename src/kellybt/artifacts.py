@@ -13,21 +13,24 @@ Every CSV kellybt writes goes through ``write_csv``, which owns the text
 format: a header row, one ``str`` per cell (for a float that is its shortest
 round-trip text, as ``repr`` gives), ``NA`` for a missing value and ``\n``
 line ends. A large numeric table is formatted on every CPU the process may
-use: worker processes format it in contiguous row ranges, and their text is
-joined in order, so the bytes do not depend on how many there are. A worker
-(``csvrows`` run as a script) formats with the standard library, or, for a
-range of at least ``CSV_CELLS_FOR_NUMPY`` cells, with numpy arrays
-(``floattext``): the same bytes, at about a third of the cost a cell,
-after a slower start.
+use: workers format it in contiguous row ranges, and their text is joined in
+order, so the bytes do not depend on how many there are. A range of at least
+``CSV_CELLS_FOR_NUMPY`` cells is formatted by a thread of this process with
+numpy arrays (``floattext``), which releases the GIL inside its loops, so
+such threads run in parallel; a smaller one by a worker process (``csvrows``
+run as a script) with the standard library. Both write the same bytes; the
+thread takes about a third of the time a cell.
 
 The join of a table's workers is one step: wait for each worker in order,
 append its text, close the file. Inside a ``deferred_tables()`` scope, a
 table written to a path is joined when the scope exits, so the workers format
 it while the caller goes on computing; the CLI opens one scope around each
-command, so every table is joined before the manifest hashes it. With no
-scope open, or for a stream, the join runs before ``write_csv`` returns. A
-scope left by an exception kills and waits for every worker it still holds
-and closes every file.
+command, so every table is joined before the manifest hashes it. A thread
+reads the caller's arrays then, so ``write_csv`` hands it a read-only column
+as it is and a copy of a writable one. With no scope open, or for a stream,
+the join runs before ``write_csv`` returns. A scope left by an exception
+stops and waits for every worker it still holds (a process is killed, a
+thread stops after its current block) and closes every file.
 
 Every CSV kellybt loads goes through ``read_csv``: the ``csv`` module reads
 the header, whitespace-only lines are skipped and numpy's C reader
@@ -61,22 +64,22 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # formatting 25,000 cells in-process (about 1 us a cell).
 CSV_CELLS_PER_RANGE = 25_000
 
-# Cells a row range needs before its worker formats with numpy: on a 2-CPU
-# x86-64 machine that worker took about 0.15 s to start, against 0.011 s for
-# the standard-library one, and formatted a cell about 0.7 us faster (0.35
-# against 1.1 us), so it pays from about 200,000 cells.
+# Cells a row range needs before a thread of this process formats it with
+# numpy instead of a worker process with the standard library. A thread costs
+# nothing to start and formats a cell in about 0.35 us against 1.1 us, but its
+# blocks' arrays count toward this process's peak memory. On a 2-CPU x86-64
+# machine, putting every split range on a thread took dense_overlap's
+# peak_rss_mb from 67.9 to 109 MB (+61 %) for a pass_ref of 2.26-2.54 against
+# 2.43-2.45; with this threshold its tables stay in worker processes and only
+# features.csv ranges take threads.
 CSV_CELLS_FOR_NUMPY = 200_000
 
 # The numpy dtypes a worker reads, by their ``array`` type code.
 _WORKER_CODES = {np.dtype(np.float64): "d", np.dtype(np.int64): "q", np.dtype(np.int8): "b"}
 
-# The workers: fresh interpreters running csvrows.py, the first without
-# site-packages, the second with numpy; a warning is an error in both. -I
-# ignores PYTHONDONTWRITEBYTECODE: -B keeps the numpy worker from caching
-# floattext's bytecode in the package when this process writes none.
+# The worker process: a fresh interpreter running csvrows.py without
+# site-packages, in which a warning is an error.
 _WORKER = (sys.executable, "-I", "-S", "-W", "error", csvrows.__file__)
-_NUMPY_WORKER = (sys.executable, "-I", *(("-B",) if sys.dont_write_bytecode else ()),
-                 "-W", "error", csvrows.__file__, "--numpy")
 
 # Where numpy's loadtxt names the data row in a ValueError.
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
@@ -130,8 +133,8 @@ def write_csv(dest, header, columns) -> None:
     When every column is a float64, int64 or int8 numpy array, the rows are
     split into ``k`` contiguous ranges, ``k`` being the smaller of the usable
     CPUs and ``cells // CSV_CELLS_PER_RANGE``. With ``k >= 2`` a worker
-    process formats each range (with numpy from ``CSV_CELLS_FOR_NUMPY``
-    cells), and ``_join`` appends their text in order.
+    formats each range (a thread with numpy from ``CSV_CELLS_FOR_NUMPY``
+    cells, else a process), and ``_join`` appends their text in order.
     Inside a ``deferred_tables`` scope, the join of a table bound for a path
     waits for the scope's exit (a later write to that path replaces the table
     unjoined); otherwise it runs before this returns. A worker that fails
@@ -177,7 +180,7 @@ def deferred_tables():
     """A scope in which ``write_csv`` hands a table bound for a path to its
     workers and returns; the tables are joined in the order written when the
     scope exits. If a join fails or the scope is left by an exception, every
-    table not joined yet has its workers killed and waited for and its files
+    table not joined yet has its workers stopped and waited for and its files
     closed. A scope holds for the thread that opened it."""
     pending: dict = {}
     token = _PENDING.set(pending)
@@ -212,39 +215,105 @@ def _row_ranges(columns, n: int) -> list[int]:
 
 @contextmanager
 def _worker_rows(columns, lo: int, hi: int):
-    """Start a worker that formats rows ``[lo, hi)`` of ``columns`` (see
-    ``csvrows``) into an unlinked temporary file: the numpy one for at least
-    ``CSV_CELLS_FOR_NUMPY`` cells. Yields ``copy(fh)``, which waits for the
-    worker and appends its text to ``fh``, a binary file or a text stream. A
-    worker still running on exit is killed and waited for."""
+    """Start a worker that formats rows ``[lo, hi)`` of ``columns`` into an
+    unlinked temporary file: a thread of this process (``_thread_rows``) for
+    at least ``CSV_CELLS_FOR_NUMPY`` cells, else a worker process
+    (``_process_rows``). Yields ``copy(fh)``, which waits for the worker and
+    appends its text to ``fh``, a binary file or a text stream. A worker
+    still running on exit is stopped and waited for."""
+    start = _thread_rows if (hi - lo) * len(columns) >= CSV_CELLS_FOR_NUMPY else _process_rows
+    with tempfile.TemporaryFile() as rows_out, start(columns, lo, hi, rows_out) as wait:
+        del columns  # the worker holds what it reads: a deferred join must not keep the rest
+
+        def copy(fh) -> None:
+            wait()
+            rows_out.seek(0)
+            if not isinstance(fh, io.TextIOBase):
+                shutil.copyfileobj(rows_out, fh)
+                return
+            for chunk in iter(lambda: rows_out.read(1 << 20), b""):
+                fh.write(chunk.decode("ascii"))
+
+        yield copy
+
+
+@contextmanager
+def _process_rows(columns, lo: int, hi: int, rows_out):
+    """Run ``csvrows`` as a worker process on rows ``[lo, hi)``, writing to
+    ``rows_out``. Yields ``wait()``, which raises OSError if the worker
+    failed; a worker still running on exit is killed and waited for."""
     import subprocess  # here, not at the top: it adds ~4 ms to every CLI start
 
     codes = "".join(_WORKER_CODES[c.dtype] for c in columns)
-    worker = _NUMPY_WORKER if (hi - lo) * len(columns) >= CSV_CELLS_FOR_NUMPY else _WORKER
-    with tempfile.TemporaryFile() as rows_in, tempfile.TemporaryFile() as rows_out:
+    with tempfile.TemporaryFile() as rows_in:
         rows_in.writelines(np.ascontiguousarray(c[lo:hi]) for c in columns)
         del columns  # the worker has its rows: a deferred join must not keep them alive
         rows_in.seek(0)
-        with subprocess.Popen([*worker, codes, str(hi - lo)], stdin=rows_in,
+        with subprocess.Popen([*_WORKER, codes, str(hi - lo)], stdin=rows_in,
                               stdout=rows_out, stderr=subprocess.PIPE) as proc:
 
-            def copy(fh) -> None:
+            def wait() -> None:
                 _, err = proc.communicate()
                 if proc.returncode:
                     raise OSError(f"CSV worker for rows {lo}-{hi} exited with code "
                                   f"{proc.returncode}: {err.decode(errors='replace').strip()}")
-                rows_out.seek(0)
-                if not isinstance(fh, io.TextIOBase):
-                    shutil.copyfileobj(rows_out, fh)
-                    return
-                for chunk in iter(lambda: rows_out.read(1 << 20), b""):
-                    fh.write(chunk.decode("ascii"))
 
             try:
-                yield copy
+                yield wait
             finally:
                 proc.kill()  # no-op once it has been waited for
                 proc.wait()
+
+
+@contextmanager
+def _thread_rows(columns, lo: int, hi: int, rows_out):
+    """Format rows ``[lo, hi)`` into ``rows_out`` with ``floattext`` on a
+    thread, which reads a read-only column as it is and a copy of a writable
+    one, under ``np.errstate(all="raise")``. Yields ``wait()``, which raises
+    OSError if the thread failed; on exit the thread stops after its current
+    block and is waited for."""
+    import threading  # here, not at the top: only a range this large needs them
+    from . import floattext
+
+    rows = [c[lo:hi] if _read_only(c) else c[lo:hi].copy() for c in columns]
+    del columns
+    stop = threading.Event()
+    failed = []
+
+    def run() -> None:
+        try:
+            with np.errstate(all="raise"):
+                for block in floattext.format_rows(rows, 0, hi - lo):
+                    if stop.is_set():
+                        return
+                    rows_out.write(block)
+        except Exception as exc:  # wait() raises it as OSError in the caller's thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=run, name=f"{__name__} rows {lo}-{hi}")
+    thread.start()
+
+    def wait() -> None:
+        thread.join()
+        if failed:
+            raise OSError(f"CSV worker for rows {lo}-{hi} failed: "
+                          f"{type(failed[0]).__name__}: {failed[0]}")
+
+    try:
+        yield wait
+    finally:
+        stop.set()
+        thread.join()
+
+
+def _read_only(a) -> bool:
+    """Whether no array can write into ``a``'s memory: ``a`` and every array
+    it is a view of are read-only, and the last of them owns its memory."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 def read_csv(source, select):
@@ -366,10 +435,12 @@ def svg_line_chart(curves, path: str, title: str = "", width: int = 900,
     drawn = [(xs, ys) for _, xs, ys in curves if xs.size]
     if not drawn:
         raise ValueError("nothing to plot")
-    x_lo = float(min(xs.min() for xs, _ in drawn))
-    x_hi = float(max(xs.max() for xs, _ in drawn))
-    y_lo = float(min(ys.min() for _, ys in drawn))
-    y_hi = float(max(ys.max() for _, ys in drawn))
+    # numpy's min and max, unlike Python's, return a NaN wherever it stands,
+    # so the bounds do not depend on the order of the curves.
+    x_lo = float(np.min([xs.min() for xs, _ in drawn]))
+    x_hi = float(np.max([xs.max() for xs, _ in drawn]))
+    y_lo = float(np.min([ys.min() for _, ys in drawn]))
+    y_hi = float(np.max([ys.max() for _, ys in drawn]))
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 

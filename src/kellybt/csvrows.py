@@ -10,17 +10,15 @@ is the reference for ``floattext``.
 Run as a script, this module formats one row range for ``write_csv``::
 
     python -I -S -W error csvrows.py CODES ROWS
-    python -I -W error csvrows.py --numpy CODES ROWS
 
 It reads ROWS machine values of each column from standard input, one column
 after another, typed by the column's ``array`` code in CODES (``d`` float64,
-``q`` int64, ``b`` int8), and writes the rows' text to standard output. The
-first form formats with ``format_rows`` and imports only the standard
-library, so the worker starts without numpy. The second formats the same
-bytes with ``floattext.format_rows``, which takes about a third of the time
-a cell but imports numpy first; ``artifacts`` starts it for a range of at least
-``artifacts.CSV_CELLS_FOR_NUMPY`` cells. Under ``-W error`` a warning fails
-the worker, and with it the table.
+``q`` int64, ``b`` int8), and writes the rows' text to standard output. It
+imports only the standard library, so the worker starts without numpy;
+``artifacts`` starts it for a range of fewer than
+``artifacts.CSV_CELLS_FOR_NUMPY`` cells and formats a larger one on a thread
+with ``floattext.format_rows``, which writes the same bytes. Under ``-W error``
+a warning fails the worker, and with it the table.
 """
 import array
 import sys
@@ -44,30 +42,18 @@ def format_rows(columns, start: int, stop: int):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _serve(args) -> None:
-    numpy_kernel = args[0] == "--numpy"
-    codes, rows = args[numpy_kernel:]
+def _serve(codes: str, rows: str) -> None:
     n = int(rows)
     columns = []
     for code in codes:
         col = array.array(code)
         col.fromfile(sys.stdin.buffer, n)  # EOFError on a short input
         columns.append(col)
-    if numpy_kernel:
-        import os  # here: the standard-library worker runs without it (no site)
-
-        # -I leaves this file's directory off the import path (Python >= 3.11).
-        sys.path.append(os.path.dirname(os.path.abspath(__file__)))
-        import numpy as np
-        import floattext
-        blocks = floattext.format_rows([np.frombuffer(c, c.typecode) for c in columns], 0, n)
-    else:
-        blocks = (text.encode("ascii") for text in format_rows(columns, 0, n))
     out = sys.stdout.buffer
-    for block in blocks:
-        out.write(block)
+    for text in format_rows(columns, 0, n):
+        out.write(text.encode("ascii"))
     out.flush()
 
 
 if __name__ == "__main__":
-    _serve(sys.argv[1:])
+    _serve(*sys.argv[1:])

@@ -27,9 +27,17 @@ DEFAULT_HORIZON = 5
 
 @dataclass(frozen=True)
 class FeatureMatrix:
+    """One row of ``values`` per timestamp, one column per name. Both arrays
+    are flagged read-only, not copied: ``write_csv`` can then format them on
+    a thread without a snapshot copy of the matrix."""
+
     timestamps: np.ndarray
     column_names: tuple[str, ...]
     values: np.ndarray
+
+    def __post_init__(self):
+        self.timestamps.setflags(write=False)
+        self.values.setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)

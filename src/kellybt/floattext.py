@@ -4,8 +4,10 @@ for float64, int64 and int8 columns, computed a block of cells at a time.
 ``format_rows(columns, start, stop)`` yields rows ``[start, stop)`` as ASCII
 bytes, one block of at most ``BLOCK_CELLS`` cells at a time. A cell's text is
 what ``str`` gives: a float's shortest round-trip digits (``repr``), an
-integer's decimal digits. The ``csvrows`` worker runs it on a large row
-range; ``csvrows.format_rows`` stays the reference it is tested against.
+integer's decimal digits. ``artifacts.write_csv`` runs it on a thread for a
+large row range; ``csvrows.format_rows`` stays the reference it is tested
+against. Its arithmetic warns of no floating-point condition, so it runs
+under ``np.errstate(all="raise")`` there.
 
 A float takes the fast path when it is finite and 1e-4 <= |x| < 1e16, the
 range in which ``repr`` writes no exponent. With ``e`` its decimal exponent,

@@ -5,9 +5,10 @@
 
 Formats VALUES floats (default 10,000,000) from the families below, in
 chunks, as rows of four float64 columns and one int64 column of random bits,
-with both row formatters, and the same floats, plus a quarter as many
-half-cent ties and their neighbours (``half_cents``), with both ``"%.2f"``
-formatters. Exits 1 at the first chunk whose bytes differ, naming the first
+with both row formatters (the numpy one under ``np.errstate(all="raise")``,
+as ``artifacts.write_csv`` runs it), and the same floats, plus a quarter as
+many half-cent ties and their neighbours (``half_cents``), with both
+``"%.2f"`` formatters. Exits 1 at the first chunk whose bytes differ, naming the first
 value that differs. pytest does not collect this file; ``test_floattext.py``
 runs a small derandomized sample of the same families.
 
@@ -139,7 +140,8 @@ def main(values: int = 10_000_000, seed: int = 0) -> int:
         x = chunk(rng, size)
         ints = rng.integers(0, 2**64, size // COLUMNS, dtype=np.uint64).view(np.int64)
         columns = [x[j::COLUMNS] for j in range(COLUMNS)] + [ints]
-        got = b"".join(floattext.format_rows(columns, 0, size // COLUMNS))
+        with np.errstate(all="raise"):  # as write_csv's thread runs it
+            got = b"".join(floattext.format_rows(columns, 0, size // COLUMNS))
         want = "".join(csvrows.format_rows(columns, 0, size // COLUMNS)).encode()
         if got != want:
             print(f"mismatch after {done} values: {first_difference(x, ints, got, want)}")

@@ -1,32 +1,36 @@
 """The one CSV writer, ``artifacts.write_csv``, and every artifact writer built
 on it: each writes the same bytes as the hand-written writer it replaced
 (kept in oracles.py), including across the writer's block boundaries, and
-the same bytes when a table is split into row ranges formatted by workers,
-standard-library or numpy ones. The SVG chart writes the same bytes as the
-per-point writer it replaced."""
+the same bytes when a table is split into row ranges formatted by workers:
+standard-library processes, or numpy threads for large ranges. The SVG chart
+writes the same bytes as the per-point writer it replaced, whatever the order
+of its curves."""
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from kellybt import artifacts, cli, csvrows
+from kellybt import artifacts, cli, csvrows, floattext
 from kellybt.artifacts import write_csv
 from kellybt.backtest import EquityCurve, Trades, write_equity_csv, write_trades_csv
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt.csvrows import BLOCK_ROWS
-from kellybt.features import (FeatureMatrix, LabelSet, make_labels, write_labels_csv,
-                              write_matrix_csv)
+from kellybt.features import (FeatureMatrix, LabelSet, build_feature_matrix, default_grid,
+                              make_labels, write_labels_csv, write_matrix_csv)
 from kellybt.labeling import BarrierLabels, write_barrier_labels_csv
 from kellybt.metrics import BacktestReport, classification_report
 from kellybt.predictors import (Predictions, Scenarios, load_predictions,
@@ -53,7 +57,7 @@ POSITIVE = [5e-324, 1e-300, 1e300, 1.7976931348623157e308, 0.1, 1 / 3, 30000.0]
 def _ranges(k, numpy=False):
     """``write_csv`` as with ``k`` usable CPUs and one cell per range: a
     numeric table of at least ``k`` cells is split into ``k`` row ranges,
-    each formatted by a numpy worker if ``numpy``."""
+    each formatted by a numpy thread if ``numpy``, else by a worker process."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "CSV_CELLS_PER_RANGE", 1)
         mp.setattr(artifacts, "_usable_cpus", lambda: k)
@@ -393,7 +397,7 @@ def test_writer_error_kills_and_waits_for_running_workers(monkeypatch, made):
 _EDGE_FLOATS = [float("nan"), float("inf"), 0.0, 5e-324, 1.7976931348623157e308, 1e-4, 1e16]
 
 
-def test_numpy_worker_writes_the_bytes_of_format_rows_at_the_edges(tmp_path, made):
+def test_thread_ranges_write_the_bytes_of_format_rows_at_the_edges(tmp_path, made):
     x = floattext_sweep.with_neighbours(np.array(_EDGE_FLOATS))
     x = np.concatenate([x, -x])
     ints = np.resize(np.array([-2**63, 2**63 - 1, 0, -1], np.int64), len(x))
@@ -402,14 +406,14 @@ def test_numpy_worker_writes_the_bytes_of_format_rows_at_the_edges(tmp_path, mad
     with _ranges(2, numpy=True):
         write_csv(tmp_path / "out.csv", header, columns)
     assert (tmp_path / "out.csv").read_bytes() == b"ts,x\n" + want
-    procs, _ = made
-    assert [proc.args[:-2] for proc in procs] == [list(artifacts._NUMPY_WORKER)] * 2
-    assert all(proc.returncode == 0 for proc in procs)
+    procs, files = made
+    assert procs == []
+    assert len(files) == 2 and all(fh.closed for fh in files)
 
 
-def test_numpy_worker_writes_no_bytecode_when_its_parent_writes_none(tmp_path):
-    # -I makes the worker ignore PYTHONDONTWRITEBYTECODE: it cached floattext's
-    # bytecode in the package's __pycache__.
+def test_a_thread_range_writes_no_bytecode_when_its_process_writes_none(tmp_path):
+    # floattext is imported only when a range takes a thread; it must then
+    # cache no bytecode in the package when the process is asked not to.
     package = tmp_path / "kellybt"
     shutil.copytree(os.path.dirname(artifacts.__file__), package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -424,7 +428,8 @@ def test_numpy_worker_writes_no_bytecode_when_its_parent_writes_none(tmp_path):
     assert not list(package.rglob("__pycache__"))
 
 
-def test_a_range_of_csv_cells_for_numpy_starts_the_numpy_worker(tmp_path, monkeypatch, made):
+def test_a_range_of_csv_cells_for_numpy_takes_a_thread_not_a_process(tmp_path, monkeypatch,
+                                                                     made):
     header, columns = _table(3001)  # ranges of 1,500 and 1,501 rows, two columns
     monkeypatch.setattr(artifacts, "CSV_CELLS_FOR_NUMPY", 3002)
     with _ranges(2):
@@ -432,18 +437,108 @@ def test_a_range_of_csv_cells_for_numpy_starts_the_numpy_worker(tmp_path, monkey
         want = "ts,x\n" + "".join(csvrows.format_rows(columns, 0, 3001))
     assert (tmp_path / "out.csv").read_text() == want
     procs, _ = made
-    assert [proc.args[:-2] for proc in procs] == [list(artifacts._WORKER),
-                                                  list(artifacts._NUMPY_WORKER)]
+    # Only the 3,000-cell range starts a worker process.
+    assert [proc.args for proc in procs] == [[*artifacts._WORKER, "qd", "1500"]]
 
 
-def test_a_warning_in_a_numpy_worker_fails_its_command(tmp_path, monkeypatch, capsys):
-    # The numpy worker's interpreter and flags, running a kernel that warns.
-    script = "import numpy; numpy.log(numpy.zeros(1))"
-    monkeypatch.setattr(artifacts, "_NUMPY_WORKER", (*artifacts._NUMPY_WORKER[:-2], "-c", script))
+def test_a_floating_point_warning_in_a_thread_range_fails_its_command(tmp_path, monkeypatch,
+                                                                     capsys):
+    def warns(columns, start, stop):  # a kernel that divides by zero
+        np.log(np.zeros(1))
+        yield b""
+
+    monkeypatch.setattr(floattext, "format_rows", warns)
     with _ranges(2, numpy=True):
         code = cli.main(["synth", "--n", "100", "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_IO
-    assert "RuntimeWarning: divide by zero" in json.loads(capsys.readouterr().err)["message"]
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "io"
+    assert re.fullmatch(r"CSV worker for rows \d+-\d+ failed: FloatingPointError: "
+                        r"divide by zero encountered in log", record["message"])
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def _held_format_rows(monkeypatch):
+    """Make each thread range wait for the returned event before it formats;
+    returns the event and the list of column lists the ranges were given."""
+    release, given_rows = threading.Event(), []
+    format_rows = floattext.format_rows
+
+    def held(columns, start, stop):
+        given_rows.append(columns)
+        assert release.wait(60)
+        yield from format_rows(columns, start, stop)
+
+    monkeypatch.setattr(floattext, "format_rows", held)
+    return release, given_rows
+
+
+def test_a_column_changed_after_write_csv_in_a_scope_leaves_the_table_as_written(tmp_path,
+                                                                                 monkeypatch):
+    (ts_name, x_name), (ts, x) = _table()
+    ts.setflags(write=False)
+    y_base = x[::-1].copy()
+    y = y_base.view()
+    y.setflags(write=False)  # read-only, but a view of a writable array
+    header, columns = (ts_name, x_name, "y"), [ts, x, y]
+    with _ranges(1):
+        want = _written(lambda out: write_csv(out, header, columns))
+    release, given_rows = _held_format_rows(monkeypatch)
+    with _ranges(2, numpy=True), artifacts.deferred_tables():
+        write_csv(tmp_path / "out.csv", header, columns)
+        x[:] = 0.5
+        y_base[:] = 0.25
+        release.set()
+    assert (tmp_path / "out.csv").read_bytes() == want
+    assert len(given_rows) == 2
+    for ts_rows, x_rows, y_rows in given_rows:
+        assert np.shares_memory(ts_rows, ts)  # no one can write it: not copied
+        assert not np.shares_memory(x_rows, x) and not np.shares_memory(y_rows, y)
+
+
+def test_features_csv_ranges_read_the_matrix_without_a_copy(tmp_path, monkeypatch):
+    matrix = build_feature_matrix(generate_synthetic_series(seed=3, n=400), default_grid())
+    assert not matrix.values.flags.writeable and not matrix.timestamps.flags.writeable
+    release, given_rows = _held_format_rows(monkeypatch)
+    release.set()
+    with _ranges(2, numpy=True):
+        write_matrix_csv(matrix, str(tmp_path / "features.csv"))
+    assert len(given_rows) == 2
+    for ts, *values in given_rows:
+        assert np.shares_memory(ts, matrix.timestamps)
+        assert all(np.shares_memory(v, matrix.values) for v in values)
+
+
+def _formatting_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(artifacts.__name__)]
+
+
+def test_a_scope_left_by_an_exception_stops_its_thread_ranges(tmp_path, monkeypatch, made):
+    started = threading.Barrier(3)  # both ranges and this thread
+    deadline = time.monotonic() + 30
+
+    def endless(columns, start, stop):  # one short block at a time, until stopped
+        started.wait(60)
+        while time.monotonic() < deadline:
+            time.sleep(0.001)
+            yield b"1,2\n"
+
+    monkeypatch.setattr(floattext, "format_rows", endless)
+    header, columns = _table()
+    began = time.monotonic()
+    with _ranges(2, numpy=True), pytest.raises(RuntimeError, match="command failed"):
+        with artifacts.deferred_tables():
+            write_csv(tmp_path / "out.csv", header, columns)
+            started.wait(60)
+            assert len(_formatting_threads()) == 2
+            raise RuntimeError("command failed")
+    assert time.monotonic() - began < 10  # stopped within a block, not at the deadline
+    assert _formatting_threads() == []
+    procs, files = made
+    assert procs == []
+    assert len(files) == 2 and all(fh.closed for fh in files)
 
 
 # --- the deferred_tables scope ------------------------------------------------------
@@ -648,3 +743,24 @@ def test_svg_chart_matches_the_per_point_writer(seed, shapes, as_lists):
         return
     assert _written(artifacts.svg_line_chart, curves) == \
         _written(oracles.o_svg_line_chart, curves)
+
+
+# The four axis labels (the bounds) and each polyline's points.
+_BOUNDS_TEXT = re.compile(r'font-size="11">([^<]*)</text>')
+_POINTS = re.compile(r'<polyline points="([^"]*)"')
+
+
+@settings(EXACT, max_examples=8)
+@given(seed=seeds, shapes=st.lists(st.sampled_from(CURVE_SHAPES), min_size=2, max_size=4))
+@example(seed=5, shapes=["wide", "nonfinite"])  # the NaN in the second curve
+@example(seed=6, shapes=["negative", "constant", "nonfinite", "point"])
+def test_svg_chart_bounds_and_polylines_do_not_depend_on_curve_order(seed, shapes):
+    rng = np.random.default_rng(seed)
+    curves = [(f"policy {k}", *_curve(rng, shape)) for k, shape in enumerate(shapes)]
+    if all(shape == "empty" for shape in shapes):
+        return
+    drawn = set()
+    for order in itertools.permutations(curves):
+        text = _written(artifacts.svg_line_chart, list(order)).decode()
+        drawn.add((tuple(_BOUNDS_TEXT.findall(text)), tuple(sorted(_POINTS.findall(text)))))
+    assert len(drawn) == 1
