@@ -13,24 +13,27 @@ Every CSV kellybt writes goes through ``write_csv``, which owns the text
 format: a header row, one ``str`` per cell (for a float that is its shortest
 round-trip text, as ``repr`` gives), ``NA`` for a missing value and ``\n``
 line ends. A large numeric table is formatted on every CPU the process may
-use: workers format it in contiguous row ranges, and their text is joined in
-order, so the bytes do not depend on how many there are. A range of at least
-``CSV_CELLS_FOR_NUMPY`` cells is formatted by a thread of this process with
-numpy arrays (``floattext``), which releases the GIL inside its loops, so
-such threads run in parallel; a smaller one by a worker process (``csvrows``
-run as a script) with the standard library. Both write the same bytes; the
-thread takes about a third of the time a cell.
+use: it is split into contiguous row ranges, each formatted with numpy arrays
+(``floattext``) into its own temporary file, and their text is joined in
+order, so the bytes do not depend on how many ranges there are. numpy
+releases the GIL inside its loops, so the ranges format in parallel on one
+pool of ``max(1, cpus - 1)`` threads of this process. The pool belongs to the
+``deferred_tables()`` scope, or to the one ``write_csv`` call when no scope
+is open, and is shut down when its owner exits: no thread outlives a command.
 
-The join of a table's workers is one step: wait for each worker in order,
-append its text, close the file. Inside a ``deferred_tables()`` scope, a
-table written to a path is joined when the scope exits, so the workers format
-it while the caller goes on computing; the CLI opens one scope around each
-command, so every table is joined before the manifest hashes it. A thread
-reads the caller's arrays then, so ``write_csv`` hands it a read-only column
-as it is and a copy of a writable one. With no scope open, or for a stream,
-the join runs before ``write_csv`` returns. A scope left by an exception
-stops and waits for every worker it still holds (a process is killed, a
-thread stops after its current block) and closes every file.
+A table's join has two passes: the joining thread first formats each of the
+table's ranges that no pool thread has started, then waits for the others in
+order and appends each range's text. So a join never idles while a range is
+queued, and at most ``cpus`` ranges format at once. Inside a
+``deferred_tables()`` scope, a table written to a path is joined when the
+scope exits, so the pool formats it while the caller goes on computing; the
+CLI opens one scope around each command, so every table is joined before the
+manifest hashes it. A pool thread reads the caller's arrays then, so
+``write_csv`` hands it a read-only column as it is and a copy of a writable
+one. With no scope open, or for a stream, the join runs before ``write_csv``
+returns. A scope left by an exception cancels each range still queued, stops
+each running one after its current block, waits for them and closes every
+file.
 
 Every CSV kellybt loads goes through ``read_csv``: the ``csv`` module reads
 the header, whitespace-only lines are skipped and numpy's C reader
@@ -48,8 +51,8 @@ import json
 import os
 import re
 import shutil
-import sys
 import tempfile
+import threading
 from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 
@@ -59,34 +62,24 @@ from . import __version__, csvrows
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-# Cells a table needs per row range before ``write_csv`` splits it: each range
-# goes to a worker process, which takes 15-25 ms to start, about as long as
-# formatting 25,000 cells in-process (about 1 us a cell).
+# Cells a table needs per row range before ``write_csv`` splits it. A range
+# costs a temporary file, a copy of its writable columns and a hand-off to the
+# pool, small beside formatting 25,000 cells (about 9 ms at 0.35 us a cell).
+# The value was set when each range paid a 15-25 ms process start, and has not
+# been tuned for the pool.
 CSV_CELLS_PER_RANGE = 25_000
 
-# Cells a row range needs before a thread of this process formats it with
-# numpy instead of a worker process with the standard library. A thread costs
-# nothing to start and formats a cell in about 0.35 us against 1.1 us, but its
-# blocks' arrays count toward this process's peak memory. On a 2-CPU x86-64
-# machine, putting every split range on a thread took dense_overlap's
-# peak_rss_mb from 67.9 to 109 MB (+61 %) for a pass_ref of 2.26-2.54 against
-# 2.43-2.45; with this threshold its tables stay in worker processes and only
-# features.csv ranges take threads.
-CSV_CELLS_FOR_NUMPY = 200_000
-
-# The numpy dtypes a worker reads, by their ``array`` type code.
-_WORKER_CODES = {np.dtype(np.float64): "d", np.dtype(np.int64): "q", np.dtype(np.int8): "b"}
-
-# The worker process: a fresh interpreter running csvrows.py without
-# site-packages, in which a warning is an error.
-_WORKER = (sys.executable, "-I", "-S", "-W", "error", csvrows.__file__)
+# The dtypes ``floattext.format_rows`` formats: a table split into row ranges
+# holds only these.
+_RANGE_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8))
 
 # Where numpy's loadtxt names the data row in a ValueError.
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
 
 # The innermost open ``deferred_tables`` scope of this thread, or None: the
-# path of each table it has still to join, mapped to the arguments of ``_join``.
-_PENDING: ContextVar[dict | None] = ContextVar("_PENDING", default=None)
+# path of each table it has still to join, mapped to the arguments of
+# ``_join``, and the scope's ``_Pool``.
+_SCOPE: ContextVar[tuple[dict, _Pool] | None] = ContextVar("_SCOPE", default=None)
 
 
 class DataError(ValueError):
@@ -132,20 +125,21 @@ def write_csv(dest, header, columns) -> None:
 
     When every column is a float64, int64 or int8 numpy array, the rows are
     split into ``k`` contiguous ranges, ``k`` being the smaller of the usable
-    CPUs and ``cells // CSV_CELLS_PER_RANGE``. With ``k >= 2`` a worker
-    formats each range (a thread with numpy from ``CSV_CELLS_FOR_NUMPY``
-    cells, else a process), and ``_join`` appends their text in order.
-    Inside a ``deferred_tables`` scope, the join of a table bound for a path
-    waits for the scope's exit (a later write to that path replaces the table
-    unjoined); otherwise it runs before this returns. A worker that fails
-    raises OSError.
+    CPUs and ``cells // CSV_CELLS_PER_RANGE``. With ``k >= 2`` each range is
+    queued on the pool of the open ``deferred_tables`` scope, or of this call
+    when none is open, and ``_join`` appends their text in order. Inside a
+    scope, the join of a table bound for a path waits for the scope's exit (a
+    later write to that path replaces the table unjoined); otherwise it runs
+    before this returns. A range that fails raises OSError.
     """
     n = len(columns[0]) if columns else 0
     if columns and (len(columns) != len(header) or any(len(c) != n for c in columns)):
         raise ValueError(f"need {len(header)} columns of one length for header {header}")
-    scope = _PENDING.get() if isinstance(dest, (str, bytes, os.PathLike)) else None
-    if scope is not None and os.fspath(dest) in scope:
-        scope.pop(os.fspath(dest))[0].close()  # replaced unread: stop its workers, close its files
+    scope = _SCOPE.get()
+    to_path = isinstance(dest, (str, bytes, os.PathLike))
+    tables = scope[0] if scope is not None and to_path else None
+    if tables is not None and os.fspath(dest) in tables:
+        tables.pop(os.fspath(dest))[0].close()  # replaced unread: stop its ranges, close its files
     bounds = _row_ranges(columns, n)
     with ExitStack() as stack:
         fh = stack.enter_context(open_text(dest, "w"))
@@ -153,46 +147,52 @@ def write_csv(dest, header, columns) -> None:
         if len(bounds) == 2:
             fh.writelines(csvrows.format_rows(columns, 0, n))
             return
-        copies = [stack.enter_context(_worker_rows(columns, lo, hi))
+        if fh is not dest:  # a file opened here: append the ranges' bytes under its text layer
+            fh.flush()
+            fh = fh.buffer
+        pool = scope[1] if scope is not None else stack.enter_context(_Pool())
+        ranges = [stack.enter_context(_row_range(pool, columns, lo, hi))
                   for lo, hi in zip(bounds, bounds[1:])]
         held = stack.pop_all()
-    if fh is not dest:  # a file opened here: append the workers' bytes under its text layer
-        fh.flush()
-        fh = fh.buffer
-    if scope is None:
-        _join(held, fh, copies)
+    if tables is None:
+        _join(held, fh, ranges)
     else:
-        scope[os.fspath(dest)] = (held, fh, copies)
+        tables[os.fspath(dest)] = (held, fh, ranges)
 
 
-def _join(stack: ExitStack, fh, copies) -> None:
-    """Wait for each worker in order and append its text to ``fh``, a
-    binary file or a text stream, then close ``stack``: the workers, their
-    files and the file opened from a path, if any. A worker that fails
+def _join(stack: ExitStack, fh, ranges) -> None:
+    """Format on this thread each range no pool thread has started, then wait
+    for each range in order and append its text to ``fh``, a binary file or a
+    text stream; then close ``stack``: the ranges, their files, the pool and
+    the file opened from a path, each if it holds them. A range that fails
     raises OSError."""
     with stack:
-        for copy in copies:
+        for claim, _ in ranges:
+            claim()
+        for _, copy in ranges:
             copy(fh)
 
 
 @contextmanager
 def deferred_tables():
-    """A scope in which ``write_csv`` hands a table bound for a path to its
-    workers and returns; the tables are joined in the order written when the
-    scope exits. If a join fails or the scope is left by an exception, every
-    table not joined yet has its workers stopped and waited for and its files
+    """A scope in which ``write_csv`` hands a table bound for a path to the
+    scope's pool and returns; the tables are joined in the order written when
+    the scope exits, and then the pool is shut down. If a join fails or the
+    scope is left by an exception, every table not joined yet has its queued
+    ranges cancelled, its running ones stopped and waited for, and its files
     closed. A scope holds for the thread that opened it."""
     pending: dict = {}
-    token = _PENDING.set(pending)
-    try:
-        yield
-        for key in list(pending):
-            _join(*pending.pop(key))
-    finally:
-        _PENDING.reset(token)
-        with ExitStack() as rest:
-            for stack, _, _ in pending.values():
-                rest.push(stack)
+    with _Pool() as pool:
+        token = _SCOPE.set((pending, pool))
+        try:
+            yield
+            for key in list(pending):
+                _join(*pending.pop(key))
+        finally:
+            _SCOPE.reset(token)
+            with ExitStack() as rest:
+                for stack, _, _ in pending.values():
+                    rest.push(stack)
 
 
 def _usable_cpus() -> int:
@@ -207,26 +207,78 @@ def _row_ranges(columns, n: int) -> list[int]:
     """Bounds of the row ranges ``write_csv`` formats in parallel; ``[0, n]``
     for one range."""
     k = min(_usable_cpus(), n * len(columns) // CSV_CELLS_PER_RANGE)
-    if k < 2 or not all(isinstance(c, np.ndarray) and c.dtype in _WORKER_CODES
+    if k < 2 or not all(isinstance(c, np.ndarray) and c.dtype in _RANGE_DTYPES
                         for c in columns):
         return [0, n]
     return [n * i // k for i in range(k + 1)]
 
 
+class _Pool:
+    """The ``max(1, cpus - 1)`` threads that format row ranges, started as
+    work is submitted; with the thread that joins a table, at most ``cpus``
+    ranges format at once. Leaving it shuts the threads down."""
+
+    def __init__(self):
+        self._executor = None
+
+    def submit(self, fn):
+        if self._executor is None:
+            # here, not at the top: only a split table needs it
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._executor = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
+                                                thread_name_prefix=__name__)
+        return self._executor.submit(fn)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+
+
 @contextmanager
-def _worker_rows(columns, lo: int, hi: int):
-    """Start a worker that formats rows ``[lo, hi)`` of ``columns`` into an
-    unlinked temporary file: a thread of this process (``_thread_rows``) for
-    at least ``CSV_CELLS_FOR_NUMPY`` cells, else a worker process
-    (``_process_rows``). Yields ``copy(fh)``, which waits for the worker and
-    appends its text to ``fh``, a binary file or a text stream. A worker
-    still running on exit is stopped and waited for."""
-    start = _thread_rows if (hi - lo) * len(columns) >= CSV_CELLS_FOR_NUMPY else _process_rows
-    with tempfile.TemporaryFile() as rows_out, start(columns, lo, hi, rows_out) as wait:
-        del columns  # the worker holds what it reads: a deferred join must not keep the rest
+def _row_range(pool: _Pool, columns, lo: int, hi: int):
+    """Queue rows ``[lo, hi)`` of ``columns`` on ``pool``, to be formatted
+    by ``floattext`` under ``np.errstate(all="raise")`` into an unlinked
+    temporary file. The range reads a read-only column as it is and a copy of
+    a writable one. Yields ``(claim, copy)``: ``claim()`` formats the range on
+    the calling thread if no pool thread has started it, and ``copy(fh)``
+    waits for it and appends its text to ``fh``, a binary file or a text
+    stream, raising OSError if it failed. On exit a queued range is
+    cancelled, and a running one stops after its current block and is waited
+    for."""
+    from . import floattext  # here, not at the top: it adds ~5 ms to every CLI start
+
+    rows = [c[lo:hi] if _read_only(c) else c[lo:hi].copy() for c in columns]
+    del columns  # a deferred join must not keep the rest alive
+    stop = threading.Event()
+    failed = []
+    with tempfile.TemporaryFile() as rows_out:
+
+        def run() -> None:
+            try:
+                with np.errstate(all="raise"):
+                    for block in floattext.format_rows(rows, 0, hi - lo):
+                        if stop.is_set():
+                            return
+                        rows_out.write(block)
+            except Exception as exc:  # copy() raises it as OSError in the joining thread
+                failed.append(exc)
+
+        future = pool.submit(run)
+
+        def claim() -> None:
+            if future.cancel():
+                run()
 
         def copy(fh) -> None:
-            wait()
+            if not future.cancelled():  # a claimed range ran in claim()
+                future.result()
+            if failed:
+                raise OSError(f"CSV worker for rows {lo}-{hi} failed: "
+                              f"{type(failed[0]).__name__}: {failed[0]}")
             rows_out.seek(0)
             if not isinstance(fh, io.TextIOBase):
                 shutil.copyfileobj(rows_out, fh)
@@ -234,76 +286,12 @@ def _worker_rows(columns, lo: int, hi: int):
             for chunk in iter(lambda: rows_out.read(1 << 20), b""):
                 fh.write(chunk.decode("ascii"))
 
-        yield copy
-
-
-@contextmanager
-def _process_rows(columns, lo: int, hi: int, rows_out):
-    """Run ``csvrows`` as a worker process on rows ``[lo, hi)``, writing to
-    ``rows_out``. Yields ``wait()``, which raises OSError if the worker
-    failed; a worker still running on exit is killed and waited for."""
-    import subprocess  # here, not at the top: it adds ~4 ms to every CLI start
-
-    codes = "".join(_WORKER_CODES[c.dtype] for c in columns)
-    with tempfile.TemporaryFile() as rows_in:
-        rows_in.writelines(np.ascontiguousarray(c[lo:hi]) for c in columns)
-        del columns  # the worker has its rows: a deferred join must not keep them alive
-        rows_in.seek(0)
-        with subprocess.Popen([*_WORKER, codes, str(hi - lo)], stdin=rows_in,
-                              stdout=rows_out, stderr=subprocess.PIPE) as proc:
-
-            def wait() -> None:
-                _, err = proc.communicate()
-                if proc.returncode:
-                    raise OSError(f"CSV worker for rows {lo}-{hi} exited with code "
-                                  f"{proc.returncode}: {err.decode(errors='replace').strip()}")
-
-            try:
-                yield wait
-            finally:
-                proc.kill()  # no-op once it has been waited for
-                proc.wait()
-
-
-@contextmanager
-def _thread_rows(columns, lo: int, hi: int, rows_out):
-    """Format rows ``[lo, hi)`` into ``rows_out`` with ``floattext`` on a
-    thread, which reads a read-only column as it is and a copy of a writable
-    one, under ``np.errstate(all="raise")``. Yields ``wait()``, which raises
-    OSError if the thread failed; on exit the thread stops after its current
-    block and is waited for."""
-    import threading  # here, not at the top: only a range this large needs them
-    from . import floattext
-
-    rows = [c[lo:hi] if _read_only(c) else c[lo:hi].copy() for c in columns]
-    del columns
-    stop = threading.Event()
-    failed = []
-
-    def run() -> None:
         try:
-            with np.errstate(all="raise"):
-                for block in floattext.format_rows(rows, 0, hi - lo):
-                    if stop.is_set():
-                        return
-                    rows_out.write(block)
-        except Exception as exc:  # wait() raises it as OSError in the caller's thread
-            failed.append(exc)
-
-    thread = threading.Thread(target=run, name=f"{__name__} rows {lo}-{hi}")
-    thread.start()
-
-    def wait() -> None:
-        thread.join()
-        if failed:
-            raise OSError(f"CSV worker for rows {lo}-{hi} failed: "
-                          f"{type(failed[0]).__name__}: {failed[0]}")
-
-    try:
-        yield wait
-    finally:
-        stop.set()
-        thread.join()
+            yield claim, copy
+        finally:
+            stop.set()
+            if not future.cancel():
+                future.result()
 
 
 def _read_only(a) -> bool:

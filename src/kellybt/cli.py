@@ -15,8 +15,8 @@ names its outputs through ``out(name)``, which records them for the manifest.
 
 Exit codes: 0 success, 2 usage error, 3 missing input, 4 config/validation
 error, 5 malformed data, 6 any other I/O error (an output path that cannot be
-created or written, a CSV writer worker that fails). Failures emit a one-line
-JSON error record on stderr.
+created or written, a CSV row range that fails to format). Failures emit a
+one-line JSON error record on stderr.
 """
 from __future__ import annotations
 
@@ -266,13 +266,15 @@ def _write_comparison(rows: list[dict], path: str) -> None:
                                       for row in rows] for col in cols])
 
 
-def _equity_svg(results: list[backtest.StrategyResult], path: str, title: str) -> None:
-    curves = []
-    for res in results:
-        ts = res.curve.timestamps
+def _equity_svg(curves: list[tuple[str, backtest.EquityCurve]], path: str,
+                title: str) -> None:
+    """Chart each ``(label, curve)`` against hours since its first point."""
+    lines = []
+    for label, curve in curves:
+        ts = curve.timestamps
         xs = (ts - ts[:1]) / HOUR  # ts[:1], not ts[0]: an empty curve stays empty
-        curves.append((res.policy.label, xs, res.curve.values))
-    artifacts.svg_line_chart(curves, path, title=title)
+        lines.append((label, xs, curve.values))
+    artifacts.svg_line_chart(lines, path, title=title)
 
 
 # --- commands -----------------------------------------------------------------
@@ -358,24 +360,26 @@ def cmd_simulate(resolved: dict, out: Output) -> list[int]:
     labels = features.make_labels(series, horizon=resolved["horizon"])
     preds = _simulate_predictions(labels, resolved["sim"], resolved["sim_seed"], resolved)
     ests = _scenario_estimates(series, labels, resolved)
-    # Each table is written as soon as it is known, so its workers format it
+    # Each table is written as soon as it is known, so the pool formats it
     # while the next policy is sized; the policies still share one grid.
     predictors.write_predictions_csv(preds, ests, out("predictions.csv"))
     cfg = _backtest_config(resolved)
-    results = []
+    curves = []
     rows = []
     table5 = []
     for policy in _policies(resolved):
         res, = backtest.compare_strategies(series, preds, ests, [policy], cfg)
-        backtest.write_equity_csv(res.curve, out(f"equity_{res.policy.label}.csv"))
-        results.append(res)
+        label = res.policy.label
+        backtest.write_equity_csv(res.curve, out(f"equity_{label}.csv"))
+        curves.append((label, res.curve))
         rows.append({"model": resolved["sim"], "seed": resolved["sim_seed"],
-                     "policy": res.policy.label, **dataclasses.asdict(res.report)})
-        table5.append((res.policy.label, res.report))
+                     "policy": label, **dataclasses.asdict(res.report)})
+        table5.append((label, res.report))
+        del res  # and its trades, before the next policy is sized
     _write_comparison(rows, out("comparison.csv"))
     artifacts.write_json(rows, out("comparison.json"))
     _write_table5(table5, out("report_table.csv"))
-    _equity_svg(results, out("equity.svg"), title=f"{resolved['sim']} simulator")
+    _equity_svg(curves, out("equity.svg"), title=f"{resolved['sim']} simulator")
     return seeds + [resolved["sim_seed"]]
 
 
@@ -411,7 +415,8 @@ def cmd_backtest(resolved: dict, out: Output) -> list[int]:
     series, _, _, res, report_json = _external_backtest(resolved, "backtest")
     backtest.write_trades_csv(res.trades, out("trades.csv"))
     backtest.write_equity_csv(res.curve, out("equity.csv"))
-    _equity_svg([res], out("equity.svg"), title=f"backtest {series.symbol}")
+    _equity_svg([(res.policy.label, res.curve)], out("equity.svg"),
+                title=f"backtest {series.symbol}")
     artifacts.write_json(report_json, out("report.json"))
     _write_table5([(res.policy.label, res.report)], out("report_table.csv"))
     return []
@@ -548,7 +553,7 @@ def main(argv=None) -> int:
             return written[-1]
 
         # Every CSV table is joined as the scope exits, before the manifest
-        # hashes it; an exception kills and waits for the workers it holds.
+        # hashes it; an exception stops and waits for the row ranges it holds.
         with artifacts.deferred_tables():
             seeds = _COMMANDS[args.command](resolved, out)
         inputs = [resolved[k] for k in ("input", "predictions", "grid")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kellybt import artifacts
+from kellybt import artifacts, floattext
 from kellybt.candles import CandleSeries, generate_synthetic_series, parse_candles
 from kellybt.cli import main
 from kellybt.features import make_labels
@@ -121,12 +121,15 @@ def test_output_directory_that_cannot_be_made_exit_code(tmp_path, capsys):
 
 
 def test_failing_csv_worker_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(artifacts, "_WORKER",
-                        (sys.executable, "-I", "-S", "-c", "import sys; sys.exit('boom')"))
+    def boom(columns, start, stop):  # every row range fails
+        raise RuntimeError("boom")
+        yield b""
+
+    monkeypatch.setattr(floattext, "format_rows", boom)
     monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(artifacts, "CSV_CELLS_PER_RANGE", 1)
     assert _run("synth", "--n", "50", "--out", str(tmp_path / "s")) == 6
-    assert _io_error(capsys) == "CSV worker for rows 0-25 exited with code 1: boom"
+    assert _io_error(capsys) == "CSV worker for rows 0-25 failed: RuntimeError: boom"
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 

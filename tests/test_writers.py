@@ -1,8 +1,8 @@
 """The one CSV writer, ``artifacts.write_csv``, and every artifact writer built
 on it: each writes the same bytes as the hand-written writer it replaced
 (kept in oracles.py), including across the writer's block boundaries, and
-the same bytes when a table is split into row ranges formatted by workers:
-standard-library processes, or numpy threads for large ranges. The SVG chart
+the same bytes when a table is split into row ranges formatted by numpy on a
+bounded pool of threads. The SVG chart
 writes the same bytes as the per-point writer it replaced, whatever the order
 of its curves."""
 import contextlib
@@ -54,15 +54,13 @@ POSITIVE = [5e-324, 1e-300, 1e300, 1.7976931348623157e308, 0.1, 1 / 3, 30000.0]
 
 
 @contextlib.contextmanager
-def _ranges(k, numpy=False):
+def _ranges(k):
     """``write_csv`` as with ``k`` usable CPUs and one cell per range: a
     numeric table of at least ``k`` cells is split into ``k`` row ranges,
-    each formatted by a numpy thread if ``numpy``, else by a worker process."""
+    formatted on a pool of ``k - 1`` threads and by the joining thread."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "CSV_CELLS_PER_RANGE", 1)
         mp.setattr(artifacts, "_usable_cpus", lambda: k)
-        if numpy:
-            mp.setattr(artifacts, "CSV_CELLS_FOR_NUMPY", 1)
         yield
 
 
@@ -199,7 +197,7 @@ def test_writer_bytes_equal_hand_written_writer_in_row_ranges(case, n, seed, rat
 @settings(EXACT, max_examples=2)
 @given(seed=seeds, rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
 def test_writer_bytes_equal_hand_written_writer_in_numpy_ranges(case, n, seed, rate):
-    with _ranges(2, numpy=True):
+    with _ranges(2):  # one pool thread: the joining thread formats the queued range
         _check_writer(case, n, seed, rate)
 
 
@@ -328,20 +326,21 @@ def test_row_ranges_write_the_bytes_of_one_range(n, k, seed, rate, kinds):
 
 
 @pytest.fixture
-def made(monkeypatch):
-    """Every process and temporary file made during the test, in two lists."""
-    procs, files = [], []
-    popen, temporary_file = subprocess.Popen, tempfile.TemporaryFile
+def files(monkeypatch):
+    """Every temporary file made during the test."""
+    made, temporary_file = [], tempfile.TemporaryFile
 
-    def recorded(make, into):
-        def wrapper(*args, **kwargs):
-            into.append(make(*args, **kwargs))
-            return into[-1]
-        return wrapper
+    def recorded(*args, **kwargs):
+        made.append(temporary_file(*args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(subprocess, "Popen", recorded(popen, procs))
-    monkeypatch.setattr(tempfile, "TemporaryFile", recorded(temporary_file, files))
-    return procs, files
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    return made
+
+
+def _pool_threads():
+    """The live threads of every row-range pool."""
+    return [t for t in threading.enumerate() if t.name.startswith(artifacts.__name__)]
 
 
 def _table(n=3000):
@@ -349,47 +348,67 @@ def _table(n=3000):
     return ("ts", "x"), [_timestamps(rng, n), _floats(rng, n, 0.05)]
 
 
-@pytest.mark.parametrize("script", [
-    "import sys; sys.exit(3)",                                           # reads nothing
-    "import sys; sys.stdout.write('1,2\\n'); sys.exit('worker failed')",  # part written
-    "import os, signal; os.kill(os.getpid(), signal.SIGKILL)",            # killed
-], ids=["exit", "partial", "killed"])
+def _raises(columns, start, stop):
+    raise RuntimeError("kernel failed")
+    yield b""  # a generator, as floattext.format_rows is
+
+
+def _writes_then_raises(columns, start, stop):
+    yield b"1,2\n"
+    raise RuntimeError("kernel failed")
+
+
+def _warns(columns, start, stop):  # divides by zero, which the range's errstate raises
+    np.log(np.zeros(1))
+    yield b""
+
+
+@pytest.mark.parametrize("kernel", [_raises, _writes_then_raises, _warns],
+                         ids=["raises", "partial", "warns"])
 @pytest.mark.parametrize("to_path", [True, False])
-def test_failing_worker_raises_and_leaves_nothing_running_or_open(tmp_path, monkeypatch,
-                                                                   made, script, to_path):
-    monkeypatch.setattr(artifacts, "_WORKER", (sys.executable, "-I", "-S", "-c", script))
+def test_failing_range_raises_and_leaves_nothing_running_or_open(tmp_path, monkeypatch,
+                                                                 files, kernel, to_path):
+    monkeypatch.setattr(floattext, "format_rows", kernel)
     header, columns = _table()
-    with _ranges(3), pytest.raises(OSError, match=r"CSV worker for rows 0-1000 exited "
-                                                  r"with code (3|1: worker failed|-9)"):
+    with _ranges(3), pytest.raises(OSError, match=r"CSV worker for rows 0-1000 failed: "
+                                                  r"(RuntimeError: kernel failed|"
+                                                  r"FloatingPointError: divide by zero)"):
         write_csv(tmp_path / "out.csv" if to_path else io.StringIO(), header, columns)
-    procs, files = made
-    assert len(procs) == 3 and len(files) == 6
-    assert all(proc.returncode is not None for proc in procs)
-    assert all(fh.closed for fh in files)
+    assert _pool_threads() == []
+    assert len(files) == 3 and all(fh.closed for fh in files)
 
 
-class _FailingStream(io.StringIO):
-    def write(self, text):
-        if self.tell():
-            raise OSError("disk full")
-        return super().write(text)
+def test_writer_error_stops_and_waits_for_running_ranges(tmp_path, monkeypatch, files):
+    # Two ranges on the two pool threads of three CPUs, both started before
+    # the join: the first writes one row, the second formats until stopped.
+    # Appending the first range's text to the file fails.
+    started = threading.Barrier(3)  # both ranges and this thread
+    deadline = time.monotonic() + 30
 
+    def kernel(columns, start, stop):
+        started.wait(60)
+        if len(columns[0]) == 1500:
+            yield b"1,2\n"
+            return
+        while time.monotonic() < deadline:
+            time.sleep(0.001)
+            yield b"1,2\n"
 
-# A worker that sleeps, except the one given the 1,500 rows of range 0 of a
-# 3,001-row table in two ranges, which writes one row and exits.
-_FIRST_WRITES_REST_SLEEP = ("import sys, time; "
-                            "sys.stdout.write('1,2\\n') if sys.argv[2] == '1500' else time.sleep(60)")
+    def disk_full(source, dest):
+        raise OSError("disk full")
 
-
-def test_writer_error_kills_and_waits_for_running_workers(monkeypatch, made):
-    monkeypatch.setattr(artifacts, "_WORKER",
-                        (sys.executable, "-I", "-S", "-c", _FIRST_WRITES_REST_SLEEP))
+    monkeypatch.setattr(floattext, "format_rows", kernel)
+    monkeypatch.setattr(shutil, "copyfileobj", disk_full)
+    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 3)
     header, columns = _table(3001)
-    with _ranges(2), pytest.raises(OSError, match="disk full"):
-        write_csv(_FailingStream(), header, columns)  # fails on the first rows
-    procs, files = made
-    assert [proc.returncode for proc in procs] == [0, -9]
-    assert len(files) == 4 and all(fh.closed for fh in files)
+    monkeypatch.setattr(artifacts, "CSV_CELLS_PER_RANGE", 3001)  # 6,002 cells: two ranges
+    began = time.monotonic()
+    with pytest.raises(OSError, match="disk full"), artifacts.deferred_tables():
+        write_csv(tmp_path / "out.csv", header, columns)
+        started.wait(60)
+    assert time.monotonic() - began < 10  # stopped within a block, not at the deadline
+    assert _pool_threads() == []
+    assert len(files) == 2 and all(fh.closed for fh in files)
 
 
 # The special floats, the fast path's bounds 1e-4 and 1e16 of the numpy
@@ -397,28 +416,28 @@ def test_writer_error_kills_and_waits_for_running_workers(monkeypatch, made):
 _EDGE_FLOATS = [float("nan"), float("inf"), 0.0, 5e-324, 1.7976931348623157e308, 1e-4, 1e16]
 
 
-def test_thread_ranges_write_the_bytes_of_format_rows_at_the_edges(tmp_path, made):
+def test_thread_ranges_write_the_bytes_of_format_rows_at_the_edges(tmp_path, files):
     x = floattext_sweep.with_neighbours(np.array(_EDGE_FLOATS))
     x = np.concatenate([x, -x])
     ints = np.resize(np.array([-2**63, 2**63 - 1, 0, -1], np.int64), len(x))
     header, columns = ("ts", "x"), [ints, x]
     want = "".join(csvrows.format_rows(columns, 0, len(x))).encode()
-    with _ranges(2, numpy=True):
+    with _ranges(2):
         write_csv(tmp_path / "out.csv", header, columns)
     assert (tmp_path / "out.csv").read_bytes() == b"ts,x\n" + want
-    procs, files = made
-    assert procs == []
+    assert _pool_threads() == []
     assert len(files) == 2 and all(fh.closed for fh in files)
 
 
 def test_a_thread_range_writes_no_bytecode_when_its_process_writes_none(tmp_path):
-    # floattext is imported only when a range takes a thread; it must then
-    # cache no bytecode in the package when the process is asked not to.
+    # floattext and concurrent.futures are imported only when a table is
+    # split; floattext must then cache no bytecode in the package when the
+    # process is asked not to.
     package = tmp_path / "kellybt"
     shutil.copytree(os.path.dirname(artifacts.__file__), package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     script = ("import sys, numpy as np; from kellybt import artifacts; "
-              "artifacts.CSV_CELLS_PER_RANGE = artifacts.CSV_CELLS_FOR_NUMPY = 1; "
+              "artifacts.CSV_CELLS_PER_RANGE = 1; "
               "artifacts._usable_cpus = lambda: 2; "
               "artifacts.write_csv(sys.argv[1], ('x',), [np.arange(4.0)])")
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tmp_path)}
@@ -428,17 +447,25 @@ def test_a_thread_range_writes_no_bytecode_when_its_process_writes_none(tmp_path
     assert not list(package.rglob("__pycache__"))
 
 
-def test_a_range_of_csv_cells_for_numpy_takes_a_thread_not_a_process(tmp_path, monkeypatch,
-                                                                     made):
-    header, columns = _table(3001)  # ranges of 1,500 and 1,501 rows, two columns
-    monkeypatch.setattr(artifacts, "CSV_CELLS_FOR_NUMPY", 3002)
+def test_every_split_range_is_formatted_by_floattext_in_this_process(tmp_path, monkeypatch):
+    header, columns = _table(3001)  # ranges of 1,500 and 1,501 rows: 3,000 and 3,002 cells
+    release, given_rows = _held_format_rows(monkeypatch)
+    release.set()
     with _ranges(2):
         write_csv(tmp_path / "out.csv", header, columns)
-        want = "ts,x\n" + "".join(csvrows.format_rows(columns, 0, 3001))
+    want = "ts,x\n" + "".join(csvrows.format_rows(columns, 0, 3001))
     assert (tmp_path / "out.csv").read_text() == want
-    procs, _ = made
-    # Only the 3,000-cell range starts a worker process.
-    assert [proc.args for proc in procs] == [[*artifacts._WORKER, "qd", "1500"]]
+    assert sorted(len(ts) for ts, _ in given_rows) == [1500, 1501]
+
+
+def test_the_cli_starts_without_subprocess_or_a_thread_pool():
+    # Each would add to every command's start; only a split table needs a pool.
+    script = ("import sys, kellybt.cli; "
+              "print(sorted({'subprocess', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(artifacts.__file__))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_a_floating_point_warning_in_a_thread_range_fails_its_command(tmp_path, monkeypatch,
@@ -448,7 +475,7 @@ def test_a_floating_point_warning_in_a_thread_range_fails_its_command(tmp_path, 
         yield b""
 
     monkeypatch.setattr(floattext, "format_rows", warns)
-    with _ranges(2, numpy=True):
+    with _ranges(2):
         code = cli.main(["synth", "--n", "100", "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_IO
     out, err = capsys.readouterr()
@@ -486,7 +513,7 @@ def test_a_column_changed_after_write_csv_in_a_scope_leaves_the_table_as_written
     with _ranges(1):
         want = _written(lambda out: write_csv(out, header, columns))
     release, given_rows = _held_format_rows(monkeypatch)
-    with _ranges(2, numpy=True), artifacts.deferred_tables():
+    with _ranges(2), artifacts.deferred_tables():
         write_csv(tmp_path / "out.csv", header, columns)
         x[:] = 0.5
         y_base[:] = 0.25
@@ -503,7 +530,7 @@ def test_features_csv_ranges_read_the_matrix_without_a_copy(tmp_path, monkeypatc
     assert not matrix.values.flags.writeable and not matrix.timestamps.flags.writeable
     release, given_rows = _held_format_rows(monkeypatch)
     release.set()
-    with _ranges(2, numpy=True):
+    with _ranges(2):
         write_matrix_csv(matrix, str(tmp_path / "features.csv"))
     assert len(given_rows) == 2
     for ts, *values in given_rows:
@@ -511,15 +538,13 @@ def test_features_csv_ranges_read_the_matrix_without_a_copy(tmp_path, monkeypatc
         assert all(np.shares_memory(v, matrix.values) for v in values)
 
 
-def _formatting_threads():
-    return [t for t in threading.enumerate() if t.name.startswith(artifacts.__name__)]
-
-
-def test_a_scope_left_by_an_exception_stops_its_thread_ranges(tmp_path, monkeypatch, made):
-    started = threading.Barrier(3)  # both ranges and this thread
+def test_a_scope_left_by_an_exception_stops_its_thread_ranges(tmp_path, monkeypatch, files):
+    started = threading.Barrier(3)  # the two pool threads' ranges and this thread
     deadline = time.monotonic() + 30
+    calls = []
 
     def endless(columns, start, stop):  # one short block at a time, until stopped
+        calls.append(len(columns[0]))
         started.wait(60)
         while time.monotonic() < deadline:
             time.sleep(0.001)
@@ -528,17 +553,115 @@ def test_a_scope_left_by_an_exception_stops_its_thread_ranges(tmp_path, monkeypa
     monkeypatch.setattr(floattext, "format_rows", endless)
     header, columns = _table()
     began = time.monotonic()
-    with _ranges(2, numpy=True), pytest.raises(RuntimeError, match="command failed"):
+    with _ranges(3), pytest.raises(RuntimeError, match="command failed"):
         with artifacts.deferred_tables():
             write_csv(tmp_path / "out.csv", header, columns)
             started.wait(60)
-            assert len(_formatting_threads()) == 2
+            assert len(_pool_threads()) == 2
             raise RuntimeError("command failed")
     assert time.monotonic() - began < 10  # stopped within a block, not at the deadline
-    assert _formatting_threads() == []
-    procs, files = made
-    assert procs == []
-    assert len(files) == 2 and all(fh.closed for fh in files)
+    assert calls == [1000, 1000]  # the third range, still queued, was cancelled
+    assert _pool_threads() == []
+    assert len(files) == 3 and all(fh.closed for fh in files)
+
+
+def test_no_more_than_usable_cpus_ranges_format_at_once(tmp_path, monkeypatch):
+    # Two tables bound for paths keep both pool threads of three CPUs busy;
+    # a table written to a stream joins at once, its ranges still queued, so
+    # the joining thread formats them while the pool threads run.
+    lock, active, peak = threading.Lock(), [0], [0]
+    format_rows = floattext.format_rows
+
+    def counted(columns, start, stop):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        try:
+            time.sleep(0.05)
+            yield from format_rows(columns, start, stop)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(floattext, "format_rows", counted)
+    header, columns = _table()
+    with _ranges(1):
+        want = _written(lambda out: write_csv(out, header, columns))
+    buf = io.StringIO()
+    with _ranges(3), artifacts.deferred_tables():
+        write_csv(tmp_path / "a.csv", header, columns)
+        write_csv(tmp_path / "b.csv", header, columns)
+        write_csv(buf, header, columns)
+    assert peak[0] == 3
+    assert buf.getvalue().encode() == want
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == want
+
+
+def test_the_joining_thread_formats_a_queued_range_while_a_pool_thread_is_blocked(tmp_path,
+                                                                                monkeypatch):
+    # Two CPUs: one pool thread. A range the pool thread runs blocks until the
+    # joining thread has formatted one; a join that waited for the started
+    # range before formatting the queued one would hold it for 10 s and fail.
+    formatted_here = threading.Event()
+    format_rows = floattext.format_rows
+
+    def kernel(columns, start, stop):
+        if threading.current_thread() is threading.main_thread():
+            formatted_here.set()
+        else:
+            assert formatted_here.wait(10)
+        yield from format_rows(columns, start, stop)
+
+    monkeypatch.setattr(floattext, "format_rows", kernel)
+    header, columns = _table()
+    with _ranges(1):
+        want = _written(lambda out: write_csv(out, header, columns))
+    began = time.monotonic()
+    with _ranges(2):
+        write_csv(tmp_path / "out.csv", header, columns)
+    assert time.monotonic() - began < 5
+    assert formatted_here.is_set()
+    assert (tmp_path / "out.csv").read_bytes() == want
+
+
+def test_many_ranges_on_more_threads_than_cores_write_the_bytes_of_one_range(tmp_path):
+    # Seven pool threads on this machine's cores, switching often: a join
+    # claims queued ranges as pool threads take them, and each table must
+    # still hold every range once, in order.
+    rng = np.random.default_rng(8)
+    tables = [[_column(rng, kind, n, 0.05) for kind in ("int64", "float64", "int8")]
+              for n in (40, 333, 1000, 2500)]
+    header = ("a", "b", "c")
+    wants = []
+    with _ranges(1):
+        for columns in tables:
+            wants.append(_written(lambda out: write_csv(out, header, columns)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            streams = []
+            with _ranges(8), artifacts.deferred_tables():
+                for j, columns in enumerate(tables):
+                    write_csv(tmp_path / f"t{j}.csv", header, columns)
+                    streams.append(io.StringIO())
+                    write_csv(streams[-1], header, columns)
+            for j, want in enumerate(wants):
+                assert (tmp_path / f"t{j}.csv").read_bytes() == want
+                assert streams[j].getvalue().encode() == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert _pool_threads() == []
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "failing-range"])
+def test_no_kellybt_thread_is_alive_after_cli_main_returns(tmp_path, monkeypatch, fails):
+    if fails:
+        monkeypatch.setattr(floattext, "format_rows", _writes_then_raises)
+    with _ranges(2):
+        code = cli.main(["simulate", "--n", "600", "--out", str(tmp_path / "run")])
+    assert code == (cli.EXIT_IO if fails else 0)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("kellybt")] == []
 
 
 # --- the deferred_tables scope ------------------------------------------------------
@@ -568,7 +691,7 @@ def test_deferred_tables_write_the_bytes_of_immediate_ones(seed, k, rate, tables
                 assert fh.read() == want
 
 
-def test_a_path_written_twice_in_a_scope_holds_the_second_table(tmp_path, made):
+def test_a_path_written_twice_in_a_scope_holds_the_second_table(tmp_path, files):
     header, long_table = _table(3000)
     _, short_table = _table(2000)
     with _ranges(1):
@@ -577,13 +700,12 @@ def test_a_path_written_twice_in_a_scope_holds_the_second_table(tmp_path, made):
         write_csv(tmp_path / "out.csv", header, long_table)
         write_csv(tmp_path / "out.csv", header, short_table)
     assert (tmp_path / "out.csv").read_bytes() == want
-    procs, files = made
-    assert len(procs) == 4 and all(proc.returncode is not None for proc in procs)
-    assert len(files) == 8 and all(fh.closed for fh in files)
+    assert _pool_threads() == []
+    assert len(files) == 4 and all(fh.closed for fh in files)
 
 
 @pytest.mark.parametrize("in_scope", [False, True], ids=["no-scope", "stream-in-scope"])
-def test_write_csv_returns_a_complete_table_outside_a_scope_or_to_a_stream(tmp_path, made,
+def test_write_csv_returns_a_complete_table_outside_a_scope_or_to_a_stream(tmp_path, files,
                                                                           in_scope):
     header, columns = _table()
     with _ranges(1):
@@ -595,10 +717,11 @@ def test_write_csv_returns_a_complete_table_outside_a_scope_or_to_a_stream(tmp_p
         if not in_scope:
             write_csv(tmp_path / "out.csv", header, columns)
             assert (tmp_path / "out.csv").read_bytes() == want
-        procs, files = made
-        assert len(procs) == (3 if in_scope else 6)
-        assert all(proc.returncode == 0 for proc in procs)
+        assert len(files) == (3 if in_scope else 6)
         assert all(fh.closed for fh in files)
+        # The scope's pool lives until the scope exits; a call's own, until it returns.
+        assert len(_pool_threads()) == (2 if in_scope else 0)
+    assert _pool_threads() == []
 
 
 def test_a_scope_defers_only_the_writes_of_its_own_thread(tmp_path):
@@ -620,22 +743,35 @@ def test_a_scope_defers_only_the_writes_of_its_own_thread(tmp_path):
     (FileNotFoundError("no input"), cli.EXIT_MISSING_INPUT),
 ], ids=["config", "data", "missing"])
 def test_command_failing_after_a_deferred_write_stops_its_workers(tmp_path, monkeypatch,
-                                                                  made, capsys, error, code):
-    monkeypatch.setattr(artifacts, "_WORKER",
-                        (sys.executable, "-I", "-S", "-c", "import time; time.sleep(60)"))
+                                                                  files, capsys, error, code):
+    started = threading.Barrier(2)  # the pool thread's range and the command
+    deadline = time.monotonic() + 30
+    calls = []
+
+    def endless(columns, start, stop):
+        calls.append(start)
+        started.wait(60)
+        while time.monotonic() < deadline:
+            time.sleep(0.001)
+            yield b""
+
+    monkeypatch.setattr(floattext, "format_rows", endless)
     header, columns = _table()
 
     def command(resolved, out):
         write_csv(out("table.csv"), header, columns)
+        started.wait(60)
         raise error
 
     monkeypatch.setitem(cli._COMMANDS, "synth", command)
+    began = time.monotonic()
     with _ranges(2):
         assert cli.main(["synth", "--out", str(tmp_path / "run")]) == code
+    assert time.monotonic() - began < 10
     assert json.loads(capsys.readouterr().err)["message"] == str(error)
-    procs, files = made
-    assert [proc.returncode for proc in procs] == [-9, -9]
-    assert len(files) == 4 and all(fh.closed for fh in files)
+    assert len(calls) == 1  # the range on the pool thread ran; the queued one was cancelled
+    assert _pool_threads() == []
+    assert len(files) == 2 and all(fh.closed for fh in files)
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 
@@ -645,17 +781,17 @@ def test_command_failing_after_a_deferred_write_stops_its_workers(tmp_path, monk
     np.array(["up"] * 3000),                        # a numpy string array
     np.ones(3000, np.float32),                      # a dtype no worker reads
 ], ids=["str-list", "none-list", "str-array", "float32"])
-def test_table_with_another_column_type_keeps_one_range(made, column):
+def test_table_with_another_column_type_keeps_one_range(files, column):
     header, columns = _table()
     buf = io.StringIO()
     with _ranges(4):
         assert artifacts._row_ranges(columns + [column], 3000) == [0, 3000]
         write_csv(buf, header + ("note",), columns + [column])
-    assert made == ([], [])
+    assert files == []
     assert buf.getvalue().count("\n") == 3001
 
 
-def test_one_usable_cpu_or_a_small_table_starts_no_worker(made):
+def test_one_usable_cpu_or_a_small_table_starts_no_worker(files):
     n = artifacts.CSV_CELLS_PER_RANGE  # two columns: the cells of two ranges
     header, columns = _table(n)
     with pytest.MonkeyPatch.context() as mp:
@@ -666,7 +802,7 @@ def test_one_usable_cpu_or_a_small_table_starts_no_worker(made):
         mp.setattr(artifacts, "_usable_cpus", lambda: 8)
         assert artifacts._row_ranges(columns, n) == [0, n // 2, n]
         assert artifacts._row_ranges(columns, n - 1) == [0, n - 1]  # two cells short
-    assert made == ([], [])
+    assert files == []
 
 
 # The shapes of simulate's predictions.csv and equity_*.csv and of features'
