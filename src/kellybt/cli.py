@@ -318,6 +318,8 @@ def cmd_features(resolved: dict, out: Output) -> list[int]:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError(f"grid config must be an object, got {config!r}")
+        if "indicators" not in config:
+            raise ValueError(f"grid config {resolved['grid']} has no \"indicators\" key")
         grid = features.grid_from_config(config["indicators"])
     else:
         grid = features.default_grid()

@@ -27,15 +27,20 @@ DEFAULT_HORIZON = 5
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """One row of ``values`` per timestamp, one column per name. Both arrays
-    are flagged read-only, not copied: ``write_csv`` can then format them on
-    a thread without a snapshot copy of the matrix."""
+    """One row of ``values`` per timestamp, one column per name. Timestamps
+    strictly increase, so ``fit_normalizer`` reads the training rows as one
+    slice. Both arrays are flagged read-only, not copied: ``write_csv`` can
+    then format them on a thread without a snapshot copy of the matrix. A
+    matrix from ``build_feature_matrix`` is a leading-rows view of the one
+    buffer its columns were written into, flagged read-only as a whole."""
 
     timestamps: np.ndarray
     column_names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
+        if (self.timestamps[1:] <= self.timestamps[:-1]).any():
+            raise ValueError("feature matrix timestamps must be strictly increasing")
         self.timestamps.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -74,34 +79,52 @@ class LabelSet(TimestampedFrame):
     horizon: int
 
 
+# Rows moved per step when the kept rows are compacted to the buffer's front.
+_COMPACT_ROWS = 4096
+
+
 def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
                          price_model: bool = False,
                          horizon: int = DEFAULT_HORIZON) -> FeatureMatrix:
-    """One column per spec, plus the price-model extras when requested."""
+    """One column per spec, plus the price-model extras when requested.
+
+    Every column is written into one (n, columns) buffer, and the fully
+    defined rows are then moved up to its front in place, so the matrix is
+    held once."""
     if not grid:
         raise ValueError("indicator grid is empty")
     fwd = series.forward_return(horizon) if price_model else None
-    n = len(series)
-    names: list[str] = []
-    cols: list[np.ndarray] = []
-    for spec in grid:
-        names.append(spec.name)
-        cols.append(compute_indicator(series, spec))
+    names = [spec.name for spec in grid]
+    if price_model:
+        names += [f"pc_{horizon}h_{k}" for k in range(1, 6)] + ["market_direction"]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ValueError(f"indicator column {name} appears more than once in the grid")
 
+    n = len(series)
+    values = np.empty((n, len(names)))
+    for j, spec in enumerate(grid):
+        values[:, j] = compute_indicator(series, spec)
     if price_model:
         # Column k is the return realized k horizons back: fwd shifted down h*k rows.
         for k in range(1, 6):
-            names.append(f"pc_{horizon}h_{k}")
-            cols.append(np.concatenate((np.full(horizon * k, np.nan), fwd))[:n])
-        names.append("market_direction")
-        cols.append(np.concatenate((np.where(fwd > 0, 1.0, -1.0),
-                                    np.full(n - fwd.size, np.nan))))
+            shift = min(horizon * k, n)
+            col = values[:, len(grid) + k - 1]
+            col[:shift] = np.nan
+            col[shift:] = fwd[:n - shift]
+        col = values[:, -1]
+        col[:fwd.size] = np.where(fwd > 0, 1.0, -1.0)
+        col[fwd.size:] = np.nan
 
-    values = np.column_stack(cols)
-    keep = ~np.isnan(values).any(axis=1)
-    if not keep.any():
+    rows = np.flatnonzero(~np.isnan(values).any(axis=1))
+    if not rows.size:
         raise ValueError("no fully defined rows after warm-up truncation")
-    return FeatureMatrix(series.timestamps[keep], tuple(names), values[keep])
+    # rows[i] >= i, so each step reads only rows that no earlier step wrote.
+    for start in range(0, rows.size, _COMPACT_ROWS):
+        block = rows[start:start + _COMPACT_ROWS]
+        values[start:start + block.size] = values[block]
+    values.setflags(write=False)
+    return FeatureMatrix(series.timestamps[rows], tuple(names), values[:rows.size])
 
 
 def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,
@@ -120,10 +143,13 @@ def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,
 
 
 def fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]) -> NormStats:
-    """Per-column mean/stddev over rows with timestamps inside train_range."""
+    """Per-column mean/stddev over rows with timestamps inside train_range,
+    the inclusive ``(lo, hi)``; the rows are one slice of the matrix, not a
+    copy."""
     lo, hi = train_range
-    mask = (matrix.timestamps >= lo) & (matrix.timestamps <= hi)
-    rows = matrix.values[mask]
+    start = np.searchsorted(matrix.timestamps, lo, side="left")
+    stop = np.searchsorted(matrix.timestamps, hi, side="right")
+    rows = matrix.values[start:stop]
     if rows.shape[0] < 2:
         raise ValueError(
             f"need at least 2 training rows to fit the normalizer, got {rows.shape[0]}"
@@ -160,6 +186,8 @@ def grid_from_config(entries: list[dict]) -> list[IndicatorSpec]:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"grid entry must be an object, got {entry!r}")
+        if "kind" not in entry:
+            raise ValueError(f"grid entry missing kind: {entry}")
         periods = entry.get("periods", entry.get("period"))
         if periods is None:
             raise ValueError(f"grid entry missing periods: {entry}")

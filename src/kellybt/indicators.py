@@ -171,6 +171,10 @@ def _rsi(h, l, c, v, n: int) -> np.ndarray:
     return out
 
 
+# Windows per block of CCI's mean absolute deviation.
+_CCI_BLOCK_ROWS = 2048
+
+
 def _cci(h, l, c, v, n: int) -> np.ndarray:
     out = np.full(c.size, np.nan)
     tp = (h + l + c) / 3.0
@@ -178,7 +182,14 @@ def _cci(h, l, c, v, n: int) -> np.ndarray:
         return out
     w = sliding_window_view(tp, n)
     m = w.mean(axis=1)
-    md = np.abs(w - m[:, None]).mean(axis=1)
+    # Mean absolute deviation a block of windows at a time: each row's
+    # arithmetic is that of the whole-array expression, without its two
+    # (windows, n) temporaries.
+    md = np.empty(m.size)
+    for start in range(0, m.size, _CCI_BLOCK_ROWS):
+        stop = start + _CCI_BLOCK_ROWS
+        dev = w[start:stop] - m[start:stop, None]
+        md[start:stop] = np.abs(dev, out=dev).mean(axis=1)
     num = tp[n - 1:] - m
     den = 0.015 * md
     out[n - 1:] = np.where(den == 0, 0.0, _guarded_ratio(num, den, 0.0))

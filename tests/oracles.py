@@ -14,8 +14,10 @@ equality. The last section keeps the earlier hand-written CSV writers the
 same way (the inline ones from the CLI wrapped in functions), so every
 writer can be checked against them byte for byte. ``o_ema_array`` and
 ``o_svg_line_chart`` keep the per-element EMA loop and the per-point SVG
-writer the same way, and ``o_simulate_gaussian_blocks`` the Gaussian
-simulator's per-draw walk over a stream drawn in blocks.
+writer the same way, ``o_simulate_gaussian_blocks`` the Gaussian
+simulator's per-draw walk over a stream drawn in blocks, ``o_cci_array``
+CCI's whole-array mean absolute deviation, and ``o_fit_normalizer`` the
+normalizer's boolean-mask copy of the training rows.
 
 The per-row references take and return the per-row records the library used
 before it moved predictions, scenarios and trades into column frames
@@ -84,6 +86,32 @@ def o_ema_array(x: np.ndarray, n: int) -> np.ndarray:
         acc = alpha * float(x[t]) + one_minus * acc
         out[t] = acc
     return out
+
+
+def o_cci_array(h: np.ndarray, l: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """The earlier ``indicators._cci``, whose mean absolute deviation is one
+    whole-array expression over every window at once."""
+    out = np.full(c.size, np.nan)
+    tp = (h + l + c) / 3.0
+    if tp.size < n:
+        return out
+    w = sliding_window_view(tp, n)
+    m = w.mean(axis=1)
+    md = np.abs(w - m[:, None]).mean(axis=1)
+    num = tp[n - 1:] - m
+    den = 0.015 * md
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    out[n - 1:] = np.where(den == 0, 0.0, ratio)
+    return out
+
+
+def o_fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]):
+    """The earlier ``features.fit_normalizer``'s mean and sample std over the
+    training rows, gathered by a boolean mask into a copy."""
+    lo, hi = train_range
+    rows = matrix.values[(matrix.timestamps >= lo) & (matrix.timestamps <= hi)]
+    return rows.mean(axis=0), rows.std(axis=0, ddof=1)
 
 
 def o_sma(xs, n):

@@ -212,15 +212,22 @@ def test_features_command(tmp_path):
     assert set(stats) == set(header[1:])
 
 
-@pytest.mark.parametrize("config", [
-    {"indicators": {"kind": "RSI"}},             # not a list of entries
-    {"indicators": [1]},                         # an entry that is not an object
-    {"indicators": [{"kind": "RSI", "periods": [14.7]}]},
-    {"indicators": [{"kind": "RSI", "periods": True}]},
-    [1],                                         # a config that is not an object
+@pytest.mark.parametrize("config, message", [
+    ({"indicators": {"kind": "RSI"}}, "must be a list of entries"),
+    ({"indicators": [1]}, "grid entry must be an object"),
+    ({"indicators": [{"kind": "RSI", "periods": [14.7]}]}, "periods must be integers"),
+    ({"indicators": [{"kind": "RSI", "periods": True}]}, "periods must be integers"),
+    ([1], "grid config must be an object"),
+    ({"indicator": [{"kind": "RSI", "periods": [14]}]}, 'has no "indicators" key'),
+    ({"indicators": [{"periods": [14]}]}, "grid entry missing kind"),
+    ({"indicators": [{"kind": "RSI", "periods": [14]}, {"kind": "rsi", "period": 14}]},
+     "indicator column RSI_14 appears more than once"),
+    ({"indicators": [{"kind": "EFI", "periods": [14]}, {"kind": "EFI_RATIO", "periods": [14]}]},
+     "indicator column EFI_RATIO_14 appears more than once"),
 ], ids=["not-a-list", "entry-not-object", "fractional-period", "bool-period",
-        "config-not-object"])
-def test_features_rejects_bad_grid_config(tmp_path, capsys, config):
+        "config-not-object", "no-indicators-key", "entry-without-kind", "same-indicator-twice",
+        "alias-and-kind"])
+def test_features_rejects_bad_grid_config(tmp_path, capsys, config, message):
     candles = tmp_path / "candles.csv"
     generate_synthetic_series(seed=23, n=100).to_csv(str(candles))
     grid = tmp_path / "grid.json"
@@ -228,7 +235,8 @@ def test_features_rejects_bad_grid_config(tmp_path, capsys, config):
     out = tmp_path / "features"
     assert _run("features", "--input", str(candles), "--grid", str(grid),
                 "--out", str(out)) == 4
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config" and message in record["message"]
     assert not (out / "features.csv").exists()
 
 

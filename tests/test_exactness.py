@@ -6,7 +6,9 @@ per-row records, so each frame is turned into records
 (``oracles.prediction_records``, ``scenario_records``, ``trade_records``)
 before it is handed to one or compared with its result. The backtest's
 cached decision grid is checked the same way across sequences of runs that
-share it, and against a fresh grid per policy."""
+share it, and against a fresh grid per policy. The normalizer's slice of
+the training rows gives the mean and std of the boolean-mask copy it
+replaced, bit for bit."""
 import math
 import struct
 from dataclasses import fields, replace
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from kellybt.backtest import (BacktestConfig, EquityCurve, StrategyResult, Trades,
                               _decision_grid, compare_strategies, run_backtest)
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
-from kellybt.features import LabelSet
+from kellybt.features import FeatureMatrix, LabelSet, fit_normalizer
 from kellybt.metrics import build_report, monthly_returns, precision_recall_points
 from kellybt.predictors import Predictions, Scenarios, estimate_scenarios, simulate_gaussian
 from kellybt.sizing import SizingPolicy, decide
@@ -369,3 +371,34 @@ def test_precision_recall_points_equal_threshold_loop(seed, n, distinct, classes
     want = oracles.o_precision_recall_points(oracles.prediction_records(preds), labels)
     assert got == want
     assert repr(got) == repr(want)
+
+
+def _train_bound(ts, where, i):
+    """A bound before the first row, on row i, between rows i and i + 1 (the
+    rows are at least 2 apart), or after the last row."""
+    return {"before": int(ts[0]) - 1, "on": int(ts[i]), "between": int(ts[i]) + 1,
+            "after": int(ts[-1]) + 1}[where]
+
+
+bound_places = st.sampled_from(["before", "on", "between", "after"])
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 60), k=st.integers(1, 4), lo_at=bound_places,
+       hi_at=bound_places, lo_row=st.integers(0, 59), hi_row=st.integers(0, 59))
+def test_fit_normalizer_slice_equals_the_mask_copy(seed, n, k, lo_at, hi_at, lo_row, hi_row):
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.integers(2, 5, n)) - 2**40
+    values = rng.normal(0.0, 1.0, (n, k)) * 10.0 ** rng.integers(-5, 6, k)
+    values[:, rng.random(k) < 0.25] = 7.0  # constant columns
+    matrix = FeatureMatrix(ts, tuple(f"c{j}" for j in range(k)), values)
+    train = (_train_bound(ts, lo_at, lo_row % n), _train_bound(ts, hi_at, hi_row % n))
+    rows = int(((ts >= train[0]) & (ts <= train[1])).sum())
+    if rows < 2:
+        with pytest.raises(ValueError, match=f"got {rows}$"):
+            fit_normalizer(matrix, train)
+        return
+    got = fit_normalizer(matrix, train)
+    mean, std = oracles.o_fit_normalizer(matrix, train)
+    assert np.array_equal(got.mean.view(np.int64), mean.view(np.int64))
+    assert np.array_equal(got.std.view(np.int64), std.view(np.int64))

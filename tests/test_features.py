@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,3 +229,56 @@ def test_grid_from_config():
     assert [g.name for g in grid] == ["RSI_14", "MACD_12_26", "ROC_10"]
     with pytest.raises(ValueError, match="periods"):
         grid_from_config([{"kind": "RSI"}])
+    with pytest.raises(ValueError, match="^grid entry missing kind"):
+        grid_from_config([{"periods": [14]}])
+
+
+@pytest.mark.parametrize("grid, name", [
+    ([IndicatorSpec("RSI", (14,)), IndicatorSpec("RSI", (14,))], "RSI_14"),
+    ([IndicatorSpec("EFI", (14,)), IndicatorSpec("EFI_RATIO", (14,))], "EFI_RATIO_14"),
+    ([IndicatorSpec("rsi", (14.0,)), IndicatorSpec("ROC", (5,)), IndicatorSpec("RSI", (14,))],
+     "RSI_14"),
+])
+def test_grid_naming_one_column_twice_rejected(grid, name):
+    series = generate_synthetic_series(seed=4, n=60)
+    with pytest.raises(ValueError, match=f"^indicator column {name} appears more than once"):
+        build_feature_matrix(series, grid)
+
+
+@pytest.mark.parametrize("ts", [[0, 0, 3600], [7200, 3600, 10800]])
+def test_feature_matrix_rejects_timestamps_that_do_not_increase(ts):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FeatureMatrix(np.array(ts, np.int64), ("x",), np.zeros((3, 1)))
+
+
+def _traced_peak(fn, *args):
+    """fn's result and the peak of the memory traced while it ran."""
+    fn(*args)  # any first-call allocation outside the count
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_build_feature_matrix_peak_memory_is_below_twice_the_matrix():
+    # The columns are written into one buffer, compacted in place, and CCI's
+    # deviations are taken a block of windows at a time: about 1.4 times the
+    # matrix. A list of columns, stacked into a copy and masked into another,
+    # peaked at 3.1.
+    series = generate_synthetic_series(seed=0, n=20_000)
+    matrix, peak = _traced_peak(build_feature_matrix, series, default_grid(), True)
+    assert peak < 2 * matrix.values.nbytes
+
+
+def test_fit_normalizer_peak_memory_is_bounded():
+    # The training rows are a slice; what remains is the one temporary of
+    # their size that std takes, about 1.0 times the matrix when they are all
+    # of it. A boolean-mask copy of them peaked at 2.0.
+    series = generate_synthetic_series(seed=0, n=20_000)
+    matrix = build_feature_matrix(series, default_grid(), price_model=True)
+    train = (int(matrix.timestamps[0]), int(matrix.timestamps[-1]))
+    _, peak = _traced_peak(fit_normalizer, matrix, train)
+    assert peak < 1.5 * matrix.values.nbytes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kellybt.candles import generate_synthetic_series
-from kellybt.indicators import IndicatorSpec, _ema_array, compute_indicator
+from kellybt.indicators import _CCI_BLOCK_ROWS, IndicatorSpec, _cci, _ema_array, compute_indicator
 
 import oracles
 from conftest import make_series_from_closes, make_series_from_ohlc
@@ -75,6 +75,23 @@ def test_ema_is_bit_identical_to_the_per_index_loop(size, warmup, n):
     for _ in range(3):
         got, want = _ema_array(got, n), oracles.o_ema_array(want, n)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [7, 14, 28])
+def test_cci_blocks_are_bit_identical_to_the_whole_array_expression(n):
+    # Three full blocks of windows plus a remainder, and a flat stretch across
+    # the first block boundary: every price there is 100.0, so each window's
+    # mean is exact and its mean deviation is 0.
+    size = 3 * _CCI_BLOCK_ROWS + 123 + n - 1
+    rng = np.random.default_rng(n)
+    c = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size)))
+    h = c * (1.0 + rng.uniform(0.0, 0.01, size))
+    l = c * (1.0 - rng.uniform(0.0, 0.01, size))
+    flat = slice(_CCI_BLOCK_ROWS - 40, _CCI_BLOCK_ROWS + 40)
+    h[flat] = l[flat] = c[flat] = 100.0
+    got = _cci(h, l, c, None, n)
+    assert np.array_equal(_bits(got), _bits(oracles.o_cci_array(h, l, c, n)))
+    assert np.all(got[flat][n - 1:] == 0.0)
 
 
 # --- spec construction --------------------------------------------------------

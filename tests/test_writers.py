@@ -73,7 +73,14 @@ def _floats(rng, size, rate, pool=SPECIAL):
 
 
 def _timestamps(rng, n):
-    return rng.integers(-2**62, 2**62, n)
+    """``n`` sorted, distinct int64s; for n >= 2 the first is -2**63 and
+    the last 2**63 - 1."""
+    ts = np.unique(rng.integers(-2**63 + 1, 2**63 - 1, n))
+    while ts.size < n:  # a value drawn twice
+        ts = np.unique(np.concatenate((ts, rng.integers(-2**63 + 1, 2**63 - 1, n - ts.size))))
+    if n >= 2:
+        ts[0], ts[-1] = -2**63, 2**63 - 1
+    return ts
 
 
 def _matrix(rng, n, rate):
@@ -83,7 +90,7 @@ def _matrix(rng, n, rate):
 
 
 def _labels(rng, n, rate):
-    return (LabelSet(np.sort(_timestamps(rng, n)), rng.choice(np.array([-1, 1], np.int8), n),
+    return (LabelSet(_timestamps(rng, n), rng.choice(np.array([-1, 1], np.int8), n),
                      _floats(rng, n, rate), _floats(rng, n, rate), 5),)
 
 
