@@ -9,31 +9,20 @@ the points comes from ``floattext.fixed2_fields``, at most
 ``floattext.BLOCK_CELLS`` coordinates at a time, and each block is written as
 soon as it is built, so the chart's text is never held whole.
 
-Every CSV kellybt writes goes through ``write_csv``, which owns the text
-format: a header row, one ``str`` per cell (for a float that is its shortest
+Every CSV kellybt writes goes through ``write_csv``, which takes a path and
+owns the text format: a header row, one ``str`` per cell (a float's shortest
 round-trip text, as ``repr`` gives), ``NA`` for a missing value and ``\n``
-line ends. A large numeric table is formatted on every CPU the process may
-use: it is split into contiguous row ranges, each formatted with numpy arrays
-(``floattext``) into its own temporary file, and their text is joined in
-order, so the bytes do not depend on how many ranges there are. numpy
-releases the GIL inside its loops, so the ranges format in parallel on one
-pool of ``max(1, cpus - 1)`` threads of this process. The pool belongs to the
-``deferred_tables()`` scope, or to the one ``write_csv`` call when no scope
-is open, and is shut down when its owner exits: no thread outlives a command.
-
-A table's join has two passes: the joining thread first formats each of the
-table's ranges that no pool thread has started, then waits for the others in
-order and appends each range's text. So a join never idles while a range is
-queued, and at most ``cpus`` ranges format at once. Inside a
-``deferred_tables()`` scope, a table written to a path is joined when the
-scope exits, so the pool formats it while the caller goes on computing; the
-CLI opens one scope around each command, so every table is joined before the
-manifest hashes it. A pool thread reads the caller's arrays then, so
-``write_csv`` hands it a read-only column as it is and a copy of a writable
-one. With no scope open, or for a stream, the join runs before ``write_csv``
-returns. A scope left by an exception cancels each range still queued, stops
-each running one after its current block, waits for them and closes every
-file.
+line ends, in UTF-8. ``floattext.format_rows`` formats every table of numpy
+float64, int64, int8 and str columns; a few standard-library lines format any
+other (the report rows, which hold names and None). A large numpy table is
+split into contiguous row ranges, formatted into temporary files on a pool of
+``max(1, cpus - 1)`` threads (numpy releases the GIL in its loops) and by the
+joining thread, and joined in order, so the bytes do not depend on how many
+ranges there are. Inside a ``deferred_tables()`` scope, which the CLI opens
+around each command, a split table is joined as the scope exits, so the pool
+formats it while the command goes on computing. The pool belongs to the
+scope, or to the one ``write_csv`` call when none is open: no thread outlives
+a command.
 
 Every CSV kellybt loads goes through ``read_csv``: the ``csv`` module reads
 the header, whitespace-only lines are skipped and numpy's C reader
@@ -45,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -53,32 +41,29 @@ import re
 import shutil
 import tempfile
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from contextvars import ContextVar
 
 import numpy as np
 
-from . import __version__, csvrows
+from . import __version__
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 # Cells a table needs per row range before ``write_csv`` splits it. A range
-# costs a temporary file, a copy of its writable columns and a hand-off to the
-# pool, small beside formatting 25,000 cells (about 9 ms at 0.35 us a cell).
-# The value was set when each range paid a 15-25 ms process start, and has not
-# been tuned for the pool.
+# costs a temporary file, a copy of its writable columns, a hand-off to the
+# pool and a copy into the table: about 0.23 ms, against about 4 ms to format
+# 25,000 cells of a timestamp and a float column (2-CPU x86-64, numpy 2.4).
 CSV_CELLS_PER_RANGE = 25_000
 
-# The dtypes ``floattext.format_rows`` formats: a table split into row ranges
-# holds only these.
-_RANGE_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8))
+# The numeric dtypes ``floattext.format_rows`` formats; it also formats str.
+_NUMPY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8))
 
 # Where numpy's loadtxt names the data row in a ValueError.
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
 
-# The innermost open ``deferred_tables`` scope of this thread, or None: the
-# path of each table it has still to join, mapped to the arguments of
-# ``_join``, and the scope's ``_Pool``.
+# The innermost open ``deferred_tables`` scope of this thread, or None: its
+# tables still to join, by path (``_join``'s arguments), and its ``_Pool``.
 _SCOPE: ContextVar[tuple[dict, _Pool] | None] = ContextVar("_SCOPE", default=None)
 
 
@@ -100,72 +85,74 @@ def write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-@contextmanager
-def open_text(dest, mode: str):
-    """``dest`` itself when it is an open text stream, else the file at that
-    path opened as UTF-8, whatever the locale, with ``newline=""``; only a
-    file opened here is closed here. A byte that is not UTF-8 passes as a
-    surrogate escape: a command-line byte the locale could not decode is
-    written back as that byte, and one read from a file reaches the parser,
-    which rejects its row by line."""
-    if not isinstance(dest, (str, bytes, os.PathLike)):
-        yield dest
-        return
-    with open(dest, mode, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        yield fh
+def write_csv(path, header, columns) -> None:
+    """Write a header row, then one row per index of ``columns``, to the file
+    at ``path`` in UTF-8 (a surrogate escape is written back as its byte).
 
-
-def write_csv(dest, header, columns) -> None:
-    """Write a header row, then one row per index of ``columns``.
-
-    ``dest`` is a path or an open text stream (see ``open_text``).
     ``columns`` holds one sequence (numpy array or list) per header field,
     all of one length, or is empty for a file with no rows. A cell is
     ``str`` of the value (numpy values via ``.tolist()``), or ``NA`` for None.
 
-    When every column is a float64, int64 or int8 numpy array, the rows are
-    split into ``k`` contiguous ranges, ``k`` being the smaller of the usable
-    CPUs and ``cells // CSV_CELLS_PER_RANGE``. With ``k >= 2`` each range is
-    queued on the pool of the open ``deferred_tables`` scope, or of this call
-    when none is open, and ``_join`` appends their text in order. Inside a
-    scope, the join of a table bound for a path waits for the scope's exit (a
-    later write to that path replaces the table unjoined); otherwise it runs
-    before this returns. A range that fails raises OSError.
+    ``floattext`` formats a table of float64, int64, int8 or str numpy arrays
+    in ``min(usable CPUs, cells // CSV_CELLS_PER_RANGE)`` row ranges: on this
+    thread if that is below 2, else queued on the pool of the open
+    ``deferred_tables`` scope, or of this call, and joined by ``_join`` at the
+    scope's exit (a later write to the path replaces the table unjoined) or
+    before this returns. A table that fails to format raises OSError.
     """
     n = len(columns[0]) if columns else 0
     if columns and (len(columns) != len(header) or any(len(c) != n for c in columns)):
         raise ValueError(f"need {len(header)} columns of one length for header {header}")
     scope = _SCOPE.get()
-    to_path = isinstance(dest, (str, bytes, os.PathLike))
-    tables = scope[0] if scope is not None and to_path else None
-    if tables is not None and os.fspath(dest) in tables:
-        tables.pop(os.fspath(dest))[0].close()  # replaced unread: stop its ranges, close its files
-    bounds = _row_ranges(columns, n)
+    key = os.fspath(path)
+    if scope is not None and key in scope[0]:
+        scope[0].pop(key)[0].close()  # replaced unread: stop its ranges, close its files
     with ExitStack() as stack:
-        fh = stack.enter_context(open_text(dest, "w"))
-        fh.write(",".join(header) + "\n")
-        if len(bounds) == 2:
-            fh.writelines(csvrows.format_rows(columns, 0, n))
+        fh = stack.enter_context(open(path, "wb"))
+        fh.write((",".join(header) + "\n").encode("utf-8", "surrogateescape"))
+        if not all(isinstance(c, np.ndarray) and (c.dtype in _NUMPY_DTYPES or c.dtype.kind == "U")
+                   for c in columns):
+            cells = [["NA" if v is None else str(v)
+                      for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+            text = "\n".join(map(",".join, zip(*cells))) + "\n" if n else ""
+            fh.write(text.encode("utf-8", "surrogateescape"))
             return
-        if fh is not dest:  # a file opened here: append the ranges' bytes under its text layer
-            fh.flush()
-            fh = fh.buffer
+        bounds = _row_ranges(columns, n)
+        if len(bounds) == 2:
+            _format(columns, 0, n, fh.write)
+            return
         pool = scope[1] if scope is not None else stack.enter_context(_Pool())
         ranges = [stack.enter_context(_row_range(pool, columns, lo, hi))
                   for lo, hi in zip(bounds, bounds[1:])]
         held = stack.pop_all()
-    if tables is None:
+    if scope is None:
         _join(held, fh, ranges)
     else:
-        tables[os.fspath(dest)] = (held, fh, ranges)
+        scope[0][key] = (held, fh, ranges)
+
+
+def _format(rows, lo: int, hi: int, write, stop=None) -> None:
+    """Pass the ``floattext`` text of ``rows``, rows ``[lo, hi)`` of a table,
+    to ``write`` a block at a time, under ``np.errstate(all="raise")``, until
+    ``stop`` is set. A failure raises OSError naming the rows."""
+    from . import floattext  # here, not at the top: it adds ~2.5 ms to every CLI start
+
+    try:
+        with np.errstate(all="raise"):
+            for block in floattext.format_rows(rows, 0, hi - lo):
+                if stop is not None and stop.is_set():
+                    return
+                write(block)
+    except Exception as exc:
+        raise OSError(f"CSV worker for rows {lo}-{hi} failed: "
+                      f"{type(exc).__name__}: {exc}") from exc
 
 
 def _join(stack: ExitStack, fh, ranges) -> None:
     """Format on this thread each range no pool thread has started, then wait
-    for each range in order and append its text to ``fh``, a binary file or a
-    text stream; then close ``stack``: the ranges, their files, the pool and
-    the file opened from a path, each if it holds them. A range that fails
-    raises OSError."""
+    for each range in order and append its text to ``fh``, a binary file;
+    then close ``stack``: the ranges, their files, the pool and ``fh``, each
+    if it holds them. A range that fails raises OSError."""
     with stack:
         for claim, _ in ranges:
             claim()
@@ -175,12 +162,12 @@ def _join(stack: ExitStack, fh, ranges) -> None:
 
 @contextmanager
 def deferred_tables():
-    """A scope in which ``write_csv`` hands a table bound for a path to the
-    scope's pool and returns; the tables are joined in the order written when
-    the scope exits, and then the pool is shut down. If a join fails or the
-    scope is left by an exception, every table not joined yet has its queued
-    ranges cancelled, its running ones stopped and waited for, and its files
-    closed. A scope holds for the thread that opened it."""
+    """A scope in which ``write_csv`` hands a split table to the scope's pool
+    and returns; the tables are joined in the order written when the scope
+    exits, and then the pool is shut down. If a join fails or the scope is
+    left by an exception, every table not joined yet has its queued ranges
+    cancelled, its running ones stopped and waited for, and its files closed.
+    A scope holds for the thread that opened it."""
     pending: dict = {}
     with _Pool() as pool:
         token = _SCOPE.set((pending, pool))
@@ -204,13 +191,9 @@ def _usable_cpus() -> int:
 
 
 def _row_ranges(columns, n: int) -> list[int]:
-    """Bounds of the row ranges ``write_csv`` formats in parallel; ``[0, n]``
-    for one range."""
+    """Bounds of the row ranges of a numpy table; ``[0, n]`` for one range."""
     k = min(_usable_cpus(), n * len(columns) // CSV_CELLS_PER_RANGE)
-    if k < 2 or not all(isinstance(c, np.ndarray) and c.dtype in _RANGE_DTYPES
-                        for c in columns):
-        return [0, n]
-    return [n * i // k for i in range(k + 1)]
+    return [n * i // k for i in range(k + 1)] if k >= 2 else [0, n]
 
 
 class _Pool:
@@ -241,16 +224,12 @@ class _Pool:
 @contextmanager
 def _row_range(pool: _Pool, columns, lo: int, hi: int):
     """Queue rows ``[lo, hi)`` of ``columns`` on ``pool``, to be formatted
-    by ``floattext`` under ``np.errstate(all="raise")`` into an unlinked
-    temporary file. The range reads a read-only column as it is and a copy of
-    a writable one. Yields ``(claim, copy)``: ``claim()`` formats the range on
-    the calling thread if no pool thread has started it, and ``copy(fh)``
-    waits for it and appends its text to ``fh``, a binary file or a text
-    stream, raising OSError if it failed. On exit a queued range is
-    cancelled, and a running one stops after its current block and is waited
-    for."""
-    from . import floattext  # here, not at the top: it adds ~5 ms to every CLI start
-
+    (``_format``) into an unlinked temporary file; it reads a read-only column
+    as it is and a copy of a writable one. Yields ``(claim, copy)``:
+    ``claim()`` formats the range on the calling thread if no pool thread has
+    started it, and ``copy(fh)`` waits for it and appends its text to the
+    binary file ``fh``, raising OSError if it failed. On exit a queued range
+    is cancelled, and a running one stops after its block and is waited for."""
     rows = [c[lo:hi] if _read_only(c) else c[lo:hi].copy() for c in columns]
     del columns  # a deferred join must not keep the rest alive
     stop = threading.Event()
@@ -259,12 +238,8 @@ def _row_range(pool: _Pool, columns, lo: int, hi: int):
 
         def run() -> None:
             try:
-                with np.errstate(all="raise"):
-                    for block in floattext.format_rows(rows, 0, hi - lo):
-                        if stop.is_set():
-                            return
-                        rows_out.write(block)
-            except Exception as exc:  # copy() raises it as OSError in the joining thread
+                _format(rows, lo, hi, rows_out.write, stop)
+            except OSError as exc:  # copy() raises it in the joining thread
                 failed.append(exc)
 
         future = pool.submit(run)
@@ -277,14 +252,9 @@ def _row_range(pool: _Pool, columns, lo: int, hi: int):
             if not future.cancelled():  # a claimed range ran in claim()
                 future.result()
             if failed:
-                raise OSError(f"CSV worker for rows {lo}-{hi} failed: "
-                              f"{type(failed[0]).__name__}: {failed[0]}")
+                raise failed[0]
             rows_out.seek(0)
-            if not isinstance(fh, io.TextIOBase):
-                shutil.copyfileobj(rows_out, fh)
-                return
-            for chunk in iter(lambda: rows_out.read(1 << 20), b""):
-                fh.write(chunk.decode("ascii"))
+            shutil.copyfileobj(rows_out, fh)
 
         try:
             yield claim, copy
@@ -307,7 +277,9 @@ def _read_only(a) -> bool:
 def read_csv(source, select):
     """Read a header row and numeric data rows into columns.
 
-    ``source`` is a path or an open text stream (see ``open_text``).
+    ``source`` is an open text stream, or a path: that file is read as UTF-8
+    whatever the locale, a byte that is not UTF-8 reaching the parser as a
+    surrogate escape, which fails its row.
     ``select(header)`` gets the stripped header cells and returns the indices
     of the columns to read, the timestamp column first. Returns ``(ts, data,
     line_of)``: int64 timestamps, a float64 array of the other columns, one
@@ -316,7 +288,9 @@ def read_csv(source, select):
     literal in the int64 range (``3600.0``, ``1e3`` and ``0x10`` are not). A
     row the reader rejects is a DataError naming its file line.
     """
-    with open_text(source, "r") as fh:
+    own = isinstance(source, (str, bytes, os.PathLike))
+    with (open(source, newline="", encoding="utf-8", errors="surrogateescape") if own
+          else nullcontext(source)) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -450,7 +424,7 @@ def svg_line_chart(curves, path: str, title: str = "", width: int = 900,
         f'<text x="{margin - 6}" y="{margin + 4}" text-anchor="end" '
         f'font-size="11">{_fmt(y_hi)}</text>',
     ]
-    with open_text(path, "w") as fh:
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write("\n".join(parts) + "\n")
         for k, (label, xs, ys) in enumerate(curves):
             color = PALETTE[k % len(PALETTE)]
@@ -470,7 +444,7 @@ def _write_points(fh, px, py) -> None:
     """Write the ``"%.2f,%.2f"`` text of each point, separated by spaces, to
     the text stream ``fh``, one block of ``floattext.BLOCK_CELLS`` cells at a
     time."""
-    from . import floattext  # here, not at the top: it adds ~5 ms to every CLI start
+    from . import floattext  # here, not at the top: it adds ~2.5 ms to every CLI start
 
     step = floattext.BLOCK_CELLS // 2
     for lo in range(0, px.size, step):

@@ -201,11 +201,11 @@ class CandleSeries(Frame):
         close is higher, as closes are finite and positive."""
         return horizon_return(self.close, horizon)
 
-    def to_csv(self, dest) -> None:
-        """Write the canonical CSV to a path or an open text stream through
+    def to_csv(self, path) -> None:
+        """Write the canonical CSV to the file at ``path`` through
         ``artifacts.write_csv``; floats keep their shortest round-trip text,
         so ``parse_candles`` reads back the same series."""
-        write_csv(dest, CANONICAL_COLUMNS, [self.timestamps, self.open, self.high,
+        write_csv(path, CANONICAL_COLUMNS, [self.timestamps, self.open, self.high,
                                             self.low, self.close, self.volume])
 
 

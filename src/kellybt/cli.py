@@ -15,7 +15,7 @@ names its outputs through ``out(name)``, which records them for the manifest.
 
 Exit codes: 0 success, 2 usage error, 3 missing input, 4 config/validation
 error, 5 malformed data, 6 any other I/O error (an output path that cannot be
-created or written, a CSV row range that fails to format). Failures emit a
+created or written, a CSV table that fails to format). Failures emit a
 one-line JSON error record on stderr.
 """
 from __future__ import annotations
@@ -196,15 +196,24 @@ def _load_series(path: str, symbol: str) -> CandleSeries:
     return parse_candles(path, symbol=symbol)
 
 
-def _policies(resolved: dict) -> list[sizing.SizingPolicy]:
-    names = [s.strip() for s in resolved["policy"].split(",") if s.strip()]
+def _names(text: str, what: str) -> list[str]:
+    """The names in the comma list ``text``; none, or one given twice after
+    case folding, is a config error."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
-        raise ValueError("no sizing policy given")
+        raise ValueError(f"no {what} given")
+    for i, name in enumerate(names):
+        if name.casefold() in (earlier.casefold() for earlier in names[:i]):
+            raise ValueError(f"{what} {name!r} appears more than once in {text!r}")
+    return names
+
+
+def _policies(resolved: dict) -> list[sizing.SizingPolicy]:
     return [
         sizing.SizingPolicy(kind=name, kelly_fraction=resolved["kelly_fraction"],
                             max_leverage=resolved["max_leverage"],
                             expected=resolved["expected"], modifier=resolved["modifier"])
-        for name in names
+        for name in _names(resolved["policy"], "sizing policy")
     ]
 
 
@@ -358,6 +367,7 @@ def _sim_series(resolved: dict) -> tuple[CandleSeries, list[int]]:
 
 
 def cmd_simulate(resolved: dict, out: Output) -> list[int]:
+    policies = _policies(resolved)
     series, seeds = _sim_series(resolved)
     labels = features.make_labels(series, horizon=resolved["horizon"])
     preds = _simulate_predictions(labels, resolved["sim"], resolved["sim_seed"], resolved)
@@ -369,7 +379,7 @@ def cmd_simulate(resolved: dict, out: Output) -> list[int]:
     curves = []
     rows = []
     table5 = []
-    for policy in _policies(resolved):
+    for policy in policies:
         res, = backtest.compare_strategies(series, preds, ests, [policy], cfg)
         label = res.policy.label
         backtest.write_equity_csv(res.curve, out(f"equity_{label}.csv"))
@@ -449,7 +459,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_compare(resolved: dict, out: Output) -> list[int]:
     seeds = _parse_seeds(resolved["seeds"])
-    sims = [s.strip() for s in resolved["sims"].split(",") if s.strip()]
+    sims = _names(resolved["sims"], "simulator")
     policies = _policies(resolved)
     cfg = _backtest_config(resolved)
     rows = []

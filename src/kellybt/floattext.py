@@ -1,13 +1,13 @@
-"""CSV row text from numpy arrays: the bytes ``csvrows.format_rows`` writes,
-for float64, int64 and int8 columns, computed a block of cells at a time.
+"""CSV row text from numpy arrays, a block of cells at a time: the one
+formatter of kellybt's numpy tables.
 
-``format_rows(columns, start, stop)`` yields rows ``[start, stop)`` as ASCII
-bytes, one block of at most ``BLOCK_CELLS`` cells at a time. A cell's text is
-what ``str`` gives: a float's shortest round-trip digits (``repr``), an
-integer's decimal digits. ``artifacts.write_csv`` runs it on each row range
-of a split table, on its pool's threads; ``csvrows.format_rows`` stays the
-reference it is tested against. Its arithmetic warns of no floating-point
-condition, so it runs under ``np.errstate(all="raise")`` there.
+``format_rows(columns, start, stop)`` yields rows ``[start, stop)`` of
+float64, int64, int8 and str columns as ASCII bytes, one block of at most
+``BLOCK_CELLS`` cells at a time. A cell's text is what ``str`` gives: a
+float's shortest round-trip digits (``repr``), an integer's decimal digits.
+``artifacts.write_csv`` runs it under ``np.errstate(all="raise")``, as its
+arithmetic warns of no floating-point condition. Its reference is
+``format_rows`` in ``tests/oracles.py``, the standard library's ``str``.
 
 A float takes the fast path when it is finite and 1e-4 <= |x| < 1e16, the
 range in which ``repr`` writes no exponent. With ``e`` its decimal exponent,
@@ -24,8 +24,9 @@ exact: int64 digits from a table, with the magnitude in a uint64.
 
 A cell's text is built in a fixed-width field in which zero bytes are padding:
 the integer part with its sign is a window of digits ending at the decimal
-point, the fraction a window starting after it. Dropping every zero byte of
-a block's rows leaves their text.
+point, the fraction a window starting after it; a string is its ASCII bytes,
+padded with zeros to the longest. Dropping every zero byte of a block's rows
+leaves their text.
 
 ``fixed2_fields`` gives the ``"%.2f"`` text of each float64, for the points
 of an SVG chart, in fields of 4-byte words: the sign, one word per 4-digit
@@ -283,9 +284,20 @@ def int_fields(v):
     return fields
 
 
+def str_fields(s):
+    """The ASCII bytes of each str of ``s``, read from its 4-byte code points
+    (numpy's cast to bytes takes 70 times as long), as rows of bytes, zero
+    bytes being padding; a cell that is not ASCII, or holds a NUL, raises."""
+    codes = np.ascontiguousarray(s, s.dtype.newbyteorder("<")).view("<u4")
+    codes = codes.reshape(len(s), s.dtype.itemsize // 4)
+    if (codes > 127).any() or ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any():
+        raise ValueError("a str cell is not ASCII, or holds a NUL")
+    return codes.astype(np.uint8)
+
+
 def format_rows(columns, start: int, stop: int):
     """Yield the CSV text of rows ``[start, stop)`` of ``columns``, float64,
-    int64 or int8 numpy arrays, as ASCII bytes, one block at a time."""
+    int64, int8 or str numpy arrays, as ASCII bytes, one block at a time."""
     step = max(1, BLOCK_CELLS // max(1, len(columns)))
     floats = [j for j, c in enumerate(columns) if c.dtype == np.float64]
     for lo in range(start, stop, step):
@@ -298,7 +310,9 @@ def format_rows(columns, start: int, stop: int):
             for i, j in enumerate(floats):
                 fields[j] = cells[:, i]
         for j, c in enumerate(columns):
-            if fields[j] is None:
+            if c.dtype.kind == "U":
+                fields[j] = str_fields(c[lo:hi])
+            elif fields[j] is None:
                 fields[j] = int_fields(c[lo:hi].astype(np.int64))
         comma = np.full((hi - lo, 1), ord(","), np.uint8)
         text = np.concatenate([part for f in fields for part in (f, comma)], axis=1)

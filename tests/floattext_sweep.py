@@ -1,4 +1,4 @@
-"""Compare ``floattext.format_rows`` with ``csvrows.format_rows``, and
+"""Compare ``floattext.format_rows`` with ``oracles.format_rows``, and
 ``floattext.fixed2_fields`` with ``"%.2f"``, on many values.
 
     PYTHONPATH=src python tests/floattext_sweep.py [VALUES] [SEED]
@@ -25,7 +25,9 @@ import sys
 
 import numpy as np
 
-from kellybt import csvrows, floattext
+from kellybt import floattext
+
+import oracles
 
 CHUNK = 1_000_000
 COLUMNS = 4
@@ -104,7 +106,7 @@ def first_difference(x, ints, got: bytes, want: bytes) -> str:
                 if gc != wc:
                     v = cols[j][row]
                     return f"row {row} column {j}: {v!r} ({v.tobytes().hex()}): " \
-                           f"floattext {gc!r}, csvrows {wc!r}"
+                           f"floattext {gc!r}, oracles {wc!r}"
     return "texts differ in length"
 
 
@@ -140,9 +142,9 @@ def main(values: int = 10_000_000, seed: int = 0) -> int:
         x = chunk(rng, size)
         ints = rng.integers(0, 2**64, size // COLUMNS, dtype=np.uint64).view(np.int64)
         columns = [x[j::COLUMNS] for j in range(COLUMNS)] + [ints]
-        with np.errstate(all="raise"):  # as write_csv's thread runs it
+        with np.errstate(all="raise"):  # as write_csv runs it
             got = b"".join(floattext.format_rows(columns, 0, size // COLUMNS))
-        want = "".join(csvrows.format_rows(columns, 0, size // COLUMNS)).encode()
+        want = "".join(oracles.format_rows(columns, 0, size // COLUMNS)).encode()
         if got != want:
             print(f"mismatch after {done} values: {first_difference(x, ints, got, want)}")
             return 1

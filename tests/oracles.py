@@ -12,7 +12,9 @@ the scenario estimator and the precision/recall sweep, unchanged but
 renamed ``o_*``, so the library code can be checked against them for exact
 equality. The last section keeps the earlier hand-written CSV writers the
 same way (the inline ones from the CLI wrapped in functions), so every
-writer can be checked against them byte for byte. ``o_ema_array`` and
+writer can be checked against them byte for byte; ``format_rows``, the
+standard library's ``str`` per cell, is the reference for the numpy row
+formatter and for every table ``write_csv`` formats. ``o_ema_array`` and
 ``o_svg_line_chart`` keep the per-element EMA loop and the per-point SVG
 writer the same way, ``o_simulate_gaussian_blocks`` the Gaussian
 simulator's per-draw walk over a stream drawn in blocks, ``o_cci_array``
@@ -744,6 +746,27 @@ def o_precision_recall_points(predictions: list[DirectionPrediction],
 
 
 # --- hand-written CSV writers ----------------------------------------------------
+
+# Rows formatted per yielded string: bounds the text held in memory.
+BLOCK_ROWS = 1024
+
+
+def format_rows(columns, start: int, stop: int):
+    """Yield the CSV text of rows ``[start, stop)`` of ``columns``, one block
+    at a time: one ``str`` per cell, ``NA`` for None, ``,`` between cells and
+    ``\\n`` after every row. A column is a list or a tuple, which may hold
+    None, or an array whose slices have ``tolist`` (numpy, ``array.array``),
+    which holds none. The standard-library reference that
+    ``floattext.format_rows`` and ``artifacts.write_csv`` are tested against."""
+    for lo in range(start, stop, BLOCK_ROWS):
+        cells = []
+        for col in columns:
+            block = col[lo:min(lo + BLOCK_ROWS, stop)]
+            if isinstance(block, (list, tuple)):
+                cells.append(["NA" if v is None else str(v) for v in block])
+            else:
+                cells.append(map(str, block.tolist()))
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def o_to_csv(self: CandleSeries, dest) -> None:

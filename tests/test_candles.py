@@ -73,11 +73,10 @@ def test_parse_rejects_negative_volume_and_price():
         parse_candles_text(HEADER + "3600,-100,101,99,100,1\n")
 
 
-def test_round_trip_exact():
+def test_round_trip_exact(tmp_path):
     series = generate_synthetic_series(seed=9, n=250, drift=0.0003, volatility=0.02)
-    buf = io.StringIO()
-    series.to_csv(buf)
-    again = parse_candles(io.StringIO(buf.getvalue()), symbol=series.symbol)
+    series.to_csv(tmp_path / "candles.csv")
+    again = parse_candles(tmp_path / "candles.csv", symbol=series.symbol)
     for field in ("timestamps", "open", "high", "low", "close", "volume"):
         assert np.array_equal(getattr(series, field), getattr(again, field))
 

@@ -311,6 +311,38 @@ def test_compare_rejects_reversed_or_repeated_seeds(tmp_path, capsys, seeds, mes
     assert not (out / "comparison.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--sims", ","], "no simulator given"),
+    (["--sims", " , "], "no simulator given"),
+    (["--sims", "balanced,balanced"], "simulator 'balanced' appears more than once"),
+    (["--sims", "Gaussian,balanced,gaussian"], "simulator 'gaussian' appears more than once"),
+    (["--policy", "kelly,none,KELLY"], "sizing policy 'KELLY' appears more than once"),
+], ids=["empty", "blank", "repeated", "case-folded", "policy"])
+def test_compare_rejects_an_empty_or_repeated_name_list(tmp_path, capsys, argv, message):
+    # "--sims ," wrote a header-only comparison.csv and exited 0, and
+    # "--sims balanced,balanced" wrote every row twice.
+    out = tmp_path / "cmp"
+    assert _run("compare", "--seeds", "0", "--n", "300", *argv, "--out", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and message in err["message"]
+    assert not (out / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("policy, message", [
+    ("kelly,kelly", "sizing policy 'kelly' appears more than once in 'kelly,kelly'"),
+    ("none,Gaussian,gaussian ", "sizing policy 'gaussian' appears more than once"),
+    (" , ", "no sizing policy given"),
+], ids=["repeated", "case-folded", "empty"])
+def test_simulate_rejects_a_repeated_or_empty_policy_list(tmp_path, capsys, policy, message):
+    # "--policy kelly,kelly" wrote equity_kelly.csv twice, two identical
+    # comparison.csv rows and two curves labelled kelly.
+    out = tmp_path / "sim"
+    assert _run("simulate", "--n", "300", "--policy", policy, "--out", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and message in err["message"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, horizon", [("features", "0"), ("features", "-2"),
                                               ("simulate", "0")])
 def test_horizon_below_one_is_a_config_error(tmp_path, capsys, command, horizon):

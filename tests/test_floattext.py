@@ -1,7 +1,8 @@
 """``floattext.format_rows``, the numpy row formatter, writes the bytes of
-``csvrows.format_rows``, its reference: on a small derandomized sample of the
+``oracles.format_rows``, its reference: on a small derandomized sample of the
 value families that ``floattext_sweep.py`` runs by the million, at the edges
-of the kernel's fast path, and across its block boundaries. ``fixed2_fields``
+of the kernel's fast path, and across its block boundaries, str columns
+among them. ``fixed2_fields``
 writes the text of ``"%.2f"``, its reference, on half-cent ties, their
 neighbours and the edges of its own fast path. ``float_fields`` holds few
 bytes a cell while it builds a block."""
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from kellybt import csvrows, floattext
+from kellybt import floattext
 
 import floattext_sweep
+import oracles
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=5,
                  phases=[Phase.explicit, Phase.generate])
@@ -22,9 +24,9 @@ EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=5,
 
 def _texts(columns):
     n = len(columns[0])
-    with np.errstate(all="raise"):  # as artifacts.write_csv's thread runs it
+    with np.errstate(all="raise"):  # as artifacts.write_csv runs it
         got = b"".join(floattext.format_rows(columns, 0, n))
-    return got, "".join(csvrows.format_rows(columns, 0, n)).encode()
+    return got, "".join(oracles.format_rows(columns, 0, n)).encode()
 
 
 @pytest.mark.parametrize("family", floattext_sweep.FAMILIES, ids=lambda f: f.__name__)
@@ -59,14 +61,23 @@ def test_blocks_of_mixed_columns_match_the_reference(monkeypatch, block_cells):
     columns = [rng.integers(-2**63, 2**63 - 1, n, endpoint=True),
                rng.standard_normal(n),
                rng.choice(np.array([-128, -1, 0, 1, 127], np.int8), n),
-               floattext_sweep.random_bits(rng, n)]
+               floattext_sweep.random_bits(rng, n),
+               rng.choice(np.array(["", "A", "LONG", "AMBIGUOUS", "x y;z", "~!\"'"]), n)]
     columns[0][:2] = [-2**63, 2**63 - 1]
     got, want = _texts(columns)
     assert got == want
     for start, stop in [(0, 0), (3, 50), (99, 100)]:
         with np.errstate(all="raise"):
             got = b"".join(floattext.format_rows(columns, start, stop))
-        assert got == "".join(csvrows.format_rows(columns, start, stop)).encode()
+        assert got == "".join(oracles.format_rows(columns, start, stop)).encode()
+
+
+@pytest.mark.parametrize("cell, error", [("é", "not ASCII"), ("\U0001F600", "not ASCII"),
+                                         ("a\0b", "holds a NUL"), ("\0b", "holds a NUL")])
+def test_a_str_cell_that_is_not_plain_ascii_raises(cell, error):
+    # Its bytes would not be its text: not ASCII, or a NUL read as padding.
+    with pytest.raises(ValueError, match=error):
+        b"".join(floattext.format_rows([np.array(["ok", cell])], 0, 2))
 
 
 def test_float_fields_peak_memory_per_cell_is_bounded():

@@ -54,6 +54,16 @@ def periods_for(draw, kind):
     return (draw(st.integers(1, 40)),)
 
 
+def _csv_text(series: CandleSeries) -> str:
+    """The text ``series.to_csv`` writes, through a temporary file: hypothesis
+    rejects the function-scoped ``tmp_path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "candles.csv")
+        series.to_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+
+
 def _corrupt(text: str, row: int, field: int, value: str) -> str:
     lines = text.splitlines()
     cells = lines[row + 1].split(",")
@@ -70,10 +80,8 @@ def _names_line(exc: DataError, lineno: int) -> bool:
 @given(data=st.data(), seed=seeds, n=st.integers(1, 30), bad=bad_fields)
 def test_parse_candles_rejects_corrupt_field_by_line_or_stays_finite(data, seed, n, bad):
     series = generate_synthetic_series(seed=seed, n=n, volatility=0.02)
-    buf = io.StringIO()
-    series.to_csv(buf)
     row = data.draw(st.integers(0, n - 1))
-    text = _corrupt(buf.getvalue(), row, data.draw(st.integers(0, 5)), bad)
+    text = _corrupt(_csv_text(series), row, data.draw(st.integers(0, 5)), bad)
     try:
         got = parse_candles_text(text)
     except DataError as exc:
@@ -182,9 +190,7 @@ def test_to_csv_round_trips_through_parse_candles(seed, n, volatility, start_pri
     cols[-1] = np.where(rng.random(cols[-1].size) < 0.2, rng.choice(TINY, cols[-1].size),
                         cols[-1])
     series = CandleSeries(*cols, symbol="RT")
-    buf = io.StringIO()
-    series.to_csv(buf)
-    got = parse_candles(io.StringIO(buf.getvalue()), symbol="RT")
+    got = parse_candles(io.StringIO(_csv_text(series)), symbol="RT")
     for name in ("timestamps", "open", "high", "low", "close", "volume"):
         want, col = getattr(series, name), getattr(got, name)
         assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), name

@@ -1,13 +1,12 @@
 """The one CSV writer, ``artifacts.write_csv``, and every artifact writer built
 on it: each writes the same bytes as the hand-written writer it replaced
-(kept in oracles.py), including across the writer's block boundaries, and
-the same bytes when a table is split into row ranges formatted by numpy on a
-bounded pool of threads. The SVG chart
-writes the same bytes as the per-point writer it replaced, whatever the order
-of its curves."""
+(kept in oracles.py), and a table of numpy columns the bytes of the
+standard-library reference ``oracles.format_rows``, whether it is formatted in
+one piece or split into row ranges on a bounded pool of threads. The SVG
+chart writes the same bytes as the per-point writer it replaced, whatever the
+order of its curves."""
 import contextlib
 import dataclasses
-import io
 import itertools
 import json
 import os
@@ -24,11 +23,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from kellybt import artifacts, cli, csvrows, floattext
+from kellybt import artifacts, cli, floattext
 from kellybt.artifacts import write_csv
 from kellybt.backtest import EquityCurve, Trades, write_equity_csv, write_trades_csv
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
-from kellybt.csvrows import BLOCK_ROWS
 from kellybt.features import (FeatureMatrix, LabelSet, build_feature_matrix, default_grid,
                               make_labels, write_labels_csv, write_matrix_csv)
 from kellybt.labeling import BarrierLabels, write_barrier_labels_csv
@@ -45,8 +43,8 @@ EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=4,
 
 seeds = st.integers(0, 2**32 - 1)
 
-# Empty, one row, and each side of the first and second block boundary.
-ROW_COUNTS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+# Empty, one row, and each side of 1,024 rows, and past 2,048.
+ROW_COUNTS = [0, 1, 1023, 1024, 1025, 2049]
 
 SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 1e300,
            -1e300, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
@@ -174,6 +172,13 @@ CASES = {
 }
 
 
+def _want(header, columns) -> bytes:
+    """The bytes ``write_csv`` must write: the header, then the rows of the
+    reference formatter."""
+    n = len(columns[0]) if columns else 0
+    return (",".join(header) + "\n" + "".join(oracles.format_rows(columns, 0, n))).encode()
+
+
 def _written(write, *args) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")
@@ -237,10 +242,6 @@ def _check_to_csv(n, seed, rate):
     volume = np.where(volume < 0, -volume, volume)
     ts = (int(rng.integers(-10**6, 10**6)) + np.arange(n)) * HOUR
     series = CandleSeries(ts, price, price, price, price, volume)
-    got, want = io.StringIO(), io.StringIO()
-    series.to_csv(got)
-    oracles.o_to_csv(series, want)
-    assert got.getvalue() == want.getvalue()
     assert _written(series.to_csv) == _written(oracles.o_to_csv, series)
 
 
@@ -282,12 +283,10 @@ def test_report_csvs_equal_hand_written_writers(tmp_path):
         assert (out / name).read_bytes() == _written(o_write), name
 
 
-def test_write_csv_formats_cells():
-    buf = io.StringIO()
-    write_csv(buf, ("ts", "note", "x"),
+def test_write_csv_formats_cells(tmp_path):
+    write_csv(tmp_path / "out.csv", ("ts", "note", "x"),
               [np.array([1, -2], np.int64), [None, "up"], np.array([0.1, -0.0])])
-    assert buf.getvalue() == "ts,note,x\n1,NA,0.1\n-2,up,-0.0\n"
-    assert not buf.closed  # only a file it opened itself is closed
+    assert (tmp_path / "out.csv").read_text() == "ts,note,x\n1,NA,0.1\n-2,up,-0.0\n"
 
 
 def test_write_csv_without_columns_writes_the_header(tmp_path):
@@ -296,14 +295,18 @@ def test_write_csv_without_columns_writes_the_header(tmp_path):
 
 
 @pytest.mark.parametrize("columns", [[[1, 2], [3]], [[1, 2]], [[1], [2], [3]]])
-def test_write_csv_rejects_columns_that_do_not_fit_the_header(columns):
+def test_write_csv_rejects_columns_that_do_not_fit_the_header(tmp_path, columns):
     with pytest.raises(ValueError, match="columns of one length"):
-        write_csv(io.StringIO(), ("a", "b"), columns)
+        write_csv(tmp_path / "out.csv", ("a", "b"), columns)
 
 
 def _column(rng, kind, n, rate):
     if kind == "float64":
         return _floats(rng, n, rate)
+    if kind == "str":  # printable ASCII, 0 to 11 characters
+        chars = rng.integers(32, 127, (n, 11), dtype=np.uint8)
+        return np.array([row[:k].tobytes().decode()
+                         for row, k in zip(chars, rng.integers(0, 12, n).tolist())], str)
     info = np.iinfo(kind)
     col = rng.integers(info.min, info.max, n, dtype=kind, endpoint=True)
     mask = rng.random(n) < rate
@@ -311,25 +314,27 @@ def _column(rng, kind, n, rate):
     return col
 
 
-# (rows, ranges): range bounds on block boundaries (1024, 2048), inside blocks
-# (1500; 625, 1250, 1875), and ranges shorter than a block.
+# The column dtypes ``floattext.format_rows`` formats.
+KINDS = ["float64", "int64", "int8", "str"]
+
+
+# (rows, ranges): ranges of one length (1024, 2048), of two lengths (1500;
+# 625, 1250, 1875), and of two or three rows.
 @pytest.mark.parametrize("n, k", [(2048, 2), (3072, 3), (3000, 2), (2500, 4), (7, 3)])
 @settings(derandomize=True, database=None, deadline=None, max_examples=3,
           phases=[Phase.explicit, Phase.generate])
 @given(seed=seeds, rate=st.sampled_from([0.0, 0.05, 1.0]),
-       kinds=st.lists(st.sampled_from(["float64", "int64", "int8"]), min_size=1, max_size=4))
+       kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
 def test_row_ranges_write_the_bytes_of_one_range(n, k, seed, rate, kinds):
     rng = np.random.default_rng(seed)
     columns = [_column(rng, kind, n, rate) for kind in kinds]
     header = tuple(f"c{j}" for j in range(len(columns)))
+    want = _want(header, columns)
     with _ranges(1):
-        want = _written(lambda path: write_csv(path, header, columns))
+        assert _written(lambda path: write_csv(path, header, columns)) == want
     with _ranges(k):
         assert artifacts._row_ranges(columns, n) == [n * i // k for i in range(k + 1)]
         assert _written(lambda path: write_csv(path, header, columns)) == want
-        buf = io.StringIO()
-        write_csv(buf, header, columns)
-        assert buf.getvalue().encode() == want
 
 
 @pytest.fixture
@@ -372,17 +377,20 @@ def _warns(columns, start, stop):  # divides by zero, which the range's errstate
 
 @pytest.mark.parametrize("kernel", [_raises, _writes_then_raises, _warns],
                          ids=["raises", "partial", "warns"])
-@pytest.mark.parametrize("to_path", [True, False])
+@pytest.mark.parametrize("k, in_scope", [(1, False), (3, False), (3, True)],
+                         ids=["one-range", "no-scope", "scope"])
 def test_failing_range_raises_and_leaves_nothing_running_or_open(tmp_path, monkeypatch,
-                                                                 files, kernel, to_path):
+                                                                 files, kernel, k, in_scope):
+    # The first failing range in row order is reported, whichever thread ran it.
     monkeypatch.setattr(floattext, "format_rows", kernel)
     header, columns = _table()
-    with _ranges(3), pytest.raises(OSError, match=r"CSV worker for rows 0-1000 failed: "
+    with _ranges(k), pytest.raises(OSError, match=rf"CSV worker for rows 0-{3000 // k} failed: "
                                                   r"(RuntimeError: kernel failed|"
                                                   r"FloatingPointError: divide by zero)"):
-        write_csv(tmp_path / "out.csv" if to_path else io.StringIO(), header, columns)
+        with artifacts.deferred_tables() if in_scope else contextlib.nullcontext():
+            write_csv(tmp_path / "out.csv", header, columns)
     assert _pool_threads() == []
-    assert len(files) == 3 and all(fh.closed for fh in files)
+    assert len(files) == (k if k > 1 else 0) and all(fh.closed for fh in files)
 
 
 def test_writer_error_stops_and_waits_for_running_ranges(tmp_path, monkeypatch, files):
@@ -428,18 +436,17 @@ def test_thread_ranges_write_the_bytes_of_format_rows_at_the_edges(tmp_path, fil
     x = np.concatenate([x, -x])
     ints = np.resize(np.array([-2**63, 2**63 - 1, 0, -1], np.int64), len(x))
     header, columns = ("ts", "x"), [ints, x]
-    want = "".join(csvrows.format_rows(columns, 0, len(x))).encode()
     with _ranges(2):
         write_csv(tmp_path / "out.csv", header, columns)
-    assert (tmp_path / "out.csv").read_bytes() == b"ts,x\n" + want
+    assert (tmp_path / "out.csv").read_bytes() == _want(header, columns)
     assert _pool_threads() == []
     assert len(files) == 2 and all(fh.closed for fh in files)
 
 
 def test_a_thread_range_writes_no_bytecode_when_its_process_writes_none(tmp_path):
-    # floattext and concurrent.futures are imported only when a table is
-    # split; floattext must then cache no bytecode in the package when the
-    # process is asked not to.
+    # floattext is imported only when a numpy table is written, and
+    # concurrent.futures only when one is split; neither may then cache
+    # bytecode in the package when the process is asked not to.
     package = tmp_path / "kellybt"
     shutil.copytree(os.path.dirname(artifacts.__file__), package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -460,15 +467,15 @@ def test_every_split_range_is_formatted_by_floattext_in_this_process(tmp_path, m
     release.set()
     with _ranges(2):
         write_csv(tmp_path / "out.csv", header, columns)
-    want = "ts,x\n" + "".join(csvrows.format_rows(columns, 0, 3001))
-    assert (tmp_path / "out.csv").read_text() == want
+    assert (tmp_path / "out.csv").read_bytes() == _want(header, columns)
     assert sorted(len(ts) for ts, _ in given_rows) == [1500, 1501]
 
 
 def test_the_cli_starts_without_subprocess_or_a_thread_pool():
-    # Each would add to every command's start; only a split table needs a pool.
-    script = ("import sys, kellybt.cli; "
-              "print(sorted({'subprocess', 'concurrent.futures'} & set(sys.modules)))")
+    # Each would add to every command's start; only a split table needs a
+    # pool, and only a numpy table the numpy formatter.
+    script = ("import sys, kellybt.cli; print(sorted({'subprocess', 'concurrent.futures', "
+              "'kellybt.floattext'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(artifacts.__file__))}
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -517,8 +524,7 @@ def test_a_column_changed_after_write_csv_in_a_scope_leaves_the_table_as_written
     y = y_base.view()
     y.setflags(write=False)  # read-only, but a view of a writable array
     header, columns = (ts_name, x_name, "y"), [ts, x, y]
-    with _ranges(1):
-        want = _written(lambda out: write_csv(out, header, columns))
+    want = _want(header, columns)
     release, given_rows = _held_format_rows(monkeypatch)
     with _ranges(2), artifacts.deferred_tables():
         write_csv(tmp_path / "out.csv", header, columns)
@@ -573,9 +579,9 @@ def test_a_scope_left_by_an_exception_stops_its_thread_ranges(tmp_path, monkeypa
 
 
 def test_no_more_than_usable_cpus_ranges_format_at_once(tmp_path, monkeypatch):
-    # Two tables bound for paths keep both pool threads of three CPUs busy;
-    # a table written to a stream joins at once, its ranges still queued, so
-    # the joining thread formats them while the pool threads run.
+    # Three tables of three ranges each keep both pool threads of three CPUs
+    # busy; the first join finds its last range still queued, so the joining
+    # thread formats it while the pool threads run.
     lock, active, peak = threading.Lock(), [0], [0]
     format_rows = floattext.format_rows
 
@@ -592,16 +598,12 @@ def test_no_more_than_usable_cpus_ranges_format_at_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(floattext, "format_rows", counted)
     header, columns = _table()
-    with _ranges(1):
-        want = _written(lambda out: write_csv(out, header, columns))
-    buf = io.StringIO()
     with _ranges(3), artifacts.deferred_tables():
-        write_csv(tmp_path / "a.csv", header, columns)
-        write_csv(tmp_path / "b.csv", header, columns)
-        write_csv(buf, header, columns)
+        for name in ("a", "b", "c"):
+            write_csv(tmp_path / f"{name}.csv", header, columns)
     assert peak[0] == 3
-    assert buf.getvalue().encode() == want
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == want
+    for name in ("a", "b", "c"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == _want(header, columns)
 
 
 def test_the_joining_thread_formats_a_queued_range_while_a_pool_thread_is_blocked(tmp_path,
@@ -621,14 +623,12 @@ def test_the_joining_thread_formats_a_queued_range_while_a_pool_thread_is_blocke
 
     monkeypatch.setattr(floattext, "format_rows", kernel)
     header, columns = _table()
-    with _ranges(1):
-        want = _written(lambda out: write_csv(out, header, columns))
     began = time.monotonic()
     with _ranges(2):
         write_csv(tmp_path / "out.csv", header, columns)
     assert time.monotonic() - began < 5
     assert formatted_here.is_set()
-    assert (tmp_path / "out.csv").read_bytes() == want
+    assert (tmp_path / "out.csv").read_bytes() == _want(header, columns)
 
 
 def test_many_ranges_on_more_threads_than_cores_write_the_bytes_of_one_range(tmp_path):
@@ -636,26 +636,19 @@ def test_many_ranges_on_more_threads_than_cores_write_the_bytes_of_one_range(tmp
     # claims queued ranges as pool threads take them, and each table must
     # still hold every range once, in order.
     rng = np.random.default_rng(8)
-    tables = [[_column(rng, kind, n, 0.05) for kind in ("int64", "float64", "int8")]
+    tables = [[_column(rng, kind, n, 0.05) for kind in ("int64", "float64", "int8", "str")]
               for n in (40, 333, 1000, 2500)]
-    header = ("a", "b", "c")
-    wants = []
-    with _ranges(1):
-        for columns in tables:
-            wants.append(_written(lambda out: write_csv(out, header, columns)))
+    header = ("a", "b", "c", "d")
+    wants = [_want(header, columns) for columns in tables]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            streams = []
             with _ranges(8), artifacts.deferred_tables():
                 for j, columns in enumerate(tables):
                     write_csv(tmp_path / f"t{j}.csv", header, columns)
-                    streams.append(io.StringIO())
-                    write_csv(streams[-1], header, columns)
             for j, want in enumerate(wants):
                 assert (tmp_path / f"t{j}.csv").read_bytes() == want
-                assert streams[j].getvalue().encode() == want
     finally:
         sys.setswitchinterval(interval)
     assert _pool_threads() == []
@@ -678,8 +671,7 @@ def test_no_kellybt_thread_is_alive_after_cli_main_returns(tmp_path, monkeypatch
           phases=[Phase.explicit, Phase.generate])
 @given(seed=seeds, k=st.integers(1, 4), rate=st.sampled_from([0.0, 0.05, 1.0]),
        tables=st.lists(st.tuples(st.integers(0, 3000),
-                                 st.lists(st.sampled_from(["float64", "int64", "int8"]),
-                                          min_size=1, max_size=4)),
+                                 st.lists(st.sampled_from(KINDS), min_size=1, max_size=4)),
                        min_size=1, max_size=3))
 @example(seed=0, k=3, rate=0.05, tables=[(3000, ["int64", "float64"]), (7, ["int8"])])
 def test_deferred_tables_write_the_bytes_of_immediate_ones(seed, k, rate, tables):
@@ -691,57 +683,43 @@ def test_deferred_tables_write_the_bytes_of_immediate_ones(seed, k, rate, tables
             for path, columns in zip(paths, tables):
                 write_csv(path, tuple(f"c{j}" for j in range(len(columns))), columns)
         for path, columns in zip(paths, tables):
-            header = tuple(f"c{j}" for j in range(len(columns)))
-            with _ranges(1):
-                want = _written(lambda out: write_csv(out, header, columns))
             with open(path, "rb") as fh:
-                assert fh.read() == want
+                assert fh.read() == _want(tuple(f"c{j}" for j in range(len(columns))), columns)
 
 
 def test_a_path_written_twice_in_a_scope_holds_the_second_table(tmp_path, files):
     header, long_table = _table(3000)
     _, short_table = _table(2000)
-    with _ranges(1):
-        want = _written(lambda out: write_csv(out, header, short_table))
     with _ranges(2), artifacts.deferred_tables():
         write_csv(tmp_path / "out.csv", header, long_table)
         write_csv(tmp_path / "out.csv", header, short_table)
-    assert (tmp_path / "out.csv").read_bytes() == want
+    assert (tmp_path / "out.csv").read_bytes() == _want(header, short_table)
     assert _pool_threads() == []
     assert len(files) == 4 and all(fh.closed for fh in files)
 
 
-@pytest.mark.parametrize("in_scope", [False, True], ids=["no-scope", "stream-in-scope"])
-def test_write_csv_returns_a_complete_table_outside_a_scope_or_to_a_stream(tmp_path, files,
-                                                                          in_scope):
+@pytest.mark.parametrize("k, in_scope", [(3, False), (1, True)],
+                         ids=["no-scope", "one-range-in-scope"])
+def test_write_csv_returns_a_complete_table_outside_a_scope_or_of_one_range(tmp_path, files,
+                                                                           k, in_scope):
     header, columns = _table()
-    with _ranges(1):
-        want = _written(lambda out: write_csv(out, header, columns))
-    with _ranges(3), (artifacts.deferred_tables() if in_scope else contextlib.nullcontext()):
-        buf = io.StringIO()
-        write_csv(buf, header, columns)
-        assert buf.getvalue().encode() == want
-        if not in_scope:
-            write_csv(tmp_path / "out.csv", header, columns)
-            assert (tmp_path / "out.csv").read_bytes() == want
-        assert len(files) == (3 if in_scope else 6)
+    with _ranges(k), (artifacts.deferred_tables() if in_scope else contextlib.nullcontext()):
+        write_csv(tmp_path / "out.csv", header, columns)
+        assert (tmp_path / "out.csv").read_bytes() == _want(header, columns)
+        assert len(files) == (0 if in_scope else 3)
         assert all(fh.closed for fh in files)
-        # The scope's pool lives until the scope exits; a call's own, until it returns.
-        assert len(_pool_threads()) == (2 if in_scope else 0)
-    assert _pool_threads() == []
+        # A call's own pool lives until it returns; one range starts none.
+        assert _pool_threads() == []
 
 
 def test_a_scope_defers_only_the_writes_of_its_own_thread(tmp_path):
     header, columns = _table()
-    with _ranges(2):
-        want = _written(lambda out: write_csv(out, header, columns))
-        with artifacts.deferred_tables():
-            thread = threading.Thread(target=write_csv,
-                                      args=(tmp_path / "out.csv", header, columns))
-            thread.start()
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-            assert (tmp_path / "out.csv").read_bytes() == want
+    with _ranges(2), artifacts.deferred_tables():
+        thread = threading.Thread(target=write_csv, args=(tmp_path / "out.csv", header, columns))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert (tmp_path / "out.csv").read_bytes() == _want(header, columns)
 
 
 @pytest.mark.parametrize("error, code", [
@@ -785,26 +763,26 @@ def test_command_failing_after_a_deferred_write_stops_its_workers(tmp_path, monk
 @pytest.mark.parametrize("column", [
     ["up"] * 3000,                                  # strings
     [1.0] * 2999 + [None],                          # a list with None
-    np.array(["up"] * 3000),                        # a numpy string array
-    np.ones(3000, np.float32),                      # a dtype no worker reads
-], ids=["str-list", "none-list", "str-array", "float32"])
-def test_table_with_another_column_type_keeps_one_range(files, column):
+    np.ones(3000, np.float32),                      # a dtype floattext does not format
+], ids=["str-list", "none-list", "float32"])
+def test_table_with_another_column_type_keeps_one_range(tmp_path, monkeypatch, files, column):
+    # Formatted with the standard library in one piece: floattext is not called.
+    monkeypatch.setattr(floattext, "format_rows", _raises)
     header, columns = _table()
-    buf = io.StringIO()
+    header, columns = header + ("note",), columns + [column]
     with _ranges(4):
-        assert artifacts._row_ranges(columns + [column], 3000) == [0, 3000]
-        write_csv(buf, header + ("note",), columns + [column])
+        write_csv(tmp_path / "out.csv", header, columns)
     assert files == []
-    assert buf.getvalue().count("\n") == 3001
+    assert (tmp_path / "out.csv").read_bytes() == _want(header, columns)
 
 
-def test_one_usable_cpu_or_a_small_table_starts_no_worker(files):
+def test_one_usable_cpu_or_a_small_table_starts_no_worker(tmp_path, files):
     n = artifacts.CSV_CELLS_PER_RANGE  # two columns: the cells of two ranges
     header, columns = _table(n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "_usable_cpus", lambda: 1)
         assert artifacts._row_ranges(columns, n) == [0, n]
-        write_csv(io.StringIO(), header, columns)
+        write_csv(tmp_path / "out.csv", header, columns)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "_usable_cpus", lambda: 8)
         assert artifacts._row_ranges(columns, n) == [0, n // 2, n]
@@ -812,22 +790,21 @@ def test_one_usable_cpu_or_a_small_table_starts_no_worker(files):
     assert files == []
 
 
-# The shapes of simulate's predictions.csv and equity_*.csv and of features'
-# labels.csv on a 50,000-bar series.
+# The shapes of simulate's predictions.csv and equity_*.csv, of features'
+# labels.csv and of label's barrier_labels.csv on a 50,000-bar series.
 @pytest.mark.parametrize("n, kinds", [
     (49_745, ["int64", "float64", "float64", "float64"]),
     (49_746, ["int64", "float64"]),
     (49_995, ["int64", "int8", "float64", "float64"]),
-], ids=["predictions", "equity", "labels"])
+    (49_995, ["int64", "int64", "str", "int64"]),
+], ids=["predictions", "equity", "labels", "barrier-labels"])
 def test_full_size_tables_take_two_ranges_on_two_cpus(monkeypatch, n, kinds):
     rng = np.random.default_rng(n)
     columns = [_column(rng, kind, n, 0.05) for kind in kinds]
     header = tuple(f"c{j}" for j in range(len(columns)))
-    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 1)
-    want = _written(lambda path: write_csv(path, header, columns))
     monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 2)
     assert artifacts._row_ranges(columns, n) == [0, n // 2, n]
-    assert _written(lambda path: write_csv(path, header, columns)) == want
+    assert _written(lambda path: write_csv(path, header, columns)) == _want(header, columns)
 
 
 # --- the SVG chart ----------------------------------------------------------------
