@@ -24,11 +24,12 @@ formats it while the command goes on computing. The pool belongs to the
 scope, or to the one ``write_csv`` call when none is open: no thread outlives
 a command.
 
-Every CSV kellybt loads goes through ``read_csv``: the ``csv`` module reads
-the header, whitespace-only lines are skipped and numpy's C reader
-(``np.loadtxt``) reads the data rows, the timestamp with its integer parser,
-so a timestamp is an integer literal read exactly. A bad row is a
-``DataError`` naming its file line.
+Every CSV kellybt loads goes through ``read_csv``, which takes a path: a
+UTF-8 file whose lines end in ``\n``, ``\r\n`` or a lone ``\r``. The
+``csv`` module reads the header, whitespace-only lines are skipped and
+numpy's C reader (``np.loadtxt``) reads the data rows, the timestamp with its
+integer parser, so a timestamp is an integer literal read exactly. A bad row
+is a ``DataError`` naming its file line.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import re
 import shutil
 import tempfile
 import threading
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 
 import numpy as np
@@ -274,12 +275,12 @@ def _read_only(a) -> bool:
     return a is None
 
 
-def read_csv(source, select):
-    """Read a header row and numeric data rows into columns.
+def read_csv(path, select):
+    """Read the header row and numeric data rows of the file at ``path``.
 
-    ``source`` is an open text stream, or a path: that file is read as UTF-8
-    whatever the locale, a byte that is not UTF-8 reaching the parser as a
-    surrogate escape, which fails its row.
+    The file is read as UTF-8 whatever the locale, a byte that is not UTF-8
+    reaching the parser as a surrogate escape, which fails its row; ``\n``,
+    ``\r\n`` and a lone ``\r`` each end a line.
     ``select(header)`` gets the stripped header cells and returns the indices
     of the columns to read, the timestamp column first. Returns ``(ts, data,
     line_of)``: int64 timestamps, a float64 array of the other columns, one
@@ -288,9 +289,7 @@ def read_csv(source, select):
     literal in the int64 range (``3600.0``, ``1e3`` and ``0x10`` are not). A
     row the reader rejects is a DataError naming its file line.
     """
-    own = isinstance(source, (str, bytes, os.PathLike))
-    with (open(source, newline="", encoding="utf-8", errors="surrogateescape") if own
-          else nullcontext(source)) as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -335,8 +334,9 @@ def read_csv(source, select):
         except ValueError as exc:
             # numpy counts data rows from 0 in a conversion error ("at row R,
             # column C") and from 1 in a column-count error ("at row R with N columns").
-            # An embedded newline (a lone "\r" inside a line of a text stream)
-            # is named by no row: it is on the line the reader stopped on.
+            # An error that names no row (numpy's "embedded newline", which a
+            # file split at every line end should not give) is put on the line
+            # the reader stopped on.
             text = str(exc)
             found = _NUMPY_ROW.search(text)
             if found is None:
@@ -382,16 +382,15 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}".rstrip("0").rstrip(".")
 
 
-def svg_line_chart(curves, path: str, title: str = "", width: int = 900,
-                   height: int = 420) -> None:
-    """Minimal deterministic multi-line chart: one polyline per labeled curve.
+def svg_line_chart(curves, path: str, title: str = "") -> None:
+    """Minimal deterministic 900 x 420 chart: one polyline per labeled curve.
 
     ``curves`` holds ``(label, xs, ys)`` triples; xs and ys are sequences of
     numbers (lists or numpy arrays) of one length. The title and the labels
     are escaped for XML."""
     from html import escape  # here, not at the top: it adds ~3 ms to every CLI start
 
-    margin = 60
+    width, height, margin = 900, 420, 60
     curves = [(label, np.asarray(xs, np.float64), np.asarray(ys, np.float64))
               for label, xs, ys in curves]
     drawn = [(xs, ys) for _, xs, ys in curves if xs.size]

@@ -1,22 +1,24 @@
 """Hourly OHLCV candle series: parsing, validation, splitting, synthesis.
 
-Canonical file format is CSV with header ``timestamp,open,high,low,close,volume``
-and timestamps in epoch seconds (UTC, aligned to the hour), written by
-``artifacts.write_csv`` with exact float text. Gaps in exchange data are kept
-and indexed, never forward-filled.
+A candle input is a UTF-8 CSV file on disk with the canonical header
+``timestamp,open,high,low,close,volume`` (more columns are ignored) and
+hourly bars: timestamps in epoch seconds (UTC, aligned to the hour), written
+by ``artifacts.write_csv`` with exact float text. Gaps in exchange data are
+kept and indexed, never forward-filled.
 
-The candle invariants (strictly increasing, interval-aligned timestamps;
+The candle invariants (strictly increasing, hour-aligned timestamps;
 finite positive prices; finite non-negative volume; low/high enveloping
 open/close) are checked in one place, ``_first_invalid``. CandleSeries calls
-it on construction; parse_candles reads the file straight into columns with
-``artifacts.read_csv``, the reader shared with the prediction loader, and
-calls it to name the file line of the first bad row. ``DataError`` is
-re-exported from ``artifacts``. ``positions`` is the one timestamp lookup
-used to match predictions, scenarios and labels. ``horizon_return`` is the
-one horizon return, over a close array: ``CandleSeries.forward_return``
-(which labels, features, scenarios and backtest P&L read) and the ROC
-indicator both call it. ``check_horizon`` holds the one bound on a horizon,
-which the backtest and barrier configs also check when they are built.
+it on construction; parse_candles reads the file at a path straight into
+columns with ``artifacts.read_csv``, the reader shared with the prediction
+loader, and calls it to name the file line of the first bad row.
+``DataError`` is re-exported from ``artifacts``. ``positions`` is the one
+timestamp lookup used to match predictions, scenarios and labels.
+``horizon_return`` is the one horizon return, over a close array:
+``CandleSeries.forward_return`` (which labels, features, scenarios and
+backtest P&L read) and the ROC indicator both call it. ``check_horizon``
+holds the one bound on a horizon, which the backtest and barrier configs
+also check when they are built.
 
 ``Frame`` is the base of every column frame passed between layers: the
 series itself and the prediction, scenario, label, trade and equity frames.
@@ -28,7 +30,6 @@ that the columns are 1-D and of one length, and makes them read-only.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -43,11 +44,11 @@ CANONICAL_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 # Default epoch for synthetic series: 2020-01-01T00:00:00Z.
 DEFAULT_START_TS = 1_577_836_800
 
-def _first_invalid(ts, o, h, l, c, v, interval: int) -> tuple[int, str] | None:
+def _first_invalid(ts, o, h, l, c, v) -> tuple[int, str] | None:
     """Index and message of the first row that breaks a candle invariant.
 
     Row i breaks one when its timestamp does not exceed row i-1's or is off
-    the ``interval`` grid, when a price or the volume is not finite, a price
+    the hour grid, when a price or the volume is not finite, a price
     is non-positive, the volume negative, or low/high do not envelope
     open/close. Returns None when every row holds.
     """
@@ -56,7 +57,7 @@ def _first_invalid(ts, o, h, l, c, v, interval: int) -> tuple[int, str] | None:
     finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v)
     checks = (
         (repeated, "duplicate or non-monotonic timestamp {t}"),
-        (ts % interval != 0, "timestamp {t} is not aligned to the {interval}s interval"),
+        (ts % HOUR != 0, f"timestamp {{t}} is not aligned to the {HOUR}s interval"),
         (~finite, "non-finite price or volume at timestamp {t}"),
         (np.minimum(np.minimum(o, h), np.minimum(l, c)) <= 0,
          "non-positive price at timestamp {t}"),
@@ -70,8 +71,8 @@ def _first_invalid(ts, o, h, l, c, v, interval: int) -> tuple[int, str] | None:
         return None
     i = int(np.argmax(bad))
     message = next(text for mask, text in checks if mask[i])
-    return i, message.format(t=int(ts[i]), interval=interval, o=float(o[i]),
-                             h=float(h[i]), l=float(l[i]), c=float(c[i]))
+    return i, message.format(t=int(ts[i]), o=float(o[i]), h=float(h[i]), l=float(l[i]),
+                             c=float(c[i]))
 
 
 def positions(reference: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +171,6 @@ class CandleSeries(Frame):
     close: np.ndarray = column(np.float64)
     volume: np.ndarray = column(np.float64)
     symbol: str = "UNKNOWN"
-    interval: int = HOUR
     gaps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -178,13 +178,12 @@ class CandleSeries(Frame):
         if not len(self):
             raise DataError("empty candle series")
         invalid = _first_invalid(self.timestamps, self.open, self.high, self.low, self.close,
-                                 self.volume, self.interval)
+                                 self.volume)
         if invalid is not None:
             raise DataError(invalid[1])
         diffs = np.diff(self.timestamps)
         object.__setattr__(self, "gaps", tuple(
-            (int(i), int(diffs[i] // self.interval) - 1)
-            for i in np.flatnonzero(diffs != self.interval)))
+            (int(i), int(diffs[i] // HOUR) - 1) for i in np.flatnonzero(diffs != HOUR)))
 
     def slice(self, start: int, stop: int) -> "CandleSeries":
         if not 0 <= start < stop <= len(self):
@@ -192,7 +191,7 @@ class CandleSeries(Frame):
         return CandleSeries(
             self.timestamps[start:stop], self.open[start:stop], self.high[start:stop],
             self.low[start:stop], self.close[start:stop], self.volume[start:stop],
-            symbol=self.symbol, interval=self.interval,
+            symbol=self.symbol,
         )
 
     def forward_return(self, horizon: int) -> np.ndarray:
@@ -227,32 +226,23 @@ class SplitSpec:
             )
 
 
-def parse_candles(source, mapping: dict | None = None, symbol: str = "UNKNOWN") -> CandleSeries:
-    """Parse delimiter-separated OHLCV rows with a header into a CandleSeries.
+def parse_candles(path, symbol: str = "UNKNOWN") -> CandleSeries:
+    """Parse the canonical candle CSV at ``path`` into a CandleSeries.
 
-    ``source`` is a path or an open text stream. ``mapping`` renames the six
-    canonical columns to the file's header names (logical -> actual); columns
-    missing from the mapping keep their canonical names. Rows are sorted
-    stably by timestamp, then checked by the same invariants as CandleSeries;
-    an error names the file line of the offending row.
+    Rows are sorted stably by timestamp, then checked by the same invariants
+    as CandleSeries; an error names the file line of the offending row.
     """
-    mapping = dict(mapping or {})
-    for key in mapping:
-        if key not in CANONICAL_COLUMNS:
-            raise DataError(f"unknown column mapping key {key!r}")
-    names = [mapping.get(logical, logical) for logical in CANONICAL_COLUMNS]
-
     def select(header):
-        for actual in names:
-            if actual not in header:
-                raise DataError(f"missing column {actual!r} in header {header}")
-        return [header.index(actual) for actual in names]
+        for name in CANONICAL_COLUMNS:
+            if name not in header:
+                raise DataError(f"missing column {name!r} in header {header}")
+        return [header.index(name) for name in CANONICAL_COLUMNS]
 
-    ts, data, line_of = read_csv(source, select)
+    ts, data, line_of = read_csv(path, select)
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     o, h, l, c, v = (data[order, k] for k in range(5))
-    invalid = _first_invalid(ts, o, h, l, c, v, HOUR)
+    invalid = _first_invalid(ts, o, h, l, c, v)
     if invalid is not None:
         i, message = invalid
         raise DataError(f"line {line_of(int(order[i]))}: {message}")
@@ -316,8 +306,3 @@ def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,
     volume = np.exp(rng.normal(3.0, 0.5, size=n))
     timestamps = start_ts + HOUR * np.arange(n, dtype=np.int64)
     return CandleSeries(timestamps, open_, high, low, close, volume, symbol=symbol)
-
-
-def parse_candles_text(text: str, mapping: dict | None = None,
-                       symbol: str = "UNKNOWN") -> CandleSeries:
-    return parse_candles(io.StringIO(text), mapping=mapping, symbol=symbol)

@@ -27,9 +27,10 @@ DEFAULT_HORIZON = 5
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """One row of ``values`` per timestamp, one column per name. Timestamps
-    strictly increase, so ``fit_normalizer`` reads the training rows as one
-    slice. Both arrays are flagged read-only, not copied: ``write_csv`` can
+    """One row of ``values`` per timestamp, one column per name: ``values``
+    has shape ``(len(timestamps), len(column_names))``. Timestamps strictly
+    increase, so ``fit_normalizer`` reads the training rows as one slice.
+    Both arrays are flagged read-only, not copied: ``write_csv`` can
     then format them on a thread without a snapshot copy of the matrix. A
     matrix from ``build_feature_matrix`` is a leading-rows view of the one
     buffer its columns were written into, flagged read-only as a whole."""
@@ -39,6 +40,10 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        shape = (self.timestamps.size, len(self.column_names))
+        if self.values.shape != shape:
+            raise ValueError(f"feature matrix values must have shape {shape} (timestamps, "
+                             f"columns), got {self.values.shape}")
         if (self.timestamps[1:] <= self.timestamps[:-1]).any():
             raise ValueError("feature matrix timestamps must be strictly increasing")
         self.timestamps.setflags(write=False)

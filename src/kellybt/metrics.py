@@ -6,7 +6,7 @@ timestamps, partial first and last months included; months with no curve
 points carry the bankroll forward (zero return). Month keys come from one
 ``datetime64[s]`` -> ``datetime64[M]`` cast of the timestamp column, so
 timestamps must be non-decreasing. Standard deviations use the sample (n-1)
-convention throughout. The risk-free rate defaults to 0. ``build_report``
+convention throughout. Sharpe takes a zero risk-free rate. ``build_report``
 computes the monthly returns and the drawdown once and shares them between
 Sharpe and RoMaD.
 """
@@ -78,7 +78,7 @@ def monthly_returns(curve: EquityCurve) -> np.ndarray:
     return value / prev - 1.0
 
 
-def _sharpe(rets: np.ndarray, rf_monthly: float) -> float | None:
+def _sharpe(rets: np.ndarray) -> float | None:
     if rets.size < 2:
         raise ValueError(
             f"Sharpe needs a curve spanning at least 2 calendar months, got {rets.size}"
@@ -86,7 +86,7 @@ def _sharpe(rets: np.ndarray, rf_monthly: float) -> float | None:
     std = float(rets.std(ddof=1))
     if std == 0:
         return None
-    return (float(rets.mean()) - rf_monthly) / std
+    return float(rets.mean()) / std
 
 
 def _romad(rets: np.ndarray, drawdown_pct: float) -> float | None:
@@ -96,10 +96,10 @@ def _romad(rets: np.ndarray, drawdown_pct: float) -> float | None:
     return float(rets.mean()) / dd
 
 
-def sharpe_monthly(curve: EquityCurve, rf_monthly: float = 0.0) -> float | None:
-    """Mean monthly excess return over its sample stddev; None when the
-    variance is zero."""
-    return _sharpe(monthly_returns(curve), rf_monthly)
+def sharpe_monthly(curve: EquityCurve) -> float | None:
+    """Mean monthly return over its sample stddev (a zero risk-free rate);
+    None when the variance is zero."""
+    return _sharpe(monthly_returns(curve))
 
 
 def romad(curve: EquityCurve) -> float | None:
@@ -115,7 +115,7 @@ def build_report(curve: EquityCurve, trades: Trades) -> BacktestReport:
     if curve.ruin:
         flags.append(FLAG_RUIN)
     try:
-        sharpe = _sharpe(rets, 0.0)
+        sharpe = _sharpe(rets)
     except ValueError:
         sharpe = None
     if sharpe is None:

@@ -17,7 +17,7 @@ at 0.001 so Kelly sizing stays finite.
 Forecasts travel as two column frames, ``Predictions(timestamps, p_up)`` and
 ``Scenarios(timestamps, a, b)``, both ``candles.TimestampedFrame``: read-only
 float64 columns of one length beside strictly increasing int64 timestamps.
-``load_predictions`` reads a file with ``artifacts.read_csv``, as
+``load_predictions`` reads the file at a path with ``artifacts.read_csv``, as
 ``parse_candles`` does, and adds only its own header and value checks.
 
 The Gaussian simulator draws standard normals in blocks of n and scales them
@@ -94,14 +94,11 @@ def simulate_balanced(labels: LabelSet, seed: int, hit_rate: float = 0.6,
     return Predictions(labels.timestamps, np.where(up, p_const, 1.0 - p_const))
 
 
-def simulate_optimal(labels: LabelSet, p_long: float = 0.8,
-                     p_short: float = 0.2) -> Predictions:
-    """Always-correct simulator: p_up fixed at p_long on up labels and p_short
-    on down labels."""
+def simulate_optimal(labels: LabelSet) -> Predictions:
+    """Always-correct simulator: p_up fixed at 0.8 on up labels and 0.2 on
+    down labels."""
     _check_labels(labels)
-    if not 0.5 < p_long < 1 or not 0 < p_short < 0.5:
-        raise ValueError(f"need p_short < 0.5 < p_long, got {p_short}, {p_long}")
-    return Predictions(labels.timestamps, np.where(labels.direction > 0, p_long, p_short))
+    return Predictions(labels.timestamps, np.where(labels.direction > 0, 0.8, 0.2))
 
 
 def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
@@ -154,16 +151,16 @@ def _prediction_columns(header: list[str]) -> list[int]:
     return [header.index(name) for name in names]
 
 
-def load_predictions(source, series: CandleSeries | None = None):
-    """Read a prediction CSV with columns timestamp,p_up[,a,b] into a
-    ``(Predictions, Scenarios | None)`` pair sorted by timestamp.
+def load_predictions(path, series: CandleSeries | None = None):
+    """Read the prediction CSV at ``path``, with columns timestamp,p_up[,a,b],
+    into a ``(Predictions, Scenarios | None)`` pair sorted by timestamp.
 
     Scenarios are returned only when both a and b columns exist; exactly one
     of them present is rejected as malformed. When ``series`` is given,
     every timestamp must exist in it. Every rejection is a DataError naming
     the file line; accepted values are finite.
     """
-    ts, data, line_of = read_csv(source, _prediction_columns)
+    ts, data, line_of = read_csv(path, _prediction_columns)
     p, ab = data[:, 0], data[:, 1:]
     bad_p = ~((p > 0) & (p < 1))
     bad = np.flatnonzero(bad_p | ~((ab > 0) & (ab < math.inf)).all(axis=1))

@@ -1,4 +1,6 @@
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from kellybt.candles import DEFAULT_START_TS, HOUR, CandleSeries, generate_synthetic_series
+
+
+def from_file(load, text, *args, **kwargs):
+    """``load(path, *args, **kwargs)`` on a temporary file holding ``text``
+    as UTF-8, its line ends as written. A ``tempfile`` directory, not
+    ``tmp_path``, so hypothesis tests can call it once per example."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        return load(path, *args, **kwargs)
 
 
 def make_series_from_ohlc(rows, start_ts=DEFAULT_START_TS, volume=10.0):

@@ -1,20 +1,19 @@
-import io
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from kellybt.candles import (HOUR, CandleSeries, DataError, SplitSpec,
-                             generate_synthetic_series, parse_candles,
-                             parse_candles_text, positions, split_dataset)
+                             generate_synthetic_series, parse_candles, positions,
+                             split_dataset)
 
-from conftest import make_series_from_closes
+from conftest import from_file, make_series_from_closes
 
 HEADER = "timestamp,open,high,low,close,volume\n"
 
 
 def test_parse_single_row():
-    series = parse_candles_text(HEADER + "1502942400,4261.48,4280.56,4261.32,4261.45,48.5\n")
+    series = from_file(parse_candles, HEADER + "1502942400,4261.48,4280.56,4261.32,4261.45,48.5\n")
     assert len(series) == 1
     assert series.timestamps[0] == 1502942400
     assert series.open[0] == 4261.48
@@ -27,50 +26,42 @@ def test_parse_single_row():
 def test_parse_rejects_high_below_low():
     text = HEADER + "3600,100,99,101,100,1\n"
     with pytest.raises(DataError, match="3600"):
-        parse_candles_text(text)
+        from_file(parse_candles, text)
 
 
 def test_parse_rejects_duplicate_timestamps():
     text = HEADER + "3600,100,101,99,100,1\n3600,100,101,99,100,1\n"
     with pytest.raises(DataError, match="duplicate"):
-        parse_candles_text(text)
+        from_file(parse_candles, text)
 
 
 def test_parse_sorts_rows():
     text = HEADER + "7200,100,101,99,100,1\n3600,100,101,99,100,1\n"
-    series = parse_candles_text(text)
+    series = from_file(parse_candles, text)
     assert list(series.timestamps) == [3600, 7200]
 
 
 def test_parse_reports_line_number_for_malformed_row():
     text = HEADER + "3600,100,101,99,100,1\n7200,abc,101,99,100,1\n"
     with pytest.raises(DataError, match="line 3"):
-        parse_candles_text(text)
+        from_file(parse_candles, text)
 
 
 def test_parse_missing_column():
     with pytest.raises(DataError, match="missing column"):
-        parse_candles_text("timestamp,open,high,low,close\n3600,1,1,1,1\n")
-
-
-def test_parse_column_mapping():
-    text = "time,o,h,l,c,vol\n3600,100,101,99,100,1\n"
-    series = parse_candles(io.StringIO(text), mapping={
-        "timestamp": "time", "open": "o", "high": "h", "low": "l",
-        "close": "c", "volume": "vol"})
-    assert len(series) == 1 and series.close[0] == 100
+        from_file(parse_candles, "timestamp,open,high,low,close\n3600,1,1,1,1\n")
 
 
 def test_parse_rejects_misaligned_timestamp():
     with pytest.raises(DataError, match="aligned"):
-        parse_candles_text(HEADER + "3601,100,101,99,100,1\n")
+        from_file(parse_candles, HEADER + "3601,100,101,99,100,1\n")
 
 
 def test_parse_rejects_negative_volume_and_price():
     with pytest.raises(DataError, match="volume"):
-        parse_candles_text(HEADER + "3600,100,101,99,100,-1\n")
+        from_file(parse_candles, HEADER + "3600,100,101,99,100,-1\n")
     with pytest.raises(DataError, match="price"):
-        parse_candles_text(HEADER + "3600,-100,101,99,100,1\n")
+        from_file(parse_candles, HEADER + "3600,-100,101,99,100,1\n")
 
 
 def test_round_trip_exact(tmp_path):
@@ -204,13 +195,13 @@ def test_parse_rejects_non_finite_field(field, bad):
     values[field] = bad
     row = ",".join(values[k] for k in ("open", "high", "low", "close", "volume"))
     with pytest.raises(DataError, match="line 3"):
-        parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + f"7200,{row}\n")
+        from_file(parse_candles, HEADER + "3600,100,101,99,100,1\n" + f"7200,{row}\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e30", "3600.5", "3600.9"])
 def test_parse_rejects_non_integer_timestamp(bad):
     with pytest.raises(DataError, match="line 2"):
-        parse_candles_text(HEADER + f"{bad},100,101,99,100,1\n")
+        from_file(parse_candles, HEADER + f"{bad},100,101,99,100,1\n")
 
 
 def test_series_rejects_non_finite_values():
@@ -223,7 +214,7 @@ def test_series_rejects_non_finite_values():
 def test_parse_error_names_line_of_unsorted_row():
     text = HEADER + "10800,100,101,99,100,1\n3600,100,101,99,100,-1\n"
     with pytest.raises(DataError, match="line 3: negative volume"):
-        parse_candles_text(text)
+        from_file(parse_candles, text)
 
 
 def test_positions_finds_each_timestamp_or_its_insertion_point():
@@ -253,53 +244,52 @@ def test_forward_return_is_the_fractional_close_change_over_the_horizon():
 @pytest.mark.parametrize("blank", ["   ", "\t", "", " \r"])
 def test_parse_skips_whitespace_only_lines_and_still_counts_them(blank):
     good = HEADER + "3600,100,101,99,100,1\n" + blank + "\n7200,100,101,99,100,1\n"
-    assert parse_candles_text(good).timestamps.tolist() == [3600, 7200]
+    assert from_file(parse_candles, good).timestamps.tolist() == [3600, 7200]
     bad = HEADER + "3600,100,101,99,100,1\n" + blank + "\n7200,100,x,99,100,1\n"
     with pytest.raises(DataError, match="line 4"):
-        parse_candles_text(bad)
+        from_file(parse_candles, bad)
     invalid = HEADER + blank + "\n10800,100,101,99,100,1\n" + blank + "\n7200,100,101,99,100,-1\n"
     with pytest.raises(DataError, match="line 5: negative volume"):
-        parse_candles_text(invalid)
+        from_file(parse_candles, invalid)
 
 
 @pytest.mark.parametrize("field", ["1_000", "１00", "١٠٠"])
 def test_parse_rejects_digits_only_float_accepts_by_line(field):
     # float() reads digit separators and non-ASCII digits; the C reader does not.
     with pytest.raises(DataError, match=f"malformed row at line 3: .*{field}"):
-        parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + f"7200,{field},101,99,100,1\n")
+        from_file(parse_candles,
+                  HEADER + "3600,100,101,99,100,1\n" + f"7200,{field},101,99,100,1\n")
 
 
 @pytest.mark.parametrize("line", ['""', '" "'])
 def test_parse_rejects_quoted_blank_line_by_line(line):
     # The csv module read these as one blank cell and skipped the row.
     with pytest.raises(DataError, match="malformed row at line 3"):
-        parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + line + "\n7200,100,101,99,100,1\n")
+        from_file(parse_candles,
+                  HEADER + "3600,100,101,99,100,1\n" + line + "\n7200,100,101,99,100,1\n")
 
 
 @pytest.mark.parametrize("row", ["7200,100,101", "7200"])
 def test_parse_rejects_row_with_too_few_columns_by_line(row):
     with pytest.raises(DataError, match="malformed row at line 4: "):
-        parse_candles_text(HEADER + "3600,100,101,99,100,1\n\n" + row + "\n")
+        from_file(parse_candles, HEADER + "3600,100,101,99,100,1\n\n" + row + "\n")
 
 
-def test_parse_rejects_lone_carriage_returns_in_a_stream_as_data_error():
-    # A text stream that does not split on "\r" sees one line; the csv module
-    # raised its own error here, which is not a DataError. numpy's message
-    # names no row, so the line is the one the reader stopped on.
+def test_parse_reads_lone_carriage_returns_as_line_ends():
+    # A file is read with newline="": a lone "\r" ends a line, as "\n" does,
+    # and counts as one in an error's line number.
     text = HEADER + "3600,100,101,99,100,1\r7200,100,101,99,100,1\r"
-    with pytest.raises(DataError, match=r"^malformed row at line 2: Found an unquoted "
-                                        r"embedded newline"):
-        parse_candles_text(text)
+    assert from_file(parse_candles, text).timestamps.tolist() == [3600, 7200]
     text = HEADER + "3600,100,101,99,100,1\n\n7200,100,101,99,100,1\r10800,1,1,1,1,1\n"
-    with pytest.raises(DataError, match=r"^malformed row at line 4: Found an unquoted "
-                                        r"embedded newline"):
-        parse_candles_text(text)
+    assert from_file(parse_candles, text).timestamps.tolist() == [3600, 7200, 10800]
+    text = HEADER + "3600,100,101,99,100,1\n\n7200,100,101,99,100,1\r10800,1,x,1,1,1\n"
+    with pytest.raises(DataError, match="^malformed row at line 5: "):
+        from_file(parse_candles, text)
 
 
-def test_parse_rejects_lone_carriage_returns_in_a_stream_header_as_data_error():
-    # The csv module raised its own error on the header line too.
-    with pytest.raises(DataError, match="malformed header"):
-        parse_candles_text(HEADER.replace("\n", "\r") + "3600,100,101,99,100,1\r")
+def test_parse_reads_a_header_ended_by_a_lone_carriage_return():
+    text = HEADER.replace("\n", "\r") + "3600,100,101,99,100,1\r"
+    assert from_file(parse_candles, text).timestamps.tolist() == [3600]
 
 
 def test_parse_reads_lone_carriage_returns_from_a_file(tmp_path):
@@ -317,14 +307,14 @@ def test_parse_reads_lone_carriage_returns_from_a_file(tmp_path):
     "7200,100\xa0,101,99,100,1",           # non-ASCII space around a field
 ])
 def test_parse_reads_field_spellings_as_before(row):
-    series = parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + row + "\n")
+    series = from_file(parse_candles, HEADER + "3600,100,101,99,100,1\n" + row + "\n")
     assert series.timestamps.tolist() == [3600, 7200]
     assert series.open.tolist() == [100.0, 100.0] and series.low.tolist() == [99.0, 99.0]
 
 
 def test_parse_reads_crlf_line_ends():
     text = (HEADER + "3600,100,101,99,100,1\n7200,100,101,99,100,1\n").replace("\n", "\r\n")
-    assert parse_candles_text(text).timestamps.tolist() == [3600, 7200]
+    assert from_file(parse_candles, text).timestamps.tolist() == [3600, 7200]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -342,4 +332,5 @@ def test_parse_rejects_bytes_that_are_not_utf8_by_line(tmp_path, row, message):
 @pytest.mark.parametrize("value", ["1e400", "Infinity", "-1e400"])
 def test_parse_rejects_overflowing_or_infinite_spelling_by_line(value):
     with pytest.raises(DataError, match="line 3: non-finite"):
-        parse_candles_text(HEADER + "3600,100,101,99,100,1\n" + f"7200,100,{value},99,100,1\n")
+        from_file(parse_candles,
+                  HEADER + "3600,100,101,99,100,1\n" + f"7200,100,{value},99,100,1\n")

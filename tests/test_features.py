@@ -251,6 +251,15 @@ def test_feature_matrix_rejects_timestamps_that_do_not_increase(ts):
         FeatureMatrix(np.array(ts, np.int64), ("x",), np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (3, 1), (2, 2), (6,), (3, 2, 1), ()])
+def test_feature_matrix_rejects_values_not_one_row_per_timestamp_and_column(shape):
+    # Such a matrix was built, and write_matrix_csv then failed with a
+    # "columns of one length" error that named neither array.
+    with pytest.raises(ValueError, match=rf"^feature matrix values must have shape \(3, 2\)"):
+        FeatureMatrix(np.arange(3), ("a", "b"), np.zeros(shape))
+    assert FeatureMatrix(np.arange(3), ("a", "b"), np.zeros((3, 2))).values.shape == (3, 2)
+
+
 def _traced_peak(fn, *args):
     """fn's result and the peak of the memory traced while it ran."""
     fn(*args)  # any first-call allocation outside the count

@@ -23,7 +23,7 @@ def _floats(n):
 # name -> (frame class, columns(n) in field order, the other constructor arguments)
 FRAMES = {
     "CandleSeries": (CandleSeries, lambda n: [_ts(n), *[np.full(n, 100.0)] * 4, np.ones(n)],
-                     {"symbol": "X", "interval": HOUR}),
+                     {"symbol": "X"}),
     "Predictions": (Predictions, lambda n: [_ts(n), _floats(n)], {}),
     "Scenarios": (Scenarios, lambda n: [_ts(n), _floats(n), _floats(n)], {}),
     "LabelSet": (LabelSet, lambda n: [_ts(n), np.ones(n, np.int8), _floats(n), _floats(n)],

@@ -96,12 +96,6 @@ def test_sharpe_zero_variance_is_undefined():
     assert sharpe_monthly(curve) is None
 
 
-def test_sharpe_rf_equal_to_mean_is_zero():
-    ts = [_epoch(2021, 1, 10), _epoch(2021, 1, 28), _epoch(2021, 2, 25)]
-    curve = _curve([1.0, 1.02, 1.02 * 1.04], timestamps=ts)
-    assert abs(sharpe_monthly(curve, rf_monthly=0.03)) <= 1e-12
-
-
 def test_sharpe_needs_two_months():
     ts = [_epoch(2021, 1, 10), _epoch(2021, 1, 28)]
     with pytest.raises(ValueError, match="2 calendar months"):

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, Predictions, Scenarios,
                                 simulate_gaussian, simulate_optimal)
 
 import oracles
-from conftest import make_series_from_closes
+from conftest import from_file, make_series_from_closes
 
 
 def _labels(n, seed=0):
@@ -125,51 +123,51 @@ def test_gaussian_rejects_non_finite_sigma(sigma):
 
 def test_load_predictions_with_estimates():
     text = "timestamp,p_up,a,b\n1650000000,0.6,0.05,0.04\n"
-    preds, ests = load_predictions(io.StringIO(text))
+    preds, ests = from_file(load_predictions, text)
     assert preds.timestamps[0] == 1650000000 and preds.p_up[0] == 0.6
     assert (ests.a[0], ests.b[0]) == (0.05, 0.04)
 
 
 def test_load_predictions_probability_out_of_range():
     with pytest.raises(DataError, match="outside"):
-        load_predictions(io.StringIO("timestamp,p_up\n3600,1.2\n"))
+        from_file(load_predictions, "timestamp,p_up\n3600,1.2\n")
 
 
 def test_load_predictions_without_estimate_columns():
-    preds, ests = load_predictions(io.StringIO("timestamp,p_up\n3600,0.7\n"))
+    preds, ests = from_file(load_predictions, "timestamp,p_up\n3600,0.7\n")
     assert ests is None and preds.p_up[0] == 0.7
 
 
 def test_load_predictions_single_scenario_column_rejected():
     with pytest.raises(DataError, match="together"):
-        load_predictions(io.StringIO("timestamp,p_up,a\n3600,0.7,0.01\n"))
+        from_file(load_predictions, "timestamp,p_up,a\n3600,0.7,0.01\n")
 
 
 def test_load_predictions_clip_and_floor():
     text = "timestamp,p_up,a,b\n3600,0.999,0.0001,0.5\n"
-    preds, ests = load_predictions(io.StringIO(text))
+    preds, ests = from_file(load_predictions, text)
     assert preds.p_up[0] == 0.99
     assert ests.a[0] == AB_FLOOR and ests.b[0] == 0.5
 
 
 def test_load_predictions_nonpositive_scenario_rejected():
     with pytest.raises(DataError, match="magnitudes"):
-        load_predictions(io.StringIO("timestamp,p_up,a,b\n3600,0.7,-0.1,0.1\n"))
+        from_file(load_predictions, "timestamp,p_up,a,b\n3600,0.7,-0.1,0.1\n")
 
 
 def test_load_predictions_duplicate_timestamp():
     text = "timestamp,p_up\n3600,0.7\n3600,0.6\n"
     with pytest.raises(DataError, match="duplicate"):
-        load_predictions(io.StringIO(text))
+        from_file(load_predictions, text)
 
 
 def test_load_predictions_series_alignment():
     series = generate_synthetic_series(seed=1, n=10)
     ts = int(series.timestamps[2])
-    preds, _ = load_predictions(io.StringIO(f"timestamp,p_up\n{ts},0.7\n"), series)
+    preds, _ = from_file(load_predictions, f"timestamp,p_up\n{ts},0.7\n", series)
     assert preds.timestamps[0] == ts
     with pytest.raises(DataError, match="not present"):
-        load_predictions(io.StringIO("timestamp,p_up\n977616000,0.7\n"), series)
+        from_file(load_predictions, "timestamp,p_up\n977616000,0.7\n", series)
 
 
 # --- scenario estimation ---------------------------------------------------------
@@ -244,14 +242,14 @@ def test_estimate_short_series_is_empty():
 def test_load_predictions_non_finite_scenario_rejected(a, b):
     text = f"timestamp,p_up,a,b\n3600,0.7,0.1,0.1\n7200,0.7,{a},{b}\n"
     with pytest.raises(DataError, match="line 3"):
-        load_predictions(io.StringIO(text))
+        from_file(load_predictions, text)
 
 
 @pytest.mark.parametrize("ts", ["nan", "inf", "-inf", "9223372036854775808", "-1e19",
                                 "3600.5"])
 def test_load_predictions_non_finite_timestamp_rejected(ts):
     with pytest.raises(DataError, match="line 2"):
-        load_predictions(io.StringIO(f"timestamp,p_up\n{ts},0.7\n"))
+        from_file(load_predictions, f"timestamp,p_up\n{ts},0.7\n")
 
 
 # --- the reader shared with parse_candles: the spellings the per-row csv +
@@ -261,33 +259,45 @@ def test_load_predictions_non_finite_timestamp_rejected(ts):
 def test_load_predictions_rejects_digit_separators_by_line():
     text = "timestamp,p_up\n1_577_836_800,0.6\n3600,0.7\n"
     with pytest.raises(DataError, match="malformed row at line 2: .*1_577_836_800"):
-        load_predictions(io.StringIO(text))
+        from_file(load_predictions, text)
 
 
-def test_load_predictions_rejects_lone_carriage_returns_in_a_stream_as_data_error():
-    with pytest.raises(DataError, match=r"^malformed row at line 2: Found an unquoted "
-                                        r"embedded newline"):
-        load_predictions(io.StringIO("timestamp,p_up\n3600,0.6\r7200,0.7\r"))
-    with pytest.raises(DataError, match=r"^malformed row at line 4: Found an unquoted "
-                                        r"embedded newline"):
-        load_predictions(io.StringIO("timestamp,p_up\n3600,0.6\n\n7200,0.7\r10800,0.5\n"))
-    with pytest.raises(DataError, match="malformed header"):
-        load_predictions(io.StringIO("timestamp,p_up\r3600,0.6\r7200,0.7\r"))
+@pytest.mark.parametrize("text, p_up", [
+    ("timestamp,p_up\n3600,0.6\r7200,0.7\r", [0.6, 0.7]),
+    ("timestamp,p_up\n3600,0.6\n\n7200,0.7\r10800,0.5\n", [0.6, 0.7, 0.5]),
+    ("timestamp,p_up\r3600,0.6\r7200,0.7\r", [0.6, 0.7]),
+], ids=["rows", "rows-after-a-blank-line", "header"])
+def test_load_predictions_reads_lone_carriage_returns_as_line_ends(text, p_up):
+    # A file is read with newline="": a lone "\r" ends a line, as "\n" does.
+    assert from_file(load_predictions, text)[0].p_up.tolist() == p_up
+
+
+def test_load_predictions_puts_a_numpy_error_naming_no_row_on_the_line_read_last(monkeypatch):
+    # numpy names no row in an "embedded newline" error; the reader then names
+    # the last line it handed over, counting the skipped blank line.
+    def loadtxt(lines, **kwargs):
+        for line in lines:
+            if line.startswith("7200"):
+                raise ValueError("Found an unquoted embedded newline within a single line")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    with pytest.raises(DataError, match="^malformed row at line 4: Found an unquoted "):
+        from_file(load_predictions, "timestamp,p_up\n3600,0.6\n\n7200,0.7\n10800,0.5\n")
 
 
 @pytest.mark.parametrize("line", ['""', '" "'])
 def test_load_predictions_rejects_quoted_blank_line_by_line(line):
     text = "timestamp,p_up\n3600,0.6\n" + line + "\n7200,0.7\n"
     with pytest.raises(DataError, match="malformed row at line 3"):
-        load_predictions(io.StringIO(text))
+        from_file(load_predictions, text)
 
 
 @pytest.mark.parametrize("blank", ["", "   ", "\t"])
 def test_load_predictions_skips_whitespace_only_lines_and_still_counts_them(blank):
     good = "timestamp,p_up\n3600,0.6\n" + blank + "\n7200,0.7\n"
-    assert load_predictions(io.StringIO(good))[0].timestamps.tolist() == [3600, 7200]
+    assert from_file(load_predictions, good)[0].timestamps.tolist() == [3600, 7200]
     with pytest.raises(DataError, match="line 4: p_up"):
-        load_predictions(io.StringIO("timestamp,p_up\n3600,0.6\n" + blank + "\n7200,1.5\n"))
+        from_file(load_predictions, "timestamp,p_up\n3600,0.6\n" + blank + "\n7200,1.5\n")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -297,7 +307,7 @@ def test_load_predictions_skips_whitespace_only_lines_and_still_counts_them(blan
 ])
 def test_load_predictions_empty_input_messages(text, message):
     with pytest.raises(DataError, match=message):
-        load_predictions(io.StringIO(text))
+        from_file(load_predictions, text)
 
 
 # --- frames ---------------------------------------------------------------------

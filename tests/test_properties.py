@@ -8,7 +8,6 @@ cut at the first ruin point. The barrier-label kernel equals the per-entry
 scan, no causal stage reads a bar past a prefix cut, every sizing policy
 is non-decreasing in p, and every consumer of the horizon return reads
 ``CandleSeries.forward_return``."""
-import io
 import os
 import re
 import tempfile
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from kellybt.backtest import BacktestConfig, _decision_grid, compare_strategies
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
-                            parse_candles, parse_candles_text, positions)
+                            parse_candles, positions)
 from kellybt.features import (apply_normalizer, build_feature_matrix, fit_normalizer,
                               make_labels)
 from kellybt.indicators import KINDS, IndicatorSpec, compute_indicator
@@ -30,6 +29,7 @@ from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, Predictions, Sce
 from kellybt.sizing import SizingPolicy, decide
 
 import oracles
+from conftest import from_file
 
 # Derandomized and bounded so the suite stays fast and reproducible.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -83,7 +83,7 @@ def test_parse_candles_rejects_corrupt_field_by_line_or_stays_finite(data, seed,
     row = data.draw(st.integers(0, n - 1))
     text = _corrupt(_csv_text(series), row, data.draw(st.integers(0, 5)), bad)
     try:
-        got = parse_candles_text(text)
+        got = from_file(parse_candles, text)
     except DataError as exc:
         assert _names_line(exc, row + 2), str(exc)
     else:
@@ -104,7 +104,7 @@ def test_load_predictions_rejects_corrupt_field_by_line_or_stays_finite(data, se
     row = data.draw(st.integers(0, n - 1))
     text = _corrupt(text, row, data.draw(st.integers(0, 3)), bad)
     try:
-        preds, ests = load_predictions(io.StringIO(text), series)
+        preds, ests = from_file(load_predictions, text, series)
     except DataError as exc:
         assert _names_line(exc, row + 2), str(exc)
     else:
@@ -116,7 +116,7 @@ def _reads(load, text: str) -> bool:
     """Whether ``load`` gets past the reader: only a reader rejection (a
     malformed row) counts against it, not a value check."""
     try:
-        load(io.StringIO(text))
+        from_file(load, text)
     except DataError as exc:
         return not str(exc).startswith("malformed row")
     return True
@@ -136,9 +136,9 @@ def test_both_loaders_read_or_reject_the_same_field_spelling(field):
 
 # One data row in each loader's format, with ``ts`` as its timestamp cell.
 LOADER_ROWS = {
-    "candles": (lambda text: parse_candles(io.StringIO(text)).timestamps,
+    "candles": (lambda text: from_file(parse_candles, text).timestamps,
                 "timestamp,open,high,low,close,volume\n{},100,101,99,100,1\n"),
-    "predictions": (lambda text: load_predictions(io.StringIO(text))[0].timestamps,
+    "predictions": (lambda text: from_file(load_predictions, text)[0].timestamps,
                     "timestamp,p_up\n{},0.6\n"),
 }
 
@@ -190,7 +190,7 @@ def test_to_csv_round_trips_through_parse_candles(seed, n, volatility, start_pri
     cols[-1] = np.where(rng.random(cols[-1].size) < 0.2, rng.choice(TINY, cols[-1].size),
                         cols[-1])
     series = CandleSeries(*cols, symbol="RT")
-    got = parse_candles(io.StringIO(_csv_text(series)), symbol="RT")
+    got = from_file(parse_candles, _csv_text(series), symbol="RT")
     for name in ("timestamps", "open", "high", "low", "close", "volume"):
         want, col = getattr(series, name), getattr(got, name)
         assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), name
