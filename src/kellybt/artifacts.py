@@ -25,11 +25,12 @@ scope, or to the one ``write_csv`` call when none is open: no thread outlives
 a command.
 
 Every CSV kellybt loads goes through ``read_csv``, which takes a path: a
-UTF-8 file whose lines end in ``\n``, ``\r\n`` or a lone ``\r``. The
-``csv`` module reads the header, whitespace-only lines are skipped and
-numpy's C reader (``np.loadtxt``) reads the data rows, the timestamp with its
-integer parser, so a timestamp is an integer literal read exactly. A bad row
-is a ``DataError`` naming its file line.
+UTF-8 file, with or without a byte-order mark, whose lines end in ``\n``,
+``\r\n`` or a lone ``\r``. The ``csv`` module reads the header,
+whitespace-only lines are skipped and numpy's C reader (``np.loadtxt``) reads
+the data rows, the timestamp with its integer parser, so a timestamp is an
+integer literal read exactly. A bad row is a ``DataError`` naming its file
+line.
 """
 from __future__ import annotations
 
@@ -266,8 +267,15 @@ def _row_range(pool: _Pool, columns, lo: int, hi: int):
 
 
 def _read_only(a) -> bool:
-    """Whether no array can write into ``a``'s memory: ``a`` and every array
-    it is a view of are read-only, and the last of them owns its memory."""
+    """Whether ``a`` and every array it is a view of are read-only, and the
+    last of them owns its memory. ``write_csv`` then reads a column's rows
+    without a copy, and ``candles.Frame`` holds it as it is.
+
+    It follows ``base`` up from ``a`` only, so it cannot see a writable view
+    taken from the owner before the owner was flagged: after ``x =
+    np.zeros(3); v = x[:]; x.setflags(write=False)``, ``_read_only(x)`` is
+    True, yet ``v[0] = 1`` still writes into ``x``. Flag an array read-only
+    before any view of it is handed out."""
     while isinstance(a, np.ndarray):
         if a.flags.writeable:
             return False
@@ -279,8 +287,9 @@ def read_csv(path, select):
     """Read the header row and numeric data rows of the file at ``path``.
 
     The file is read as UTF-8 whatever the locale, a byte that is not UTF-8
-    reaching the parser as a surrogate escape, which fails its row; ``\n``,
-    ``\r\n`` and a lone ``\r`` each end a line.
+    reaching the parser as a surrogate escape, which fails its row; a leading
+    byte-order mark is skipped, and ``\n``, ``\r\n`` and a lone ``\r`` each
+    end a line.
     ``select(header)`` gets the stripped header cells and returns the indices
     of the columns to read, the timestamp column first. Returns ``(ts, data,
     line_of)``: int64 timestamps, a float64 array of the other columns, one
@@ -289,7 +298,7 @@ def read_csv(path, select):
     literal in the int64 range (``3600.0``, ``1e3`` and ``0x10`` are not). A
     row the reader rejects is a DataError naming its file line.
     """
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

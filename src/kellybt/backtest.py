@@ -17,16 +17,23 @@ lattice over plain ints and gathers the entry and exit timestamps and prices,
 the realized return (``CandleSeries.forward_return`` at the entry bar, the
 return the labels and the scenario estimator read too), p and (a, b) of each
 chosen point as read-only arrays. It depends only on the frames, the horizon
-and the stride, and it is cached for the last such key: frames are frozen,
-hash by identity and hold read-only copies, so the same objects mean the same
-content; fees, bankroll and ruin floor stay per run. The policies of one
-``compare_strategies`` thus share one grid, while each still runs
-``run_backtest`` once and ``decide`` once per chosen point. P&L is computed
-per column and the bankroll is ``np.cumprod`` of the growth factors, the same
-left-to-right product as sequential compounding, bit for bit. Trades and the
-equity curve come out as column frames (``candles.Frame``): ``Trades``, one
-row per trade with the ``trades.csv`` columns in header order, and
-``EquityCurve``.
+and the stride, and it is cached for the last such key: frames are frozen and
+hash by identity, and a frame's columns are arrays no one can write into (a
+read-only array of the column's dtype that owns its memory, or a view of one,
+is held as it is, and anything else as a read-only copy), so the same objects
+mean the same content; fees, bankroll and ruin floor stay per run. The
+policies of one ``compare_strategies`` thus share one grid, while each still
+runs ``run_backtest`` once and ``decide`` once per chosen point, reading p
+and (a, b) through memoryviews of the grid's columns, one Python float at a
+time.
+P&L is computed per column and the bankroll is ``np.cumprod`` of the growth
+factors, the same left-to-right product as sequential compounding, bit for
+bit. A run halts at ruin, and before the trade that would take the bankroll
+past the largest float (OVERFLOW), so every point of the curve is finite.
+Trades and the equity curve come out as column frames (``candles.Frame``):
+``Trades``, one row per trade with the ``trades.csv`` columns in header order,
+and ``EquityCurve``. ``run_backtest`` flags the arrays it computes read-only,
+so both frames hold them, and the grid's views, without a copy.
 """
 from __future__ import annotations
 
@@ -94,11 +101,13 @@ class Trades(Frame):
 class EquityCurve(Frame):
     """Compounding bankroll path: one point per trade exit plus the start.
     Its timestamps need not increase strictly (``metrics.monthly_returns``
-    asks only that they never decrease), so a hand-built curve may repeat one."""
+    asks only that they never decrease), so a hand-built curve may repeat one.
+    ``ruin`` and ``overflow`` tell why a run halted, if it did."""
 
     timestamps: np.ndarray = column(np.int64)
     values: np.ndarray = column(np.float64)
     ruin: bool = False
+    overflow: bool = False
 
 
 def _series_positions(timestamps: np.ndarray, frame, what: str) -> np.ndarray:
@@ -130,8 +139,10 @@ class _Grid(NamedTuple):
 def _decision_grid(series: CandleSeries, predictions: Predictions,
                    estimates: Scenarios | None, horizon: int, stride: int) -> _Grid:
     """Align, validate and walk the stride lattice; gather what each chosen
-    point trades at. Frames hash by identity and hold read-only copies, so
-    the same objects mean the same content; a raised error is not cached."""
+    point trades at. Frames hash by identity and hold columns no array can
+    write into (a read-only array of the column's dtype is held as it is,
+    anything else as a read-only copy), so the same objects mean the same
+    content; a raised error is not cached."""
     ts = series.timestamps
     pred_pos = _series_positions(ts, predictions, "prediction")
     usable = pred_pos + horizon < len(series)
@@ -176,15 +187,17 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     Decisions fall on a stride lattice over timestamps that carry a
     prediction and (when estimates are supplied) a scenario; timestamps
     without a scenario are skipped. The simulation halts with the RUIN flag
-    if the bankroll falls to ruin_floor * initial.
+    if the bankroll falls to ruin_floor * initial, and with the OVERFLOW flag
+    before the trade that would take it past the largest float.
     """
     horizon = cfg.horizon
     stride = cfg.effective_stride
     grid = _decision_grid(series, predictions, estimates, horizon, stride)
     divisor = 1 if stride >= horizon else math.ceil(horizon / stride)
 
-    scenarios = repeat(None) if grid.a is None else zip(grid.a.tolist(), grid.b.tolist())
-    decisions = map(decide, grid.p_up.tolist(), scenarios, repeat(policy))
+    # A memoryview yields the Python floats that tolist would, one at a time.
+    scenarios = repeat(None) if grid.a is None else zip(memoryview(grid.a), memoryview(grid.b))
+    decisions = map(decide, memoryview(grid.p_up), scenarios, repeat(policy))
     fraction = np.fromiter(map(attrgetter("fraction"), decisions), np.float64, len(grid.p_up))
     # decide's side, read from the sign before the divisor can round a
     # subnormal to 0: NaN, 0.0 and -0.0 are FLAT.
@@ -193,22 +206,25 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     pnl = fraction * grid.realized - cfg.fee_rate * np.abs(fraction) * 2.0
 
     initial = cfg.initial_bankroll
-    values = np.cumprod(np.concatenate(([float(initial)], 1.0 + pnl)))
-    hit = np.flatnonzero(values[1:] <= cfg.ruin_floor * initial)
-    ruin = hit.size > 0
-    if ruin:
-        m = int(hit[0]) + 1
-        values = values[:m + 1]
-        if values[m] < 0.0:
-            # A leveraged loss beyond -100% is a wipeout, not a debt.
-            values[m] = 0.0
-    else:
-        m = len(pnl)
+    floor = cfg.ruin_floor * initial
+    with np.errstate(over="ignore", invalid="ignore"):  # halted before the first inf
+        values = np.cumprod(np.concatenate(([float(initial)], 1.0 + pnl)))
+    end = np.flatnonzero((values[1:] <= floor) | (values[1:] == math.inf))
+    m = int(end[0]) + 1 if end.size else len(pnl)
+    ruin = end.size > 0 and bool(values[m] <= floor)
+    overflow = end.size > 0 and not ruin
+    if overflow:
+        m -= 1  # the trade that would pass the largest float is not made
+    if ruin and values[m] < 0.0:
+        # A leveraged loss beyond -100% is a wipeout, not a debt.
+        values[m] = 0.0
 
-    exit_ts = grid.exit_ts[:m]
-    trades = Trades(grid.entry_ts[:m], exit_ts, side[:m], fraction[:m], grid.entry_price[:m],
-                    grid.exit_price[:m], grid.realized[:m], pnl[:m])
-    curve = EquityCurve(np.concatenate((grid.entry_ts[:1], exit_ts)), values, ruin=ruin)
+    timestamps = np.concatenate((grid.entry_ts[:1], grid.exit_ts[:m]))
+    for col in (fraction, side, pnl, values, timestamps):
+        col.setflags(write=False)  # so the frames hold them, not copies
+    trades = Trades(grid.entry_ts[:m], grid.exit_ts[:m], side[:m], fraction[:m],
+                    grid.entry_price[:m], grid.exit_price[:m], grid.realized[:m], pnl[:m])
+    curve = EquityCurve(timestamps, values[:m + 1], ruin=ruin, overflow=overflow)
     return curve, trades
 
 

@@ -1,10 +1,10 @@
 """Hourly OHLCV candle series: parsing, validation, splitting, synthesis.
 
-A candle input is a UTF-8 CSV file on disk with the canonical header
-``timestamp,open,high,low,close,volume`` (more columns are ignored) and
-hourly bars: timestamps in epoch seconds (UTC, aligned to the hour), written
-by ``artifacts.write_csv`` with exact float text. Gaps in exchange data are
-kept and indexed, never forward-filled.
+A candle input is a UTF-8 CSV file on disk (a leading byte-order mark is
+skipped) with the canonical header ``timestamp,open,high,low,close,volume``
+(more columns are ignored) and hourly bars: timestamps in epoch seconds
+(UTC, aligned to the hour), written by ``artifacts.write_csv`` with exact
+float text. Gaps in exchange data are kept and indexed, never forward-filled.
 
 The candle invariants (strictly increasing, hour-aligned timestamps;
 finite positive prices; finite non-negative volume; low/high enveloping
@@ -24,7 +24,9 @@ also check when they are built.
 series itself and the prediction, scenario, label, trade and equity frames.
 Its constructor is the one place that casts each ``column`` field to its
 dtype (refusing a cast that would change an integer column's value), checks
-that the columns are 1-D and of one length, and makes them read-only.
+that the columns are 1-D and of one length, and makes them read-only; a
+column that is already a read-only array of its dtype, which no array can
+write into, is held as it is.
 ``TimestampedFrame`` adds the strictly increasing timestamps that
 ``positions`` binary-searches.
 """
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .artifacts import DataError, read_csv, write_csv
+from .artifacts import DataError, _read_only, read_csv, write_csv
 
 HOUR = 3600
 
@@ -104,8 +106,12 @@ def column(dtype):
 
 
 def _cast(name: str, value, dtype) -> np.ndarray:
-    """A copy of ``value`` as ``dtype``; a ValueError when an integer dtype
-    would change a value (a fractional, non-finite or out-of-range one)."""
+    """``value`` itself when it is an array of ``dtype`` that no array can
+    write into (``artifacts._read_only``); else a copy of it as ``dtype``, a
+    ValueError when an integer dtype would change a value (a fractional,
+    non-finite or out-of-range one)."""
+    if _read_only(value) and np.can_cast(value.dtype, dtype, "no"):
+        return value
     if np.dtype(dtype).kind not in "iu":
         return np.array(value, dtype)
     src = np.asarray(value)
@@ -124,8 +130,14 @@ def _cast(name: str, value, dtype) -> np.ndarray:
 class Frame:
     """Read-only columns of one length; ``len`` is the row count.
 
-    A subclass declares its columns with ``column(dtype)``; the constructor
-    stores a copy of each, cast to its dtype. Other fields pass through.
+    A subclass declares its columns with ``column(dtype)``. The constructor
+    adopts a column that is already a read-only array of its dtype whose
+    memory no array can write into (``artifacts._read_only``, the test
+    ``write_csv`` uses to skip its range copy): the frame holds that object,
+    so a producer that flags what it has just computed hands it over without
+    a copy. Anything else, a writable array, a read-only view of a writable
+    one, an array of another dtype or a list, is stored as a read-only copy
+    cast to the dtype. Other fields pass through.
     """
 
     def __post_init__(self):

@@ -8,7 +8,10 @@ points carry the bankroll forward (zero return). Month keys come from one
 timestamps must be non-decreasing. Standard deviations use the sample (n-1)
 convention throughout. Sharpe takes a zero risk-free rate. ``build_report``
 computes the monthly returns and the drawdown once and shares them between
-Sharpe and RoMaD.
+Sharpe and RoMaD. A run that halted before its bankroll passed the largest
+float (``OVERFLOW``) can end near it; a figure of its report that cannot be
+held as a float (the cumulative return in percent, or a Sharpe or RoMaD of
+monthly returns that overflow) is None, so every report is strict JSON.
 """
 from __future__ import annotations
 
@@ -23,13 +26,14 @@ from .features import LabelSet
 from .predictors import Predictions
 
 FLAG_RUIN = "RUIN"
+FLAG_OVERFLOW = "OVERFLOW"
 FLAG_ROMAD_NA = "ROMAD_NA"
 FLAG_SHARPE_NA = "SHARPE_NA"
 
 
 @dataclass(frozen=True)
 class BacktestReport:
-    cumulative_return_pct: float
+    cumulative_return_pct: float | None
     max_drawdown_pct: float
     sharpe: float | None
     romad: float | None
@@ -84,7 +88,7 @@ def _sharpe(rets: np.ndarray) -> float | None:
             f"Sharpe needs a curve spanning at least 2 calendar months, got {rets.size}"
         )
     std = float(rets.std(ddof=1))
-    if std == 0:
+    if not 0 < std < math.inf:  # also NaN: returns that overflow
         return None
     return float(rets.mean()) / std
 
@@ -108,24 +112,28 @@ def romad(curve: EquityCurve) -> float | None:
     return _romad(monthly_returns(curve), max_drawdown(curve))
 
 
+def _finite(x: float | None) -> float | None:
+    """``x``, or None when it is None, infinite or NaN."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def build_report(curve: EquityCurve, trades: Trades) -> BacktestReport:
-    rets = monthly_returns(curve)
-    drawdown_pct = max_drawdown(curve)
-    flags: list[str] = []
-    if curve.ruin:
-        flags.append(FLAG_RUIN)
-    try:
-        sharpe = _sharpe(rets)
-    except ValueError:
-        sharpe = None
-    if sharpe is None:
-        flags.append(FLAG_SHARPE_NA)
-    rho = _romad(rets, drawdown_pct)
-    if rho is None:
-        flags.append(FLAG_ROMAD_NA)
+    # Near the largest float a month's return or its moments can overflow;
+    # ``_finite`` makes such a figure None.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rets = monthly_returns(curve)
+        drawdown_pct = max_drawdown(curve)
+        try:
+            sharpe = _finite(_sharpe(rets))
+        except ValueError:
+            sharpe = None
+        rho = _finite(_romad(rets, drawdown_pct))
+    flags = [flag for flag, raised in ((FLAG_RUIN, curve.ruin), (FLAG_OVERFLOW, curve.overflow),
+                                       (FLAG_SHARPE_NA, sharpe is None),
+                                       (FLAG_ROMAD_NA, rho is None)) if raised]
     wins = int((trades.pnl_fraction > 0).sum())
     return BacktestReport(
-        cumulative_return_pct=cumulative_return(curve),
+        cumulative_return_pct=_finite(cumulative_return(curve)),
         max_drawdown_pct=drawdown_pct,
         sharpe=sharpe,
         romad=rho,

@@ -1,6 +1,7 @@
 import os
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,18 @@ def from_file(load, text, *args, **kwargs):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         return load(path, *args, **kwargs)
+
+
+def traced_peak(fn, *args):
+    """fn's result and the peak of the memory traced while it ran."""
+    fn(*args)  # any first-call allocation outside the count
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def make_series_from_ohlc(rows, start_ts=DEFAULT_START_TS, volume=10.0):

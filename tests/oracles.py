@@ -43,8 +43,8 @@ from kellybt import metrics, sizing
 from kellybt.backtest import BacktestConfig, EquityCurve
 from kellybt.candles import CANONICAL_COLUMNS, CandleSeries
 from kellybt.features import FeatureMatrix, LabelSet
-from kellybt.metrics import (FLAG_ROMAD_NA, FLAG_RUIN, FLAG_SHARPE_NA, BacktestReport,
-                             cumulative_return, max_drawdown)
+from kellybt.metrics import (FLAG_OVERFLOW, FLAG_ROMAD_NA, FLAG_RUIN, FLAG_SHARPE_NA,
+                             BacktestReport, cumulative_return, max_drawdown)
 from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, _assign_correct,
                                 _check_labels, _predicted_up)
 from kellybt.sizing import SizingPolicy
@@ -467,7 +467,8 @@ def o_run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
     Decisions fall on a stride lattice over timestamps that carry a
     prediction and (when estimates are supplied) a defined estimate;
     timestamps without an estimate are skipped. The simulation halts with
-    the RUIN flag if the bankroll falls to ruin_floor * initial.
+    the RUIN flag if the bankroll falls to ruin_floor * initial, and with the
+    OVERFLOW flag before the trade that would take it past the largest float.
     """
     known = {int(t): i for i, t in enumerate(series.timestamps)}
     for p in predictions:
@@ -507,7 +508,7 @@ def o_run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
     initial = cfg.initial_bankroll
     floor = cfg.ruin_floor * initial
     bankroll = initial
-    ruin = False
+    ruin = overflow = False
     trades: list[Trade] = []
     curve_ts = [int(series.timestamps[entries[0][0]])]
     curve_val = [bankroll]
@@ -517,6 +518,9 @@ def o_run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
         exit_price = float(series.close[i + horizon])
         realized = (exit_price - entry_price) / entry_price
         pnl = fraction * realized - cfg.fee_rate * abs(fraction) * 2.0
+        if bankroll * (1.0 + pnl) == math.inf:
+            overflow = True
+            break
         bankroll = bankroll * (1.0 + pnl)
         if bankroll < 0.0:
             # A leveraged loss beyond -100% is a wipeout, not a debt.
@@ -538,7 +542,7 @@ def o_run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
             break
 
     curve = EquityCurve(np.array(curve_ts, dtype=np.int64),
-                        np.array(curve_val, dtype=np.float64), ruin=ruin)
+                        np.array(curve_val, dtype=np.float64), ruin=ruin, overflow=overflow)
     return curve, trades
 
 
@@ -603,6 +607,8 @@ def o_build_report(curve: EquityCurve, trades: list[Trade]) -> BacktestReport:
     flags: list[str] = []
     if curve.ruin:
         flags.append(FLAG_RUIN)
+    if curve.overflow:
+        flags.append(FLAG_OVERFLOW)
     try:
         sharpe = o_sharpe_monthly(curve)
     except ValueError:

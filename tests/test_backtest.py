@@ -1,17 +1,22 @@
+import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from kellybt.backtest import BacktestConfig, compare_strategies, run_backtest
+from kellybt import backtest
+from kellybt.backtest import (BacktestConfig, EquityCurve, Trades, _decision_grid,
+                              compare_strategies, run_backtest)
 from kellybt.candles import HOUR, generate_synthetic_series
 from kellybt.features import make_labels
+from kellybt.metrics import build_report
 from kellybt.predictors import (Predictions, Scenarios, estimate_scenarios,
                                 simulate_balanced, simulate_gaussian, simulate_optimal)
 from kellybt.sizing import SizingPolicy, decide
 
 import oracles
-from conftest import make_series_from_closes
+from conftest import make_series_from_closes, traced_peak
 
 
 def test_single_trade_worked_example():
@@ -173,6 +178,75 @@ def test_bankroll_landing_exactly_on_the_ruin_floor_is_ruin():
     assert trades.realized_return[0] == -0.5
     assert curve.ruin
     assert len(trades) == 1 and curve.values[-1] == 0.5
+
+
+@pytest.mark.parametrize("initial", [1.0, 250.0, 1e308])
+def test_run_halts_before_the_trade_that_would_overflow_the_bankroll(initial):
+    # Closes rise by half each bar and NONE bets 10x long: each trade grows
+    # the bankroll about 6-fold, past the largest float within 400 trades.
+    series = make_series_from_closes([100.0 * 1.5 ** k for k in range(500)])
+    preds = Predictions(series.timestamps[:-1], [0.9] * 499)
+    policy = SizingPolicy("none", modifier=10.0)
+    cfg = BacktestConfig(horizon=1, initial_bankroll=initial)
+    curve, trades = run_backtest(series, preds, None, policy, cfg)
+    assert curve.overflow and not curve.ruin
+    assert 0 <= len(trades) < 400 and len(curve) == len(trades) + 1
+    assert np.isfinite(curve.values).all() and curve.values[0] == initial
+    next_pnl = 10.0 * float(series.forward_return(1)[len(trades)])
+    assert float(curve.values[-1]) * (1.0 + next_pnl) == math.inf
+    o_curve, o_trades = oracles.o_run_backtest(series, oracles.prediction_records(preds), None,
+                                               policy, cfg)
+    assert oracles.trade_records(trades) == o_trades and o_curve.overflow
+    assert curve.values.tobytes() == o_curve.values.tobytes()
+    report = build_report(curve, trades)
+    assert report.flags[0] == "OVERFLOW"
+    json.dumps(asdict(report), allow_nan=False)
+
+
+def test_trades_and_curve_hold_the_grid_and_the_computed_columns(monkeypatch):
+    # Every column is read-only when the frames are built, so they hold it.
+    given = {}
+
+    def spy(cls):
+        def make(*args, **kwargs):
+            given[cls] = args
+            return cls(*args, **kwargs)
+        return make
+
+    monkeypatch.setattr(backtest, "Trades", spy(Trades))
+    monkeypatch.setattr(backtest, "EquityCurve", spy(EquityCurve))
+    series = generate_synthetic_series(seed=6, n=600, volatility=0.01)
+    preds = simulate_gaussian(make_labels(series), seed=7)
+    ests = estimate_scenarios(series, window=100)
+    cfg = BacktestConfig(stride=1)
+    curve, trades = run_backtest(series, preds, ests, SizingPolicy("kelly"), cfg)
+    for frame, args in ((trades, given[Trades]), (curve, given[EquityCurve])):
+        for f, arg in zip(fields(frame), args):
+            assert getattr(frame, f.name) is arg
+    grid = _decision_grid(series, preds, ests, cfg.horizon, 1)
+    for name, col in (("entry_ts", grid.entry_ts), ("exit_ts", grid.exit_ts),
+                      ("entry_price", grid.entry_price), ("exit_price", grid.exit_price),
+                      ("realized_return", grid.realized)):
+        assert np.shares_memory(getattr(trades, name), col)
+
+
+def test_run_backtest_peak_memory_is_below_the_trades_it_returns():
+    # 50,000 stride-1 bets over a cached grid. The frames hold the grid's
+    # columns and the computed ones without a copy, and decide reads p, a and
+    # b through memoryviews: the run peaks at about 0.7 times the bytes of the
+    # trades' columns. Three lists of Python floats and a copy of every
+    # column peaked at 3.2.
+    n = 50_000
+    series = generate_synthetic_series(seed=8, n=n + 5, volatility=0.01)
+    rng = np.random.default_rng(9)
+    ts = series.timestamps[:n]
+    preds = Predictions(ts, rng.uniform(0.3, 0.7, n))
+    ests = Scenarios(ts, *rng.uniform(0.01, 0.05, (2, n)))
+    cfg = BacktestConfig(stride=1, ruin_floor=0.0)
+    (_, trades), peak = traced_peak(run_backtest, series, preds, ests,
+                                    SizingPolicy("gaussian"), cfg)
+    assert len(trades) == n
+    assert peak < 1.5 * sum(getattr(trades, f.name).nbytes for f in fields(trades))
 
 
 def test_skips_timestamps_without_estimates():

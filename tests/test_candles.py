@@ -47,6 +47,19 @@ def test_parse_reports_line_number_for_malformed_row():
         from_file(parse_candles, text)
 
 
+def test_parse_skips_a_leading_byte_order_mark():
+    # Spreadsheet exports often start a UTF-8 file with U+FEFF.
+    text = HEADER + "3600,100,101,99,100,1\n7200,100,102,98,101,2\n"
+    plain, marked = (from_file(parse_candles, mark + text) for mark in ("", "\ufeff"))
+    for name in ("timestamps", "open", "high", "low", "close", "volume"):
+        got, want = getattr(marked, name), getattr(plain, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for bad, message in (("10800,abc,101,99,100,1\n", "malformed row at line 4"),
+                         ("10800,100,101,99,100,-1\n", "line 4: negative volume")):
+        with pytest.raises(DataError, match=message):
+            from_file(parse_candles, "\ufeff" + text + bad)
+
+
 def test_parse_missing_column():
     with pytest.raises(DataError, match="missing column"):
         from_file(parse_candles, "timestamp,open,high,low,close\n3600,1,1,1,1\n")

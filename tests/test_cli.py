@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -657,3 +658,46 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path, monkeypatch, argv, art
     ascii_locale, utf8 = ((out / artifact).read_bytes() for out in runs)
     assert ascii_locale == utf8
     assert text.encode("utf-8") in utf8
+
+
+def test_a_bankroll_past_the_largest_float_halts_and_writes_no_inf_or_nan(tmp_path):
+    """Kelly on always-correct forecasts compounds past 1.8e308 within
+    45,000 bars: the run halts before that trade and flags OVERFLOW, and
+    every artifact holds finite numbers only (JSON strictly)."""
+    out = tmp_path / "sim"
+    assert _run("simulate", "--n", "45000", "--sim", "optimal", "--policy", "kelly",
+                "--out", str(out)) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    for path in sorted(out.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=refuse)
+        else:
+            assert not {"inf", "nan"} & set(re.split(r"[^a-z]+", text.lower())), path.name
+    [row] = json.loads((out / "comparison.json").read_text())
+    assert row["flags"][0] == "OVERFLOW" and row["cumulative_return_pct"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--train-end", "2020-01-15", "--val-end", "2020-01-25"],
+    ["features", "--price-model", "--train-end", "2020-01-20"],
+    ["label"],
+    ["simulate"],
+    ["backtest", "--predictions", "PREDICTIONS"],
+    ["report", "--predictions", "PREDICTIONS"],
+], ids=lambda argv: argv[0])
+def test_a_candle_file_with_a_byte_order_mark_gives_the_same_artifacts(tmp_path, argv):
+    candles, preds = _write_series_and_predictions(tmp_path)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(candles).read_bytes())
+    argv = [preds if arg == "PREDICTIONS" else arg for arg in argv]
+    outputs = []
+    for name, path in (("plain", candles), ("marked", marked)):
+        out = tmp_path / name
+        assert _run(*argv, "--input", str(path), "--out", str(out)) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if p.name != "manifest.json"})
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from kellybt.features import (FeatureMatrix, apply_normalizer,
                               grid_from_config, make_labels, write_norm_stats_json)
 from kellybt.indicators import IndicatorSpec
 
-from conftest import make_series_from_closes
+from conftest import make_series_from_closes, traced_peak
 
 
 def test_single_roc_column_warmup_rows():
@@ -260,25 +259,13 @@ def test_feature_matrix_rejects_values_not_one_row_per_timestamp_and_column(shap
     assert FeatureMatrix(np.arange(3), ("a", "b"), np.zeros((3, 2))).values.shape == (3, 2)
 
 
-def _traced_peak(fn, *args):
-    """fn's result and the peak of the memory traced while it ran."""
-    fn(*args)  # any first-call allocation outside the count
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def test_build_feature_matrix_peak_memory_is_below_twice_the_matrix():
     # The columns are written into one buffer, compacted in place, and CCI's
     # deviations are taken a block of windows at a time: about 1.4 times the
     # matrix. A list of columns, stacked into a copy and masked into another,
     # peaked at 3.1.
     series = generate_synthetic_series(seed=0, n=20_000)
-    matrix, peak = _traced_peak(build_feature_matrix, series, default_grid(), True)
+    matrix, peak = traced_peak(build_feature_matrix, series, default_grid(), True)
     assert peak < 2 * matrix.values.nbytes
 
 
@@ -289,5 +276,5 @@ def test_fit_normalizer_peak_memory_is_bounded():
     series = generate_synthetic_series(seed=0, n=20_000)
     matrix = build_feature_matrix(series, default_grid(), price_model=True)
     train = (int(matrix.timestamps[0]), int(matrix.timestamps[-1]))
-    _, peak = _traced_peak(fit_normalizer, matrix, train)
+    _, peak = traced_peak(fit_normalizer, matrix, train)
     assert peak < 1.5 * matrix.values.nbytes

@@ -6,7 +6,6 @@ among them. ``fixed2_fields``
 writes the text of ``"%.2f"``, its reference, on half-cent ties, their
 neighbours and the edges of its own fast path. ``float_fields`` holds few
 bytes a cell while it builds a block."""
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from kellybt import floattext
 
 import floattext_sweep
 import oracles
+from conftest import traced_peak
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=5,
                  phases=[Phase.explicit, Phase.generate])
@@ -85,13 +85,7 @@ def test_float_fields_peak_memory_per_cell_is_bounded():
     # what a block holds. With every temporary kept to the end it was 415 to
     # 500 bytes a cell, with each deleted once dead about 165.
     x = floattext_sweep.chunk(np.random.default_rng(0), floattext.BLOCK_CELLS)
-    floattext.float_fields(x)  # any first-call allocation outside the count
-    tracemalloc.start()
-    try:
-        floattext.float_fields(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(floattext.float_fields, x)
     assert peak / x.size < 200
 
 

@@ -30,7 +30,7 @@ FRAMES = {
                  {"horizon": 5}),
     "BarrierLabels": (BarrierLabels, lambda n: [np.arange(n), np.ones(n, np.int64),
                                                 np.full(n, 5), ["UPPER"] * n], {}),
-    "EquityCurve": (EquityCurve, lambda n: [_ts(n), _floats(n)], {"ruin": True}),
+    "EquityCurve": (EquityCurve, lambda n: [_ts(n), _floats(n)], {"ruin": True, "overflow": True}),
     "Trades": (Trades, lambda n: [_ts(n), _ts(n) + 7200, ["LONG"] * n,
                                   *[_floats(n)] * 5], {}),
 }
@@ -76,3 +76,36 @@ def test_frame_rejects_ragged_or_non_1d_columns_and_freezes_them(name):
             cols[k] = col + 0.5 if col.dtype == np.int64 else col.astype(np.int64) + 300
             with pytest.raises(ValueError, match=f"cannot hold .* as {col.dtype}"):
                 make(cols)
+
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def test_frame_holds_a_read_only_array_of_its_dtype_as_it_is():
+    # An owned read-only array and a read-only view of one: no array can
+    # write into either, so the frame holds the object itself.
+    values = _read_only(np.arange(1.0, 7.0) / 8)
+    ts = _read_only(_ts(6))
+    sides = _read_only(np.array(["LONG", "SHORT", "FLAT"] * 2))
+    for t, v in ((ts, values), (ts[1:4], values[::2])):
+        curve = EquityCurve(t, v)
+        assert curve.timestamps is t and curve.values is v
+    trades = Trades(ts, ts, sides, *[values] * 5)
+    assert trades.entry_ts is ts and trades.side is sides and trades.pnl_fraction is values
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.arange(1.0, 4.0) / 4,
+    lambda: _read_only((np.arange(1.0, 4.0) / 4)[:]),  # its owner stays writable
+    lambda: _read_only(np.arange(1.0, 4.0, dtype=np.float32) / 4),
+    lambda: _read_only(np.arange(3)),
+], ids=["writable", "read-only-view-of-writable", "float32", "int64"])
+def test_frame_copies_an_array_that_can_be_written_or_is_of_another_dtype(make):
+    values = make()
+    curve = EquityCurve(_ts(3), values)
+    assert not np.shares_memory(curve.values, values)
+    assert curve.values.dtype == np.float64 and not curve.values.flags.writeable
+    assert curve.values.tolist() == values.astype(np.float64).tolist()

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from datetime import datetime, timezone
 
@@ -135,6 +137,24 @@ def test_build_report_flags():
     assert report.sharpe is None and report.romad is None
     report = build_report(_curve([1.0, 0.5], timestamps=ts, ruin=True), no_trades)
     assert "RUIN" in report.flags
+
+
+
+@pytest.mark.parametrize("values, cumulative, drawdown", [
+    ([1.0, 1e-300, 1e307], None, 100.0),  # a month's return and the percent overflow
+    ([1.0, 1e200, 1e200], 1e202, 0.0),  # the square of a month's return overflows
+])
+def test_build_report_gives_none_for_figures_past_the_largest_float(values, cumulative,
+                                                                    drawdown):
+    # numpy warns of no overflow either (warnings are errors here).
+    ts = [_epoch(2021, 1, 1), _epoch(2021, 2, 1), _epoch(2021, 3, 1)]
+    curve = EquityCurve(np.array(ts), np.array(values), overflow=True)
+    report = build_report(curve, Trades(*[[]] * 8))
+    assert report.cumulative_return_pct == cumulative
+    assert report.max_drawdown_pct == drawdown
+    assert report.sharpe is None and report.romad is None
+    assert report.flags == ("OVERFLOW", "SHARPE_NA", "ROMAD_NA")
+    json.dumps(dataclasses.asdict(report), allow_nan=False)
 
 
 # --- classification -------------------------------------------------------------

@@ -128,6 +128,19 @@ def test_load_predictions_with_estimates():
     assert (ests.a[0], ests.b[0]) == (0.05, 0.04)
 
 
+def test_load_predictions_skips_a_leading_byte_order_mark():
+    text = "timestamp,p_up,a,b\n3600,0.6,0.05,0.04\n7200,0.3,0.02,0.01\n"
+    (plain, plain_ests), (marked, marked_ests) = (from_file(load_predictions, mark + text)
+                                                  for mark in ("", "\ufeff"))
+    for got, want in ((marked.timestamps, plain.timestamps), (marked.p_up, plain.p_up),
+                      (marked_ests.a, plain_ests.a), (marked_ests.b, plain_ests.b)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for bad, message in (("10800,x,0.1,0.1\n", "malformed row at line 4"),
+                         ("10800,1.2,0.1,0.1\n", "line 4: p_up 1.2 outside")):
+        with pytest.raises(DataError, match=message):
+            from_file(load_predictions, "\ufeff" + text + bad)
+
+
 def test_load_predictions_probability_out_of_range():
     with pytest.raises(DataError, match="outside"):
         from_file(load_predictions, "timestamp,p_up\n3600,1.2\n")
