@@ -237,9 +237,9 @@ def _scenario_estimates(series, labels, resolved: dict):
         if not (0 < const_a < math.inf and 0 < const_b < math.inf):
             raise ValueError(f"constant scenario magnitudes must be finite and > 0, "
                              f"got {const_a}, {const_b}")
-        n = len(labels)
-        return predictors.Scenarios(labels.timestamps, np.full(n, const_a),
-                                    np.full(n, const_b))
+        n, floor = len(labels), predictors.AB_FLOOR
+        return predictors.Scenarios(labels.timestamps, np.full(n, max(const_a, floor)),
+                                    np.full(n, max(const_b, floor)))
     return predictors.estimate_scenarios(series, horizon=resolved["horizon"],
                                          window=resolved["window"])
 

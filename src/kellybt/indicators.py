@@ -21,6 +21,9 @@ times 100), consistent with ROC and PPO.
 
 Each kind is declared once, in ``KINDS``: its number of periods and its one
 arithmetic kernel, a batch function over plain high/low/close/volume arrays.
+A kernel returns only the values of the series' last bars, from the first
+bar its kind defines; ``compute_indicator`` alone pads the warm-up before
+them with NaN.
 """
 from __future__ import annotations
 
@@ -70,26 +73,25 @@ class IndicatorSpec:
         return "_".join([self.kind] + [str(p) for p in self.periods])
 
 
-def _first_defined(x: np.ndarray) -> int | None:
-    idx = np.flatnonzero(~np.isnan(x))
-    return int(idx[0]) if idx.size else None
+def _windows(x: np.ndarray, n: int) -> np.ndarray:
+    """Every run of n consecutive values of x, one a row; no rows when x is
+    shorter than n."""
+    return sliding_window_view(x, n) if x.size >= n else x[:0, None]
 
 
 def _ema_array(x: np.ndarray, n: int) -> np.ndarray:
-    """EMA with alpha = 2/(n+1), seeded by the SMA of the first n values."""
-    out = np.full(x.size, np.nan)
-    s = _first_defined(x)
-    if s is None or x.size - s < n:
-        return out
-    alpha = 2.0 / (n + 1.0)
-    one_minus = 1.0 - alpha
-    acc = float(np.mean(x[s:s + n]))
-    out[s + n - 1] = acc
-    tail = []
-    for v in x[s + n:].tolist():
-        acc = alpha * v + one_minus * acc
-        tail.append(acc)
-    out[s + n:] = tail
+    """EMA with alpha = 2/(n+1), seeded by the SMA of the first n values: its
+    values at x's last x.size - n + 1 entries, none when x is shorter than n."""
+    out = np.empty(max(x.size - n + 1, 0))
+    if out.size:
+        alpha = 2.0 / (n + 1.0)
+        one_minus = 1.0 - alpha
+        acc = out[0] = float(np.mean(x[:n]))
+        tail = []
+        for v in x[n:].tolist():
+            acc = alpha * v + one_minus * acc
+            tail.append(acc)
+        out[1:] = tail
     return out
 
 
@@ -99,47 +101,38 @@ def _guarded_ratio(num, den, on_zero):
     return np.where(den == 0, on_zero, ratio)
 
 
-# Batch kernels take plain high/low/close/volume arrays plus the period(s).
+# Batch kernels take plain high/low/close/volume arrays plus the period(s);
+# a series too short for the kind yields no values.
 
 
 def _trix(h, l, c, v, n: int) -> np.ndarray:
     e = _ema_array(_ema_array(_ema_array(c, n), n), n)
-    out = np.full(c.size, np.nan)
-    if c.size > 1:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[1:] = 100.0 * ((e[1:] - e[:-1]) / e[:-1])
-    return out
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return 100.0 * ((e[1:] - e[:-1]) / e[:-1])
 
 
 def _macd(h, l, c, v, fast: int, slow: int) -> np.ndarray:
-    return _ema_array(c, fast) - _ema_array(c, slow)
+    fast_ema, slow_ema = _ema_array(c, fast), _ema_array(c, slow)
+    return fast_ema[fast_ema.size - slow_ema.size:] - slow_ema
 
 
 def _ppo(h, l, c, v, fast: int, slow: int) -> np.ndarray:
-    slow_ema = _ema_array(c, slow)
-    num = _ema_array(c, fast) - slow_ema
+    fast_ema, slow_ema = _ema_array(c, fast), _ema_array(c, slow)
+    num = fast_ema[fast_ema.size - slow_ema.size:] - slow_ema
     return _guarded_ratio(100.0 * num, slow_ema, np.nan)
 
 
 def _roc(h, l, c, v, n: int) -> np.ndarray:
-    out = np.full(c.size, np.nan)
-    out[n:] = 100.0 * horizon_return(c, n)
-    return out
+    return 100.0 * horizon_return(c, n)
 
 
 def _efi_ratio(h, l, c, v, n: int) -> np.ndarray:
-    out = np.full(c.size, np.nan)
-    if c.size > n:
-        num = (c[n:] - c[:-n]) * (v[n:] - v[:-n])
-        out[n:] = _guarded_ratio(num, v[n:], np.nan)
-    return out
+    num = (c[n:] - c[:-n]) * (v[n:] - v[:-n])
+    return _guarded_ratio(num, v[n:], np.nan)
 
 
 def _efi_standard(h, l, c, v, n: int) -> np.ndarray:
-    force = np.full(c.size, np.nan)
-    if c.size > 1:
-        force[1:] = (c[1:] - c[:-1]) * v[1:]
-    return _ema_array(force, n)
+    return _ema_array((c[1:] - c[:-1]) * v[1:], n)
 
 
 def _gain_loss(close: np.ndarray):
@@ -148,27 +141,18 @@ def _gain_loss(close: np.ndarray):
 
 
 def _cmo(h, l, c, v, n: int) -> np.ndarray:
-    out = np.full(c.size, np.nan)
     gains, losses = _gain_loss(c)
-    if gains.size < n:
-        return out
-    p = sliding_window_view(gains, n).sum(axis=1)
-    neg = sliding_window_view(losses, n).sum(axis=1)
-    tot = p + neg
-    out[n:] = np.where(tot == 0, 0.0, _guarded_ratio(100.0 * (p - neg), tot, 0.0))
-    return out
+    p = _windows(gains, n).sum(axis=1)
+    neg = _windows(losses, n).sum(axis=1)
+    return _guarded_ratio(100.0 * (p - neg), p + neg, 0.0)
 
 
 def _rsi(h, l, c, v, n: int) -> np.ndarray:
-    out = np.full(c.size, np.nan)
     gains, losses = _gain_loss(c)
-    if gains.size < n:
-        return out
-    avg_gain = sliding_window_view(gains, n).sum(axis=1) / n
-    avg_loss = sliding_window_view(losses, n).sum(axis=1) / n
-    rs = _guarded_ratio(avg_gain, avg_loss, np.nan)
-    out[n:] = np.where(avg_loss == 0, 100.0, 100.0 - 100.0 / (1.0 + rs))
-    return out
+    avg_gain = _windows(gains, n).sum(axis=1) / n
+    avg_loss = _windows(losses, n).sum(axis=1) / n
+    # Zero average loss: rs is inf, and 100 - 100 / (1 + inf) is exactly 100.
+    return 100.0 - 100.0 / (1.0 + _guarded_ratio(avg_gain, avg_loss, np.inf))
 
 
 # Windows per block of CCI's mean absolute deviation.
@@ -176,11 +160,8 @@ _CCI_BLOCK_ROWS = 2048
 
 
 def _cci(h, l, c, v, n: int) -> np.ndarray:
-    out = np.full(c.size, np.nan)
     tp = (h + l + c) / 3.0
-    if tp.size < n:
-        return out
-    w = sliding_window_view(tp, n)
+    w = _windows(tp, n)
     m = w.mean(axis=1)
     # Mean absolute deviation a block of windows at a time: each row's
     # arithmetic is that of the whole-array expression, without its two
@@ -190,37 +171,19 @@ def _cci(h, l, c, v, n: int) -> np.ndarray:
         stop = start + _CCI_BLOCK_ROWS
         dev = w[start:stop] - m[start:stop, None]
         md[start:stop] = np.abs(dev, out=dev).mean(axis=1)
-    num = tp[n - 1:] - m
-    den = 0.015 * md
-    out[n - 1:] = np.where(den == 0, 0.0, _guarded_ratio(num, den, 0.0))
-    return out
+    return _guarded_ratio(tp[n - 1:] - m, 0.015 * md, 0.0)
 
 
 def _williams_r(h, l, c, v, n: int) -> np.ndarray:
-    out = np.full(c.size, np.nan)
-    if c.size < n:
-        return out
-    hi = sliding_window_view(h, n).max(axis=1)
-    lo = sliding_window_view(l, n).min(axis=1)
-    rng = hi - lo
-    num = hi - c[n - 1:]
-    out[n - 1:] = np.where(rng == 0, np.nan, _guarded_ratio(num, rng, np.nan) * (-100.0))
-    return out
+    hi = _windows(h, n).max(axis=1)
+    lo = _windows(l, n).min(axis=1)
+    return _guarded_ratio(hi - c[n - 1:], hi - lo, np.nan) * (-100.0)
 
 
 def _cmf(h, l, c, v, n: int) -> np.ndarray:
-    out = np.full(c.size, np.nan)
-    if c.size < n:
-        return out
-    hl = h - l
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mfm = ((c - l) - (h - c)) / hl
-    mfm = np.where(hl == 0, np.nan, mfm)
-    mfv = mfm * v
-    num = sliding_window_view(mfv, n).sum(axis=1)
-    den = sliding_window_view(v, n).sum(axis=1)
-    out[n - 1:] = np.where(den == 0, np.nan, _guarded_ratio(num, den, np.nan))
-    return out
+    mfv = _guarded_ratio((c - l) - (h - c), h - l, np.nan) * v
+    num = _windows(mfv, n).sum(axis=1)
+    return _guarded_ratio(num, _windows(v, n).sum(axis=1), np.nan)
 
 
 # Each kind's number of periods and its kernel.
@@ -243,7 +206,11 @@ def compute_indicator(series: CandleSeries, spec: IndicatorSpec) -> np.ndarray:
     """Evaluate one indicator over a whole series: a float64 column aligned
     to ``series.timestamps``, NaN where the value is undefined.
 
-    Too-short input yields an all-NaN column rather than an error.
+    The kernel's values fill the column's end; the warm-up before them is
+    NaN, and too-short input yields an all-NaN column rather than an error.
     """
-    return KINDS[spec.kind][1](series.high, series.low, series.close, series.volume,
+    tail = KINDS[spec.kind][1](series.high, series.low, series.close, series.volume,
                                *spec.periods)
+    out = np.full(len(series), np.nan)
+    out[out.size - tail.size:] = tail
+    return out

@@ -83,7 +83,7 @@ def simulate_balanced(labels: LabelSet, seed: int, hit_rate: float = 0.6,
                       p_const: float = 0.6) -> Predictions:
     """Fixed-probability simulator: exactly round(hit_rate*n) predictions agree
     with the true label; predicted-up entries carry p_const, predicted-down
-    entries carry 1 - p_const."""
+    entries carry 1 - p_const, each clipped into [P_CLIP_LO, P_CLIP_HI]."""
     _check_labels(labels)
     if not 0 < hit_rate <= 1:
         raise ValueError(f"hit_rate must be in (0, 1], got {hit_rate}")
@@ -91,7 +91,8 @@ def simulate_balanced(labels: LabelSet, seed: int, hit_rate: float = 0.6,
         raise ValueError(f"p_const must be in (0.5, 1) so direction follows p_up, got {p_const}")
     rng = np.random.default_rng(seed)
     up = _predicted_up(labels, _assign_correct(len(labels), hit_rate, rng))
-    return Predictions(labels.timestamps, np.where(up, p_const, 1.0 - p_const))
+    return Predictions(labels.timestamps,
+                       np.clip(np.where(up, p_const, 1.0 - p_const), P_CLIP_LO, P_CLIP_HI))
 
 
 def simulate_optimal(labels: LabelSet) -> Predictions:

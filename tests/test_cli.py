@@ -483,6 +483,21 @@ def test_simulate_rejects_non_finite_constant_scenarios(tmp_path, capsys, const_
     assert not (out / "predictions.csv").exists()
 
 
+def test_simulate_floors_small_constant_scenarios(tmp_path):
+    # A subnormal constant is raised to AB_FLOOR, as the loaders raise a and b:
+    # every file but the manifest is that of the run at the floor itself.
+    runs = {}
+    for const in ("1e-320", "0.001"):
+        out = tmp_path / const
+        assert _run("simulate", "--n", "2000", "--policy", "kelly", "--const-a", const,
+                    "--const-b", const, "--out", str(out)) == 0
+        runs[const] = {p.name: p.read_bytes() for p in out.iterdir()
+                       if p.name != "manifest.json"}
+    assert "comparison.json" in runs["1e-320"]
+    assert runs["1e-320"] == runs["0.001"]
+    json.loads(runs["1e-320"]["comparison.json"], parse_constant=pytest.fail)
+
+
 @pytest.mark.parametrize("flag", ["--drift", "--volatility", "--start-price"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_synth_rejects_non_finite_settings_as_config(tmp_path, capsys, flag, value):

@@ -23,6 +23,11 @@ ALL_SPECS = [
     IndicatorSpec("CMF", (20,)),
 ]
 
+# Index of each spec's first defined bar.
+WARMUP = {"TRIX_9": 3 * 8 + 1, "MACD_12_26": 25, "PPO_12_26": 25, "ROC_10": 10,
+          "EFI_RATIO_13": 13, "EFI_STANDARD_13": 13, "CMO_14": 14, "RSI_14": 14,
+          "CCI_20": 19, "WILLIAMS_R_14": 13, "CMF_20": 19}
+
 BOUNDS = {"RSI": (0.0, 100.0), "WILLIAMS_R": (-100.0, 0.0),
           "CMO": (-100.0, 100.0), "CMF": (-1.0, 1.0)}
 
@@ -42,19 +47,22 @@ def _assert_close_nan(got, want, tol):
 
 def test_constant_input_fixed_point():
     out = _ema_array(np.full(40, 7.5), 10)
-    assert np.isnan(out[:9]).all()
-    assert np.allclose(out[9:], 7.5)
+    assert out.size == 40 - 9
+    assert np.allclose(out, 7.5)
 
 
 def test_ema_matches_recurrence_oracle():
     rng = np.random.default_rng(3)
     xs = rng.normal(100, 5, size=100)
     out = _ema_array(xs, 3)
-    _assert_close_nan(out, oracles.o_ema(list(xs), 3), 1e-12)
+    _assert_close_nan(out, oracles.o_ema(list(xs), 3)[2:], 1e-12)
 
 
 def test_ema_too_short_is_all_nan():
-    assert np.isnan(_ema_array(np.array([1.0, 2.0]), 5)).all()
+    # No bar is defined: the reference is all NaN, and its tail is empty.
+    x = np.array([1.0, 2.0])
+    assert np.isnan(oracles.o_ema_array(x, 5)).all()
+    assert _ema_array(x, 5).size == 0 == oracles.o_ema_array(x, 5)[4:].size
 
 
 def _bits(x):
@@ -66,15 +74,19 @@ def _bits(x):
     (5, 0, 14), (20, 10, 14), (0, 0, 3), (3, 3, 1),          # shorter than n
 ])
 def test_ema_is_bit_identical_to_the_per_index_loop(size, warmup, n):
+    # The reference skips a NaN prefix; _ema_array takes the defined values
+    # only and returns the tail the reference writes after its warm-up.
     rng = np.random.default_rng(size + warmup + n)
     x = rng.normal(100, 5, size) * 10.0 ** rng.integers(-3, 4, size)
     x[:warmup] = np.nan
-    assert np.array_equal(_bits(_ema_array(x, n)), _bits(oracles.o_ema_array(x, n)))
-    # Nested, as TRIX uses it: each level's input starts with the NaNs the last wrote.
-    got, want = x, x
-    for _ in range(3):
+    assert np.array_equal(_bits(_ema_array(x[warmup:], n)),
+                          _bits(oracles.o_ema_array(x, n)[warmup + n - 1:]))
+    # Nested, as TRIX uses it: each level's reference input starts with the
+    # NaNs the last level wrote, and each tail is n - 1 bars shorter.
+    got, want = x[warmup:], x
+    for level in range(1, 4):
         got, want = _ema_array(got, n), oracles.o_ema_array(want, n)
-        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got), _bits(want[warmup + level * (n - 1):]))
 
 
 @pytest.mark.parametrize("n", [7, 14, 28])
@@ -89,9 +101,9 @@ def test_cci_blocks_are_bit_identical_to_the_whole_array_expression(n):
     l = c * (1.0 - rng.uniform(0.0, 0.01, size))
     flat = slice(_CCI_BLOCK_ROWS - 40, _CCI_BLOCK_ROWS + 40)
     h[flat] = l[flat] = c[flat] = 100.0
-    got = _cci(h, l, c, None, n)
-    assert np.array_equal(_bits(got), _bits(oracles.o_cci_array(h, l, c, n)))
-    assert np.all(got[flat][n - 1:] == 0.0)
+    got = _cci(h, l, c, None, n)  # got[i] is the window of bars i .. i + n - 1
+    assert np.array_equal(_bits(got), _bits(oracles.o_cci_array(h, l, c, n)[n - 1:]))
+    assert np.all(got[flat.start:flat.stop - n + 1] == 0.0)
 
 
 # --- spec construction --------------------------------------------------------
@@ -295,17 +307,24 @@ def test_macd_scales_linearly():
 
 def test_warmup_prefix_is_nan_never_zero():
     series = generate_synthetic_series(seed=9, n=120, volatility=0.02)
-    warmup = {"TRIX_9": 3 * 8 + 1, "MACD_12_26": 25, "PPO_12_26": 25, "ROC_10": 10,
-              "EFI_RATIO_13": 13, "EFI_STANDARD_13": 13, "CMO_14": 14, "RSI_14": 14,
-              "CCI_20": 19, "WILLIAMS_R_14": 13, "CMF_20": 19}
     for spec in ALL_SPECS:
         out = compute_indicator(series, spec)
-        first = warmup[spec.name]
+        first = WARMUP[spec.name]
         assert np.isnan(out[:first]).all(), spec.name
         assert not math.isnan(out[first]), spec.name
 
 
-def test_too_short_series_is_all_nan():
-    series = generate_synthetic_series(seed=10, n=5, volatility=0.02)
-    out = compute_indicator(series, IndicatorSpec("RSI", (14,)))
-    assert np.isnan(out).all()
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_too_short_series_is_all_nan(spec):
+    first = WARMUP[spec.name]
+    for n in (1, 5, first):  # the last is one bar short of the first defined value
+        series = generate_synthetic_series(seed=10, n=n, volatility=0.02)
+        assert np.isnan(compute_indicator(series, spec)).all(), n
+    # Exactly long enough: only the last bar is defined.
+    series = generate_synthetic_series(seed=10, n=first + 1, volatility=0.02)
+    out = compute_indicator(series, spec)
+    assert np.isnan(out[:-1]).all() and not math.isnan(out[-1])
+    # A period no series reaches, as a grid config may give: all NaN, no error.
+    huge = IndicatorSpec(spec.kind, spec.periods[:-1] + (2 ** 62,))
+    out = compute_indicator(series, huge)
+    assert out.shape == (first + 1,) and np.isnan(out).all()

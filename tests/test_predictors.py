@@ -3,7 +3,7 @@ import pytest
 
 from kellybt.candles import DataError, generate_synthetic_series
 from kellybt.features import make_labels
-from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, Predictions, Scenarios,
+from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, Predictions, Scenarios,
                                 estimate_scenarios, load_predictions, simulate_balanced,
                                 simulate_gaussian, simulate_optimal)
 
@@ -33,10 +33,12 @@ def test_balanced_hit_rate_one():
     assert _correct_count(preds, labels) == 25
 
 
-def test_balanced_probability_values():
+@pytest.mark.parametrize("p_const, values", [(0.6, {0.6, 0.4}),
+                                             (0.999, {P_CLIP_HI, P_CLIP_LO})])
+def test_balanced_probability_values(p_const, values):
     labels = _labels(30)
-    preds = simulate_balanced(labels, seed=3)
-    assert set(np.round(preds.p_up, 12).tolist()) <= {0.6, 0.4}
+    preds = simulate_balanced(labels, seed=3, p_const=p_const)
+    assert set(np.round(preds.p_up, 12).tolist()) <= values
 
 
 def test_balanced_determinism():
