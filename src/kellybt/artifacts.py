@@ -18,11 +18,11 @@ other (the report rows, which hold names and None). A large numpy table is
 split into contiguous row ranges, formatted into temporary files on a pool of
 ``max(1, cpus - 1)`` threads (numpy releases the GIL in its loops) and by the
 joining thread, and joined in order, so the bytes do not depend on how many
-ranges there are. Inside a ``deferred_tables()`` scope, which the CLI opens
-around each command, a split table is joined as the scope exits, so the pool
-formats it while the command goes on computing. The pool belongs to the
-scope, or to the one ``write_csv`` call when none is open: no thread outlives
-a command.
+ranges there are. Every split table is joined as its ``deferred_tables()``
+scope exits: the CLI opens one around each command, so the pool formats a
+table while the command goes on computing, and ``write_csv`` called outside a
+scope opens its own. The pool belongs to the scope: no thread outlives a
+command.
 
 Every CSV kellybt loads goes through ``read_csv``, which takes a path: a
 UTF-8 file, with or without a byte-order mark, whose lines end in ``\n``,
@@ -43,6 +43,7 @@ import re
 import shutil
 import tempfile
 import threading
+from collections.abc import Callable
 from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 
@@ -65,8 +66,8 @@ _NUMPY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8))
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
 
 # The innermost open ``deferred_tables`` scope of this thread, or None: its
-# tables still to join, by path (``_join``'s arguments), and its ``_Pool``.
-_SCOPE: ContextVar[tuple[dict, _Pool] | None] = ContextVar("_SCOPE", default=None)
+# tables still to join, by path, and the ``submit`` of its pool.
+_SCOPE: ContextVar[tuple[dict, Callable] | None] = ContextVar("_SCOPE", default=None)
 
 
 class DataError(ValueError):
@@ -98,17 +99,22 @@ def write_csv(path, header, columns) -> None:
     ``floattext`` formats a table of float64, int64, int8 or str numpy arrays
     in ``min(usable CPUs, cells // CSV_CELLS_PER_RANGE)`` row ranges: on this
     thread if that is below 2, else queued on the pool of the open
-    ``deferred_tables`` scope, or of this call, and joined by ``_join`` at the
-    scope's exit (a later write to the path replaces the table unjoined) or
-    before this returns. A table that fails to format raises OSError.
+    ``deferred_tables`` scope and joined at its exit (a later write to the
+    path replaces the table unjoined). With no scope open, the call runs in a
+    scope of its own, so the table is complete when it returns. A table that
+    fails to format raises OSError.
     """
+    scope = _SCOPE.get()
+    if scope is None:
+        with deferred_tables():
+            return write_csv(path, header, columns)
     n = len(columns[0]) if columns else 0
     if columns and (len(columns) != len(header) or any(len(c) != n for c in columns)):
         raise ValueError(f"need {len(header)} columns of one length for header {header}")
-    scope = _SCOPE.get()
+    pending, submit = scope
     key = os.fspath(path)
-    if scope is not None and key in scope[0]:
-        scope[0].pop(key)[0].close()  # replaced unread: stop its ranges, close its files
+    if key in pending:
+        pending.pop(key)[0].close()  # replaced unread: stop its ranges, close its files
     with ExitStack() as stack:
         fh = stack.enter_context(open(path, "wb"))
         fh.write((",".join(header) + "\n").encode("utf-8", "surrogateescape"))
@@ -123,14 +129,9 @@ def write_csv(path, header, columns) -> None:
         if len(bounds) == 2:
             _format(columns, 0, n, fh.write)
             return
-        pool = scope[1] if scope is not None else stack.enter_context(_Pool())
-        ranges = [stack.enter_context(_row_range(pool, columns, lo, hi))
+        ranges = [stack.enter_context(_row_range(submit, columns, lo, hi))
                   for lo, hi in zip(bounds, bounds[1:])]
-        held = stack.pop_all()
-    if scope is None:
-        _join(held, fh, ranges)
-    else:
-        scope[0][key] = (held, fh, ranges)
+        pending[key] = (stack.pop_all(), fh, ranges)
 
 
 def _format(rows, lo: int, hi: int, write, stop=None) -> None:
@@ -150,38 +151,50 @@ def _format(rows, lo: int, hi: int, write, stop=None) -> None:
                       f"{type(exc).__name__}: {exc}") from exc
 
 
-def _join(stack: ExitStack, fh, ranges) -> None:
-    """Format on this thread each range no pool thread has started, then wait
-    for each range in order and append its text to ``fh``, a binary file;
-    then close ``stack``: the ranges, their files, the pool and ``fh``, each
-    if it holds them. A range that fails raises OSError."""
-    with stack:
-        for claim, _ in ranges:
-            claim()
-        for _, copy in ranges:
-            copy(fh)
-
-
 @contextmanager
 def deferred_tables():
     """A scope in which ``write_csv`` hands a split table to the scope's pool
-    and returns; the tables are joined in the order written when the scope
-    exits, and then the pool is shut down. If a join fails or the scope is
-    left by an exception, every table not joined yet has its queued ranges
-    cancelled, its running ones stopped and waited for, and its files closed.
-    A scope holds for the thread that opened it."""
+    of ``max(1, cpus - 1)`` threads, started as work is submitted, and
+    returns. At exit each table is joined in the order written: this thread
+    formats each range no pool thread has started (so at most ``cpus``
+    ranges format at once), then appends each range's text in order and
+    closes the file; then the pool is shut down. If a join fails or the
+    scope is left by an exception, every table not joined yet has its queued
+    ranges cancelled, its running ones stopped and waited for, and its files
+    closed. A scope holds for the thread that opened it."""
     pending: dict = {}
-    with _Pool() as pool:
-        token = _SCOPE.set((pending, pool))
-        try:
-            yield
-            for key in list(pending):
-                _join(*pending.pop(key))
-        finally:
-            _SCOPE.reset(token)
-            with ExitStack() as rest:
-                for stack, _, _ in pending.values():
-                    rest.push(stack)
+    executor = None
+
+    def submit(fn):
+        nonlocal executor
+        if executor is None:
+            # here, not at the top: only a split table needs it
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
+                                          thread_name_prefix=__name__)
+        return executor.submit(fn)
+
+    def shutdown() -> None:
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    token = _SCOPE.set((pending, submit))
+    try:
+        yield
+        for key in list(pending):
+            stack, fh, ranges = pending.pop(key)
+            with stack:
+                for claim, _ in ranges:
+                    claim()
+                for _, copy in ranges:
+                    copy(fh)
+    finally:
+        _SCOPE.reset(token)
+        with ExitStack() as rest:
+            rest.callback(shutdown)  # first in, so it runs after every range has stopped
+            for stack, _, _ in pending.values():
+                rest.push(stack)
 
 
 def _usable_cpus() -> int:
@@ -198,36 +211,11 @@ def _row_ranges(columns, n: int) -> list[int]:
     return [n * i // k for i in range(k + 1)] if k >= 2 else [0, n]
 
 
-class _Pool:
-    """The ``max(1, cpus - 1)`` threads that format row ranges, started as
-    work is submitted; with the thread that joins a table, at most ``cpus``
-    ranges format at once. Leaving it shuts the threads down."""
-
-    def __init__(self):
-        self._executor = None
-
-    def submit(self, fn):
-        if self._executor is None:
-            # here, not at the top: only a split table needs it
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
-                                                thread_name_prefix=__name__)
-        return self._executor.submit(fn)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-
-
 @contextmanager
-def _row_range(pool: _Pool, columns, lo: int, hi: int):
-    """Queue rows ``[lo, hi)`` of ``columns`` on ``pool``, to be formatted
-    (``_format``) into an unlinked temporary file; it reads a read-only column
-    as it is and a copy of a writable one. Yields ``(claim, copy)``:
+def _row_range(submit, columns, lo: int, hi: int):
+    """Queue rows ``[lo, hi)`` of ``columns`` with a scope's ``submit``, to be
+    formatted (``_format``) into an unlinked temporary file; it reads a
+    read-only column as it is and a copy of a writable one. Yields ``(claim, copy)``:
     ``claim()`` formats the range on the calling thread if no pool thread has
     started it, and ``copy(fh)`` waits for it and appends its text to the
     binary file ``fh``, raising OSError if it failed. On exit a queued range
@@ -244,7 +232,7 @@ def _row_range(pool: _Pool, columns, lo: int, hi: int):
             except OSError as exc:  # copy() raises it in the joining thread
                 failed.append(exc)
 
-        future = pool.submit(run)
+        future = submit(run)
 
         def claim() -> None:
             if future.cancel():

@@ -277,8 +277,8 @@ def split_dataset(series: CandleSeries, spec: SplitSpec):
         )
     i = int(np.searchsorted(series.timestamps, spec.train_end, side="right"))
     j = int(np.searchsorted(series.timestamps, spec.validation_end, side="right"))
-    if i == 0 or j <= i or j >= len(series):
-        raise ValueError("split produced an empty train, validation, or test set")
+    if j <= i:  # both boundaries fall inside one gap between timestamps
+        raise ValueError("split produced an empty validation set")
     return series.slice(0, i), series.slice(i, j), series.slice(j, len(series))
 
 

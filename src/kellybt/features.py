@@ -5,9 +5,10 @@ price-model columns add the five trailing horizon-length fractional price
 changes (``CandleSeries.forward_return`` shifted down one to five horizons)
 plus a market-direction column holding the sign of the forward return, the
 realized direction (the scenario machinery overrides it with +1/-1 at
-prediction time). Rows with any undefined value are dropped, so warm-up rows
-vanish from the front and, when the direction column is present, the last
-``horizon`` rows vanish from the tail.
+prediction time). Rows with any undefined value (NaN, or a non-finite value
+from huge finite candles) are dropped, so warm-up rows vanish from the front
+and, when the direction column is present, the last ``horizon`` rows vanish
+from the tail.
 
 Normalization stats are fitted on training rows only and frozen for the
 later splits; fitting globally would leak future statistics.
@@ -108,8 +109,11 @@ def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
 
     n = len(series)
     values = np.empty((n, len(names)))
-    for j, spec in enumerate(grid):
-        values[:, j] = compute_indicator(series, spec)
+    # Huge finite candles can overflow an indicator; a non-finite value is
+    # undefined, and its row is dropped below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, spec in enumerate(grid):
+            values[:, j] = compute_indicator(series, spec)
     if price_model:
         # Column k is the return realized k horizons back: fwd shifted down h*k rows.
         for k in range(1, 6):
@@ -121,7 +125,7 @@ def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
         col[:fwd.size] = np.where(fwd > 0, 1.0, -1.0)
         col[fwd.size:] = np.nan
 
-    rows = np.flatnonzero(~np.isnan(values).any(axis=1))
+    rows = np.flatnonzero(np.isfinite(values).all(axis=1))
     if not rows.size:
         raise ValueError("no fully defined rows after warm-up truncation")
     # rows[i] >= i, so each step reads only rows that no earlier step wrote.
@@ -150,7 +154,8 @@ def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,
 def fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]) -> NormStats:
     """Per-column mean/stddev over rows with timestamps inside train_range,
     the inclusive ``(lo, hi)``; the rows are one slice of the matrix, not a
-    copy."""
+    copy. A column whose mean or std is not finite (a sum of squares can
+    overflow on finite values) raises ValueError."""
     lo, hi = train_range
     start = np.searchsorted(matrix.timestamps, lo, side="left")
     stop = np.searchsorted(matrix.timestamps, hi, side="right")
@@ -159,7 +164,13 @@ def fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]) -> NormS
         raise ValueError(
             f"need at least 2 training rows to fit the normalizer, got {rows.shape[0]}"
         )
-    return NormStats(matrix.column_names, rows.mean(axis=0), rows.std(axis=0, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = rows.mean(axis=0), rows.std(axis=0, ddof=1)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise ValueError(f"feature column {matrix.column_names[bad[0]]} has a non-finite "
+                         f"training mean or std")
+    return NormStats(matrix.column_names, mean, std)
 
 
 def apply_normalizer(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:

@@ -221,7 +221,7 @@ def estimate_scenarios(series: CandleSeries, horizon: int = 5,
 def write_predictions_csv(preds: Predictions, ests: Scenarios | None, path: str) -> None:
     """Write timestamp,p_up[,a,b] rows. With scenarios supplied, predictions
     lacking one (estimator warm-up) are omitted, keeping rows loadable."""
-    if not ests:
+    if ests is None:
         write_csv(path, ("timestamp", "p_up"), [preds.timestamps, preds.p_up])
         return
     pos, found = positions(ests.timestamps, preds.timestamps)

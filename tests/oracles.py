@@ -838,11 +838,11 @@ def o_write_predictions_csv(preds: list[DirectionPrediction],
                             ests: list[ScenarioEstimate] | None, path: str) -> None:
     """Write timestamp,p_up[,a,b] rows. With estimates supplied, predictions
     lacking one (estimator warm-up) are omitted, keeping rows loadable."""
-    by_ts = {e.timestamp: e for e in ests} if ests else {}
+    by_ts = {e.timestamp: e for e in ests or ()}
     with open(path, "w", newline="") as fh:
-        fh.write("timestamp,p_up,a,b\n" if ests else "timestamp,p_up\n")
+        fh.write("timestamp,p_up\n" if ests is None else "timestamp,p_up,a,b\n")
         for p in preds:
-            if ests:
+            if ests is not None:
                 e = by_ts.get(p.timestamp)
                 if e is None:
                     continue

@@ -126,6 +126,21 @@ def test_split_boundary_at_start_is_degenerate():
         split_dataset(series, spec)
 
 
+def test_split_with_both_boundaries_in_one_timestamp_gap_is_degenerate():
+    series = generate_synthetic_series(seed=4, n=10)
+    ts = series.timestamps + np.where(np.arange(10) < 5, 0, 10 * HOUR)  # a gap after bar 4
+    gapped = CandleSeries(ts, series.open, series.high, series.low, series.close,
+                          series.volume)
+    spec = SplitSpec(int(ts[4]) + HOUR, int(ts[4]) + 2 * HOUR)
+    with pytest.raises(ValueError, match="empty validation set"):
+        split_dataset(gapped, spec)
+
+
+def test_split_spec_rejects_boundaries_out_of_order():
+    with pytest.raises(ValueError, match="must precede"):
+        SplitSpec(7200, 7200)
+
+
 def test_split_boundary_outside_range():
     series = generate_synthetic_series(seed=4, n=10)
     spec = SplitSpec(int(series.timestamps[-1]) + HOUR, int(series.timestamps[-1]) + 2 * HOUR)
@@ -222,6 +237,15 @@ def test_series_rejects_non_finite_values():
         CandleSeries([3600, 7200], [1, 1], [1, 1], [1, 1], [1, np.nan], [1, 1])
     with pytest.raises(DataError, match="non-finite"):
         CandleSeries([3600], [1], [np.inf], [1], [1], [1])
+
+
+def test_series_rejects_no_rows_and_a_slice_outside_it():
+    with pytest.raises(DataError, match="empty candle series"):
+        CandleSeries([], [], [], [], [], [])
+    series = generate_synthetic_series(seed=4, n=10)
+    for start, stop in ((3, 3), (-1, 4), (5, 11)):
+        with pytest.raises(ValueError, match="bad slice"):
+            series.slice(start, stop)
 
 
 def test_parse_error_names_line_of_unsorted_row():
@@ -340,6 +364,20 @@ def test_parse_rejects_bytes_that_are_not_utf8_by_line(tmp_path, row, message):
     path.write_bytes(HEADER.encode() + b"3600,1,1,1,1,1\n" + row)
     with pytest.raises(DataError, match=f"^malformed row at line 3: .*{message}"):
         parse_candles(str(path))
+
+
+_PAST_CSV_LIMIT = "9" * 131_073  # one character past the csv module's field limit
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEADER.replace("volume", "volume" + _PAST_CSV_LIMIT), "malformed header: "),
+    (HEADER + "3600,100,101,99,100,1\n7200,\xa0" + _PAST_CSV_LIMIT + ",101,99,100,1\n",
+     "malformed row at line 3: "),
+], ids=["header", "non-ascii-row"])
+def test_parse_rejects_a_field_past_the_csv_limit(text, message):
+    # The csv module reads the header and screens a non-ASCII data line.
+    with pytest.raises(DataError, match=f"^{message}field larger than field limit"):
+        from_file(parse_candles, text)
 
 
 @pytest.mark.parametrize("value", ["1e400", "Infinity", "-1e400"])

@@ -73,13 +73,19 @@ def test_kelly_surface_full_grids(tmp_path):
     assert os.path.exists(f"{out}/kelly_surface_pab.csv")
 
 
-def test_missing_input_exit_code(tmp_path, capsys):
-    code = _run("backtest", "--input", str(tmp_path / "nope.csv"),
-                "--predictions", str(tmp_path / "nope2.csv"),
-                "--out", str(tmp_path / "bt"))
+@pytest.mark.parametrize("argv, message", [
+    (["backtest", "--input", "{tmp}/nope.csv", "--predictions", "{tmp}/nope2.csv"],
+     "input file not found"),
+    (["--config", "{tmp}/nope.json", "synth"], "config file not found"),
+    (["backtest", "--input", "{tmp}/candles.csv", "--predictions", "{tmp}/nope.csv"],
+     "predictions file not found"),
+], ids=["input", "config", "predictions"])
+def test_missing_input_exit_code(tmp_path, capsys, argv, message):
+    generate_synthetic_series(seed=0, n=50).to_csv(str(tmp_path / "candles.csv"))
+    code = _run(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path / "out"))
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "missing_input"
+    assert err["error"] == "missing_input" and message in err["message"]
 
 
 def test_unknown_flag_exit_code(capsys):
@@ -88,11 +94,20 @@ def test_unknown_flag_exit_code(capsys):
     assert err["error"] == "usage"
 
 
-def test_config_validation_exit_code(tmp_path, capsys):
-    code = _run("synth", "--n", "0", "--out", str(tmp_path / "x"))
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--n", "0"], "n must be >= 1, got 0"),
+    (["--config", "{tmp}/array.json", "synth"], "config file must hold a JSON object"),
+    (["ingest", "--input", "{tmp}/candles.csv", "--val-end", "2020-01-02"],
+     "ingest requires --train-end"),
+    (["simulate", "--n", "300", "--sim", "nope"], "unknown simulator 'nope'"),
+    (["compare", "--seeds", ",", "--n", "300"], "no seeds in ','"),
+], ids=["value", "array-config", "required", "simulator", "no-seeds"])
+def test_config_validation_exit_code(tmp_path, capsys, argv, message):
+    (tmp_path / "array.json").write_text("[1]")
+    code = _run(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path / "x"))
     assert code == 4
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "config"
+    assert err["error"] == "config" and message in err["message"]
 
 
 def test_malformed_data_exit_code(tmp_path, capsys):
@@ -276,15 +291,16 @@ def test_simulate_constant_scenario_estimates(tmp_path, capsys):
     assert "together" in json.loads(capsys.readouterr().err.strip())["message"]
 
 
-def test_compare_command_rows(tmp_path):
+@pytest.mark.parametrize("seeds, want", [("0,1", [0, 1]), ("1,,2", [1, 2])])
+def test_compare_command_rows(tmp_path, seeds, want):
     out = str(tmp_path / "cmp")
-    assert _run("compare", "--seeds", "0,1", "--sims", "balanced", "--n", "900",
+    assert _run("compare", "--seeds", seeds, "--sims", "balanced", "--n", "900",
                 "--policy", "none,kelly", "--window", "100", "--out", out) == 0
     rows = _rows(f"{out}/comparison.csv")
     assert len(rows) == 2 * 1 * 2
     assert {r["policy"] for r in rows} == {"none", "kelly"}
     summary = json.loads(_read(f"{out}/summary.json"))
-    assert summary["seeds"] == [0, 1]
+    assert summary["seeds"] == want
     assert set(summary["mean_sharpe"]) == {"balanced/none", "balanced/kelly"}
 
 

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from kellybt.candles import generate_synthetic_series
+from kellybt.candles import CandleSeries, generate_synthetic_series
 from kellybt.features import (FeatureMatrix, apply_normalizer,
                               build_feature_matrix, default_grid, fit_normalizer,
                               grid_from_config, make_labels, write_norm_stats_json)
 from kellybt.indicators import IndicatorSpec
 
-from conftest import make_series_from_closes, traced_peak
+from conftest import make_series_from_closes, make_series_from_ohlc, traced_peak
 
 
 def test_single_roc_column_warmup_rows():
@@ -70,6 +70,27 @@ def test_all_rows_truncated_rejected():
         build_feature_matrix(series, [IndicatorSpec("RSI", (14,))])
 
 
+def test_rows_with_a_non_finite_feature_are_dropped():
+    # Closes near 1e200 with a volume jump at bar 20: EFI_RATIO_3's price
+    # change times volume change overflows on bars 20-22 only, and those rows
+    # go with the warm-up rows, without a numpy warning (an error here).
+    rows = [(c, c, c, c, 10.0 if k < 20 else 1e200)
+            for k, c in enumerate(1e200 * (1 + 0.01 * np.arange(40)))]
+    series = make_series_from_ohlc(rows)
+    matrix = build_feature_matrix(series, [IndicatorSpec("ROC", (3,)),
+                                           IndicatorSpec("EFI_RATIO", (3,))])
+    assert np.array_equal(matrix.timestamps, series.timestamps[np.r_[3:20, 23:40]])
+    assert np.isfinite(matrix.values).all()
+
+
+def test_candles_too_large_for_any_finite_row_are_rejected():
+    series = generate_synthetic_series(seed=4, n=400)
+    huge = CandleSeries(series.timestamps, *(1e200 * getattr(series, name) for name in
+                                             ("open", "high", "low", "close", "volume")))
+    with pytest.raises(ValueError, match="no fully defined rows"):
+        build_feature_matrix(huge, default_grid())
+
+
 def _tiny_matrix(values, names=None):
     values = np.asarray(values, dtype=np.float64)
     names = tuple(names or [f"c{i}" for i in range(values.shape[1])])
@@ -96,6 +117,13 @@ def test_fit_normalizer_constant_column_flagged():
 def test_fit_normalizer_needs_two_rows():
     matrix = _tiny_matrix([[1.0]])
     with pytest.raises(ValueError, match="2 training rows"):
+        fit_normalizer(matrix, (0, 10_000_000))
+
+
+def test_fit_normalizer_rejects_a_column_whose_std_overflows():
+    # Every value is finite, but the sum of squared deviations is not.
+    matrix = _tiny_matrix([[1.0, 1e300], [2.0, -1e300], [3.0, 1e300]], names=["a", "b"])
+    with pytest.raises(ValueError, match="feature column b has a non-finite training mean"):
         fit_normalizer(matrix, (0, 10_000_000))
 
 

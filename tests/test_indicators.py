@@ -133,9 +133,12 @@ def test_spec_efi_alias():
     assert IndicatorSpec("efi", (13,)).name == "EFI_RATIO_13"
 
 
-@pytest.mark.parametrize("period", [14.7, True, "14", None, float("nan")])
-def test_spec_rejects_non_integral_or_bool_period(period):
-    with pytest.raises(ValueError, match="integers"):
+@pytest.mark.parametrize("period, message", [
+    *((p, "periods must be integers") for p in (14.7, True, "14", None, float("nan"))),
+    (0, "periods must be >= 1"), (-3, "periods must be >= 1"),
+])
+def test_spec_rejects_non_integral_or_bool_period(period, message):
+    with pytest.raises(ValueError, match=message):
         IndicatorSpec("RSI", (period,))
 
 

@@ -75,6 +75,12 @@ def test_monthly_returns_gap_month_carries_forward():
     assert np.allclose(rets, [0.1, 0.0, 0.1], atol=1e-12)
 
 
+@pytest.mark.parametrize("metric", [cumulative_return, max_drawdown, monthly_returns])
+def test_metrics_reject_an_empty_curve(metric):
+    with pytest.raises(ValueError, match="empty equity curve"):
+        metric(EquityCurve([], []))
+
+
 @pytest.mark.parametrize("metric", [monthly_returns, sharpe_monthly, romad,
                                     lambda curve: build_report(curve, [])])
 def test_monthly_metrics_reject_decreasing_timestamps(metric):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from kellybt.candles import DataError, generate_synthetic_series
-from kellybt.features import make_labels
+from kellybt.features import LabelSet, make_labels
 from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, Predictions, Scenarios,
                                 estimate_scenarios, load_predictions, simulate_balanced,
-                                simulate_gaussian, simulate_optimal)
+                                simulate_gaussian, simulate_optimal, write_predictions_csv)
 
 import oracles
 from conftest import from_file, make_series_from_closes
@@ -55,6 +55,8 @@ def test_balanced_validation():
         simulate_balanced(labels, seed=0, hit_rate=0.0)
     with pytest.raises(ValueError, match="p_const"):
         simulate_balanced(labels, seed=0, p_const=0.4)
+    with pytest.raises(ValueError, match="label set is empty"):
+        simulate_balanced(LabelSet([], [], [], [], horizon=5), seed=0)
 
 
 def test_optimal_probability_sequence():
@@ -111,6 +113,8 @@ def test_gaussian_validation():
         simulate_gaussian(labels, seed=0, sigma=0.0)
     with pytest.raises(ValueError, match="mu_short"):
         simulate_gaussian(labels, seed=0, mu_long=0.4, mu_short=0.6)
+    with pytest.raises(ValueError, match="hit_rate"):
+        simulate_gaussian(labels, seed=0, hit_rate=0.0)
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
@@ -156,6 +160,11 @@ def test_load_predictions_without_estimate_columns():
 def test_load_predictions_single_scenario_column_rejected():
     with pytest.raises(DataError, match="together"):
         from_file(load_predictions, "timestamp,p_up,a\n3600,0.7,0.01\n")
+
+
+def test_load_predictions_without_a_timestamp_column_rejected():
+    with pytest.raises(DataError, match="prediction file missing column 'timestamp'"):
+        from_file(load_predictions, "time,p_up\n3600,0.7\n")
 
 
 def test_load_predictions_clip_and_floor():
@@ -250,6 +259,13 @@ def test_estimate_rejects_a_horizon_below_one(horizon):
 def test_estimate_short_series_is_empty():
     series = generate_synthetic_series(seed=16, n=50)
     assert len(estimate_scenarios(series, horizon=5, window=60)) == 0
+
+
+def test_empty_scenarios_are_written_as_the_scenario_header_and_no_rows(tmp_path):
+    # Scenarios given but empty are not "no scenarios": no prediction has one.
+    preds = Predictions(np.array([3600, 7200]), np.array([0.6, 0.4]))
+    write_predictions_csv(preds, Scenarios([], [], []), str(tmp_path / "p.csv"))
+    assert (tmp_path / "p.csv").read_text() == "timestamp,p_up,a,b\n"
 
 
 @pytest.mark.parametrize("a,b", [("nan", "0.1"), ("0.1", "nan"), ("inf", "0.1"),
