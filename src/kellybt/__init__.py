@@ -10,8 +10,8 @@ metric reports.
 __version__ = "0.1.0"
 
 from .backtest import BacktestConfig, EquityCurve, Trades, compare_strategies, run_backtest
-from .candles import (CandleSeries, SplitSpec, generate_synthetic_series,
-                      parse_candles, positions, split_dataset)
+from .candles import (CandleSeries, generate_synthetic_series, parse_candles, positions,
+                      split_dataset)
 from .features import (FeatureMatrix, LabelSet, apply_normalizer, build_feature_matrix,
                        default_grid, fit_normalizer, make_labels)
 from .indicators import IndicatorSpec, compute_indicator
@@ -26,7 +26,7 @@ from .sizing import (BetDecision, SizingPolicy, decide, gaussian_bet_size,
 
 __all__ = [
     "BacktestConfig", "EquityCurve", "Trades", "compare_strategies", "run_backtest",
-    "CandleSeries", "SplitSpec", "generate_synthetic_series",
+    "CandleSeries", "generate_synthetic_series",
     "parse_candles", "positions", "split_dataset",
     "FeatureMatrix", "LabelSet", "apply_normalizer", "build_feature_matrix",
     "default_grid", "fit_normalizer", "make_labels",

@@ -361,12 +361,14 @@ def _check_ascii_timestamp(line: str, col: int, lineno: int) -> None:
 
 
 def write_manifest(outdir: str, command: str, config: dict,
-                   inputs: list[str], seeds: list[int], artifacts: list[str]) -> str:
+                   inputs: dict[str, str], seeds: list[int], artifacts: list[str]) -> str:
+    """Write ``manifest.json``; ``inputs`` maps an option to the path it
+    named, and that input's digest is keyed by the option, as in ``config``."""
     manifest = {
         "command": command,
         "tool_version": __version__,
         "config": config,
-        "inputs": {os.path.basename(p): sha256_file(p) for p in inputs},
+        "inputs": {key: sha256_file(p) for key, p in inputs.items()},
         "seeds": seeds,
         "artifacts": {os.path.basename(p): sha256_file(p) for p in artifacts},
     }

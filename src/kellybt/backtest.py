@@ -34,6 +34,7 @@ Trades and the equity curve come out as column frames (``candles.Frame``):
 ``Trades``, one row per trade with the ``trades.csv`` columns in header order,
 and ``EquityCurve``. ``run_backtest`` flags the arrays it computes read-only,
 so both frames hold them, and the grid's views, without a copy.
+``compare_strategies`` reports each run with ``metrics.build_report``.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .candles import CandleSeries, Frame, check_horizon, column, positions
+from .metrics import BacktestReport, build_report
 from .predictors import Predictions, Scenarios
 from .sizing import SIDE_FLAT, SIDE_LONG, SIDE_SHORT, SizingPolicy, decide
 
@@ -193,7 +195,7 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     horizon = cfg.horizon
     stride = cfg.effective_stride
     grid = _decision_grid(series, predictions, estimates, horizon, stride)
-    divisor = 1 if stride >= horizon else math.ceil(horizon / stride)
+    divisor = -(-horizon // stride)  # ceil(horizon / stride), in ints
 
     # A memoryview yields the Python floats that tolist would, one at a time.
     scenarios = repeat(None) if grid.a is None else zip(memoryview(grid.a), memoryview(grid.b))
@@ -230,13 +232,12 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
 
 @dataclass(frozen=True)
 class StrategyResult:
-    """One policy's outcome over the shared decision grid; ``report`` is a
-    metrics.BacktestReport (typed loosely to keep metrics import one-way)."""
+    """One policy's outcome over the shared decision grid."""
 
     policy: SizingPolicy
     curve: EquityCurve
     trades: Trades = field(repr=False)
-    report: object = None
+    report: BacktestReport
 
 
 def compare_strategies(series: CandleSeries, predictions: Predictions,
@@ -244,14 +245,12 @@ def compare_strategies(series: CandleSeries, predictions: Predictions,
                        policies: list[SizingPolicy],
                        cfg: BacktestConfig = BacktestConfig()) -> list[StrategyResult]:
     """Run each policy against identical predictions and trade timestamps."""
-    from . import metrics
-
     if not policies:
         raise ValueError("need at least one policy")
     results = []
     for policy in policies:
         curve, trades = run_backtest(series, predictions, estimates, policy, cfg)
-        results.append(StrategyResult(policy, curve, trades, metrics.build_report(curve, trades)))
+        results.append(StrategyResult(policy, curve, trades, build_report(curve, trades)))
     return results
 
 

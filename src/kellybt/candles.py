@@ -21,14 +21,13 @@ holds the one bound on a horizon, which the backtest and barrier configs
 also check when they are built.
 
 ``Frame`` is the base of every column frame passed between layers: the
-series itself and the prediction, scenario, label, trade and equity frames.
-Its constructor is the one place that casts each ``column`` field to its
-dtype (refusing a cast that would change an integer column's value), checks
-that the columns are 1-D and of one length, and makes them read-only; a
-column that is already a read-only array of its dtype, which no array can
-write into, is held as it is.
-``TimestampedFrame`` adds the strictly increasing timestamps that
-``positions`` binary-searches.
+series itself and the prediction, scenario, label, feature, trade and equity
+frames. Its constructor is the one place that casts each ``column`` field to
+its dtype (refusing a cast that would change an integer column's value),
+checks that the columns are 1-D and of one length, and makes them read-only;
+a column that is already a read-only array of its dtype, which no array can
+write into, is held as it is. ``TimestampedFrame`` adds the strictly
+increasing timestamps that ``positions`` binary-searches.
 """
 from __future__ import annotations
 
@@ -220,24 +219,6 @@ class CandleSeries(Frame):
                                             self.low, self.close, self.volume])
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological train/validation/test boundaries (epoch seconds).
-
-    The boundary candle belongs to the earlier split, so a label computed at
-    the boundary cannot leak into the later set.
-    """
-
-    train_end: int
-    validation_end: int
-
-    def __post_init__(self):
-        if self.train_end >= self.validation_end:
-            raise ValueError(
-                f"train_end {self.train_end} must precede validation_end {self.validation_end}"
-            )
-
-
 def parse_candles(path, symbol: str = "UNKNOWN") -> CandleSeries:
     """Parse the canonical candle CSV at ``path`` into a CandleSeries.
 
@@ -261,22 +242,26 @@ def parse_candles(path, symbol: str = "UNKNOWN") -> CandleSeries:
     return CandleSeries(ts, o, h, l, c, v, symbol=symbol)
 
 
-def split_dataset(series: CandleSeries, spec: SplitSpec):
-    """Split into contiguous (train, validation, test) sub-series.
+def split_dataset(series: CandleSeries, train_end: int, validation_end: int):
+    """Split into contiguous (train, validation, test) sub-series at the
+    ``train_end`` and ``validation_end`` boundaries (epoch seconds).
 
-    Boundaries must lie strictly inside the series range; each boundary candle
-    goes to the earlier split.
+    Boundaries must be in order and lie strictly inside the series range;
+    each boundary candle goes to the earlier split, so a label computed at
+    the boundary cannot leak into the later set.
     """
+    if train_end >= validation_end:
+        raise ValueError(f"train_end {train_end} must precede validation_end {validation_end}")
     start = int(series.timestamps[0])
     end = int(series.timestamps[-1])
-    if not start < spec.train_end < spec.validation_end < end:
+    if not start < train_end < validation_end < end:
         raise ValueError(
-            f"split boundaries ({spec.train_end}, {spec.validation_end}) must lie strictly "
+            f"split boundaries ({train_end}, {validation_end}) must lie strictly "
             f"inside the series range ({start}, {end}); degenerate splits would leave an "
             f"empty train or test set"
         )
-    i = int(np.searchsorted(series.timestamps, spec.train_end, side="right"))
-    j = int(np.searchsorted(series.timestamps, spec.validation_end, side="right"))
+    i = int(np.searchsorted(series.timestamps, train_end, side="right"))
+    j = int(np.searchsorted(series.timestamps, validation_end, side="right"))
     if j <= i:  # both boundaries fall inside one gap between timestamps
         raise ValueError("split produced an empty validation set")
     return series.slice(0, i), series.slice(i, j), series.slice(j, len(series))
@@ -300,6 +285,8 @@ def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,
         raise ValueError(f"volatility must be finite and >= 0, got {volatility}")
     if not 0 < start_price < math.inf:
         raise ValueError(f"start_price must be finite and > 0, got {start_price}")
+    if start_ts % HOUR:
+        raise ValueError(f"start_ts must be aligned to the {HOUR}s interval, got {start_ts}")
 
     rng = np.random.default_rng(seed)
     # Finite settings can still overflow or underflow; the prices are checked below.

@@ -33,8 +33,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import artifacts, backtest, features, labeling, metrics, predictors, sizing
-from .candles import (HOUR, CandleSeries, DataError, SplitSpec,
-                      generate_synthetic_series, parse_candles, positions, split_dataset)
+from .candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
+                      parse_candles, positions, split_dataset)
 
 EXIT_USAGE = 2
 EXIT_MISSING_INPUT = 3
@@ -297,8 +297,8 @@ Output = Callable[[str], str]
 def cmd_ingest(resolved: dict, out: Output) -> list[int]:
     _require(resolved, "ingest", "input", "train_end", "val_end")
     series = _load_series(resolved["input"], resolved["symbol"])
-    spec = SplitSpec(_parse_time(resolved["train_end"]), _parse_time(resolved["val_end"]))
-    train, val, test = split_dataset(series, spec)
+    train, val, test = split_dataset(series, _parse_time(resolved["train_end"]),
+                                     _parse_time(resolved["val_end"]))
     for name, part in (("train", train), ("validation", val), ("test", test)):
         part.to_csv(out(f"{name}.csv"))
     summary = {
@@ -568,8 +568,8 @@ def main(argv=None) -> int:
         # hashes it; an exception stops and waits for the row ranges it holds.
         with artifacts.deferred_tables():
             seeds = _COMMANDS[args.command](resolved, out)
-        inputs = [resolved[k] for k in ("input", "predictions", "grid")
-                  if resolved.get(k) and os.path.exists(resolved[k])]
+        inputs = {k: resolved[k] for k in ("input", "predictions", "grid")
+                  if resolved.get(k) and os.path.exists(resolved[k])}
         manifest = artifacts.write_manifest(outdir, args.command, resolved,
                                             inputs, seeds, written)
         print(json.dumps({"status": "ok", "outdir": outdir, "manifest": manifest}))

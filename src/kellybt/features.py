@@ -1,14 +1,14 @@
 """Normalized feature matrices, horizon labels, and sample weights.
 
-The feature matrix holds one column per indicator spec; the optional
-price-model columns add the five trailing horizon-length fractional price
-changes (``CandleSeries.forward_return`` shifted down one to five horizons)
-plus a market-direction column holding the sign of the forward return, the
-realized direction (the scenario machinery overrides it with +1/-1 at
-prediction time). Rows with any undefined value (NaN, or a non-finite value
-from huge finite candles) are dropped, so warm-up rows vanish from the front
-and, when the direction column is present, the last ``horizon`` rows vanish
-from the tail.
+The feature matrix, a ``candles.TimestampedFrame``, holds one column per
+indicator spec; the optional price-model columns add the five trailing
+horizon-length fractional price changes (``CandleSeries.forward_return``
+shifted down one to five horizons) plus a market-direction column holding
+the sign of the forward return, the realized direction (the scenario
+machinery overrides it with +1/-1 at prediction time). Rows with any
+undefined value (NaN, or a non-finite value from huge finite candles) are
+dropped, so warm-up rows vanish from the front and, when the direction
+column is present, the last ``horizon`` rows vanish from the tail.
 
 Normalization stats are fitted on training rows only and frozen for the
 later splits; fitting globally would leak future statistics.
@@ -26,32 +26,27 @@ from .indicators import IndicatorSpec, compute_indicator
 DEFAULT_HORIZON = 5
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix(TimestampedFrame):
     """One row of ``values`` per timestamp, one column per name: ``values``
     has shape ``(len(timestamps), len(column_names))``. Timestamps strictly
     increase, so ``fit_normalizer`` reads the training rows as one slice.
-    Both arrays are flagged read-only, not copied: ``write_csv`` can
-    then format them on a thread without a snapshot copy of the matrix. A
-    matrix from ``build_feature_matrix`` is a leading-rows view of the one
-    buffer its columns were written into, flagged read-only as a whole."""
+    ``values`` is flagged read-only, not copied, and the frame holds
+    read-only timestamps as they are: ``write_csv`` can then format both on
+    a thread without a snapshot copy. A matrix from ``build_feature_matrix``
+    is a leading-rows view of the one buffer its columns were written into,
+    flagged read-only as a whole."""
 
-    timestamps: np.ndarray
     column_names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         shape = (self.timestamps.size, len(self.column_names))
         if self.values.shape != shape:
             raise ValueError(f"feature matrix values must have shape {shape} (timestamps, "
                              f"columns), got {self.values.shape}")
-        if (self.timestamps[1:] <= self.timestamps[:-1]).any():
-            raise ValueError("feature matrix timestamps must be strictly increasing")
-        self.timestamps.setflags(write=False)
         self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,10 @@ def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
     for start in range(0, rows.size, _COMPACT_ROWS):
         block = rows[start:start + _COMPACT_ROWS]
         values[start:start + block.size] = values[block]
-    values.setflags(write=False)
-    return FeatureMatrix(series.timestamps[rows], tuple(names), values[:rows.size])
+    timestamps = series.timestamps[rows]
+    for col in (timestamps, values):
+        col.setflags(write=False)  # so the matrix holds them, not copies
+    return FeatureMatrix(timestamps, tuple(names), values[:rows.size])
 
 
 def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,

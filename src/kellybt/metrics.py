@@ -12,18 +12,23 @@ Sharpe and RoMaD. A run that halted before its bankroll passed the largest
 float (``OVERFLOW``) can end near it; a figure of its report that cannot be
 held as a float (the cumulative return in percent, or a Sharpe or RoMaD of
 monthly returns that overflow) is None, so every report is strict JSON.
+Of kellybt, only ``candles`` is imported at run time; the frame types are
+annotations only, so ``backtest`` can import ``build_report`` from here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .backtest import EquityCurve, Trades
 from .candles import positions
-from .features import LabelSet
-from .predictors import Predictions
+
+if TYPE_CHECKING:
+    from .backtest import EquityCurve, Trades
+    from .features import LabelSet
+    from .predictors import Predictions
 
 FLAG_RUIN = "RUIN"
 FLAG_OVERFLOW = "OVERFLOW"

@@ -5,7 +5,6 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -77,8 +76,3 @@ def regime_series(seed, n=5000, segments=4, vol_low=0.004, vol_high=0.025,
     cat = lambda attr: np.concatenate([getattr(p, attr) for p in parts])
     return CandleSeries(cat("timestamps"), cat("open"), cat("high"), cat("low"),
                         cat("close"), cat("volume"), symbol="REGIME")
-
-
-@pytest.fixture
-def random_series():
-    return generate_synthetic_series(seed=42, n=1000, drift=0.0001, volatility=0.012)

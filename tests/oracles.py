@@ -116,16 +116,6 @@ def o_fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]):
     return rows.mean(axis=0), rows.std(axis=0, ddof=1)
 
 
-def o_sma(xs, n):
-    out = [NAN] * len(xs)
-    s = first_defined(xs)
-    if s is None or len(xs) - s < n:
-        return out
-    for t in range(s + n - 1, len(xs)):
-        out[t] = sum(xs[t - n + 1:t + 1]) / n
-    return out
-
-
 def o_trix(closes, n):
     e3 = o_ema(o_ema(o_ema(list(closes), n), n), n)
     out = [NAN] * len(closes)

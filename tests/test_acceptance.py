@@ -279,3 +279,41 @@ def test_criterion_11_external_prediction_ingestion(tmp_path):
     _check(11, "external prediction CSV ingested end to end; report uses the "
                "benchmark table column layout", code == 0 and header_ok and values_ok,
            table[0])
+
+
+def test_criterion_12_trailing_scenarios_beat_constant_ones():
+    # The paper's claim as a paired ablation: the same forecasts p, sized by
+    # 5% Kelly on trailing (a, b) against Kelly on one constant (a, b), the
+    # estimator's full-sample means (which see the future, so favour the
+    # baseline), built as --const-a/--const-b build theirs. Mechanism, not
+    # tuned magic: trailing scenarios size inversely to recent volatility,
+    # so in the calm/crisis segments of regime_series they bet less in the
+    # crisis, where a constant keeps betting its average. Seeds and the
+    # 17-of-24 bar were fixed before the first run; 17 of 24 is a one-sided
+    # sign test at p = 0.032.
+    policy = sizing.SizingPolicy("kelly", kelly_fraction=0.05)
+    cfg = backtest.BacktestConfig()
+    seeds = range(24)
+    ok = True
+    details = []
+    for sim in ("balanced", "gaussian"):
+        wins = 0
+        for seed in seeds:
+            series = regime_series(seed, n=5000, segments=4)
+            labels = features.make_labels(series)
+            preds = (simulate_balanced(labels, seed) if sim == "balanced"
+                     else simulate_gaussian(labels, seed))
+            trailing = predictors.estimate_scenarios(series, window=100)
+            n, floor = len(labels), predictors.AB_FLOOR
+            constant = predictors.Scenarios(
+                labels.timestamps, np.full(n, max(float(trailing.a.mean()), floor)),
+                np.full(n, max(float(trailing.b.mean()), floor)))
+            sharpe = [backtest.compare_strategies(series, preds, ests, [policy], cfg)[0]
+                      .report.sharpe for ests in (trailing, constant)]
+            wins += sharpe[0] > sharpe[1]
+        details.append(f"{sim}: {wins}/{len(seeds)}")
+        if wins < 17:
+            ok = False
+    _check(12, "Kelly on trailing (a, b) beats Kelly on constant (a, b) in monthly Sharpe "
+               "in >= 17 of 24 paired seeds for both balanced and gaussian simulators",
+           ok, "; ".join(details))

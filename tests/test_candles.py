@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from kellybt.candles import (HOUR, CandleSeries, DataError, SplitSpec,
+from kellybt.candles import (DEFAULT_START_TS, HOUR, CandleSeries, DataError,
                              generate_synthetic_series, parse_candles, positions,
                              split_dataset)
 
@@ -99,8 +99,8 @@ def test_series_arrays_are_read_only():
 
 def test_split_counts_small():
     series = generate_synthetic_series(seed=2, n=10)
-    spec = SplitSpec(int(series.timestamps[3]), int(series.timestamps[6]))
-    train, val, test = split_dataset(series, spec)
+    train, val, test = split_dataset(series, int(series.timestamps[3]),
+                                     int(series.timestamps[6]))
     assert (len(train), len(val), len(test)) == (4, 3, 3)
     assert train.timestamps[-1] == series.timestamps[3]  # boundary goes earlier
 
@@ -112,8 +112,8 @@ def test_split_partition_property():
         i, j = sorted(rng.choice(np.arange(1, 199), size=2, replace=False))
         if i == j:
             continue
-        spec = SplitSpec(int(series.timestamps[i]), int(series.timestamps[j]))
-        train, val, test = split_dataset(series, spec)
+        train, val, test = split_dataset(series, int(series.timestamps[i]),
+                                         int(series.timestamps[j]))
         assert len(train) + len(val) + len(test) == len(series)
         all_ts = np.concatenate([train.timestamps, val.timestamps, test.timestamps])
         assert np.array_equal(all_ts, series.timestamps)
@@ -121,9 +121,8 @@ def test_split_partition_property():
 
 def test_split_boundary_at_start_is_degenerate():
     series = generate_synthetic_series(seed=4, n=10)
-    spec = SplitSpec(int(series.timestamps[0]), int(series.timestamps[5]))
     with pytest.raises(ValueError, match="empty"):
-        split_dataset(series, spec)
+        split_dataset(series, int(series.timestamps[0]), int(series.timestamps[5]))
 
 
 def test_split_with_both_boundaries_in_one_timestamp_gap_is_degenerate():
@@ -131,21 +130,21 @@ def test_split_with_both_boundaries_in_one_timestamp_gap_is_degenerate():
     ts = series.timestamps + np.where(np.arange(10) < 5, 0, 10 * HOUR)  # a gap after bar 4
     gapped = CandleSeries(ts, series.open, series.high, series.low, series.close,
                           series.volume)
-    spec = SplitSpec(int(ts[4]) + HOUR, int(ts[4]) + 2 * HOUR)
     with pytest.raises(ValueError, match="empty validation set"):
-        split_dataset(gapped, spec)
+        split_dataset(gapped, int(ts[4]) + HOUR, int(ts[4]) + 2 * HOUR)
 
 
 def test_split_spec_rejects_boundaries_out_of_order():
-    with pytest.raises(ValueError, match="must precede"):
-        SplitSpec(7200, 7200)
+    series = generate_synthetic_series(seed=4, n=10)
+    with pytest.raises(ValueError, match="^train_end 7200 must precede validation_end 7200$"):
+        split_dataset(series, 7200, 7200)
 
 
 def test_split_boundary_outside_range():
     series = generate_synthetic_series(seed=4, n=10)
-    spec = SplitSpec(int(series.timestamps[-1]) + HOUR, int(series.timestamps[-1]) + 2 * HOUR)
     with pytest.raises(ValueError):
-        split_dataset(series, spec)
+        split_dataset(series, int(series.timestamps[-1]) + HOUR,
+                      int(series.timestamps[-1]) + 2 * HOUR)
 
 
 def _epoch(y, m, d):
@@ -160,9 +159,9 @@ def test_split_full_history_proportions():
     n = (end - start) // HOUR + 1
     series = generate_synthetic_series(seed=0, n=n, drift=0.0, volatility=0.0,
                                        start_price=4000.0, start_ts=start)
-    spec = SplitSpec(_epoch(2019, 8, 17), _epoch(2020, 1, 31))
-    train, val, test = split_dataset(series, spec)
-    assert len(train) == (spec.train_end - start) // HOUR + 1
+    train_end = _epoch(2019, 8, 17)
+    train, val, test = split_dataset(series, train_end, _epoch(2020, 1, 31))
+    assert len(train) == (train_end - start) // HOUR + 1
     assert 16500 <= len(train) <= 17500
     assert 3900 <= len(val) <= 4100
     assert 28500 <= len(test) <= 29500
@@ -207,6 +206,16 @@ def test_synthetic_validates_arguments():
         generate_synthetic_series(seed=0, n=5, volatility=-0.1)
     with pytest.raises(ValueError):
         generate_synthetic_series(seed=0, n=5, start_price=0.0)
+
+
+@pytest.mark.parametrize("start_ts", [DEFAULT_START_TS + 1800, DEFAULT_START_TS - 1, 1])
+def test_synthetic_rejects_start_off_the_hour_as_a_setting(start_ts):
+    # It was taken, and the series then failed its own timestamp check as
+    # bad data ("timestamp ... is not aligned"), naming no setting.
+    with pytest.raises(ValueError, match=f"^start_ts must be aligned to the 3600s interval, "
+                                         f"got {start_ts}$"):
+        generate_synthetic_series(seed=0, n=5, start_ts=start_ts)
+    assert generate_synthetic_series(seed=0, n=5, start_ts=HOUR).timestamps[0] == HOUR
 
 
 @pytest.mark.parametrize("field", ["drift", "volatility", "start_price"])

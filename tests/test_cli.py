@@ -101,7 +101,9 @@ def test_unknown_flag_exit_code(capsys):
      "ingest requires --train-end"),
     (["simulate", "--n", "300", "--sim", "nope"], "unknown simulator 'nope'"),
     (["compare", "--seeds", ",", "--n", "300"], "no seeds in ','"),
-], ids=["value", "array-config", "required", "simulator", "no-seeds"])
+    (["synth", "--n", "100", "--start-ts", "2020-01-01T00:30:00"],
+     "start_ts must be aligned to the 3600s interval, got 1577838600"),
+], ids=["value", "array-config", "required", "simulator", "no-seeds", "off-hour-start"])
 def test_config_validation_exit_code(tmp_path, capsys, argv, message):
     (tmp_path / "array.json").write_text("[1]")
     code = _run(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path / "x"))
@@ -485,6 +487,22 @@ def test_every_run_writes_exactly_one_manifest(tmp_path):
     for name in manifest["artifacts"]:
         assert os.path.exists(os.path.join(out, name))
     assert manifest["command"] == "simulate"
+
+
+def test_manifest_keys_each_input_by_its_option(tmp_path):
+    # Keyed by file name, the two inputs below shared one key "x.csv", and
+    # the manifest kept only the predictions' digest.
+    candles, preds = _write_series_and_predictions(tmp_path)
+    for sub, src in (("a", candles), ("b", preds)):
+        (tmp_path / sub).mkdir()
+        os.replace(src, tmp_path / sub / "x.csv")
+    out = tmp_path / "bt"
+    assert _run("backtest", "--input", str(tmp_path / "a" / "x.csv"), "--predictions",
+                str(tmp_path / "b" / "x.csv"), "--out", str(out)) == 0
+    manifest = json.loads(_read(out / "manifest.json"))
+    assert manifest["inputs"] == {
+        key: artifacts.sha256_file(manifest["config"][key]) for key in ("input", "predictions")}
+    assert manifest["inputs"]["input"] != manifest["inputs"]["predictions"]
 
 
 @pytest.mark.parametrize("const_a,const_b", [("inf", "0.01"), ("nan", "0.01"),
