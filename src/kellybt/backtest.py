@@ -12,7 +12,7 @@ strategy comparisons aligned row for row.
 
 Each run splits in two. ``_decision_grid`` matches the prediction and
 scenario frames to bars and to each other with ``candles.positions``, drops
-what cannot trade (no scenario, no room for the horizon), walks the stride
+what no policy trades (no scenario, no room for the horizon), walks the stride
 lattice over plain ints and gathers the entry and exit timestamps and prices,
 the realized return (``CandleSeries.forward_return`` at the entry bar, the
 return the labels and the scenario estimator read too), p and (a, b) of each
@@ -125,7 +125,7 @@ def _series_positions(timestamps: np.ndarray, frame, what: str) -> np.ndarray:
 class _Grid(NamedTuple):
     """The decision points shared by every policy run over one (series,
     predictions, estimates, horizon, stride): read-only columns, one row per
-    chosen point. ``a`` and ``b`` are None without estimates."""
+    chosen point, each with its p and its (a, b)."""
 
     entry_ts: np.ndarray
     exit_ts: np.ndarray
@@ -133,13 +133,13 @@ class _Grid(NamedTuple):
     exit_price: np.ndarray
     realized: np.ndarray
     p_up: np.ndarray
-    a: np.ndarray | None
-    b: np.ndarray | None
+    a: np.ndarray
+    b: np.ndarray
 
 
 @lru_cache(maxsize=1)
 def _decision_grid(series: CandleSeries, predictions: Predictions,
-                   estimates: Scenarios | None, horizon: int, stride: int) -> _Grid:
+                   estimates: Scenarios, horizon: int, stride: int) -> _Grid:
     """Align, validate and walk the stride lattice; gather what each chosen
     point trades at. Frames hash by identity and hold columns no array can
     write into (a read-only array of the column's dtype is held as it is,
@@ -147,12 +147,9 @@ def _decision_grid(series: CandleSeries, predictions: Predictions,
     content; a raised error is not cached."""
     ts = series.timestamps
     pred_pos = _series_positions(ts, predictions, "prediction")
-    usable = pred_pos + horizon < len(series)
-    if estimates is not None:
-        _series_positions(ts, estimates, "estimate")
-        est_at, has_est = positions(estimates.timestamps, predictions.timestamps)
-        usable &= has_est
-    candidates = np.flatnonzero(usable)
+    _series_positions(ts, estimates, "estimate")
+    est_at, has_est = positions(estimates.timestamps, predictions.timestamps)
+    candidates = np.flatnonzero(has_est & (pred_pos + horizon < len(series)))
 
     # The lattice walk stays sequential: each chosen point moves the next
     # allowed index, and a skipped timestamp does not.
@@ -169,26 +166,23 @@ def _decision_grid(series: CandleSeries, predictions: Predictions,
     rows = np.array(chosen, np.intp)
     entry_at = pred_pos[rows]
     exit_at = entry_at + horizon
-    a = b = None
-    if estimates is not None:
-        at = est_at[rows]
-        a, b = estimates.a[at], estimates.b[at]
+    at = est_at[rows]
     grid = _Grid(ts[entry_at], ts[exit_at], series.close[entry_at], series.close[exit_at],
-                 series.forward_return(horizon)[entry_at], predictions.p_up[rows], a, b)
+                 series.forward_return(horizon)[entry_at], predictions.p_up[rows],
+                 estimates.a[at], estimates.b[at])
     for col in grid:
-        if col is not None:
-            col.setflags(write=False)
+        col.setflags(write=False)
     return grid
 
 
 def run_backtest(series: CandleSeries, predictions: Predictions,
-                 estimates: Scenarios | None, policy: SizingPolicy,
+                 estimates: Scenarios, policy: SizingPolicy,
                  cfg: BacktestConfig = BacktestConfig()):
     """Run one policy over the series; returns (EquityCurve, Trades).
 
-    Decisions fall on a stride lattice over timestamps that carry a
-    prediction and (when estimates are supplied) a scenario; timestamps
-    without a scenario are skipped. The simulation halts with the RUIN flag
+    Decisions fall on a stride lattice over timestamps that carry both a
+    prediction and a scenario; the others are skipped by every policy, so
+    each trades the same grid. The simulation halts with the RUIN flag
     if the bankroll falls to ruin_floor * initial, and with the OVERFLOW flag
     before the trade that would take it past the largest float.
     """
@@ -198,18 +192,18 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     divisor = -(-horizon // stride)  # ceil(horizon / stride), in ints
 
     # A memoryview yields the Python floats that tolist would, one at a time.
-    scenarios = repeat(None) if grid.a is None else zip(memoryview(grid.a), memoryview(grid.b))
+    scenarios = zip(memoryview(grid.a), memoryview(grid.b))
     decisions = map(decide, memoryview(grid.p_up), scenarios, repeat(policy))
     fraction = np.fromiter(map(attrgetter("fraction"), decisions), np.float64, len(grid.p_up))
     # decide's side, read from the sign before the divisor can round a
     # subnormal to 0: NaN, 0.0 and -0.0 are FLAT.
     side = _SIDES[(fraction > 0) + 2 * (fraction < 0)]
     fraction /= divisor
-    pnl = fraction * grid.realized - cfg.fee_rate * np.abs(fraction) * 2.0
 
     initial = cfg.initial_bankroll
     floor = cfg.ruin_floor * initial
-    with np.errstate(over="ignore", invalid="ignore"):  # halted before the first inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf fee is ruin; halted before an inf
+        pnl = fraction * grid.realized - cfg.fee_rate * np.abs(fraction) * 2.0
         values = np.cumprod(np.concatenate(([float(initial)], 1.0 + pnl)))
     end = np.flatnonzero((values[1:] <= floor) | (values[1:] == math.inf))
     m = int(end[0]) + 1 if end.size else len(pnl)
@@ -241,8 +235,7 @@ class StrategyResult:
 
 
 def compare_strategies(series: CandleSeries, predictions: Predictions,
-                       estimates: Scenarios | None,
-                       policies: list[SizingPolicy],
+                       estimates: Scenarios, policies: list[SizingPolicy],
                        cfg: BacktestConfig = BacktestConfig()) -> list[StrategyResult]:
     """Run each policy against identical predictions and trade timestamps."""
     if not policies:

@@ -287,6 +287,8 @@ def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,
         raise ValueError(f"start_price must be finite and > 0, got {start_price}")
     if start_ts % HOUR:
         raise ValueError(f"start_ts must be aligned to the {HOUR}s interval, got {start_ts}")
+    if not -2**63 <= start_ts <= 2**63 - 1 - HOUR * (n - 1):
+        raise ValueError(f"start_ts must keep all {n} bars in the int64 range, got {start_ts}")
 
     rng = np.random.default_rng(seed)
     # Finite settings can still overflow or underflow; the prices are checked below.

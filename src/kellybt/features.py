@@ -151,8 +151,9 @@ def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,
 def fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]) -> NormStats:
     """Per-column mean/stddev over rows with timestamps inside train_range,
     the inclusive ``(lo, hi)``; the rows are one slice of the matrix, not a
-    copy. A column whose mean or std is not finite (a sum of squares can
-    overflow on finite values) raises ValueError."""
+    copy. A column whose stats overflow (numpy's std squares raw deviations) is
+    fitted again scaled by a power of two, which is exact; one whose mean or
+    std is still not finite raises ValueError."""
     lo, hi = train_range
     start = np.searchsorted(matrix.timestamps, lo, side="left")
     stop = np.searchsorted(matrix.timestamps, hi, side="right")
@@ -163,6 +164,10 @@ def fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]) -> NormS
         )
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = rows.mean(axis=0), rows.std(axis=0, ddof=1)
+        for j in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std))):
+            _, exp = np.frexp(np.abs(rows[:, j]).max())
+            col = np.ldexp(rows[:, j], -exp)
+            mean[j], std[j] = np.ldexp(col.mean(), exp), np.ldexp(col.std(ddof=1), exp)
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
         raise ValueError(f"feature column {matrix.column_names[bad[0]]} has a non-finite "

@@ -218,12 +218,9 @@ def estimate_scenarios(series: CandleSeries, horizon: int = 5,
                      np.maximum(-b, AB_FLOOR))
 
 
-def write_predictions_csv(preds: Predictions, ests: Scenarios | None, path: str) -> None:
-    """Write timestamp,p_up[,a,b] rows. With scenarios supplied, predictions
-    lacking one (estimator warm-up) are omitted, keeping rows loadable."""
-    if ests is None:
-        write_csv(path, ("timestamp", "p_up"), [preds.timestamps, preds.p_up])
-        return
+def write_predictions_csv(preds: Predictions, ests: Scenarios, path: str) -> None:
+    """Write timestamp,p_up,a,b rows. Predictions lacking a scenario
+    (estimator warm-up) are omitted, keeping rows loadable."""
     pos, found = positions(ests.timestamps, preds.timestamps)
     pos = pos[found]
     write_csv(path, ("timestamp", "p_up", "a", "b"),

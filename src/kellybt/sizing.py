@@ -116,6 +116,9 @@ class SizingPolicy:
             raise ValueError(f"expected must be in (0, 1), got {self.expected}")
         if not 0 <= self.modifier < math.inf:
             raise ValueError(f"modifier must be finite and >= 0, got {self.modifier}")
+        if self.max_leverage * self.modifier == math.inf:  # bounds every |fraction|
+            raise ValueError(f"max_leverage {self.max_leverage} times modifier "
+                             f"{self.modifier} must be finite")
 
     @property
     def label(self) -> str:
@@ -128,18 +131,15 @@ class BetDecision(NamedTuple):
     side: str
 
 
-def decide(p: float, scenario: tuple[float, float] | None,
-           policy: SizingPolicy) -> BetDecision:
-    """Size one bet from the up probability ``p`` and the ``(a, b)`` scenario
-    (needed by KELLY only). Composition order: fractional-Kelly scaling,
-    then the leverage clamp, then the constant modifier. The clamp keeps a
-    NaN (subnormal a and b make the Kelly fraction inf - inf) as NaN."""
+def decide(p: float, scenario: tuple[float, float], policy: SizingPolicy) -> BetDecision:
+    """Size one bet from the up probability ``p`` and the ``(a, b)`` scenario,
+    which only KELLY reads. Composition order: fractional-Kelly scaling, then
+    the leverage clamp, then the constant modifier. The clamp keeps a NaN
+    (subnormal a and b make the Kelly fraction inf - inf) as NaN."""
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
     kind = policy.kind
     if kind == POLICY_KELLY:
-        if scenario is None:
-            raise ValueError("KELLY sizing needs a scenario estimate")
         raw = kelly_fraction(p, *scenario)
         scaled = policy.kelly_fraction * raw
     elif kind == POLICY_GAUSSIAN:

@@ -9,6 +9,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from kellybt.candles import DEFAULT_START_TS, HOUR, CandleSeries, generate_synthetic_series
+from kellybt.predictors import Scenarios
 
 
 def from_file(load, text, *args, **kwargs):
@@ -32,6 +33,13 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def scenarios_on(preds, a=0.05, b=0.05):
+    """The same (a, b) on every timestamp of ``preds``: a run over it trades
+    every point the predictions alone allow."""
+    n = len(preds)
+    return Scenarios(preds.timestamps, np.full(n, a), np.full(n, b))
 
 
 def make_series_from_ohlc(rows, start_ts=DEFAULT_START_TS, volume=10.0):

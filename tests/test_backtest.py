@@ -16,7 +16,7 @@ from kellybt.predictors import (Predictions, Scenarios, estimate_scenarios,
 from kellybt.sizing import SizingPolicy, decide
 
 import oracles
-from conftest import make_series_from_closes, traced_peak
+from conftest import make_series_from_closes, scenarios_on, traced_peak
 
 
 def test_single_trade_worked_example():
@@ -40,7 +40,7 @@ def test_zero_modifier_flat_curve():
     series = generate_synthetic_series(seed=1, n=200, volatility=0.01)
     labels = make_labels(series)
     preds = simulate_balanced(labels, seed=2)
-    curve, trades = run_backtest(series, preds, None,
+    curve, trades = run_backtest(series, preds, scenarios_on(preds),
                                  SizingPolicy("none", modifier=0.0), BacktestConfig())
     assert np.all(curve.values == 1.0)
     assert (trades.side == "FLAT").all() and (trades.pnl_fraction == 0.0).all()
@@ -132,7 +132,7 @@ def test_nonoverlapping_stride_disjoint_holding_periods():
     series = generate_synthetic_series(seed=12, n=400, volatility=0.01)
     labels = make_labels(series)
     preds = simulate_balanced(labels, seed=13)
-    curve, trades = run_backtest(series, preds, None, SizingPolicy("none"),
+    curve, trades = run_backtest(series, preds, scenarios_on(preds), SizingPolicy("none"),
                                  BacktestConfig())
     assert (trades.entry_ts[1:] >= trades.exit_ts[:-1]).all()
 
@@ -173,7 +173,7 @@ def test_bankroll_landing_exactly_on_the_ruin_floor_is_ruin():
     ts = series.timestamps[[6, 12]]
     preds = Predictions(ts, [0.9, 0.9])
     # NONE bets the whole bankroll long: one trade loses exactly 50 %.
-    curve, trades = run_backtest(series, preds, None, SizingPolicy("none"),
+    curve, trades = run_backtest(series, preds, scenarios_on(preds), SizingPolicy("none"),
                                  BacktestConfig(ruin_floor=0.5))
     assert trades.realized_return[0] == -0.5
     assert curve.ruin
@@ -186,16 +186,17 @@ def test_run_halts_before_the_trade_that_would_overflow_the_bankroll(initial):
     # the bankroll about 6-fold, past the largest float within 400 trades.
     series = make_series_from_closes([100.0 * 1.5 ** k for k in range(500)])
     preds = Predictions(series.timestamps[:-1], [0.9] * 499)
+    ests = scenarios_on(preds)
     policy = SizingPolicy("none", modifier=10.0)
     cfg = BacktestConfig(horizon=1, initial_bankroll=initial)
-    curve, trades = run_backtest(series, preds, None, policy, cfg)
+    curve, trades = run_backtest(series, preds, ests, policy, cfg)
     assert curve.overflow and not curve.ruin
     assert 0 <= len(trades) < 400 and len(curve) == len(trades) + 1
     assert np.isfinite(curve.values).all() and curve.values[0] == initial
     next_pnl = 10.0 * float(series.forward_return(1)[len(trades)])
     assert float(curve.values[-1]) * (1.0 + next_pnl) == math.inf
-    o_curve, o_trades = oracles.o_run_backtest(series, oracles.prediction_records(preds), None,
-                                               policy, cfg)
+    o_curve, o_trades = oracles.o_run_backtest(series, oracles.prediction_records(preds),
+                                               oracles.scenario_records(ests), policy, cfg)
     assert oracles.trade_records(trades) == o_trades and o_curve.overflow
     assert curve.values.tobytes() == o_curve.values.tobytes()
     report = build_report(curve, trades)
@@ -264,7 +265,7 @@ def test_misaligned_prediction_rejected():
     series = generate_synthetic_series(seed=18, n=50)
     preds = Predictions([999_999_999], [0.7])
     with pytest.raises(ValueError, match="prediction timestamp 999999999 is not in"):
-        run_backtest(series, preds, None, SizingPolicy("none"), BacktestConfig())
+        run_backtest(series, preds, scenarios_on(preds), SizingPolicy("none"), BacktestConfig())
     preds = Predictions(series.timestamps, np.full(len(series), 0.7))
     ests = Scenarios([999_999_999], [0.01], [0.01])
     with pytest.raises(ValueError, match="estimate timestamp 999999999 is not in"):
@@ -275,7 +276,7 @@ def test_empty_decision_set_rejected():
     series = generate_synthetic_series(seed=19, n=50)
     preds = Predictions(series.timestamps[-1:], [0.7])  # no horizon room
     with pytest.raises(ValueError, match="usable decision"):
-        run_backtest(series, preds, None, SizingPolicy("none"), BacktestConfig())
+        run_backtest(series, preds, scenarios_on(preds), SizingPolicy("none"), BacktestConfig())
 
 
 def test_fees_charged_per_side():
@@ -284,7 +285,7 @@ def test_fees_charged_per_side():
     ts = int(series.timestamps[0])
     preds = Predictions([ts], [0.7])
     cfg = BacktestConfig(fee_rate=0.001)
-    curve, trades = run_backtest(series, preds, None, SizingPolicy("none"), cfg)
+    curve, trades = run_backtest(series, preds, scenarios_on(preds), SizingPolicy("none"), cfg)
     want = 1.0 * 0.05 - 0.001 * 1.0 * 2.0
     assert abs(trades.pnl_fraction[0] - want) <= 1e-15
 
@@ -337,4 +338,5 @@ def test_config_rejects_non_finite_initial_bankroll(value):
 def test_compare_requires_policies():
     series = generate_synthetic_series(seed=22, n=100)
     with pytest.raises(ValueError, match="policy"):
-        compare_strategies(series, Predictions([], []), None, [], BacktestConfig())
+        compare_strategies(series, Predictions([], []), Scenarios([], [], []), [],
+                           BacktestConfig())

@@ -218,6 +218,19 @@ def test_synthetic_rejects_start_off_the_hour_as_a_setting(start_ts):
     assert generate_synthetic_series(seed=0, n=5, start_ts=HOUR).timestamps[0] == HOUR
 
 
+@pytest.mark.parametrize("start_ts", [9_223_372_036_854_774_000, HOUR * 2**60,
+                                      -9_223_372_036_854_777_600])
+def test_synthetic_rejects_a_start_whose_bars_leave_int64(start_ts):
+    # The timestamps wrapped past 2**63 - 1 ("duplicate or non-monotonic
+    # timestamp"), or a start past it raised a raw OverflowError.
+    with pytest.raises(ValueError, match=f"^start_ts must keep all 10 bars in the int64 "
+                                         f"range, got {start_ts}$"):
+        generate_synthetic_series(seed=0, n=10, start_ts=start_ts)
+    first, last = -9_223_372_036_854_774_000, 9_223_372_036_854_774_000 - 9 * HOUR
+    assert generate_synthetic_series(seed=0, n=10, start_ts=first).timestamps[0] == first
+    assert generate_synthetic_series(seed=0, n=10, start_ts=last).timestamps[-1] == last + 9 * HOUR
+
+
 @pytest.mark.parametrize("field", ["drift", "volatility", "start_price"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_synthetic_rejects_non_finite_arguments(field, value):

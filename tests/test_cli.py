@@ -57,6 +57,19 @@ def test_simulate_optimal_kelly_zero_drawdown(tmp_path):
     assert os.path.exists(f"{out}/equity_kelly.csv")
 
 
+def test_simulate_with_a_fee_past_the_largest_float_is_ruin(tmp_path, capsys):
+    # fee_rate * |fraction| * 2 overflows to inf: the first trade wipes the
+    # bankroll out, with no numpy overflow warning (an error under pytest).
+    out = str(tmp_path / "fee")
+    assert _run("simulate", "--n", "2000", "--fee-rate", "1e308", "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads(_read(f"{out}/comparison.json"))
+    assert [r["policy"] for r in rows] == ["none", "gaussian", "kelly"]
+    for row in rows:
+        assert "RUIN" in row["flags"] and row["trade_count"] == 1
+        assert row["cumulative_return_pct"] == -100.0
+
+
 def test_kelly_surface_fixed_p(tmp_path):
     out = str(tmp_path / "surface")
     assert _run("kelly-surface", "--p", "0.6", "--out", out) == 0
@@ -103,7 +116,14 @@ def test_unknown_flag_exit_code(capsys):
     (["compare", "--seeds", ",", "--n", "300"], "no seeds in ','"),
     (["synth", "--n", "100", "--start-ts", "2020-01-01T00:30:00"],
      "start_ts must be aligned to the 3600s interval, got 1577838600"),
-], ids=["value", "array-config", "required", "simulator", "no-seeds", "off-hour-start"])
+    (["synth", "--n", "10", "--start-ts", "9223372036854774000"],
+     "start_ts must keep all 10 bars in the int64 range, got 9223372036854774000"),
+    (["synth", "--n", "10", "--start-ts", "4150517416584649113600"],
+     "start_ts must keep all 10 bars in the int64 range, got 4150517416584649113600"),
+    (["simulate", "--n", "2000", "--modifier", "1e308", "--policy", "kelly"],
+     "max_leverage 5.0 times modifier 1e+308 must be finite"),
+], ids=["value", "array-config", "required", "simulator", "no-seeds", "off-hour-start",
+        "start-wraps-int64", "start-past-int64", "modifier-past-float"])
 def test_config_validation_exit_code(tmp_path, capsys, argv, message):
     (tmp_path / "array.json").write_text("[1]")
     code = _run(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path / "x"))

@@ -90,24 +90,24 @@ def decide_args(draw):
              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) |
              st.sampled_from(_BAD_P))
     magnitude = st.sampled_from(_EDGE_AB) | st.floats(5e-324, 10.0) | st.sampled_from(_BAD_AB)
-    scenario = draw(st.none() | st.tuples(magnitude, magnitude))
+    scenario = draw(st.tuples(magnitude, magnitude))
     return p, scenario, policy
 
 
 @settings(PROPERTY, max_examples=400)
 @given(args=decide_args())
 @example(args=(0.5, (0.05, 0.04), SizingPolicy("none")))
-@example(args=(0.6, None, SizingPolicy("gaussian", expected=0.6)))
-@example(args=(1e-17, None, SizingPolicy("gaussian", max_leverage=1.0)))
+@example(args=(0.6, (0.05, 0.04), SizingPolicy("gaussian", expected=0.6)))
+@example(args=(1e-17, (0.05, 0.04), SizingPolicy("gaussian", max_leverage=1.0)))
 @example(args=(0.75, (0.25, 0.25), SizingPolicy("kelly", max_leverage=2.0)))
 @example(args=(0.25, (0.25, 0.25), SizingPolicy("kelly", max_leverage=2.0, modifier=0.7)))
-@example(args=(0.7, None, SizingPolicy("none", max_leverage=1.0)))
-@example(args=(0.3, None, SizingPolicy("none", modifier=0.0)))
+@example(args=(0.7, (0.05, 0.04), SizingPolicy("none", max_leverage=1.0)))
+@example(args=(0.3, (0.05, 0.04), SizingPolicy("none", modifier=0.0)))
 @example(args=(0.6, (5e-324, 0.05), SizingPolicy("kelly", kelly_fraction=0.5)))
 @example(args=(0.6, (0.05, 5e-324), SizingPolicy("kelly")))
 @example(args=(0.6, (5e-324, 5e-324), SizingPolicy("kelly", modifier=0.0)))
-@example(args=(math.nan, None, SizingPolicy("none")))
-@example(args=(1.5, None, SizingPolicy("none")))
+@example(args=(math.nan, (0.05, 0.04), SizingPolicy("none")))
+@example(args=(1.5, (0.05, 0.04), SizingPolicy("none")))
 def test_decide_equals_frozen_per_bet_arithmetic(args):
     got = _decision_bits(decide, *args)
     assert got == _decision_bits(oracles.o_decide, *args)
@@ -132,8 +132,8 @@ def shocked_series(draw):
 
 
 def _drawn_frames(data, series, seed):
-    """Predictions (a few missing, one maybe off the series), scenarios (none,
-    all or some) and a config drawn for ``series``."""
+    """Predictions (a few missing, one maybe off the series), scenarios (all
+    or some) and a config drawn for ``series``."""
     n = len(series)
     rng = np.random.default_rng(seed)
     p_up = rng.uniform(0.01, 0.99, n)
@@ -146,11 +146,8 @@ def _drawn_frames(data, series, seed):
     if rng.random() < 0.1:  # a last prediction that is not in the series
         pred_ts, pred_p = np.append(pred_ts, ts[-1] + HOUR), np.append(pred_p, 0.6)
     preds = Predictions(pred_ts, pred_p)
-    ests = None
-    drop = data.draw(st.sampled_from([0.0, 0.3, None]))
-    if drop is not None:
-        kept = rng.random(n) >= drop
-        ests = Scenarios(ts[kept], a[kept], b[kept])
+    kept = rng.random(n) >= data.draw(st.sampled_from([0.0, 0.3]))
+    ests = Scenarios(ts[kept], a[kept], b[kept])
 
     horizon = data.draw(st.integers(1, 8))
     cfg = BacktestConfig(horizon=horizon,
@@ -164,8 +161,7 @@ def _drawn_frames(data, series, seed):
 def _o_run_backtest(series, preds, ests, policy, cfg):
     """The per-row oracle run on the frames' records."""
     return oracles.o_run_backtest(series, oracles.prediction_records(preds),
-                                  None if ests is None else oracles.scenario_records(ests),
-                                  policy, cfg)
+                                  oracles.scenario_records(ests), policy, cfg)
 
 
 @PROPERTY
@@ -203,7 +199,7 @@ def test_decision_grid_cache_does_not_leak_between_inputs(data, series, seed):
     bad = data.draw(st.sampled_from([
         (series, Predictions([ts[-1] + HOUR], [0.6]), ests, policies[0], cfg),
         (series, preds, Scenarios([], [], []), policies[2], cfg),
-        (series, Predictions(ts[-1:], [0.6]), None, policies[1], cfg)]))
+        (series, Predictions(ts[-1:], [0.6]), ests, policies[1], cfg)]))
     calls.insert(data.draw(st.integers(1, len(calls) - 1)), bad)
     for args in calls:
         _assert_same_run(_outcome(run_backtest, *args), _outcome(_o_run_backtest, *args))
@@ -213,10 +209,7 @@ def test_decision_grid_cache_does_not_leak_between_inputs(data, series, seed):
     except ValueError:
         return
     assert grid is _decision_grid(series, preds, ests, cfg.horizon, cfg.effective_stride)
-    for name, col in grid._asdict().items():
-        if col is None:
-            assert name in ("a", "b") and ests is None
-            continue
+    for col in grid:
         with pytest.raises(ValueError, match="read-only"):
             col[0] = 0
 

@@ -1,4 +1,5 @@
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -120,9 +121,19 @@ def test_fit_normalizer_needs_two_rows():
         fit_normalizer(matrix, (0, 10_000_000))
 
 
+def test_fit_normalizer_refits_a_column_whose_sum_of_squares_overflows():
+    # Column b's std is 1.15e300, but numpy squares the raw deviations, whose
+    # sum is not finite: b is fitted again scaled by a power of two.
+    rows = [[1.0, 1e300], [2.0, -1e300], [3.0, 1e300]]
+    stats = fit_normalizer(_tiny_matrix(rows, names=["a", "b"]), (0, 10_000_000))
+    for j, col in enumerate(zip(*rows)):
+        assert stats.mean[j] == statistics.fmean(col)
+        assert stats.std[j] == statistics.stdev(col)
+
+
 def test_fit_normalizer_rejects_a_column_whose_std_overflows():
-    # Every value is finite, but the sum of squared deviations is not.
-    matrix = _tiny_matrix([[1.0, 1e300], [2.0, -1e300], [3.0, 1e300]], names=["a", "b"])
+    # Every value is finite, but the std, 1.7e308 * sqrt(2), is not.
+    matrix = _tiny_matrix([[1.0, 1.7e308], [2.0, -1.7e308]], names=["a", "b"])
     with pytest.raises(ValueError, match="feature column b has a non-finite training mean"):
         fit_normalizer(matrix, (0, 10_000_000))
 

@@ -29,7 +29,7 @@ from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, Predictions, Sce
 from kellybt.sizing import SizingPolicy, decide
 
 import oracles
-from conftest import from_file
+from conftest import from_file, scenarios_on
 
 # Derandomized and bounded so the suite stays fast and reproducible.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -198,10 +198,9 @@ def test_to_csv_round_trips_through_parse_candles(seed, n, volatility, start_pri
 
 
 @PROPERTY
-@given(seed=seeds, n=st.integers(1, 300), with_estimates=st.booleans(),
-       missing=st.sampled_from([0.0, 0.3]), start=st.integers(-(2**63), 2**63 - 2**21))
-def test_write_predictions_csv_round_trips_through_load_predictions(seed, n, with_estimates,
-                                                                    missing, start):
+@given(seed=seeds, n=st.integers(1, 300), missing=st.sampled_from([0.0, 0.3]),
+       start=st.integers(-(2**63), 2**63 - 2**21))
+def test_write_predictions_csv_round_trips_through_load_predictions(seed, n, missing, start):
     rng = np.random.default_rng(seed)
     # Strictly increasing int64 timestamps, steps of 1 included, from anywhere in the range.
     ts = start + np.cumsum(rng.integers(1, 4096, n)).astype(np.int64)
@@ -210,27 +209,19 @@ def test_write_predictions_csv_round_trips_through_load_predictions(seed, n, wit
     extremes = np.array([AB_FLOOR, 1 / 3, 1e300, 1.7976931348623157e308, *TINY[2:]])
     a, b = np.where(rng.random((2, n)) < 0.1, rng.choice(extremes, (2, n)),
                     rng.uniform(AB_FLOOR, 0.5, (2, n)))
-    ests = None
-    if with_estimates:
-        kept = rng.random(n) >= missing
-        kept[int(rng.integers(n))] = True  # an all-warm-up file has no rows to load
-        ests = Scenarios(ts[kept], a[kept], b[kept])
+    kept = rng.random(n) >= missing
+    kept[int(rng.integers(n))] = True  # an all-warm-up file has no rows to load
+    ests = Scenarios(ts[kept], a[kept], b[kept])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "predictions.csv")
         write_predictions_csv(preds, ests, path)
         got_preds, got_ests = load_predictions(path)
     # The loader clips p_up and floors a and b, so a subnormal comes back clipped.
-    want_ts = ts if ests is None else ts[kept]
-    assert np.array_equal(got_preds.timestamps, want_ts)
-    assert np.array_equal(got_preds.p_up,
-                          np.clip(p_up[np.isin(ts, want_ts)], P_CLIP_LO, P_CLIP_HI))
-    if ests is None:
-        assert got_ests is None
-    else:
-        assert np.array_equal(got_ests.timestamps, ests.timestamps)
-        for name in ("a", "b"):
-            assert np.array_equal(getattr(got_ests, name),
-                                  np.maximum(getattr(ests, name), AB_FLOOR))
+    assert np.array_equal(got_preds.timestamps, ts[kept])
+    assert np.array_equal(got_preds.p_up, np.clip(p_up[kept], P_CLIP_LO, P_CLIP_HI))
+    assert np.array_equal(got_ests.timestamps, ests.timestamps)
+    for name in ("a", "b"):
+        assert np.array_equal(getattr(got_ests, name), np.maximum(getattr(ests, name), AB_FLOOR))
 
 
 @PROPERTY
@@ -466,7 +457,7 @@ def test_every_horizon_return_consumer_reads_forward_return(case):
     assert np.array_equal(direction, sign[t])
 
     preds = Predictions(series.timestamps, np.full(n, 0.6))
-    grid = _decision_grid(series, preds, None, h, 1)
+    grid = _decision_grid(series, preds, scenarios_on(preds), h, 1)
     entry, _ = positions(series.timestamps, grid.entry_ts)
     assert np.array_equal(entry, np.arange(n - h))
     assert np.array_equal(grid.realized, fwd)

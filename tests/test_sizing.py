@@ -159,9 +159,9 @@ def test_decide_half_kelly_worked_example():
 
 
 def test_decide_none_sign_rule():
-    d = decide(0.3, None, SizingPolicy("none", modifier=0.1))
+    d = decide(0.3, (0.05, 0.04), SizingPolicy("none", modifier=0.1))
     assert d.fraction == -0.1 and d.side == "SHORT"
-    d = decide(0.5, None, SizingPolicy("none"))
+    d = decide(0.5, (0.05, 0.04), SizingPolicy("none"))
     assert d.fraction == 0.0 and d.side == "FLAT"
 
 
@@ -174,8 +174,9 @@ def test_decide_leverage_clamp():
 
 def test_decide_gaussian_ignores_estimates():
     policy = SizingPolicy("gaussian", modifier=1.0)
-    d = decide(0.6, None, policy)
+    d = decide(0.6, (0.05, 0.04), policy)
     assert abs(d.fraction - gaussian_bet_size(0.6)) <= 1e-15
+    assert decide(0.6, (5e-324, 10.0), policy) == d
 
 
 def test_decide_sizes_gaussian_without_checking_its_inputs_again(monkeypatch):
@@ -189,12 +190,7 @@ def test_decide_sizes_gaussian_without_checking_its_inputs_again(monkeypatch):
 
     monkeypatch.setattr(sizing, "gaussian_bet_size", checked)
     policy = SizingPolicy("gaussian", expected=0.55)
-    assert [decide(p, None, policy).raw_fraction for p in ps] == want
-
-
-def test_decide_kelly_requires_estimate():
-    with pytest.raises(ValueError, match="estimate"):
-        decide(0.6, None, SizingPolicy("kelly"))
+    assert [decide(p, (0.05, 0.04), policy).raw_fraction for p in ps] == want
 
 
 def test_modifier_scales_fraction_exactly_and_keeps_side():
@@ -245,6 +241,15 @@ def test_policy_rejects_non_finite_modifier(value):
         SizingPolicy("none", modifier=value)
 
 
+def test_policy_rejects_a_modifier_whose_fraction_bound_overflows():
+    # 5 x 1e308 is inf: a clamped bet of inf made the fee NaN and the curve NaN.
+    with pytest.raises(ValueError, match=r"^max_leverage 5.0 times modifier 1e\+308 "
+                                         r"must be finite$"):
+        SizingPolicy("kelly", modifier=1e308)
+    assert decide(0.9, (0.01, 0.01), SizingPolicy("kelly", max_leverage=1.0,
+                                                  modifier=1e308)).fraction == 1e308
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_policy_rejects_non_finite_max_leverage(value):
     with pytest.raises(ValueError, match="max_leverage must be finite"):
@@ -263,7 +268,7 @@ def test_pab_validation_rejects_nan(a, b):
 def test_gaussian_tiny_p_is_the_short_limit(p):
     # q = 1 - p rounds to 1.0 here, so sqrt(q * (1 - q)) was 0 and this divided by zero.
     assert gaussian_bet_size(p) == -1.0
-    assert decide(p, None, SizingPolicy("GAUSSIAN")).fraction == -1.0
+    assert decide(p, (0.05, 0.04), SizingPolicy("GAUSSIAN")).fraction == -1.0
 
 
 @pytest.mark.parametrize("kind", ["none", "gaussian", "kelly"])

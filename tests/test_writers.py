@@ -123,18 +123,14 @@ def _predictions(rng, n, rate):
         return np.sort(rng.choice(2 * n + 2, n, replace=False))
 
     preds = Predictions(timestamps(), _floats(rng, n, rate))
-    mode = rng.choice(["none", "empty", "subset"])
-    if mode == "none":
-        return preds, None
-    if mode == "empty":
+    if rng.choice(["empty", "subset"]) == "empty":
         return preds, Scenarios([], [], [])
     return preds, Scenarios(timestamps(), _floats(rng, n, rate), _floats(rng, n, rate))
 
 
 def _o_write_predictions_csv(preds, ests, path):
     oracles.o_write_predictions_csv(oracles.prediction_records(preds),
-                                    None if ests is None else oracles.scenario_records(ests),
-                                    path)
+                                    oracles.scenario_records(ests), path)
 
 
 def _reports(rng, n, rate):
@@ -261,9 +257,11 @@ def test_report_csvs_equal_hand_written_writers(tmp_path):
     rng = np.random.default_rng(4)
     # Two decimals, so many predictions share a threshold.
     p_up = np.round(rng.uniform(0.01, 0.99, len(labels)), 2)
-    preds = Predictions(labels.timestamps, p_up)
     series.to_csv(str(tmp_path / "candles.csv"))
-    write_predictions_csv(preds, None, str(tmp_path / "preds.csv"))
+    # No a,b columns, as an external model may write: report estimates them.
+    with open(tmp_path / "preds.csv", "w", newline="") as fh:
+        fh.write("timestamp,p_up\n")
+        fh.writelines(f"{t},{p!r}\n" for t, p in zip(labels.timestamps.tolist(), p_up.tolist()))
     out = tmp_path / "out"
     assert cli.main(["report", "--input", str(tmp_path / "candles.csv"), "--predictions",
                      str(tmp_path / "preds.csv"), "--out", str(out)]) == 0
