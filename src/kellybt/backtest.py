@@ -29,7 +29,9 @@ time.
 P&L is computed per column and the bankroll is ``np.cumprod`` of the growth
 factors, the same left-to-right product as sequential compounding, bit for
 bit. A run halts at ruin, and before the trade that would take the bankroll
-past the largest float (OVERFLOW), so every point of the curve is finite.
+past the largest float or to NaN (OVERFLOW: an inf P&L less an inf fee, or
+the NaN Kelly fraction of subnormal (a, b)), so every point of the curve is
+finite.
 Trades and the equity curve come out as column frames (``candles.Frame``):
 ``Trades``, one row per trade with the ``trades.csv`` columns in header order,
 and ``EquityCurve``. ``run_backtest`` flags the arrays it computes read-only,
@@ -184,7 +186,7 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     prediction and a scenario; the others are skipped by every policy, so
     each trades the same grid. The simulation halts with the RUIN flag
     if the bankroll falls to ruin_floor * initial, and with the OVERFLOW flag
-    before the trade that would take it past the largest float.
+    before the trade that would take it past the largest float or to NaN.
     """
     horizon = cfg.horizon
     stride = cfg.effective_stride
@@ -205,12 +207,13 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     with np.errstate(over="ignore", invalid="ignore"):  # an inf fee is ruin; halted before an inf
         pnl = fraction * grid.realized - cfg.fee_rate * np.abs(fraction) * 2.0
         values = np.cumprod(np.concatenate(([float(initial)], 1.0 + pnl)))
-    end = np.flatnonzero((values[1:] <= floor) | (values[1:] == math.inf))
+    # Negated, so that NaN ends the run too.
+    end = np.flatnonzero(~((values[1:] > floor) & (values[1:] < math.inf)))
     m = int(end[0]) + 1 if end.size else len(pnl)
     ruin = end.size > 0 and bool(values[m] <= floor)
     overflow = end.size > 0 and not ruin
     if overflow:
-        m -= 1  # the trade that would pass the largest float is not made
+        m -= 1  # the trade that would pass the largest float, or give NaN, is not made
     if ruin and values[m] < 0.0:
         # A leveraged loss beyond -100% is a wipeout, not a debt.
         values[m] = 0.0

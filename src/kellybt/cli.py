@@ -332,13 +332,13 @@ def cmd_features(resolved: dict, out: Output) -> list[int]:
         grid = features.grid_from_config(config["indicators"])
     else:
         grid = features.default_grid()
-    matrix = features.build_feature_matrix(series, grid, price_model=resolved["price_model"],
-                                           horizon=resolved["horizon"])
+    train_range = None
     if resolved["train_end"] is not None:
-        stats = features.fit_normalizer(
-            matrix, (int(series.timestamps[0]), _parse_time(resolved["train_end"])))
-        matrix = features.apply_normalizer(matrix, stats)
-        features.write_norm_stats_json(stats, out("norm_stats.json"))
+        train_range = (int(series.timestamps[0]), _parse_time(resolved["train_end"]))
+    matrix = features.build_feature_matrix(series, grid, price_model=resolved["price_model"],
+                                           horizon=resolved["horizon"], train_range=train_range)
+    if matrix.stats is not None:
+        features.write_norm_stats_json(matrix.stats, out("norm_stats.json"))
     labels = features.make_labels(series, horizon=resolved["horizon"],
                                   normalize_weights=resolved["normalize_weights"])
     features.write_matrix_csv(matrix, out("features.csv"))

@@ -11,7 +11,9 @@ dropped, so warm-up rows vanish from the front and, when the direction
 column is present, the last ``horizon`` rows vanish from the tail.
 
 Normalization stats are fitted on training rows only and frozen for the
-later splits; fitting globally would leak future statistics.
+later splits; fitting globally would leak future statistics. Given a
+training range, ``build_feature_matrix`` fits them and normalizes the matrix
+in the buffer its columns were written into, so the matrix is held once.
 """
 from __future__ import annotations
 
@@ -34,11 +36,14 @@ class FeatureMatrix(TimestampedFrame):
     ``values`` is flagged read-only, not copied, and the frame holds
     read-only timestamps as they are: ``write_csv`` can then format both on
     a thread without a snapshot copy. A matrix from ``build_feature_matrix``
-    is a leading-rows view of the one buffer its columns were written into,
-    flagged read-only as a whole."""
+    is a leading-rows view of the one buffer its columns were written into
+    (and normalized in, when ``stats`` is set), flagged read-only as a
+    whole. ``stats`` holds the normalizer fitted on the training rows, or
+    None for raw values."""
 
     column_names: tuple[str, ...]
     values: np.ndarray
+    stats: NormStats | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -80,18 +85,21 @@ class LabelSet(TimestampedFrame):
     horizon: int
 
 
-# Rows moved per step when the kept rows are compacted to the buffer's front.
-_COMPACT_ROWS = 4096
+# Rows moved, fitted or normalized per step over the matrix's buffer.
+_BLOCK_ROWS = 4096
 
 
 def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
-                         price_model: bool = False,
-                         horizon: int = DEFAULT_HORIZON) -> FeatureMatrix:
+                         price_model: bool = False, horizon: int = DEFAULT_HORIZON,
+                         train_range: tuple[int, int] | None = None) -> FeatureMatrix:
     """One column per spec, plus the price-model extras when requested.
 
     Every column is written into one (n, columns) buffer, and the fully
-    defined rows are then moved up to its front in place, so the matrix is
-    held once."""
+    defined rows are then moved up to its front in place. Given the
+    inclusive ``train_range`` ``(lo, hi)`` of timestamps, the normalizer is
+    fitted on those rows (``fit_normalizer``) and applied over the same
+    buffer (``apply_normalizer``), and the matrix carries it as ``stats``.
+    The matrix is held once, raw or normalized."""
     if not grid:
         raise ValueError("indicator grid is empty")
     fwd = series.forward_return(horizon) if price_model else None
@@ -124,13 +132,19 @@ def build_feature_matrix(series: CandleSeries, grid: list[IndicatorSpec],
     if not rows.size:
         raise ValueError("no fully defined rows after warm-up truncation")
     # rows[i] >= i, so each step reads only rows that no earlier step wrote.
-    for start in range(0, rows.size, _COMPACT_ROWS):
-        block = rows[start:start + _COMPACT_ROWS]
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
         values[start:start + block.size] = values[block]
     timestamps = series.timestamps[rows]
+    names = tuple(names)
+    stats = None
+    if train_range is not None:
+        stats = fit_normalizer(timestamps, values[:rows.size], names, train_range)
+        apply_normalizer(values[:rows.size], stats)
+    # The whole buffer, not only the view: so the matrix holds them, not copies.
     for col in (timestamps, values):
-        col.setflags(write=False)  # so the matrix holds them, not copies
-    return FeatureMatrix(timestamps, tuple(names), values[:rows.size])
+        col.setflags(write=False)
+    return FeatureMatrix(timestamps, names, values[:rows.size], stats)
 
 
 def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,
@@ -148,42 +162,74 @@ def make_labels(series: CandleSeries, horizon: int = DEFAULT_HORIZON,
     return LabelSet(series.timestamps[:change.size], direction, change, weight, horizon)
 
 
-def fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]) -> NormStats:
-    """Per-column mean/stddev over rows with timestamps inside train_range,
-    the inclusive ``(lo, hi)``; the rows are one slice of the matrix, not a
-    copy. A column whose stats overflow (numpy's std squares raw deviations) is
-    fitted again scaled by a power of two, which is exact; one whose mean or
-    std is still not finite raises ValueError."""
+def fit_normalizer(timestamps: np.ndarray, values: np.ndarray, column_names: tuple[str, ...],
+                   train_range: tuple[int, int]) -> NormStats:
+    """Per-column mean/stddev of ``values`` over the rows whose strictly
+    increasing ``timestamps`` lie inside train_range, the inclusive ``(lo,
+    hi)``; the rows are one slice of ``values``, not a copy, and are read
+    a block of rows at a time. The stats are numpy's ``mean`` and ``std``
+    (ddof=1) over the rows, bit for bit. A column whose stats overflow
+    (numpy's std squares raw deviations) is fitted again scaled by a power
+    of two, which is exact; one whose mean or std is still not finite raises
+    ValueError."""
     lo, hi = train_range
-    start = np.searchsorted(matrix.timestamps, lo, side="left")
-    stop = np.searchsorted(matrix.timestamps, hi, side="right")
-    rows = matrix.values[start:stop]
+    start = np.searchsorted(timestamps, lo, side="left")
+    stop = np.searchsorted(timestamps, hi, side="right")
+    rows = values[start:stop]
     if rows.shape[0] < 2:
         raise ValueError(
             f"need at least 2 training rows to fit the normalizer, got {rows.shape[0]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = rows.mean(axis=0), rows.std(axis=0, ddof=1)
+        mean = rows.mean(axis=0)
+        if rows.shape[1] == 1:  # numpy sums a lone column pairwise
+            std = rows.std(axis=0, ddof=1)
+        else:
+            std = np.sqrt(_squared_deviations(rows, mean) / (rows.shape[0] - 1))
         for j in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std))):
             _, exp = np.frexp(np.abs(rows[:, j]).max())
             col = np.ldexp(rows[:, j], -exp)
             mean[j], std[j] = np.ldexp(col.mean(), exp), np.ldexp(col.std(ddof=1), exp)
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
-        raise ValueError(f"feature column {matrix.column_names[bad[0]]} has a non-finite "
+        raise ValueError(f"feature column {column_names[bad[0]]} has a non-finite "
                          f"training mean or std")
-    return NormStats(matrix.column_names, mean, std)
+    return NormStats(column_names, mean, std)
 
 
-def apply_normalizer(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
-    """Affine transform (x - mean) / std per column; zero-std columns -> 0."""
-    if stats.column_names != matrix.column_names:
+def _squared_deviations(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Per column of ``rows`` (two or more), the sum of ``(x - mean) ** 2``
+    with the operations of numpy's ``std``, which adds such a matrix row
+    after row: a block of rows at a time, the sum so far put before each
+    block's squares. It holds one block, where ``std`` holds a copy of
+    ``rows``."""
+    buf = np.empty((min(len(rows), _BLOCK_ROWS) + 1, rows.shape[1]))
+    total = None
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        squares = buf[1:len(block) + 1]
+        np.subtract(block, mean, out=squares)
+        squares *= squares
+        if total is None:
+            total = squares.sum(axis=0)
+        else:
+            buf[0] = total
+            total = buf[:len(block) + 1].sum(axis=0)
+    return total
+
+
+def apply_normalizer(values: np.ndarray, stats: NormStats) -> None:
+    """Affine transform (x - mean) / std of each column of ``values``, in
+    place, a block of rows at a time; zero-std columns -> 0."""
+    if values.shape[1] != len(stats.column_names):
         raise ValueError("normalizer columns do not match the matrix")
-    safe = np.where(stats.std == 0, 1.0, stats.std)
-    values = matrix.values - stats.mean
-    values /= safe
-    values[:, stats.std == 0] = 0.0
-    return FeatureMatrix(matrix.timestamps, matrix.column_names, values)
+    flat = stats.std == 0
+    safe = np.where(flat, 1.0, stats.std)
+    for start in range(0, len(values), _BLOCK_ROWS):
+        block = values[start:start + _BLOCK_ROWS]
+        block -= stats.mean
+        block /= safe
+        block[:, flat] = 0.0
 
 
 def default_grid() -> list[IndicatorSpec]:

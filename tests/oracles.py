@@ -19,7 +19,8 @@ formatter and for every table ``write_csv`` formats. ``o_ema_array`` and
 writer the same way, ``o_simulate_gaussian_blocks`` the Gaussian
 simulator's per-draw walk over a stream drawn in blocks, ``o_cci_array``
 CCI's whole-array mean absolute deviation, and ``o_fit_normalizer`` the
-normalizer's boolean-mask copy of the training rows.
+normalizer's boolean-mask copy of the training rows, fitted over every
+column at once.
 
 The per-row references take and return the per-row records the library used
 before it moved predictions, scenarios and trades into column frames
@@ -110,10 +111,18 @@ def o_cci_array(h: np.ndarray, l: np.ndarray, c: np.ndarray, n: int) -> np.ndarr
 
 def o_fit_normalizer(matrix: FeatureMatrix, train_range: tuple[int, int]):
     """The earlier ``features.fit_normalizer``'s mean and sample std over the
-    training rows, gathered by a boolean mask into a copy."""
+    training rows, gathered by a boolean mask into a copy and fitted in one
+    call over every column; a column whose stats overflow is fitted again
+    scaled by a power of two, as the library does."""
     lo, hi = train_range
     rows = matrix.values[(matrix.timestamps >= lo) & (matrix.timestamps <= hi)]
-    return rows.mean(axis=0), rows.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = rows.mean(axis=0), rows.std(axis=0, ddof=1)
+        for j in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std))):
+            _, exp = np.frexp(np.abs(rows[:, j]).max())
+            col = np.ldexp(rows[:, j], -exp)
+            mean[j], std[j] = np.ldexp(col.mean(), exp), np.ldexp(col.std(ddof=1), exp)
+    return mean, std
 
 
 def o_trix(closes, n):
@@ -458,7 +467,8 @@ def o_run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
     prediction and (when estimates are supplied) a defined estimate;
     timestamps without an estimate are skipped. The simulation halts with
     the RUIN flag if the bankroll falls to ruin_floor * initial, and with the
-    OVERFLOW flag before the trade that would take it past the largest float.
+    OVERFLOW flag before the trade that would take it past the largest float
+    or whose P&L is NaN.
     """
     known = {int(t): i for i, t in enumerate(series.timestamps)}
     for p in predictions:
@@ -508,7 +518,7 @@ def o_run_backtest(series: CandleSeries, predictions: list[DirectionPrediction],
         exit_price = float(series.close[i + horizon])
         realized = (exit_price - entry_price) / entry_price
         pnl = fraction * realized - cfg.fee_rate * abs(fraction) * 2.0
-        if bankroll * (1.0 + pnl) == math.inf:
+        if bankroll * (1.0 + pnl) == math.inf or math.isnan(pnl):
             overflow = True
             break
         bankroll = bankroll * (1.0 + pnl)

@@ -46,11 +46,10 @@ def test_zero_modifier_flat_curve():
     assert (trades.side == "FLAT").all() and (trades.pnl_fraction == 0.0).all()
 
 
-@pytest.mark.parametrize("p, scenario, policy", [
-    (0.6, (5e-324, 5e-324), SizingPolicy("kelly")),  # inf - inf: a NaN fraction
-    (0.3, (0.05, 0.04), SizingPolicy("none", modifier=0.0)),  # -1 * 0: -0.0
-], ids=["nan", "negative-zero"])
-def test_side_is_decides_for_nan_and_negative_zero_fractions(p, scenario, policy):
+def test_side_is_decides_for_a_negative_zero_fraction():
+    # -1 * 0 is -0.0. A NaN fraction halts the run before its trade instead
+    # (test_run_halts_before_a_trade_whose_growth_factor_is_nan).
+    p, scenario, policy = 0.3, (0.05, 0.04), SizingPolicy("none", modifier=0.0)
     series = make_series_from_closes([100.0, 101.0, 99.0, 102.0, 98.0, 100.0])
     ts = series.timestamps[:4]
     preds = Predictions(ts, [p] * 4)
@@ -198,6 +197,31 @@ def test_run_halts_before_the_trade_that_would_overflow_the_bankroll(initial):
     o_curve, o_trades = oracles.o_run_backtest(series, oracles.prediction_records(preds),
                                                oracles.scenario_records(ests), policy, cfg)
     assert oracles.trade_records(trades) == o_trades and o_curve.overflow
+    assert curve.values.tobytes() == o_curve.values.tobytes()
+    report = build_report(curve, trades)
+    assert report.flags[0] == "OVERFLOW"
+    json.dumps(asdict(report), allow_nan=False)
+
+
+@pytest.mark.parametrize("closes, p, ab, policy, fee_rate", [
+    # Kelly on subnormal (a, b): p/a - q/b is inf - inf, a NaN fraction.
+    ([100.0, 101.0, 99.0], 0.6, 5e-324, SizingPolicy("kelly"), 0.0),
+    # An inf P&L less an inf fee: 1e300 times a 1e10-fold rise, less 1e308 fees.
+    ([1.0, 1e10, 1e10, 1e10], 0.9, 0.05, SizingPolicy("none", modifier=1e300), 1e308),
+], ids=["kelly-subnormal-ab", "inf-pnl-less-inf-fee"])
+def test_run_halts_before_a_trade_whose_growth_factor_is_nan(closes, p, ab, policy, fee_rate):
+    # These runs once went on with curve values [1, nan, ...] and neither flag.
+    series = make_series_from_closes(closes)
+    ts = series.timestamps[:-1]
+    preds = Predictions(ts, [p] * len(ts))
+    ests = Scenarios(ts, [ab] * len(ts), [ab] * len(ts))
+    cfg = BacktestConfig(horizon=1, fee_rate=fee_rate)
+    curve, trades = run_backtest(series, preds, ests, policy, cfg)
+    assert curve.overflow and not curve.ruin
+    assert len(trades) == 0 and curve.values.tolist() == [1.0]
+    o_curve, o_trades = oracles.o_run_backtest(series, oracles.prediction_records(preds),
+                                               oracles.scenario_records(ests), policy, cfg)
+    assert o_trades == [] and o_curve.overflow and not o_curve.ruin
     assert curve.values.tobytes() == o_curve.values.tobytes()
     report = build_report(curve, trades)
     assert report.flags[0] == "OVERFLOW"

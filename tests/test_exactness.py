@@ -7,8 +7,8 @@ per-row records, so each frame is turned into records
 before it is handed to one or compared with its result. The backtest's
 cached decision grid is checked the same way across sequences of runs that
 share it, and against a fresh grid per policy. The normalizer's slice of
-the training rows gives the mean and std of the boolean-mask copy it
-replaced, bit for bit."""
+the training rows, fitted a block of rows at a time, gives the mean and std
+of the boolean-mask copy fitted in one call that it replaced, bit for bit."""
 import math
 import struct
 from dataclasses import fields, replace
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from kellybt.backtest import (BacktestConfig, EquityCurve, StrategyResult, Trades,
                               _decision_grid, compare_strategies, run_backtest)
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
+from kellybt import features
 from kellybt.features import FeatureMatrix, LabelSet, fit_normalizer
 from kellybt.metrics import build_report, monthly_returns, precision_recall_points
 from kellybt.predictors import Predictions, Scenarios, estimate_scenarios, simulate_gaussian
@@ -389,9 +390,37 @@ def test_fit_normalizer_slice_equals_the_mask_copy(seed, n, k, lo_at, hi_at, lo_
     rows = int(((ts >= train[0]) & (ts <= train[1])).sum())
     if rows < 2:
         with pytest.raises(ValueError, match=f"got {rows}$"):
-            fit_normalizer(matrix, train)
+            fit_normalizer(ts, values, matrix.column_names, train)
         return
-    got = fit_normalizer(matrix, train)
+    _assert_same_fit(matrix, train)
+
+
+def _assert_same_fit(matrix, train):
+    got = fit_normalizer(matrix.timestamps, matrix.values, matrix.column_names, train)
     mean, std = oracles.o_fit_normalizer(matrix, train)
     assert np.array_equal(got.mean.view(np.int64), mean.view(np.int64))
     assert np.array_equal(got.std.view(np.int64), std.view(np.int64))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 4096])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 33])
+def test_fit_normalizer_row_blocks_equal_one_fit_over_every_row(monkeypatch, k, block_rows):
+    # The fit sums squared deviations a block of rows at a time, carrying the
+    # sum into the next block; numpy's std adds the whole slice row after row
+    # (a lone column pairwise). With two or more columns, the last overflows
+    # numpy's std and takes the power-of-two refit.
+    monkeypatch.setattr(features, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(k)
+    n = 300
+    ts = np.cumsum(rng.integers(1, 4, n)) * 3600
+    values = rng.normal(0.0, 1.0, (n, k)) * 10.0 ** rng.integers(-8, 9, k) + rng.normal(0, 1e3, k)
+    if k > 1:
+        values[:, -1] = rng.choice([-1.0, 1.0], n) * rng.uniform(1e300, 1.7e300, n)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(values[:, -1].std(ddof=1))
+    if k > 2:
+        values[:, -2] = 3.0  # a constant column
+    matrix = FeatureMatrix(ts, tuple(f"c{j}" for j in range(k)), values)
+    for rows in (2, 3, 7, 8, 9, 14, 15, 100, n):
+        for start in (0, n - rows):
+            _assert_same_fit(matrix, (int(ts[start]), int(ts[start + rows - 1])))

@@ -4,8 +4,10 @@ import statistics
 import numpy as np
 import pytest
 
+from kellybt import artifacts, features
 from kellybt.candles import CandleSeries, generate_synthetic_series
-from kellybt.features import (FeatureMatrix, apply_normalizer,
+from kellybt.cli import main
+from kellybt.features import (DEFAULT_HORIZON, FeatureMatrix, apply_normalizer,
                               build_feature_matrix, default_grid, fit_normalizer,
                               grid_from_config, make_labels, write_norm_stats_json)
 from kellybt.indicators import IndicatorSpec
@@ -99,9 +101,19 @@ def _tiny_matrix(values, names=None):
     return FeatureMatrix(ts, names, values)
 
 
+def _fit(matrix, train_range):
+    return fit_normalizer(matrix.timestamps, matrix.values, matrix.column_names, train_range)
+
+
+def _normalized(matrix, stats):
+    values = matrix.values.copy()
+    apply_normalizer(values, stats)
+    return FeatureMatrix(matrix.timestamps, matrix.column_names, values, stats)
+
+
 def test_fit_normalizer_textbook_values():
     matrix = _tiny_matrix([[1.0], [2.0], [3.0]])
-    stats = fit_normalizer(matrix, (0, 10_000_000))
+    stats = _fit(matrix, (0, 10_000_000))
     assert stats.mean[0] == 2.0
     assert stats.std[0] == 1.0  # sample (n-1) convention
     assert not stats.to_dict()["c0"]["flagged"]
@@ -109,23 +121,23 @@ def test_fit_normalizer_textbook_values():
 
 def test_fit_normalizer_constant_column_flagged():
     matrix = _tiny_matrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], names=["a", "b"])
-    stats = fit_normalizer(matrix, (0, 10_000_000))
+    stats = _fit(matrix, (0, 10_000_000))
     assert [name for name, d in stats.to_dict().items() if d["flagged"]] == ["b"]
-    out = apply_normalizer(matrix, stats)
+    out = _normalized(matrix, stats)
     assert np.allclose(_column(out, "b"), 0.0)
 
 
 def test_fit_normalizer_needs_two_rows():
     matrix = _tiny_matrix([[1.0]])
     with pytest.raises(ValueError, match="2 training rows"):
-        fit_normalizer(matrix, (0, 10_000_000))
+        _fit(matrix, (0, 10_000_000))
 
 
 def test_fit_normalizer_refits_a_column_whose_sum_of_squares_overflows():
     # Column b's std is 1.15e300, but numpy squares the raw deviations, whose
     # sum is not finite: b is fitted again scaled by a power of two.
     rows = [[1.0, 1e300], [2.0, -1e300], [3.0, 1e300]]
-    stats = fit_normalizer(_tiny_matrix(rows, names=["a", "b"]), (0, 10_000_000))
+    stats = _fit(_tiny_matrix(rows, names=["a", "b"]), (0, 10_000_000))
     for j, col in enumerate(zip(*rows)):
         assert stats.mean[j] == statistics.fmean(col)
         assert stats.std[j] == statistics.stdev(col)
@@ -135,15 +147,15 @@ def test_fit_normalizer_rejects_a_column_whose_std_overflows():
     # Every value is finite, but the std, 1.7e308 * sqrt(2), is not.
     matrix = _tiny_matrix([[1.0, 1.7e308], [2.0, -1.7e308]], names=["a", "b"])
     with pytest.raises(ValueError, match="feature column b has a non-finite training mean"):
-        fit_normalizer(matrix, (0, 10_000_000))
+        _fit(matrix, (0, 10_000_000))
 
 
 def test_normalized_training_rows_have_zero_mean_unit_std():
     rng = np.random.default_rng(5)
     matrix = _tiny_matrix(rng.normal(3.0, 2.5, size=(50, 4)))
     train_range = (0, int(matrix.timestamps[29]))
-    stats = fit_normalizer(matrix, train_range)
-    out = apply_normalizer(matrix, stats)
+    stats = _fit(matrix, train_range)
+    out = _normalized(matrix, stats)
     train_rows = out.values[:30]
     assert np.all(np.abs(train_rows.mean(axis=0)) <= 1e-9)
     assert np.all(np.abs(train_rows.std(axis=0, ddof=1) - 1.0) <= 1e-9)
@@ -153,21 +165,21 @@ def test_double_normalization_is_identity():
     rng = np.random.default_rng(6)
     matrix = _tiny_matrix(rng.normal(0, 3, size=(40, 3)))
     rng_all = (0, int(matrix.timestamps[-1]))
-    once = apply_normalizer(matrix, fit_normalizer(matrix, rng_all))
-    twice = apply_normalizer(once, fit_normalizer(once, rng_all))
+    once = _normalized(matrix, _fit(matrix, rng_all))
+    twice = _normalized(once, _fit(once, rng_all))
     assert np.allclose(twice.values, once.values, atol=1e-9)
 
 
 def test_normalizer_column_mismatch_rejected():
-    stats = fit_normalizer(_tiny_matrix([[1.0], [2.0]]), (0, 10_000_000))
+    stats = _fit(_tiny_matrix([[1.0], [2.0]]), (0, 10_000_000))
     other = _tiny_matrix([[1.0, 2.0], [2.0, 3.0]], names=["x", "y"])
     with pytest.raises(ValueError, match="columns"):
-        apply_normalizer(other, stats)
+        apply_normalizer(other.values.copy(), stats)
 
 
 def test_norm_stats_json_round_trip(tmp_path):
     matrix = _tiny_matrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], names=["a", "b"])
-    stats = fit_normalizer(matrix, (0, 10_000_000))
+    stats = _fit(matrix, (0, 10_000_000))
     path = tmp_path / "stats.json"
     write_norm_stats_json(stats, str(path))
     again = json.loads(path.read_text())
@@ -309,11 +321,52 @@ def test_build_feature_matrix_peak_memory_is_below_twice_the_matrix():
 
 
 def test_fit_normalizer_peak_memory_is_bounded():
-    # The training rows are a slice; what remains is the one temporary of
-    # their size that std takes, about 1.0 times the matrix when they are all
-    # of it. A boolean-mask copy of them peaked at 2.0.
+    # The training rows are a slice, and their squared deviations are summed
+    # a block of rows at a time: the fit holds one block, here a fifth of the
+    # matrix, whatever the number of training rows. std over every row at
+    # once held a copy of them, 1.0 times the matrix when every row trains,
+    # and a boolean-mask copy of the rows peaked at 2.0.
     series = generate_synthetic_series(seed=0, n=20_000)
     matrix = build_feature_matrix(series, default_grid(), price_model=True)
     train = (int(matrix.timestamps[0]), int(matrix.timestamps[-1]))
-    _, peak = traced_peak(fit_normalizer, matrix, train)
-    assert peak < 1.5 * matrix.values.nbytes
+    _, peak = traced_peak(_fit, matrix, train)
+    block = (features._BLOCK_ROWS + 1) * matrix.values.itemsize * len(matrix.column_names)
+    assert peak < 1.2 * block < 0.25 * matrix.values.nbytes
+
+
+def test_build_and_normalize_hold_the_matrix_once():
+    # Normalized in the build's buffer, the matrix costs what the raw build
+    # does: about 0.35 times its bytes above them. Fitting and applying the
+    # normalizer to a built matrix, as a copy, took more than 1.0.
+    series = generate_synthetic_series(seed=0, n=20_000)
+    ts = series.timestamps
+    matrix, peak = traced_peak(build_feature_matrix, series, default_grid(), True,
+                               DEFAULT_HORIZON, (int(ts[0]), int(ts[10_000])))
+    assert matrix.stats is not None
+    assert peak - matrix.values.nbytes < 0.5 * matrix.values.nbytes
+
+
+def test_features_command_writes_the_buffer_it_normalized(tmp_path, monkeypatch):
+    # The matrix write_csv formats is the build's buffer, normalized in
+    # place and read-only as a whole, so _row_range reads it without a copy.
+    seen = {}
+    apply, write = features.apply_normalizer, features.write_matrix_csv
+
+    def spy_apply(values, stats):
+        seen["normalized"] = values
+        apply(values, stats)
+
+    def spy_write(matrix, path):
+        seen["written"] = matrix
+        write(matrix, path)
+
+    monkeypatch.setattr(features, "apply_normalizer", spy_apply)
+    monkeypatch.setattr(features, "write_matrix_csv", spy_write)
+    generate_synthetic_series(seed=3, n=2_000).to_csv(str(tmp_path / "candles.csv"))
+    main(["features", "--input", str(tmp_path / "candles.csv"), "--price-model",
+          "--train-end", "2020-02-01", "--out", str(tmp_path / "out")])
+    written = seen["written"]
+    assert written.stats is not None
+    assert artifacts._read_only(written.values)
+    assert np.shares_memory(written.values, seen["normalized"])
+    assert written.values.base.shape == (2_000, len(written.column_names))

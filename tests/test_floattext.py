@@ -83,10 +83,29 @@ def test_a_str_cell_that_is_not_plain_ascii_raises(cell, error):
 def test_float_fields_peak_memory_per_cell_is_bounded():
     # Each thread of artifacts' pool holds one block at a time; this bounds
     # what a block holds. With every temporary kept to the end it was 415 to
-    # 500 bytes a cell, with each deleted once dead about 165.
+    # 500 bytes a cell, with each deleted once dead about 165; with the two
+    # window buffers made one after the other and the digit counts held in
+    # bytes, about 122.
     x = floattext_sweep.chunk(np.random.default_rng(0), floattext.BLOCK_CELLS)
     _, peak = traced_peak(floattext.float_fields, x)
-    assert peak / x.size < 200
+    assert peak / x.size < 135
+
+
+def test_format_rows_peak_memory_per_cell_is_bounded():
+    # One block of a feature table: a timestamp column and 32 float columns
+    # of the sweep's families. The block's float cells and fields are freed
+    # before its text is masked: about 125 bytes a cell, against 168 with
+    # them held to the end of the block.
+    rng = np.random.default_rng(0)
+    n = floattext.BLOCK_CELLS // 33
+    columns = [3600 * np.arange(n)] + [floattext_sweep.chunk(rng, n) for _ in range(32)]
+
+    def drain():
+        for _ in floattext.format_rows(columns, 0, n):
+            pass
+
+    _, peak = traced_peak(drain)
+    assert peak / (33 * n) < 135
 
 
 # The fast path's bound and 2**52 / 100, above which a half would no longer

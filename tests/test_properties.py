@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from kellybt.backtest import BacktestConfig, _decision_grid, compare_strategies
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
                             parse_candles, positions)
-from kellybt.features import (apply_normalizer, build_feature_matrix, fit_normalizer,
-                              make_labels)
+from kellybt.features import build_feature_matrix, make_labels
 from kellybt.indicators import KINDS, IndicatorSpec, compute_indicator
 from kellybt.labeling import HIT_VERTICAL, BarrierConfig, label_series
 from kellybt.predictors import (AB_FLOOR, P_CLIP_HI, P_CLIP_LO, Predictions, Scenarios,
@@ -350,12 +349,12 @@ def test_prefix_values_equal_full_series_values(data, seed, n, volatility):
         assert found.all() and np.array_equal(part.values, full.values[pos])
         train_end = int(part.timestamps[data.draw(st.integers(0, len(part) - 1))])
         if (part.timestamps <= train_end).sum() >= 2:
-            stats = fit_normalizer(part, (int(ts[0]), train_end))
-            full_stats = fit_normalizer(full, (int(ts[0]), train_end))
-            assert np.array_equal(stats.mean, full_stats.mean)
-            assert np.array_equal(stats.std, full_stats.std)
-            assert np.array_equal(apply_normalizer(part, stats).values,
-                                  apply_normalizer(full, full_stats).values[pos])
+            train = (int(ts[0]), train_end)
+            part = build_feature_matrix(prefix, grid, price_model, horizon, train)
+            full = build_feature_matrix(series, grid, price_model, horizon, train)
+            assert np.array_equal(part.stats.mean, full.stats.mean)
+            assert np.array_equal(part.stats.std, full.stats.std)
+            assert np.array_equal(part.values, full.values[pos])
 
     h = data.draw(st.integers(1, 5))
     window = data.draw(st.integers(10 * h, 10 * h + 30))
