@@ -372,6 +372,7 @@ def cmd_simulate(resolved: dict, out: Output) -> list[int]:
     labels = features.make_labels(series, horizon=resolved["horizon"])
     preds = _simulate_predictions(labels, resolved["sim"], resolved["sim_seed"], resolved)
     ests = _scenario_estimates(series, labels, resolved)
+    del labels  # the predictions and scenarios hold what sizing reads
     # Each table is written as soon as it is known, so the pool formats it
     # while the next policy is sized; the policies still share one grid.
     predictors.write_predictions_csv(preds, ests, out("predictions.csv"))

@@ -208,8 +208,11 @@ def estimate_scenarios(series: CandleSeries, horizon: int = 5,
     neg = np.where(r < 0, r, 0.0)
     pos_sum = sliding_window_view(pos, count).sum(axis=1)
     neg_sum = sliding_window_view(neg, count).sum(axis=1)
-    pos_cnt = sliding_window_view((r > 0).astype(np.float64), count).sum(axis=1)
-    neg_cnt = sliding_window_view((r < 0).astype(np.float64), count).sum(axis=1)
+    # Integer counts are exact in any order, so running sums give each window's.
+    pos_run = np.concatenate(([0], np.cumsum(r > 0, dtype=np.int64)))
+    neg_run = np.concatenate(([0], np.cumsum(r < 0, dtype=np.int64)))
+    pos_cnt = (pos_run[count:] - pos_run[:-count]).astype(np.float64)
+    neg_cnt = (neg_run[count:] - neg_run[:-count]).astype(np.float64)
 
     # Window k holds the returns realized by bar t = k + window, for each t >= window.
     a = np.divide(pos_sum, pos_cnt, out=np.full(pos_sum.size, AB_FLOOR), where=pos_cnt > 0)
@@ -223,5 +226,7 @@ def write_predictions_csv(preds: Predictions, ests: Scenarios, path: str) -> Non
     (estimator warm-up) are omitted, keeping rows loadable."""
     pos, found = positions(ests.timestamps, preds.timestamps)
     pos = pos[found]
-    write_csv(path, ("timestamp", "p_up", "a", "b"),
-              [preds.timestamps[found], preds.p_up[found], ests.a[pos], ests.b[pos]])
+    columns = [preds.timestamps[found], preds.p_up[found], ests.a[pos], ests.b[pos]]
+    for c in columns:  # gathered copies no one else holds: a deferred range reads them as they are
+        c.flags.writeable = False
+    write_csv(path, ("timestamp", "p_up", "a", "b"), columns)

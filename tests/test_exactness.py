@@ -1,4 +1,5 @@
-"""Exactness properties: the per-bet sizing step, the columnar backtest,
+"""Exactness properties: the per-bet sizing step and the scalar Kelly and
+Gaussian sizes that read it, the columnar backtest,
 monthly returns, Gaussian simulator, scenario estimator and precision/recall
 sweep equal the per-row loops they replaced (kept in oracles.py) exactly, on
 drawn inputs, including the errors they raise. The loops take and return
@@ -25,7 +26,7 @@ from kellybt import features
 from kellybt.features import FeatureMatrix, LabelSet, fit_normalizer
 from kellybt.metrics import build_report, monthly_returns, precision_recall_points
 from kellybt.predictors import Predictions, Scenarios, estimate_scenarios, simulate_gaussian
-from kellybt.sizing import SizingPolicy, decide
+from kellybt.sizing import SizingPolicy, decide, gaussian_bet_size, kelly_fraction
 
 import oracles
 
@@ -112,6 +113,42 @@ def decide_args(draw):
 def test_decide_equals_frozen_per_bet_arithmetic(args):
     got = _decision_bits(decide, *args)
     assert got == _decision_bits(oracles.o_decide, *args)
+
+
+def _float_bits(fn, *args):
+    """fn's float result as its IEEE bits, or the type and text of its ValueError."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+_PROBABILITY = (st.sampled_from(_EDGE_P) |
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) |
+                st.sampled_from(_BAD_P))
+_MAGNITUDE = st.sampled_from(_EDGE_AB) | st.floats(5e-324, 10.0) | st.sampled_from(_BAD_AB)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(p=_PROBABILITY, a=_MAGNITUDE, b=_MAGNITUDE)
+@example(p=0.75, a=0.25, b=0.25)
+@example(p=0.6, a=5e-324, b=5e-324)
+@example(p=math.nan, a=math.nan, b=0.05)
+@example(p=0.6, a=0.05, b=math.nan)
+def test_kelly_fraction_equals_frozen_arithmetic(p, a, b):
+    # kelly_fraction reads decide's raw fraction; the oracle writes p/a - q/b out.
+    assert _float_bits(kelly_fraction, p, a, b) == _float_bits(oracles.o_kelly_fraction, p, a, b)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(p=_PROBABILITY, expected=_PROBABILITY)
+@example(p=0.6, expected=0.6)
+@example(p=1e-17, expected=0.5)
+@example(p=0.3, expected=0.7)
+@example(p=0.5, expected=math.nan)
+def test_gaussian_bet_size_equals_frozen_arithmetic(p, expected):
+    assert (_float_bits(gaussian_bet_size, p, expected)
+            == _float_bits(oracles.o_gaussian_bet_size, p, expected))
 
 
 @st.composite

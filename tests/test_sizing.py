@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def test_decide_sizes_gaussian_without_checking_its_inputs_again(monkeypatch):
     # decide checks p and SizingPolicy checks expected; decide used to call
     # the checked gaussian_bet_size, which ran both tests again on every bet.
     ps = (1e-17, 0.3, 0.45, 0.55, 0.6, 0.99)
-    want = [gaussian_bet_size(p, 0.55) for p in ps]
+    want = [oracles.o_gaussian_bet_size(p, 0.55) for p in ps]
 
     def checked(p_up, expected=0.5):
         raise AssertionError("decide checked its GAUSSIAN inputs again")
@@ -191,6 +192,28 @@ def test_decide_sizes_gaussian_without_checking_its_inputs_again(monkeypatch):
     monkeypatch.setattr(sizing, "gaussian_bet_size", checked)
     policy = SizingPolicy("gaussian", expected=0.55)
     assert [decide(p, (0.05, 0.04), policy).raw_fraction for p in ps] == want
+
+
+@pytest.mark.parametrize("kind", ["none", "gaussian", "kelly"])
+@pytest.mark.parametrize("p", [1e-17, 0.2, 0.5, 0.55, 0.7, 0.999])
+def test_a_successful_decide_makes_no_python_call(kind, p):
+    # decide holds every formula: a bet is one Python frame, whatever its kind,
+    # side or clamp (0.999 with a = b = 0.01 is a Kelly fraction past the cap).
+    policy = SizingPolicy(kind, kelly_fraction=0.5, max_leverage=2.0, expected=0.55,
+                          modifier=0.7)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        decide(p, (0.01, 0.01), policy)
+    finally:
+        sys.setprofile(previous)
+    assert calls == ["decide"]
 
 
 def test_modifier_scales_fraction_exactly_and_keeps_side():
