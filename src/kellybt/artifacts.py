@@ -4,10 +4,9 @@ Every artifact-producing command writes exactly one ``manifest.json`` into
 its output directory recording the command, the fully resolved config,
 input digests, seeds, and artifact digests, so a run can be reproduced and
 verified byte for byte. SVG output embeds no timestamps or randomness.
-``svg_line_chart`` streams each polyline to its file: the ``"%.2f"`` text of
-the points comes from ``floattext.fixed2_fields``, at most
-``floattext.BLOCK_CELLS`` coordinates at a time, and each block is written as
-soon as it is built, so the chart's text is never held whole.
+``svg_line_chart`` streams each polyline to its file: ``floattext.format_points``
+yields the ``"%.2f"`` text of its points a block at a time, and each block is
+written as soon as it is built, so the chart's text is never held whole.
 
 Every CSV kellybt writes goes through ``write_csv``, which takes a path and
 owns the text format: a header row, one ``str`` per cell (a float's shortest
@@ -389,6 +388,8 @@ def svg_line_chart(curves, path: str, title: str = "") -> None:
     are escaped for XML."""
     from html import escape  # here, not at the top: it adds ~3 ms to every CLI start
 
+    from . import floattext  # here, not at the top: it adds ~2.5 ms to every CLI start
+
     width, height, margin = 900, 420, 60
     curves = [(label, np.asarray(xs, np.float64), np.asarray(ys, np.float64))
               for label, xs, ys in curves]
@@ -431,26 +432,9 @@ def svg_line_chart(curves, path: str, title: str = "") -> None:
             px = margin + (xs - x_lo) / x_span * (width - 2 * margin)
             py = height - margin - (ys - y_lo) / y_span * (height - 2 * margin)
             fh.write('<polyline points="')
-            _write_points(fh, px, py)
+            fh.writelines(block.decode("ascii") for block in floattext.format_points(px, py))
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
                      f'<text x="{width - margin + 4}" y="{margin + 16 * k + 12}" '
                      f'font-size="12" fill="{color}">{escape(label, quote=False)}</text>\n')
         fh.write("</svg>\n")
 
-
-def _write_points(fh, px, py) -> None:
-    """Write the ``"%.2f,%.2f"`` text of each point, separated by spaces, to
-    the text stream ``fh``, one block of ``floattext.BLOCK_CELLS`` cells at a
-    time."""
-    from . import floattext  # here, not at the top: it adds ~2.5 ms to every CLI start
-
-    step = floattext.BLOCK_CELLS // 2
-    for lo in range(0, px.size, step):
-        cells = floattext.fixed2_fields(np.stack((px[lo:lo + step], py[lo:lo + step]), 1).ravel())
-        pairs = cells.reshape(-1, 2, cells.shape[1])
-        space = np.full((len(pairs), 1), ord(" "), np.uint8)
-        if lo == 0:
-            space[0] = 0  # a padding byte: no separator before the first point
-        comma = np.full((len(pairs), 1), ord(","), np.uint8)
-        text = np.concatenate((space, pairs[:, 0], comma, pairs[:, 1]), axis=1)
-        fh.write(text[text != 0].tobytes().decode("ascii"))

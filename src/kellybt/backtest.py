@@ -151,7 +151,8 @@ def _decision_grid(series: CandleSeries, predictions: Predictions,
     pred_pos = _series_positions(ts, predictions, "prediction")
     _series_positions(ts, estimates, "estimate")
     est_at, has_est = positions(estimates.timestamps, predictions.timestamps)
-    candidates = np.flatnonzero(has_est & (pred_pos + horizon < len(series)))
+    # Not pred_pos + horizon: a horizon near the int64 limit would wrap it.
+    candidates = np.flatnonzero(has_est & (pred_pos < len(series) - horizon))
 
     # The lattice walk stays sequential: each chosen point moves the next
     # allowed index, and a skipped timestamp does not.
@@ -206,6 +207,9 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     floor = cfg.ruin_floor * initial
     with np.errstate(over="ignore", invalid="ignore"):  # an inf fee is ruin; halted before an inf
         pnl = fraction * grid.realized - cfg.fee_rate * np.abs(fraction) * 2.0
+        # A fee past the largest float is a loss past it too: written as the
+        # most negative float, not -inf. NaN stays NaN.
+        np.maximum(pnl, -np.finfo(np.float64).max, out=pnl)
         values = np.cumprod(np.concatenate(([float(initial)], 1.0 + pnl)))
     # Negated, so that NaN ends the run too.
     end = np.flatnonzero(~((values[1:] > floor) & (values[1:] < math.inf)))

@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable
 from datetime import datetime, timezone
@@ -50,6 +51,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument that starts with "-" for a flag unless it
+        # matches this pattern; its own (Python 3.10 to 3.13) has no exponent,
+        # so "--drift -1e-05" was a usage error.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .candles import CandleSeries, TimestampedFrame, column
+from .candles import CandleSeries, TimestampedFrame, _cast, column
 from .indicators import IndicatorSpec, compute_indicator
 
 DEFAULT_HORIZON = 5
@@ -33,13 +33,14 @@ class FeatureMatrix(TimestampedFrame):
     """One row of ``values`` per timestamp, one column per name: ``values``
     has shape ``(len(timestamps), len(column_names))``. Timestamps strictly
     increase, so ``fit_normalizer`` reads the training rows as one slice.
-    ``values`` is flagged read-only, not copied, and the frame holds
-    read-only timestamps as they are: ``write_csv`` can then format both on
-    a thread without a snapshot copy. A matrix from ``build_feature_matrix``
-    is a leading-rows view of the one buffer its columns were written into
-    (and normalized in, when ``stats`` is set), flagged read-only as a
-    whole. ``stats`` holds the normalizer fitted on the training rows, or
-    None for raw values."""
+    ``values`` is held as a frame column is: as it is when no array can
+    write into it, else as a read-only float64 copy, so ``write_csv`` can
+    format it on a thread without a snapshot copy. A matrix from
+    ``build_feature_matrix`` is a leading-rows view of the one buffer its
+    columns were written into (and normalized in, when ``stats`` is set),
+    flagged read-only as a whole, and is held without a copy. ``stats``
+    holds the normalizer fitted on the training rows, or None for raw
+    values."""
 
     column_names: tuple[str, ...]
     values: np.ndarray
@@ -48,10 +49,12 @@ class FeatureMatrix(TimestampedFrame):
     def __post_init__(self):
         super().__post_init__()
         shape = (self.timestamps.size, len(self.column_names))
-        if self.values.shape != shape:
+        values = _cast("values", self.values, np.float64)
+        if values.shape != shape:
             raise ValueError(f"feature matrix values must have shape {shape} (timestamps, "
-                             f"columns), got {self.values.shape}")
-        self.values.setflags(write=False)
+                             f"columns), got {values.shape}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""CSV row text from numpy arrays, a block of cells at a time: the one
-formatter of kellybt's numpy tables.
+"""CSV row and SVG point text from numpy arrays, a block of cells at a time:
+the one formatter of kellybt's numpy tables and charts.
 
 ``format_rows(columns, start, stop)`` yields rows ``[start, stop)`` of
 float64, int64, int8 and str columns as ASCII bytes, one block of at most
@@ -8,6 +8,8 @@ float's shortest round-trip digits (``repr``), an integer's decimal digits.
 ``artifacts.write_csv`` runs it under ``np.errstate(all="raise")``, as its
 arithmetic warns of no floating-point condition. Its reference is
 ``format_rows`` in ``tests/oracles.py``, the standard library's ``str``.
+``format_points(px, py)`` yields the text of a chart's points in blocks of
+the same size; the field layout below stays in this module.
 
 A float takes the fast path when it is finite and 1e-4 <= |x| < 1e16, the
 range in which ``repr`` writes no exponent. With ``e`` its decimal exponent,
@@ -20,7 +22,9 @@ such text of its length, which is what ``repr`` writes (Steele and White
 1990; Gay 1990; Adams, Ryu, 2018). ``repr`` formats the rest: a cell within
 ``_SURE`` of a rounding tie or of the interval's edge, an exact power of two
 (its interval is narrower below), and a cell off the fast path. Integers are
-exact: int64 digits from a table, with the magnitude in a uint64.
+exact, the magnitude of an int64 in a uint64. One loop, ``_groups``, splits
+every integer into the 4-digit groups that a table reads as ASCII digits: a
+float's 16 after its first, or as many as a block's largest integer needs.
 
 A cell's text is built in a fixed-width field in which zero bytes are padding:
 the integer part with its sign is a window of digits ending at the decimal
@@ -49,11 +53,9 @@ import numpy as np
 # size formatted a 50,000 x 33 feature matrix fastest (by about 10 %).
 BLOCK_CELLS = 16_384
 
-# Field widths: a float's sign and integer part (18 bytes), point (1) and
-# fraction (20); an int64's sign and 20 digits. ``repr``'s widest float
-# text, "-1.7976931348623157e+308", takes 24.
+# A float's field: sign and integer part (18 bytes), point (1) and fraction
+# (20). ``repr``'s widest float text, "-1.7976931348623157e+308", takes 24.
 _FLOAT_WIDTH = 39
-_INT_WIDTH = 21
 
 # A fast-path decision closer than this to its edge goes to ``repr``; the
 # arithmetic that reaches it errs by less than 1e-13.
@@ -100,10 +102,6 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 # so |x| >= _DECADES[i] means |x| >= 10**(i - 4).
 _DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
 
-# 10, 100, ..., 10**19: an integer's digit count is one more than the number
-# of them it reaches.
-_INT_BOUNDS = np.array([10**k for k in range(1, 20)], np.uint64)
-
 
 def _copy_windows(src, offsets, dest):
     """Copy to each row ``i`` of ``dest`` as many bytes of row ``i`` of
@@ -115,14 +113,31 @@ def _copy_windows(src, offsets, dest):
     dest.view(f"V{width}")[:, 0] = windows[np.arange(0, src.size, src.shape[1]) + offsets]
 
 
-def _groups(rest, count):
-    """The ``count`` 4-digit groups of each integer in ``rest``, which lies
-    below ``10**(4 * count)``, most significant first, and their ASCII digits."""
+def _groups(rest, count=None):
+    """The 4-digit groups of each non-negative integer in ``rest``, most
+    significant first: ``count`` of them, or as many as the largest needs."""
+    if count is None:
+        count = (len(str(rest.max(initial=0))) + 3) // 4
     groups = np.empty((len(rest), count), np.intp)
     for g in range(count - 1, 0, -1):
         rest, groups[:, g] = np.divmod(rest, 10_000)
     groups[:, 0] = rest
-    return groups, _DIGITS4[groups].view(np.uint8).reshape(len(groups), 4 * count)
+    return groups
+
+
+def _signed_words(neg, mag, spare=0):
+    """Each integer of ``mag``, negated where ``neg``, as 4-byte words: the
+    sign, its digit groups with leading zeros as padding, ``spare`` unset."""
+    groups = _groups(mag)
+    # Column g: the integer from group g up, capped at 1000 (``_LEADING``'s index).
+    upper = np.minimum(groups, 1000)
+    for g in range(1, groups.shape[1]):
+        np.minimum(upper[:, g] + 1000 * upper[:, g - 1], 1000, out=upper[:, g])
+    np.maximum(upper[:, -1], 1, out=upper[:, -1])
+    words = np.empty((len(mag), 1 + groups.shape[1] + spare), np.uint32)
+    words[:, 0] = neg * np.uint32(_MINUS)
+    np.bitwise_and(_DIGITS4[groups], _LEADING[upper], out=words[:, 1:1 + groups.shape[1]])
+    return words
 
 
 def _trailing_zeros(groups):
@@ -193,8 +208,9 @@ def float_fields(x):
     lead, rest = np.divmod(d, 10**16)
     del d
     lead = lead.astype(np.uint8) + _ZERO  # the leading digit's ASCII byte
-    groups, digits = _groups(rest, 4)
+    groups = _groups(rest, 4)
     del rest
+    digits = _DIGITS4[groups].view(np.uint8).reshape(len(x), 16)
     # The last of 17 digits is not 0 (else the 16 would be inside), nor is the
     # 16th of 16; only a 15-digit rounding can end in more zeros.
     zeros = in16.astype(np.int8) + in15
@@ -251,21 +267,10 @@ def fixed2_fields(x):
     d = np.where(tie, below + (lo > 0.0), np.rint(hi)).astype(np.int64)
     whole = d // 100
 
-    # 4-byte words: the sign and 3 bytes of padding, the 4-digit groups of
-    # the largest integer part, then the point and 2 decimals.
-    groups = (len(str(whole.max(initial=0))) + 3) // 4
-    fields = np.zeros((len(x), 4 * groups + 8), np.uint8)
-    words = fields.view(np.uint32)
-    words[:, 0] = np.signbit(x) * np.uint32(_MINUS)
+    # The signed integer part's words, then the point and 2 decimals.
+    words = _signed_words(np.signbit(x), whole, spare=1)
     words[:, -1] = _CENTS[d - 100 * whole]
-    rest = whole
-    for k in range(groups, 0, -1):  # the units group first
-        q = rest // 10_000
-        # ``rest`` is the number from this group up; the units group keeps
-        # its last digit when it is 0.
-        keep = _LEADING[np.clip(rest, 1 if k == groups else 0, 1000)]
-        words[:, k] = _DIGITS4[rest - 10_000 * q] & keep
-        rest = q
+    fields = words.view(np.uint8)
 
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -277,17 +282,12 @@ def fixed2_fields(x):
 
 
 def int_fields(v):
-    """The decimal text of each int64 of ``v`` as rows of ``_INT_WIDTH``
-    bytes, zero bytes being padding."""
+    """The decimal text of each int64 of ``v`` as rows of bytes, zero bytes
+    being padding, as wide as the largest magnitude needs."""
     neg = v < 0
     mag = v.view(np.uint64)
     mag = np.where(neg, np.uint64(0) - mag, mag)  # |-2**63| fits a uint64
-    _, digits = _groups(mag, 5)
-    fields = np.empty((len(v), _INT_WIDTH), np.uint8)
-    fields[:, 0] = neg.view(np.uint8) * np.uint8(_MINUS)
-    count = np.searchsorted(_INT_BOUNDS, mag, side="right") + 1
-    np.multiply(digits, _KEEP[count, ::-1], out=fields[:, 1:])
-    return fields
+    return _signed_words(neg, mag).view(np.uint8)
 
 
 def str_fields(s):
@@ -325,4 +325,19 @@ def format_rows(columns, start: int, stop: int):
         text = np.concatenate([part for f in fields for part in (f, comma)], axis=1)
         del fields
         text[:, -1] = ord("\n")
+        yield text[text != 0].tobytes()
+
+
+def format_points(px, py):
+    """Yield the ``"%.2f,%.2f"`` text of each point ``(px[i], py[i])`` of two
+    float64 arrays, the points separated by spaces, as ASCII bytes, one block
+    of at most ``BLOCK_CELLS`` coordinates at a time."""
+    step = BLOCK_CELLS // 2
+    for lo in range(0, len(px), step):
+        cells = fixed2_fields(np.stack((px[lo:lo + step], py[lo:lo + step]), 1).ravel())
+        sep = np.empty((len(cells), 1), np.uint8)
+        sep[0::2], sep[1::2] = ord(" "), ord(",")  # before each x, before each y
+        if lo == 0:
+            sep[0] = 0  # a padding byte: no separator before the first point
+        text = np.concatenate((sep, cells), axis=1)
         yield text[text != 0].tobytes()

@@ -88,7 +88,10 @@ def label_series(series: CandleSeries, cfg: BarrierConfig, stride: int = 1) -> B
     high = sliding_window_view(series.high[1:], h)[::stride]
     low = sliding_window_view(series.low[1:], h)[::stride]
     entry_price = series.close[idx]
-    upper = entry_price * (1.0 + cfg.up_pct)
+    # An upper barrier past the largest float is inf, which no finite high
+    # reaches: the barrier is out of reach, as it is just below that.
+    with np.errstate(over="ignore"):
+        upper = entry_price * (1.0 + cfg.up_pct)
     lower = entry_price * (1.0 - cfg.down_pct)
 
     def first_touch(touch):

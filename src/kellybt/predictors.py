@@ -126,7 +126,8 @@ def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
         while True:
             z = rng.standard_normal(n)
             blocks.append(z)
-            up_takes, down_takes = mu_long + sigma * z > 0.5, mu_short + sigma * z < 0.5
+            with np.errstate(over="ignore"):  # see the clip below
+                up_takes, down_takes = mu_long + sigma * z > 0.5, mu_short + sigma * z < 0.5
             yield from (up_takes | down_takes << 1).tolist()
 
     draws = enumerate(accepts())
@@ -137,8 +138,13 @@ def simulate_gaussian(labels: LabelSet, seed: int, mu_long: float = 0.6,
                 taken.append(k)
                 break
     z = np.concatenate(blocks)[taken]
-    return Predictions(labels.timestamps, np.where(up, np.minimum(mu_long + sigma * z, P_CLIP_HI),
-                                                   np.maximum(mu_short + sigma * z, P_CLIP_LO)))
+    # A huge sigma overflows ``sigma * z`` to an infinity of z's sign, which
+    # the comparisons above read as they read a huge finite draw and the clip
+    # turns into P_CLIP_HI or P_CLIP_LO.
+    with np.errstate(over="ignore"):
+        p_up = np.where(up, np.minimum(mu_long + sigma * z, P_CLIP_HI),
+                        np.maximum(mu_short + sigma * z, P_CLIP_LO))
+    return Predictions(labels.timestamps, p_up)
 
 
 def _prediction_columns(header: list[str]) -> list[int]:

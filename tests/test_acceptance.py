@@ -317,3 +317,41 @@ def test_criterion_12_trailing_scenarios_beat_constant_ones():
     _check(12, "Kelly on trailing (a, b) beats Kelly on constant (a, b) in monthly Sharpe "
                "in >= 17 of 24 paired seeds for both balanced and gaussian simulators",
            ok, "; ".join(details))
+
+
+def test_criterion_13_kelly_beats_none_at_the_same_mean_size():
+    # Kelly must win on what it knows, not on betting more or less: NONE
+    # bets Kelly's own mean |fraction| of the same run, on the same
+    # forecasts, the same grid and criterion 5's series, window and 5%
+    # Kelly. Seeds and the 17-of-24 bar (a one-sided sign test at p = 0.032)
+    # were fixed before the first run. Measured by this code, not asserted
+    # (balanced and gaussian simulators): on plain GBM
+    # (generate_synthetic_series(seed, 5000), one volatility) Kelly wins 7
+    # and 5 of 24. With a null predictor on regime_series it still wins 17
+    # and 17 of 24 when p is simulated on the labels of seed + 24's series,
+    # and 15 and 14 with hit_rate 0.5 (10 and 14 on GBM, p from seed + 24):
+    # much of the margin is trailing (a, b) betting less in the crisis
+    # segments, which this bar alone does not separate from p.
+    kelly = sizing.SizingPolicy("kelly", kelly_fraction=0.05)
+    cfg = backtest.BacktestConfig()
+    seeds = range(24)
+    ok = True
+    details = []
+    for sim in ("balanced", "gaussian"):
+        wins = 0
+        for seed in seeds:
+            series = regime_series(seed, n=5000, segments=4)
+            labels = features.make_labels(series)
+            preds = (simulate_balanced(labels, seed) if sim == "balanced"
+                     else simulate_gaussian(labels, seed))
+            ests = predictors.estimate_scenarios(series, window=100)
+            k = backtest.compare_strategies(series, preds, ests, [kelly], cfg)[0]
+            none = sizing.SizingPolicy("none", modifier=float(np.abs(k.trades.fraction).mean()))
+            n = backtest.compare_strategies(series, preds, ests, [none], cfg)[0]
+            wins += k.report.sharpe > n.report.sharpe
+        details.append(f"{sim}: {wins}/{len(seeds)}")
+        if wins < 17:
+            ok = False
+    _check(13, "Kelly beats NONE sized at Kelly's mean |fraction| in monthly Sharpe in "
+               ">= 17 of 24 paired seeds for both balanced and gaussian simulators",
+           ok, "; ".join(details))

@@ -122,8 +122,10 @@ def test_unknown_flag_exit_code(capsys):
      "start_ts must keep all 10 bars in the int64 range, got 4150517416584649113600"),
     (["simulate", "--n", "2000", "--modifier", "1e308", "--policy", "kelly"],
      "max_leverage 5.0 times modifier 1e+308 must be finite"),
+    # Once a usage error: argparse took "-1e-3" for a flag.
+    (["simulate", "--n", "300", "--fee-rate", "-1e-3"], "fee_rate must be finite and >= 0"),
 ], ids=["value", "array-config", "required", "simulator", "no-seeds", "off-hour-start",
-        "start-wraps-int64", "start-past-int64", "modifier-past-float"])
+        "start-wraps-int64", "start-past-int64", "modifier-past-float", "negative-exponent"])
 def test_config_validation_exit_code(tmp_path, capsys, argv, message):
     (tmp_path / "array.json").write_text("[1]")
     code = _run(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path / "x"))
@@ -569,6 +571,15 @@ def test_synth_rejects_overflowing_settings_as_config(tmp_path, capsys, flag, va
     assert not (out / "candles.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["-1e-05", "-1E-5", "-.5e-4", "-5.e-6", "-0.00001"])
+def test_a_negative_number_in_exponent_form_is_an_option_value(tmp_path, value):
+    # argparse's own negative-number pattern has no exponent: "-1e-05" was
+    # read as a flag, and the command exited 2.
+    out = tmp_path / "s"
+    assert _run("synth", "--n", "50", "--drift", value, "--out", str(out)) == 0
+    assert json.loads(_read(f"{out}/manifest.json"))["config"]["drift"] == float(value)
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5", "1.5"])
 def test_report_rejects_threshold_outside_unit_interval(tmp_path, capsys, threshold):
     candles, preds = _write_series_and_predictions(tmp_path)
@@ -589,6 +600,33 @@ def test_non_finite_simulator_and_barrier_settings_exit_4(tmp_path, capsys, argv
     candles = tmp_path / "candles.csv"
     generate_synthetic_series(seed=3, n=300).to_csv(str(candles))
     assert _run(*argv, "--input", str(candles), "--out", str(tmp_path / "out")) == 4
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--seeds", "0", "--n", "300", "--sims", "gaussian", "--sigma", "1.7e308"),
+    ("label", "--up-pct", "1.7e308"),
+    ("backtest", "--fee-rate", "8e307"),
+], ids=["sigma-overflows-the-draws", "upper-barrier-overflows", "fee-overflows-the-pnl"])
+def test_settings_near_the_largest_float_run_with_finite_files(tmp_path, capsys, argv):
+    # Each was a numpy overflow warning, a traceback under -W error, or a
+    # -inf pnl_fraction cell in trades.csv.
+    candles, preds = _write_series_and_predictions(tmp_path, n=400)
+    inputs = {"compare": [], "label": ["--input", candles],
+              "backtest": ["--input", candles, "--predictions", preds]}[argv[0]]
+    out = tmp_path / "out"
+    assert _run(*argv, *inputs, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    for path in out.glob("*.csv"):
+        cells = {cell for line in _read(path).splitlines() for cell in line.split(",")}
+        assert not cells & {"nan", "inf", "-inf"}, path.name
+
+
+def test_a_horizon_near_the_int64_limit_is_a_config_error(tmp_path, capsys):
+    # pred_pos + horizon wrapped below 0, and the grid gather raised IndexError.
+    candles, preds = _write_series_and_predictions(tmp_path, n=400)
+    assert _run("backtest", "--input", candles, "--predictions", preds,
+                "--horizon", str(2**63 - 1), "--out", str(tmp_path / "out")) == 4
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 

@@ -310,6 +310,17 @@ def test_feature_matrix_rejects_values_not_one_row_per_timestamp_and_column(shap
     assert FeatureMatrix(np.arange(3), ("a", "b"), np.zeros((3, 2))).values.shape == (3, 2)
 
 
+def test_feature_matrix_copies_values_another_array_can_write():
+    # As a frame column is held. The matrix used to flag the caller's view
+    # read-only and keep it, so a write through its base changed the matrix.
+    base = np.zeros((3, 2))
+    view = base[:]
+    matrix = FeatureMatrix(np.arange(3), ("a", "b"), view)
+    base[0, 0] = 7.0
+    assert matrix.values[0, 0] == 0.0
+    assert view.flags.writeable and not matrix.values.flags.writeable
+
+
 def test_build_feature_matrix_peak_memory_is_below_twice_the_matrix():
     # The columns are written into one buffer, compacted in place, and CCI's
     # deviations are taken a block of windows at a time: about 1.4 times the

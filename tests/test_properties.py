@@ -7,16 +7,22 @@ aggregate exposure under the leverage cap and the equity at or above zero,
 cut at the first ruin point. The barrier-label kernel equals the per-entry
 scan, no causal stage reads a bar past a prefix cut, every sizing policy
 is non-decreasing in p, and every consumer of the horizon return reads
-``CandleSeries.forward_return``."""
+``CandleSeries.forward_return``. Any value of up to three numeric options of
+a command runs with clean files and stderr, or exits with one error line."""
+import contextlib
+import io
+import json
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kellybt import cli
 from kellybt.backtest import BacktestConfig, _decision_grid, compare_strategies
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
                             parse_candles, positions)
@@ -466,3 +472,74 @@ def test_every_horizon_return_consumer_reads_forward_return(case):
     barrier = label_series(series, out_of_reach)
     assert set(barrier.hit_kind) == {HIT_VERTICAL}
     assert np.array_equal(barrier.label, sign[barrier.entry])
+
+
+# --- settings fuzz: every numeric option of a command ---------------------------
+
+# Each command with the arguments that fix its input and size: a synthetic
+# series of 60 or 300 bars, or a 400-bar candle file and the predictions of
+# ``simulate --input`` on it.
+_FUZZ_COMMANDS = ["simulate", "compare", "label", "features", "backtest", "report"]
+_FUZZ_EXIT_ERRORS = {3, 4, 5}  # missing input, config, data: one JSON line each
+_NON_FINITE_CELL = re.compile(r"(^|,)[-+]?(nan|inf)(,|$)", re.IGNORECASE | re.MULTILINE)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    candles = str(base / "candles.csv")
+    generate_synthetic_series(seed=7, n=400).to_csv(candles)
+    assert cli.main(["simulate", "--input", candles, "--out", str(base / "sim")]) == 0
+    return {"input": candles, "predictions": str(base / "sim" / "predictions.csv")}
+
+
+def _numeric_options(command: str) -> dict[str, type]:
+    """The options of ``command`` that parse to a number, but the bar count."""
+    kinds = {key: cli._option_type(command, key) for key in cli.DEFAULTS[command]}
+    return {key: kind for key, kind in kinds.items() if kind in (int, float) and key != "n"}
+
+
+@st.composite
+def fuzz_settings(draw):
+    command = draw(st.sampled_from(_FUZZ_COMMANDS))
+    options = _numeric_options(command)
+    keys = draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=3,
+                         unique=True))
+    argv = []
+    for key in keys:
+        if options[key] is float:
+            value = repr(draw(st.floats(5e-324, 1.7e308)))
+        else:
+            value = str(draw(st.integers(-2**63, 2**63 - 1)))
+        argv += ["--" + key.replace("_", "-"), value]
+    return command, argv
+
+
+@settings(PROPERTY, max_examples=200)
+@given(case=fuzz_settings(), n=st.sampled_from(["60", "300"]))
+def test_numeric_settings_run_clean_or_exit_with_one_error_line(fuzz_files, case, n):
+    """Any value of any numeric option either runs with no warning, nothing
+    on stderr and no nan or inf in a CSV cell, or exits 3, 4 or 5 with one
+    JSON error line on stderr."""
+    command, options = case
+    if command in ("simulate", "compare"):
+        argv = [command, "--n", n] + (["--seeds", "0"] if command == "compare" else [])
+    else:
+        argv = [command, "--input", fuzz_files["input"]]
+        if command in ("backtest", "report"):
+            argv += ["--predictions", fuzz_files["predictions"]]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + options + ["--out", out])
+        if code == 0:
+            assert err.getvalue() == ""
+            for name in os.listdir(out):
+                if name.endswith(".csv"):
+                    with open(os.path.join(out, name), encoding="utf-8") as fh:
+                        assert not _NON_FINITE_CELL.search(fh.read()), name
+            return
+    assert code in _FUZZ_EXIT_ERRORS, err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
