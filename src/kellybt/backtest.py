@@ -10,22 +10,27 @@ Flat decisions are recorded as zero-fraction trades so that every policy
 run over the same inputs produces the same trade timestamps, which keeps
 strategy comparisons aligned row for row.
 
-Each run splits in two. ``_decision_grid`` matches the prediction and
-scenario frames to bars and to each other with ``candles.positions``, drops
-what no policy trades (no scenario, no room for the horizon), walks the stride
-lattice over plain ints and gathers the entry and exit timestamps and prices,
-the realized return (``CandleSeries.forward_return`` at the entry bar, the
-return the labels and the scenario estimator read too), p and (a, b) of each
-chosen point as read-only arrays. It depends only on the frames, the horizon
-and the stride, and it is cached for the last such key: frames are frozen and
-hash by identity, and a frame's columns are arrays no one can write into (a
-read-only array of the column's dtype that owns its memory, or a view of one,
-is held as it is, and anything else as a read-only copy), so the same objects
-mean the same content; fees, bankroll and ruin floor stay per run. The
-policies of one ``compare_strategies`` thus share one grid, while each still
-runs ``run_backtest`` once and ``decide`` once per chosen point, reading p
-and (a, b) through memoryviews of the grid's columns, one Python float at a
-time.
+Each run splits in two. ``_build_grid`` matches the prediction timestamps
+and the scenario frame to bars and to each other with ``candles.positions``,
+drops what no policy trades (no scenario, no room for the horizon), walks the
+stride lattice and gathers the entry and exit timestamps and prices, the
+realized return (``CandleSeries.forward_return`` at the entry bar, the return
+the labels and the scenario estimator read too), the predictions row and the
+(a, b) of each chosen point as read-only arrays. The candidates' bars split
+into runs of consecutive bars; a Python loop visits each run only to find its
+first chosen bar, since each chosen point moves the next allowed bar and a
+skipped one does not, and numpy takes every stride-th bar after it. The grid
+reads no p: it depends only on the series, the prediction timestamps, the
+scenarios, the horizon and the stride, and ``_decision_grid`` keeps the last
+one built, for the same three objects (frames hold columns no one can write
+into, so the same objects mean the same content) and an equal horizon and
+stride; fees, bankroll and ruin floor stay per run. The policies of one
+``compare_strategies``, and the simulators of one seed of the CLI's
+``compare``, whose predictions share their labels' timestamps and one
+scenario frame, thus share one grid, while each policy still runs
+``run_backtest`` once and ``decide`` once per chosen point, reading p (the
+predictions' ``p_up`` at the grid's rows) and (a, b) through memoryviews, one
+Python float at a time.
 P&L is computed per column and the bankroll is ``np.cumprod`` of the growth
 factors, the same left-to-right product as sequential compounding, bit for
 bit. A run halts at ruin, and before the trade that would take the bankroll
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -114,67 +118,97 @@ class EquityCurve(Frame):
     overflow: bool = False
 
 
-def _series_positions(timestamps: np.ndarray, frame, what: str) -> np.ndarray:
-    """Series index of each of the frame's timestamps; ValueError naming the
-    first one that is not in the series."""
-    pos, found = positions(timestamps, frame.timestamps)
+def _series_positions(timestamps: np.ndarray, query: np.ndarray, what: str) -> np.ndarray:
+    """Series index of each query timestamp; ValueError naming the first one
+    that is not in the series."""
+    pos, found = positions(timestamps, query)
     if not found.all():
-        missing = frame.timestamps[np.argmin(found)]
-        raise ValueError(f"{what} timestamp {missing} is not in the series")
+        raise ValueError(f"{what} timestamp {query[np.argmin(found)]} is not in the series")
     return pos
 
 
 class _Grid(NamedTuple):
-    """The decision points shared by every policy run over one (series,
-    predictions, estimates, horizon, stride): read-only columns, one row per
-    chosen point, each with its p and its (a, b)."""
+    """The decision points shared by every run over one (series, prediction
+    timestamps, estimates, horizon, stride): read-only columns, one row per
+    chosen point, each with the predictions row that holds its p and its
+    (a, b)."""
 
     entry_ts: np.ndarray
     exit_ts: np.ndarray
     entry_price: np.ndarray
     exit_price: np.ndarray
     realized: np.ndarray
-    p_up: np.ndarray
+    rows: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
 
-@lru_cache(maxsize=1)
-def _decision_grid(series: CandleSeries, predictions: Predictions,
-                   estimates: Scenarios, horizon: int, stride: int) -> _Grid:
+def _build_grid(series: CandleSeries, pred_ts: np.ndarray, estimates: Scenarios,
+                horizon: int, stride: int) -> _Grid:
     """Align, validate and walk the stride lattice; gather what each chosen
-    point trades at. Frames hash by identity and hold columns no array can
-    write into (a read-only array of the column's dtype is held as it is,
-    anything else as a read-only copy), so the same objects mean the same
-    content; a raised error is not cached."""
+    point trades at."""
     ts = series.timestamps
-    pred_pos = _series_positions(ts, predictions, "prediction")
-    _series_positions(ts, estimates, "estimate")
-    est_at, has_est = positions(estimates.timestamps, predictions.timestamps)
+    pred_pos = _series_positions(ts, pred_ts, "prediction")
+    _series_positions(ts, estimates.timestamps, "estimate")
+    est_at, has_est = positions(estimates.timestamps, pred_ts)
     # Not pred_pos + horizon: a horizon near the int64 limit would wrap it.
     candidates = np.flatnonzero(has_est & (pred_pos < len(series) - horizon))
-
-    # The lattice walk stays sequential: each chosen point moves the next
-    # allowed index, and a skipped timestamp does not.
-    chosen: list[int] = []
-    next_allowed = -1
-    for k, i in zip(candidates.tolist(), pred_pos[candidates].tolist()):
-        if i >= next_allowed:
-            chosen.append(k)
-            next_allowed = i + stride
-
-    if not chosen:
+    if not candidates.size:
         raise ValueError("no usable decision timestamps (check alignment and estimates)")
 
-    rows = np.array(chosen, np.intp)
-    entry_at = pred_pos[rows]
+    # The candidates' bars strictly increase; split them into runs of
+    # consecutive bars. Only a run's first chosen bar depends on the points
+    # chosen before it (a skipped bar does not move the lattice), so the walk
+    # visits each run once and numpy takes every stride-th bar after that one.
+    bars = pred_pos[candidates]
+    breaks = np.flatnonzero(np.diff(bars) != 1)  # where a run ends and the next starts
+    starts = bars[np.concatenate(([0], breaks + 1))]
+    ends = bars[np.append(breaks, bars.size - 1)]
+    firsts: list[int] = []
+    next_allowed = -1
+    for bar, end in zip(starts.tolist(), ends.tolist()):
+        if next_allowed <= end:
+            if next_allowed < bar:
+                next_allowed = bar
+            firsts.append(next_allowed)
+            next_allowed += ((end - next_allowed) // stride + 1) * stride
+    first = np.array(firsts, np.intp)
+    # A stride past every run takes one bar of each, and stays in int64.
+    lattice = min(stride, bars.size)
+    counts = (ends[np.searchsorted(ends, first)] - first) // lattice + 1
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    chosen = np.repeat(np.searchsorted(bars, first), counts) + lattice * step
+
+    rows = candidates[chosen]
+    entry_at = bars[chosen]
     exit_at = entry_at + horizon
     at = est_at[rows]
     grid = _Grid(ts[entry_at], ts[exit_at], series.close[entry_at], series.close[exit_at],
-                 series.forward_return(horizon)[entry_at], predictions.p_up[rows],
+                 series.forward_return(horizon)[entry_at], rows,
                  estimates.a[at], estimates.b[at])
     for col in grid:
         col.setflags(write=False)
+    return grid
+
+
+# The last grid built and the inputs it was built from.
+_last_grid: tuple = (None,) * 6
+
+
+def _decision_grid(series: CandleSeries, predictions: Predictions,
+                   estimates: Scenarios, horizon: int, stride: int) -> _Grid:
+    """The last grid built when the series, the prediction timestamps and the
+    estimates are the same objects and the horizon and stride are equal;
+    else a new one from ``_build_grid``, kept in its place. A raised error is
+    not kept."""
+    global _last_grid
+    pred_ts = predictions.timestamps
+    last_series, last_ts, last_estimates, last_horizon, last_stride, grid = _last_grid
+    if (series is last_series and pred_ts is last_ts and estimates is last_estimates
+            and horizon == last_horizon and stride == last_stride):
+        return grid
+    grid = _build_grid(series, pred_ts, estimates, horizon, stride)
+    _last_grid = (series, pred_ts, estimates, horizon, stride, grid)
     return grid
 
 
@@ -194,10 +228,11 @@ def run_backtest(series: CandleSeries, predictions: Predictions,
     grid = _decision_grid(series, predictions, estimates, horizon, stride)
     divisor = -(-horizon // stride)  # ceil(horizon / stride), in ints
 
+    p_up = predictions.p_up[grid.rows]
     # A memoryview yields the Python floats that tolist would, one at a time.
     scenarios = zip(memoryview(grid.a), memoryview(grid.b))
-    decisions = map(decide, memoryview(grid.p_up), scenarios, repeat(policy))
-    fraction = np.fromiter(map(attrgetter("fraction"), decisions), np.float64, len(grid.p_up))
+    decisions = map(decide, memoryview(p_up), scenarios, repeat(policy))
+    fraction = np.fromiter(map(attrgetter("fraction"), decisions), np.float64, len(p_up))
     # decide's side, read from the sign before the divisor can round a
     # subnormal to 0: NaN, 0.0 and -0.0 are FLAT.
     side = _SIDES[(fraction > 0) + 2 * (fraction < 0)]

@@ -10,8 +10,9 @@ once, in ``DEFAULTS``, and takes the type of its default (``_NUMBER_OPTIONS``
 types the numeric options whose default is None; every other None default is
 text). A config-file value must be what the flag would parse to: an int also
 stands for a float or for epoch seconds of a time option, and null is taken
-only where the default is None. Anything else is a config error. Each command
-names its outputs through ``out(name)``, which records them for the manifest.
+only where the default is None. Anything else is a config error, and so is an
+integer setting outside int64. Each command names its outputs through
+``out(name)``, which records them for the manifest.
 
 Exit codes: 0 success, 2 usage error, 3 missing input, 4 config/validation
 error, 5 malformed data, 6 any other I/O error (an output path that cannot be
@@ -165,6 +166,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+    # From a flag or a config file alike: the arrays an integer setting
+    # indexes, sizes or seeds are int64.
+    for key, value in resolved.items():
+        if _option_type(command, key) is int and value is not None \
+                and not -2**63 <= value < 2**63:
+            raise ValueError(f"{key} must be an integer in [-2**63, 2**63), got {value}")
     return resolved
 
 

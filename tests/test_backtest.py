@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from kellybt import backtest
+from kellybt import backtest, cli
 from kellybt.backtest import (BacktestConfig, EquityCurve, Trades, _decision_grid,
                               compare_strategies, run_backtest)
 from kellybt.candles import HOUR, generate_synthetic_series
@@ -253,6 +253,27 @@ def test_trades_and_curve_hold_the_grid_and_the_computed_columns(monkeypatch):
                       ("entry_price", grid.entry_price), ("exit_price", grid.exit_price),
                       ("realized_return", grid.realized)):
         assert np.shares_memory(getattr(trades, name), col)
+
+
+def test_a_comparison_builds_one_grid_per_seed(monkeypatch, tmp_path):
+    # The simulators of a seed predict on its labels' timestamps and share its
+    # scenarios, so its nine runs share one grid; each policy still runs.
+    builds, runs = [], []
+
+    def count(calls, fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(backtest, "_build_grid", count(builds, backtest._build_grid))
+    monkeypatch.setattr(backtest, "run_backtest", count(runs, backtest.run_backtest))
+    assert cli.main(["compare", "--seeds", "0-1", "--n", "600",
+                     "--sims", "balanced,optimal,gaussian", "--policy", "none,gaussian,kelly",
+                     "--out", str(tmp_path)]) == 0
+    assert len(runs) == 2 * 3 * 3
+    assert len(builds) == 2
+    assert len({id(series) for series, *_ in builds}) == 2
 
 
 def test_run_backtest_peak_memory_is_below_the_trades_it_returns():

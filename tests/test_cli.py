@@ -630,6 +630,32 @@ def test_a_horizon_near_the_int64_limit_is_a_config_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
+@pytest.mark.parametrize("key, value", [("stride", 2**63), ("stride", 10**20),
+                                        ("horizon", 10**20), ("horizon", -2**63 - 1),
+                                        ("window", 2**63)])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_integer_setting_past_int64_is_a_config_error_naming_it(tmp_path, capsys, key,
+                                                                   value, source):
+    # label --stride 10**20 was an IndexError traceback (exit 1), and
+    # --horizon 10**20 numpy's "Maximum allowed size exceeded", naming no setting.
+    candles, preds = _write_series_and_predictions(tmp_path, n=400)
+    command = "backtest" if key == "window" else "label"
+    argv = [command, "--input", candles, "--out", str(tmp_path / "out")]
+    if command == "backtest":
+        argv += ["--predictions", preds]
+    if source == "flag":
+        argv += ["--" + key, str(value)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        argv = ["--config", str(config)] + argv
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "config" and record["message"].startswith(f"{key} must be")
+
+
 def _readme_cli_block():
     """Each line of the README's CLI block as an argv, without ``kellybt``."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -7,7 +7,8 @@ per-row records, so each frame is turned into records
 (``oracles.prediction_records``, ``scenario_records``, ``trade_records``)
 before it is handed to one or compared with its result. The backtest's
 cached decision grid is checked the same way across sequences of runs that
-share it, and against a fresh grid per policy. The normalizer's slice of
+share it, against a fresh grid per policy, and on candidate gap patterns the
+drawn frames rarely reach. The normalizer's slice of
 the training rows, fitted a block of rows at a time, gives the mean and std
 of the boolean-mask copy fitted in one call that it replaced, bit for bit."""
 import math
@@ -247,6 +248,8 @@ def test_decision_grid_cache_does_not_leak_between_inputs(data, series, seed):
     except ValueError:
         return
     assert grid is _decision_grid(series, preds, ests, cfg.horizon, cfg.effective_stride)
+    # The grid reads no p: predictions on the same timestamps array share it.
+    assert grid is _decision_grid(series, mirrored, ests, cfg.horizon, cfg.effective_stride)
     for col in grid:
         with pytest.raises(ValueError, match="read-only"):
             col[0] = 0
@@ -269,12 +272,17 @@ def _result_bits(results):
             for r in results]
 
 
+def _afresh(preds):
+    """The same predictions on a timestamps array no cached grid was built
+    from, so that a run over them builds its grid afresh."""
+    return Predictions(preds.timestamps.copy(), preds.p_up)
+
+
 def _lone_runs(series, preds, ests, policies, cfg):
     """Each policy run by itself, on a grid built afresh."""
     results = []
     for policy in policies:
-        _decision_grid.cache_clear()
-        curve, trades = run_backtest(series, preds, ests, policy, cfg)
+        curve, trades = run_backtest(series, _afresh(preds), ests, policy, cfg)
         results.append(StrategyResult(policy, curve, trades, build_report(curve, trades)))
     return results
 
@@ -287,13 +295,62 @@ def test_compare_strategies_equals_lone_runs(data, series, seed):
     modifier = data.draw(st.sampled_from([1.0, 0.7, 0.0]))
     policies = [SizingPolicy(kind, max_leverage=cap, modifier=modifier)
                 for kind in ("none", "gaussian", "kelly")]
-    _decision_grid.cache_clear()
-    got = _outcome(compare_strategies, series, preds, ests, policies, cfg)
+    got = _outcome(compare_strategies, series, _afresh(preds), ests, policies, cfg)
     want = _outcome(_lone_runs, series, preds, ests, policies, cfg)
     if isinstance(want, tuple):
         assert got == want
     else:
         assert _result_bits(got) == _result_bits(want)
+
+
+def _runs(lengths, gaps, count):
+    """Bars of ``count`` runs of consecutive bars from bar 3, the i-th of
+    ``lengths[i % len]`` bars followed by a gap of ``gaps[i % len]`` bars."""
+    bars, at = [], 3
+    for i in range(count):
+        length, gap = lengths[i % len(lengths)], gaps[i % len(gaps)]
+        bars.extend(range(at, at + length))
+        at += length + gap
+    return bars
+
+
+# Candidate patterns the drawn frames rarely reach, as bars for a stride.
+# With a stride of 3 or more, each run of stride + 1 bars after the first
+# starts before the next bar the lattice allows, and its first chosen bar
+# falls inside it.
+_GAP_PATTERNS = {
+    "every_other_bar": lambda stride: _runs([1], [1], 120),
+    "isolated_bars": lambda stride: _runs([1], [2, 5, 1, 3, 8], 60),
+    "gaps_of_stride_minus_one_stride_and_stride_plus_one":
+        lambda stride: _runs([1, 3, stride + 2, 2], [stride - 1, stride, stride + 1], 36),
+    "run_starts_before_next_allowed": lambda stride: _runs([stride + 1], [1], 24),
+}
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5])
+@pytest.mark.parametrize("pattern", sorted(_GAP_PATTERNS))
+def test_lattice_over_gap_patterns_equals_sequential_loop(pattern, horizon):
+    """The run-wise lattice walk chooses the per-row loop's points on gap
+    patterns, for every stride from 1 to horizon + 2, bit for bit."""
+    for stride in range(1, horizon + 3):
+        bars = np.array(_GAP_PATTERNS[pattern](stride))
+        series = generate_synthetic_series(seed=stride, n=int(bars[-1]) + 1 + horizon // 2,
+                                           volatility=0.02)
+        rng = np.random.default_rng(horizon * 10 + stride)
+        ts = series.timestamps
+        preds = Predictions(ts[bars], rng.uniform(0.05, 0.95, bars.size))
+        ests = Scenarios(ts, *rng.uniform(0.005, 0.05, (2, len(series))))
+        cfg = BacktestConfig(horizon=horizon, stride=stride, fee_rate=0.001, ruin_floor=0.0)
+        for kind in ("none", "gaussian", "kelly"):
+            policy = SizingPolicy(kind, max_leverage=2.0)
+            _assert_same_run(run_backtest(series, preds, ests, policy, cfg),
+                             _o_run_backtest(series, preds, ests, policy, cfg))
+
+        if pattern == "run_starts_before_next_allowed" and stride >= 3:
+            chosen = set(_decision_grid(series, preds, ests, horizon, stride).rows.tolist())
+            runs = np.split(np.arange(bars.size), np.flatnonzero(np.diff(bars) != 1) + 1)
+            assert any(run[0] not in chosen and chosen.intersection(run.tolist())
+                       for run in runs)
 
 
 @PROPERTY

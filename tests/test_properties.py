@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kellybt import cli
@@ -509,14 +509,17 @@ def fuzz_settings(draw):
     for key in keys:
         if options[key] is float:
             value = repr(draw(st.floats(5e-324, 1.7e308)))
-        else:
-            value = str(draw(st.integers(-2**63, 2**63 - 1)))
+        else:  # every integer setting is an int64; just past it is a config error
+            value = str(draw(st.integers(-2**63, 2**63 - 1) |
+                             st.integers(-2**63 - 3, -2**63 - 1) | st.integers(2**63, 2**63 + 2)))
         argv += ["--" + key.replace("_", "-"), value]
     return command, argv
 
 
 @settings(PROPERTY, max_examples=200)
 @given(case=fuzz_settings(), n=st.sampled_from(["60", "300"]))
+@example(case=("label", ["--stride", str(2**63)]), n="60")
+@example(case=("label", ["--horizon", str(-2**63 - 1)]), n="60")
 def test_numeric_settings_run_clean_or_exit_with_one_error_line(fuzz_files, case, n):
     """Any value of any numeric option either runs with no warning, nothing
     on stderr and no nan or inf in a CSV cell, or exits 3, 4 or 5 with one
