@@ -25,11 +25,13 @@ command.
 
 Every CSV kellybt loads goes through ``read_csv``, which takes a path: a
 UTF-8 file, with or without a byte-order mark, whose lines end in ``\n``,
-``\r\n`` or a lone ``\r``. The ``csv`` module reads the header,
-whitespace-only lines are skipped and numpy's C reader (``np.loadtxt``) reads
-the data rows, the timestamp with its integer parser, so a timestamp is an
-integer literal read exactly. A bad row is a ``DataError`` naming its file
-line.
+``\r\n`` or a lone ``\r``. The ``csv`` module reads the header, and numpy's C
+reader (``np.loadtxt``) reads the data rows, the timestamp with its integer
+parser, so a timestamp is an integer literal read exactly. numpy opens a plain
+file (ASCII, ``\n`` line ends, no empty line) by its path and reads it in
+chunks; any other file, or one numpy rejects, is handed to it line by line,
+with whitespace-only lines skipped. A bad row is a ``DataError`` naming its
+file line.
 """
 from __future__ import annotations
 
@@ -63,6 +65,13 @@ _NUMPY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8))
 
 # Where numpy's loadtxt names the data row in a ValueError.
 _NUMPY_ROW = re.compile(r" at row (\d+)(,?)")
+
+# Bytes ``_load_by_path`` checks at a time (1 MiB chunks, freed, left the
+# ``features`` command's max RSS 0.4 MB higher); the UTF-8 byte-order mark;
+# and the suffixes numpy's file opener (``np.lib._datasource``) decompresses.
+_SCAN_BYTES = 1 << 16
+_BOM = b"\xef\xbb\xbf"
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 # The innermost open ``deferred_tables`` scope of this thread, or None: its
 # tables still to join, by path, and the ``submit`` of its pool.
@@ -284,6 +293,10 @@ def read_csv(path, select):
     timestamp is read by numpy's integer parser, so it must be an integer
     literal in the int64 range (``3600.0``, ``1e3`` and ``0x10`` are not). A
     row the reader rejects is a DataError naming its file line.
+
+    numpy reads a plain file by its path (``_load_by_path``); any other file
+    goes through the line path below, which skips whitespace-only lines and
+    names the file line of a rejected row.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -294,9 +307,23 @@ def read_csv(path, select):
         except csv.Error as exc:
             raise DataError(f"malformed header: {exc}") from None
         cols = select([h.strip() for h in header])
+        options = dict(delimiter=",", usecols=cols, ndmin=1, comments=None, quotechar='"',
+                       dtype=[("ts", np.int64), ("v", np.float64, (len(cols) - 1,))])
 
         first_line = reader.line_num + 1
         blank = []  # positions after the header of the skipped whitespace-only lines
+
+        def line_of(k: int) -> int:
+            """File line of data row ``k``: each skipped line at or before it moves it down."""
+            for b in blank:
+                if b <= k:
+                    k += 1
+            return first_line + k
+
+        data = _load_by_path(path, reader.line_num, options)
+        if data is not None:
+            return data["ts"], data["v"], line_of
+
         # Positions of the lines handed to the reader, counted past the
         # header: the next one is one past the line a reader error stopped on.
         position = itertools.count()
@@ -310,21 +337,12 @@ def read_csv(path, select):
                     _check_ascii_timestamp(line, cols[0], first_line + i)
                 yield line
 
-        def line_of(k: int) -> int:
-            """File line of data row ``k``: each skipped line at or before it moves it down."""
-            for b in blank:
-                if b <= k:
-                    k += 1
-            return first_line + k
-
         rows = data_lines()
         first = next(rows, None)
         if first is None:
             raise DataError("no data rows in input")
         try:
-            data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", usecols=cols,
-                              ndmin=1, comments=None, quotechar='"',
-                              dtype=[("ts", np.int64), ("v", np.float64, (len(cols) - 1,))])
+            data = np.loadtxt(itertools.chain((first,), rows), **options)
         except DataError:
             raise
         except ValueError as exc:
@@ -343,6 +361,43 @@ def read_csv(path, select):
                             f"{text[:found.start()]}{text[found.end(1):]}") from None
 
     return data["ts"], data["v"], line_of
+
+
+def _load_by_path(path, header_lines: int, options: dict):
+    """``np.loadtxt`` of the data rows of the file at ``path``, which numpy
+    opens by name and reads in chunks; None when the line path must read it.
+
+    The file is checked ``_SCAN_BYTES`` at a time first. It goes to the line
+    path when a byte after an optional byte-order mark is not ASCII (numpy's
+    integer parser can crash on a code point far above U+FFFF) or is ``\r``,
+    a line after the first is empty (numpy skips it unseen), no data line
+    follows the header, or numpy would decompress it by its name. So does a
+    file numpy rejects, for the line path to name the line, or reads into a
+    row count other than its data lines (a quoted field across lines)."""
+    name = os.path.abspath(os.fsdecode(path))  # absolute: numpy takes "scheme://host" for a URL
+    if os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES:
+        return None
+    lines = 0
+    last = False  # whether the byte before the chunk is "\n"
+    with open(name, "rb") as fh:
+        if fh.read(len(_BOM)) != _BOM:
+            fh.seek(0)
+        while chunk := fh.read(_SCAN_BYTES):
+            if not chunk.isascii() or b"\r" in chunk:
+                return None
+            ends = np.frombuffer(chunk, np.uint8) == ord("\n")
+            if ends[0] and last or np.count_nonzero(ends[1:] & ends[:-1]):  # an empty line
+                return None
+            lines += np.count_nonzero(ends)
+            last = ends[-1]
+    data_lines = lines + (not last) - header_lines
+    if data_lines < 1:
+        return None
+    try:
+        data = np.loadtxt(name, skiprows=header_lines, encoding="utf-8", **options)
+    except ValueError:
+        return None
+    return data if len(data) == data_lines else None
 
 
 def _check_ascii_timestamp(line: str, col: int, lineno: int) -> None:

@@ -11,8 +11,9 @@ types the numeric options whose default is None; every other None default is
 text). A config-file value must be what the flag would parse to: an int also
 stands for a float or for epoch seconds of a time option, and null is taken
 only where the default is None. Anything else is a config error, and so is an
-integer setting outside int64. Each command names its outputs through
-``out(name)``, which records them for the manifest.
+integer setting outside int64 or an integer for a float option past the float
+range. Each command names its outputs through ``out(name)``, which records
+them for the manifest.
 
 Exit codes: 0 success, 2 usage error, 3 missing input, 4 config/validation
 error, 5 malformed data, 6 any other I/O error (an output path that cannot be
@@ -167,11 +168,18 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if value is not None:
             resolved[key] = value
     # From a flag or a config file alike: the arrays an integer setting
-    # indexes, sizes or seeds are int64.
+    # indexes, sizes or seeds are int64. A config-file int that stands for a
+    # float must convert to one; it is kept as written, for the manifest.
     for key, value in resolved.items():
-        if _option_type(command, key) is int and value is not None \
-                and not -2**63 <= value < 2**63:
+        kind = _option_type(command, key)
+        if kind is int and value is not None and not -2**63 <= value < 2**63:
             raise ValueError(f"{key} must be an integer in [-2**63, 2**63), got {value}")
+        if kind is float and type(value) is int:
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{key} must be a number in the float range, "
+                                 f"got {value}") from None
     return resolved
 
 
@@ -580,10 +588,16 @@ def main(argv=None) -> int:
             written.append(os.path.join(outdir, name))
             return written[-1]
 
+        # A command gets each int given for a float option as that float (an
+        # int past int64 would make numpy build object arrays); the manifest
+        # keeps the config as written.
+        settings = {key: float(value) if type(value) is int
+                    and _option_type(args.command, key) is float else value
+                    for key, value in resolved.items()}
         # Every CSV table is joined as the scope exits, before the manifest
         # hashes it; an exception stops and waits for the row ranges it holds.
         with artifacts.deferred_tables():
-            seeds = _COMMANDS[args.command](resolved, out)
+            seeds = _COMMANDS[args.command](settings, out)
         inputs = {k: resolved[k] for k in ("input", "predictions", "grid")
                   if resolved.get(k) and os.path.exists(resolved[k])}
         manifest = artifacts.write_manifest(outdir, args.command, resolved,

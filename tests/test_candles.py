@@ -3,9 +3,11 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from kellybt import artifacts
 from kellybt.candles import (DEFAULT_START_TS, HOUR, CandleSeries, DataError,
                              generate_synthetic_series, parse_candles, positions,
                              split_dataset)
+from kellybt.predictors import load_predictions
 
 from conftest import from_file, make_series_from_closes
 
@@ -407,3 +409,107 @@ def test_parse_rejects_overflowing_or_infinite_spelling_by_line(value):
     with pytest.raises(DataError, match="line 3: non-finite"):
         from_file(parse_candles,
                   HEADER + "3600,100,101,99,100,1\n" + f"7200,100,{value},99,100,1\n")
+
+
+# --- numpy's file reader and the line path read every layout alike
+
+
+_ROWS = ["3600,100,101,99,100,1", "7200,100.5,102,99.25,101,2.5", "10800,101,103,100,102,0"]
+
+# name: the text of a candle file. Each holds _ROWS, or fails as it says.
+_LAYOUTS = {
+    "lf": HEADER + "\n".join(_ROWS) + "\n",
+    "crlf": (HEADER + "\n".join(_ROWS) + "\n").replace("\n", "\r\n"),
+    "lone-cr": (HEADER + "\n".join(_ROWS) + "\n").replace("\n", "\r"),
+    # As many "\n" as numpy's rows: its lone "\r" ends a line, and it skips
+    # the empty one; line 5, not 4, breaks an invariant.
+    "lone-cr-and-empty-line": HEADER + _ROWS[0] + "\r" + _ROWS[1] + "\n\r\n"
+                              + "10800,100,99,101,100,1\n",
+    "byte-order-mark": "\ufeff" + HEADER + "\n".join(_ROWS) + "\n",
+    "empty-line": HEADER + _ROWS[0] + "\n\n" + "\n".join(_ROWS[1:]) + "\n",
+    "whitespace-line": HEADER + _ROWS[0] + "\n  \t\n" + "\n".join(_ROWS[1:]) + "\n",
+    "no-final-newline": HEADER + "\n".join(_ROWS),
+    "quoted-header": '"timestamp","open","high","low","close","volume"\n' + "\n".join(_ROWS),
+    "non-ascii-cell": HEADER.replace("\n", ",note\n") + "\n".join(r + ",é" for r in _ROWS) + "\n",
+    "not-utf8": HEADER + _ROWS[0] + "\n7200,100,101,99,100\udcff,1\n",
+    "header-only": HEADER,
+    "only-empty-lines": HEADER + "\n\n\n",
+    "rejected-row": HEADER + _ROWS[0] + "\n7200,100,x,99,100,1\n",
+    "invariant-error": HEADER + _ROWS[0] + "\n7200,100,99,101,100,1\n",
+    "invariant-error-after-empty-line": HEADER + _ROWS[0] + "\n\n7200,100,99,101,100,1\n",
+    # A quoted field across lines: either path reads 2 rows from 3 lines.
+    "quoted-field-across-lines": HEADER.replace("\n", ",note\n") + _ROWS[0] + ',"a\nb"\n'
+                                 + "7200,100,99,101,100,1,c\n",
+}
+
+
+def _outcome(load, path):
+    """Each column of the frames ``load(path)`` returns, as int64 bits by
+    name, or the type and text of its exception."""
+    try:
+        frames = load(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return {(k, name): np.asarray(getattr(f, name)).view(np.int64).tolist()
+            for k, f in enumerate(frames if isinstance(frames, tuple) else (frames,))
+            if f is not None for name in vars(f) if name != "symbol"}
+
+
+def _by_both_paths(monkeypatch, load, path):
+    """``_outcome`` of ``load(path)``, then with numpy's file reader switched off."""
+    with monkeypatch.context() as patch:
+        fast = _outcome(load, path)
+        patch.setattr(artifacts, "_load_by_path", lambda *args: None)
+        return fast, _outcome(load, path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("suffix, scan", [(".csv", artifacts._SCAN_BYTES), (".csv", 1),
+                                          (".csv.gz", artifacts._SCAN_BYTES)])
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_numpy_file_reader_and_line_path_read_every_layout_alike(tmp_path, monkeypatch,
+                                                                 layout, suffix, scan):
+    # A plain-text *.csv.gz is not decompressed: numpy's opener would take it
+    # for gzip by its name, so it goes through the line path. Checked a byte
+    # at a time, every empty line lies across two chunks.
+    monkeypatch.setattr(artifacts, "_SCAN_BYTES", scan)
+    path = tmp_path / f"candles{suffix}"
+    path.write_bytes(_LAYOUTS[layout].encode("utf-8", "surrogateescape"))
+    fast, line = _by_both_paths(monkeypatch, parse_candles, str(path))
+    assert fast == line
+    if layout in ("lf", "crlf", "lone-cr", "byte-order-mark", "empty-line", "whitespace-line",
+                  "no-final-newline", "quoted-header", "non-ascii-cell"):
+        assert line[0, "timestamps"] == [3600, 7200, 10800]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("layout", ["lf", "crlf", "empty-line", "rejected", "after-empty"])
+def test_numpy_file_reader_and_line_path_read_predictions_alike(tmp_path, monkeypatch, layout):
+    rows = ["3600,0.6,0.01,0.02", "7200,0.45,0.03,0.01", "10800,0.5,0.02,0.02"]
+    text = {"lf": "\n".join(rows) + "\n",
+            "crlf": "\r\n".join(rows) + "\r\n",
+            "empty-line": rows[0] + "\n\n" + "\n".join(rows[1:]) + "\n",
+            "rejected": rows[0] + "\n7200,0.45,x,0.01\n",
+            "after-empty": rows[0] + "\n\n7200,1.5,0.03,0.01\n"}[layout]
+    path = tmp_path / "predictions.csv"
+    path.write_text("timestamp,p_up,a,b\n" + text, newline="")
+    fast, line = _by_both_paths(monkeypatch, load_predictions, str(path))
+    assert fast == line
+
+
+def test_a_plain_lf_file_reaches_numpy_by_its_path(tmp_path, monkeypatch):
+    # The line path gives the same arrays, so only this test sees numpy's
+    # file reader fall out of use.
+    seen = []
+    loadtxt = np.loadtxt
+
+    def spy(source, **kwargs):
+        seen.append(source)
+        return loadtxt(source, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    for name in ("candles.csv", "candles.csv.gz"):
+        (tmp_path / name).write_text(_LAYOUTS["lf"])
+        assert parse_candles(str(tmp_path / name)).timestamps.tolist() == [3600, 7200, 10800]
+    assert seen[0] == str(tmp_path / "candles.csv")
+    assert len(seen) == 2 and not isinstance(seen[1], str)

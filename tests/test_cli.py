@@ -11,7 +11,7 @@ import pytest
 
 from kellybt import artifacts, floattext
 from kellybt.candles import CandleSeries, generate_synthetic_series, parse_candles
-from kellybt.cli import main
+from kellybt.cli import DEFAULTS, _option_type, main
 from kellybt.features import make_labels
 from kellybt.predictors import estimate_scenarios, simulate_optimal, write_predictions_csv
 
@@ -429,6 +429,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("simulate", {"policy": ["kelly"]}, False),
     ("synth", {"n": 300}, True),
     ("synth", {"n": 300, "volatility": 1}, True),
+    ("synth", {"n": 300, "start_price": 10**300}, True),  # an int near the float range's end
     ("synth", {"n": 300, "start_ts": 1577836800}, True),
     ("ingest", {"train_end": 1577836800 + 99 * 3600}, True),
     ("simulate", {"n": 2000, "stride": None}, True),
@@ -654,6 +655,28 @@ def test_an_integer_setting_past_int64_is_a_config_error_naming_it(tmp_path, cap
     assert len(err.splitlines()) == 1
     record = json.loads(err)
     assert record["error"] == "config" and record["message"].startswith(f"{key} must be")
+
+
+_FLOAT_OPTIONS = [(command, key)
+                  for command in ("synth", "simulate", "compare", "label", "features",
+                                  "backtest", "report")
+                  for key in DEFAULTS[command] if _option_type(command, key) is float]
+
+
+@pytest.mark.parametrize("command, key", _FLOAT_OPTIONS,
+                         ids=[f"{c}-{k}" for c, k in _FLOAT_OPTIONS])
+def test_a_config_integer_past_the_float_range_is_a_config_error_naming_it(tmp_path, capsys,
+                                                                            command, key):
+    # A JSON int stands for a float option; one of 400 digits was an
+    # OverflowError traceback (exit 1) wherever numpy or math first converted it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: int("9" * 400)}))
+    assert main(["--config", str(config), command, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "config"
+    assert record["message"].startswith(f"{key} must be a number in the float range")
 
 
 def _readme_cli_block():

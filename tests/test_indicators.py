@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from kellybt import indicators
 from kellybt.candles import generate_synthetic_series
-from kellybt.indicators import _CCI_BLOCK_ROWS, IndicatorSpec, _cci, _ema_array, compute_indicator
+from kellybt.indicators import (_WINDOW_BLOCK, IndicatorSpec, _cci, _ema_array, _window_extremes,
+                                _window_sums, compute_indicator)
 
 import oracles
 from conftest import make_series_from_closes, make_series_from_ohlc
@@ -94,16 +97,56 @@ def test_cci_blocks_are_bit_identical_to_the_whole_array_expression(n):
     # Three full blocks of windows plus a remainder, and a flat stretch across
     # the first block boundary: every price there is 100.0, so each window's
     # mean is exact and its mean deviation is 0.
-    size = 3 * _CCI_BLOCK_ROWS + 123 + n - 1
+    size = 3 * _WINDOW_BLOCK + 123 + n - 1
     rng = np.random.default_rng(n)
     c = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size)))
     h = c * (1.0 + rng.uniform(0.0, 0.01, size))
     l = c * (1.0 - rng.uniform(0.0, 0.01, size))
-    flat = slice(_CCI_BLOCK_ROWS - 40, _CCI_BLOCK_ROWS + 40)
+    flat = slice(_WINDOW_BLOCK - 40, _WINDOW_BLOCK + 40)
     h[flat] = l[flat] = c[flat] = 100.0
     got = _cci(h, l, c, None, n)  # got[i] is the window of bars i .. i + n - 1
     assert np.array_equal(_bits(got), _bits(oracles.o_cci_array(h, l, c, n)[n - 1:]))
     assert np.all(got[flat.start:flat.stop - n + 1] == 0.0)
+
+
+def _wide_draws(rng, size):
+    """Values of both signs with magnitudes from 1e-300 to 1e300, a tenth of
+    them 0.0 and a tenth -0.0, and a run of -0.0 long enough to fill windows."""
+    x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+    x[rng.random(size) < 0.1] = 0.0
+    x[rng.random(size) < 0.1] = -0.0
+    x[size // 3:size // 3 + 320] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("size", [2048, 2047, 2049, 3 * 2048 + 123])
+def test_window_sums_are_bit_identical_to_numpys_row_sums(monkeypatch, size):
+    # The block only decides which windows share a pass; 2048 puts these
+    # lengths at, around and well past block ends at little cost.
+    monkeypatch.setattr(indicators, "_WINDOW_BLOCK", 2048)
+    rng = np.random.default_rng(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, 301):
+            x = _wide_draws(rng, size + n - 1)
+            windows = sliding_window_view(x, n)
+            assert np.array_equal(_bits(_window_sums(x, n)), _bits(windows.sum(axis=1))), n
+            mean = windows.mean(axis=1)
+            assert np.array_equal(_bits(_window_sums(x, n, center=mean)),
+                                  _bits(np.abs(windows - mean[:, None]).sum(axis=1))), n
+
+
+def test_window_extremes_equal_numpys_row_extremes():
+    rng = np.random.default_rng(11)
+    x = rng.normal(0.0, 1e3, 500)
+    for value in (np.nan, np.inf, -np.inf):
+        x[rng.integers(0, x.size, 25)] = value
+    for n in [*range(1, 61), x.size]:
+        windows = sliding_window_view(x, n)
+        assert np.array_equal(_bits(_window_extremes(x, n, np.maximum)),
+                              _bits(windows.max(axis=1))), n
+        assert np.array_equal(_bits(_window_extremes(x, n, np.minimum)),
+                              _bits(windows.min(axis=1))), n
+    assert _window_extremes(x, x.size + 1, np.maximum).size == 0
 
 
 # --- spec construction --------------------------------------------------------
