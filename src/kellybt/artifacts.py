@@ -296,7 +296,8 @@ def read_csv(path, select):
 
     numpy reads a plain file by its path (``_load_by_path``); any other file
     goes through the line path below, which skips whitespace-only lines and
-    names the file line of a rejected row.
+    names the file line on which a rejected row starts, counting each line
+    of a quoted field that spans lines.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -311,11 +312,14 @@ def read_csv(path, select):
                        dtype=[("ts", np.int64), ("v", np.float64, (len(cols) - 1,))])
 
         first_line = reader.line_num + 1
-        blank = []  # positions after the header of the skipped whitespace-only lines
+        # Positions after the header of the lines that start no row: the
+        # skipped whitespace-only lines and the lines inside a quoted field.
+        no_row = []
 
         def line_of(k: int) -> int:
-            """File line of data row ``k``: each skipped line at or before it moves it down."""
-            for b in blank:
+            """File line of data row ``k``: each line that starts no row at or
+            before it moves it down."""
+            for b in no_row:
                 if b <= k:
                     k += 1
             return first_line + k
@@ -329,12 +333,17 @@ def read_csv(path, select):
         position = itertools.count()
 
         def data_lines():
+            quoted = False  # whether the line before left a quoted field open
             for i, line in zip(position, fh):
-                if line.isspace():
-                    blank.append(i)
+                if quoted:
+                    no_row.append(i)  # it goes on with the row the line before started
+                elif line.isspace():
+                    no_row.append(i)
                     continue
                 if not line.isascii():  # an O(1) flag test on a str
                     _check_ascii_timestamp(line, cols[0], first_line + i)
+                if '"' in line:
+                    quoted = _ends_quoted(line, quoted)
                 yield line
 
         rows = data_lines()
@@ -398,6 +407,26 @@ def _load_by_path(path, header_lines: int, options: dict):
     except ValueError:
         return None
     return data if len(data) == data_lines else None
+
+
+def _ends_quoted(line: str, quoted: bool) -> bool:
+    """Whether ``line``, which starts inside a quoted field if ``quoted``,
+    leaves one open, by numpy's rules: a ``"`` opens a field only at the
+    field's start, and ``""`` inside an open field is a literal quote."""
+    at_start = True
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if quoted and ch == '"':
+            if line.startswith('"', i + 1):
+                i += 1
+            else:
+                quoted = False
+        elif ch == '"' and at_start:
+            quoted = True
+        at_start = not quoted and ch == ","
+        i += 1
+    return quoted
 
 
 def _check_ascii_timestamp(line: str, col: int, lineno: int) -> None:

@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -440,7 +441,15 @@ _LAYOUTS = {
     # A quoted field across lines: either path reads 2 rows from 3 lines.
     "quoted-field-across-lines": HEADER.replace("\n", ",note\n") + _ROWS[0] + ',"a\nb"\n'
                                  + "7200,100,99,101,100,1,c\n",
+    # Lines 3 and 4 hold one row, so the bad row is on line 5.
+    "bad-row-after-quoted-field": HEADER.replace("\n", ",note\n") + _ROWS[0] + ",x\n"
+                                  + _ROWS[1] + ',"a\nb"\n' + "10800,100,99,101,100,1,c\n",
 }
+
+# name: the file line a layout's error names.
+_ERROR_LINES = {"lone-cr-and-empty-line": 5, "not-utf8": 3, "rejected-row": 3,
+                "invariant-error": 3, "invariant-error-after-empty-line": 4,
+                "quoted-field-across-lines": 4, "bad-row-after-quoted-field": 5}
 
 
 def _outcome(load, path):
@@ -480,6 +489,23 @@ def test_numpy_file_reader_and_line_path_read_every_layout_alike(tmp_path, monke
     if layout in ("lf", "crlf", "lone-cr", "byte-order-mark", "empty-line", "whitespace-line",
                   "no-final-newline", "quoted-header", "non-ascii-cell"):
         assert line[0, "timestamps"] == [3600, 7200, 10800]
+    if layout in _ERROR_LINES:
+        assert line[0] is DataError
+        assert re.match(f"(malformed row at )?line {_ERROR_LINES[layout]}: ", line[1])
+
+
+@pytest.mark.parametrize("note, line", [
+    ('"a\nb"', 4),           # a quoted field across two lines
+    ('"a""\nb"', 4),         # "" inside the field is a quote, not its end
+    ('"a\n\n  \nb"', 6),     # blank lines inside the field are part of it
+    ('x"a', 3),              # a quote inside a field opens nothing
+    (' "a', 3),              # nor does one after a space
+    ('"a"b"c', 3),           # a quote after the field closed is a character
+])
+def test_a_row_after_a_quoted_field_is_named_by_its_file_line(note, line):
+    text = HEADER.replace("\n", ",note\n") + f"{_ROWS[0]},{note}\n7200,100,99,101,100,1,c\n"
+    with pytest.raises(DataError, match=f"^line {line}: OHLC invariant violated"):
+        from_file(parse_candles, text)
 
 
 @pytest.mark.filterwarnings("error")

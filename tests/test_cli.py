@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -857,3 +858,82 @@ def test_a_candle_file_with_a_byte_order_mark_gives_the_same_artifacts(tmp_path,
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                         if p.name != "manifest.json"})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+# --- the process entry point ------------------------------------------------------
+
+
+def _process(*args, flags=(), stdout=subprocess.PIPE):
+    """Run a fresh interpreter on ``args`` with kellybt importable, and with
+    no warning option, dev mode or unbuffered output from the environment:
+    stdout is then a buffered pipe, which the process must flush."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(Path(artifacts.__file__).parents[1])
+    return subprocess.run([sys.executable, *flags, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("flags, teardown", [((), False), (("-X", "dev"), True),
+                                             (("-W", "default"), True)],
+                         ids=["plain", "dev-mode", "warning-option"])
+def test_run_skips_the_interpreter_teardown_unless_warnings_are_asked_for(tmp_path, flags,
+                                                                          teardown):
+    # An atexit handler runs in the teardown: under -X dev or -W the teardown
+    # is kept, so a file left open still shows as a ResourceWarning.
+    script = ("import atexit, sys, kellybt.cli as c; atexit.register(print, 'TEARDOWN'); "
+              "c.run(sys.argv[1:])")
+    proc = _process("-c", script, "synth", "--n", "50", "--out", str(tmp_path / "out"),
+                    flags=flags)
+    assert proc.returncode == 0 and proc.stderr == b""
+    lines = proc.stdout.decode().splitlines()
+    assert json.loads(lines[0])["status"] == "ok"
+    assert lines[1:] == (["TEARDOWN"] if teardown else [])
+
+
+def test_a_cli_process_writes_the_files_of_an_in_process_run(tmp_path):
+    # At 30,000 bars simulate splits its tables into row ranges on the
+    # formatting pool; os._exit must not cut off any of them.
+    argv = ["simulate", "--n", "30000", "--stride", "1", "--out"]
+    proc = _process("-m", "kellybt.cli", *argv, str(tmp_path / "process"))
+    assert proc.returncode == 0 and proc.stderr == b""
+    [line] = proc.stdout.decode().splitlines()
+    assert json.loads(line)["status"] == "ok"
+    assert main([*argv, str(tmp_path / "in-process")]) == 0
+    # Nothing is left running that os._exit could cut off.
+    assert threading.enumerate() == [threading.main_thread()]
+    digests = [{p.name: artifacts.sha256_file(p) for p in (tmp_path / name).iterdir()
+                if p.name != "manifest.json"} for name in ("process", "in-process")]
+    manifest = json.loads((tmp_path / "process" / "manifest.json").read_text())
+    assert digests[0] == manifest["artifacts"] == digests[1]
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["synth", "--does-not-exist", "1"], 2, "usage"),
+    (["features", "--input", "{tmp}/nope.csv"], 3, "missing_input"),
+    (["synth", "--n", "0"], 4, "config"),
+    (["label", "--input", "{tmp}/bad.csv"], 5, "data"),
+], ids=["usage", "missing-input", "config", "data"])
+def test_a_cli_process_exits_with_the_code_and_error_record_of_main(tmp_path, argv, code,
+                                                                    kind):
+    (tmp_path / "bad.csv").write_text("timestamp,open,high,low,close,volume\n"
+                                      "3600,100,99,101,100,1\n")
+    proc = _process("-m", "kellybt.cli", *(a.format(tmp=tmp_path) for a in argv),
+                    "--out", str(tmp_path / "out"))
+    assert proc.returncode == code and proc.stdout == b""
+    [line] = proc.stderr.decode().splitlines()
+    assert json.loads(line)["error"] == kind
+
+
+def test_a_cli_process_reports_a_closed_stdout_pipe_as_python_does(tmp_path):
+    # The status line cannot be flushed: the process takes the teardown, in
+    # which Python reports the broken pipe and exits 120.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _process("-m", "kellybt.cli", "synth", "--n", "50", "--out", str(tmp_path),
+                        stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stderr.decode().splitlines()[-1].startswith("BrokenPipeError: ")

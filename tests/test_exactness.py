@@ -455,7 +455,7 @@ def test_precision_recall_points_equal_threshold_loop(seed, n, distinct, classes
     ts = 3600 * np.arange(m, dtype=np.int64)
     labels = LabelSet(ts, direction, np.zeros(m), np.zeros(m), 5)
     preds = Predictions(np.sort(rng.permutation(ts)[:n]), p_up)
-    got = precision_recall_points(preds, labels)
+    got = list(map(tuple, precision_recall_points(preds, labels).tolist()))
     want = oracles.o_precision_recall_points(oracles.prediction_records(preds), labels)
     assert got == want
     assert repr(got) == repr(want)
