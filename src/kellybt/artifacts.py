@@ -25,13 +25,14 @@ command.
 
 Every CSV kellybt loads goes through ``read_csv``, which takes a path: a
 UTF-8 file, with or without a byte-order mark, whose lines end in ``\n``,
-``\r\n`` or a lone ``\r``. The ``csv`` module reads the header, and numpy's C
-reader (``np.loadtxt``) reads the data rows, the timestamp with its integer
-parser, so a timestamp is an integer literal read exactly. numpy opens a plain
-file (ASCII, ``\n`` line ends, no empty line) by its path and reads it in
-chunks; any other file, or one numpy rejects, is handed to it line by line,
-with whitespace-only lines skipped. A bad row is a ``DataError`` naming its
-file line.
+``\r\n`` or a lone ``\r``. The ``csv`` module reads the header and every
+quoted row (and one with a non-ASCII character), and numpy's C reader
+(``np.loadtxt``) reads the data rows, the timestamp with its integer parser,
+so a timestamp is an integer literal read exactly. numpy opens a plain file
+(ASCII, ``\n`` line ends, no empty line) by its path and reads it in chunks;
+any other file, or one numpy rejects, is handed to it a row at a time, with
+whitespace-only lines skipped. A bad row is a ``DataError`` naming the file
+line it starts on.
 """
 from __future__ import annotations
 
@@ -296,8 +297,11 @@ def read_csv(path, select):
 
     numpy reads a plain file by its path (``_load_by_path``); any other file
     goes through the line path below, which skips whitespace-only lines and
-    names the file line on which a rejected row starts, counting each line
-    of a quoted field that spans lines.
+    hands numpy one item per row. A line with no ``"`` and only ASCII is a
+    row as it is; the ``csv`` module reads the header and every other row
+    (``_csv_row``), on across the lines a quoted field spans, and stops at
+    a field past its limit (131,072 characters). A rejected row is named by
+    the file line it starts on.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -312,41 +316,23 @@ def read_csv(path, select):
                        dtype=[("ts", np.int64), ("v", np.float64, (len(cols) - 1,))])
 
         first_line = reader.line_num + 1
-        # Positions after the header of the lines that start no row: the
-        # skipped whitespace-only lines and the lines inside a quoted field.
-        no_row = []
-
-        def line_of(k: int) -> int:
-            """File line of data row ``k``: each line that starts no row at or
-            before it moves it down."""
-            for b in no_row:
-                if b <= k:
-                    k += 1
-            return first_line + k
-
         data = _load_by_path(path, reader.line_num, options)
         if data is not None:
-            return data["ts"], data["v"], line_of
+            return data["ts"], data["v"], lambda k: first_line + k
 
-        # Positions of the lines handed to the reader, counted past the
-        # header: the next one is one past the line a reader error stopped on.
-        position = itertools.count()
+        starts = []  # the file line of each row handed to numpy
+        lines = enumerate(fh, first_line)
 
-        def data_lines():
-            quoted = False  # whether the line before left a quoted field open
-            for i, line in zip(position, fh):
-                if quoted:
-                    no_row.append(i)  # it goes on with the row the line before started
-                elif line.isspace():
-                    no_row.append(i)
+        def data_rows():
+            for number, line in lines:
+                if line.isspace():
                     continue
-                if not line.isascii():  # an O(1) flag test on a str
-                    _check_ascii_timestamp(line, cols[0], first_line + i)
-                if '"' in line:
-                    quoted = _ends_quoted(line, quoted)
+                starts.append(number)
+                if '"' in line or not line.isascii():  # isascii: an O(1) flag test on a str
+                    line = _csv_row(line, lines, cols[0], number)
                 yield line
 
-        rows = data_lines()
+        rows = data_rows()
         first = next(rows, None)
         if first is None:
             raise DataError("no data rows in input")
@@ -357,19 +343,42 @@ def read_csv(path, select):
         except ValueError as exc:
             # numpy counts data rows from 0 in a conversion error ("at row R,
             # column C") and from 1 in a column-count error ("at row R with N columns").
-            # An error that names no row (numpy's "embedded newline", which a
-            # file split at every line end should not give) is put on the line
-            # the reader stopped on.
+            # An error that names no row (numpy's "embedded newline", which
+            # items split at row ends should not give) is put on the row read last.
             text = str(exc)
             found = _NUMPY_ROW.search(text)
             if found is None:
-                raise DataError(f"malformed row at line {first_line + next(position) - 1}: "
-                                f"{text}") from None
+                raise DataError(f"malformed row at line {starts[-1]}: {text}") from None
             row = int(found[1]) if found[2] else int(found[1]) - 1
-            raise DataError(f"malformed row at line {line_of(row)}: "
+            raise DataError(f"malformed row at line {starts[row]}: "
                             f"{text[:found.start()]}{text[found.end(1):]}") from None
 
-    return data["ts"], data["v"], line_of
+    return data["ts"], data["v"], starts.__getitem__
+
+
+def _csv_row(line: str, lines, col: int, number: int) -> str:
+    """The text of the row that starts with ``line``, file line ``number``:
+    ``line`` joined to the lines the ``csv`` module takes from ``lines``, an
+    iterator of ``(file line, text)`` pairs, to close a quoted field. A
+    DataError when the module rejects the row, or when its timestamp cell,
+    ``col``, holds a non-ASCII character: numpy's integer parser indexes a
+    character table with the code point, and one far above U+FFFF can crash
+    the process (numpy 2.4)."""
+    raw = [line]
+
+    def more():
+        for _, text in lines:
+            raw.append(text)
+            yield text
+
+    try:
+        cells = next(csv.reader(itertools.chain((line,), more())))
+    except csv.Error as exc:
+        raise DataError(f"malformed row at line {number}: {exc}") from None
+    if len(cells) > col and not cells[col].isascii():
+        raise DataError(f"malformed row at line {number}: timestamp {cells[col]!r} "
+                        f"is not an integer literal")
+    return "".join(raw)
 
 
 def _load_by_path(path, header_lines: int, options: dict):
@@ -407,40 +416,6 @@ def _load_by_path(path, header_lines: int, options: dict):
     except ValueError:
         return None
     return data if len(data) == data_lines else None
-
-
-def _ends_quoted(line: str, quoted: bool) -> bool:
-    """Whether ``line``, which starts inside a quoted field if ``quoted``,
-    leaves one open, by numpy's rules: a ``"`` opens a field only at the
-    field's start, and ``""`` inside an open field is a literal quote."""
-    at_start = True
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quoted and ch == '"':
-            if line.startswith('"', i + 1):
-                i += 1
-            else:
-                quoted = False
-        elif ch == '"' and at_start:
-            quoted = True
-        at_start = not quoted and ch == ","
-        i += 1
-    return quoted
-
-
-def _check_ascii_timestamp(line: str, col: int, lineno: int) -> None:
-    """Reject a data line whose timestamp field holds a non-ASCII character
-    before numpy's integer parser sees it: that parser indexes a character
-    table with the code point, and one far above U+FFFF can crash the
-    process (numpy 2.4)."""
-    try:
-        cells = next(csv.reader([line]))
-    except csv.Error as exc:
-        raise DataError(f"malformed row at line {lineno}: {exc}") from None
-    if len(cells) > col and not cells[col].isascii():
-        raise DataError(f"malformed row at line {lineno}: timestamp {cells[col]!r} "
-                        f"is not an integer literal")
 
 
 def write_manifest(outdir: str, command: str, config: dict,

@@ -11,7 +11,9 @@ finite positive prices; finite non-negative volume; low/high enveloping
 open/close) are checked in one place, ``_first_invalid``. CandleSeries calls
 it on construction; parse_candles reads the file at a path straight into
 columns with ``artifacts.read_csv``, the reader shared with the prediction
-loader, and calls it to name the file line of the first bad row.
+loader, hands them to CandleSeries read-only, so they are checked once and
+held uncopied, and calls ``_first_invalid`` again only when the series
+refuses them, to name the file line of the first bad row.
 ``DataError`` is re-exported from ``artifacts``. ``positions`` is the one
 timestamp lookup used to match predictions, scenarios and labels.
 ``horizon_return`` is the one horizon return, over a close array:
@@ -222,8 +224,8 @@ class CandleSeries(Frame):
 def parse_candles(path, symbol: str = "UNKNOWN") -> CandleSeries:
     """Parse the canonical candle CSV at ``path`` into a CandleSeries.
 
-    Rows are sorted stably by timestamp, then checked by the same invariants
-    as CandleSeries; an error names the file line of the offending row.
+    Rows are sorted stably by timestamp, then checked once, as the
+    CandleSeries is built; an error names the file line of the offending row.
     """
     def select(header):
         for name in CANONICAL_COLUMNS:
@@ -233,13 +235,14 @@ def parse_candles(path, symbol: str = "UNKNOWN") -> CandleSeries:
 
     ts, data, line_of = read_csv(path, select)
     order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    o, h, l, c, v = (data[order, k] for k in range(5))
-    invalid = _first_invalid(ts, o, h, l, c, v)
-    if invalid is not None:
-        i, message = invalid
-        raise DataError(f"line {line_of(int(order[i]))}: {message}")
-    return CandleSeries(ts, o, h, l, c, v, symbol=symbol)
+    columns = [ts[order], *(data[order, k] for k in range(5))]
+    for col in columns:
+        col.setflags(write=False)  # gathered, so owned: the series holds them uncopied
+    try:
+        return CandleSeries(*columns, symbol=symbol)
+    except DataError:
+        i, message = _first_invalid(*columns)
+        raise DataError(f"line {line_of(int(order[i]))}: {message}") from None
 
 
 def split_dataset(series: CandleSeries, train_end: int, validation_end: int):

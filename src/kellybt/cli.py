@@ -35,6 +35,7 @@ import os
 import re
 import sys
 from collections.abc import Callable
+from contextlib import suppress
 from datetime import datetime, timezone
 from typing import NoReturn
 
@@ -578,7 +579,11 @@ _COMMANDS = {
 
 
 def _error_record(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    """Print the JSON error record on stderr, or drop it when stderr is closed
+    or cannot be written: the exit code still tells the failure."""
+    if sys.stderr is not None:  # None when the descriptor was closed at start
+        with suppress(OSError):
+            print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -635,17 +640,20 @@ def run(argv=None) -> NoReturn:
     teardown (23-31 ms a command, 2-CPU x86-64, Python 3.11). It ends through
     ``sys.exit`` instead under dev mode or a warning option (``-X dev``,
     ``-W``, ``PYTHONWARNINGS``), for the teardown to report a file left open
-    as a ResourceWarning, and when a flush fails, for Python to report it.
-    An exception out of ``main`` propagates."""
+    as a ResourceWarning, and when stdout fails to flush, for Python to
+    report it. A stderr that fails to flush has nowhere to report to: the
+    process ends with ``main``'s code. An exception out of ``main`` propagates."""
     code = main(argv)
     if sys.flags.dev_mode or sys.warnoptions:
         sys.exit(code)
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the descriptor was closed at start
-                stream.flush()
+        if sys.stdout is not None:  # None when the descriptor was closed at start
+            sys.stdout.flush()
     except OSError:
         sys.exit(code)
+    with suppress(OSError):
+        if sys.stderr is not None:
+            sys.stderr.flush()
     os._exit(code)
 
 

@@ -88,7 +88,7 @@ class LabelSet(TimestampedFrame):
     horizon: int
 
 
-# Rows moved, fitted or normalized per step over the matrix's buffer.
+# Rows moved or fitted per step over the matrix's buffer.
 _BLOCK_ROWS = 4096
 
 
@@ -223,16 +223,13 @@ def _squared_deviations(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 def apply_normalizer(values: np.ndarray, stats: NormStats) -> None:
     """Affine transform (x - mean) / std of each column of ``values``, in
-    place, a block of rows at a time; zero-std columns -> 0."""
+    place; zero-std columns -> 0."""
     if values.shape[1] != len(stats.column_names):
         raise ValueError("normalizer columns do not match the matrix")
     flat = stats.std == 0
-    safe = np.where(flat, 1.0, stats.std)
-    for start in range(0, len(values), _BLOCK_ROWS):
-        block = values[start:start + _BLOCK_ROWS]
-        block -= stats.mean
-        block /= safe
-        block[:, flat] = 0.0
+    values -= stats.mean
+    values /= np.where(flat, 1.0, stats.std)
+    values[:, flat] = 0.0
 
 
 def default_grid() -> list[IndicatorSpec]:

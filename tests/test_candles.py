@@ -444,6 +444,14 @@ _LAYOUTS = {
     # Lines 3 and 4 hold one row, so the bad row is on line 5.
     "bad-row-after-quoted-field": HEADER.replace("\n", ",note\n") + _ROWS[0] + ",x\n"
                                   + _ROWS[1] + ',"a\nb"\n' + "10800,100,99,101,100,1,c\n",
+    # Rows the csv module reads on the line path; each holds _ROWS.
+    "quoted-note-every-row": HEADER.replace("\n", ",note\n")
+                             + "".join(f'{r},"n 17"\n' for r in _ROWS),
+    "quoted-note-every-row-crlf": HEADER.replace("\n", ",note\r\n")
+                                  + "".join(f'{r},"n 17"\r\n' for r in _ROWS),
+    "quoted-lone-cr": HEADER.replace("\n", ",note\n") + _ROWS[0] + ',"a\rb"\n'
+                      + "\n".join(_ROWS[1:]) + "\n",
+    "quoted-timestamp": HEADER + "".join('"' + r.replace(",", '",', 1) + "\n" for r in _ROWS),
 }
 
 # name: the file line a layout's error names.
@@ -492,6 +500,25 @@ def test_numpy_file_reader_and_line_path_read_every_layout_alike(tmp_path, monke
     if layout in _ERROR_LINES:
         assert line[0] is DataError
         assert re.match(f"(malformed row at )?line {_ERROR_LINES[layout]}: ", line[1])
+
+
+@pytest.mark.parametrize("layout", ["quoted-note-every-row", "quoted-note-every-row-crlf",
+                                    "quoted-lone-cr", "quoted-timestamp"])
+def test_the_line_path_reads_the_rows_of_quoted_layouts(monkeypatch, layout):
+    monkeypatch.setattr(artifacts, "_load_by_path", lambda *args: None)
+    series = from_file(parse_candles, _LAYOUTS[layout])
+    assert series.timestamps.tolist() == [3600, 7200, 10800]
+    assert series.low.tolist() == [99.0, 99.25, 100.0]
+
+
+def test_a_quoted_field_past_the_csv_limit_is_a_malformed_row_on_the_line_path():
+    # The csv module reads a quoted row on the line path, and stops at its
+    # field limit; numpy, reading the plain twin by its path, has no limit.
+    text = (HEADER.replace("\n", ",note\n") + _ROWS[0] + ",x\n"
+            + _ROWS[1] + f',"{_PAST_CSV_LIMIT}"\n')
+    assert from_file(parse_candles, text).timestamps.tolist() == [3600, 7200]
+    with pytest.raises(DataError, match="^malformed row at line 3: field larger than field limit"):
+        from_file(parse_candles, text.replace("\n", "\r\n"))
 
 
 @pytest.mark.parametrize("note, line", [

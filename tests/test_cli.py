@@ -863,7 +863,7 @@ def test_a_candle_file_with_a_byte_order_mark_gives_the_same_artifacts(tmp_path,
 # --- the process entry point ------------------------------------------------------
 
 
-def _process(*args, flags=(), stdout=subprocess.PIPE):
+def _process(*args, flags=(), stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run a fresh interpreter on ``args`` with kellybt importable, and with
     no warning option, dev mode or unbuffered output from the environment:
     stdout is then a buffered pipe, which the process must flush."""
@@ -871,7 +871,7 @@ def _process(*args, flags=(), stdout=subprocess.PIPE):
            if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = str(Path(artifacts.__file__).parents[1])
     return subprocess.run([sys.executable, *flags, *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE)
+                          stderr=stderr)
 
 
 @pytest.mark.parametrize("flags, teardown", [((), False), (("-X", "dev"), True),
@@ -937,3 +937,20 @@ def test_a_cli_process_reports_a_closed_stdout_pipe_as_python_does(tmp_path):
         os.close(write_end)
     assert proc.returncode == 120
     assert proc.stderr.decode().splitlines()[-1].startswith("BrokenPipeError: ")
+
+
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+def test_a_cli_process_without_a_writable_stderr_keeps_its_exit_code(tmp_path, flags, stderr):
+    # The error record is dropped. It went to stdout when descriptor 2 was
+    # closed at start (sys.stderr is None); a write that failed ended the
+    # process with 1, a flush that failed with 120.
+    argv = ["-m", "kellybt.cli", "synth", "--n", "0", "--out", str(tmp_path)]
+    if stderr == "closed":
+        launcher = ("import os, sys; os.close(2); "
+                    "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+        proc = _process("-c", launcher, *flags, *argv)
+    else:
+        with open(os.devnull, "rb") as unwritable:
+            proc = _process(*argv, flags=flags, stderr=unwritable)
+    assert proc.returncode == 4 and proc.stdout == b""

@@ -316,6 +316,28 @@ def test_load_predictions_puts_a_numpy_error_naming_no_row_on_the_line_read_last
         from_file(load_predictions, "timestamp,p_up\n3600,0.6\n\n7200,0.7\n10800,0.5\n")
 
 
+@pytest.mark.parametrize("text", [
+    'timestamp,p_up,a,b,note\r\n3600,0.6,0.01,0.02,"n 17"\r\n7200,0.45,0.03,0.01,"n 17"\r\n',
+    'timestamp,p_up,a,b,note\n3600,0.6,0.01,0.02,"a\r\nb"\n"7200","0.45",0.03,0.01,c\n',
+], ids=["crlf-quoted-note", "quoted-field-across-lines"])
+def test_load_predictions_reads_quoted_rows_on_the_line_path(text):
+    predictions, scenarios = from_file(load_predictions, text)
+    assert predictions.timestamps.tolist() == [3600, 7200]
+    assert predictions.p_up.tolist() == [0.6, 0.45] and scenarios.b.tolist() == [0.02, 0.01]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('3600,0.6,"a\n\nb"\n7200,1.5,c\n', "line 5: p_up 1.5 outside"),
+    ('3600,0.6,"a\nb"\n"７200",0.7,"é"\n',
+     "malformed row at line 4: timestamp '７200' is not an integer literal"),
+    ('3600,0.6,"é\n７"\n7200,1.5,c\n', "line 4: p_up 1.5 outside"),
+], ids=["after-a-quoted-field", "non-ascii-timestamp", "non-ascii-inside-a-quoted-field"])
+def test_load_predictions_names_the_line_a_row_starts_on_after_a_quoted_field(text, message):
+    # A line inside a quoted field starts no row, so its text is no timestamp.
+    with pytest.raises(DataError, match=f"^{message}"):
+        from_file(load_predictions, "timestamp,p_up,note\n" + text)
+
+
 @pytest.mark.parametrize("line", ['""', '" "'])
 def test_load_predictions_rejects_quoted_blank_line_by_line(line):
     text = "timestamp,p_up\n3600,0.6\n" + line + "\n7200,0.7\n"
