@@ -9,7 +9,8 @@ metric reports.
 
 __version__ = "0.1.0"
 
-from .backtest import BacktestConfig, EquityCurve, Trades, compare_strategies, run_backtest
+from .backtest import (BacktestConfig, DecisionGrid, EquityCurve, Trades, compare_strategies,
+                       decision_grid, run_backtest)
 from .candles import (CandleSeries, generate_synthetic_series, parse_candles, positions,
                       split_dataset)
 from .features import (FeatureMatrix, LabelSet, apply_normalizer, build_feature_matrix,
@@ -25,7 +26,8 @@ from .sizing import (BetDecision, SizingPolicy, decide, gaussian_bet_size,
                      kelly_fraction, log_optimal_fraction)
 
 __all__ = [
-    "BacktestConfig", "EquityCurve", "Trades", "compare_strategies", "run_backtest",
+    "BacktestConfig", "DecisionGrid", "EquityCurve", "Trades", "compare_strategies",
+    "decision_grid", "run_backtest",
     "CandleSeries", "generate_synthetic_series",
     "parse_candles", "positions", "split_dataset",
     "FeatureMatrix", "LabelSet", "apply_normalizer", "build_feature_matrix",

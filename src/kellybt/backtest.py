@@ -10,8 +10,8 @@ Flat decisions are recorded as zero-fraction trades so that every policy
 run over the same inputs produces the same trade timestamps, which keeps
 strategy comparisons aligned row for row.
 
-Each run splits in two. ``_build_grid`` matches the prediction timestamps
-and the scenario frame to bars and to each other with ``candles.positions``,
+A run splits in two. ``decision_grid`` matches the prediction timestamps and
+the scenario frame to bars and to each other with ``candles.positions``,
 drops what no policy trades (no scenario, no room for the horizon), walks the
 stride lattice and gathers the entry and exit timestamps and prices, the
 realized return (``CandleSeries.forward_return`` at the entry bar, the return
@@ -20,15 +20,13 @@ the labels and the scenario estimator read too), the predictions row and the
 into runs of consecutive bars; a Python loop visits each run only to find its
 first chosen bar, since each chosen point moves the next allowed bar and a
 skipped one does not, and numpy takes every stride-th bar after it. The grid
-reads no p: it depends only on the series, the prediction timestamps, the
-scenarios, the horizon and the stride, and ``_decision_grid`` keeps the last
-one built, for the same three objects (frames hold columns no one can write
-into, so the same objects mean the same content) and an equal horizon and
-stride; fees, bankroll and ruin floor stay per run. The policies of one
-``compare_strategies``, and the simulators of one seed of the CLI's
-``compare``, whose predictions share their labels' timestamps and one
-scenario frame, thus share one grid, while each policy still runs
-``run_backtest`` once and ``decide`` once per chosen point, reading p (the
+reads no p, so it serves every policy and every predictions frame on the
+timestamps it was built for; it holds those timestamps and its
+``BacktestConfig``. A caller builds it once and passes it to each run:
+``compare_strategies`` runs each of its policies over one grid, and the CLI's
+``compare`` builds one per seed for all its simulators, whose predictions
+share their labels' timestamps. ``run_backtest`` refuses predictions on other
+timestamps, and calls ``decide`` once per chosen point, reading p (the
 predictions' ``p_up`` at the grid's rows) and (a, b) through memoryviews, one
 Python float at a time.
 P&L is computed per column and the bankroll is ``np.cumprod`` of the growth
@@ -54,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import write_csv
-from .candles import CandleSeries, Frame, check_horizon, column, positions
+from .candles import CandleSeries, Frame, _cast, check_horizon, column, positions
 from .metrics import BacktestReport, build_report
 from .predictors import Predictions, Scenarios
 from .sizing import SIDE_FLAT, SIDE_LONG, SIDE_SHORT, SizingPolicy, decide
@@ -127,11 +125,12 @@ def _series_positions(timestamps: np.ndarray, query: np.ndarray, what: str) -> n
     return pos
 
 
-class _Grid(NamedTuple):
-    """The decision points shared by every run over one (series, prediction
-    timestamps, estimates, horizon, stride): read-only columns, one row per
-    chosen point, each with the predictions row that holds its p and its
-    (a, b)."""
+class DecisionGrid(NamedTuple):
+    """The decision points of one series, prediction timestamps, scenario
+    frame and config, which every run over them trades: read-only columns,
+    one row per chosen point, each with the predictions row that holds its p
+    and its (a, b); then the prediction timestamps and the config the grid
+    was built for."""
 
     entry_ts: np.ndarray
     exit_ts: np.ndarray
@@ -141,13 +140,22 @@ class _Grid(NamedTuple):
     rows: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    timestamps: np.ndarray
+    cfg: BacktestConfig
 
 
-def _build_grid(series: CandleSeries, pred_ts: np.ndarray, estimates: Scenarios,
-                horizon: int, stride: int) -> _Grid:
+def decision_grid(series: CandleSeries, prediction_timestamps: np.ndarray,
+                  estimates: Scenarios, cfg: BacktestConfig = BacktestConfig()) -> DecisionGrid:
     """Align, validate and walk the stride lattice; gather what each chosen
-    point trades at."""
+    point trades at.
+
+    Decisions fall on a stride lattice over the prediction timestamps that
+    carry a scenario and have room for the horizon; the others are skipped
+    by every policy, so each trades the same grid."""
     ts = series.timestamps
+    horizon, stride = cfg.horizon, cfg.effective_stride
+    pred_ts = _cast("prediction timestamps", prediction_timestamps, np.int64)
+    pred_ts.setflags(write=False)
     pred_pos = _series_positions(ts, pred_ts, "prediction")
     _series_positions(ts, estimates.timestamps, "estimate")
     est_at, has_est = positions(estimates.timestamps, pred_ts)
@@ -183,50 +191,27 @@ def _build_grid(series: CandleSeries, pred_ts: np.ndarray, estimates: Scenarios,
     entry_at = bars[chosen]
     exit_at = entry_at + horizon
     at = est_at[rows]
-    grid = _Grid(ts[entry_at], ts[exit_at], series.close[entry_at], series.close[exit_at],
-                 series.forward_return(horizon)[entry_at], rows,
-                 estimates.a[at], estimates.b[at])
-    for col in grid:
+    columns = (ts[entry_at], ts[exit_at], series.close[entry_at], series.close[exit_at],
+               series.forward_return(horizon)[entry_at], rows, estimates.a[at], estimates.b[at])
+    for col in columns:
         col.setflags(write=False)
-    return grid
+    return DecisionGrid(*columns, pred_ts, cfg)
 
 
-# The last grid built and the inputs it was built from.
-_last_grid: tuple = (None,) * 6
+def run_backtest(grid: DecisionGrid, predictions: Predictions, policy: SizingPolicy):
+    """Run one policy over the grid; returns (EquityCurve, Trades).
 
-
-def _decision_grid(series: CandleSeries, predictions: Predictions,
-                   estimates: Scenarios, horizon: int, stride: int) -> _Grid:
-    """The last grid built when the series, the prediction timestamps and the
-    estimates are the same objects and the horizon and stride are equal;
-    else a new one from ``_build_grid``, kept in its place. A raised error is
-    not kept."""
-    global _last_grid
-    pred_ts = predictions.timestamps
-    last_series, last_ts, last_estimates, last_horizon, last_stride, grid = _last_grid
-    if (series is last_series and pred_ts is last_ts and estimates is last_estimates
-            and horizon == last_horizon and stride == last_stride):
-        return grid
-    grid = _build_grid(series, pred_ts, estimates, horizon, stride)
-    _last_grid = (series, pred_ts, estimates, horizon, stride, grid)
-    return grid
-
-
-def run_backtest(series: CandleSeries, predictions: Predictions,
-                 estimates: Scenarios, policy: SizingPolicy,
-                 cfg: BacktestConfig = BacktestConfig()):
-    """Run one policy over the series; returns (EquityCurve, Trades).
-
-    Decisions fall on a stride lattice over timestamps that carry both a
-    prediction and a scenario; the others are skipped by every policy, so
-    each trades the same grid. The simulation halts with the RUIN flag
-    if the bankroll falls to ruin_floor * initial, and with the OVERFLOW flag
-    before the trade that would take it past the largest float or to NaN.
+    ``predictions`` must be on the timestamps the grid was built for. Horizon,
+    stride, fees, bankroll and ruin floor come from ``grid.cfg``. The
+    simulation halts with the RUIN flag if the bankroll falls to ruin_floor *
+    initial, and with the OVERFLOW flag before the trade that would take it
+    past the largest float or to NaN.
     """
-    horizon = cfg.horizon
-    stride = cfg.effective_stride
-    grid = _decision_grid(series, predictions, estimates, horizon, stride)
-    divisor = -(-horizon // stride)  # ceil(horizon / stride), in ints
+    if not (predictions.timestamps is grid.timestamps
+            or np.array_equal(predictions.timestamps, grid.timestamps)):
+        raise ValueError("predictions are not on the timestamps the decision grid was built for")
+    cfg = grid.cfg
+    divisor = -(-cfg.horizon // cfg.effective_stride)  # ceil(horizon / stride), in ints
 
     p_up = predictions.p_up[grid.rows]
     # A memoryview yields the Python floats that tolist would, one at a time.
@@ -276,15 +261,14 @@ class StrategyResult:
     report: BacktestReport
 
 
-def compare_strategies(series: CandleSeries, predictions: Predictions,
-                       estimates: Scenarios, policies: list[SizingPolicy],
-                       cfg: BacktestConfig = BacktestConfig()) -> list[StrategyResult]:
-    """Run each policy against identical predictions and trade timestamps."""
+def compare_strategies(grid: DecisionGrid, predictions: Predictions,
+                       policies: list[SizingPolicy]) -> list[StrategyResult]:
+    """Run each policy over one grid, against identical predictions."""
     if not policies:
         raise ValueError("need at least one policy")
     results = []
     for policy in policies:
-        curve, trades = run_backtest(series, predictions, estimates, policy, cfg)
+        curve, trades = run_backtest(grid, predictions, policy)
         results.append(StrategyResult(policy, curve, trades, build_report(curve, trades)))
     return results
 

@@ -308,5 +308,7 @@ def generate_synthetic_series(seed: int, n: int, drift: float = 0.0,
         raise ValueError(f"drift {drift}, volatility {volatility} and start price "
                          f"{start_price} give prices that are not finite and positive")
     volume = np.exp(rng.normal(3.0, 0.5, size=n))
-    timestamps = start_ts + HOUR * np.arange(n, dtype=np.int64)
-    return CandleSeries(timestamps, open_, high, low, close, volume, symbol=symbol)
+    columns = (start_ts + HOUR * np.arange(n, dtype=np.int64), open_, high, low, close, volume)
+    for col in columns:
+        col.setflags(write=False)  # each owns its memory: the series holds them uncopied
+    return CandleSeries(*columns, symbol=symbol)

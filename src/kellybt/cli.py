@@ -403,14 +403,14 @@ def cmd_simulate(resolved: dict, out: Output) -> list[int]:
     ests = _scenario_estimates(series, labels, resolved)
     del labels  # the predictions and scenarios hold what sizing reads
     # Each table is written as soon as it is known, so the pool formats it
-    # while the next policy is sized; the policies still share one grid.
+    # while the next policy is sized; the policies share one grid.
     predictors.write_predictions_csv(preds, ests, out("predictions.csv"))
-    cfg = _backtest_config(resolved)
+    grid = backtest.decision_grid(series, preds.timestamps, ests, _backtest_config(resolved))
     curves = []
     rows = []
     table5 = []
     for policy in policies:
-        res, = backtest.compare_strategies(series, preds, ests, [policy], cfg)
+        res, = backtest.compare_strategies(grid, preds, [policy])
         label = res.policy.label
         backtest.write_equity_csv(res.curve, out(f"equity_{label}.csv"))
         curves.append((label, res.curve))
@@ -447,8 +447,8 @@ def _external_backtest(resolved: dict, command: str):
         ests = predictors.estimate_scenarios(series, horizon=resolved["horizon"],
                                              window=resolved["window"])
         scenario_source = "trailing_estimate"
-    result, = backtest.compare_strategies(series, preds, ests, policies,
-                                          _backtest_config(resolved))
+    grid = backtest.decision_grid(series, preds.timestamps, ests, _backtest_config(resolved))
+    result, = backtest.compare_strategies(grid, preds, policies)
     return series, preds, file_ests, result, {**dataclasses.asdict(result.report),
                                               "scenario_source": scenario_source}
 
@@ -497,9 +497,11 @@ def cmd_compare(resolved: dict, out: Output) -> list[int]:
         series = _synthetic_series(resolved, seed)
         labels = features.make_labels(series, horizon=resolved["horizon"])
         ests = _scenario_estimates(series, labels, resolved)
+        # The simulators predict on the labels' timestamps: one grid serves them all.
+        grid = backtest.decision_grid(series, labels.timestamps, ests, cfg)
         for sim in sims:
             preds = _simulate_predictions(labels, sim, seed, resolved)
-            for res in backtest.compare_strategies(series, preds, ests, policies, cfg):
+            for res in backtest.compare_strategies(grid, preds, policies):
                 rows.append({"model": sim, "seed": seed, "policy": res.policy.label,
                              **dataclasses.asdict(res.report)})
 
@@ -637,23 +639,26 @@ def run(argv=None) -> NoReturn:
     When ``main`` returns, its files are closed and its threads joined, and
     kellybt registers no ``atexit`` handler, so the process flushes stdout
     and stderr and ends with ``os._exit``, skipping the interpreter's
-    teardown (23-31 ms a command, 2-CPU x86-64, Python 3.11). It ends through
-    ``sys.exit`` instead under dev mode or a warning option (``-X dev``,
-    ``-W``, ``PYTHONWARNINGS``), for the teardown to report a file left open
-    as a ResourceWarning, and when stdout fails to flush, for Python to
-    report it. A stderr that fails to flush has nowhere to report to: the
-    process ends with ``main``'s code. An exception out of ``main`` propagates."""
+    teardown (23-31 ms a command, 2-CPU x86-64, Python 3.11). When stdout
+    fails to flush, it ends through ``sys.exit`` instead, for Python to report
+    it. A stderr that fails to flush has nowhere to report to, nor has the
+    teardown: the process ends with ``main``'s code, also under dev mode or a
+    warning option (``-X dev``, ``-W``, ``PYTHONWARNINGS``). Otherwise those
+    keep the teardown, for it to report a file left open as a
+    ResourceWarning. An exception out of ``main`` propagates."""
     code = main(argv)
-    if sys.flags.dev_mode or sys.warnoptions:
-        sys.exit(code)
     try:
         if sys.stdout is not None:  # None when the descriptor was closed at start
             sys.stdout.flush()
     except OSError:
         sys.exit(code)
-    with suppress(OSError):
+    try:
         if sys.stderr is not None:
             sys.stderr.flush()
+    except OSError:
+        os._exit(code)
+    if sys.flags.dev_mode or sys.warnoptions:
+        sys.exit(code)
     os._exit(code)
 
 

@@ -42,11 +42,6 @@ SIDE_FLAT = "FLAT"
 _SQRT2 = math.sqrt(2.0)
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the C library erf (accurate to ~1e-16)."""
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-
 def _check_pab(p: float, a: float, b: float) -> None:
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")

@@ -8,6 +8,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from kellybt.backtest import BacktestConfig, decision_grid, run_backtest
 from kellybt.candles import DEFAULT_START_TS, HOUR, CandleSeries, generate_synthetic_series
 from kellybt.predictors import Scenarios
 
@@ -33,6 +34,11 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def backtest_once(series, preds, ests, policy, cfg=BacktestConfig()):
+    """One policy's ``run_backtest`` over a grid built for its predictions."""
+    return run_backtest(decision_grid(series, preds.timestamps, ests, cfg), preds, policy)
 
 
 def scenarios_on(preds, a=0.05, b=0.05):

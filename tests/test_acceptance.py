@@ -94,12 +94,12 @@ def test_criterion_04_optimal_model_zero_drawdown():
     labels = features.make_labels(series)
     preds = simulate_optimal(labels)
     ests = predictors.estimate_scenarios(series, window=100)
-    cfg = backtest.BacktestConfig()
+    grid = backtest.decision_grid(series, preds.timestamps, ests)
     ok = True
     for modifier in (0.25, 1.0, 2.5):
         policies = [sizing.SizingPolicy(kind, modifier=modifier)
                     for kind in ("none", "gaussian", "kelly")]
-        for res in backtest.compare_strategies(series, preds, ests, policies, cfg):
+        for res in backtest.compare_strategies(grid, preds, policies):
             if res.report.max_drawdown_pct != 0.0:
                 ok = False
     _check(4, "always-correct simulator yields exactly 0.00% drawdown for all "
@@ -129,7 +129,8 @@ def test_criterion_05_sharpe_ordering_across_policies():
             preds = (simulate_balanced(labels, seed) if sim == "balanced"
                      else simulate_gaussian(labels, seed))
             ests = predictors.estimate_scenarios(series, window=100)
-            for res in backtest.compare_strategies(series, preds, ests, policies, cfg):
+            grid = backtest.decision_grid(series, preds.timestamps, ests, cfg)
+            for res in backtest.compare_strategies(grid, preds, policies):
                 sharpes[res.policy.label].append(res.report.sharpe)
         k, g, n = (float(np.mean(sharpes[x])) for x in ("kelly", "gaussian", "none"))
         details.append(f"{sim}: K={k:.3f} G={g:.3f} N={n:.3f}")
@@ -227,18 +228,18 @@ def test_criterion_10_modifier_sharpe_neutrality():
     labels = features.make_labels(series)
     preds = simulate_balanced(labels, seed=3)
     ests = predictors.estimate_scenarios(series, window=100)
-    cfg = backtest.BacktestConfig()
+    grid = backtest.decision_grid(series, preds.timestamps, ests)
     base_mod = 1e-6
     ok = True
     worst = 0.0
     for kind, kf in (("none", 1.0), ("gaussian", 1.0), ("kelly", 0.1)):
         base = sizing.SizingPolicy(kind, kelly_fraction=kf, modifier=base_mod)
-        curve0, trades0 = backtest.run_backtest(series, preds, ests, base, cfg)
+        curve0, trades0 = backtest.run_backtest(grid, preds, base)
         trades0 = oracles.trade_records(trades0)
         s0 = metrics.sharpe_monthly(curve0)
         for c in (0.1, 0.5, 2.0):
             policy = sizing.SizingPolicy(kind, kelly_fraction=kf, modifier=base_mod * c)
-            curve, trades = backtest.run_backtest(series, preds, ests, policy, cfg)
+            curve, trades = backtest.run_backtest(grid, preds, policy)
             trades = oracles.trade_records(trades)
             if any(abs(t.pnl_fraction) >= 0.05 for t in trades):
                 ok = False
@@ -308,8 +309,9 @@ def test_criterion_12_trailing_scenarios_beat_constant_ones():
             constant = predictors.Scenarios(
                 labels.timestamps, np.full(n, max(float(trailing.a.mean()), floor)),
                 np.full(n, max(float(trailing.b.mean()), floor)))
-            sharpe = [backtest.compare_strategies(series, preds, ests, [policy], cfg)[0]
-                      .report.sharpe for ests in (trailing, constant)]
+            sharpe = [backtest.compare_strategies(
+                          backtest.decision_grid(series, preds.timestamps, ests, cfg), preds,
+                          [policy])[0].report.sharpe for ests in (trailing, constant)]
             wins += sharpe[0] > sharpe[1]
         details.append(f"{sim}: {wins}/{len(seeds)}")
         if wins < 17:
@@ -345,9 +347,10 @@ def test_criterion_13_kelly_beats_none_at_the_same_mean_size():
             preds = (simulate_balanced(labels, seed) if sim == "balanced"
                      else simulate_gaussian(labels, seed))
             ests = predictors.estimate_scenarios(series, window=100)
-            k = backtest.compare_strategies(series, preds, ests, [kelly], cfg)[0]
+            grid = backtest.decision_grid(series, preds.timestamps, ests, cfg)
+            k = backtest.compare_strategies(grid, preds, [kelly])[0]
             none = sizing.SizingPolicy("none", modifier=float(np.abs(k.trades.fraction).mean()))
-            n = backtest.compare_strategies(series, preds, ests, [none], cfg)[0]
+            n = backtest.compare_strategies(grid, preds, [none])[0]
             wins += k.report.sharpe > n.report.sharpe
         details.append(f"{sim}: {wins}/{len(seeds)}")
         if wins < 17:

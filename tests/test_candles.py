@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from kellybt import artifacts
+from kellybt import artifacts, candles
 from kellybt.candles import (DEFAULT_START_TS, HOUR, CandleSeries, DataError,
                              generate_synthetic_series, parse_candles, positions,
                              split_dataset)
@@ -98,6 +98,21 @@ def test_series_arrays_are_read_only():
     series = generate_synthetic_series(seed=1, n=10)
     with pytest.raises(ValueError):
         series.close[0] = 1.0
+
+
+def test_synthetic_series_holds_the_arrays_it_was_given(monkeypatch):
+    # The generator flags the columns it builds read-only, so none is copied.
+    given = []
+
+    def spy(*args, **kwargs):
+        given.extend(args)
+        return CandleSeries(*args, **kwargs)
+
+    monkeypatch.setattr(candles, "CandleSeries", spy)
+    series = generate_synthetic_series(seed=1, n=10)
+    assert len(given) == 6
+    for name, arg in zip(("timestamps", "open", "high", "low", "close", "volume"), given):
+        assert getattr(series, name) is arg
 
 
 def test_split_counts_small():

@@ -939,12 +939,14 @@ def test_a_cli_process_reports_a_closed_stdout_pipe_as_python_does(tmp_path):
     assert proc.stderr.decode().splitlines()[-1].startswith("BrokenPipeError: ")
 
 
-@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flags", [(), ("-u",), ("-X", "dev"), ("-W", "default")],
+                         ids=["buffered", "unbuffered", "dev-mode", "warning-option"])
 @pytest.mark.parametrize("stderr", ["closed", "read-only"])
 def test_a_cli_process_without_a_writable_stderr_keeps_its_exit_code(tmp_path, flags, stderr):
     # The error record is dropped. It went to stdout when descriptor 2 was
     # closed at start (sys.stderr is None); a write that failed ended the
-    # process with 1, a flush that failed with 120.
+    # process with 1, a flush that failed with 120, also in the teardown that
+    # dev mode and a warning option keep.
     argv = ["-m", "kellybt.cli", "synth", "--n", "0", "--out", str(tmp_path)]
     if stderr == "closed":
         launcher = ("import os, sys; os.close(2); "

@@ -6,9 +6,9 @@ drawn inputs, including the errors they raise. The loops take and return
 per-row records, so each frame is turned into records
 (``oracles.prediction_records``, ``scenario_records``, ``trade_records``)
 before it is handed to one or compared with its result. The backtest's
-cached decision grid is checked the same way across sequences of runs that
-share it, against a fresh grid per policy, and on candidate gap patterns the
-drawn frames rarely reach. The normalizer's slice of
+decision grids are checked the same way across interleaved runs over several
+of them, against a grid per policy, and on candidate gap patterns the drawn
+frames rarely reach. The normalizer's slice of
 the training rows, fitted a block of rows at a time, gives the mean and std
 of the boolean-mask copy fitted in one call that it replaced, bit for bit."""
 import math
@@ -20,8 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kellybt.backtest import (BacktestConfig, EquityCurve, StrategyResult, Trades,
-                              _decision_grid, compare_strategies, run_backtest)
+from kellybt.backtest import (BacktestConfig, DecisionGrid, EquityCurve, StrategyResult,
+                              Trades, compare_strategies, decision_grid, run_backtest)
 from kellybt.candles import HOUR, CandleSeries, generate_synthetic_series
 from kellybt import features
 from kellybt.features import FeatureMatrix, LabelSet, fit_normalizer
@@ -30,6 +30,7 @@ from kellybt.predictors import Predictions, Scenarios, estimate_scenarios, simul
 from kellybt.sizing import SizingPolicy, decide, gaussian_bet_size, kelly_fraction
 
 import oracles
+from conftest import backtest_once
 
 # Derandomized and bounded so the suite stays fast and reproducible.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -211,15 +212,15 @@ def test_run_backtest_equals_sequential_loop(data, series, seed):
                           kelly_fraction=data.draw(st.sampled_from([1.0, 0.5])),
                           max_leverage=data.draw(st.sampled_from([5.0, 2.0, 0.5])),
                           modifier=data.draw(st.sampled_from([1.0, 2.0, 0.0])))
-    _assert_same_run(_outcome(run_backtest, series, preds, ests, policy, cfg),
+    _assert_same_run(_outcome(backtest_once, series, preds, ests, policy, cfg),
                      _outcome(_o_run_backtest, series, preds, ests, policy, cfg))
 
 
 @PROPERTY
 @given(data=st.data(), series=shocked_series(), seed=seeds)
-def test_decision_grid_cache_does_not_leak_between_inputs(data, series, seed):
-    """One interleaved sequence of runs that share, miss and re-fill the grid
-    cache: every outcome equals the per-row oracle's."""
+def test_interleaved_runs_over_drawn_grids_equal_sequential_loop(data, series, seed):
+    """Grids built from drawn inputs, run over in one interleaved sequence:
+    every outcome equals the per-row oracle's, a grid's refused inputs too."""
     preds, ests, cfg = _drawn_frames(data, series, seed)
     ts = series.timestamps
     policies = [SizingPolicy(kind, max_leverage=2.0) for kind in ("none", "gaussian", "kelly")]
@@ -228,31 +229,55 @@ def test_decision_grid_cache_does_not_leak_between_inputs(data, series, seed):
     other_cfg = data.draw(st.sampled_from([
         replace(cfg, horizon=cfg.horizon + 1),
         replace(cfg, stride=cfg.effective_stride + 1),
-        replace(cfg, fee_rate=0.01, ruin_floor=0.0)]))  # same grid, other P&L
-    good = [(series, preds, ests, policy, cfg) for policy in policies]
-    good += [(series, copy, ests, policies[2], cfg),
-             (series, mirrored, ests, policies[1], cfg),
-             (series, preds, ests, policies[2], other_cfg),
-             (series, preds, ests, policies[0], cfg)]
-    calls = data.draw(st.permutations(good))
-    bad = data.draw(st.sampled_from([
-        (series, Predictions([ts[-1] + HOUR], [0.6]), ests, policies[0], cfg),
-        (series, preds, Scenarios([], [], []), policies[2], cfg),
-        (series, Predictions(ts[-1:], [0.6]), ests, policies[1], cfg)]))
-    calls.insert(data.draw(st.integers(1, len(calls) - 1)), bad)
-    for args in calls:
-        _assert_same_run(_outcome(run_backtest, *args), _outcome(_o_run_backtest, *args))
+        replace(cfg, fee_rate=0.01, ruin_floor=0.0)]))  # same points, other P&L
+    bad_preds, bad_ests = data.draw(st.sampled_from([
+        (Predictions([ts[-1] + HOUR], [0.6]), ests),
+        (preds, Scenarios([], [], [])),
+        (Predictions(ts[-1:], [0.6]), ests)]))
+    inputs = [(ests, cfg), (ests, other_cfg), (bad_ests, cfg)]
+    grids = [_outcome(decision_grid, series, p.timestamps, e, c)
+             for p, (e, c) in zip([preds, preds, bad_preds], inputs)]
+    # (grid, predictions, policy): the grid reads no p, so the mirrored
+    # predictions and an equal copy of the timestamps run over the first.
+    calls = [(0, preds, policy) for policy in policies]
+    calls += [(0, copy, policies[2]), (0, mirrored, policies[1]), (1, preds, policies[2]),
+              (0, preds, policies[0])]
+    calls = data.draw(st.permutations(calls))
+    calls.insert(data.draw(st.integers(1, len(calls) - 1)), (2, bad_preds, policies[0]))
+    for k, run_preds, policy in calls:
+        run_ests, run_cfg = inputs[k]
+        want = _outcome(_o_run_backtest, series, run_preds, run_ests, policy, run_cfg)
+        grid = grids[k]
+        if isinstance(grid, DecisionGrid):
+            _assert_same_run(run_backtest(grid, run_preds, policy), want)
+        else:
+            assert grid == want
 
-    try:
-        grid = _decision_grid(series, preds, ests, cfg.horizon, cfg.effective_stride)
-    except ValueError:
-        return
-    assert grid is _decision_grid(series, preds, ests, cfg.horizon, cfg.effective_stride)
-    # The grid reads no p: predictions on the same timestamps array share it.
-    assert grid is _decision_grid(series, mirrored, ests, cfg.horizon, cfg.effective_stride)
-    for col in grid:
-        with pytest.raises(ValueError, match="read-only"):
-            col[0] = 0
+    for grid in grids:
+        if isinstance(grid, DecisionGrid):
+            for col in grid[:-1]:  # every column but the config
+                with pytest.raises(ValueError, match="read-only"):
+                    col[0] = 0
+
+
+@pytest.mark.parametrize("other", ["prefix", "suffix", "shifted", "fewer"])
+def test_run_backtest_refuses_a_grid_built_for_other_timestamps(other):
+    series = generate_synthetic_series(seed=23, n=200, volatility=0.01)
+    ts = series.timestamps[:150]
+    preds = Predictions(ts, np.random.default_rng(24).uniform(0.1, 0.9, ts.size))
+    ests = Scenarios(series.timestamps, np.full(200, 0.02), np.full(200, 0.03))
+    grid = decision_grid(series, preds.timestamps, ests, BacktestConfig(stride=1))
+    at = {"prefix": slice(0, 149), "suffix": slice(1, 150), "shifted": slice(1, 151),
+          "fewer": slice(0, 150, 2)}[other]
+    other_ts = series.timestamps[at]
+    moved = Predictions(other_ts, np.full(other_ts.size, 0.6))
+    policy = SizingPolicy("kelly")
+    with pytest.raises(ValueError, match="not on the timestamps the decision grid was built"):
+        run_backtest(grid, moved, policy)
+    # Equal timestamps in another array are the grid's.
+    same = Predictions(preds.timestamps.copy(), preds.p_up)
+    _assert_same_run(run_backtest(grid, same, policy), _o_run_backtest(
+        series, preds, ests, policy, grid.cfg))
 
 
 def _frame_bits(frame):
@@ -272,17 +297,17 @@ def _result_bits(results):
             for r in results]
 
 
-def _afresh(preds):
-    """The same predictions on a timestamps array no cached grid was built
-    from, so that a run over them builds its grid afresh."""
-    return Predictions(preds.timestamps.copy(), preds.p_up)
+def _compare(series, preds, ests, policies, cfg):
+    """``compare_strategies`` over one grid built for the predictions."""
+    return compare_strategies(decision_grid(series, preds.timestamps, ests, cfg), preds,
+                              policies)
 
 
 def _lone_runs(series, preds, ests, policies, cfg):
-    """Each policy run by itself, on a grid built afresh."""
+    """Each policy run by itself, on a grid built for it alone."""
     results = []
     for policy in policies:
-        curve, trades = run_backtest(series, _afresh(preds), ests, policy, cfg)
+        curve, trades = backtest_once(series, preds, ests, policy, cfg)
         results.append(StrategyResult(policy, curve, trades, build_report(curve, trades)))
     return results
 
@@ -295,7 +320,7 @@ def test_compare_strategies_equals_lone_runs(data, series, seed):
     modifier = data.draw(st.sampled_from([1.0, 0.7, 0.0]))
     policies = [SizingPolicy(kind, max_leverage=cap, modifier=modifier)
                 for kind in ("none", "gaussian", "kelly")]
-    got = _outcome(compare_strategies, series, _afresh(preds), ests, policies, cfg)
+    got = _outcome(_compare, series, preds, ests, policies, cfg)
     want = _outcome(_lone_runs, series, preds, ests, policies, cfg)
     if isinstance(want, tuple):
         assert got == want
@@ -343,11 +368,11 @@ def test_lattice_over_gap_patterns_equals_sequential_loop(pattern, horizon):
         cfg = BacktestConfig(horizon=horizon, stride=stride, fee_rate=0.001, ruin_floor=0.0)
         for kind in ("none", "gaussian", "kelly"):
             policy = SizingPolicy(kind, max_leverage=2.0)
-            _assert_same_run(run_backtest(series, preds, ests, policy, cfg),
+            _assert_same_run(backtest_once(series, preds, ests, policy, cfg),
                              _o_run_backtest(series, preds, ests, policy, cfg))
 
         if pattern == "run_starts_before_next_allowed" and stride >= 3:
-            chosen = set(_decision_grid(series, preds, ests, horizon, stride).rows.tolist())
+            chosen = set(decision_grid(series, preds.timestamps, ests, cfg).rows.tolist())
             runs = np.split(np.arange(bars.size), np.flatnonzero(np.diff(bars) != 1) + 1)
             assert any(run[0] not in chosen and chosen.intersection(run.tolist())
                        for run in runs)

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kellybt import cli
-from kellybt.backtest import BacktestConfig, _decision_grid, compare_strategies
+from kellybt.backtest import BacktestConfig, compare_strategies, decision_grid
 from kellybt.candles import (HOUR, CandleSeries, DataError, generate_synthetic_series,
                             parse_candles, positions)
 from kellybt.features import build_feature_matrix, make_labels
@@ -251,7 +251,8 @@ def test_lattice_keeps_grid_exposure_cap_and_ruin_cut(data, seed, n, volatility)
     policies = [SizingPolicy(kind, max_leverage=cap, modifier=modifier)
                 for kind in ("none", "gaussian", "kelly")]
     try:
-        results = compare_strategies(series, preds, ests, policies, cfg)
+        results = compare_strategies(decision_grid(series, preds.timestamps, ests, cfg), preds,
+                                     policies)
     except ValueError as exc:
         assert "no usable decision" in str(exc)
         return
@@ -462,7 +463,7 @@ def test_every_horizon_return_consumer_reads_forward_return(case):
     assert np.array_equal(direction, sign[t])
 
     preds = Predictions(series.timestamps, np.full(n, 0.6))
-    grid = _decision_grid(series, preds, scenarios_on(preds), h, 1)
+    grid = decision_grid(series, preds.timestamps, scenarios_on(preds), BacktestConfig(h, 1))
     entry, _ = positions(series.timestamps, grid.entry_ts)
     assert np.array_equal(entry, np.arange(n - h))
     assert np.array_equal(grid.realized, fwd)

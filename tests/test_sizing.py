@@ -6,7 +6,7 @@ import pytest
 
 from kellybt import sizing
 from kellybt.sizing import (SizingPolicy, decide, gaussian_bet_size,
-                            kelly_fraction, log_optimal_fraction, normal_cdf)
+                            kelly_fraction, log_optimal_fraction)
 
 import oracles
 
@@ -132,11 +132,6 @@ def test_gaussian_dead_zone_for_offset_baseline():
     assert gaussian_bet_size(0.55, expected=0.6) == 0.0
     assert gaussian_bet_size(0.7, expected=0.6) > 0
     assert gaussian_bet_size(0.3, expected=0.6) < 0
-
-
-def test_normal_cdf_sanity():
-    assert abs(normal_cdf(0.0) - 0.5) <= 1e-15
-    assert abs(normal_cdf(1.0) - oracles.normal_cdf_series(1.0)) <= 1e-12
 
 
 def test_gaussian_validation():
